@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .labeling import moving_average
+
 MIN_FFT_LEN = 4096
 SMOOTH_TAPS = 5
 
@@ -56,13 +58,7 @@ def sort_by_dominant_bin(spectra) -> list[FilterSpectrum]:
 def smooth_filters(first_layer_weights, taps: int = SMOOTH_TAPS) -> np.ndarray:
     """Low-pass the time-domain filters with a centered moving average."""
     w = np.asarray(first_layer_weights, dtype=np.float64)
-    filters = w[:, 0, :]
-    n = filters.shape[1]
-    left, right = (taps - 1) // 2, taps // 2
-    csum = np.concatenate([np.zeros((filters.shape[0], 1)), np.cumsum(filters, axis=1)], axis=1)
-    lo = np.clip(np.arange(n) - left, 0, n)
-    hi = np.clip(np.arange(n) + right + 1, 0, n)
-    return (csum[:, hi] - csum[:, lo]) / (hi - lo)
+    return moving_average(w[:, 0, :].T, 1.0, taps).T
 
 
 def write_spectra_csv(path, spectra) -> None:

@@ -1,13 +1,12 @@
-"""WAV decoding, mono downmix, and slicing into one-second clips."""
+"""WAV decoding and mono downmix."""
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 SAMPLE_RATE = 44100
 CLIP_SAMPLES = 44100  # one second at 44.1 kHz
-NUM_CLASSES = 11
 
 
 class WavFormatError(ValueError):
@@ -33,16 +32,6 @@ class WavLayout:
     block_align: int
     data_offset: int
     frame_count: int
-
-
-@dataclass
-class ClipRecord:
-    """One second of audio plus its binary instrument labels."""
-
-    track_id: str
-    clip_index: int
-    samples: np.ndarray
-    labels: np.ndarray = field(default_factory=lambda: np.zeros(NUM_CLASSES, dtype=np.uint8))
 
 
 def _scan_chunks(data: bytes):
@@ -139,20 +128,3 @@ def parse_wav(data: bytes):
 def decode_wav(data: bytes) -> AudioBuffer:
     buf, _ = parse_wav(data)
     return buf
-
-
-def slice_clips(buffer: AudioBuffer, track_id: str) -> list[ClipRecord]:
-    """Cut a track into non-overlapping one-second clips.
-
-    The trailing remainder shorter than one second is discarded. The buffer
-    must already be at 44.1 kHz; resampling is deliberately not supported.
-    """
-    if buffer.sample_rate != SAMPLE_RATE:
-        raise ValueError(
-            f"sample rate {buffer.sample_rate} != required {SAMPLE_RATE}; resampling unsupported"
-        )
-    n_clips = len(buffer.samples) // CLIP_SAMPLES
-    return [
-        ClipRecord(track_id, i, buffer.samples[i * CLIP_SAMPLES:(i + 1) * CLIP_SAMPLES].copy())
-        for i in range(n_clips)
-    ]

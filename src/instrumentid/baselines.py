@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .nn.layers import sigmoid
+
 
 def _validate_xy(features, labels):
     features = np.asarray(features, dtype=np.float64)
@@ -24,15 +26,6 @@ def _validate_xy(features, labels):
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be binary 0/1")
     return features, labels.astype(np.float64)
-
-
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 @dataclass
@@ -68,7 +61,7 @@ def logistic_train(features, labels, learning_rate: float = 0.5,
     rng = np.random.default_rng(seed)
     w = rng.uniform(-1e-3, 1e-3, size=(d, y.shape[1]))
     for _ in range(epochs):
-        p = _sigmoid(xz @ w)
+        p = sigmoid(xz @ w)
         w -= learning_rate * (xz.T @ (p - y)) / n
     model.weights = w
     return model
@@ -76,7 +69,7 @@ def logistic_train(features, labels, learning_rate: float = 0.5,
 
 def logistic_predict(model: LogisticModel, features) -> np.ndarray:
     """Per-label probabilities, ``[n, n_labels]``."""
-    return _sigmoid(model.transform(features) @ model.weights)
+    return sigmoid(model.transform(features) @ model.weights)
 
 
 @dataclass(frozen=True)

@@ -59,8 +59,12 @@ def temporal_conv_forward(x, weights, bias):
     return out
 
 
-def temporal_conv_backward(x, weights, grad_out):
-    """Gradients of :func:`temporal_conv_forward` w.r.t. input, weights, bias."""
+def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True):
+    """Gradients of :func:`temporal_conv_forward` w.r.t. input, weights, bias.
+
+    With ``needs_input_grad`` false the input gradient is skipped and
+    returned as None; the network's first layer needs none.
+    """
     x = np.asarray(x)
     weights = np.asarray(weights)
     grad_out = np.asarray(grad_out)
@@ -83,6 +87,8 @@ def temporal_conv_backward(x, weights, grad_out):
             grad_out[:, start:stop], windows[:, start:stop, :], axes=([1], [1])
         )
 
+    if not needs_input_grad:
+        return None, grad_weights, grad_bias
     grad_x = np.zeros_like(x)
     for k in range(filter_size):
         # grad_x[c, t + k] += sum_m grad_out[m, t] * weights[m, c, k]

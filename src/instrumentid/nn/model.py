@@ -1,13 +1,14 @@
-"""Network assembly: layer specs, shape inference, forward/backward, SGD.
+"""Network assembly: layer types, shape inference, forward/backward, SGD.
 
 The layer vocabulary is fixed to what the instrument-recognition network
 needs: temporal convolution, max pooling, ReLU, fully connected, dropout and
-a final sigmoid. ``TABLE1`` below is the production architecture (one-second
-44.1 kHz clips); ``REDUCED`` is a scaled-down variant with the same layer
-structure used for fast tests and smoke training on short inputs.
+a final sigmoid, one small type each. :func:`table1_layers` is the production
+architecture (one-second 44.1 kHz clips); :func:`reduced_layers` is a
+scaled-down twin used for fast tests and smoke training on short inputs.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,60 +29,148 @@ class LayerKind(enum.Enum):
     SIGMOID = "sigmoid"
 
 
+class _Layer:
+    """Shape, parameters and the ``nn.layers`` glue of one layer kind, per clip.
+
+    Layers with ``has_params`` give ``param_shapes(input shape)``. ``forward(x,
+    wb, training, rng)`` takes the ``(weights, bias)`` pair, else ``()``, and
+    returns ``(output, cache)``; ``backward(cache, g, needs_input_grad)``
+    returns ``(input grad, parameter grads)``.
+    """
+
+    has_params = False
+
+    def output_shape(self, shape):
+        return shape
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _map_length(shape, what: str, window: int, name: str) -> int:
+    _require(len(shape) == 2, f"{what} requires a [channels, length] input, got {shape}")
+    _require(shape[1] >= window, f"length {shape[1]} shorter than {name} {window}")
+    return shape[1]
+
+
 @dataclass(frozen=True)
-class LayerSpec:
-    kind: LayerKind
-    feature_maps: int | None = None
-    filter_size: int | None = None
-    pool_size: int | None = None
-    pool_stride: int | None = None
-    output_size: int | None = None
-    drop_rate: float | None = None
+class conv(_Layer):
+    feature_maps: int
+    filter_size: int
+    kind = LayerKind.TEMPORAL_CONV
+    has_params = True
 
     def __post_init__(self):
-        if self.kind is LayerKind.TEMPORAL_CONV:
-            if not self.feature_maps or self.feature_maps < 1:
-                raise ValueError(f"conv needs feature_maps >= 1, got {self.feature_maps}")
-            if not self.filter_size or self.filter_size < 1:
-                raise ValueError(f"conv needs filter_size >= 1, got {self.filter_size}")
-        elif self.kind is LayerKind.MAX_POOL:
-            if not self.pool_size or self.pool_size < 1:
-                raise ValueError(f"pool needs pool_size >= 1, got {self.pool_size}")
-            if not self.pool_stride or self.pool_stride < 1:
-                raise ValueError(f"pool needs pool_stride >= 1, got {self.pool_stride}")
-        elif self.kind is LayerKind.FULLY_CONNECTED:
-            if not self.output_size or self.output_size < 1:
-                raise ValueError(f"fc needs output_size >= 1, got {self.output_size}")
-        elif self.kind is LayerKind.DROPOUT:
-            if self.drop_rate is None or not 0.0 <= self.drop_rate < 1.0:
-                raise ValueError(f"dropout rate must be in [0, 1), got {self.drop_rate}")
+        _require(self.feature_maps >= 1, f"conv needs feature_maps >= 1, got {self.feature_maps}")
+        _require(self.filter_size >= 1, f"conv needs filter_size >= 1, got {self.filter_size}")
+
+    def output_shape(self, shape):
+        length = _map_length(shape, "conv", self.filter_size, "filter size")
+        return (self.feature_maps, length - self.filter_size + 1)
+
+    def param_shapes(self, shape):
+        return (self.feature_maps, shape[0], self.filter_size), (self.feature_maps,)
+
+    def forward(self, x, wb, training, rng):
+        return L.temporal_conv_forward(x, *wb), (x, wb[0])
+
+    def backward(self, cache, g, needs_input_grad):
+        g, *param_grads = L.temporal_conv_backward(*cache, g, needs_input_grad=needs_input_grad)
+        return g, param_grads
 
 
-def conv(feature_maps: int, filter_size: int) -> LayerSpec:
-    return LayerSpec(LayerKind.TEMPORAL_CONV, feature_maps=feature_maps, filter_size=filter_size)
+@dataclass(frozen=True)
+class max_pool(_Layer):
+    pool_size: int
+    pool_stride: int
+    kind = LayerKind.MAX_POOL
+
+    def __post_init__(self):
+        _require(self.pool_size >= 1, f"pool needs pool_size >= 1, got {self.pool_size}")
+        _require(self.pool_stride >= 1, f"pool needs pool_stride >= 1, got {self.pool_stride}")
+
+    def output_shape(self, shape):
+        length = _map_length(shape, "pool", self.pool_size, "pool size")
+        return (shape[0], (length - self.pool_size) // self.pool_stride + 1)
+
+    def forward(self, x, wb, training, rng):
+        out, argmax = L.maxpool_forward(x, self.pool_size, self.pool_stride)
+        return out, (argmax, x.shape)
+
+    def backward(self, cache, g, needs_input_grad):
+        argmax, in_shape = cache
+        return L.maxpool_backward(argmax, g, in_shape), ()
 
 
-def max_pool(pool_size: int, pool_stride: int) -> LayerSpec:
-    return LayerSpec(LayerKind.MAX_POOL, pool_size=pool_size, pool_stride=pool_stride)
+@dataclass(frozen=True)
+class relu(_Layer):
+    kind = LayerKind.RELU
+
+    def forward(self, x, wb, training, rng):
+        return L.relu(x), x
+
+    def backward(self, cache, g, needs_input_grad):
+        return L.relu_backward(cache, g), ()
 
 
-def relu() -> LayerSpec:
-    return LayerSpec(LayerKind.RELU)
+@dataclass(frozen=True)
+class fully_connected(_Layer):
+    output_size: int
+    kind = LayerKind.FULLY_CONNECTED
+    has_params = True
+
+    def __post_init__(self):
+        _require(self.output_size >= 1, f"fc needs output_size >= 1, got {self.output_size}")
+
+    def output_shape(self, shape):
+        return (self.output_size,)
+
+    def param_shapes(self, shape):
+        return (self.output_size, math.prod(shape)), (self.output_size,)
+
+    def forward(self, x, wb, training, rng):
+        flat = x.reshape(-1)
+        return L.fully_connected_forward(flat, *wb), (flat, wb[0], x.shape)
+
+    def backward(self, cache, g, needs_input_grad):
+        flat, w, in_shape = cache
+        g, *param_grads = L.fully_connected_backward(flat, w, g)
+        return g.reshape(in_shape), param_grads
 
 
-def fully_connected(output_size: int) -> LayerSpec:
-    return LayerSpec(LayerKind.FULLY_CONNECTED, output_size=output_size)
+@dataclass(frozen=True)
+class dropout(_Layer):
+    drop_rate: float
+    kind = LayerKind.DROPOUT
+
+    def __post_init__(self):
+        _require(0.0 <= self.drop_rate < 1.0,
+                 f"dropout rate must be in [0, 1), got {self.drop_rate}")
+
+    def forward(self, x, wb, training, rng):
+        if training and self.drop_rate > 0 and rng is None:
+            raise ValueError("training mode with dropout requires an rng")
+        return L.dropout(x, self.drop_rate, rng, training)
+
+    def backward(self, cache, g, needs_input_grad):
+        return L.dropout_backward(cache, self.drop_rate, g), ()
 
 
-def dropout(drop_rate: float) -> LayerSpec:
-    return LayerSpec(LayerKind.DROPOUT, drop_rate=drop_rate)
+@dataclass(frozen=True)
+class sigmoid(_Layer):
+    kind = LayerKind.SIGMOID
+
+    def forward(self, x, wb, training, rng):
+        out = L.sigmoid(x)
+        return out, out
+
+    def backward(self, cache, g, needs_input_grad):
+        return L.sigmoid_backward(cache, g), ()
 
 
-def sigmoid() -> LayerSpec:
-    return LayerSpec(LayerKind.SIGMOID)
-
-
-def table1_layers(drop_rate: float = 0.5) -> list[LayerSpec]:
+def table1_layers(drop_rate: float = 0.5) -> list[_Layer]:
     """The production architecture: three conv/pool/ReLU blocks, then FC 400 -> 11."""
     return [
         conv(256, 3101), max_pool(40, 20), relu(),
@@ -92,7 +181,7 @@ def table1_layers(drop_rate: float = 0.5) -> list[LayerSpec]:
     ]
 
 
-def reduced_layers(drop_rate: float = 0.5) -> list[LayerSpec]:
+def reduced_layers(drop_rate: float = 0.5) -> list[_Layer]:
     """Scaled-down twin of :func:`table1_layers` for 200-sample inputs."""
     return [
         conv(4, 11), max_pool(4, 4), relu(),
@@ -103,64 +192,42 @@ def reduced_layers(drop_rate: float = 0.5) -> list[LayerSpec]:
     ]
 
 
-def infer_shapes(layer_specs, input_length: int, input_channels: int = 1):
+def infer_shapes(layers, input_length: int, input_channels: int = 1):
     """Output shape after each layer, flattening before the first FC layer.
 
-    Convolution shrinks length to ``L - F + 1``; pooling to
-    ``(L - P) // S + 1``. Raises ValueError naming the layer index when an
-    intermediate map is shorter than the next filter or pool window.
+    Raises ValueError naming the layer index when a layer cannot take the
+    shape before it, such as a map shorter than a filter or pool window.
     """
     if input_length < 1 or input_channels < 1:
         raise ValueError(f"bad input shape [{input_channels}, {input_length}]")
     shape: tuple[int, ...] = (input_channels, input_length)
     shapes = []
-    for i, spec in enumerate(layer_specs):
-        if spec.kind is LayerKind.TEMPORAL_CONV:
-            if len(shape) != 2:
-                raise ValueError(f"layer {i}: conv requires a [channels, length] input, got {shape}")
-            channels, length = shape
-            if length < spec.filter_size:
-                raise ValueError(
-                    f"layer {i}: length {length} shorter than filter size {spec.filter_size}"
-                )
-            shape = (spec.feature_maps, length - spec.filter_size + 1)
-        elif spec.kind is LayerKind.MAX_POOL:
-            if len(shape) != 2:
-                raise ValueError(f"layer {i}: pool requires a [maps, length] input, got {shape}")
-            maps, length = shape
-            if length < spec.pool_size:
-                raise ValueError(
-                    f"layer {i}: length {length} shorter than pool size {spec.pool_size}"
-                )
-            shape = (maps, (length - spec.pool_size) // spec.pool_stride + 1)
-        elif spec.kind is LayerKind.FULLY_CONNECTED:
-            shape = (spec.output_size,)
+    for i, layer in enumerate(layers):
+        try:
+            shape = layer.output_shape(shape)
+        except ValueError as err:
+            raise ValueError(f"layer {i}: {err}") from None
         shapes.append(shape)
     return shapes
 
 
-def flatten_size(layer_specs, input_length: int, input_channels: int = 1) -> int:
+def _input_shapes(layers, input_length: int, input_channels: int):
+    shapes = infer_shapes(layers, input_length, input_channels)
+    return [(input_channels, input_length)] + shapes[:-1]
+
+
+def flatten_size(layers, input_length: int, input_channels: int = 1) -> int:
     """Size of the flattened map entering the first fully-connected layer."""
-    shape: tuple[int, ...] = (input_channels, input_length)
-    for spec, out in zip(layer_specs, infer_shapes(layer_specs, input_length, input_channels)):
-        if spec.kind is LayerKind.FULLY_CONNECTED:
-            return int(np.prod(shape))
-        shape = out
+    for layer, shape in zip(layers, _input_shapes(layers, input_length, input_channels)):
+        if layer.kind is LayerKind.FULLY_CONNECTED:
+            return math.prod(shape)
     raise ValueError("architecture has no fully-connected layer")
 
 
-def param_shapes(layer_specs, input_length: int, input_channels: int = 1):
+def param_shapes(layers, input_length: int, input_channels: int = 1):
     """(weight shape, bias shape) per parameterized layer, in network order."""
-    shapes = []
-    shape: tuple[int, ...] = (input_channels, input_length)
-    for spec, out in zip(layer_specs, infer_shapes(layer_specs, input_length, input_channels)):
-        if spec.kind is LayerKind.TEMPORAL_CONV:
-            shapes.append(((spec.feature_maps, shape[0], spec.filter_size),
-                           (spec.feature_maps,)))
-        elif spec.kind is LayerKind.FULLY_CONNECTED:
-            shapes.append(((spec.output_size, int(np.prod(shape))), (spec.output_size,)))
-        shape = out
-    return shapes
+    shapes = _input_shapes(layers, input_length, input_channels)
+    return [layer.param_shapes(s) for layer, s in zip(layers, shapes) if layer.has_params]
 
 
 @dataclass
@@ -191,87 +258,40 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams(
-            [w.astype(dtype) for w in self.weights], [b.astype(dtype) for b in self.biases]
-        )
-
     def zeros_like(self) -> "ModelParams":
         return ModelParams(
             [np.zeros_like(w) for w in self.weights], [np.zeros_like(b) for b in self.biases]
         )
 
 
-def init_params(layer_specs, input_length: int, input_channels: int = 1,
+def init_params(layers, input_length: int, input_channels: int = 1,
                 seed: int = 0, dtype=np.float32) -> ModelParams:
     """Seeded uniform init in [-sqrt(6/fan_in), +sqrt(6/fan_in)], zero biases."""
     rng = np.random.default_rng(seed)
-    shapes = infer_shapes(layer_specs, input_length, input_channels)
     params = ModelParams()
-    shape: tuple[int, ...] = (input_channels, input_length)
-    for spec, out in zip(layer_specs, shapes):
-        if spec.kind is LayerKind.TEMPORAL_CONV:
-            channels = shape[0]
-            fan_in = channels * spec.filter_size
-            bound = np.sqrt(6.0 / fan_in)
-            w = rng.uniform(-bound, bound, size=(spec.feature_maps, channels, spec.filter_size))
-            params.weights.append(w.astype(dtype))
-            params.biases.append(np.zeros(spec.feature_maps, dtype=dtype))
-        elif spec.kind is LayerKind.FULLY_CONNECTED:
-            fan_in = int(np.prod(shape))
-            bound = np.sqrt(6.0 / fan_in)
-            w = rng.uniform(-bound, bound, size=(spec.output_size, fan_in))
-            params.weights.append(w.astype(dtype))
-            params.biases.append(np.zeros(spec.output_size, dtype=dtype))
-        shape = out
+    for w_shape, b_shape in param_shapes(layers, input_length, input_channels):
+        bound = np.sqrt(6.0 / math.prod(w_shape[1:]))
+        params.weights.append(rng.uniform(-bound, bound, size=w_shape).astype(dtype))
+        params.biases.append(np.zeros(b_shape, dtype=dtype))
     return params
 
 
 @dataclass
 class ForwardCache:
-    """Everything backward() needs: the specs and per-clip, per-layer caches."""
+    """Everything backward() needs: the layers and per-clip, per-layer caches."""
 
-    layer_specs: list
+    layers: list
     params: ModelParams
-    clip_caches: list  # one list of per-layer cache tuples per clip
-    input_shape: tuple
+    clip_caches: list  # one list of per-layer caches per clip
 
 
-def _forward_clip(params: ModelParams, layer_specs, x, training: bool, rng):
-    caches = []
-    param_idx = 0
-    cur = x
-    for spec in layer_specs:
-        if spec.kind is LayerKind.TEMPORAL_CONV:
-            w, b = params.weights[param_idx], params.biases[param_idx]
-            caches.append(("conv", cur, param_idx))
-            cur = L.temporal_conv_forward(cur, w, b)
-            param_idx += 1
-        elif spec.kind is LayerKind.MAX_POOL:
-            out, argmax = L.maxpool_forward(cur, spec.pool_size, spec.pool_stride)
-            caches.append(("pool", argmax, cur.shape))
-            cur = out
-        elif spec.kind is LayerKind.RELU:
-            caches.append(("relu", cur))
-            cur = L.relu(cur)
-        elif spec.kind is LayerKind.FULLY_CONNECTED:
-            pre_shape = cur.shape
-            flat = cur.reshape(-1)
-            w, b = params.weights[param_idx], params.biases[param_idx]
-            caches.append(("fc", flat, param_idx, pre_shape))
-            cur = L.fully_connected_forward(flat, w, b)
-            param_idx += 1
-        elif spec.kind is LayerKind.DROPOUT:
-            out, mask = L.dropout(cur, spec.drop_rate, rng, training)
-            caches.append(("dropout", mask, spec.drop_rate))
-            cur = out
-        elif spec.kind is LayerKind.SIGMOID:
-            cur = L.sigmoid(cur)
-            caches.append(("sigmoid", cur))
-    return cur, caches
+def _layer_params(params: ModelParams, layers) -> list:
+    """Each layer's ``(weights, bias)`` pair, or ``()`` if it has none."""
+    pairs = zip(params.weights, params.biases)
+    return [next(pairs) if layer.has_params else () for layer in layers]
 
 
-def forward(params: ModelParams, layer_specs, batch, mode: str = "train", rng=None):
+def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     """Run the network over a ``[batch, channels, length]`` stack of clips.
 
     Clips are processed in index order (dropout draws are consumed in that
@@ -285,19 +305,17 @@ def forward(params: ModelParams, layer_specs, batch, mode: str = "train", rng=No
     if batch.ndim != 3:
         raise ValueError(f"batch must be [clips, channels, length], got shape {batch.shape}")
     training = mode == "train"
-    has_dropout = any(s.kind is LayerKind.DROPOUT and s.drop_rate > 0 for s in layer_specs)
-    if training and has_dropout and rng is None:
-        raise ValueError("training mode with dropout requires an rng")
-
-    preds = []
-    clip_caches = []
-    for clip in batch:
-        out, caches = _forward_clip(params, layer_specs, clip, training, rng)
-        preds.append(out)
+    layers = list(layers)
+    layer_params = _layer_params(params, layers)
+    preds, clip_caches = [], []
+    for x in batch:
+        caches = []
+        for layer, wb in zip(layers, layer_params):
+            x, layer_cache = layer.forward(x, wb, training, rng)
+            caches.append(layer_cache)
+        preds.append(x)
         clip_caches.append(caches)
-    predictions = np.stack(preds)
-    cache = ForwardCache(list(layer_specs), params, clip_caches, batch.shape)
-    return predictions, cache
+    return np.stack(preds), ForwardCache(layers, params, clip_caches)
 
 
 def backward(cache: ForwardCache, grad_loss) -> ModelParams:
@@ -306,41 +324,20 @@ def backward(cache: ForwardCache, grad_loss) -> ModelParams:
     ``grad_loss`` is the gradient of the (batch-mean) loss w.r.t. the
     predictions, so the per-clip contributions are summed: the result is the
     gradient of the same batch-mean loss. Accumulation runs in clip index
-    order for determinism.
+    order for determinism. Layer 0 computes no gradient for the network input.
     """
     grad_loss = np.asarray(grad_loss)
-    params = cache.params
-    grads = params.zeros_like()
     if grad_loss.shape[0] != len(cache.clip_caches):
         raise ValueError(
             f"grad_loss batch {grad_loss.shape[0]} != cached batch {len(cache.clip_caches)}"
         )
-    for clip_idx, caches in enumerate(cache.clip_caches):
-        g = grad_loss[clip_idx]
-        for entry in reversed(caches):
-            kind = entry[0]
-            if kind == "sigmoid":
-                g = L.sigmoid_backward(entry[1], g)
-            elif kind == "dropout":
-                g = L.dropout_backward(entry[1], entry[2], g)
-            elif kind == "fc":
-                _, flat, param_idx, pre_shape = entry
-                w = params.weights[param_idx]
-                g, gw, gb = L.fully_connected_backward(flat, w, g)
-                grads.weights[param_idx] += gw
-                grads.biases[param_idx] += gb
-                g = g.reshape(pre_shape)
-            elif kind == "relu":
-                g = L.relu_backward(entry[1], g)
-            elif kind == "pool":
-                _, argmax, in_shape = entry
-                g = L.maxpool_backward(argmax, g, in_shape)
-            elif kind == "conv":
-                _, x_in, param_idx = entry
-                w = params.weights[param_idx]
-                g, gw, gb = L.temporal_conv_backward(x_in, w, g)
-                grads.weights[param_idx] += gw
-                grads.biases[param_idx] += gb
+    grads = cache.params.zeros_like()
+    layer_grads = _layer_params(grads, cache.layers)
+    for g, caches in zip(grad_loss, cache.clip_caches):
+        for i in reversed(range(len(cache.layers))):
+            g, param_grads = cache.layers[i].backward(caches[i], g, i > 0)
+            for acc, grad in zip(layer_grads[i], param_grads):
+                acc += grad
     return grads
 
 

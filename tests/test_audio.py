@@ -3,10 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from instrumentid.audio import (
-    AudioBuffer, WavFormatError, decode_wav, parse_wav, slice_clips,
-    SAMPLE_RATE, CLIP_SAMPLES,
-)
+from instrumentid.audio import WavFormatError, decode_wav, parse_wav
 
 from helpers import encode_wav, encode_int16_wav
 
@@ -94,38 +91,6 @@ def test_odd_sized_unknown_chunk_is_skipped():
     struct.pack_into("<I", data, 4, len(data) - 8)
     buf = decode_wav(bytes(data))
     np.testing.assert_allclose(buf.samples, samples, atol=1e-4)
-
-
-class TestSliceClips:
-    def _buffer(self, n):
-        return AudioBuffer(SAMPLE_RATE, np.zeros(n, dtype=np.float32))
-
-    def test_remainder_discarded(self):
-        clips = slice_clips(self._buffer(100_000), "trk")
-        assert len(clips) == 2
-        assert all(len(c.samples) == CLIP_SAMPLES for c in clips)
-
-    def test_exactly_one_second(self):
-        assert len(slice_clips(self._buffer(44100), "trk")) == 1
-
-    def test_one_sample_short(self):
-        assert slice_clips(self._buffer(44099), "trk") == []
-
-    def test_wrong_sample_rate_rejected(self):
-        with pytest.raises(ValueError, match="sample rate"):
-            slice_clips(AudioBuffer(48000, np.zeros(48000)), "trk")
-
-    def test_concatenation_recovers_prefix(self):
-        rng = np.random.default_rng(7)
-        samples = rng.uniform(-1, 1, size=150_000).astype(np.float32)
-        clips = slice_clips(AudioBuffer(SAMPLE_RATE, samples), "trk")
-        joined = np.concatenate([c.samples for c in clips])
-        np.testing.assert_array_equal(joined, samples[:CLIP_SAMPLES * len(clips)])
-
-    def test_provenance_fields(self):
-        clips = slice_clips(self._buffer(90_000), "song-1")
-        assert [(c.track_id, c.clip_index) for c in clips] == [("song-1", 0), ("song-1", 1)]
-        assert all(c.labels.shape == (11,) and not c.labels.any() for c in clips)
 
 
 def test_parse_wav_layout_reports_data_offset():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from instrumentid.audio import CLIP_SAMPLES
 from instrumentid.config import RunConfig
 from instrumentid.dataset import (
     ManifestRow, prepare_dataset, read_manifest, write_manifest,
@@ -8,7 +9,7 @@ from instrumentid.dataset import (
 )
 from instrumentid.labeling import parse_activation_csv
 
-from helpers import write_corpus
+from helpers import encode_wav, write_corpus
 
 
 def make_config(tmp_path, **overrides):
@@ -73,16 +74,26 @@ class TestPrepare:
                 assert r.labels.sum() == 1
 
     def test_clip_counts_match_floor_of_duration(self, tmp_path):
-        durations = [1.0, 2.5, 3.9, 4.0]
-        tracks = {f"t{i}": {"piano": (440.0, [(0.0, d)])} for i, d in enumerate(durations)}
+        # in samples: one short of a second, exactly one, partial seconds, exactly four
+        lengths = [44_099, 44_100, 100_000, 110_250, 171_990, 176_400]
         # write each track with its own duration
-        for i, d in enumerate(durations):
-            write_corpus(tmp_path, {f"t{i}": tracks[f"t{i}"]}, duration=d)
+        for i, n in enumerate(lengths):
+            d = n / CLIP_SAMPLES
+            write_corpus(tmp_path, {f"t{i}": {"piano": (440.0, [(0.0, d)])}}, duration=d)
         cfg = make_config(tmp_path, min_songs=1, test_fraction=0.25)
         train_path, test_path = prepare_dataset(cfg, log=lambda *_: None)
-        train_rows, _ = read_manifest(train_path)
-        test_rows, _ = read_manifest(test_path)
-        assert len(train_rows) + len(test_rows) == sum(int(d) for d in durations)
+        rows = read_manifest(train_path)[0] + read_manifest(test_path)[0]
+        for i, n in enumerate(lengths):
+            clips = [(r.track_id, r.clip_index) for r in rows if r.track_id == f"t{i}"]
+            assert clips == [(f"t{i}", k) for k in range(n // CLIP_SAMPLES)]
+
+    def test_wrong_sample_rate_rejected(self, tmp_path):
+        write_corpus(tmp_path, {"alpha": {"piano": always_on(440.0)}})
+        (tmp_path / "audio" / "alpha.wav").write_bytes(
+            encode_wav(np.zeros(3 * 48_000), sample_rate=48_000))
+        cfg = make_config(tmp_path, min_songs=1, test_fraction=0.4)
+        with pytest.raises(ValueError, match="sample rate 48000"):
+            prepare_dataset(cfg, log=lambda *_: None)
 
     def test_silent_track_keeps_all_zero_labels(self, tmp_path):
         write_corpus(tmp_path, {

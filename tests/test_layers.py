@@ -95,6 +95,11 @@ class TestTemporalConv:
         assert relative_error(gx, fd_x) < 1e-5
         assert relative_error(gw, fd_w) < 1e-5
         assert relative_error(gb, fd_b) < 1e-5
+        # the weight-only call skips the input gradient, nothing else
+        none_x, gw_only, gb_only = temporal_conv_backward(x, w, r, needs_input_grad=False)
+        assert none_x is None
+        np.testing.assert_array_equal(gw_only, gw)
+        np.testing.assert_array_equal(gb_only, gb)
 
     def test_backward_rejects_bad_grad_shape(self):
         with pytest.raises(ValueError, match="does not match conv output"):

@@ -49,6 +49,16 @@ def test_intermediate_too_short_names_layer_index():
         infer_shapes(specs, 8, 1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: nnm.conv(0, 5), lambda: nnm.conv(4, 0),
+    lambda: nnm.max_pool(4, 0), lambda: nnm.max_pool(0, 2),
+    lambda: nnm.fully_connected(0), lambda: nnm.dropout(1.0),
+])
+def test_layer_constructors_reject_out_of_range_values(make):
+    with pytest.raises(ValueError, match=">= 1|in \\[0, 1\\)"):
+        make()
+
+
 def test_init_params_shapes_and_determinism():
     specs = reduced_layers()
     p1 = init_params(specs, REDUCED_INPUT_LENGTH, seed=42)
@@ -111,6 +121,27 @@ def test_composed_network_gradients_match_finite_differences():
         fd_b = numeric_gradient(f_b, params.biases[i])
         assert relative_error(grads.weights[i], fd_w) < 1e-4, f"weights {i}"
         assert relative_error(grads.biases[i], fd_b) < 1e-4, f"biases {i}"
+
+
+def test_backward_asks_no_input_gradient_of_layer_zero(monkeypatch):
+    from instrumentid.nn import layers
+    conv_backward = layers.temporal_conv_backward
+    calls = []
+
+    def spy(x, w, g, **kwargs):
+        calls.append((x.shape[0], kwargs.get("needs_input_grad", True)))
+        return conv_backward(x, w, g, **kwargs)
+
+    specs = _tiny_specs()
+    params = init_params(specs, 80, seed=1, dtype=np.float64)
+    preds, cache = forward(params, specs, _tiny_input(batch=2), mode="eval")
+    expected = backward(cache, np.ones_like(preds))
+    monkeypatch.setattr(layers, "temporal_conv_backward", spy)
+    grads = backward(cache, np.ones_like(preds))
+    # input channels 6, 4, 1 per clip: conv2, conv1, then conv0 on the audio
+    assert calls == [(6, True), (4, True), (1, False)] * 2
+    for got, want in zip(grads.weights + grads.biases, expected.weights + expected.biases):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_dropout_gradient_under_fixed_mask():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from instrumentid.audio import CLIP_SAMPLES
+from instrumentid.audio import CLIP_SAMPLES, decode_wav
 from instrumentid.config import RunConfig
 from instrumentid.dataset import prepare_dataset, read_manifest, ManifestRow
 from instrumentid.nn import REDUCED_INPUT_LENGTH
 from instrumentid.training import (
     architecture, check_params_match, evaluate_model,
-    global_contrast_normalize, load_dataset, reduce_clip, train_model,
+    global_contrast_normalize, iter_raw_clips, load_dataset, reduce_clip, train_model,
 )
 
 from helpers import synthetic_clip_dataset, write_corpus
@@ -148,6 +148,20 @@ class TestLoadDataset:
         rows, _ = read_manifest(cfg.train_manifest())
         data = load_dataset(rows[:2], CLIP_SAMPLES)
         assert data.clips.shape == (2, 1, CLIP_SAMPLES)
+
+    def test_clips_concatenate_to_track_prefix(self, tmp_path):
+        duration = 150_000 / CLIP_SAMPLES
+        write_corpus(tmp_path, {"alpha": {"piano": (440.0, [(0.0, duration)])}},
+                     duration=duration)
+        cfg = RunConfig(audio_dir=tmp_path / "audio", activation_dir=tmp_path / "activations",
+                        output_dir=tmp_path / "out", min_songs=1, test_fraction=0.4)
+        prepare_dataset(cfg, log=lambda *_: None)
+        rows = read_manifest(cfg.train_manifest())[0] + read_manifest(cfg.test_manifest())[0]
+        rows.sort(key=lambda r: r.clip_index)
+        joined = np.concatenate(list(iter_raw_clips(rows)))
+        samples = decode_wav((tmp_path / "audio" / "alpha.wav").read_bytes()).samples
+        assert len(rows) == 3
+        np.testing.assert_array_equal(joined, samples[:3 * CLIP_SAMPLES])
 
     def test_manifest_audio_mismatch_aborts_with_clip_id(self, tmp_path):
         cfg = self._prepared(tmp_path)
