@@ -3,9 +3,12 @@ import struct
 import numpy as np
 import pytest
 
-from instrumentid.audio import WavFormatError, decode_wav, parse_wav
+from instrumentid.audio import CLIP_SAMPLES, WavFormatError, decode_wav, parse_wav
+from instrumentid.config import RunConfig
+from instrumentid.dataset import prepare_dataset, read_manifest
+from instrumentid.training import iter_raw_clips
 
-from helpers import encode_wav, encode_int16_wav
+from helpers import encode_wav, encode_int16_wav, write_corpus
 
 
 def test_16bit_scaling_law():
@@ -91,6 +94,35 @@ def test_odd_sized_unknown_chunk_is_skipped():
     struct.pack_into("<I", data, 4, len(data) - 8)
     buf = decode_wav(bytes(data))
     np.testing.assert_allclose(buf.samples, samples, atol=1e-4)
+
+
+class TestSliceClips:
+    """Clip slicing as prepare_dataset does it: whole seconds, remainder dropped."""
+
+    def _rows(self, tmp_path, n, track_id="trk"):
+        duration = n / CLIP_SAMPLES
+        write_corpus(tmp_path, {track_id: {"piano": (440.0, [(0.0, duration)])}},
+                     duration=duration)
+        cfg = RunConfig(audio_dir=tmp_path / "audio", activation_dir=tmp_path / "activations",
+                        output_dir=tmp_path / "out", min_songs=1, test_fraction=0.4)
+        prepare_dataset(cfg, log=lambda *_: None)
+        rows = read_manifest(cfg.train_manifest())[0] + read_manifest(cfg.test_manifest())[0]
+        return sorted(rows, key=lambda r: r.clip_index)
+
+    def test_remainder_discarded(self, tmp_path):
+        rows = self._rows(tmp_path, 100_000)
+        assert len(rows) == 2
+        assert all(len(c) == CLIP_SAMPLES for c in iter_raw_clips(rows))
+
+    def test_exactly_one_second(self, tmp_path):
+        assert len(self._rows(tmp_path, 44100)) == 1
+
+    def test_one_sample_short(self, tmp_path):
+        assert self._rows(tmp_path, 44099) == []
+
+    def test_provenance_fields(self, tmp_path):
+        rows = self._rows(tmp_path, 90_000, track_id="song-1")
+        assert [(r.track_id, r.clip_index) for r in rows] == [("song-1", 0), ("song-1", 1)]
 
 
 def test_parse_wav_layout_reports_data_offset():
