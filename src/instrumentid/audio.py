@@ -105,6 +105,9 @@ def parse_wav(data: bytes):
     if format_code == 3:
         values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         values = np.clip(values, -1.0, 1.0)
+        # integer PCM cannot hold NaN or inf, so only floats need the check
+        if not np.isfinite(values).all():
+            raise WavFormatError("non-finite sample values in data chunk")
     elif bits == 16:
         values = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 2.0 ** 15
     elif bits == 32:
@@ -116,10 +119,14 @@ def parse_wav(data: bytes):
         signed = np.where(signed >= 1 << 23, signed - (1 << 24), signed)
         values = signed.astype(np.float64) / 2.0 ** 23
 
-    if not np.isfinite(values).all():
-        raise WavFormatError("non-finite sample values in data chunk")
+    # the mean of the channels, (left + right) / 2, without a reduction
+    # along the short channel axis, which is several times slower
     frames = values.reshape(frame_count, channels)
-    mono = frames.mean(axis=1).astype(np.float32)
+    mono = frames[:, 0]
+    if channels == 2:
+        mono = mono + frames[:, 1]
+        mono /= 2
+    mono = mono.astype(np.float32)
 
     layout = WavLayout(sample_rate, channels, bits, format_code, block_align, offset, frame_count)
     return AudioBuffer(sample_rate, mono), layout

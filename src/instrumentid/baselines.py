@@ -100,29 +100,33 @@ class _Node:
 
 
 def _gini_split(values, targets, min_leaf):
-    """Best midpoint threshold for one feature; returns (impurity, threshold)."""
+    """Best midpoint threshold for one feature; returns (impurity, threshold).
+
+    Every boundary between consecutive distinct sorted values is scored at
+    once; ties go to the first (lowest) boundary.
+    """
     order = np.argsort(values, kind="stable")
     v = values[order]
     t = targets[order]
     n = len(v)
     pos_prefix = np.cumsum(t)
     total_pos = pos_prefix[-1]
-    best = (np.inf, None)
     # candidate boundaries sit between consecutive distinct values
     boundaries = np.nonzero(v[1:] != v[:-1])[0]
-    for b in boundaries:
-        n_left = b + 1
-        n_right = n - n_left
-        if n_left < min_leaf or n_right < min_leaf:
-            continue
-        pos_left = pos_prefix[b]
-        pos_right = total_pos - pos_left
-        p_l = pos_left / n_left
-        p_r = pos_right / n_right
-        gini = (n_left * 2.0 * p_l * (1.0 - p_l) + n_right * 2.0 * p_r * (1.0 - p_r)) / n
-        if gini < best[0]:
-            best = (gini, 0.5 * (v[b] + v[b + 1]))
-    return best
+    n_left = boundaries + 1
+    n_right = n - n_left
+    keep = (n_left >= min_leaf) & (n_right >= min_leaf)
+    boundaries, n_left, n_right = boundaries[keep], n_left[keep], n_right[keep]
+    if not len(boundaries):
+        return (np.inf, None)
+    pos_left = pos_prefix[boundaries]
+    pos_right = total_pos - pos_left
+    p_l = pos_left / n_left
+    p_r = pos_right / n_right
+    gini = (n_left * 2.0 * p_l * (1.0 - p_l) + n_right * 2.0 * p_r * (1.0 - p_r)) / n
+    best = int(np.argmin(gini))
+    b = boundaries[best]
+    return (gini[best], 0.5 * (v[b] + v[b + 1]))
 
 
 def _grow_tree(x, y, cfg: ForestConfig, rng, depth: int) -> _Node:

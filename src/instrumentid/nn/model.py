@@ -30,12 +30,13 @@ class LayerKind(enum.Enum):
 
 
 class _Layer:
-    """Shape, parameters and the ``nn.layers`` glue of one layer kind, per clip.
+    """Shape, parameters and the ``nn.layers`` glue of one layer kind.
 
-    Layers with ``has_params`` give ``param_shapes(input shape)``. ``forward(x,
-    wb, training, rng)`` takes the ``(weights, bias)`` pair, else ``()``, and
+    Shapes are per clip. Layers with ``has_params`` give ``param_shapes(input
+    shape)``. ``forward(x, wb, training, rng)`` takes a group of clips
+    ``[clips, ...]`` and the ``(weights, bias)`` pair, else ``()``, and
     returns ``(output, cache)``; ``backward(cache, g, needs_input_grad)``
-    returns ``(input grad, parameter grads)``.
+    returns ``(input grad, parameter grads summed over the group)``.
     """
 
     has_params = False
@@ -109,7 +110,8 @@ class relu(_Layer):
     kind = LayerKind.RELU
 
     def forward(self, x, wb, training, rng):
-        return L.relu(x), x
+        out = L.relu(x)
+        return out, out  # the next layer holds the output anyway
 
     def backward(self, cache, g, needs_input_grad):
         return L.relu_backward(cache, g), ()
@@ -131,7 +133,7 @@ class fully_connected(_Layer):
         return (self.output_size, math.prod(shape)), (self.output_size,)
 
     def forward(self, x, wb, training, rng):
-        flat = x.reshape(-1)
+        flat = x.reshape(len(x), -1)
         return L.fully_connected_forward(flat, *wb), (flat, wb[0], x.shape)
 
     def backward(self, cache, g, needs_input_grad):
@@ -278,11 +280,13 @@ def init_params(layers, input_length: int, input_channels: int = 1,
 
 @dataclass
 class ForwardCache:
-    """Everything backward() needs: the layers and per-clip, per-layer caches."""
+    """Everything backward() needs: the layers and per-group, per-layer caches."""
 
     layers: list
     params: ModelParams
-    clip_caches: list  # one list of per-layer caches per clip
+    clips: int
+    group: int  # clips per group; the last group may be shorter
+    group_caches: list  # one list of per-layer caches per group of clips
 
 
 def _layer_params(params: ModelParams, layers) -> list:
@@ -291,11 +295,20 @@ def _layer_params(params: ModelParams, layers) -> list:
     return [next(pairs) if layer.has_params else () for layer in layers]
 
 
+def _group_size(layers, input_length: int, input_channels: int) -> int:
+    """Most clips whose largest layer output stays within the conv chunk bound."""
+    shapes = infer_shapes(layers, input_length, input_channels)
+    return max(1, L._CONV_CHUNK_ELEMS // max(math.prod(s) for s in shapes))
+
+
 def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     """Run the network over a ``[batch, channels, length]`` stack of clips.
 
-    Clips are processed in index order (dropout draws are consumed in that
-    order too), so results are deterministic for a fixed rng state.
+    Each layer runs once per group of consecutive clips, the groups in index
+    order; a group is as many clips as keep the largest layer output within
+    ``nn.layers._CONV_CHUNK_ELEMS`` elements. Dropout draws over a group
+    consume the rng in clip order, so results are deterministic for a fixed
+    rng state and do not depend on the grouping.
 
     :returns: ``(predictions [batch, output], cache)``
     """
@@ -307,15 +320,17 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     training = mode == "train"
     layers = list(layers)
     layer_params = _layer_params(params, layers)
-    preds, clip_caches = [], []
-    for x in batch:
+    group = _group_size(layers, batch.shape[2], batch.shape[1])
+    preds, group_caches = [], []
+    for start in range(0, len(batch), group):
+        x = batch[start:start + group]
         caches = []
         for layer, wb in zip(layers, layer_params):
             x, layer_cache = layer.forward(x, wb, training, rng)
             caches.append(layer_cache)
         preds.append(x)
-        clip_caches.append(caches)
-    return np.stack(preds), ForwardCache(layers, params, clip_caches)
+        group_caches.append(caches)
+    return np.concatenate(preds), ForwardCache(layers, params, len(batch), group, group_caches)
 
 
 def backward(cache: ForwardCache, grad_loss) -> ModelParams:
@@ -323,17 +338,16 @@ def backward(cache: ForwardCache, grad_loss) -> ModelParams:
 
     ``grad_loss`` is the gradient of the (batch-mean) loss w.r.t. the
     predictions, so the per-clip contributions are summed: the result is the
-    gradient of the same batch-mean loss. Accumulation runs in clip index
+    gradient of the same batch-mean loss. Groups are accumulated in index
     order for determinism. Layer 0 computes no gradient for the network input.
     """
     grad_loss = np.asarray(grad_loss)
-    if grad_loss.shape[0] != len(cache.clip_caches):
-        raise ValueError(
-            f"grad_loss batch {grad_loss.shape[0]} != cached batch {len(cache.clip_caches)}"
-        )
+    if grad_loss.shape[0] != cache.clips:
+        raise ValueError(f"grad_loss batch {grad_loss.shape[0]} != cached batch {cache.clips}")
     grads = cache.params.zeros_like()
     layer_grads = _layer_params(grads, cache.layers)
-    for g, caches in zip(grad_loss, cache.clip_caches):
+    for start, caches in zip(range(0, cache.clips, cache.group), cache.group_caches):
+        g = grad_loss[start:start + cache.group]
         for i in reversed(range(len(cache.layers))):
             g, param_grads = cache.layers[i].backward(caches[i], g, i > 0)
             for acc, grad in zip(layer_grads[i], param_grads):

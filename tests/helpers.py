@@ -265,6 +265,31 @@ def metrics_naive(pred, truth):
     }
 
 
+def gini_split_loop(values, targets, min_leaf):
+    """Boundary-by-boundary Gini split search: (impurity, midpoint threshold)."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    t = targets[order]
+    n = len(v)
+    pos_prefix = np.cumsum(t)
+    total_pos = pos_prefix[-1]
+    best = (np.inf, None)
+    boundaries = np.nonzero(v[1:] != v[:-1])[0]
+    for b in boundaries:
+        n_left = b + 1
+        n_right = n - n_left
+        if n_left < min_leaf or n_right < min_leaf:
+            continue
+        pos_left = pos_prefix[b]
+        pos_right = total_pos - pos_left
+        p_l = pos_left / n_left
+        p_r = pos_right / n_right
+        gini = (n_left * 2.0 * p_l * (1.0 - p_l) + n_right * 2.0 * p_r * (1.0 - p_r)) / n
+        if gini < best[0]:
+            best = (gini, 0.5 * (v[b] + v[b + 1]))
+    return best
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 

@@ -24,6 +24,40 @@ def test_stereo_downmix_is_mean():
     np.testing.assert_allclose(buf.samples, [0.5, 0.0, -1.0], atol=1e-4)
 
 
+def _mean_downmix(data, bits, channels, format_code):
+    """The mean-of-channels decode, computed independently of parse_wav."""
+    raw = data[data.index(b"data") + 8:]
+    raw = raw[:len(raw) - len(raw) % (channels * bits // 8)]
+    if format_code == 3:
+        values = np.clip(np.frombuffer(raw, dtype="<f4").astype(np.float64), -1.0, 1.0)
+    elif bits == 24:
+        b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
+        ints = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+        values = np.where(ints >= 1 << 23, ints - (1 << 24), ints) / 2.0 ** 23
+    else:
+        values = np.frombuffer(raw, dtype=f"<i{bits // 8}").astype(np.float64) / 2.0 ** (bits - 1)
+    return values.reshape(-1, channels).mean(axis=1).astype(np.float32)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("bits,format_code", [(16, 1), (24, 1), (32, 1), (32, 3)])
+def test_downmix_bit_identical_to_channel_mean(bits, format_code, channels):
+    rng = np.random.default_rng(bits + format_code + channels)
+    samples = rng.uniform(-1.0, 1.0, size=(501, channels))
+    samples[:4] = [[-1.0] * channels, [1.0] * channels, [0.0] * channels, [-1.0, 1.0][:channels]]
+    data = encode_wav(samples, bits=bits, channels=channels, format_code=format_code)
+    got = decode_wav(data).samples
+    want = _mean_downmix(data, bits, channels, format_code)
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
+def test_non_finite_float_samples_rejected():
+    data = encode_wav(np.array([0.0, np.nan, 0.5]), bits=32, format_code=3)
+    with pytest.raises(WavFormatError, match="non-finite"):
+        decode_wav(data)
+
+
 def test_data_chunk_longer_than_file_rejected():
     data = bytearray(encode_int16_wav([0, 1, 2]))
     # find the data chunk and inflate its declared size

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from instrumentid.baselines import (
     LogisticModel, ForestConfig,
     logistic_train, logistic_predict,
     forest_train, forest_predict,
-    majority_baseline,
+    majority_baseline, _gini_split,
 )
+
+from helpers import gini_split_loop
 
 
 def _binary(labels_1d):
@@ -110,6 +113,18 @@ class TestForest:
         s1 = forest_predict(forest_train(x, y, cfg), x)
         s2 = forest_predict(forest_train(x, y, cfg), x)
         np.testing.assert_array_equal(s1, s2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), min_size=1, max_size=40),
+           st.integers(1, 3))
+    def test_gini_split_matches_boundary_loop(self, rows, min_leaf):
+        # few distinct values, so tied values and tied impurities are common
+        values = np.array([v for v, _ in rows], dtype=np.float64) * 0.5
+        targets = np.array([t for _, t in rows], dtype=np.float64)
+        got = _gini_split(values, targets, min_leaf)
+        want = gini_split_loop(values, targets, min_leaf)
+        assert got == want
+        assert type(got[1]) is type(want[1])
 
 
 class TestMajority:

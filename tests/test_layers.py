@@ -269,3 +269,44 @@ class TestFullyConnected:
             lambda v: (fully_connected_forward(x, v, b) * r).sum(), w)) < 1e-6
         assert relative_error(gb, numeric_gradient(
             lambda v: (fully_connected_forward(x, w, v) * r).sum(), b)) < 1e-6
+
+
+def test_leading_axes_match_per_clip():
+    # a [2, 3, ...] stack equals each clip alone; parameter gradients sum
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(2, 3, 2, 30))
+    w = rng.normal(size=(4, 2, 5))
+    b = rng.normal(size=4)
+    clips = x.reshape(6, 2, 30)
+
+    out = temporal_conv_forward(x, w, b)
+    g = rng.normal(size=out.shape)
+    gx, gw, gb = temporal_conv_backward(x, w, g)
+    per_clip = [temporal_conv_backward(c, w, gc) for c, gc in zip(clips, g.reshape(6, 4, 26))]
+    np.testing.assert_allclose(
+        out.reshape(6, 4, 26), [temporal_conv_forward(c, w, b) for c in clips], rtol=1e-12)
+    np.testing.assert_allclose(gx.reshape(6, 2, 30), [p[0] for p in per_clip], rtol=1e-12)
+    np.testing.assert_allclose(gw, sum(p[1] for p in per_clip), rtol=1e-12)
+    np.testing.assert_allclose(gb, sum(p[2] for p in per_clip), rtol=1e-12)
+
+    pooled, arg = maxpool_forward(x, 4, 3)
+    gp = rng.normal(size=pooled.shape)
+    gpx = maxpool_backward(arg, gp, x.shape)
+    for i, c in enumerate(clips):
+        c_out, c_arg = maxpool_forward(c, 4, 3)
+        np.testing.assert_array_equal(pooled.reshape(6, 2, -1)[i], c_out)
+        np.testing.assert_array_equal(
+            gpx.reshape(6, 2, 30)[i], maxpool_backward(c_arg, gp.reshape(6, 2, -1)[i], c.shape))
+
+    fw = rng.normal(size=(5, 30))
+    fb = rng.normal(size=5)
+    fc_out = fully_connected_forward(x, fw, fb)
+    gf = rng.normal(size=fc_out.shape)
+    fx, fgw, fgb = fully_connected_backward(x, fw, gf)
+    rows, grows = x.reshape(-1, 30), gf.reshape(-1, 5)
+    per_row = [fully_connected_backward(r, fw, gr) for r, gr in zip(rows, grows)]
+    np.testing.assert_allclose(
+        fc_out.reshape(-1, 5), [fully_connected_forward(r, fw, fb) for r in rows], rtol=1e-12)
+    np.testing.assert_allclose(fx.reshape(-1, 30), [p[0] for p in per_row], rtol=1e-12)
+    np.testing.assert_allclose(fgw, sum(p[1] for p in per_row), rtol=1e-12)
+    np.testing.assert_allclose(fgb, sum(p[2] for p in per_row), rtol=1e-12)

@@ -129,7 +129,7 @@ def test_backward_asks_no_input_gradient_of_layer_zero(monkeypatch):
     calls = []
 
     def spy(x, w, g, **kwargs):
-        calls.append((x.shape[0], kwargs.get("needs_input_grad", True)))
+        calls.append((x.shape[:-2], x.shape[-2], kwargs.get("needs_input_grad", True)))
         return conv_backward(x, w, g, **kwargs)
 
     specs = _tiny_specs()
@@ -138,10 +138,78 @@ def test_backward_asks_no_input_gradient_of_layer_zero(monkeypatch):
     expected = backward(cache, np.ones_like(preds))
     monkeypatch.setattr(layers, "temporal_conv_backward", spy)
     grads = backward(cache, np.ones_like(preds))
-    # input channels 6, 4, 1 per clip: conv2, conv1, then conv0 on the audio
-    assert calls == [(6, True), (4, True), (1, False)] * 2
+    # one call per conv layer for the one group of both clips, input channels
+    # 6, 4, 1: conv2, conv1, then conv0 on the audio
+    assert calls == [((2,), 6, True), ((2,), 4, True), ((2,), 1, False)]
     for got, want in zip(grads.weights + grads.biases, expected.weights + expected.biases):
         np.testing.assert_array_equal(got, want)
+
+
+def _per_clip_reference(params, specs, batch, mode, rng):
+    """Forward each clip alone, sharing one rng, and sum the clips' gradients."""
+    preds, caches = [], []
+    for clip in batch:
+        p, c = forward(params, specs, clip[None], mode=mode, rng=rng)
+        preds.append(p[0])
+        caches.append(c)
+    preds = np.stack(preds)
+
+    def grads_of(grad_loss):
+        total = params.zeros_like()
+        for g, c in zip(grad_loss, caches):
+            clip_grads = backward(c, g[None])
+            for acc, grad in zip(total.weights + total.biases,
+                                 clip_grads.weights + clip_grads.biases):
+                acc += grad
+        return total
+    return preds, grads_of
+
+
+def _assert_params_close(got, want, rtol=1e-12):
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        np.testing.assert_allclose(a, b, rtol=rtol, atol=0)
+
+
+def test_batched_forward_backward_match_per_clip_reference():
+    specs = _tiny_specs(drop_rate=0.5)
+    params = init_params(specs, 80, seed=20, dtype=np.float64)
+    batch = _tiny_input(batch=5, seed=21)
+    grad_loss = np.random.default_rng(22).normal(size=(5, 11))
+
+    preds, cache = forward(params, specs, batch, mode="train", rng=np.random.default_rng(23))
+    assert len(cache.group_caches) == 1
+    ref_preds, ref_grads = _per_clip_reference(
+        params, specs, batch, "train", np.random.default_rng(23))
+    np.testing.assert_allclose(preds, ref_preds, rtol=1e-12, atol=0)
+    _assert_params_close(backward(cache, grad_loss), ref_grads(grad_loss))
+
+
+def test_groups_bounded_by_largest_layer_output(monkeypatch):
+    from instrumentid.nn import layers
+    specs = _tiny_specs(drop_rate=0.5)
+    params = init_params(specs, 80, seed=24, dtype=np.float64)
+    batch = _tiny_input(batch=5, seed=25)
+    grad_loss = np.random.default_rng(26).normal(size=(5, 11))
+    whole, whole_cache = forward(params, specs, batch, mode="train",
+                                 rng=np.random.default_rng(27))
+    whole_grads = backward(whole_cache, grad_loss)
+
+    largest = max(np.prod(s) for s in infer_shapes(specs, 80, 1))
+    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * largest + 1)
+    conv_forward = layers.temporal_conv_forward
+    conv0_groups = []
+
+    def spy(x, w, b):
+        if x.shape[-2] == 1:
+            conv0_groups.append(len(x))
+        return conv_forward(x, w, b)
+
+    monkeypatch.setattr(layers, "temporal_conv_forward", spy)
+    split, split_cache = forward(params, specs, batch, mode="train",
+                                 rng=np.random.default_rng(27))
+    assert conv0_groups == [2, 2, 1]
+    np.testing.assert_allclose(split, whole, rtol=1e-12, atol=0)
+    _assert_params_close(backward(split_cache, grad_loss), whole_grads)
 
 
 def test_dropout_gradient_under_fixed_mask():
