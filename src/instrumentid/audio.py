@@ -21,19 +21,6 @@ class AudioBuffer:
     samples: np.ndarray
 
 
-@dataclass
-class WavLayout:
-    """Byte-level layout of the decoded file, for manifest offsets."""
-
-    sample_rate: int
-    channels: int
-    bits_per_sample: int
-    format_code: int
-    block_align: int
-    data_offset: int
-    frame_count: int
-
-
 def _scan_chunks(data: bytes):
     """Yield (chunk_id, payload_offset, payload_size) for every RIFF chunk."""
     pos = 12
@@ -53,14 +40,10 @@ def _scan_chunks(data: bytes):
         raise WavFormatError(f"{len(data) - pos} stray bytes after last chunk")
 
 
-def parse_wav(data: bytes):
-    """Decode a RIFF/WAVE byte string.
+def parse_wav_header(data: bytes):
+    """Check a RIFF/WAVE byte string without decoding it.
 
-    Supports integer PCM at 16/24/32 bits and 32-bit IEEE float, 1 or 2
-    channels. Integer samples are scaled by 1 / 2^(bits-1); stereo is
-    downmixed to mono by the arithmetic mean of the channels.
-
-    :returns: ``(AudioBuffer, WavLayout)``
+    :returns: ``(sample_rate, frame_count, format_code, channels, bits, data_offset)``
     """
     if len(data) < 12 or data[:4] != b"RIFF":
         raise WavFormatError("missing RIFF header")
@@ -99,8 +82,18 @@ def parse_wav(data: bytes):
     offset, size = data_span
     if size % block_align != 0:
         raise WavFormatError(f"data chunk size {size} not a multiple of block align {block_align}")
-    frame_count = size // block_align
-    raw = data[offset:offset + size]
+    return sample_rate, size // block_align, format_code, channels, bits, offset
+
+
+def parse_wav(data: bytes) -> AudioBuffer:
+    """Decode a RIFF/WAVE byte string.
+
+    Supports integer PCM at 16/24/32 bits and 32-bit IEEE float, 1 or 2
+    channels. Integer samples are scaled by 1 / 2^(bits-1); stereo is
+    downmixed to mono by the arithmetic mean of the channels.
+    """
+    sample_rate, frame_count, format_code, channels, bits, offset = parse_wav_header(data)
+    raw = data[offset:offset + frame_count * channels * bits // 8]
 
     if format_code == 3:
         values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
@@ -126,12 +119,4 @@ def parse_wav(data: bytes):
     if channels == 2:
         mono = mono + frames[:, 1]
         mono /= 2
-    mono = mono.astype(np.float32)
-
-    layout = WavLayout(sample_rate, channels, bits, format_code, block_align, offset, frame_count)
-    return AudioBuffer(sample_rate, mono), layout
-
-
-def decode_wav(data: bytes) -> AudioBuffer:
-    buf, _ = parse_wav(data)
-    return buf
+    return AudioBuffer(sample_rate, mono.astype(np.float32))

@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_config("baseline", "train and score a shallow baseline")
     p.add_argument("--kind", required=True, choices=("logistic", "forest", "majority"))
-    p.add_argument("--trees", type=int, default=200, help="forest size")
+    p.add_argument("--trees", type=int, default=ForestConfig.trees, help="forest size")
     p.add_argument("--logistic-lr", type=float, default=0.5)
     p.add_argument("--logistic-epochs", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .features import MfccConfig
+from .labeling import DEFAULT_MIN_SONGS, DEFAULT_THRESHOLD, DEFAULT_WINDOW_SECONDS
 from .nn.model import SgdConfig
 
 DEFAULT_TAXONOMY = Path(__file__).parent / "data" / "medleydb_categories.tsv"
@@ -18,23 +19,23 @@ class RunConfig:
 
     test_fraction: float = 0.2
     split_seed: int = 0
-    min_songs: int = 20
-    activation_window: float = 0.1
-    activation_threshold: float = 0.5
+    min_songs: int = DEFAULT_MIN_SONGS
+    activation_window: float = DEFAULT_WINDOW_SECONDS
+    activation_threshold: float = DEFAULT_THRESHOLD
 
-    learning_rate: float = 1e-2
-    batch_size: int = 16
-    epochs: int = 10
-    train_seed: int = 0
+    learning_rate: float = SgdConfig.learning_rate
+    batch_size: int = SgdConfig.batch_size
+    epochs: int = SgdConfig.epochs
+    train_seed: int = SgdConfig.seed
     drop_rate: float = 0.5
     reduced: bool = False
     eval_threshold: float = 0.5
     eval_each_epoch: bool = True
 
-    mfcc_frame_size: int = 2048
-    mfcc_hop: int = 512
-    mfcc_mel_bands: int = 40
-    mfcc_num_coeffs: int = 13
+    mfcc_frame_size: int = MfccConfig.frame_size
+    mfcc_hop: int = MfccConfig.hop
+    mfcc_mel_bands: int = MfccConfig.mel_bands
+    mfcc_num_coeffs: int = MfccConfig.num_coeffs
 
     def sgd(self) -> SgdConfig:
         return SgdConfig(learning_rate=self.learning_rate, batch_size=self.batch_size,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import CLIP_SAMPLES, SAMPLE_RATE, parse_wav
+from .audio import CLIP_SAMPLES, SAMPLE_RATE, WavFormatError, parse_wav_header
 from .config import RunConfig
 from .labeling import (
     build_taxonomy, clip_label, collapse_labels, load_category_map,
@@ -13,7 +13,7 @@ from .labeling import (
     write_split_file, write_taxonomy,
 )
 
-MANIFEST_HEADER = "# instrument clip manifest v1"
+MANIFEST_HEADER = "# instrument clip manifest v2"
 
 
 @dataclass
@@ -21,7 +21,6 @@ class ManifestRow:
     track_id: str
     clip_index: int
     source_path: str
-    byte_offset: int
     labels: np.ndarray
 
 
@@ -30,21 +29,23 @@ def write_manifest(path, rows, classes) -> None:
     lines = [
         MANIFEST_HEADER,
         "# classes: " + ",".join(classes),
-        "# columns: track_id\tclip_index\tsource_path\tbyte_offset\t" +
+        "# columns: track_id\tclip_index\tsource_path\t" +
         "\t".join(f"label:{c}" for c in classes),
     ]
     for row in rows:
         bits = "\t".join(str(int(b)) for b in row.labels)
-        lines.append(f"{row.track_id}\t{row.clip_index}\t{row.source_path}\t"
-                     f"{row.byte_offset}\t{bits}")
+        lines.append(f"{row.track_id}\t{row.clip_index}\t{row.source_path}\t{bits}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_manifest(path):
     """:returns: ``(rows, classes)``"""
+    lines = Path(path).read_text().splitlines()
+    if lines[:1] != [MANIFEST_HEADER]:
+        raise ValueError(f"{path}: not a '{MANIFEST_HEADER}' file; re-run prepare-dataset")
     classes = None
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         if line.startswith("#"):
             if line.startswith("# classes:"):
                 classes = [c for c in line.split(":", 1)[1].strip().split(",") if c]
@@ -54,14 +55,14 @@ def read_manifest(path):
         parts = line.split("\t")
         if classes is None:
             raise ValueError(f"{path}: data row before '# classes:' header")
-        if len(parts) != 4 + len(classes):
+        if len(parts) != 3 + len(classes):
             raise ValueError(
-                f"{path}:{lineno}: expected {4 + len(classes)} columns, got {len(parts)}"
+                f"{path}:{lineno}: expected {3 + len(classes)} columns, got {len(parts)}"
             )
-        labels = np.array([int(b) for b in parts[4:]], dtype=np.uint8)
+        labels = np.array([int(b) for b in parts[3:]], dtype=np.uint8)
         if not np.isin(labels, (0, 1)).all():
             raise ValueError(f"{path}:{lineno}: label bits must be 0/1")
-        rows.append(ManifestRow(parts[0], int(parts[1]), parts[2], int(parts[3]), labels))
+        rows.append(ManifestRow(parts[0], int(parts[1]), parts[2], labels))
     if classes is None:
         raise ValueError(f"{path}: missing '# classes:' header")
     return rows, classes
@@ -85,7 +86,8 @@ def track_instrument_presence(table, threshold: float, window_seconds: float) ->
 def prepare_dataset(config: RunConfig, log=print):
     """Build taxonomy, split tracks, slice and label clips, write manifests.
 
-    Tracks without an activation file are reported and skipped. Clips not
+    Clip counts come from the WAV headers; no audio is decoded here. Tracks
+    without an activation file are reported and skipped. Clips not
     covered by the annotation range are skipped likewise. Returns the
     ``(train_manifest, test_manifest)`` paths.
     """
@@ -133,11 +135,14 @@ def prepare_dataset(config: RunConfig, log=print):
         rows = []
         for tid in track_ids:
             wav = track_paths[tid]
-            buffer, layout = parse_wav(wav.read_bytes())
-            if buffer.sample_rate != SAMPLE_RATE:
-                raise ValueError(f"track {tid}: sample rate {buffer.sample_rate} != {SAMPLE_RATE}")
+            try:
+                sample_rate, frames, *_ = parse_wav_header(wav.read_bytes())
+            except WavFormatError as err:
+                raise WavFormatError(f"{wav}: {err}") from None
+            if sample_rate != SAMPLE_RATE:
+                raise ValueError(f"track {tid}: sample rate {sample_rate} != {SAMPLE_RATE}")
             table = tables[tid]
-            n_clips = len(buffer.samples) // CLIP_SAMPLES
+            n_clips = frames // CLIP_SAMPLES
             for i in range(n_clips):
                 try:
                     raw_bits = clip_label(table, float(i), float(i + 1),
@@ -147,8 +152,7 @@ def prepare_dataset(config: RunConfig, log=print):
                     log(f"skip clip track={tid} clip={i} reason=outside-annotation-range")
                     continue
                 labels = collapse_labels(raw_bits, table.columns, taxonomy)
-                offset = layout.data_offset + i * CLIP_SAMPLES * layout.block_align
-                rows.append(ManifestRow(tid, i, str(wav), offset, labels))
+                rows.append(ManifestRow(tid, i, str(wav), labels))
         return rows
 
     train_rows = rows_for(split.train_ids)

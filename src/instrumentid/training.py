@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import CLIP_SAMPLES, SAMPLE_RATE, decode_wav
+from . import audio
+from .audio import CLIP_SAMPLES, SAMPLE_RATE, WavFormatError
 from .config import RunConfig
 from .metrics import EvalReport, evaluate
 from .nn import (
@@ -52,26 +53,29 @@ class LoadedDataset:
 def iter_raw_clips(rows):
     """Yield the raw one-second clips named by manifest rows, in row order.
 
-    Tracks are decoded once and cached. A clip index past the end of its
-    audio file aborts with the offending clip id (manifest/audio mismatch).
+    One track is held decoded at a time, and a change of ``source_path``
+    decodes the next. Manifests list rows track by track, so each track is
+    decoded once; rows shuffled across tracks are re-decoded, with the same
+    clips. A clip index past the end of its audio aborts with the clip id.
     """
-    track_cache: dict[str, np.ndarray] = {}
+    path = track = None
     for row in rows:
-        samples = track_cache.get(row.source_path)
-        if samples is None:
-            buf = decode_wav(Path(row.source_path).read_bytes())
-            if buf.sample_rate != SAMPLE_RATE:
-                raise ValueError(f"{row.source_path}: sample rate {buf.sample_rate}")
-            samples = buf.samples
-            track_cache[row.source_path] = samples
+        if row.source_path != path:
+            path, track = row.source_path, None  # free the old track before decoding
+            try:
+                track = audio.parse_wav(Path(path).read_bytes())
+            except WavFormatError as err:
+                raise WavFormatError(f"{path}: {err}") from None
+            if track.sample_rate != SAMPLE_RATE:
+                raise ValueError(f"{path}: sample rate {track.sample_rate}")
         start = row.clip_index * CLIP_SAMPLES
         end = start + CLIP_SAMPLES
-        if end > len(samples):
+        if end > len(track.samples):
             raise ValueError(
                 f"clip {row.track_id}:{row.clip_index} extends past its audio "
-                f"({end} > {len(samples)} samples)"
+                f"({end} > {len(track.samples)} samples)"
             )
-        yield samples[start:end]
+        yield track.samples[start:end]
 
 
 def load_dataset(rows, input_length: int) -> LoadedDataset:

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from instrumentid.audio import CLIP_SAMPLES, WavFormatError, decode_wav, parse_wav
+from instrumentid.audio import CLIP_SAMPLES, WavFormatError, parse_wav, parse_wav_header
 from instrumentid.config import RunConfig
 from instrumentid.dataset import prepare_dataset, read_manifest
 from instrumentid.training import iter_raw_clips
@@ -13,14 +13,14 @@ from helpers import encode_wav, encode_int16_wav, write_corpus
 
 def test_16bit_scaling_law():
     data = encode_int16_wav([0, 16384, -32768])
-    buf = decode_wav(data)
+    buf = parse_wav(data)
     assert buf.sample_rate == 44100
     np.testing.assert_array_equal(buf.samples, np.array([0.0, 0.5, -1.0], dtype=np.float32))
 
 
 def test_stereo_downmix_is_mean():
     frames = np.array([[1.0, 0.0], [0.5, -0.5], [-1.0, -1.0]])
-    buf = decode_wav(encode_wav(frames, bits=16, channels=2))
+    buf = parse_wav(encode_wav(frames, bits=16, channels=2))
     np.testing.assert_allclose(buf.samples, [0.5, 0.0, -1.0], atol=1e-4)
 
 
@@ -46,16 +46,17 @@ def test_downmix_bit_identical_to_channel_mean(bits, format_code, channels):
     samples = rng.uniform(-1.0, 1.0, size=(501, channels))
     samples[:4] = [[-1.0] * channels, [1.0] * channels, [0.0] * channels, [-1.0, 1.0][:channels]]
     data = encode_wav(samples, bits=bits, channels=channels, format_code=format_code)
-    got = decode_wav(data).samples
+    got = parse_wav(data).samples
     want = _mean_downmix(data, bits, channels, format_code)
     assert got.dtype == np.float32
     assert got.tobytes() == want.tobytes()
+    assert parse_wav_header(data)[:2] == (44100, len(got))
 
 
 def test_non_finite_float_samples_rejected():
     data = encode_wav(np.array([0.0, np.nan, 0.5]), bits=32, format_code=3)
     with pytest.raises(WavFormatError, match="non-finite"):
-        decode_wav(data)
+        parse_wav(data)
 
 
 def test_data_chunk_longer_than_file_rejected():
@@ -64,7 +65,7 @@ def test_data_chunk_longer_than_file_rejected():
     idx = data.index(b"data")
     struct.pack_into("<I", data, idx + 4, 10_000)
     with pytest.raises(WavFormatError, match="declares"):
-        decode_wav(bytes(data))
+        parse_wav(bytes(data))
 
 
 def test_missing_fmt_chunk_rejected():
@@ -72,7 +73,7 @@ def test_missing_fmt_chunk_rejected():
     body = b"data" + struct.pack("<I", len(raw)) + raw
     data = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
     with pytest.raises(WavFormatError, match="missing fmt"):
-        decode_wav(data)
+        parse_wav(data)
 
 
 def test_missing_data_chunk_rejected():
@@ -80,7 +81,7 @@ def test_missing_data_chunk_rejected():
     body = b"fmt " + struct.pack("<I", len(fmt)) + fmt
     data = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
     with pytest.raises(WavFormatError, match="missing data"):
-        decode_wav(data)
+        parse_wav(data)
 
 
 def test_non_pcm_codec_rejected():
@@ -89,32 +90,32 @@ def test_non_pcm_codec_rejected():
     idx = data.index(b"fmt ")
     struct.pack_into("<H", data, idx + 8, 0x55)  # MP3 format tag
     with pytest.raises(WavFormatError, match="unsupported codec"):
-        decode_wav(bytes(data))
+        parse_wav(bytes(data))
 
 
 def test_not_riff_rejected():
     with pytest.raises(WavFormatError, match="RIFF"):
-        decode_wav(b"OggS" + b"\x00" * 40)
+        parse_wav(b"OggS" + b"\x00" * 40)
 
 
 @pytest.mark.parametrize("bits", [16, 24, 32])
 def test_integer_depths_decode(bits):
     rng = np.random.default_rng(bits)
     samples = rng.uniform(-0.9, 0.9, size=256)
-    buf = decode_wav(encode_wav(samples, bits=bits))
+    buf = parse_wav(encode_wav(samples, bits=bits))
     np.testing.assert_allclose(buf.samples, samples, atol=2.0 ** -(bits - 2))
 
 
 def test_float32_decode():
     samples = np.array([0.25, -0.75, 1.0, -1.0])
-    buf = decode_wav(encode_wav(samples, bits=32, format_code=3))
+    buf = parse_wav(encode_wav(samples, bits=32, format_code=3))
     np.testing.assert_allclose(buf.samples, samples, atol=1e-7)
 
 
 def test_16bit_round_trip_exact():
     rng = np.random.default_rng(99)
     ints = rng.integers(-2 ** 15, 2 ** 15, size=1000).astype(np.int16)
-    buf = decode_wav(encode_int16_wav(ints))
+    buf = parse_wav(encode_int16_wav(ints))
     back = np.round(buf.samples.astype(np.float64) * 2 ** 15).astype(np.int16)
     np.testing.assert_array_equal(back, ints)
 
@@ -126,7 +127,7 @@ def test_odd_sized_unknown_chunk_is_skipped():
     insert_at = 12
     data[insert_at:insert_at] = extra
     struct.pack_into("<I", data, 4, len(data) - 8)
-    buf = decode_wav(bytes(data))
+    buf = parse_wav(bytes(data))
     np.testing.assert_allclose(buf.samples, samples, atol=1e-4)
 
 
@@ -158,12 +159,3 @@ class TestSliceClips:
         rows = self._rows(tmp_path, 90_000, track_id="song-1")
         assert [(r.track_id, r.clip_index) for r in rows] == [("song-1", 0), ("song-1", 1)]
 
-
-def test_parse_wav_layout_reports_data_offset():
-    samples = np.zeros(10)
-    data = encode_wav(samples, bits=16)
-    _, layout = parse_wav(data)
-    assert layout.block_align == 2
-    assert layout.frame_count == 10
-    payload = data[layout.data_offset:layout.data_offset + 2 * layout.frame_count]
-    assert payload == np.zeros(10, dtype="<i2").tobytes()

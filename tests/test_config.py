@@ -1,6 +1,8 @@
 import pytest
 
 from instrumentid.config import RunConfig, load_config, DEFAULT_TAXONOMY
+from instrumentid.features import MfccConfig
+from instrumentid.nn import SgdConfig
 
 from helpers import write_config
 
@@ -11,6 +13,8 @@ def test_defaults_are_valid():
     assert cfg.taxonomy_file == DEFAULT_TAXONOMY
     assert cfg.sgd().batch_size == 16
     assert cfg.mfcc().mel_bands == 40
+    assert cfg.sgd() == SgdConfig()
+    assert cfg.mfcc() == MfccConfig()
 
 
 def test_parse_overrides_and_relative_paths(tmp_path):

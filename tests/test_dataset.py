@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from instrumentid.config import RunConfig
 from instrumentid.dataset import (
-    ManifestRow, prepare_dataset, read_manifest, write_manifest,
+    MANIFEST_HEADER, ManifestRow, prepare_dataset, read_manifest, write_manifest,
     find_activation_file, track_instrument_presence,
 )
 from instrumentid.labeling import parse_activation_csv
@@ -31,27 +33,35 @@ class TestManifestIO:
     def test_round_trip(self, tmp_path):
         classes = ["piano", "voice", "OTHER"]
         rows = [
-            ManifestRow("trackA", 0, "/x/trackA.wav", 44, np.array([1, 0, 1], dtype=np.uint8)),
-            ManifestRow("trackA", 1, "/x/trackA.wav", 176444, np.array([0, 0, 0], dtype=np.uint8)),
+            ManifestRow("trackA", 0, "/x/trackA.wav", np.array([1, 0, 1], dtype=np.uint8)),
+            ManifestRow("trackA", 1, "/x/trackA.wav", np.array([0, 0, 0], dtype=np.uint8)),
         ]
         path = tmp_path / "m.tsv"
         write_manifest(path, rows, classes)
         back, back_classes = read_manifest(path)
         assert back_classes == classes
-        assert [(r.track_id, r.clip_index, r.source_path, r.byte_offset) for r in back] == \
-            [("trackA", 0, "/x/trackA.wav", 44), ("trackA", 1, "/x/trackA.wav", 176444)]
+        assert [(r.track_id, r.clip_index, r.source_path) for r in back] == \
+            [("trackA", 0, "/x/trackA.wav"), ("trackA", 1, "/x/trackA.wav")]
         np.testing.assert_array_equal(back[0].labels, rows[0].labels)
 
     def test_missing_classes_header_rejected(self, tmp_path):
         path = tmp_path / "m.tsv"
-        path.write_text("trackA\t0\t/x.wav\t44\t1\n")
+        path.write_text(f"{MANIFEST_HEADER}\ntrackA\t0\t/x.wav\t1\n")
         with pytest.raises(ValueError, match="classes"):
             read_manifest(path)
 
     def test_wrong_column_count_rejected(self, tmp_path):
         path = tmp_path / "m.tsv"
-        path.write_text("# classes: a,b\ntrackA\t0\t/x.wav\t44\t1\n")
+        path.write_text(f"{MANIFEST_HEADER}\n# classes: a,b\ntrackA\t0\t/x.wav\t1\n")
         with pytest.raises(ValueError, match="columns"):
+            read_manifest(path)
+
+    def test_v1_manifest_rejected(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("# instrument clip manifest v1\n# classes: a,b\n"
+                        "# columns: track_id\tclip_index\tsource_path\tbyte_offset\t"
+                        "label:a\tlabel:b\ntrackA\t0\t/x.wav\t44\t1\t0\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*re-run prepare-dataset"):
             read_manifest(path)
 
 
@@ -119,14 +129,13 @@ class TestPrepare:
         rows = read_manifest(train_path)[0] + read_manifest(test_path)[0]
         assert {r.track_id for r in rows} == {"good"}
 
-    def test_byte_offsets_point_at_clip_starts(self, tmp_path):
+    def test_malformed_wav_error_names_the_file(self, tmp_path):
         write_corpus(tmp_path, {"alpha": {"piano": always_on(440.0)}})
+        wav = tmp_path / "audio" / "alpha.wav"
+        wav.write_bytes(wav.read_bytes()[:-100])
         cfg = make_config(tmp_path, min_songs=1, test_fraction=0.4)
-        train_path, test_path = prepare_dataset(cfg, log=lambda *_: None)
-        rows = read_manifest(train_path)[0] + read_manifest(test_path)[0]
-        offsets = sorted(r.byte_offset for r in rows)
-        # 16-bit mono: 2 bytes per sample, one-second stride
-        assert np.diff(offsets).tolist() == [44100 * 2, 44100 * 2]
+        with pytest.raises(ValueError, match=re.escape(str(wav)) + ".*declares"):
+            prepare_dataset(cfg, log=lambda *_: None)
 
     def test_rare_instruments_collapse_to_other(self, tmp_path):
         tracks = {f"main{i}": {"piano": always_on(440.0 + i)} for i in range(3)}

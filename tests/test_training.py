@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from instrumentid.audio import CLIP_SAMPLES, decode_wav
+import instrumentid.audio
+from instrumentid.audio import CLIP_SAMPLES, parse_wav
 from instrumentid.config import RunConfig
 from instrumentid.dataset import prepare_dataset, read_manifest, ManifestRow
 from instrumentid.nn import REDUCED_INPUT_LENGTH
@@ -10,7 +13,7 @@ from instrumentid.training import (
     global_contrast_normalize, iter_raw_clips, load_dataset, reduce_clip, train_model,
 )
 
-from helpers import synthetic_clip_dataset, write_corpus
+from helpers import encode_wav, synthetic_clip_dataset, write_corpus
 
 
 class TestGcn:
@@ -159,16 +162,50 @@ class TestLoadDataset:
         rows = read_manifest(cfg.train_manifest())[0] + read_manifest(cfg.test_manifest())[0]
         rows.sort(key=lambda r: r.clip_index)
         joined = np.concatenate(list(iter_raw_clips(rows)))
-        samples = decode_wav((tmp_path / "audio" / "alpha.wav").read_bytes()).samples
+        samples = parse_wav((tmp_path / "audio" / "alpha.wav").read_bytes()).samples
         assert len(rows) == 3
         np.testing.assert_array_equal(joined, samples[:3 * CLIP_SAMPLES])
 
     def test_manifest_audio_mismatch_aborts_with_clip_id(self, tmp_path):
         cfg = self._prepared(tmp_path)
         rows, _ = read_manifest(cfg.train_manifest())
-        bad = ManifestRow(rows[0].track_id, 99, rows[0].source_path, 0, rows[0].labels)
+        bad = ManifestRow(rows[0].track_id, 99, rows[0].source_path, rows[0].labels)
         with pytest.raises(ValueError, match=":99"):
             load_dataset(rows + [bad], REDUCED_INPUT_LENGTH)
+
+    def test_each_track_decoded_once_per_load(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(data):
+            calls.append(len(data))
+            return parse_wav(data)
+
+        monkeypatch.setattr(instrumentid.audio, "parse_wav", spy)
+        write_corpus(tmp_path, {f"t{i}": {"piano": (440.0 + i, [(0.0, 3.0)])} for i in range(3)})
+        cfg = RunConfig(audio_dir=tmp_path / "audio", activation_dir=tmp_path / "activations",
+                        output_dir=tmp_path / "out", min_songs=1, test_fraction=0.4)
+        prepare_dataset(cfg, log=lambda *_: None)
+        assert calls == []
+        rows = read_manifest(cfg.train_manifest())[0] + read_manifest(cfg.test_manifest())[0]
+        assert len({r.source_path for r in rows}) == 3 and len(rows) == 9
+        grouped = load_dataset(rows, REDUCED_INPUT_LENGTH)
+        assert len(calls) == 3
+        # rows interleaved across tracks re-decode them but load the same clips
+        interleaved = sorted(rows, key=lambda r: (r.clip_index, r.track_id))
+        shuffled = load_dataset(interleaved, REDUCED_INPUT_LENGTH)
+        assert len(calls) == 3 + 9
+        order = [grouped.ids.index(i) for i in shuffled.ids]
+        np.testing.assert_array_equal(shuffled.clips, grouped.clips[order])
+
+    def test_non_finite_wav_error_names_the_file(self, tmp_path):
+        cfg = self._prepared(tmp_path)
+        wav = tmp_path / "audio" / "alpha.wav"
+        samples = np.zeros(3 * CLIP_SAMPLES)
+        samples[CLIP_SAMPLES + 7] = np.nan
+        wav.write_bytes(encode_wav(samples, bits=32, format_code=3))
+        rows = read_manifest(cfg.train_manifest())[0] + read_manifest(cfg.test_manifest())[0]
+        with pytest.raises(ValueError, match=re.escape(str(wav)) + ".*non-finite"):
+            load_dataset(rows, REDUCED_INPUT_LENGTH)
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError, match="empty"):
