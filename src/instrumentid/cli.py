@@ -6,6 +6,9 @@ key=value file; outputs land under the configured output directory.
 """
 
 import argparse
+import hashlib
+import inspect
+import os
 import sys
 from pathlib import Path
 
@@ -18,7 +21,7 @@ from .baselines import (
 )
 from .config import RunConfig, load_config
 from .dataset import prepare_dataset, read_manifest
-from .features import clip_features, read_feature_cache, write_feature_cache
+from .features import FEATURE_CACHE_VERSION, clip_features
 from .metrics import evaluate, format_report, format_report_row
 from .nn import load_checkpoint
 from .training import (
@@ -30,26 +33,47 @@ from .training import (
 def _write_report(config: RunConfig, stem: str, report, classes, log) -> None:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / f"{stem}_report.txt").write_text(format_report(report, classes))
+    text = format_report(report, classes)
+    (out / f"{stem}_report.txt").write_text(text)
     (out / f"{stem}_row.csv").write_text(format_report_row(report))
-    for line in format_report(report, classes).splitlines():
+    for line in text.splitlines():
         if not line.startswith("#"):
             log(line)
 
 
 def _manifest_features(config: RunConfig, split: str, rows, log):
-    """Per-clip feature matrix for one manifest, cached as a binary file."""
-    cache = Path(config.output_dir) / f"features_{split}.bin"
-    if cache.exists():
-        matrix = read_feature_cache(cache)
-        if len(matrix) == len(rows):
-            return matrix.astype(np.float64)
-        log(f"warn stale-feature-cache path={cache} rows={len(matrix)} expected={len(rows)}")
+    """Per-clip feature matrix for one manifest, cached in ``features_{split}.npz``.
+
+    The archive holds ``key``, the sha256 of the cache version, the MFCC
+    config and each row's clip in order, and ``features``, float32
+    ``[clips, dims]``. A missing, unreadable or stale cache is recomputed and
+    replaced. The result is always float32-rounded, so the baselines see the
+    same features with or without a cache.
+    """
     cfg = config.mfcc()
+    digest = hashlib.sha256(f"{FEATURE_CACHE_VERSION}\n{cfg!r}\n".encode())
+    for row in rows:
+        digest.update(f"{row.source_path}\t{row.clip_index}\n".encode())
+    key = digest.hexdigest()
+    cache = Path(config.output_dir) / f"features_{split}.npz"
+    if cache.exists():
+        try:
+            with np.load(cache, allow_pickle=False) as archive:
+                cached_key, matrix = str(archive["key"]), archive["features"]
+        except Exception as err:  # any file that does not load is rebuilt
+            log(f"warn unreadable-feature-cache path={cache} error={err!r}")
+        else:
+            if cached_key == key:
+                return matrix.astype(np.float64)
+            log(f"warn stale-feature-cache path={cache}")
     matrix = np.stack([clip_features(clip, cfg) for clip in iter_raw_clips(rows)])
-    write_feature_cache(cache, matrix.astype(np.float32))
+    matrix = matrix.astype(np.float32)
+    tmp = cache.with_name(cache.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        np.savez(fh, key=np.array(key), features=matrix)
+    os.replace(tmp, cache)
     log(f"features split={split} clips={len(rows)} dims={matrix.shape[1]} cache={cache}")
-    return matrix
+    return matrix.astype(np.float64)
 
 
 def cmd_prepare_dataset(config: RunConfig, log) -> int:
@@ -172,8 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_config("baseline", "train and score a shallow baseline")
     p.add_argument("--kind", required=True, choices=("logistic", "forest", "majority"))
     p.add_argument("--trees", type=int, default=ForestConfig.trees, help="forest size")
-    p.add_argument("--logistic-lr", type=float, default=0.5)
-    p.add_argument("--logistic-epochs", type=int, default=500)
+    logistic = inspect.signature(logistic_train).parameters
+    p.add_argument("--logistic-lr", type=float, default=logistic["learning_rate"].default)
+    p.add_argument("--logistic-epochs", type=int, default=logistic["epochs"].default)
     p.add_argument("--seed", type=int, default=0)
 
     p = with_config("analyze-filters", "emit sorted first-layer filter spectra")

@@ -1,11 +1,11 @@
 """Run configuration: a flat key=value file mapped onto one dataclass."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .features import MfccConfig
 from .labeling import DEFAULT_MIN_SONGS, DEFAULT_THRESHOLD, DEFAULT_WINDOW_SECONDS
-from .nn.model import SgdConfig
+from .nn.model import SgdConfig, dropout
 
 DEFAULT_TAXONOMY = Path(__file__).parent / "data" / "medleydb_categories.tsv"
 
@@ -27,7 +27,7 @@ class RunConfig:
     batch_size: int = SgdConfig.batch_size
     epochs: int = SgdConfig.epochs
     train_seed: int = SgdConfig.seed
-    drop_rate: float = 0.5
+    drop_rate: float = dropout.drop_rate
     reduced: bool = False
     eval_threshold: float = 0.5
     eval_each_epoch: bool = True
@@ -73,14 +73,6 @@ class RunConfig:
                     raise FileNotFoundError(f"{name} does not exist: {path}")
 
 
-_PATH_KEYS = {"audio_dir", "activation_dir", "taxonomy_file", "output_dir"}
-_BOOL_KEYS = {"reduced", "eval_each_epoch"}
-_INT_KEYS = {"split_seed", "min_songs", "batch_size", "epochs", "train_seed",
-             "mfcc_frame_size", "mfcc_hop", "mfcc_mel_bands", "mfcc_num_coeffs"}
-_FLOAT_KEYS = {"test_fraction", "activation_window", "activation_threshold",
-               "learning_rate", "drop_rate", "eval_threshold"}
-
-
 def _parse_bool(value: str, key: str) -> bool:
     low = value.lower()
     if low in ("true", "1", "yes", "on"):
@@ -93,10 +85,12 @@ def _parse_bool(value: str, key: str) -> bool:
 def load_config(path) -> RunConfig:
     """Parse "key = value" lines; '#' starts a comment, unknown keys are errors.
 
-    Relative paths are resolved against the config file's directory.
+    Each value is parsed by the type of its ``RunConfig`` field; relative
+    paths are resolved against the config file's directory.
     """
     path = Path(path)
     base = path.parent
+    field_types = {f.name: f.type for f in fields(RunConfig)}
     cfg = RunConfig()
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -105,15 +99,14 @@ def load_config(path) -> RunConfig:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _PATH_KEYS:
+        kind = field_types.get(key)
+        if kind is None:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if kind is Path:
             p = Path(value)
             setattr(cfg, key, p if p.is_absolute() else base / p)
-        elif key in _BOOL_KEYS:
+        elif kind is bool:
             setattr(cfg, key, _parse_bool(value, key))
-        elif key in _INT_KEYS:
-            setattr(cfg, key, int(value))
-        elif key in _FLOAT_KEYS:
-            setattr(cfg, key, float(value))
         else:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            setattr(cfg, key, kind(value))
     return cfg

@@ -1,8 +1,6 @@
 """MFCC / delta features with Gaussian summarization for the shallow baselines."""
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -160,28 +158,4 @@ def clip_features(clip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     return gaussian_fit(np.hstack([c, d1, d2])).vector()
 
 
-FEATURE_CACHE_VERSION = 1
-
-
-def write_feature_cache(path, matrix) -> None:
-    """Binary cache: u32 version, u32 dims, u32 count, little-endian f32 rows."""
-    matrix = np.ascontiguousarray(matrix, dtype="<f4")
-    if matrix.ndim != 2:
-        raise ValueError(f"feature matrix must be 2-D, got shape {matrix.shape}")
-    count, dims = matrix.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<III", FEATURE_CACHE_VERSION, dims, count))
-        fh.write(matrix.tobytes())
-
-
-def read_feature_cache(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < 12:
-        raise ValueError(f"feature cache {path} too short for header")
-    version, dims, count = struct.unpack_from("<III", data, 0)
-    if version != FEATURE_CACHE_VERSION:
-        raise ValueError(f"unsupported feature cache version {version}")
-    expected = 12 + 4 * dims * count
-    if len(data) != expected:
-        raise ValueError(f"feature cache {path}: {len(data)} bytes, expected {expected}")
-    return np.frombuffer(data, dtype="<f4", offset=12).reshape(count, dims).copy()
+FEATURE_CACHE_VERSION = 2  # part of the feature cache key; bump when features change

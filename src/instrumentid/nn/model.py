@@ -144,7 +144,7 @@ class fully_connected(_Layer):
 
 @dataclass(frozen=True)
 class dropout(_Layer):
-    drop_rate: float
+    drop_rate: float = 0.5
     kind = LayerKind.DROPOUT
 
     def __post_init__(self):
@@ -172,7 +172,7 @@ class sigmoid(_Layer):
         return L.sigmoid_backward(cache, g), ()
 
 
-def table1_layers(drop_rate: float = 0.5) -> list[_Layer]:
+def table1_layers(drop_rate: float = dropout.drop_rate) -> list[_Layer]:
     """The production architecture: three conv/pool/ReLU blocks, then FC 400 -> 11."""
     return [
         conv(256, 3101), max_pool(40, 20), relu(),
@@ -183,7 +183,7 @@ def table1_layers(drop_rate: float = 0.5) -> list[_Layer]:
     ]
 
 
-def reduced_layers(drop_rate: float = 0.5) -> list[_Layer]:
+def reduced_layers(drop_rate: float = dropout.drop_rate) -> list[_Layer]:
     """Scaled-down twin of :func:`table1_layers` for 200-sample inputs."""
     return [
         conv(4, 11), max_pool(4, 4), relu(),
@@ -308,9 +308,11 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     order; a group is as many clips as keep the largest layer output within
     ``nn.layers._CONV_CHUNK_ELEMS`` elements. Dropout draws over a group
     consume the rng in clip order, so results are deterministic for a fixed
-    rng state and do not depend on the grouping.
+    rng state and do not depend on the grouping. Eval mode keeps no caches,
+    so the groups bound its memory.
 
-    :returns: ``(predictions [batch, output], cache)``
+    :returns: ``(predictions [batch, output], cache)``; the cache is None in
+        eval mode
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -327,10 +329,12 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
         caches = []
         for layer, wb in zip(layers, layer_params):
             x, layer_cache = layer.forward(x, wb, training, rng)
-            caches.append(layer_cache)
+            if training:
+                caches.append(layer_cache)
         preds.append(x)
         group_caches.append(caches)
-    return np.concatenate(preds), ForwardCache(layers, params, len(batch), group, group_caches)
+    cache = ForwardCache(layers, params, len(batch), group, group_caches) if training else None
+    return np.concatenate(preds), cache
 
 
 def backward(cache: ForwardCache, grad_loss) -> ModelParams:

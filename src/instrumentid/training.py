@@ -17,7 +17,6 @@ from .nn import (
 )
 
 GCN_STD_FLOOR = 1e-8
-EVAL_BATCH = 64
 
 
 def global_contrast_normalize(clip):
@@ -106,12 +105,9 @@ def check_params_match(params, specs, input_length: int) -> None:
 
 
 def predict_probs(params, specs, clips) -> np.ndarray:
-    """Eval-mode network probabilities, batched to bound peak memory."""
-    outs = []
-    for start in range(0, len(clips), EVAL_BATCH):
-        preds, _ = forward(params, specs, clips[start:start + EVAL_BATCH], mode="eval")
-        outs.append(preds)
-    return np.concatenate(outs)
+    """Eval-mode network probabilities; ``forward``'s groups bound the memory."""
+    preds, _ = forward(params, specs, clips, mode="eval")
+    return preds
 
 
 def evaluate_model(params, specs, data: LoadedDataset, threshold: float) -> EvalReport:

@@ -109,18 +109,19 @@ def test_criterion_1_gradient_suite():
     _, grad = bce_loss(p, y)
     check(grad, lambda v: bce_loss(v, y)[0], p)
 
-    # composed 5-layer network at the reduced sizes (eval mode: dropout = id)
-    specs = reduced_layers(0.5)
+    # composed 5-layer network at the reduced sizes (train mode at drop rate
+    # 0: dropout is the identity and draws nothing)
+    specs = reduced_layers(0.0)
     params = init_params(specs, REDUCED_INPUT_LENGTH, seed=21, dtype=np.float64)
     batch = rng.normal(size=(1, 1, REDUCED_INPUT_LENGTH))
     y = rng.integers(0, 2, size=(1, 11))
 
-    preds, cache = forward(params, specs, batch, mode="eval")
+    preds, cache = forward(params, specs, batch, mode="train")
     _, grad_pred = bce_loss(preds, y)
     grads = backward(cache, grad_pred)
 
     def loss_with(trial):
-        out, _ = forward(trial, specs, batch, mode="eval")
+        out, _ = forward(trial, specs, batch, mode="train")
         return bce_loss(out, y)[0]
 
     for i in range(len(params.weights)):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from instrumentid.config import RunConfig, load_config, DEFAULT_TAXONOMY
@@ -32,6 +34,31 @@ def test_parse_overrides_and_relative_paths(tmp_path):
     assert cfg.reduced is True
     assert cfg.sgd().learning_rate == 0.05
     assert cfg.sgd().epochs == 3
+
+
+def test_every_field_set_from_file(tmp_path):
+    values = {
+        "audio_dir": "a", "activation_dir": "b", "taxonomy_file": tmp_path / "tax.tsv",
+        "output_dir": "o", "test_fraction": 0.3, "split_seed": 5, "min_songs": 2,
+        "activation_window": 0.25, "activation_threshold": 0.75, "learning_rate": 0.02,
+        "batch_size": 3, "epochs": 4, "train_seed": 9, "drop_rate": 0.1,
+        "reduced": "yes", "eval_threshold": 0.4, "eval_each_epoch": "off",
+        "mfcc_frame_size": 1024, "mfcc_hop": 256, "mfcc_mel_bands": 20,
+        "mfcc_num_coeffs": 10,
+    }
+    assert set(values) == {f.name for f in fields(RunConfig)}
+    cfg = load_config(write_config(tmp_path / "run.cfg", **values))
+    assert cfg == RunConfig(
+        audio_dir=tmp_path / "a", activation_dir=tmp_path / "b",
+        taxonomy_file=tmp_path / "tax.tsv", output_dir=tmp_path / "o",
+        test_fraction=0.3, split_seed=5, min_songs=2, activation_window=0.25,
+        activation_threshold=0.75, learning_rate=0.02, batch_size=3, epochs=4,
+        train_seed=9, drop_rate=0.1, reduced=True, eval_threshold=0.4,
+        eval_each_epoch=False, mfcc_frame_size=1024, mfcc_hop=256,
+        mfcc_mel_bands=20, mfcc_num_coeffs=10,
+    )
+    for f in fields(RunConfig):
+        assert isinstance(getattr(cfg, f.name), f.type), f.name
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from instrumentid.features import (
     MfccConfig, mel_filterbank, mel_filter_centers_hz, dct_matrix,
     hz_to_mel, mfcc, deltas, gaussian_fit, clip_features,
-    write_feature_cache, read_feature_cache, LOG_FLOOR,
+    LOG_FLOOR,
 )
 
 from helpers import deltas_naive
@@ -148,19 +148,3 @@ class TestGaussianFit:
         assert vec.shape == (819,)
         assert np.isfinite(vec).all()
 
-
-def test_feature_cache_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    mat = rng.normal(size=(7, 819)).astype(np.float32)
-    path = tmp_path / "features.bin"
-    write_feature_cache(path, mat)
-    back = read_feature_cache(path)
-    np.testing.assert_array_equal(back, mat)
-
-
-def test_feature_cache_rejects_truncation(tmp_path):
-    path = tmp_path / "features.bin"
-    write_feature_cache(path, np.zeros((3, 4), dtype=np.float32))
-    path.write_bytes(path.read_bytes()[:-2])
-    with pytest.raises(ValueError, match="expected"):
-        read_feature_cache(path)

@@ -91,18 +91,27 @@ def test_forward_output_in_unit_interval():
     assert ((preds > 0) & (preds < 1)).all()
 
 
-def test_composed_network_gradients_match_finite_differences():
-    # eval mode: dropout is the identity, everything else differentiable
+def test_eval_mode_keeps_no_cache():
     specs = _tiny_specs(drop_rate=0.5)
+    params = init_params(specs, 80, seed=0, dtype=np.float64)
+    preds, cache = forward(params, specs, _tiny_input(), mode="eval")
+    assert cache is None
+    train_preds, _ = forward(params, _tiny_specs(), _tiny_input(), mode="train")
+    np.testing.assert_array_equal(preds, train_preds)
+
+
+def test_composed_network_gradients_match_finite_differences():
+    # train mode at drop rate 0: dropout is the identity and draws nothing
+    specs = _tiny_specs()
     params = init_params(specs, 80, seed=1, dtype=np.float64)
     batch = _tiny_input(batch=2, seed=2)
     y = np.random.default_rng(3).integers(0, 2, size=(2, 11))
 
     def loss_with(params_mod):
-        preds, _ = forward(params_mod, specs, batch, mode="eval")
+        preds, _ = forward(params_mod, specs, batch, mode="train")
         return bce_loss(preds, y)[0]
 
-    preds, cache = forward(params, specs, batch, mode="eval")
+    preds, cache = forward(params, specs, batch, mode="train")
     _, grad_pred = bce_loss(preds, y)
     grads = backward(cache, grad_pred)
 
@@ -134,7 +143,7 @@ def test_backward_asks_no_input_gradient_of_layer_zero(monkeypatch):
 
     specs = _tiny_specs()
     params = init_params(specs, 80, seed=1, dtype=np.float64)
-    preds, cache = forward(params, specs, _tiny_input(batch=2), mode="eval")
+    preds, cache = forward(params, specs, _tiny_input(batch=2), mode="train")
     expected = backward(cache, np.ones_like(preds))
     monkeypatch.setattr(layers, "temporal_conv_backward", spy)
     grads = backward(cache, np.ones_like(preds))
