@@ -8,7 +8,6 @@ key=value file; outputs land under the configured output directory.
 import argparse
 import hashlib
 import inspect
-import os
 import sys
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .config import RunConfig, load_config
 from .dataset import prepare_dataset, read_manifest
 from .features import FEATURE_CACHE_VERSION, clip_features
 from .metrics import evaluate, format_report, format_report_row
-from .nn import load_checkpoint
+from .nn.checkpoint import load_checkpoint, write_archive
 from .training import (
     architecture, check_params_match, evaluate_model, iter_raw_clips,
     load_dataset, train_model,
@@ -68,10 +67,7 @@ def _manifest_features(config: RunConfig, split: str, rows, log):
             log(f"warn stale-feature-cache path={cache}")
     matrix = np.stack([clip_features(clip, cfg) for clip in iter_raw_clips(rows)])
     matrix = matrix.astype(np.float32)
-    tmp = cache.with_name(cache.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(fh, key=np.array(key), features=matrix)
-    os.replace(tmp, cache)
+    write_archive(cache, key=np.array(key), features=matrix)
     log(f"features split={split} clips={len(rows)} dims={matrix.shape[1]} cache={cache}")
     return matrix.astype(np.float64)
 

@@ -1,91 +1,78 @@
-"""Binary checkpoint format for model parameters.
+"""Model checkpoints as one NumPy archive (``np.savez``), format version 2.
 
-Layout (all integers little-endian):
-
-    magic           4 bytes  b"ICNN"
-    format version  u16      currently 1
-    layer count     u32      number of parameterized layers
-    manifest        per tensor (weight then bias, per layer): u32 rank,
-                    then rank u32 dims
-    tensor data     raw little-endian float32, in manifest order
-    sgd config      f64 learning rate, u32 batch size, u32 epochs, u64 seed
-    epoch counter   u32
-
-Round-trips are bit-exact: tensors are stored and returned as float32.
+The archive holds ``weight_{i}`` and ``bias_{i}`` (float32) for each
+parameterized layer, and 0-d arrays ``version``, ``learning_rate``
+(float64), ``batch_size``, ``epochs``, ``seed`` (uint64) and ``epoch``.
+Round-trips are bit-exact. Version 1 files (``ICNN`` header) are refused.
 """
 
-import struct
+import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from .model import ModelParams, SgdConfig
 
-MAGIC = b"ICNN"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
     pass
 
 
-def save_checkpoint(path, params: ModelParams, sgd: SgdConfig, epoch: int) -> None:
+def write_archive(path, **arrays) -> None:
+    """Write ``arrays`` as one ``np.savez`` archive at ``path``, atomically.
+
+    The archive goes to ``<name>.tmp`` and is renamed over ``path``, so a
+    crash leaves the previous file or the new one, never a partial one.
+    """
     path = Path(path)
-    tensors = []
-    for w, b in zip(params.weights, params.biases):
-        tensors.append(np.ascontiguousarray(w, dtype=np.float32))
-        tensors.append(np.ascontiguousarray(b, dtype=np.float32))
-    parts = [MAGIC, struct.pack("<H", FORMAT_VERSION), struct.pack("<I", len(params.weights))]
-    for t in tensors:
-        parts.append(struct.pack("<I", t.ndim))
-        parts.append(struct.pack(f"<{t.ndim}I", *t.shape))
-    for t in tensors:
-        parts.append(t.astype("<f4", copy=False).tobytes())
-    parts.append(struct.pack("<dIIQ", sgd.learning_rate, sgd.batch_size, sgd.epochs, sgd.seed))
-    parts.append(struct.pack("<I", epoch))
-    path.write_bytes(b"".join(parts))
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        np.savez(fh, **arrays)
+    os.replace(tmp, path)
+
+
+def save_checkpoint(path, params: ModelParams, sgd: SgdConfig, epoch: int) -> None:
+    tensors = {}
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        tensors[f"weight_{i}"] = np.asarray(w, dtype=np.float32)
+        tensors[f"bias_{i}"] = np.asarray(b, dtype=np.float32)
+    write_archive(
+        path, version=np.array(FORMAT_VERSION), **tensors,
+        learning_rate=np.float64(sgd.learning_rate), batch_size=np.array(sgd.batch_size),
+        epochs=np.array(sgd.epochs), seed=np.uint64(sgd.seed), epoch=np.array(epoch),
+    )
 
 
 def load_checkpoint(path):
     """Read a checkpoint back; returns ``(params, sgd_config, epoch)``."""
-    data = Path(path).read_bytes()
-    off = 0
+    path = Path(path)
+    with open(path, "rb") as fh:
+        head = fh.read(4)
+    if head == b"ICNN":
+        raise CheckpointError(f"{path}: version 1 checkpoint is no longer read; retrain it")
+    if head != b"PK\x03\x04":
+        raise CheckpointError(f"{path}: not a checkpoint archive (leading bytes {head!r})")
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
+        raise CheckpointError(f"{path}: damaged checkpoint archive: {err}") from err
 
-    def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(data):
-            raise CheckpointError(f"truncated checkpoint at byte {off}")
-        vals = struct.unpack_from(fmt, data, off)
-        off += size
-        return vals
+    def field(key):
+        if key not in arrays:
+            raise CheckpointError(f"{path}: checkpoint has no {key!r} array")
+        return arrays[key]
 
-    magic = data[:4]
-    off = 4
-    if magic != MAGIC:
-        raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    (version,) = take("<H")
+    version = int(field("version"))
     if version != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    (layer_count,) = take("<I")
-    shapes = []
-    for _ in range(2 * layer_count):
-        (rank,) = take("<I")
-        shapes.append(take(f"<{rank}I"))
-    tensors = []
-    for shape in shapes:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = 4 * count
-        if off + nbytes > len(data):
-            raise CheckpointError(f"truncated tensor data at byte {off}")
-        t = np.frombuffer(data, dtype="<f4", count=count, offset=off).reshape(shape)
-        tensors.append(t.copy())
-        off += nbytes
-    lr, batch_size, epochs, seed = take("<dIIQ")
-    (epoch,) = take("<I")
-    if off != len(data):
-        raise CheckpointError(f"{len(data) - off} trailing bytes after checkpoint payload")
-
-    params = ModelParams(tensors[0::2], tensors[1::2])
-    sgd = SgdConfig(learning_rate=lr, batch_size=batch_size, epochs=epochs, seed=seed)
-    return params, sgd, epoch
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    layers = range(sum(key.startswith("weight_") for key in arrays))
+    params = ModelParams([field(f"weight_{i}") for i in layers],
+                         [field(f"bias_{i}") for i in layers])
+    sgd = SgdConfig(learning_rate=float(field("learning_rate")),
+                    batch_size=int(field("batch_size")), epochs=int(field("epochs")),
+                    seed=int(field("seed")))
+    return params, sgd, int(field("epoch"))

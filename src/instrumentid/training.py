@@ -195,7 +195,8 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
 
 
 def _point_best(ckpt_dir: Path, target: Path) -> None:
-    best = ckpt_dir / "best.ckpt"
-    if best.is_symlink() or best.exists():
-        best.unlink()
-    os.symlink(target.name, best)
+    """Swap ``best.ckpt`` to ``target`` in one rename, so it is never missing."""
+    tmp = ckpt_dir / "best.ckpt.tmp"
+    tmp.unlink(missing_ok=True)
+    os.symlink(target.name, tmp)
+    os.replace(tmp, ckpt_dir / "best.ckpt")

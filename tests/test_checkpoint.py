@@ -1,8 +1,13 @@
+import io
+import os
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from instrumentid.nn import (
-    SgdConfig, init_params, reduced_layers, REDUCED_INPUT_LENGTH,
+    ModelParams, SgdConfig, init_params, reduced_layers, REDUCED_INPUT_LENGTH,
     save_checkpoint, load_checkpoint, CheckpointError,
 )
 
@@ -36,25 +41,90 @@ def test_double_round_trip_identical_bytes(sample, tmp_path):
     assert second.read_bytes() == path.read_bytes()
 
 
-def test_rejects_bad_magic(sample, tmp_path):
-    path, _, _ = sample
+def _replace_head(data, params):
+    return b"XXXX" + data[4:]
+
+
+def _truncate(data, params):
+    return data[:-10]
+
+
+def _flip_tensor_byte(data, params):
+    at = data.index(params.weights[1].tobytes()) + 7
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+
+
+def _v1_header(data, params):
+    return b"ICNN" + struct.pack("<HI", 1, len(params.weights)) + data[10:]
+
+
+def _rewrite(**changes):
+    def rewrite(data, params):
+        with np.load(io.BytesIO(data)) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        arrays.update(changes)
+        arrays = {key: value for key, value in arrays.items() if value is not None}
+        out = io.BytesIO()
+        np.savez(out, **arrays)
+        return out.getvalue()
+    return rewrite
+
+
+@pytest.mark.parametrize("damage, match", [
+    (_replace_head, "not a checkpoint archive"),
+    (_truncate, "damaged"),
+    (_flip_tensor_byte, "damaged"),
+    (_v1_header, "version 1"),
+    (_rewrite(bias_1=None), "bias_1"),
+    (_rewrite(version=np.array(3)), "version 3"),
+], ids=["bad-leading-bytes", "truncated", "flipped-tensor-byte", "v1-header",
+        "missing-key", "wrong-version"])
+def test_rejects_damaged_checkpoint(sample, tmp_path, damage, match):
+    path, params, _ = sample
     broken = tmp_path / "broken.ckpt"
-    broken.write_bytes(b"XXXX" + path.read_bytes()[4:])
-    with pytest.raises(CheckpointError, match="magic"):
+    broken.write_bytes(damage(path.read_bytes(), params))
+    with pytest.raises(CheckpointError, match=match) as err:
         load_checkpoint(broken)
+    assert str(broken) in str(err.value)
 
 
-def test_rejects_truncation(sample, tmp_path):
-    path, _, _ = sample
-    broken = tmp_path / "short.ckpt"
-    broken.write_bytes(path.read_bytes()[:-10])
-    with pytest.raises(CheckpointError, match="truncated|trailing"):
-        load_checkpoint(broken)
+def test_interrupted_save_keeps_previous_checkpoint(sample, monkeypatch):
+    path, params, sgd = sample
+    before = path.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("simulated crash before rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="simulated crash"):
+        save_checkpoint(path, params, sgd, epoch=4)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_checkpoint(path)[2] == 3
 
 
-def test_rejects_trailing_garbage(sample, tmp_path):
-    path, _, _ = sample
-    broken = tmp_path / "long.ckpt"
-    broken.write_bytes(path.read_bytes() + b"\x00\x01")
-    with pytest.raises(CheckpointError, match="trailing"):
-        load_checkpoint(broken)
+def test_save_and_load_memory_bounded_by_parameters(tmp_path):
+    """Save holds no second copy of the tensors, load at most one more."""
+    rng = np.random.default_rng(0)
+    weights = [rng.standard_normal((512, 1024), dtype=np.float32) for _ in range(12)]
+    biases = [np.zeros(512, np.float32) for _ in weights]
+    params = ModelParams(weights, biases)
+    nbytes = sum(t.nbytes for t in weights + biases)
+    assert nbytes >= 16 * 2 ** 20
+    path = tmp_path / "big.ckpt"
+    sgd = SgdConfig()
+
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, params, sgd, epoch=1)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        loaded, _, _ = load_checkpoint(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert save_peak < 0.25 * nbytes, (save_peak, nbytes)
+    assert load_peak < 1.25 * nbytes, (load_peak, nbytes)
+    for a, b in zip(weights, loaded.weights):
+        np.testing.assert_array_equal(a, b)

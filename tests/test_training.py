@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ from instrumentid.config import RunConfig
 from instrumentid.dataset import prepare_dataset, read_manifest, ManifestRow
 from instrumentid.nn import REDUCED_INPUT_LENGTH
 from instrumentid.training import (
-    architecture, check_params_match, evaluate_model,
+    _point_best, architecture, check_params_match, evaluate_model,
     global_contrast_normalize, iter_raw_clips, load_dataset, reduce_clip, train_model,
 )
 
@@ -107,6 +108,24 @@ class TestTrainModel:
         history = train_model(cfg, data, test_data=test, log=lambda *_: None)
         assert history[0].report is not None
         assert 0.0 <= history[0].report.f_micro <= 1.0
+
+    def test_best_link_swapped_without_a_gap(self, tmp_path, monkeypatch):
+        for name in ("epoch_0001.ckpt", "epoch_0002.ckpt"):
+            (tmp_path / name).write_bytes(name.encode())
+        best = tmp_path / "best.ckpt"
+        _point_best(tmp_path, tmp_path / "epoch_0001.ckpt")
+
+        def crash(src, dst):
+            raise OSError("simulated crash before rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="simulated crash"):
+            _point_best(tmp_path, tmp_path / "epoch_0002.ckpt")
+        monkeypatch.undo()
+        assert best.read_bytes() == b"epoch_0001.ckpt"
+        _point_best(tmp_path, tmp_path / "epoch_0002.ckpt")
+        assert os.readlink(best) == "epoch_0002.ckpt"
+        assert not (tmp_path / "best.ckpt.tmp").is_symlink()
 
     def test_rejects_wrong_class_count(self, tmp_path):
         cfg = reduced_config(tmp_path)
