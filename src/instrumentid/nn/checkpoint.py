@@ -25,13 +25,19 @@ def write_archive(path, **arrays) -> None:
     """Write ``arrays`` as one ``np.savez`` archive at ``path``, atomically.
 
     The archive goes to ``<name>.tmp`` and is renamed over ``path``, so a
-    crash leaves the previous file or the new one, never a partial one.
+    crash leaves the previous file or the new one, never a partial one. A
+    write or rename that raises removes the temporary file before the error
+    propagates.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(fh, **arrays)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_checkpoint(path, params: ModelParams, sgd: SgdConfig, epoch: int) -> None:

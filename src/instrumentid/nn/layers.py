@@ -1,13 +1,27 @@
 """Forward/backward primitives for the 1-D convolutional network.
 
-All functions are pure and preserve the input dtype (float32 for training,
-float64 for gradient checks). Every primitive takes any number of leading
-batch axes: convolution and pooling inputs are ``[..., channels, length]``,
+All functions preserve the input dtype (float32 for training, float64 for
+gradient checks). Every primitive takes any number of leading batch axes:
+convolution and pooling inputs are ``[..., channels, length]``,
 fully-connected inputs ``[..., features]``, and the elementwise layers take
 any shape. One clip is the case with no leading axis; ``model.forward``
 passes a group of clips as one ``[clips, ...]`` array, so each layer runs
 once per group and its products are one GEMM over all clips of the group.
-Weight and bias gradients are summed over the leading axes.
+Weight and bias gradients are summed over the leading axes. The functions
+are pure, except that the convolution backward passes add the weight
+gradient into a caller's ``grad_weights`` array when given one, so a
+network's groups accumulate into one buffer.
+
+Convolution has two kernels for one result. The direct kernel
+(:func:`temporal_conv_forward`) multiplies im2col windows by the filters.
+The overlap-save FFT kernel (:func:`fft_conv_forward`) takes the filters as
+:func:`filter_spectrum`, built once per set of weights, and makes one
+complex product per frequency bin over all channels, clips and blocks: the
+frequency-major layout of Mathieu, Henaff & LeCun (arXiv:1312.5851) and
+Vasilache et al. (arXiv:1412.7580). It is far cheaper for long filters. Its
+stages run in chunks of feature maps; each chunk's spectra and products stay
+within ``_FFT_CHUNK_ELEMS`` elements, which bounds the kernel's transient
+memory.
 """
 
 import numpy as np
@@ -15,11 +29,35 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 # Bound on window elements materialized per im2col chunk (~128 MiB float64).
 _CONV_CHUNK_ELEMS = 1 << 24
+# Bound on the elements of one map chunk of the FFT kernel (8 MiB complex64).
+_FFT_CHUNK_ELEMS = 1 << 20
 
 
 def _conv_chunk(out_len: int, clips: int, channels: int, filter_size: int) -> int:
     """Output positions per chunk, so clips x positions x channels x taps fits the bound."""
     return max(1, min(out_len, _CONV_CHUNK_ELEMS // max(1, clips * channels * filter_size)))
+
+
+def _check_conv_input(x, maps: int, channels: int, filter_size: int, bias=None):
+    if x.ndim < 2:
+        raise ValueError(f"conv input must be [..., channels, length], got shape {x.shape}")
+    if x.shape[-2] != channels:
+        raise ValueError(
+            f"channel mismatch: input shape {x.shape} vs {channels}-channel filters"
+        )
+    if bias is not None and bias.shape != (maps,):
+        raise ValueError(f"bias shape {bias.shape} does not match {maps} feature maps")
+    if x.shape[-1] < filter_size:
+        raise ValueError(f"input length {x.shape[-1]} shorter than filter size {filter_size}")
+
+
+def _check_grad_out(grad_out, x_shape, maps: int, filter_size: int):
+    *lead, _, length = x_shape
+    expected = (*lead, maps, length - filter_size + 1)
+    if grad_out.shape != expected:
+        raise ValueError(
+            f"grad_out shape {grad_out.shape} does not match conv output {expected}"
+        )
 
 
 def temporal_conv_forward(x, weights, bias):
@@ -36,20 +74,11 @@ def temporal_conv_forward(x, weights, bias):
     x = np.asarray(x)
     weights = np.asarray(weights)
     bias = np.asarray(bias)
-    if x.ndim < 2:
-        raise ValueError(f"conv input must be [..., channels, length], got shape {x.shape}")
     if weights.ndim != 3:
         raise ValueError(f"conv weights must be [maps, channels, filter], got shape {weights.shape}")
-    *lead, channels, length = x.shape
-    maps, w_channels, filter_size = weights.shape
-    if w_channels != channels:
-        raise ValueError(
-            f"channel mismatch: input shape {x.shape} vs weights shape {weights.shape}"
-        )
-    if bias.shape != (maps,):
-        raise ValueError(f"bias shape {bias.shape} does not match {maps} feature maps")
-    if length < filter_size:
-        raise ValueError(f"input length {length} shorter than filter size {filter_size}")
+    maps, channels, filter_size = weights.shape
+    _check_conv_input(x, maps, channels, filter_size, bias)
+    *lead, _, length = x.shape
 
     out_len = length - filter_size + 1
     x = x.reshape(-1, channels, length)
@@ -67,10 +96,13 @@ def temporal_conv_forward(x, weights, bias):
     return out.reshape(*lead, maps, out_len)
 
 
-def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True):
+def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True,
+                           grad_weights=None):
     """Gradients of :func:`temporal_conv_forward` w.r.t. input, weights, bias.
 
-    The weight and bias gradients are summed over the leading axes. With
+    The weight and bias gradients are summed over the leading axes. The
+    weight gradient is added into ``grad_weights`` when given (it is then
+    the array returned), else into a fresh zero array. With
     ``needs_input_grad`` false the input gradient is skipped and returned as
     None; the network's first layer needs none.
     """
@@ -80,11 +112,7 @@ def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True):
     *lead, channels, length = x.shape
     maps, _, filter_size = weights.shape
     out_len = length - filter_size + 1
-    if grad_out.shape != (*lead, maps, out_len):
-        raise ValueError(
-            f"grad_out shape {grad_out.shape} does not match conv output "
-            f"{(*lead, maps, out_len)}"
-        )
+    _check_grad_out(grad_out, x.shape, maps, filter_size)
     x = x.reshape(-1, channels, length)
     grad_out = grad_out.reshape(-1, maps, out_len)
     clips = len(x)
@@ -92,7 +120,8 @@ def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True):
     grad_bias = grad_out.sum(axis=(0, 2))
 
     windows = sliding_window_view(x, filter_size, axis=2)
-    grad_weights = np.zeros_like(weights)
+    if grad_weights is None:
+        grad_weights = np.zeros_like(weights)
     step = _conv_chunk(out_len, clips, channels, filter_size)
     for start in range(0, out_len, step):
         stop = min(start + step, out_len)
@@ -107,6 +136,147 @@ def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True):
     for k in range(filter_size):
         # grad_x[..., c, t + k] += sum_m grad_out[..., m, t] * weights[m, c, k]
         grad_x[:, :, k:k + out_len] += weights[:, :, k].T @ grad_out
+    return grad_x.reshape(*lead, channels, length), grad_weights, grad_bias
+
+
+def _map_chunk(maps: int, elems_per_map: int) -> int:
+    """Maps per FFT chunk, so maps x elems_per_map fits ``_FFT_CHUNK_ELEMS``."""
+    return max(1, min(maps, _FFT_CHUNK_ELEMS // max(1, elems_per_map)))
+
+
+def _fft_geometry(spectrum, filter_size: int, length: int):
+    """``(nfft, hop, blocks)`` of the overlap-save pass over ``length`` samples."""
+    nfft = 2 * (spectrum.shape[0] - 1)
+    hop = nfft - filter_size + 1
+    if hop < 1:
+        raise ValueError(f"spectrum of nfft {nfft} is shorter than filter size {filter_size}")
+    return nfft, hop, -(-(length - filter_size + 1) // hop)
+
+
+def _block_spectra(x, nfft: int, hop: int, blocks: int, width: int):
+    """rfft at length ``nfft`` of ``blocks`` windows of ``width`` samples,
+    ``hop`` apart, of ``x [clips, rows, length]`` zero-padded at the end.
+
+    :returns: ``[bins, rows, clips * blocks]``, clip-major along the last axis
+    """
+    clips, rows, length = x.shape
+    padded = np.zeros((clips, rows, (blocks - 1) * hop + width), dtype=x.dtype)
+    padded[:, :, :length] = x
+    windows = sliding_window_view(padded, width, axis=2)[:, :, ::hop]
+    spectra = np.fft.rfft(windows, n=nfft, axis=3)  # [clips, rows, blocks, bins]
+    return spectra.transpose(3, 1, 0, 2).reshape(-1, rows, clips * blocks)
+
+
+def filter_spectrum(weights, nfft: int):
+    """Conjugate rfft of the filters at length ``nfft``: ``[bins, maps, channels]``.
+
+    ``bins = nfft // 2 + 1``; ``nfft`` must be even and at least the filter
+    size. The spectrum is written in map chunks straight into the per-bin
+    layout, so no padded or transposed copy of all the filters is made.
+    """
+    weights = np.asarray(weights)
+    if weights.ndim != 3:
+        raise ValueError(f"conv weights must be [maps, channels, filter], got shape {weights.shape}")
+    maps, channels, filter_size = weights.shape
+    if nfft % 2 or nfft < filter_size:
+        raise ValueError(f"nfft must be even and >= filter size {filter_size}, got {nfft}")
+    bins = nfft // 2 + 1
+    spectrum = np.empty((bins, maps, channels), dtype=np.result_type(weights, np.complex64))
+    step = _map_chunk(maps, channels * bins)
+    for start in range(0, maps, step):
+        chunk = np.fft.rfft(weights[start:start + step], n=nfft, axis=2)
+        np.conjugate(chunk.transpose(2, 0, 1), out=spectrum[:, start:start + step])
+    return spectrum
+
+
+def fft_conv_forward(x, spectrum, bias, filter_size: int):
+    """:func:`temporal_conv_forward` by overlap-save FFT convolution.
+
+    ``spectrum`` is :func:`filter_spectrum` of the ``[maps, channels,
+    filter_size]`` weights at an even ``nfft``. Each block of ``nfft`` input
+    samples gives ``hop = nfft - filter_size + 1`` outputs: per frequency bin
+    the product ``spectrum[f] @ block spectra[f]``, over all channels,
+    clips and blocks at once, then an inverse rfft keeping the first ``hop``
+    values.
+    """
+    x = np.asarray(x)
+    spectrum = np.asarray(spectrum)
+    bias = np.asarray(bias)
+    bins, maps, channels = spectrum.shape
+    _check_conv_input(x, maps, channels, filter_size, bias)
+    *lead, _, length = x.shape
+    nfft, hop, blocks = _fft_geometry(spectrum, filter_size, length)
+    out_len = length - filter_size + 1
+
+    x = x.reshape(-1, channels, length)
+    clips = len(x)
+    spectra = _block_spectra(x, nfft, hop, blocks, nfft)  # [bins, channels, clips * blocks]
+    out = np.empty((clips, maps, out_len), dtype=np.result_type(x, spectrum.real))
+    step = _map_chunk(maps, bins * clips * blocks)
+    for start in range(0, maps, step):
+        stop = min(start + step, maps)
+        y = np.fft.irfft(spectrum[:, start:stop] @ spectra, n=nfft, axis=0)[:hop]
+        # [hop, maps, clips, blocks] -> [clips, maps, blocks * hop]
+        y = y.reshape(hop, stop - start, clips, blocks).transpose(2, 1, 3, 0)
+        out[:, start:stop] = y.reshape(clips, stop - start, blocks * hop)[:, :, :out_len]
+    out += bias[:, None]
+    return out.reshape(*lead, maps, out_len)
+
+
+def fft_conv_backward(x, spectrum, grad_out, filter_size: int,
+                      needs_input_grad: bool = True, grad_weights=None):
+    """Gradients of :func:`fft_conv_forward`, as :func:`temporal_conv_backward`.
+
+    Per map chunk the output gradient is cut into blocks of ``hop`` values
+    and transformed. The weight gradient is, per bin, the conjugate of those
+    spectra times the input block spectra, summed over clips and blocks; its
+    inverse rfft keeps the first ``filter_size`` lags and is added into
+    ``grad_weights`` (a fresh zero array when None), one map chunk at a
+    time. The input gradient is, per bin, the transposed product with the
+    filter spectrum, then an overlap-add of the ``nfft``-sample blocks.
+    """
+    x = np.asarray(x)
+    spectrum = np.asarray(spectrum)
+    grad_out = np.asarray(grad_out)
+    bins, maps, channels = spectrum.shape
+    _check_conv_input(x, maps, channels, filter_size)
+    _check_grad_out(grad_out, x.shape, maps, filter_size)
+    *lead, _, length = x.shape
+    nfft, hop, blocks = _fft_geometry(spectrum, filter_size, length)
+
+    x = x.reshape(-1, channels, length)
+    grad_out = grad_out.reshape(-1, maps, length - filter_size + 1)
+    clips = len(x)
+    grad_bias = grad_out.sum(axis=(0, 2))
+    if grad_weights is None:
+        grad_weights = np.zeros((maps, channels, filter_size),
+                                dtype=np.result_type(x, spectrum.real))
+
+    # [bins, clips * blocks, channels], the layout both products below read fastest
+    spectra = np.ascontiguousarray(_block_spectra(x, nfft, hop, blocks, nfft).transpose(0, 2, 1))
+    conj_grad_x = None  # conjugate input-gradient spectra, laid out as ``spectra``
+    if needs_input_grad:
+        conj_grad_x = np.zeros(spectra.shape, np.result_type(spectra, spectrum))
+    step = _map_chunk(maps, bins * max(channels, clips * blocks))
+    for start in range(0, maps, step):
+        stop = min(start + step, maps)
+        # [bins, maps, clips * blocks]
+        conj_g = np.conjugate(_block_spectra(grad_out[:, start:stop], nfft, hop, blocks, hop))
+        lags = np.fft.irfft(conj_g @ spectra, n=nfft, axis=0)[:filter_size]
+        grad_weights[start:stop] += lags.transpose(1, 2, 0)
+        if conj_grad_x is not None:
+            conj_grad_x += conj_g.transpose(0, 2, 1) @ spectrum[:, start:stop]
+    if conj_grad_x is None:
+        return None, grad_weights, grad_bias
+
+    pieces = np.fft.irfft(np.conjugate(conj_grad_x, out=conj_grad_x), n=nfft, axis=0)
+    # [nfft, clips, blocks, channels] -> [clips, channels, blocks, nfft]
+    pieces = pieces.reshape(nfft, clips, blocks, channels).transpose(1, 3, 2, 0)
+    grad_x = np.zeros_like(x, dtype=pieces.dtype)
+    for j in range(blocks):
+        start = j * hop
+        width = min(nfft, length - start)
+        grad_x[:, :, start:start + width] += pieces[:, :, j, :width]
     return grad_x.reshape(*lead, channels, length), grad_weights, grad_bias
 
 

@@ -33,16 +33,23 @@ class _Layer:
     """Shape, parameters and the ``nn.layers`` glue of one layer kind.
 
     Shapes are per clip. Layers with ``has_params`` give ``param_shapes(input
-    shape)``. ``forward(x, wb, training, rng)`` takes a group of clips
-    ``[clips, ...]`` and the ``(weights, bias)`` pair, else ``()``, and
-    returns ``(output, cache)``; ``backward(cache, g, needs_input_grad)``
-    returns ``(input grad, parameter grads summed over the group)``.
+    shape)``. ``prepare(wb, input shape)`` turns the ``(weights, bias)``
+    pair, else ``()``, into the form the layer computes with; ``forward``
+    calls it once and every group and ``backward`` reuse the result.
+    ``forward(x, weights, training, rng)`` takes a group of clips
+    ``[clips, ...]`` and returns ``(output, cache)``; ``backward(cache,
+    weights, g, needs_input_grad, grads)`` adds the parameter gradients,
+    summed over the group, into the ``(weight, bias)`` buffers ``grads`` and
+    returns the input gradient.
     """
 
     has_params = False
 
     def output_shape(self, shape):
         return shape
+
+    def prepare(self, wb, shape):
+        return wb
 
 
 def _require(ok: bool, message: str) -> None:
@@ -54,6 +61,16 @@ def _map_length(shape, what: str, window: int, name: str) -> int:
     _require(len(shape) == 2, f"{what} requires a [channels, length] input, got {shape}")
     _require(shape[1] >= window, f"length {shape[1]} shorter than {name} {window}")
     return shape[1]
+
+
+# One real FFT of length n costs about _FFT_COST * n * log2(n) multiply-adds
+# of the direct kernel's float32 GEMM (NumPy's pocketfft against OpenBLAS on
+# one core: 20 to 35 for n from 384 to 12288).
+_FFT_COST = 32
+# Most complex values one layer's filter spectrum may hold: 256 MiB in
+# complex64. The spectra live through a training step beside the parameters
+# and their gradients.
+_SPECTRUM_ELEMS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -74,12 +91,62 @@ class conv(_Layer):
     def param_shapes(self, shape):
         return (self.feature_maps, shape[0], self.filter_size), (self.feature_maps,)
 
-    def forward(self, x, wb, training, rng):
-        return L.temporal_conv_forward(x, *wb), (x, wb[0])
+    def fft_length(self, shape):
+        """``nfft`` of the overlap-save FFT kernel for a ``[channels, length]``
+        input, or None where the direct kernel costs less.
 
-    def backward(self, cache, g, needs_input_grad):
-        g, *param_grads = L.temporal_conv_backward(*cache, g, needs_input_grad=needs_input_grad)
-        return g, param_grads
+        The cost rule, in multiply-adds per clip: the direct kernel costs
+        ``maps * channels * filter_size * out_len``. The FFT kernel at length
+        ``n``, with ``hop = n - filter_size + 1`` and ``blocks = ceil(out_len
+        / hop)``, costs ``maps * channels + (maps + channels) * blocks``
+        transforms of ``_FFT_COST * n * log2(n)`` each, the filter spectrum
+        counted whole as if every ``forward`` call held one clip, plus four
+        per complex multiply-add of the per-bin products, ``bins * maps *
+        channels * blocks``. ``n`` runs over the even sizes ``2^a`` and ``3 *
+        2^a`` (fast FFT lengths at most 4/3 apart) from the filter size on,
+        skipping any whose spectrum (``bins * maps * channels`` values)
+        exceeds ``_SPECTRUM_ELEMS``. The cheapest wins if it beats the direct
+        kernel. Short filters stay direct: their filter transforms alone
+        outweigh the direct product.
+        """
+        maps, taps = self.feature_maps, self.filter_size
+        channels, length = shape
+        out_len = length - taps + 1
+        best, best_cost = None, maps * channels * taps * out_len
+        for n in sorted(base << k for base in (2, 3) for k in range(length.bit_length() + 1)):
+            bins = n // 2 + 1
+            if n % 2 or n < taps or bins * maps * channels > _SPECTRUM_ELEMS:
+                continue
+            blocks = -(-out_len // (n - taps + 1))
+            transforms = maps * channels + (maps + channels) * blocks
+            cost = _FFT_COST * transforms * n * math.log2(n) + 4 * bins * maps * channels * blocks
+            if cost < best_cost:
+                best, best_cost = n, cost
+        return best
+
+    def prepare(self, wb, shape):
+        """``(weights, bias, filter spectrum or None)``: the spectrum picks the FFT kernel."""
+        nfft = self.fft_length(shape)
+        return (*wb, None if nfft is None else L.filter_spectrum(wb[0], nfft))
+
+    def forward(self, x, weights, training, rng):
+        w, b, spectrum = weights
+        if spectrum is None:
+            return L.temporal_conv_forward(x, w, b), x
+        return L.fft_conv_forward(x, spectrum, b, self.filter_size), x
+
+    def backward(self, x, weights, g, needs_input_grad, grads):
+        w, _, spectrum = weights
+        grad_w, grad_b = grads
+        if spectrum is None:
+            g, _, gb = L.temporal_conv_backward(
+                x, w, g, needs_input_grad=needs_input_grad, grad_weights=grad_w)
+        else:
+            g, _, gb = L.fft_conv_backward(
+                x, spectrum, g, self.filter_size,
+                needs_input_grad=needs_input_grad, grad_weights=grad_w)
+        grad_b += gb
+        return g
 
 
 @dataclass(frozen=True)
@@ -96,25 +163,25 @@ class max_pool(_Layer):
         length = _map_length(shape, "pool", self.pool_size, "pool size")
         return (shape[0], (length - self.pool_size) // self.pool_stride + 1)
 
-    def forward(self, x, wb, training, rng):
+    def forward(self, x, weights, training, rng):
         out, argmax = L.maxpool_forward(x, self.pool_size, self.pool_stride)
         return out, (argmax, x.shape)
 
-    def backward(self, cache, g, needs_input_grad):
+    def backward(self, cache, weights, g, needs_input_grad, grads):
         argmax, in_shape = cache
-        return L.maxpool_backward(argmax, g, in_shape), ()
+        return L.maxpool_backward(argmax, g, in_shape)
 
 
 @dataclass(frozen=True)
 class relu(_Layer):
     kind = LayerKind.RELU
 
-    def forward(self, x, wb, training, rng):
+    def forward(self, x, weights, training, rng):
         out = L.relu(x)
         return out, out  # the next layer holds the output anyway
 
-    def backward(self, cache, g, needs_input_grad):
-        return L.relu_backward(cache, g), ()
+    def backward(self, cache, weights, g, needs_input_grad, grads):
+        return L.relu_backward(cache, g)
 
 
 @dataclass(frozen=True)
@@ -132,14 +199,16 @@ class fully_connected(_Layer):
     def param_shapes(self, shape):
         return (self.output_size, math.prod(shape)), (self.output_size,)
 
-    def forward(self, x, wb, training, rng):
+    def forward(self, x, weights, training, rng):
         flat = x.reshape(len(x), -1)
-        return L.fully_connected_forward(flat, *wb), (flat, wb[0], x.shape)
+        return L.fully_connected_forward(flat, *weights), (flat, x.shape)
 
-    def backward(self, cache, g, needs_input_grad):
-        flat, w, in_shape = cache
-        g, *param_grads = L.fully_connected_backward(flat, w, g)
-        return g.reshape(in_shape), param_grads
+    def backward(self, cache, weights, g, needs_input_grad, grads):
+        flat, in_shape = cache
+        g, *param_grads = L.fully_connected_backward(flat, weights[0], g)
+        for acc, grad in zip(grads, param_grads):
+            acc += grad
+        return g.reshape(in_shape)
 
 
 @dataclass(frozen=True)
@@ -151,25 +220,25 @@ class dropout(_Layer):
         _require(0.0 <= self.drop_rate < 1.0,
                  f"dropout rate must be in [0, 1), got {self.drop_rate}")
 
-    def forward(self, x, wb, training, rng):
+    def forward(self, x, weights, training, rng):
         if training and self.drop_rate > 0 and rng is None:
             raise ValueError("training mode with dropout requires an rng")
         return L.dropout(x, self.drop_rate, rng, training)
 
-    def backward(self, cache, g, needs_input_grad):
-        return L.dropout_backward(cache, self.drop_rate, g), ()
+    def backward(self, cache, weights, g, needs_input_grad, grads):
+        return L.dropout_backward(cache, self.drop_rate, g)
 
 
 @dataclass(frozen=True)
 class sigmoid(_Layer):
     kind = LayerKind.SIGMOID
 
-    def forward(self, x, wb, training, rng):
+    def forward(self, x, weights, training, rng):
         out = L.sigmoid(x)
         return out, out
 
-    def backward(self, cache, g, needs_input_grad):
-        return L.sigmoid_backward(cache, g), ()
+    def backward(self, cache, weights, g, needs_input_grad, grads):
+        return L.sigmoid_backward(cache, g)
 
 
 def table1_layers(drop_rate: float = dropout.drop_rate) -> list[_Layer]:
@@ -268,22 +337,33 @@ class ModelParams:
 
 def init_params(layers, input_length: int, input_channels: int = 1,
                 seed: int = 0, dtype=np.float32) -> ModelParams:
-    """Seeded uniform init in [-sqrt(6/fan_in), +sqrt(6/fan_in)], zero biases."""
+    """Seeded uniform init in [-sqrt(6/fan_in), +sqrt(6/fan_in)], zero biases.
+
+    Each weight tensor is drawn one row (output unit) at a time and cast as
+    it goes, so only one row exists in float64; the rng stream, and so every
+    value, is the same as for one draw of the whole tensor.
+    """
     rng = np.random.default_rng(seed)
     params = ModelParams()
     for w_shape, b_shape in param_shapes(layers, input_length, input_channels):
         bound = np.sqrt(6.0 / math.prod(w_shape[1:]))
-        params.weights.append(rng.uniform(-bound, bound, size=w_shape).astype(dtype))
+        weights = np.empty(w_shape, dtype=dtype)
+        for row in weights:
+            row[...] = rng.uniform(-bound, bound, size=row.shape)
+        params.weights.append(weights)
         params.biases.append(np.zeros(b_shape, dtype=dtype))
     return params
 
 
 @dataclass
 class ForwardCache:
-    """Everything backward() needs: the layers and per-group, per-layer caches."""
+    """Everything backward() needs: the layers, each layer's weights as
+    prepared for the call (conv filter spectra included) and per-group,
+    per-layer caches."""
 
     layers: list
     params: ModelParams
+    weights: list  # per layer, what ``prepare`` made of its parameters
     clips: int
     group: int  # clips per group; the last group may be shorter
     group_caches: list  # one list of per-layer caches per group of clips
@@ -304,12 +384,14 @@ def _group_size(layers, input_length: int, input_channels: int) -> int:
 def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     """Run the network over a ``[batch, channels, length]`` stack of clips.
 
-    Each layer runs once per group of consecutive clips, the groups in index
-    order; a group is as many clips as keep the largest layer output within
-    ``nn.layers._CONV_CHUNK_ELEMS`` elements. Dropout draws over a group
-    consume the rng in clip order, so results are deterministic for a fixed
-    rng state and do not depend on the grouping. Eval mode keeps no caches,
-    so the groups bound its memory.
+    Each layer prepares its weights once per call (a long-filter conv
+    builds its filter spectrum), then runs once per group of consecutive
+    clips, the groups in index order; a group is as many clips as keep the
+    largest layer output within ``nn.layers._CONV_CHUNK_ELEMS`` elements.
+    Dropout draws over a group consume the rng in clip order, so results are
+    deterministic for a fixed rng state and do not depend on the grouping.
+    Eval mode keeps no caches and drops the prepared weights on return, so
+    the groups bound its memory.
 
     :returns: ``(predictions [batch, output], cache)``; the cache is None in
         eval mode
@@ -321,20 +403,24 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
         raise ValueError(f"batch must be [clips, channels, length], got shape {batch.shape}")
     training = mode == "train"
     layers = list(layers)
-    layer_params = _layer_params(params, layers)
-    group = _group_size(layers, batch.shape[2], batch.shape[1])
+    channels, length = batch.shape[1:]
+    weights = [layer.prepare(wb, shape) for layer, wb, shape in zip(
+        layers, _layer_params(params, layers), _input_shapes(layers, length, channels))]
+    group = _group_size(layers, length, channels)
     preds, group_caches = [], []
     for start in range(0, len(batch), group):
         x = batch[start:start + group]
         caches = []
-        for layer, wb in zip(layers, layer_params):
-            x, layer_cache = layer.forward(x, wb, training, rng)
+        for layer, w in zip(layers, weights):
+            x, layer_cache = layer.forward(x, w, training, rng)
             if training:
                 caches.append(layer_cache)
         preds.append(x)
         group_caches.append(caches)
-    cache = ForwardCache(layers, params, len(batch), group, group_caches) if training else None
-    return np.concatenate(preds), cache
+    if not training:
+        return np.concatenate(preds), None
+    return np.concatenate(preds), ForwardCache(
+        layers, params, weights, len(batch), group, group_caches)
 
 
 def backward(cache: ForwardCache, grad_loss) -> ModelParams:
@@ -342,8 +428,10 @@ def backward(cache: ForwardCache, grad_loss) -> ModelParams:
 
     ``grad_loss`` is the gradient of the (batch-mean) loss w.r.t. the
     predictions, so the per-clip contributions are summed: the result is the
-    gradient of the same batch-mean loss. Groups are accumulated in index
-    order for determinism. Layer 0 computes no gradient for the network input.
+    gradient of the same batch-mean loss. Every layer adds its gradients
+    into the one set of buffers returned, the groups in index order for
+    determinism, and reuses the weights ``forward`` prepared. Layer 0
+    computes no gradient for the network input.
     """
     grad_loss = np.asarray(grad_loss)
     if grad_loss.shape[0] != cache.clips:
@@ -353,9 +441,7 @@ def backward(cache: ForwardCache, grad_loss) -> ModelParams:
     for start, caches in zip(range(0, cache.clips, cache.group), cache.group_caches):
         g = grad_loss[start:start + cache.group]
         for i in reversed(range(len(cache.layers))):
-            g, param_grads = cache.layers[i].backward(caches[i], g, i > 0)
-            for acc, grad in zip(layer_grads[i], param_grads):
-                acc += grad
+            g = cache.layers[i].backward(caches[i], cache.weights[i], g, i > 0, layer_grads[i])
     return grads
 
 

@@ -171,7 +171,9 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
             preds, cache = forward(params, specs, batch, mode="train", rng=drop_rng)
             loss, grad_pred = bce_loss(preds, targets)
             grads = backward(cache, grad_pred)
+            del cache  # the filter spectra need not live through the update
             params = sgd_step(params, grads, sgd.learning_rate)
+            del grads  # nor the gradients through the next step
             total_loss += float(loss) * len(idx)
         train_loss = total_loss / n
 

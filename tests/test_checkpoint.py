@@ -103,6 +103,22 @@ def test_interrupted_save_keeps_previous_checkpoint(sample, monkeypatch):
     assert load_checkpoint(path)[2] == 3
 
 
+@pytest.mark.parametrize("fail", ["savez", "replace"])
+def test_failed_save_leaves_no_temporary_file(sample, monkeypatch, fail):
+    path, params, sgd = sample
+    before = path.read_bytes()
+
+    def crash(*args, **kwargs):
+        raise OSError(f"simulated {fail} failure")
+
+    monkeypatch.setattr(np if fail == "savez" else os, fail, crash)
+    with pytest.raises(OSError, match=f"simulated {fail} failure"):
+        save_checkpoint(path, params, sgd, epoch=4)
+    monkeypatch.undo()
+    assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+    assert path.read_bytes() == before
+
+
 def test_save_and_load_memory_bounded_by_parameters(tmp_path):
     """Save holds no second copy of the tensors, load at most one more."""
     rng = np.random.default_rng(0)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from instrumentid.nn import (
     temporal_conv_forward, temporal_conv_backward,
+    filter_spectrum, fft_conv_forward, fft_conv_backward,
     maxpool_forward, maxpool_backward,
     relu, relu_backward,
     fully_connected_forward, fully_connected_backward,
@@ -10,7 +12,11 @@ from instrumentid.nn import (
     dropout, dropout_backward,
 )
 
+from instrumentid.nn import model as nnm
+
 from helpers import conv_naive, maxpool_naive, numeric_gradient, relative_error
+
+FD_TOL = 1e-4  # the acceptance suite's gradient tolerance
 
 
 class TestTemporalConv:
@@ -104,6 +110,113 @@ class TestTemporalConv:
     def test_backward_rejects_bad_grad_shape(self):
         with pytest.raises(ValueError, match="does not match conv output"):
             temporal_conv_backward(np.zeros((1, 8)), np.zeros((2, 1, 3)), np.zeros((2, 5)))
+
+
+def _assert_close_to_max(got, want, tol):
+    """Elementwise agreement within ``tol`` of the largest reference value."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+
+
+def _fft_against_direct(x, w, b, nfft, tol, needs_input_grad=True):
+    """FFT forward and backward against the direct kernel on the same inputs."""
+    filter_size = w.shape[2]
+    want = temporal_conv_forward(x, w, b)
+    spectrum = filter_spectrum(w, nfft)
+    _assert_close_to_max(fft_conv_forward(x, spectrum, b, filter_size), want, tol)
+    g = np.random.default_rng(0).normal(size=want.shape).astype(x.dtype)
+    want_gx, want_gw, want_gb = temporal_conv_backward(x, w, g, needs_input_grad)
+    # the weight gradient is added into the caller's buffer
+    start = np.random.default_rng(1).normal(size=w.shape).astype(w.dtype)
+    buffer = start.copy()
+    gx, gw, gb = fft_conv_backward(x, spectrum, g, filter_size, needs_input_grad,
+                                   grad_weights=buffer)
+    assert gw is buffer
+    _assert_close_to_max(gw - start, want_gw, tol)
+    _assert_close_to_max(gb, want_gb, tol)
+    if needs_input_grad:
+        _assert_close_to_max(gx, want_gx, tol)
+    else:
+        assert gx is None
+
+
+class TestFftConv:
+    @settings(max_examples=40, deadline=None)
+    @given(maps=st.integers(1, 4), channels=st.integers(1, 3), filter_size=st.integers(1, 12),
+           hop=st.integers(1, 20), out_len=st.integers(1, 45),
+           lead=st.sampled_from([(), (1,), (3,), (2, 2)]), needs_input_grad=st.booleans(),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @example(maps=2, channels=3, filter_size=7, hop=10, out_len=30, lead=(2,),
+             needs_input_grad=True, seed=0)  # output length an exact multiple of the hop
+    @example(maps=3, channels=2, filter_size=8, hop=1, out_len=9, lead=(3,),
+             needs_input_grad=True, seed=1)  # hop 1: nfft equal to the filter size
+    @example(maps=3, channels=1, filter_size=5, hop=4, out_len=11, lead=(2,),
+             needs_input_grad=False, seed=2)  # weight gradient only, as for layer 0
+    def test_matches_direct_kernel_float64(self, maps, channels, filter_size, hop, out_len,
+                                           lead, needs_input_grad, seed):
+        nfft = filter_size + hop - 1
+        nfft += nfft % 2  # even lengths only; an odd one gets one more hop
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(*lead, channels, out_len + filter_size - 1))
+        w = rng.normal(size=(maps, channels, filter_size))
+        b = rng.normal(size=maps)
+        _fft_against_direct(x, w, b, nfft, 1e-10, needs_input_grad)
+
+    def test_backward_matches_finite_differences(self):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(2, 2, 17))
+        w = rng.normal(size=(3, 2, 6))
+        b = rng.normal(size=3)
+        r = rng.normal(size=(2, 3, 12))
+        nfft = 10  # hop 5: three blocks, the last one padded
+
+        def loss(x, w, b):
+            return (fft_conv_forward(x, filter_spectrum(w, nfft), b, 6) * r).sum()
+
+        gx, gw, gb = fft_conv_backward(x, filter_spectrum(w, nfft), r, 6)
+        assert relative_error(gx, numeric_gradient(lambda v: loss(v, w, b), x)) < FD_TOL
+        assert relative_error(gw, numeric_gradient(lambda v: loss(x, v, b), w)) < FD_TOL
+        assert relative_error(gb, numeric_gradient(lambda v: loss(x, w, v), b)) < FD_TOL
+
+    @pytest.mark.parametrize("layer, shape", [
+        (nnm.conv(384, 300), (256, 2049)),   # Table-1 conv1, a few maps and channels
+        (nnm.conv(256, 3101), (1, 44100)),   # Table-1 conv0, a few maps
+    ])
+    def test_float32_at_table1_geometry(self, layer, shape):
+        channels, length = shape
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(1, min(channels, 3), length)).astype(np.float32)
+        w = (rng.normal(size=(2, len(x[0]), layer.filter_size)) * 0.05).astype(np.float32)
+        b = rng.normal(size=2).astype(np.float32)
+        # the input gradient of a one-channel first layer is never asked for
+        _fft_against_direct(x, w, b, layer.fft_length(shape), 1e-5,
+                            needs_input_grad=channels > 1)
+
+    def test_filter_spectrum_layout(self):
+        w = np.random.default_rng(32).normal(size=(5, 3, 4)).astype(np.float32)
+        spectrum = filter_spectrum(w, 8)
+        assert spectrum.shape == (5, 5, 3) and spectrum.dtype == np.complex64
+        np.testing.assert_allclose(
+            spectrum, np.conj(np.fft.rfft(w, n=8, axis=2)).transpose(2, 0, 1), rtol=1e-6)
+        with pytest.raises(ValueError, match="even and >= filter size"):
+            filter_spectrum(w, 7)
+        with pytest.raises(ValueError, match="even and >= filter size"):
+            filter_spectrum(w, 2)
+
+    def test_chunked_over_maps_matches_one_chunk(self, monkeypatch):
+        from instrumentid.nn import layers
+        rng = np.random.default_rng(33)
+        x = rng.normal(size=(2, 3, 40))
+        w = rng.normal(size=(7, 3, 9))
+        b = rng.normal(size=7)
+        g = rng.normal(size=(2, 7, 32))
+        whole = (fft_conv_forward(x, filter_spectrum(w, 16), b, 9),
+                 *fft_conv_backward(x, filter_spectrum(w, 16), g, 9))
+        monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1)  # one map per chunk
+        chunked = (fft_conv_forward(x, filter_spectrum(w, 16), b, 9),
+                   *fft_conv_backward(x, filter_spectrum(w, 16), g, 9))
+        for got, want in zip(chunked, whole):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestMaxPool:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,41 @@ def test_init_params_shapes_and_determinism():
         bound = np.sqrt(6.0 / spec_fan)
         assert np.abs(w).max() <= bound
     assert all(not b.any() for b in p1.biases)
+
+
+def _one_shot_init(shapes, seed):
+    """The whole-tensor draws init_params used to make, cast afterwards."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for shape in shapes:
+        bound = np.sqrt(6.0 / np.prod(shape[1:]))
+        out.append(rng.uniform(-bound, bound, size=shape).astype(np.float32))
+    return out
+
+
+def test_init_params_bit_identical_to_one_shot_draw():
+    # equal tensors in order also mean the rng stream continued identically
+    specs = reduced_layers()
+    shapes = [w for w, _ in nnm.param_shapes(specs, REDUCED_INPUT_LENGTH)]
+    got = init_params(specs, REDUCED_INPUT_LENGTH, seed=42).weights
+    for a, b in zip(got, _one_shot_init(shapes, 42), strict=True):
+        np.testing.assert_array_equal(a, b)
+    # conv1's filter geometry (256 channels, 300 taps), fewer maps
+    conv1 = init_params([nnm.conv(24, 300)], 300, 256, seed=7).weights[0]
+    np.testing.assert_array_equal(conv1, _one_shot_init([(24, 256, 300)], 7)[0])
+
+
+def test_init_params_peak_memory_near_parameter_size():
+    layers = [nnm.conv(24, 300)]
+    tracemalloc.start()
+    try:
+        params = init_params(layers, 300, 256, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(t.nbytes for t in params.weights + params.biases)
+    # a whole float64 draw would peak at 3x: no more than one row on top
+    assert peak < 1.25 * nbytes, (peak, nbytes)
 
 
 def _tiny_specs(drop_rate=0.0):
@@ -219,6 +256,80 @@ def test_groups_bounded_by_largest_layer_output(monkeypatch):
     assert conv0_groups == [2, 2, 1]
     np.testing.assert_allclose(split, whole, rtol=1e-12, atol=0)
     _assert_params_close(backward(split_cache, grad_loss), whole_grads)
+
+
+def test_conv_kernel_choice_follows_filter_length():
+    # long filters (Table-1 conv0, conv1) take the FFT kernel, short ones direct
+    def conv_lengths(specs, input_length):
+        inputs = [(1, input_length)] + infer_shapes(specs, input_length, 1)[:-1]
+        return [layer.fft_length(shape) for layer, shape in zip(specs, inputs)
+                if layer.kind is LayerKind.TEMPORAL_CONV]
+
+    conv0, conv1, conv2 = conv_lengths(table1_layers(), FULL_INPUT_LENGTH)
+    assert conv0 is not None and conv0 >= 3101 and conv0 % 2 == 0
+    assert conv1 is not None and conv1 >= 300 and conv1 % 2 == 0
+    assert conv2 is None
+    assert conv_lengths(reduced_layers(), REDUCED_INPUT_LENGTH) == [None, None, None]
+
+
+def _force_fft(monkeypatch):
+    """Every conv of the tiny net on the FFT kernel, at a few blocks per clip."""
+    monkeypatch.setattr(nnm.conv, "fft_length", lambda self, shape: 2 * self.filter_size)
+
+
+def test_fft_network_matches_direct_and_builds_spectra_once_per_forward(monkeypatch):
+    from instrumentid.nn import layers
+    specs = _tiny_specs(drop_rate=0.5)
+    params = init_params(specs, 80, seed=28, dtype=np.float64)
+    batch = _tiny_input(batch=5, seed=29)
+    grad_loss = np.random.default_rng(30).normal(size=(5, 11))
+    direct, direct_cache = forward(params, specs, batch, mode="train",
+                                   rng=np.random.default_rng(31))
+    direct_grads = backward(direct_cache, grad_loss)
+
+    _force_fft(monkeypatch)
+    largest = max(np.prod(s) for s in infer_shapes(specs, 80, 1))
+    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * largest + 1)  # groups of 2, 2, 1
+    build, built = layers.filter_spectrum, []
+
+    def spy(w, nfft):
+        built.append(w.shape)
+        return build(w, nfft)
+
+    monkeypatch.setattr(layers, "filter_spectrum", spy)
+    preds, cache = forward(params, specs, batch, mode="train", rng=np.random.default_rng(31))
+    assert len(cache.group_caches) == 3
+    assert built == [w.shape for w in params.weights[:3]]  # once per conv layer
+    grads = backward(cache, grad_loss)
+    assert len(built) == 3  # backward reuses the forward's spectra
+    np.testing.assert_allclose(preds, direct, rtol=1e-10, atol=0)
+    for got, want in zip(grads.weights + grads.biases, direct_grads.weights + direct_grads.biases):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+    forward(params, specs, batch, mode="eval")
+    assert len(built) == 6  # an eval call builds its own, once
+
+
+def test_fft_weight_gradients_summed_over_groups_equal_one_group(monkeypatch):
+    from instrumentid.nn import layers
+    _force_fft(monkeypatch)
+    specs = _tiny_specs(drop_rate=0.5)
+    params = init_params(specs, 80, seed=32, dtype=np.float64)
+    batch = _tiny_input(batch=5, seed=33)
+    grad_loss = np.random.default_rng(34).normal(size=(5, 11))
+    whole, whole_cache = forward(params, specs, batch, mode="train",
+                                 rng=np.random.default_rng(35))
+    assert len(whole_cache.group_caches) == 1
+    whole_grads = backward(whole_cache, grad_loss)
+
+    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 1)  # one clip per group
+    split, split_cache = forward(params, specs, batch, mode="train",
+                                 rng=np.random.default_rng(35))
+    assert len(split_cache.group_caches) == 5
+    np.testing.assert_allclose(split, whole, rtol=1e-12, atol=0)
+    split_grads = backward(split_cache, grad_loss)
+    for got, want in zip(split_grads.weights + split_grads.biases,
+                         whole_grads.weights + whole_grads.biases):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
 
 
 def test_dropout_gradient_under_fixed_mask():

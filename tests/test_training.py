@@ -127,6 +127,35 @@ class TestTrainModel:
         assert os.readlink(best) == "epoch_0002.ckpt"
         assert not (tmp_path / "best.ckpt.tmp").is_symlink()
 
+    def test_step_frees_forward_cache_and_gradients_early(self, tmp_path, monkeypatch):
+        # the filter spectra are gone before the update, and one step's
+        # gradients before the next step's forward
+        import gc
+        import instrumentid.training as training
+        from instrumentid.nn import ForwardCache, ModelParams
+
+        def alive(kind):
+            gc.collect()
+            return sum(isinstance(o, kind) for o in gc.get_objects())
+
+        at_forward, at_update = [], []
+        forward, sgd_step = training.forward, training.sgd_step
+
+        def spy_forward(*args, **kwargs):
+            at_forward.append(alive(ModelParams))
+            return forward(*args, **kwargs)
+
+        def spy_sgd_step(*args):
+            at_update.append(alive(ForwardCache))
+            return sgd_step(*args)
+
+        monkeypatch.setattr(training, "forward", spy_forward)
+        monkeypatch.setattr(training, "sgd_step", spy_sgd_step)
+        train_model(reduced_config(tmp_path, batch_size=8), synthetic_dataset(),
+                    log=lambda *_: None)
+        assert len(at_update) >= 4 and set(at_update) == {0}
+        assert len(set(at_forward)) == 1
+
     def test_rejects_wrong_class_count(self, tmp_path):
         cfg = reduced_config(tmp_path)
         data = synthetic_dataset(n_classes=7)
