@@ -222,7 +222,7 @@ def main(argv=None) -> int:
         if args.command == "analyze-filters":
             return cmd_analyze_filters(config, args.checkpoint, log)
         raise AssertionError(args.command)
-    except (ValueError, FileNotFoundError, OSError) as exc:
+    except (ValueError, FloatingPointError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,6 +22,15 @@ Vasilache et al. (arXiv:1412.7580). It is far cheaper for long filters. Its
 stages run in chunks of feature maps; each chunk's spectra and products stay
 within ``_FFT_CHUNK_ELEMS`` elements, which bounds the kernel's transient
 memory.
+
+The FFT kernel transforms in the input's precision, so float32 data runs
+on pocketfft's float32 loop. ``np.fft.rfft`` with its default norm passes
+the Python int 1 as its scale, which selects the float64 loop even for
+float32 input: a float64 copy of the input, a complex128 result and a cast
+back to complex64, at about twice the time. :func:`_rfft` asks for
+``norm="forward"`` instead, whose ``1/n`` scale has the input's precision,
+and multiplies the result by ``n`` in place. ``np.fft.irfft``'s default
+already scales in the input's precision.
 """
 
 import numpy as np
@@ -153,6 +162,13 @@ def _fft_geometry(spectrum, filter_size: int, length: int):
     return nfft, hop, -(-(length - filter_size + 1) // hop)
 
 
+def _rfft(a, n: int, axis: int):
+    """``np.fft.rfft(a, n, axis)``, transformed in ``a``'s precision."""
+    out = np.fft.rfft(a, n=n, axis=axis, norm="forward")
+    out *= n  # in place while the result is fresh; no complex128 copy
+    return out
+
+
 def _block_spectra(x, nfft: int, hop: int, blocks: int, width: int):
     """rfft at length ``nfft`` of ``blocks`` windows of ``width`` samples,
     ``hop`` apart, of ``x [clips, rows, length]`` zero-padded at the end.
@@ -163,7 +179,7 @@ def _block_spectra(x, nfft: int, hop: int, blocks: int, width: int):
     padded = np.zeros((clips, rows, (blocks - 1) * hop + width), dtype=x.dtype)
     padded[:, :, :length] = x
     windows = sliding_window_view(padded, width, axis=2)[:, :, ::hop]
-    spectra = np.fft.rfft(windows, n=nfft, axis=3)  # [clips, rows, blocks, bins]
+    spectra = _rfft(windows, nfft, 3)  # [clips, rows, blocks, bins]
     return spectra.transpose(3, 1, 0, 2).reshape(-1, rows, clips * blocks)
 
 
@@ -184,7 +200,7 @@ def filter_spectrum(weights, nfft: int):
     spectrum = np.empty((bins, maps, channels), dtype=np.result_type(weights, np.complex64))
     step = _map_chunk(maps, channels * bins)
     for start in range(0, maps, step):
-        chunk = np.fft.rfft(weights[start:start + step], n=nfft, axis=2)
+        chunk = _rfft(weights[start:start + step], nfft, 2)
         np.conjugate(chunk.transpose(2, 0, 1), out=spectrum[:, start:start + step])
     return spectrum
 

@@ -64,9 +64,11 @@ def _map_length(shape, what: str, window: int, name: str) -> int:
 
 
 # One real FFT of length n costs about _FFT_COST * n * log2(n) multiply-adds
-# of the direct kernel's float32 GEMM (NumPy's pocketfft against OpenBLAS on
-# one core: 20 to 35 for n from 384 to 12288).
-_FFT_COST = 32
+# of the direct kernel's float32 GEMM. Timed on one core for the kernel's
+# float32 transform stages at the Table-1 shapes (pocketfft against
+# OpenBLAS), n from 384 to 12288: 6 to 13. Every value from 8 to 40 gives
+# both nets the same kernels and lengths.
+_FFT_COST = 10
 # Most complex values one layer's filter spectrum may hold: 256 MiB in
 # complex64. The spectra live through a training step beside the parameters
 # and their gradients.

@@ -1,5 +1,6 @@
 """CNN training pipeline: clip loading, contrast normalization, the SGD loop."""
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -135,7 +136,9 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
     an interrupted run resumed from its last checkpoint reproduces exactly
     the losses of an uninterrupted one. The best checkpoint by test F-micro
     is tracked as a ``best.ckpt`` symlink; that tracking restarts on resume
-    (pre-resume epochs are not reconsidered).
+    (pre-resume epochs are not reconsidered). A non-finite batch loss stops
+    the run before its update, naming the epoch, step and clips; that epoch
+    writes no checkpoint.
     """
     specs, input_length = architecture(config)
     sgd = config.sgd()
@@ -170,6 +173,11 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
             targets = train_data.labels[idx]
             preds, cache = forward(params, specs, batch, mode="train", rng=drop_rng)
             loss, grad_pred = bce_loss(preds, targets)
+            if not math.isfinite(loss):
+                raise FloatingPointError(
+                    f"epoch {epoch + 1} step {start // sgd.batch_size + 1}: loss {loss} "
+                    f"on clips {[train_data.ids[i] for i in idx]}; no checkpoint written"
+                )
             grads = backward(cache, grad_pred)
             del cache  # the filter spectra need not live through the update
             params = sgd_step(params, grads, sgd.learning_rate)

@@ -191,3 +191,20 @@ def test_resume_flag_continues_training(workspace, capsys):
     assert main(["train", "--config", str(cfg3), "--resume", str(ckpt)]) == 0
     assert (out / "checkpoints" / "epoch_0003.ckpt").exists()
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_diverging_training_fails_cleanly(workspace, capsys):
+    tmp_path, _ = workspace
+    cfg = write_config(
+        tmp_path / "diverge.cfg",
+        audio_dir="audio", activation_dir="activations", output_dir="out",
+        min_songs=1, test_fraction=0.34, split_seed=1,
+        reduced="true", epochs=2, batch_size=8, learning_rate=1e30,
+        train_seed=0, drop_rate=0.5,
+    )
+    assert main(["prepare-dataset", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "error: epoch 1 step " in err and "no checkpoint written" in err
+    assert not list((tmp_path / "out" / "checkpoints").glob("epoch_*"))

@@ -203,6 +203,31 @@ class TestFftConv:
         with pytest.raises(ValueError, match="even and >= filter size"):
             filter_spectrum(w, 2)
 
+    @pytest.mark.parametrize("transform", ["filter_spectrum", "block_spectra"])
+    def test_float32_transforms_make_no_double_precision_copy(self, transform):
+        # The float64 loop would hold a complex128 copy of the result (twice
+        # its bytes) beside the complex64 result and a float64 copy of the
+        # input: over 5x the result here. In float32 the peak is the result
+        # and, for the filters, the one map chunk it is written from.
+        import tracemalloc
+        from instrumentid.nn import layers
+        rng = np.random.default_rng(34)
+        if transform == "filter_spectrum":
+            w = rng.normal(size=(8, 64, 300)).astype(np.float32)  # one map chunk
+            run = lambda: filter_spectrum(w, 384)
+        else:
+            x = rng.normal(size=(1, 64, 4000)).astype(np.float32)
+            # conv1's nfft and hop: 3701 outputs in 44 blocks
+            run = lambda: layers._block_spectra(x, 384, 85, 44, 384)
+        tracemalloc.start()
+        try:
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.dtype == np.complex64
+        assert peak < 3 * result.nbytes
+
     def test_chunked_over_maps_matches_one_chunk(self, monkeypatch):
         from instrumentid.nn import layers
         rng = np.random.default_rng(33)

@@ -156,6 +156,27 @@ class TestTrainModel:
         assert len(at_update) >= 4 and set(at_update) == {0}
         assert len(set(at_forward)) == 1
 
+    def test_non_finite_loss_stops_before_the_update(self, tmp_path, monkeypatch):
+        import instrumentid.training as training
+        finite_backward_inputs = []
+        backward = training.backward
+
+        def spy_backward(cache, grad_pred):
+            finite_backward_inputs.append(bool(np.isfinite(grad_pred).all()))
+            return backward(cache, grad_pred)
+
+        monkeypatch.setattr(training, "backward", spy_backward)
+        data = synthetic_dataset()
+        data.clips[5, 0, 100] = np.nan
+        cfg = reduced_config(tmp_path, batch_size=4)
+        with pytest.raises(FloatingPointError, match="epoch 1 step ") as err:
+            train_model(cfg, data, log=lambda *_: None)
+        assert repr(data.ids[5]) in str(err.value)
+        step = int(re.search(r"step (\d+)", str(err.value)).group(1))
+        # every earlier batch ran backward and the update; the NaN batch did not
+        assert finite_backward_inputs == [True] * (step - 1)
+        assert not list(cfg.checkpoint_dir().glob("epoch_*"))
+
     def test_rejects_wrong_class_count(self, tmp_path):
         cfg = reduced_config(tmp_path)
         data = synthetic_dataset(n_classes=7)
