@@ -20,8 +20,10 @@ complex product per frequency bin over all channels, clips and blocks: the
 frequency-major layout of Mathieu, Henaff & LeCun (arXiv:1312.5851) and
 Vasilache et al. (arXiv:1412.7580). It is far cheaper for long filters. Its
 stages run in chunks of feature maps; each chunk's spectra and products stay
-within ``_FFT_CHUNK_ELEMS`` elements, which bounds the kernel's transient
-memory.
+within ``_FFT_CHUNK_ELEMS`` elements. Beyond those, a call holds the input's
+block spectra and, in backward, the input-gradient spectra of the same size
+(``bins x blocks x channels`` per clip), which ``model.forward`` counts when
+it sizes its calls.
 
 The FFT kernel transforms in the input's precision, so float32 data runs
 on pocketfft's float32 loop. ``np.fft.rfft`` with its default norm passes
@@ -32,6 +34,8 @@ back to complex64, at about twice the time. :func:`_rfft` asks for
 and multiplies the result by ``n`` in place. ``np.fft.irfft``'s default
 already scales in the input's precision.
 """
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -169,17 +173,21 @@ def _rfft(a, n: int, axis: int):
     return out
 
 
-def _block_spectra(x, nfft: int, hop: int, blocks: int, width: int):
+def _block_spectra(x, nfft: int, hop: int, blocks: int, width: int, rows_last: bool = False):
     """rfft at length ``nfft`` of ``blocks`` windows of ``width`` samples,
     ``hop`` apart, of ``x [clips, rows, length]`` zero-padded at the end.
 
-    :returns: ``[bins, rows, clips * blocks]``, clip-major along the last axis
+    :returns: ``[bins, rows, clips * blocks]``, clip-major along the last
+        axis, or with ``rows_last`` ``[bins, clips * blocks, rows]``
     """
     clips, rows, length = x.shape
     padded = np.zeros((clips, rows, (blocks - 1) * hop + width), dtype=x.dtype)
     padded[:, :, :length] = x
-    windows = sliding_window_view(padded, width, axis=2)[:, :, ::hop]
-    spectra = _rfft(windows, nfft, 3)  # [clips, rows, blocks, bins]
+    # [clips, rows, blocks, bins]; the padded input is freed before the transposed copy
+    spectra = _rfft(sliding_window_view(padded, width, axis=2)[:, :, ::hop], nfft, 3)
+    del padded
+    if rows_last:
+        return spectra.transpose(3, 0, 2, 1).reshape(-1, clips * blocks, rows)
     return spectra.transpose(3, 1, 0, 2).reshape(-1, rows, clips * blocks)
 
 
@@ -248,8 +256,11 @@ def fft_conv_backward(x, spectrum, grad_out, filter_size: int,
     spectra times the input block spectra, summed over clips and blocks; its
     inverse rfft keeps the first ``filter_size`` lags and is added into
     ``grad_weights`` (a fresh zero array when None), one map chunk at a
-    time. The input gradient is, per bin, the transposed product with the
-    filter spectrum, then an overlap-add of the ``nfft``-sample blocks.
+    time. Summing over every clip of the call before that inverse rfft is
+    what makes one call over a batch cheaper than one per clip. The input
+    gradient is, per bin, the transposed product with the filter spectrum,
+    added in slices of bins within ``_FFT_CHUNK_ELEMS``, then an overlap-add
+    of the ``nfft``-sample blocks.
     """
     x = np.asarray(x)
     spectrum = np.asarray(spectrum)
@@ -269,23 +280,30 @@ def fft_conv_backward(x, spectrum, grad_out, filter_size: int,
                                 dtype=np.result_type(x, spectrum.real))
 
     # [bins, clips * blocks, channels], the layout both products below read fastest
-    spectra = np.ascontiguousarray(_block_spectra(x, nfft, hop, blocks, nfft).transpose(0, 2, 1))
+    spectra = _block_spectra(x, nfft, hop, blocks, nfft, rows_last=True)
     conj_grad_x = None  # conjugate input-gradient spectra, laid out as ``spectra``
     if needs_input_grad:
         conj_grad_x = np.zeros(spectra.shape, np.result_type(spectra, spectrum))
     step = _map_chunk(maps, bins * max(channels, clips * blocks))
+    # bins per input-gradient product, whose result is as large as ``spectra``
+    bin_step = max(1, _FFT_CHUNK_ELEMS // spectra[0].size)
     for start in range(0, maps, step):
         stop = min(start + step, maps)
         # [bins, maps, clips * blocks]
-        conj_g = np.conjugate(_block_spectra(grad_out[:, start:stop], nfft, hop, blocks, hop))
+        conj_g = _block_spectra(grad_out[:, start:stop], nfft, hop, blocks, hop)
+        np.conjugate(conj_g, out=conj_g)
         lags = np.fft.irfft(conj_g @ spectra, n=nfft, axis=0)[:filter_size]
         grad_weights[start:stop] += lags.transpose(1, 2, 0)
         if conj_grad_x is not None:
-            conj_grad_x += conj_g.transpose(0, 2, 1) @ spectrum[:, start:stop]
+            for f in range(0, bins, bin_step):
+                conj_grad_x[f:f + bin_step] += (conj_g[f:f + bin_step].transpose(0, 2, 1)
+                                                @ spectrum[f:f + bin_step, start:stop])
+    del spectra  # not needed for, and as large as, the input-gradient transform
     if conj_grad_x is None:
         return None, grad_weights, grad_bias
 
     pieces = np.fft.irfft(np.conjugate(conj_grad_x, out=conj_grad_x), n=nfft, axis=0)
+    del conj_grad_x
     # [nfft, clips, blocks, channels] -> [clips, channels, blocks, nfft]
     pieces = pieces.reshape(nfft, clips, blocks, channels).transpose(1, 3, 2, 0)
     grad_x = np.zeros_like(x, dtype=pieces.dtype)
@@ -302,6 +320,12 @@ def maxpool_forward(x, pool_size: int, pool_stride: int):
     Takes ``[..., maps, length]``. Returns the pooled map and the absolute
     argmax index per output cell (first occurrence wins on ties), which the
     backward pass routes through.
+
+    Every window is a run of ``pool_size / g`` contiguous blocks of ``g =
+    gcd(pool_size, pool_stride)`` samples, and windows start ``pool_stride /
+    g`` blocks apart. So each block's argmax is taken once, over contiguous
+    memory, and a window keeps the largest of its block maxima, an earlier
+    block winning ties (and a NaN, as ``argmax`` does).
     """
     x = np.asarray(x)
     if x.ndim < 2:
@@ -311,10 +335,21 @@ def maxpool_forward(x, pool_size: int, pool_stride: int):
     length = x.shape[-1]
     if length < pool_size:
         raise ValueError(f"input length {length} shorter than pool size {pool_size}")
-    windows = sliding_window_view(x, pool_size, axis=-1)[..., ::pool_stride, :]
-    offsets = windows.argmax(axis=-1)  # first max within window
-    argmax = offsets + np.arange(windows.shape[-2]) * pool_stride
-    out = np.take_along_axis(x, argmax, axis=-1)
+    g = math.gcd(pool_size, pool_stride)
+    per_window, step = pool_size // g, pool_stride // g
+    n = (length - pool_size) // pool_stride + 1
+    used = (n - 1) * step + per_window  # blocks any window reaches
+    blocks = x[..., :used * g].reshape(*x.shape[:-1], used, g)
+    offsets = blocks.argmax(axis=-1)
+    maxima = np.take_along_axis(blocks, offsets[..., None], axis=-1)[..., 0]
+    offsets += np.arange(0, used * g, g)  # absolute index of each block's max
+    last = (n - 1) * step + 1
+    out, argmax = maxima[..., :last:step].copy(), offsets[..., :last:step].copy()
+    for k in range(1, per_window):
+        later = maxima[..., k:k + last:step]
+        better = (later > out) | (np.isnan(later) & ~np.isnan(out))
+        np.copyto(out, later, where=better)
+        np.copyto(argmax, offsets[..., k:k + last:step], where=better)
     return out, argmax
 
 

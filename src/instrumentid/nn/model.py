@@ -33,20 +33,24 @@ class _Layer:
     """Shape, parameters and the ``nn.layers`` glue of one layer kind.
 
     Shapes are per clip. Layers with ``has_params`` give ``param_shapes(input
-    shape)``. ``prepare(wb, input shape)`` turns the ``(weights, bias)``
-    pair, else ``()``, into the form the layer computes with; ``forward``
-    calls it once and every group and ``backward`` reuse the result.
-    ``forward(x, weights, training, rng)`` takes a group of clips
-    ``[clips, ...]`` and returns ``(output, cache)``; ``backward(cache,
-    weights, g, needs_input_grad, grads)`` adds the parameter gradients,
-    summed over the group, into the ``(weight, bias)`` buffers ``grads`` and
-    returns the input gradient.
+    shape)``; ``footprint(input shape)`` sizes the calls (see :func:`forward`).
+    ``prepare(wb, input shape)`` turns the ``(weights, bias)`` pair, else
+    ``()``, into the form the layer computes with; ``forward`` calls it once
+    and every call and ``backward`` reuse the result. ``forward(x, weights,
+    training, rng)`` takes clips ``[clips, ...]`` and returns ``(output,
+    cache)``; ``backward(cache, weights, g, needs_input_grad, grads)`` adds
+    the parameter gradients, summed over the clips, into the ``(weight,
+    bias)`` buffers ``grads`` and returns the input gradient.
     """
 
     has_params = False
 
     def output_shape(self, shape):
         return shape
+
+    def footprint(self, shape):
+        """Elements of the largest array a call makes per clip: its input or output."""
+        return max(math.prod(shape), math.prod(self.output_shape(shape)))
 
     def prepare(self, wb, shape):
         return wb
@@ -125,6 +129,17 @@ class conv(_Layer):
             if cost < best_cost:
                 best, best_cost = n, cost
         return best
+
+    def footprint(self, shape):
+        """As for any layer, or on the FFT kernel its block spectra if larger:
+        ``bins x blocks x channels`` values, which ``fft_conv_backward`` holds
+        twice."""
+        nfft = self.fft_length(shape)
+        if nfft is None:
+            return super().footprint(shape)
+        channels, length = shape
+        blocks = -(-(length - self.filter_size + 1) // (nfft - self.filter_size + 1))
+        return max(super().footprint(shape), (nfft // 2 + 1) * blocks * channels)
 
     def prepare(self, wb, shape):
         """``(weights, bias, filter spectrum or None)``: the spectrum picks the FFT kernel."""
@@ -360,15 +375,17 @@ def init_params(layers, input_length: int, input_channels: int = 1,
 @dataclass
 class ForwardCache:
     """Everything backward() needs: the layers, each layer's weights as
-    prepared for the call (conv filter spectra included) and per-group,
-    per-layer caches."""
+    prepared for the call (conv filter spectra included), and the per-layer
+    caches of the front groups and of the tail (see :func:`forward`)."""
 
     layers: list
     params: ModelParams
     weights: list  # per layer, what ``prepare`` made of its parameters
     clips: int
-    group: int  # clips per group; the last group may be shorter
-    group_caches: list  # one list of per-layer caches per group of clips
+    split: int  # index of the first tail layer; the layers before it are the front
+    group: int  # clips per front group; the last group may be shorter
+    group_caches: list  # one list of the front layers' caches per front group
+    tail_caches: list  # the tail layers' caches, each over the whole batch
 
 
 def _layer_params(params: ModelParams, layers) -> list:
@@ -377,23 +394,42 @@ def _layer_params(params: ModelParams, layers) -> list:
     return [next(pairs) if layer.has_params else () for layer in layers]
 
 
-def _group_size(layers, input_length: int, input_channels: int) -> int:
-    """Most clips whose largest layer output stays within the conv chunk bound."""
-    shapes = infer_shapes(layers, input_length, input_channels)
-    return max(1, L._CONV_CHUNK_ELEMS // max(math.prod(s) for s in shapes))
+def _front_tail(layers, input_length: int, input_channels: int, clips: int):
+    """``(split, group)``: the first tail layer and the clips per front
+    group, by the rule in :func:`forward`."""
+    sizes = [layer.footprint(shape) for layer, shape in
+             zip(layers, _input_shapes(layers, input_length, input_channels))]
+    split = len(layers)
+    while split and sizes[split - 1] * clips <= L._CONV_CHUNK_ELEMS:
+        split -= 1
+    if not split:
+        return 0, max(1, clips)
+    return split, max(1, L._CONV_CHUNK_ELEMS // max(sizes[:split]))
 
 
 def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     """Run the network over a ``[batch, channels, length]`` stack of clips.
 
     Each layer prepares its weights once per call (a long-filter conv
-    builds its filter spectrum), then runs once per group of consecutive
-    clips, the groups in index order; a group is as many clips as keep the
-    largest layer output within ``nn.layers._CONV_CHUNK_ELEMS`` elements.
-    Dropout draws over a group consume the rng in clip order, so results are
-    deterministic for a fixed rng state and do not depend on the grouping.
+    builds its filter spectrum). The layers then run in two parts, sized by
+    each layer's per-clip footprint (the largest of its input, its output
+    and, on the FFT kernel, its block spectra) against
+    ``nn.layers._CONV_CHUNK_ELEMS`` elements:
+
+    - the tail, the longest suffix of layers whose footprint for the whole
+      batch fits the bound, runs once per layer over the whole batch;
+    - the front, the layers before it, runs once per group of consecutive
+      clips, the groups in index order, a group being as many clips as fit
+      the bound beside the front's largest footprint.
+
+    An empty front is one group of the whole batch. The Table-1 net at a
+    batch of 2 to 16 runs conv0 and pool0 one clip at a time and the rest
+    once over the batch; from 17 clips conv1's block spectra no longer fit,
+    and conv1 and pool1 join the front. The reduced net is all tail.
+    Dropout draws over the clips in clip order, so results are
+    deterministic for a fixed rng state and do not depend on the split.
     Eval mode keeps no caches and drops the prepared weights on return, so
-    the groups bound its memory.
+    the bound holds its memory per call.
 
     :returns: ``(predictions [batch, output], cache)``; the cache is None in
         eval mode
@@ -408,21 +444,28 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     channels, length = batch.shape[1:]
     weights = [layer.prepare(wb, shape) for layer, wb, shape in zip(
         layers, _layer_params(params, layers), _input_shapes(layers, length, channels))]
-    group = _group_size(layers, length, channels)
-    preds, group_caches = [], []
-    for start in range(0, len(batch), group):
-        x = batch[start:start + group]
+    split, group = _front_tail(layers, length, channels, len(batch))
+
+    def run(x, first, stop):
         caches = []
-        for layer, w in zip(layers, weights):
+        for layer, w in zip(layers[first:stop], weights[first:stop]):
             x, layer_cache = layer.forward(x, w, training, rng)
             if training:
                 caches.append(layer_cache)
-        preds.append(x)
+        return x, caches
+
+    outs, group_caches = [], []
+    for start in range(0, len(batch), group):
+        x, caches = run(batch[start:start + group], 0, split)
+        outs.append(x)
         group_caches.append(caches)
+    x = outs[0] if len(outs) == 1 else np.concatenate(outs)
+    del outs  # the groups' pieces of ``x``
+    preds, tail_caches = run(x, split, len(layers))
     if not training:
-        return np.concatenate(preds), None
-    return np.concatenate(preds), ForwardCache(
-        layers, params, weights, len(batch), group, group_caches)
+        return preds, None
+    return preds, ForwardCache(
+        layers, params, weights, len(batch), split, group, group_caches, tail_caches)
 
 
 def backward(cache: ForwardCache, grad_loss) -> ModelParams:
@@ -430,32 +473,47 @@ def backward(cache: ForwardCache, grad_loss) -> ModelParams:
 
     ``grad_loss`` is the gradient of the (batch-mean) loss w.r.t. the
     predictions, so the per-clip contributions are summed: the result is the
-    gradient of the same batch-mean loss. Every layer adds its gradients
-    into the one set of buffers returned, the groups in index order for
-    determinism, and reuses the weights ``forward`` prepared. Layer 0
-    computes no gradient for the network input.
+    gradient of the same batch-mean loss. The tail layers run backward once
+    over the whole batch, then the front layers once per front group, in
+    index order for determinism; every layer adds its gradients into the one
+    set of buffers returned and reuses the weights ``forward`` prepared.
+    Layer 0 computes no gradient for the network input.
     """
     grad_loss = np.asarray(grad_loss)
     if grad_loss.shape[0] != cache.clips:
         raise ValueError(f"grad_loss batch {grad_loss.shape[0]} != cached batch {cache.clips}")
     grads = cache.params.zeros_like()
     layer_grads = _layer_params(grads, cache.layers)
-    for start, caches in zip(range(0, cache.clips, cache.group), cache.group_caches):
-        g = grad_loss[start:start + cache.group]
-        for i in reversed(range(len(cache.layers))):
-            g = cache.layers[i].backward(caches[i], cache.weights[i], g, i > 0, layer_grads[i])
+
+    def run(g, first, caches):
+        for i in reversed(range(first, first + len(caches))):
+            g = cache.layers[i].backward(
+                caches[i - first], cache.weights[i], g, i > 0, layer_grads[i])
+        return g
+
+    g = run(grad_loss, cache.split, cache.tail_caches)
+    if cache.split:  # else layer 0 is in the tail, and g is None
+        for start, caches in zip(range(0, cache.clips, cache.group), cache.group_caches):
+            run(g[start:start + cache.group], 0, caches)
     return grads
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
-    """Plain SGD update ``w <- w - lr * g``; returns fresh arrays."""
+    """Plain SGD update ``w <- w - lr * g``; returns fresh arrays.
+
+    Each new tensor is ``lr * g``, overwritten in place by ``w`` minus it:
+    the values of ``w - lr * g`` without a second temporary of the tensor's
+    size.
+    """
     if len(grads.weights) != len(params.weights):
         raise ValueError("gradient does not match parameter layout")
-    new = ModelParams()
     for w, gw in zip(params.weights, grads.weights):
         if w.shape != gw.shape:
             raise ValueError(f"gradient shape {gw.shape} != weight shape {w.shape}")
-        new.weights.append(w - np.asarray(learning_rate, dtype=w.dtype) * gw)
-    for b, gb in zip(params.biases, grads.biases):
-        new.biases.append(b - np.asarray(learning_rate, dtype=b.dtype) * gb)
-    return new
+
+    def step(p, g):
+        out = np.multiply(np.asarray(learning_rate, dtype=p.dtype), g)
+        return np.subtract(p, out, out=out)
+
+    return ModelParams([step(w, gw) for w, gw in zip(params.weights, grads.weights)],
+                       [step(b, gb) for b, gb in zip(params.biases, grads.biases)])

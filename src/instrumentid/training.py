@@ -136,9 +136,10 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
     an interrupted run resumed from its last checkpoint reproduces exactly
     the losses of an uninterrupted one. The best checkpoint by test F-micro
     is tracked as a ``best.ckpt`` symlink; that tracking restarts on resume
-    (pre-resume epochs are not reconsidered). A non-finite batch loss stops
-    the run before its update, naming the epoch, step and clips; that epoch
-    writes no checkpoint.
+    (pre-resume epochs are not reconsidered). A non-finite batch loss, or a
+    non-finite gradient behind a finite one, stops the run before its
+    update, naming the epoch, step and clips; that epoch writes no
+    checkpoint.
     """
     specs, input_length = architecture(config)
     sgd = config.sgd()
@@ -173,13 +174,19 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
             targets = train_data.labels[idx]
             preds, cache = forward(params, specs, batch, mode="train", rng=drop_rng)
             loss, grad_pred = bce_loss(preds, targets)
+            where = f"epoch {epoch + 1} step {start // sgd.batch_size + 1}"
+            clips = [train_data.ids[i] for i in idx]
             if not math.isfinite(loss):
                 raise FloatingPointError(
-                    f"epoch {epoch + 1} step {start // sgd.batch_size + 1}: loss {loss} "
-                    f"on clips {[train_data.ids[i] for i in idx]}; no checkpoint written"
-                )
+                    f"{where}: loss {loss} on clips {clips}; no checkpoint written")
             grads = backward(cache, grad_pred)
             del cache  # the filter spectra need not live through the update
+            for kind, tensors in (("weight", grads.weights), ("bias", grads.biases)):
+                for i, g in enumerate(tensors):
+                    if not np.isfinite(g).all():  # exact: a sum can overflow on finite values
+                        raise FloatingPointError(
+                            f"{where}: non-finite {kind} gradient {i} behind finite loss "
+                            f"{loss} on clips {clips}; no checkpoint written")
             params = sgd_step(params, grads, sgd.learning_rate)
             del grads  # nor the gradients through the next step
             total_loss += float(loss) * len(idx)

@@ -7,6 +7,7 @@ verifies: naive loops, direct formulas, no shared code paths.
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +188,14 @@ def maxpool_naive(x, size, stride):
             arg[m, t] = t * stride + int(np.argmax(window))
             out[m, t] = window.max()
     return out, arg
+
+
+def maxpool_window_argmax(x, size, stride):
+    """Argmax over a strided window view of ``[..., maps, length]``: the
+    pool kernel before it took block maxima."""
+    windows = sliding_window_view(x, size, axis=-1)[..., ::stride, :]
+    arg = windows.argmax(axis=-1) + np.arange(windows.shape[-2]) * stride
+    return np.take_along_axis(x, arg, axis=-1), arg
 
 
 def moving_average_naive(series, step, window_seconds=0.1):

@@ -14,7 +14,9 @@ from instrumentid.nn import (
 
 from instrumentid.nn import model as nnm
 
-from helpers import conv_naive, maxpool_naive, numeric_gradient, relative_error
+from helpers import (
+    conv_naive, maxpool_naive, maxpool_window_argmax, numeric_gradient, relative_error,
+)
 
 FD_TOL = 1e-4  # the acceptance suite's gradient tolerance
 
@@ -228,6 +230,28 @@ class TestFftConv:
         assert result.dtype == np.complex64
         assert peak < 3 * result.nbytes
 
+    def test_backward_peak_is_two_block_spectra(self, monkeypatch):
+        # Beyond the chunk-bounded stages, the backward holds the input block
+        # spectra and the input-gradient spectra, each S bytes, and no third
+        # array of that size: no transposed copy of the spectra, no full-size
+        # product temporary, and the spectra freed before the inverse transform.
+        import tracemalloc
+        from instrumentid.nn import layers
+        monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1 << 12)
+        rng = np.random.default_rng(35)
+        x = rng.normal(size=(8, 16, 600))
+        w = rng.normal(size=(8, 16, 41))
+        spectrum = filter_spectrum(w, 128)
+        g = rng.normal(size=(8, 8, 560))
+        spectra_bytes = 65 * 8 * 7 * 16 * 16  # bins x clips x blocks x channels, complex128
+        tracemalloc.start()
+        try:
+            fft_conv_backward(x, spectrum, g, 41)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * spectra_bytes, peak / spectra_bytes
+
     def test_chunked_over_maps_matches_one_chunk(self, monkeypatch):
         from instrumentid.nn import layers
         rng = np.random.default_rng(33)
@@ -270,6 +294,34 @@ class TestMaxPool:
             nout, narg = maxpool_naive(x, size, stride)
             np.testing.assert_array_equal(out, nout)
             np.testing.assert_array_equal(arg, narg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 9),
+           st.sampled_from([(), (3,), (2, 2)]), st.integers(1, 3),
+           st.integers(0, 2 ** 31 - 1))
+    @example(40, 20, 7, (2,), 4, 0)  # pool0
+    @example(30, 20, 3, (), 2, 1)  # pool1
+    @example(8, 4, 5, (2,), 3, 2)  # pool2
+    @example(3, 5, 4, (), 1, 3)  # gaps between windows
+    def test_blocked_argmax_matches_window_argmax(self, size, stride, extra, lead, maps, seed):
+        # rounded ReLU outputs: many zeros and repeated values, so ties are common
+        rng = np.random.default_rng(seed)
+        length = size + extra
+        x = relu(np.round(rng.normal(size=(*lead, maps, length)), 1))
+        out, arg = maxpool_forward(x, size, stride)
+        want_out, want_arg = maxpool_window_argmax(x, size, stride)
+        np.testing.assert_array_equal(out, want_out)
+        np.testing.assert_array_equal(arg, want_arg)
+        assert out.dtype == x.dtype and arg.dtype == want_arg.dtype
+
+    @pytest.mark.parametrize("size,stride", [(4, 2), (3, 5), (6, 4), (2, 2)])
+    def test_blocked_argmax_propagates_nan_like_window_argmax(self, size, stride):
+        x = np.arange(24.0).reshape(2, 12)
+        x[0, 5] = x[1, 0] = x[1, 3] = np.nan
+        out, arg = maxpool_forward(x, size, stride)
+        want_out, want_arg = maxpool_window_argmax(x, size, stride)
+        np.testing.assert_array_equal(out, want_out)
+        np.testing.assert_array_equal(arg, want_arg)
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError, match="shorter than pool"):

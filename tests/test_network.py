@@ -332,6 +332,82 @@ def test_fft_weight_gradients_summed_over_groups_equal_one_group(monkeypatch):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("kernel", ["direct", "fft"])
+def test_tail_runs_once_over_the_batch_after_front_groups(monkeypatch, kernel):
+    from instrumentid.nn import layers
+    if kernel == "fft":
+        _force_fft(monkeypatch)
+    specs = _tiny_specs(drop_rate=0.5)
+    params = init_params(specs, 80, seed=36, dtype=np.float64)
+    batch = _tiny_input(batch=5, seed=37)
+    grad_loss = np.random.default_rng(38).normal(size=(5, 11))
+    whole, whole_cache = forward(params, specs, batch, mode="train",
+                                 rng=np.random.default_rng(39))
+    whole_grads = backward(whole_cache, grad_loss)
+
+    # conv0's and pool0's 4 x 70 maps fit two clips; from relu0 on, the
+    # largest footprint (conv1's 6 x 13 output) fits all five
+    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * 4 * 70 + 1)
+    assert nnm._front_tail(specs, 80, 1, 5) == (2, 2)
+    calls = []
+    names = (("fft_conv_forward", "fft_conv_backward") if kernel == "fft"
+             else ("temporal_conv_forward", "temporal_conv_backward"))
+    for name in names:
+        def spy(x, *args, _f=getattr(layers, name), _d=name.rsplit("_", 1)[1], **kwargs):
+            calls.append((_d, x.shape[-2], len(x)))
+            return _f(x, *args, **kwargs)
+        monkeypatch.setattr(layers, name, spy)
+
+    split, split_cache = forward(params, specs, batch, mode="train",
+                                 rng=np.random.default_rng(39))
+    split_grads = backward(split_cache, grad_loss)
+    # (direction, input channels, clips): conv0 per front group, conv1 and
+    # conv2 once over all five clips
+    assert calls == [("forward", 1, 2), ("forward", 1, 2), ("forward", 1, 1),
+                     ("forward", 4, 5), ("forward", 6, 5),
+                     ("backward", 6, 5), ("backward", 4, 5),
+                     ("backward", 1, 2), ("backward", 1, 2), ("backward", 1, 1)]
+    assert len(split_cache.group_caches) == 3
+    np.testing.assert_allclose(split, whole, rtol=1e-12, atol=0)
+    _assert_params_close(split_grads, whole_grads)
+
+
+def _tail_start(layers, input_length, clips):
+    return nnm._front_tail(layers, input_length, 1, clips)[0]
+
+
+def test_table1_tail_starts_at_relu0_up_to_batch_16():
+    specs = table1_layers()
+    for clips in (2, 16):
+        assert _tail_start(specs, FULL_INPUT_LENGTH, clips) == 2  # relu0
+    assert nnm._front_tail(specs, FULL_INPUT_LENGTH, 1, 16)[1] == 1  # conv0 one clip a call
+    assert _tail_start(specs, FULL_INPUT_LENGTH, 1) == 0  # one clip: all tail
+    # from 17 clips conv1's block spectra no longer fit: conv1 and pool1 join the front
+    assert _tail_start(specs, FULL_INPUT_LENGTH, 17) == 4
+
+
+@pytest.mark.parametrize("clips", [16, 5000])  # conv1 in the tail; an eval set
+def test_table1_tail_arrays_fit_the_bound(clips):
+    from instrumentid.nn import layers
+    specs = table1_layers()
+    split, group = nnm._front_tail(specs, FULL_INPUT_LENGTH, 1, clips)
+    assert group == 1  # conv0 and conv1 still one clip a call
+    ins = [(1, FULL_INPUT_LENGTH)] + infer_shapes(specs, FULL_INPUT_LENGTH, 1)
+    for layer, shape, out in zip(specs[split:], ins[split:-1], ins[split + 1:]):
+        arrays = [np.prod(shape), np.prod(out)]
+        if layer.kind is LayerKind.TEMPORAL_CONV and layer.fft_length(shape):
+            nfft = layer.fft_length(shape)
+            hop = nfft - layer.filter_size + 1
+            blocks = -(-out[1] // hop)
+            arrays.append((nfft // 2 + 1) * blocks * shape[0])
+        assert max(arrays) * clips <= layers._CONV_CHUNK_ELEMS, layer
+
+
+@pytest.mark.parametrize("clips", [16, 288])
+def test_reduced_net_is_one_call_per_layer(clips):
+    assert nnm._front_tail(reduced_layers(), REDUCED_INPUT_LENGTH, 1, clips) == (0, clips)
+
+
 def test_dropout_gradient_under_fixed_mask():
     # with a frozen mask the train-mode network is differentiable too
     specs = _tiny_specs(drop_rate=0.4)

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 
@@ -175,6 +176,29 @@ class TestTrainModel:
         step = int(re.search(r"step (\d+)", str(err.value)).group(1))
         # every earlier batch ran backward and the update; the NaN batch did not
         assert finite_backward_inputs == [True] * (step - 1)
+        assert not list(cfg.checkpoint_dir().glob("epoch_*"))
+
+    def test_non_finite_gradient_behind_finite_loss_stops_before_the_update(
+            self, tmp_path, monkeypatch):
+        import instrumentid.training as training
+        backward, updates = training.backward, []
+
+        def nan_backward(cache, grad_pred):
+            grads = backward(cache, grad_pred)
+            grads.biases[1][0] = np.nan
+            return grads
+
+        monkeypatch.setattr(training, "backward", nan_backward)
+        monkeypatch.setattr(training, "sgd_step", lambda *args: updates.append(args))
+        data = synthetic_dataset()
+        cfg = reduced_config(tmp_path, batch_size=4)
+        with pytest.raises(FloatingPointError,
+                           match=r"epoch 1 step 1: non-finite bias gradient 1 behind finite loss"
+                           ) as err:
+            train_model(cfg, data, log=lambda *_: None)
+        clips = ast.literal_eval(re.search(r"on clips (\[.*?\])", str(err.value)).group(1))
+        assert len(clips) == 4 and set(clips) <= set(data.ids)
+        assert updates == []
         assert not list(cfg.checkpoint_dir().glob("epoch_*"))
 
     def test_rejects_wrong_class_count(self, tmp_path):
