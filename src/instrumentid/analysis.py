@@ -26,7 +26,7 @@ def _fft_length(filter_size: int) -> int:
     return n
 
 
-def filter_spectra(first_layer_weights, fft_len: int | None = None) -> list[FilterSpectrum]:
+def filter_spectra(first_layer_weights) -> list[FilterSpectrum]:
     """Zero-padded magnitude spectrum per filter, with min-max rescaling.
 
     A flat spectrum (max == min) rescales to all zeros. The dominant bin is
@@ -38,10 +38,7 @@ def filter_spectra(first_layer_weights, fft_len: int | None = None) -> list[Filt
             f"expected first-layer weights [maps, 1, filter_size], got shape {w.shape}"
         )
     filters = w[:, 0, :]
-    n = fft_len or _fft_length(filters.shape[1])
-    if n < filters.shape[1]:
-        raise ValueError(f"fft length {n} shorter than filter size {filters.shape[1]}")
-    mags = np.abs(np.fft.rfft(filters, n=n, axis=1))
+    mags = np.abs(np.fft.rfft(filters, n=_fft_length(filters.shape[1]), axis=1))
     out = []
     for i, m in enumerate(mags):
         lo, hi = m.min(), m.max()
@@ -88,14 +85,14 @@ def write_pgm(path, matrix) -> None:
     Path(path).write_bytes(header + gray.tobytes())
 
 
-def analyze_filters(params, out_dir, fft_len: int | None = None) -> list[FilterSpectrum]:
+def analyze_filters(params, out_dir) -> list[FilterSpectrum]:
     """Emit spectra.csv / spectra.pgm / filters_smoothed.csv for layer-1 filters.
 
     :returns: the spectra in emitted (sorted) order
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spectra = sort_by_dominant_bin(filter_spectra(params.weights[0], fft_len))
+    spectra = sort_by_dominant_bin(filter_spectra(params.weights[0]))
     write_spectra_csv(out_dir / "spectra.csv", spectra)
     write_pgm(out_dir / "spectra.pgm", np.stack([s.rescaled for s in spectra]))
     write_smoothed_csv(out_dir / "filters_smoothed.csv", smooth_filters(params.weights[0]))

@@ -72,6 +72,19 @@ def _manifest_features(config: RunConfig, split: str, rows, log):
     return matrix.astype(np.float64)
 
 
+def _checkpoint(config: RunConfig, checkpoint) -> Path:
+    """The given checkpoint path, else the run's ``best.ckpt``."""
+    return Path(checkpoint) if checkpoint else config.checkpoint_dir() / "best.ckpt"
+
+
+def _test_rows(config: RunConfig, classes):
+    """Rows of the test manifest, whose class list must equal ``classes``."""
+    rows, test_classes = read_manifest(config.test_manifest())
+    if test_classes != classes:
+        raise ValueError("train/test manifests disagree on the class list")
+    return rows
+
+
 def cmd_prepare_dataset(config: RunConfig, log) -> int:
     prepare_dataset(config, log=log)
     return 0
@@ -93,9 +106,7 @@ def cmd_train(config: RunConfig, resume, log) -> int:
     train_data = load_dataset(train_rows, input_length)
     test_data = None
     if config.test_manifest().exists():
-        test_rows, test_classes = read_manifest(config.test_manifest())
-        if test_classes != classes:
-            raise ValueError("train/test manifests disagree on the class list")
+        test_rows = _test_rows(config, classes)
         if test_rows:
             test_data = load_dataset(test_rows, input_length)
     log_path = Path(config.output_dir) / "train_log.txt"
@@ -110,7 +121,7 @@ def cmd_train(config: RunConfig, resume, log) -> int:
 
 
 def cmd_evaluate(config: RunConfig, checkpoint, manifest, stem: str, log) -> int:
-    ckpt = Path(checkpoint) if checkpoint else config.checkpoint_dir() / "best.ckpt"
+    ckpt = _checkpoint(config, checkpoint)
     params, _, epoch = load_checkpoint(ckpt)
     specs, input_length = architecture(config)
     check_params_match(params, specs, input_length)
@@ -127,9 +138,7 @@ def cmd_evaluate(config: RunConfig, checkpoint, manifest, stem: str, log) -> int
 def cmd_baseline(config: RunConfig, kind: str, trees: int, logit_lr: float,
                  logit_epochs: int, seed: int, log) -> int:
     train_rows, classes = read_manifest(config.train_manifest())
-    test_rows, test_classes = read_manifest(config.test_manifest())
-    if test_classes != classes:
-        raise ValueError("train/test manifests disagree on the class list")
+    test_rows = _test_rows(config, classes)
     if not train_rows or not test_rows:
         raise ValueError("baseline needs non-empty train and test manifests")
     y_train = np.stack([r.labels for r in train_rows])
@@ -158,7 +167,7 @@ def cmd_baseline(config: RunConfig, kind: str, trees: int, logit_lr: float,
 
 
 def cmd_analyze_filters(config: RunConfig, checkpoint, log) -> int:
-    ckpt = Path(checkpoint) if checkpoint else config.checkpoint_dir() / "best.ckpt"
+    ckpt = _checkpoint(config, checkpoint)
     params, _, _ = load_checkpoint(ckpt)
     out_dir = Path(config.output_dir) / "filters"
     spectra = analyze_filters(params, out_dir)

@@ -9,7 +9,7 @@ from .audio import CLIP_SAMPLES, SAMPLE_RATE, WavFormatError, parse_wav_header
 from .config import RunConfig
 from .labeling import (
     build_taxonomy, clip_label, collapse_labels, load_category_map,
-    moving_average, parse_activation_csv, stratified_split,
+    parse_activation_csv, stratified_split,
     write_split_file, write_taxonomy,
 )
 
@@ -78,8 +78,7 @@ def find_activation_file(activation_dir, track_id: str):
 
 def track_instrument_presence(table, threshold: float, window_seconds: float) -> set:
     """Raw instruments whose smoothed confidence ever reaches the threshold."""
-    smoothed = moving_average(table.conf, table.step, window_seconds)
-    peaks = smoothed.max(axis=0)
+    peaks = table.smoothed(window_seconds).max(axis=0)
     return {name for name, peak in zip(table.columns, peaks) if peak >= threshold}
 
 

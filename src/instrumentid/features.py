@@ -124,19 +124,10 @@ def deltas(coeffs) -> tuple[np.ndarray, np.ndarray]:
     return d1, one(d1)
 
 
-@dataclass
-class GaussianSummary:
-    """Mean and upper-triangular covariance of the stacked feature frames."""
-
-    mean: np.ndarray
-    cov_upper: np.ndarray
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.mean, self.cov_upper])
-
-
-def gaussian_fit(stacked) -> GaussianSummary:
-    """Column means and unbiased sample covariance (upper triangle, row-major)."""
+def gaussian_fit(stacked) -> np.ndarray:
+    """Column means, then the upper triangle (row-major) of the unbiased
+    sample covariance: one vector of ``d + d * (d + 1) / 2`` values for ``d``
+    columns."""
     stacked = np.asarray(stacked, dtype=np.float64)
     if stacked.ndim != 2:
         raise ValueError(f"stacked matrix must be 2-D, got shape {stacked.shape}")
@@ -147,7 +138,7 @@ def gaussian_fit(stacked) -> GaussianSummary:
     centered = stacked - mean
     cov = centered.T @ centered / (frames - 1)
     iu = np.triu_indices(d)
-    return GaussianSummary(mean, cov[iu])
+    return np.concatenate([mean, cov[iu]])
 
 
 def clip_features(clip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
@@ -155,7 +146,7 @@ def clip_features(clip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     the stacked (MFCC, delta, delta-delta) frames."""
     c = mfcc(clip, cfg)
     d1, d2 = deltas(c)
-    return gaussian_fit(np.hstack([c, d1, d2])).vector()
+    return gaussian_fit(np.hstack([c, d1, d2]))
 
 
 FEATURE_CACHE_VERSION = 2  # part of the feature cache key; bump when features change

@@ -5,7 +5,7 @@ their per-clip maxima, collapsing the raw instrument vocabulary into the final
 class set, and the track-level stratified train/test split.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ class ActivationTable:
     times: np.ndarray
     columns: list[str]
     conf: np.ndarray
+    _smoothed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -52,6 +53,14 @@ class ActivationTable:
     @property
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
+
+    def smoothed(self, window_seconds: float) -> np.ndarray:
+        """Read-only :func:`moving_average` of ``conf``, computed once per window."""
+        if window_seconds not in self._smoothed:
+            values = moving_average(self.conf, self.step, window_seconds)
+            values.flags.writeable = False
+            self._smoothed[window_seconds] = values
+        return self._smoothed[window_seconds]
 
 
 def parse_activation_csv(text: str, track_id: str) -> ActivationTable:
@@ -130,8 +139,7 @@ def clip_label(table: ActivationTable, clip_start: float, clip_end: float,
             f"no annotation samples inside clip [{clip_start}, {clip_end}) "
             f"of track {table.track_id}"
         )
-    smoothed = moving_average(table.conf, step, window_seconds)
-    return (smoothed[mask].max(axis=0) >= threshold).astype(np.uint8)
+    return (table.smoothed(window_seconds)[mask].max(axis=0) >= threshold).astype(np.uint8)
 
 
 @dataclass
@@ -256,7 +264,7 @@ def stratified_split(track_labels: dict, test_fraction: float = 0.2,
     remaining = totals.astype(np.int64).copy()  # unassigned positives per label
     side_of = np.full(n_tracks, -1, dtype=np.int64)
 
-    def choose_side(track: int, focus_label: int) -> int:
+    def choose_side(track: int, focus_label: int | None = None) -> int:
         forced = set()
         for l in np.nonzero(labels[track])[0]:
             if totals[l] >= 2 and remaining[l] == 1:
@@ -265,9 +273,10 @@ def stratified_split(track_labels: dict, test_fraction: float = 0.2,
                         forced.add(s)
         if len(forced) == 1:
             return forced.pop()
-        q = desired_label[:, focus_label]
-        if q[0] != q[1]:
-            return int(np.argmax(q))
+        if focus_label is not None:
+            q = desired_label[:, focus_label]
+            if q[0] != q[1]:
+                return int(np.argmax(q))
         if desired_total[0] != desired_total[1]:
             return int(np.argmax(desired_total))
         return int(rng.integers(2))
@@ -289,13 +298,8 @@ def stratified_split(track_labels: dict, test_fraction: float = 0.2,
             if side_of[track] < 0 and labels[track, focus]:
                 assign(track, choose_side(track, focus))
 
-    for track in range(n_tracks):  # leftovers: all-zero label vectors
-        if side_of[track] < 0:
-            if desired_total[0] != desired_total[1]:
-                side = int(np.argmax(desired_total))
-            else:
-                side = int(rng.integers(2))
-            assign(track, side)
+    for track in np.flatnonzero(side_of < 0):  # leftovers: all-zero label vectors
+        assign(track, choose_side(track))
 
     train_ids = [ids[i] for i in range(n_tracks) if side_of[i] == 0]
     test_ids = [ids[i] for i in range(n_tracks) if side_of[i] == 1]

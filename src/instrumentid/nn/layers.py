@@ -18,12 +18,14 @@ The overlap-save FFT kernel (:func:`fft_conv_forward`) takes the filters as
 :func:`filter_spectrum`, built once per set of weights, and makes one
 complex product per frequency bin over all channels, clips and blocks: the
 frequency-major layout of Mathieu, Henaff & LeCun (arXiv:1312.5851) and
-Vasilache et al. (arXiv:1412.7580). It is far cheaper for long filters. Its
-stages run in chunks of feature maps; each chunk's spectra and products stay
-within ``_FFT_CHUNK_ELEMS`` elements. Beyond those, a call holds the input's
-block spectra and, in backward, the input-gradient spectra of the same size
-(``bins x blocks x channels`` per clip), which ``model.forward`` counts when
-it sizes its calls.
+Vasilache et al. (arXiv:1412.7580). It is far cheaper for long filters.
+:func:`fft_length` picks the kernel and its length by one cost rule, on the
+block geometry of :func:`overlap_save`, which both FFT kernels share. The
+kernel's stages run in chunks of feature maps; each chunk's spectra and
+products stay within ``_FFT_CHUNK_ELEMS`` elements. Beyond those, a call
+holds the input's block spectra and, in backward, the input-gradient spectra
+of the same size (:func:`block_spectra_size` per clip), which
+``model.forward`` counts when it sizes its calls.
 
 The FFT kernel transforms in the input's precision, so float32 data runs
 on pocketfft's float32 loop. ``np.fft.rfft`` with its default norm passes
@@ -44,6 +46,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 _CONV_CHUNK_ELEMS = 1 << 24
 # Bound on the elements of one map chunk of the FFT kernel (8 MiB complex64).
 _FFT_CHUNK_ELEMS = 1 << 20
+# One real FFT of length n costs about _FFT_COST * n * log2(n) multiply-adds
+# of the direct kernel's float32 GEMM. Timed on one core for the kernel's
+# float32 transform stages at the Table-1 shapes (pocketfft against
+# OpenBLAS), n from 384 to 12288: 6 to 13. Every value from 8 to 40 gives
+# both nets the same kernels and lengths.
+_FFT_COST = 10
+# Most complex values one layer's filter spectrum may hold: 256 MiB in
+# complex64. The spectra live through a training step beside the parameters
+# and their gradients.
+_SPECTRUM_ELEMS = 1 << 25
 
 
 def _conv_chunk(out_len: int, clips: int, channels: int, filter_size: int) -> int:
@@ -51,7 +63,14 @@ def _conv_chunk(out_len: int, clips: int, channels: int, filter_size: int) -> in
     return max(1, min(out_len, _CONV_CHUNK_ELEMS // max(1, clips * channels * filter_size)))
 
 
-def _check_conv_input(x, maps: int, channels: int, filter_size: int, bias=None):
+def _conv_operands(x, maps: int, channels: int, filter_size: int, bias=None, grad_out=None):
+    """Check a conv call's ``x``, ``bias`` and ``grad_out`` against ``[maps,
+    channels, filter_size]`` filters, and flatten their leading axes.
+
+    :returns: ``(lead, x [clips, channels, length], grad_out [clips, maps,
+        out_len] or None)``, ``lead`` being the leading axes of ``x``
+    """
+    x = np.asarray(x)
     if x.ndim < 2:
         raise ValueError(f"conv input must be [..., channels, length], got shape {x.shape}")
     if x.shape[-2] != channels:
@@ -60,17 +79,16 @@ def _check_conv_input(x, maps: int, channels: int, filter_size: int, bias=None):
         )
     if bias is not None and bias.shape != (maps,):
         raise ValueError(f"bias shape {bias.shape} does not match {maps} feature maps")
-    if x.shape[-1] < filter_size:
-        raise ValueError(f"input length {x.shape[-1]} shorter than filter size {filter_size}")
-
-
-def _check_grad_out(grad_out, x_shape, maps: int, filter_size: int):
-    *lead, _, length = x_shape
-    expected = (*lead, maps, length - filter_size + 1)
-    if grad_out.shape != expected:
-        raise ValueError(
-            f"grad_out shape {grad_out.shape} does not match conv output {expected}"
-        )
+    *lead, _, length = x.shape
+    if length < filter_size:
+        raise ValueError(f"input length {length} shorter than filter size {filter_size}")
+    out_shape = (*lead, maps, length - filter_size + 1)
+    if grad_out is not None:
+        grad_out = np.asarray(grad_out)
+        if grad_out.shape != out_shape:
+            raise ValueError(f"grad_out shape {grad_out.shape} does not match conv output {out_shape}")
+        grad_out = grad_out.reshape(-1, maps, out_shape[-1])
+    return lead, x.reshape(-1, channels, length), grad_out
 
 
 def temporal_conv_forward(x, weights, bias):
@@ -84,18 +102,14 @@ def temporal_conv_forward(x, weights, bias):
     :param bias: per-map offsets ``[maps]``
     :returns: ``[..., maps, length - filter_size + 1]``
     """
-    x = np.asarray(x)
     weights = np.asarray(weights)
     bias = np.asarray(bias)
     if weights.ndim != 3:
         raise ValueError(f"conv weights must be [maps, channels, filter], got shape {weights.shape}")
     maps, channels, filter_size = weights.shape
-    _check_conv_input(x, maps, channels, filter_size, bias)
-    *lead, _, length = x.shape
-
+    lead, x, _ = _conv_operands(x, maps, channels, filter_size, bias)
+    clips, _, length = x.shape
     out_len = length - filter_size + 1
-    x = x.reshape(-1, channels, length)
-    clips = len(x)
     windows = sliding_window_view(x, filter_size, axis=2)  # [clips, channels, out_len, filter]
     out = np.empty((clips, maps, out_len), dtype=np.result_type(x, weights))
     step = _conv_chunk(out_len, clips, channels, filter_size)
@@ -119,16 +133,11 @@ def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True,
     ``needs_input_grad`` false the input gradient is skipped and returned as
     None; the network's first layer needs none.
     """
-    x = np.asarray(x)
     weights = np.asarray(weights)
-    grad_out = np.asarray(grad_out)
-    *lead, channels, length = x.shape
-    maps, _, filter_size = weights.shape
+    maps, channels, filter_size = weights.shape
+    lead, x, grad_out = _conv_operands(x, maps, channels, filter_size, grad_out=grad_out)
+    clips, _, length = x.shape
     out_len = length - filter_size + 1
-    _check_grad_out(grad_out, x.shape, maps, filter_size)
-    x = x.reshape(-1, channels, length)
-    grad_out = grad_out.reshape(-1, maps, out_len)
-    clips = len(x)
 
     grad_bias = grad_out.sum(axis=(0, 2))
 
@@ -157,13 +166,52 @@ def _map_chunk(maps: int, elems_per_map: int) -> int:
     return max(1, min(maps, _FFT_CHUNK_ELEMS // max(1, elems_per_map)))
 
 
-def _fft_geometry(spectrum, filter_size: int, length: int):
-    """``(nfft, hop, blocks)`` of the overlap-save pass over ``length`` samples."""
-    nfft = 2 * (spectrum.shape[0] - 1)
+def overlap_save(nfft: int, filter_size: int, length: int):
+    """``(hop, blocks)``: outputs per ``nfft``-sample block, and the blocks
+    that cover the ``length - filter_size + 1`` outputs."""
     hop = nfft - filter_size + 1
     if hop < 1:
         raise ValueError(f"spectrum of nfft {nfft} is shorter than filter size {filter_size}")
-    return nfft, hop, -(-(length - filter_size + 1) // hop)
+    return hop, -(-(length - filter_size + 1) // hop)
+
+
+def fft_length(maps: int, filter_size: int, shape):
+    """``nfft`` of the FFT kernel for ``[maps, channels, filter_size]``
+    filters over a ``[channels, length]`` input, or None where the direct
+    kernel costs less.
+
+    The cost rule, in multiply-adds per clip: the direct kernel costs
+    ``maps * channels * filter_size * out_len``. The FFT kernel at length
+    ``n``, with ``(hop, blocks)`` from :func:`overlap_save`, costs ``maps *
+    channels + (maps + channels) * blocks`` transforms of ``_FFT_COST * n *
+    log2(n)`` each, the filter spectrum counted whole as if every ``forward``
+    call held one clip, plus four per complex multiply-add of the per-bin
+    products, ``bins * maps * channels * blocks``. ``n`` runs over the even
+    sizes ``2^a`` and ``3 * 2^a`` (fast FFT lengths at most 4/3 apart) from
+    the filter size on, skipping any whose spectrum (``bins * maps *
+    channels`` values) exceeds ``_SPECTRUM_ELEMS``. The cheapest wins if it
+    beats the direct kernel. Short filters stay direct: their filter
+    transforms alone outweigh the direct product.
+    """
+    channels, length = shape
+    best, best_cost = None, maps * channels * filter_size * (length - filter_size + 1)
+    for n in sorted(base << k for base in (2, 3) for k in range(length.bit_length() + 1)):
+        bins = n // 2 + 1
+        if n % 2 or n < filter_size or bins * maps * channels > _SPECTRUM_ELEMS:
+            continue
+        _, blocks = overlap_save(n, filter_size, length)
+        transforms = maps * channels + (maps + channels) * blocks
+        cost = _FFT_COST * transforms * n * math.log2(n) + 4 * bins * maps * channels * blocks
+        if cost < best_cost:
+            best, best_cost = n, cost
+    return best
+
+
+def block_spectra_size(nfft: int, filter_size: int, shape) -> int:
+    """Values of one ``[channels, length]`` clip's block spectra at ``nfft``:
+    ``bins x blocks x channels``, held twice by :func:`fft_conv_backward`."""
+    channels, length = shape
+    return (nfft // 2 + 1) * overlap_save(nfft, filter_size, length)[1] * channels
 
 
 def _rfft(a, n: int, axis: int):
@@ -223,17 +271,14 @@ def fft_conv_forward(x, spectrum, bias, filter_size: int):
     clips and blocks at once, then an inverse rfft keeping the first ``hop``
     values.
     """
-    x = np.asarray(x)
     spectrum = np.asarray(spectrum)
     bias = np.asarray(bias)
     bins, maps, channels = spectrum.shape
-    _check_conv_input(x, maps, channels, filter_size, bias)
-    *lead, _, length = x.shape
-    nfft, hop, blocks = _fft_geometry(spectrum, filter_size, length)
+    lead, x, _ = _conv_operands(x, maps, channels, filter_size, bias)
+    clips, _, length = x.shape
+    nfft = 2 * (bins - 1)
+    hop, blocks = overlap_save(nfft, filter_size, length)
     out_len = length - filter_size + 1
-
-    x = x.reshape(-1, channels, length)
-    clips = len(x)
     spectra = _block_spectra(x, nfft, hop, blocks, nfft)  # [bins, channels, clips * blocks]
     out = np.empty((clips, maps, out_len), dtype=np.result_type(x, spectrum.real))
     step = _map_chunk(maps, bins * clips * blocks)
@@ -262,18 +307,12 @@ def fft_conv_backward(x, spectrum, grad_out, filter_size: int,
     added in slices of bins within ``_FFT_CHUNK_ELEMS``, then an overlap-add
     of the ``nfft``-sample blocks.
     """
-    x = np.asarray(x)
     spectrum = np.asarray(spectrum)
-    grad_out = np.asarray(grad_out)
     bins, maps, channels = spectrum.shape
-    _check_conv_input(x, maps, channels, filter_size)
-    _check_grad_out(grad_out, x.shape, maps, filter_size)
-    *lead, _, length = x.shape
-    nfft, hop, blocks = _fft_geometry(spectrum, filter_size, length)
-
-    x = x.reshape(-1, channels, length)
-    grad_out = grad_out.reshape(-1, maps, length - filter_size + 1)
-    clips = len(x)
+    lead, x, grad_out = _conv_operands(x, maps, channels, filter_size, grad_out=grad_out)
+    clips, _, length = x.shape
+    nfft = 2 * (bins - 1)
+    hop, blocks = overlap_save(nfft, filter_size, length)
     grad_bias = grad_out.sum(axis=(0, 2))
     if grad_weights is None:
         grad_weights = np.zeros((maps, channels, filter_size),

@@ -67,18 +67,6 @@ def _map_length(shape, what: str, window: int, name: str) -> int:
     return shape[1]
 
 
-# One real FFT of length n costs about _FFT_COST * n * log2(n) multiply-adds
-# of the direct kernel's float32 GEMM. Timed on one core for the kernel's
-# float32 transform stages at the Table-1 shapes (pocketfft against
-# OpenBLAS), n from 384 to 12288: 6 to 13. Every value from 8 to 40 gives
-# both nets the same kernels and lengths.
-_FFT_COST = 10
-# Most complex values one layer's filter spectrum may hold: 256 MiB in
-# complex64. The spectra live through a training step beside the parameters
-# and their gradients.
-_SPECTRUM_ELEMS = 1 << 25
-
-
 @dataclass(frozen=True)
 class conv(_Layer):
     feature_maps: int
@@ -98,48 +86,16 @@ class conv(_Layer):
         return (self.feature_maps, shape[0], self.filter_size), (self.feature_maps,)
 
     def fft_length(self, shape):
-        """``nfft`` of the overlap-save FFT kernel for a ``[channels, length]``
-        input, or None where the direct kernel costs less.
-
-        The cost rule, in multiply-adds per clip: the direct kernel costs
-        ``maps * channels * filter_size * out_len``. The FFT kernel at length
-        ``n``, with ``hop = n - filter_size + 1`` and ``blocks = ceil(out_len
-        / hop)``, costs ``maps * channels + (maps + channels) * blocks``
-        transforms of ``_FFT_COST * n * log2(n)`` each, the filter spectrum
-        counted whole as if every ``forward`` call held one clip, plus four
-        per complex multiply-add of the per-bin products, ``bins * maps *
-        channels * blocks``. ``n`` runs over the even sizes ``2^a`` and ``3 *
-        2^a`` (fast FFT lengths at most 4/3 apart) from the filter size on,
-        skipping any whose spectrum (``bins * maps * channels`` values)
-        exceeds ``_SPECTRUM_ELEMS``. The cheapest wins if it beats the direct
-        kernel. Short filters stay direct: their filter transforms alone
-        outweigh the direct product.
-        """
-        maps, taps = self.feature_maps, self.filter_size
-        channels, length = shape
-        out_len = length - taps + 1
-        best, best_cost = None, maps * channels * taps * out_len
-        for n in sorted(base << k for base in (2, 3) for k in range(length.bit_length() + 1)):
-            bins = n // 2 + 1
-            if n % 2 or n < taps or bins * maps * channels > _SPECTRUM_ELEMS:
-                continue
-            blocks = -(-out_len // (n - taps + 1))
-            transforms = maps * channels + (maps + channels) * blocks
-            cost = _FFT_COST * transforms * n * math.log2(n) + 4 * bins * maps * channels * blocks
-            if cost < best_cost:
-                best, best_cost = n, cost
-        return best
+        """``nn.layers.fft_length`` of this layer for a ``[channels, length]``
+        input: the FFT kernel's ``nfft``, or None for the direct kernel."""
+        return L.fft_length(self.feature_maps, self.filter_size, shape)
 
     def footprint(self, shape):
-        """As for any layer, or on the FFT kernel its block spectra if larger:
-        ``bins x blocks x channels`` values, which ``fft_conv_backward`` holds
-        twice."""
+        """As for any layer, or on the FFT kernel its block spectra
+        (``nn.layers.block_spectra_size``) if larger."""
         nfft = self.fft_length(shape)
-        if nfft is None:
-            return super().footprint(shape)
-        channels, length = shape
-        blocks = -(-(length - self.filter_size + 1) // (nfft - self.filter_size + 1))
-        return max(super().footprint(shape), (nfft // 2 + 1) * blocks * channels)
+        spectra = 0 if nfft is None else L.block_spectra_size(nfft, self.filter_size, shape)
+        return max(super().footprint(shape), spectra)
 
     def prepare(self, wb, shape):
         """``(weights, bias, filter spectrum or None)``: the spectrum picks the FFT kernel."""

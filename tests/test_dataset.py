@@ -162,6 +162,21 @@ class TestPrepare:
             assert (tmp_path / "out1" / name).read_bytes() == \
                 (tmp_path / "out2" / name).read_bytes(), name
 
+    def test_each_track_smoothed_once(self, tmp_path, monkeypatch):
+        # presence and all three clip labels of a track read one smoothing
+        from instrumentid import dataset, labeling
+        write_corpus(tmp_path, {f"t{i}": {"piano": always_on(440.0 + i)} for i in range(4)})
+        smooth, calls = labeling.moving_average, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return smooth(*args, **kwargs)
+
+        monkeypatch.setattr(labeling, "moving_average", spy)
+        monkeypatch.setattr(dataset, "moving_average", spy, raising=False)
+        prepare_dataset(make_config(tmp_path, min_songs=1), log=lambda *_: None)
+        assert len(calls) == 4
+
 
 def test_find_activation_file_variants(tmp_path):
     (tmp_path / "a_ACTIVATION_CONF.lab").write_text("x")

@@ -117,18 +117,18 @@ class TestDeltas:
 class TestGaussianFit:
     def test_identical_frames_zero_covariance(self):
         frame = np.array([1.0, -2.0, 3.0])
-        summary = gaussian_fit(np.tile(frame, (2, 1)))
-        np.testing.assert_allclose(summary.mean, frame)
-        np.testing.assert_allclose(summary.cov_upper, 0.0, atol=1e-15)
+        mean, cov_upper = np.split(gaussian_fit(np.tile(frame, (2, 1))), [3])
+        np.testing.assert_allclose(mean, frame)
+        np.testing.assert_allclose(cov_upper, 0.0, atol=1e-15)
 
     def test_hand_computed_covariance(self):
         # rows (s, 0), (-s, 0), (0, s), (0, -s): zero mean,
         # cov = diag(2 s^2 / 3) with the unbiased 1/(n-1) divisor
         s = 2.0
         frames = np.array([[s, 0.0], [-s, 0.0], [0.0, s], [0.0, -s]])
-        summary = gaussian_fit(frames)
-        np.testing.assert_allclose(summary.mean, [0.0, 0.0])
-        np.testing.assert_allclose(summary.cov_upper, [2 * s * s / 3, 0.0, 2 * s * s / 3])
+        mean, cov_upper = np.split(gaussian_fit(frames), [2])
+        np.testing.assert_allclose(mean, [0.0, 0.0])
+        np.testing.assert_allclose(cov_upper, [2 * s * s / 3, 0.0, 2 * s * s / 3])
 
     def test_rejects_single_frame(self):
         with pytest.raises(ValueError, match=">= 2 frames"):
@@ -137,10 +137,10 @@ class TestGaussianFit:
     def test_permutation_invariant(self):
         rng = np.random.default_rng(3)
         frames = rng.normal(size=(25, 6))
-        a = gaussian_fit(frames)
-        b = gaussian_fit(frames[rng.permutation(25)])
-        np.testing.assert_allclose(a.mean, b.mean, atol=1e-12)
-        np.testing.assert_allclose(a.cov_upper, b.cov_upper, atol=1e-12)
+        a = np.split(gaussian_fit(frames), [6])
+        b = np.split(gaussian_fit(frames[rng.permutation(25)]), [6])
+        np.testing.assert_allclose(a[0], b[0], atol=1e-12)  # means
+        np.testing.assert_allclose(a[1], b[1], atol=1e-12)  # covariance upper triangles
 
     def test_full_clip_feature_vector_length(self):
         rng = np.random.default_rng(4)

@@ -268,6 +268,23 @@ class TestFftConv:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x, w, g: temporal_conv_forward(x, w, np.zeros(3)),
+    lambda x, w, g: temporal_conv_backward(x, w, g),
+    lambda x, w, g: temporal_conv_backward(x, w, g, needs_input_grad=False),
+    lambda x, w, g: fft_conv_forward(x, filter_spectrum(w, 8), np.zeros(3), 5),
+    lambda x, w, g: fft_conv_backward(x, filter_spectrum(w, 8), g, 5),
+    lambda x, w, g: fft_conv_backward(x, filter_spectrum(w, 8), g, 5, needs_input_grad=False),
+], ids=["direct-forward", "direct-backward", "direct-weight-backward",
+        "fft-forward", "fft-backward", "fft-weight-backward"])
+def test_conv_entry_points_reject_channel_mismatch(call):
+    # a one-channel input against four-channel filters; grad_out has the
+    # output's shape, so only the channel count is wrong
+    x, w, g = np.ones((2, 1, 20)), np.ones((3, 4, 5)), np.ones((2, 3, 16))
+    with pytest.raises(ValueError, match="channel mismatch"):
+        call(x, w, g)
+
+
 class TestMaxPool:
     def test_basic_windows(self):
         x = np.array([[1.0, 3.0, 2.0, 5.0, 4.0, 0.0]])
