@@ -1,5 +1,6 @@
 """Dataset preparation: taxonomy, track split, clip manifests."""
 
+import mmap
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,7 +123,6 @@ def prepare_dataset(config: RunConfig, log=print):
 
     track_classes = {
         tid: collapse_labels(np.ones(len(raws), dtype=np.uint8), sorted(raws), taxonomy)
-        if raws else np.zeros(len(taxonomy.classes), dtype=np.uint8)
         for tid, raws in presence.items()
     }
     split = stratified_split(track_classes, config.test_fraction, config.split_seed)
@@ -134,12 +134,14 @@ def prepare_dataset(config: RunConfig, log=print):
         rows = []
         for tid in track_ids:
             wav = track_paths[tid]
-            try:
-                sample_rate, frames, *_ = parse_wav_header(wav.read_bytes())
-            except WavFormatError as err:
+            try:  # through a read-only map, so only the chunk-header pages are read
+                with (wav.open("rb") as f,
+                      mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as data):
+                    sample_rate, frames, *_ = parse_wav_header(data)
+            except ValueError as err:  # a WavFormatError, or mmap refusing an empty file
                 raise WavFormatError(f"{wav}: {err}") from None
             if sample_rate != SAMPLE_RATE:
-                raise ValueError(f"track {tid}: sample rate {sample_rate} != {SAMPLE_RATE}")
+                raise ValueError(f"{wav}: sample rate {sample_rate} != {SAMPLE_RATE}")
             table = tables[tid]
             n_clips = frames // CLIP_SAMPLES
             for i in range(n_clips):

@@ -5,12 +5,11 @@ gradient checks). Every primitive takes any number of leading batch axes:
 convolution and pooling inputs are ``[..., channels, length]``,
 fully-connected inputs ``[..., features]``, and the elementwise layers take
 any shape. One clip is the case with no leading axis; ``model.forward``
-passes a group of clips as one ``[clips, ...]`` array, so each layer runs
-once per group and its products are one GEMM over all clips of the group.
-Weight and bias gradients are summed over the leading axes. The functions
-are pure, except that the convolution backward passes add the weight
-gradient into a caller's ``grad_weights`` array when given one, so a
-network's groups accumulate into one buffer.
+passes clips as one ``[clips, ...]`` array, so each layer call's products
+are one GEMM over all its clips. Weight and bias gradients are summed over
+the leading axes. The functions are pure, except that the convolution
+backward passes add the weight gradient into a caller's ``grad_weights``
+array when given one, so a network's calls accumulate into one buffer.
 
 Convolution has two kernels for one result. The direct kernel
 (:func:`temporal_conv_forward`) multiplies im2col windows by the filters.
@@ -52,10 +51,6 @@ _FFT_CHUNK_ELEMS = 1 << 20
 # OpenBLAS), n from 384 to 12288: 6 to 13. Every value from 8 to 40 gives
 # both nets the same kernels and lengths.
 _FFT_COST = 10
-# Most complex values one layer's filter spectrum may hold: 256 MiB in
-# complex64. The spectra live through a training step beside the parameters
-# and their gradients.
-_SPECTRUM_ELEMS = 1 << 25
 
 
 def _conv_chunk(out_len: int, clips: int, channels: int, filter_size: int) -> int:
@@ -63,13 +58,27 @@ def _conv_chunk(out_len: int, clips: int, channels: int, filter_size: int) -> in
     return max(1, min(out_len, _CONV_CHUNK_ELEMS // max(1, clips * channels * filter_size)))
 
 
-def _conv_operands(x, maps: int, channels: int, filter_size: int, bias=None, grad_out=None):
-    """Check a conv call's ``x``, ``bias`` and ``grad_out`` against ``[maps,
-    channels, filter_size]`` filters, and flatten their leading axes.
+def _check_filters(filters) -> None:
+    if np.ndim(filters) != 3:
+        raise ValueError("conv filters must be [maps, channels, filter] weights or their "
+                         f"[bins, maps, channels] spectrum, got shape {np.shape(filters)}")
+
+
+def _conv_operands(x, filters, filter_size=None, bias=None, grad_out=None):
+    """Check a conv call's ``filters``, ``x``, ``bias`` and ``grad_out``,
+    and flatten the leading axes of ``x`` and ``grad_out``.
+
+    ``filters`` are the ``[maps, channels, filter_size]`` weights or, given
+    ``filter_size``, their :func:`filter_spectrum` ``[bins, maps, channels]``.
 
     :returns: ``(lead, x [clips, channels, length], grad_out [clips, maps,
         out_len] or None)``, ``lead`` being the leading axes of ``x``
     """
+    _check_filters(filters)
+    if filter_size is None:
+        maps, channels, filter_size = filters.shape
+    else:
+        maps, channels = filters.shape[1:]
     x = np.asarray(x)
     if x.ndim < 2:
         raise ValueError(f"conv input must be [..., channels, length], got shape {x.shape}")
@@ -104,10 +113,8 @@ def temporal_conv_forward(x, weights, bias):
     """
     weights = np.asarray(weights)
     bias = np.asarray(bias)
-    if weights.ndim != 3:
-        raise ValueError(f"conv weights must be [maps, channels, filter], got shape {weights.shape}")
+    lead, x, _ = _conv_operands(x, weights, bias=bias)
     maps, channels, filter_size = weights.shape
-    lead, x, _ = _conv_operands(x, maps, channels, filter_size, bias)
     clips, _, length = x.shape
     out_len = length - filter_size + 1
     windows = sliding_window_view(x, filter_size, axis=2)  # [clips, channels, out_len, filter]
@@ -134,8 +141,8 @@ def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True,
     None; the network's first layer needs none.
     """
     weights = np.asarray(weights)
+    lead, x, grad_out = _conv_operands(x, weights, grad_out=grad_out)
     maps, channels, filter_size = weights.shape
-    lead, x, grad_out = _conv_operands(x, maps, channels, filter_size, grad_out=grad_out)
     clips, _, length = x.shape
     out_len = length - filter_size + 1
 
@@ -188,17 +195,16 @@ def fft_length(maps: int, filter_size: int, shape):
     call held one clip, plus four per complex multiply-add of the per-bin
     products, ``bins * maps * channels * blocks``. ``n`` runs over the even
     sizes ``2^a`` and ``3 * 2^a`` (fast FFT lengths at most 4/3 apart) from
-    the filter size on, skipping any whose spectrum (``bins * maps *
-    channels`` values) exceeds ``_SPECTRUM_ELEMS``. The cheapest wins if it
-    beats the direct kernel. Short filters stay direct: their filter
-    transforms alone outweigh the direct product.
+    the filter size on. The cheapest wins if it beats the direct kernel.
+    Short filters stay direct: their filter transforms alone outweigh the
+    direct product.
     """
     channels, length = shape
     best, best_cost = None, maps * channels * filter_size * (length - filter_size + 1)
     for n in sorted(base << k for base in (2, 3) for k in range(length.bit_length() + 1)):
-        bins = n // 2 + 1
-        if n % 2 or n < filter_size or bins * maps * channels > _SPECTRUM_ELEMS:
+        if n % 2 or n < filter_size:
             continue
+        bins = n // 2 + 1
         _, blocks = overlap_save(n, filter_size, length)
         transforms = maps * channels + (maps + channels) * blocks
         cost = _FFT_COST * transforms * n * math.log2(n) + 4 * bins * maps * channels * blocks
@@ -247,8 +253,7 @@ def filter_spectrum(weights, nfft: int):
     layout, so no padded or transposed copy of all the filters is made.
     """
     weights = np.asarray(weights)
-    if weights.ndim != 3:
-        raise ValueError(f"conv weights must be [maps, channels, filter], got shape {weights.shape}")
+    _check_filters(weights)
     maps, channels, filter_size = weights.shape
     if nfft % 2 or nfft < filter_size:
         raise ValueError(f"nfft must be even and >= filter size {filter_size}, got {nfft}")
@@ -273,8 +278,8 @@ def fft_conv_forward(x, spectrum, bias, filter_size: int):
     """
     spectrum = np.asarray(spectrum)
     bias = np.asarray(bias)
-    bins, maps, channels = spectrum.shape
-    lead, x, _ = _conv_operands(x, maps, channels, filter_size, bias)
+    lead, x, _ = _conv_operands(x, spectrum, filter_size, bias)
+    bins, maps, _ = spectrum.shape
     clips, _, length = x.shape
     nfft = 2 * (bins - 1)
     hop, blocks = overlap_save(nfft, filter_size, length)
@@ -308,8 +313,8 @@ def fft_conv_backward(x, spectrum, grad_out, filter_size: int,
     of the ``nfft``-sample blocks.
     """
     spectrum = np.asarray(spectrum)
+    lead, x, grad_out = _conv_operands(x, spectrum, filter_size, grad_out=grad_out)
     bins, maps, channels = spectrum.shape
-    lead, x, grad_out = _conv_operands(x, maps, channels, filter_size, grad_out=grad_out)
     clips, _, length = x.shape
     nfft = 2 * (bins - 1)
     hop, blocks = overlap_save(nfft, filter_size, length)

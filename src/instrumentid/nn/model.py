@@ -332,15 +332,14 @@ def init_params(layers, input_length: int, input_channels: int = 1,
 class ForwardCache:
     """Everything backward() needs: the layers, each layer's weights as
     prepared for the call (conv filter spectra included), and the per-layer
-    caches of the front groups and of the tail (see :func:`forward`)."""
+    caches of the front, clip by clip, and of the tail (see :func:`forward`)."""
 
     layers: list
     params: ModelParams
     weights: list  # per layer, what ``prepare`` made of its parameters
     clips: int
     split: int  # index of the first tail layer; the layers before it are the front
-    group: int  # clips per front group; the last group may be shorter
-    group_caches: list  # one list of the front layers' caches per front group
+    front_caches: list  # one list of the front layers' caches per clip
     tail_caches: list  # the tail layers' caches, each over the whole batch
 
 
@@ -350,17 +349,13 @@ def _layer_params(params: ModelParams, layers) -> list:
     return [next(pairs) if layer.has_params else () for layer in layers]
 
 
-def _front_tail(layers, input_length: int, input_channels: int, clips: int):
-    """``(split, group)``: the first tail layer and the clips per front
-    group, by the rule in :func:`forward`."""
-    sizes = [layer.footprint(shape) for layer, shape in
-             zip(layers, _input_shapes(layers, input_length, input_channels))]
+def _front_tail(layers, shapes, clips: int) -> int:
+    """The first tail layer, by the rule in :func:`forward`, for the layers'
+    per-clip input ``shapes``."""
     split = len(layers)
-    while split and sizes[split - 1] * clips <= L._CONV_CHUNK_ELEMS:
+    while split and layers[split - 1].footprint(shapes[split - 1]) * clips <= L._CONV_CHUNK_ELEMS:
         split -= 1
-    if not split:
-        return 0, max(1, clips)
-    return split, max(1, L._CONV_CHUNK_ELEMS // max(sizes[:split]))
+    return split
 
 
 def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
@@ -374,14 +369,12 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
 
     - the tail, the longest suffix of layers whose footprint for the whole
       batch fits the bound, runs once per layer over the whole batch;
-    - the front, the layers before it, runs once per group of consecutive
-      clips, the groups in index order, a group being as many clips as fit
-      the bound beside the front's largest footprint.
+    - the front, the layers before it, runs once per clip, in index order.
 
-    An empty front is one group of the whole batch. The Table-1 net at a
-    batch of 2 to 16 runs conv0 and pool0 one clip at a time and the rest
-    once over the batch; from 17 clips conv1's block spectra no longer fit,
-    and conv1 and pool1 join the front. The reduced net is all tail.
+    The Table-1 net at a batch of 2 to 16 runs conv0 and pool0 one clip at
+    a time and the rest once over the batch; from 17 clips conv1's block
+    spectra no longer fit, and conv1 and pool1 join the front. The Table-1
+    net on one clip, and the reduced net up to 22,075 clips, is all tail.
     Dropout draws over the clips in clip order, so results are
     deterministic for a fixed rng state and do not depend on the split.
     Eval mode keeps no caches and drops the prepared weights on return, so
@@ -398,9 +391,10 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     training = mode == "train"
     layers = list(layers)
     channels, length = batch.shape[1:]
-    weights = [layer.prepare(wb, shape) for layer, wb, shape in zip(
-        layers, _layer_params(params, layers), _input_shapes(layers, length, channels))]
-    split, group = _front_tail(layers, length, channels, len(batch))
+    shapes = _input_shapes(layers, length, channels)
+    weights = [layer.prepare(wb, shape)
+               for layer, wb, shape in zip(layers, _layer_params(params, layers), shapes)]
+    split = _front_tail(layers, shapes, len(batch))
 
     def run(x, first, stop):
         caches = []
@@ -410,18 +404,15 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
                 caches.append(layer_cache)
         return x, caches
 
-    outs, group_caches = [], []
-    for start in range(0, len(batch), group):
-        x, caches = run(batch[start:start + group], 0, split)
-        outs.append(x)
-        group_caches.append(caches)
-    x = outs[0] if len(outs) == 1 else np.concatenate(outs)
-    del outs  # the groups' pieces of ``x``
+    fronts = [run(batch[i:i + 1], 0, split) for i in range(len(batch))] if split else []
+    front_caches = [caches for _, caches in fronts]
+    x = np.concatenate([out for out, _ in fronts]) if split else batch
+    del fronts  # the clips' pieces of ``x``
     preds, tail_caches = run(x, split, len(layers))
     if not training:
         return preds, None
     return preds, ForwardCache(
-        layers, params, weights, len(batch), split, group, group_caches, tail_caches)
+        layers, params, weights, len(batch), split, front_caches, tail_caches)
 
 
 def backward(cache: ForwardCache, grad_loss) -> ModelParams:
@@ -430,9 +421,9 @@ def backward(cache: ForwardCache, grad_loss) -> ModelParams:
     ``grad_loss`` is the gradient of the (batch-mean) loss w.r.t. the
     predictions, so the per-clip contributions are summed: the result is the
     gradient of the same batch-mean loss. The tail layers run backward once
-    over the whole batch, then the front layers once per front group, in
-    index order for determinism; every layer adds its gradients into the one
-    set of buffers returned and reuses the weights ``forward`` prepared.
+    over the whole batch, then the front layers once per clip, in index
+    order for determinism; every layer adds its gradients into the one set
+    of buffers returned and reuses the weights ``forward`` prepared.
     Layer 0 computes no gradient for the network input.
     """
     grad_loss = np.asarray(grad_loss)
@@ -448,9 +439,8 @@ def backward(cache: ForwardCache, grad_loss) -> ModelParams:
         return g
 
     g = run(grad_loss, cache.split, cache.tail_caches)
-    if cache.split:  # else layer 0 is in the tail, and g is None
-        for start, caches in zip(range(0, cache.clips, cache.group), cache.group_caches):
-            run(g[start:start + cache.group], 0, caches)
+    for i, caches in enumerate(cache.front_caches):  # none if layer 0 is in the tail
+        run(g[i:i + 1], 0, caches)
     return grads
 
 

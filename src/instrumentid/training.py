@@ -13,7 +13,7 @@ from .config import RunConfig
 from .metrics import EvalReport, evaluate
 from .nn import (
     FULL_INPUT_LENGTH, NUM_CLASSES, REDUCED_INPUT_LENGTH,
-    backward, bce_loss, forward, infer_shapes, init_params, param_shapes,
+    backward, bce_loss, forward, init_params, param_shapes,
     load_checkpoint, reduced_layers, save_checkpoint, sgd_step, table1_layers,
 )
 
@@ -106,7 +106,7 @@ def check_params_match(params, specs, input_length: int) -> None:
 
 
 def predict_probs(params, specs, clips) -> np.ndarray:
-    """Eval-mode network probabilities; ``forward``'s groups bound the memory."""
+    """Eval-mode network probabilities; ``forward``'s split bounds the memory."""
     preds, _ = forward(params, specs, clips, mode="eval")
     return preds
 
@@ -147,10 +147,6 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
         raise ValueError(
             f"manifest has {train_data.labels.shape[1]} classes, network outputs {NUM_CLASSES}"
         )
-    infer_shapes(specs, input_length, 1)
-
-    ckpt_dir = config.checkpoint_dir()
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     if resume_from is not None:
         params, saved_sgd, start_epoch = load_checkpoint(resume_from)
@@ -160,6 +156,8 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
     else:
         params = init_params(specs, input_length, seed=sgd.seed)
         start_epoch = 0
+    ckpt_dir = config.checkpoint_dir()
+    ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     n = len(train_data.clips)
     history = []

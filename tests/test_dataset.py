@@ -1,8 +1,10 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from instrumentid.audio import WavFormatError
 from instrumentid.config import RunConfig
 from instrumentid.dataset import (
     MANIFEST_HEADER, ManifestRow, prepare_dataset, read_manifest, write_manifest,
@@ -96,10 +98,10 @@ class TestPrepare:
 
     def test_wrong_sample_rate_rejected(self, tmp_path):
         write_corpus(tmp_path, {"alpha": {"piano": always_on(440.0)}})
-        (tmp_path / "audio" / "alpha.wav").write_bytes(
-            encode_wav(np.zeros(3 * 48_000), sample_rate=48_000))
+        wav = tmp_path / "audio" / "alpha.wav"
+        wav.write_bytes(encode_wav(np.zeros(3 * 48_000), sample_rate=48_000))
         cfg = make_config(tmp_path, min_songs=1, test_fraction=0.4)
-        with pytest.raises(ValueError, match="sample rate 48000"):
+        with pytest.raises(ValueError, match=re.escape(str(wav)) + ": sample rate 48000"):
             prepare_dataset(cfg, log=lambda *_: None)
 
     def test_silent_track_keeps_all_zero_labels(self, tmp_path):
@@ -136,6 +138,28 @@ class TestPrepare:
         cfg = make_config(tmp_path, min_songs=1, test_fraction=0.4)
         with pytest.raises(ValueError, match=re.escape(str(wav)) + ".*declares"):
             prepare_dataset(cfg, log=lambda *_: None)
+
+    def test_empty_wav_error_names_the_file(self, tmp_path):
+        write_corpus(tmp_path, {"alpha": {"piano": always_on(440.0)}})
+        wav = tmp_path / "audio" / "alpha.wav"
+        wav.write_bytes(b"")
+        cfg = make_config(tmp_path, min_songs=1, test_fraction=0.4)
+        with pytest.raises(WavFormatError, match=re.escape(str(wav)) + ": .*empty"):
+            prepare_dataset(cfg, log=lambda *_: None)
+
+    def test_reads_wav_headers_not_whole_files(self, tmp_path, monkeypatch):
+        write_corpus(tmp_path, {f"t{i}": {"piano": always_on(440.0 + i)} for i in range(3)})
+        read_bytes, read = Path.read_bytes, []
+
+        def spy(path):
+            read.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", spy)
+        train_path, test_path = prepare_dataset(make_config(tmp_path, min_songs=1),
+                                                log=lambda *_: None)
+        assert [p for p in read if p.suffix == ".wav"] == []
+        assert len(read_manifest(train_path)[0]) + len(read_manifest(test_path)[0]) == 9
 
     def test_rare_instruments_collapse_to_other(self, tmp_path):
         tracks = {f"main{i}": {"piano": always_on(440.0 + i)} for i in range(3)}

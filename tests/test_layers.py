@@ -285,6 +285,19 @@ def test_conv_entry_points_reject_channel_mismatch(call):
         call(x, w, g)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x, f, g: temporal_conv_forward(x, f, np.zeros(3)),
+    lambda x, f, g: temporal_conv_backward(x, f, g),
+    lambda x, f, g: fft_conv_forward(x, f.astype(complex), np.zeros(3), 5),
+    lambda x, f, g: fft_conv_backward(x, f.astype(complex), g, 5),
+], ids=["direct-forward", "direct-backward", "fft-forward", "fft-backward"])
+def test_conv_entry_points_reject_a_filter_operand_that_is_not_3d(call):
+    # weights [maps, filter] or a spectrum [bins, maps]: the channel axis is missing
+    x, f, g = np.ones((2, 1, 20)), np.ones((3, 5)), np.ones((2, 3, 16))
+    with pytest.raises(ValueError, match=r"must be \[maps, channels, filter\]"):
+        call(x, f, g)
+
+
 class TestMaxPool:
     def test_basic_windows(self):
         x = np.array([[1.0, 3.0, 2.0, 5.0, 4.0, 0.0]])

@@ -184,8 +184,8 @@ def test_backward_asks_no_input_gradient_of_layer_zero(monkeypatch):
     expected = backward(cache, np.ones_like(preds))
     monkeypatch.setattr(layers, "temporal_conv_backward", spy)
     grads = backward(cache, np.ones_like(preds))
-    # one call per conv layer for the one group of both clips, input channels
-    # 6, 4, 1: conv2, conv1, then conv0 on the audio
+    # two clips are all tail: one call per conv layer over both clips, input
+    # channels 6, 4, 1: conv2, conv1, then conv0 on the audio
     assert calls == [((2,), 6, True), ((2,), 4, True), ((2,), 1, False)]
     for got, want in zip(grads.weights + grads.biases, expected.weights + expected.biases):
         np.testing.assert_array_equal(got, want)
@@ -223,7 +223,7 @@ def test_batched_forward_backward_match_per_clip_reference():
     grad_loss = np.random.default_rng(22).normal(size=(5, 11))
 
     preds, cache = forward(params, specs, batch, mode="train", rng=np.random.default_rng(23))
-    assert len(cache.group_caches) == 1
+    assert cache.split == 0  # all tail
     ref_preds, ref_grads = _per_clip_reference(
         params, specs, batch, "train", np.random.default_rng(23))
     np.testing.assert_allclose(preds, ref_preds, rtol=1e-12, atol=0)
@@ -243,17 +243,17 @@ def test_groups_bounded_by_largest_layer_output(monkeypatch):
     largest = max(np.prod(s) for s in infer_shapes(specs, 80, 1))
     monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * largest + 1)
     conv_forward = layers.temporal_conv_forward
-    conv0_groups = []
+    conv0_clips = []
 
     def spy(x, w, b):
         if x.shape[-2] == 1:
-            conv0_groups.append(len(x))
+            conv0_clips.append(len(x))
         return conv_forward(x, w, b)
 
     monkeypatch.setattr(layers, "temporal_conv_forward", spy)
     split, split_cache = forward(params, specs, batch, mode="train",
                                  rng=np.random.default_rng(27))
-    assert conv0_groups == [2, 2, 1]
+    assert conv0_clips == [1] * 5  # the front runs one clip per call
     np.testing.assert_allclose(split, whole, rtol=1e-12, atol=0)
     _assert_params_close(backward(split_cache, grad_loss), whole_grads)
 
@@ -265,10 +265,7 @@ def test_conv_kernel_choice_follows_filter_length():
         return [layer.fft_length(shape) for layer, shape in zip(specs, inputs)
                 if layer.kind is LayerKind.TEMPORAL_CONV]
 
-    conv0, conv1, conv2 = conv_lengths(table1_layers(), FULL_INPUT_LENGTH)
-    assert conv0 is not None and conv0 >= 3101 and conv0 % 2 == 0
-    assert conv1 is not None and conv1 >= 300 and conv1 % 2 == 0
-    assert conv2 is None
+    assert conv_lengths(table1_layers(), FULL_INPUT_LENGTH) == [12288, 384, None]
     assert conv_lengths(reduced_layers(), REDUCED_INPUT_LENGTH) == [None, None, None]
 
 
@@ -289,7 +286,7 @@ def test_fft_network_matches_direct_and_builds_spectra_once_per_forward(monkeypa
 
     _force_fft(monkeypatch)
     largest = max(np.prod(s) for s in infer_shapes(specs, 80, 1))
-    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * largest + 1)  # groups of 2, 2, 1
+    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * largest + 1)  # a front, clip by clip
     build, built = layers.filter_spectrum, []
 
     def spy(w, nfft):
@@ -298,7 +295,7 @@ def test_fft_network_matches_direct_and_builds_spectra_once_per_forward(monkeypa
 
     monkeypatch.setattr(layers, "filter_spectrum", spy)
     preds, cache = forward(params, specs, batch, mode="train", rng=np.random.default_rng(31))
-    assert len(cache.group_caches) == 3
+    assert len(cache.front_caches) == 5
     assert built == [w.shape for w in params.weights[:3]]  # once per conv layer
     grads = backward(cache, grad_loss)
     assert len(built) == 3  # backward reuses the forward's spectra
@@ -318,18 +315,54 @@ def test_fft_weight_gradients_summed_over_groups_equal_one_group(monkeypatch):
     grad_loss = np.random.default_rng(34).normal(size=(5, 11))
     whole, whole_cache = forward(params, specs, batch, mode="train",
                                  rng=np.random.default_rng(35))
-    assert len(whole_cache.group_caches) == 1
+    assert whole_cache.split == 0  # all tail
     whole_grads = backward(whole_cache, grad_loss)
 
-    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 1)  # one clip per group
+    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 1)  # all front, one clip per call
     split, split_cache = forward(params, specs, batch, mode="train",
                                  rng=np.random.default_rng(35))
-    assert len(split_cache.group_caches) == 5
+    assert len(split_cache.front_caches) == 5
     np.testing.assert_allclose(split, whole, rtol=1e-12, atol=0)
     split_grads = backward(split_cache, grad_loss)
     for got, want in zip(split_grads.weights + split_grads.biases,
                          whole_grads.weights + whole_grads.biases):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+
+
+def test_front_layers_get_one_clip_per_call_and_shapes_are_walked_once(monkeypatch):
+    from instrumentid.nn import layers
+    specs = _tiny_specs(drop_rate=0.5)
+    params = init_params(specs, 80, seed=40, dtype=np.float64)
+    batch = _tiny_input(batch=5, seed=41)
+    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * 4 * 70 + 1)  # conv0, pool0 in front
+    walks, calls = [], []
+    walk = nnm.infer_shapes
+    monkeypatch.setattr(nnm, "infer_shapes", lambda *args: walks.append(args) or walk(*args))
+    index = {id(layer): i for i, layer in enumerate(specs)}
+
+    def spy(kind, method):
+        def call(self, *args):
+            x = args[0] if method.__name__ == "forward" else args[2]
+            calls.append((index[id(self)], len(x)))
+            return method(self, *args)
+        monkeypatch.setattr(kind, method.__name__, call)
+
+    for kind in {type(layer) for layer in specs}:
+        spy(kind, kind.forward)
+        spy(kind, kind.backward)
+    preds, cache = forward(params, specs, batch, mode="train", rng=np.random.default_rng(42))
+    assert len(walks) == 1
+    backward(cache, np.ones_like(preds))
+    forward(params, specs, batch, mode="eval")
+    assert len(walks) == 2
+    # conv0 and pool0: forward, backward and eval forward, once per clip each
+    assert sorted(c for c in calls if c[0] < 2) == [(0, 1)] * 15 + [(1, 1)] * 15
+    assert {clips for i, clips in calls if i >= 2} == {5}
+
+
+def _tail_start(layers, input_length, clips):
+    shapes = [(1, input_length)] + infer_shapes(layers, input_length, 1)[:-1]
+    return nnm._front_tail(layers, shapes, clips)
 
 
 @pytest.mark.parametrize("kernel", ["direct", "fft"])
@@ -345,10 +378,10 @@ def test_tail_runs_once_over_the_batch_after_front_groups(monkeypatch, kernel):
                                  rng=np.random.default_rng(39))
     whole_grads = backward(whole_cache, grad_loss)
 
-    # conv0's and pool0's 4 x 70 maps fit two clips; from relu0 on, the
-    # largest footprint (conv1's 6 x 13 output) fits all five
+    # conv0's and pool0's 4 x 70 maps do not fit five clips; from relu0 on,
+    # the largest footprint (conv1's 6 x 13 output) does
     monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * 4 * 70 + 1)
-    assert nnm._front_tail(specs, 80, 1, 5) == (2, 2)
+    assert _tail_start(specs, 80, 5) == 2
     calls = []
     names = (("fft_conv_forward", "fft_conv_backward") if kernel == "fft"
              else ("temporal_conv_forward", "temporal_conv_backward"))
@@ -361,26 +394,20 @@ def test_tail_runs_once_over_the_batch_after_front_groups(monkeypatch, kernel):
     split, split_cache = forward(params, specs, batch, mode="train",
                                  rng=np.random.default_rng(39))
     split_grads = backward(split_cache, grad_loss)
-    # (direction, input channels, clips): conv0 per front group, conv1 and
+    # (direction, input channels, clips): conv0 once per clip, conv1 and
     # conv2 once over all five clips
-    assert calls == [("forward", 1, 2), ("forward", 1, 2), ("forward", 1, 1),
-                     ("forward", 4, 5), ("forward", 6, 5),
-                     ("backward", 6, 5), ("backward", 4, 5),
-                     ("backward", 1, 2), ("backward", 1, 2), ("backward", 1, 1)]
-    assert len(split_cache.group_caches) == 3
+    assert calls == ([("forward", 1, 1)] * 5 + [("forward", 4, 5), ("forward", 6, 5),
+                                                ("backward", 6, 5), ("backward", 4, 5)]
+                     + [("backward", 1, 1)] * 5)
+    assert len(split_cache.front_caches) == 5
     np.testing.assert_allclose(split, whole, rtol=1e-12, atol=0)
     _assert_params_close(split_grads, whole_grads)
-
-
-def _tail_start(layers, input_length, clips):
-    return nnm._front_tail(layers, input_length, 1, clips)[0]
 
 
 def test_table1_tail_starts_at_relu0_up_to_batch_16():
     specs = table1_layers()
     for clips in (2, 16):
         assert _tail_start(specs, FULL_INPUT_LENGTH, clips) == 2  # relu0
-    assert nnm._front_tail(specs, FULL_INPUT_LENGTH, 1, 16)[1] == 1  # conv0 one clip a call
     assert _tail_start(specs, FULL_INPUT_LENGTH, 1) == 0  # one clip: all tail
     # from 17 clips conv1's block spectra no longer fit: conv1 and pool1 join the front
     assert _tail_start(specs, FULL_INPUT_LENGTH, 17) == 4
@@ -390,8 +417,7 @@ def test_table1_tail_starts_at_relu0_up_to_batch_16():
 def test_table1_tail_arrays_fit_the_bound(clips):
     from instrumentid.nn import layers
     specs = table1_layers()
-    split, group = nnm._front_tail(specs, FULL_INPUT_LENGTH, 1, clips)
-    assert group == 1  # conv0 and conv1 still one clip a call
+    split = _tail_start(specs, FULL_INPUT_LENGTH, clips)
     ins = [(1, FULL_INPUT_LENGTH)] + infer_shapes(specs, FULL_INPUT_LENGTH, 1)
     for layer, shape, out in zip(specs[split:], ins[split:-1], ins[split + 1:]):
         arrays = [np.prod(shape), np.prod(out)]
@@ -405,7 +431,7 @@ def test_table1_tail_arrays_fit_the_bound(clips):
 
 @pytest.mark.parametrize("clips", [16, 288])
 def test_reduced_net_is_one_call_per_layer(clips):
-    assert nnm._front_tail(reduced_layers(), REDUCED_INPUT_LENGTH, 1, clips) == (0, clips)
+    assert _tail_start(reduced_layers(), REDUCED_INPUT_LENGTH, clips) == 0
 
 
 def test_dropout_gradient_under_fixed_mask():

@@ -207,6 +207,16 @@ class TestTrainModel:
         with pytest.raises(ValueError, match="7 classes"):
             train_model(cfg, data, log=lambda *_: None)
 
+    def test_bad_architecture_names_the_layer_before_any_checkpoint_dir(
+            self, tmp_path, monkeypatch):
+        import instrumentid.training as training
+        specs, _ = architecture(reduced_config(tmp_path))
+        monkeypatch.setattr(training, "architecture", lambda config: (specs, 10))
+        cfg = reduced_config(tmp_path)
+        with pytest.raises(ValueError, match="layer 0: length 10 shorter than filter size 11"):
+            train_model(cfg, synthetic_dataset(), log=lambda *_: None)
+        assert not cfg.checkpoint_dir().exists()
+
     def test_fresh_network_near_chance(self, tmp_path):
         # untrained predictions sit near sigmoid(~0) = 0.5, so thresholded
         # hamming accuracy tracks the label density of the test set
