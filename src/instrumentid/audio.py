@@ -1,7 +1,10 @@
-"""WAV decoding and mono downmix."""
+"""WAV reading: :class:`WavFile` maps a track, checks its header once and
+decodes only the bytes of the one-second clip asked for, downmixed to mono."""
 
+import contextlib
+import mmap
 import struct
-from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -11,14 +14,6 @@ CLIP_SAMPLES = 44100  # one second at 44.1 kHz
 
 class WavFormatError(ValueError):
     """Raised for malformed or unsupported RIFF/WAVE input."""
-
-
-@dataclass
-class AudioBuffer:
-    """Mono audio, samples in [-1, 1]."""
-
-    sample_rate: int
-    samples: np.ndarray
 
 
 def _scan_chunks(data: bytes):
@@ -35,13 +30,13 @@ def _scan_chunks(data: bytes):
             )
         yield cid, payload, size
         pos = payload + size + (size & 1)  # chunks are word-aligned
-    if pos != len(data) and pos < len(data):
+    if pos < len(data):
         # trailing bytes too short to be a chunk header
         raise WavFormatError(f"{len(data) - pos} stray bytes after last chunk")
 
 
-def parse_wav_header(data: bytes):
-    """Check a RIFF/WAVE byte string without decoding it.
+def parse_wav_header(data):
+    """Check a whole RIFF/WAVE file, as bytes or a read-only map, without decoding it.
 
     :returns: ``(sample_rate, frame_count, format_code, channels, bits, data_offset)``
     """
@@ -85,16 +80,13 @@ def parse_wav_header(data: bytes):
     return sample_rate, size // block_align, format_code, channels, bits, offset
 
 
-def parse_wav(data: bytes) -> AudioBuffer:
-    """Decode a RIFF/WAVE byte string.
+def parse_wav(raw, format_code: int, channels: int, bits: int) -> np.ndarray:
+    """Decode the sample bytes ``raw`` (whole frames) to float32 mono.
 
     Supports integer PCM at 16/24/32 bits and 32-bit IEEE float, 1 or 2
     channels. Integer samples are scaled by 1 / 2^(bits-1); stereo is
     downmixed to mono by the arithmetic mean of the channels.
     """
-    sample_rate, frame_count, format_code, channels, bits, offset = parse_wav_header(data)
-    raw = data[offset:offset + frame_count * channels * bits // 8]
-
     if format_code == 3:
         values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         values = np.clip(values, -1.0, 1.0)
@@ -114,9 +106,44 @@ def parse_wav(data: bytes) -> AudioBuffer:
 
     # the mean of the channels, (left + right) / 2, without a reduction
     # along the short channel axis, which is several times slower
-    frames = values.reshape(frame_count, channels)
+    frames = values.reshape(-1, channels)
     mono = frames[:, 0]
     if channels == 2:
         mono = mono + frames[:, 1]
         mono /= 2
-    return AudioBuffer(sample_rate, mono.astype(np.float32))
+    return mono.astype(np.float32)
+
+
+class WavFile(contextlib.AbstractContextManager):
+    """One 44.1 kHz track, mapped read-only, that decodes one clip at a time.
+
+    Opening checks the header and the rate; ``clips`` counts whole seconds.
+    Every error names the file. Leaving a ``with`` block unmaps the track.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        try:  # mmap refuses an empty file with a ValueError
+            with open(path, "rb") as f:
+                self._map = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+            rate, frames, *self._format, self._offset = parse_wav_header(self._map)
+            if rate != SAMPLE_RATE:
+                raise WavFormatError(f"sample rate {rate} != {SAMPLE_RATE}")
+        except ValueError as err:
+            raise WavFormatError(f"{path}: {err}") from None
+        self._clip_bytes = CLIP_SAMPLES * self._format[1] * self._format[2] // 8
+        self.clips = frames // CLIP_SAMPLES
+
+    def clip(self, i: int) -> np.ndarray:
+        """Seconds ``i`` to ``i + 1`` as float32 mono, decoded from their own bytes."""
+        if not 0 <= i < self.clips:  # named as prepare_dataset names the track
+            raise ValueError(f"{self.path}: clip {Path(self.path).stem}:{i} is outside "
+                             f"its {self.clips} whole clips")
+        start = self._offset + i * self._clip_bytes
+        try:
+            return parse_wav(self._map[start:start + self._clip_bytes], *self._format)
+        except WavFormatError as err:
+            raise WavFormatError(f"{self.path}: {err}") from None
+
+    def __exit__(self, *exc):
+        self._map.close()

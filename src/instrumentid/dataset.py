@@ -1,12 +1,11 @@
 """Dataset preparation: taxonomy, track split, clip manifests."""
 
-import mmap
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .audio import CLIP_SAMPLES, SAMPLE_RATE, WavFormatError, parse_wav_header
+from .audio import WavFile
 from .config import RunConfig
 from .labeling import (
     build_taxonomy, clip_label, collapse_labels, load_category_map,
@@ -63,7 +62,10 @@ def read_manifest(path):
         labels = np.array([int(b) for b in parts[3:]], dtype=np.uint8)
         if not np.isin(labels, (0, 1)).all():
             raise ValueError(f"{path}:{lineno}: label bits must be 0/1")
-        rows.append(ManifestRow(parts[0], int(parts[1]), parts[2], labels))
+        clip_index = int(parts[1])
+        if clip_index < 0:
+            raise ValueError(f"{path}:{lineno}: negative clip index {clip_index}")
+        rows.append(ManifestRow(parts[0], clip_index, parts[2], labels))
     if classes is None:
         raise ValueError(f"{path}: missing '# classes:' header")
     return rows, classes
@@ -134,16 +136,9 @@ def prepare_dataset(config: RunConfig, log=print):
         rows = []
         for tid in track_ids:
             wav = track_paths[tid]
-            try:  # through a read-only map, so only the chunk-header pages are read
-                with (wav.open("rb") as f,
-                      mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as data):
-                    sample_rate, frames, *_ = parse_wav_header(data)
-            except ValueError as err:  # a WavFormatError, or mmap refusing an empty file
-                raise WavFormatError(f"{wav}: {err}") from None
-            if sample_rate != SAMPLE_RATE:
-                raise ValueError(f"{wav}: sample rate {sample_rate} != {SAMPLE_RATE}")
+            with WavFile(wav) as track:
+                n_clips = track.clips
             table = tables[tid]
-            n_clips = frames // CLIP_SAMPLES
             for i in range(n_clips):
                 try:
                     raw_bits = clip_label(table, float(i), float(i + 1),

@@ -1,5 +1,6 @@
 """CNN training pipeline: clip loading, contrast normalization, the SGD loop."""
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio
-from .audio import CLIP_SAMPLES, SAMPLE_RATE, WavFormatError
+from .audio import CLIP_SAMPLES
 from .config import RunConfig
 from .metrics import EvalReport, evaluate
 from .nn import (
@@ -53,29 +54,13 @@ class LoadedDataset:
 def iter_raw_clips(rows):
     """Yield the raw one-second clips named by manifest rows, in row order.
 
-    One track is held decoded at a time, and a change of ``source_path``
-    decodes the next. Manifests list rows track by track, so each track is
-    decoded once; rows shuffled across tracks are re-decoded, with the same
-    clips. A clip index past the end of its audio aborts with the clip id.
+    Each clip decodes only its own bytes; consecutive rows of one
+    ``source_path`` share one open track.
     """
-    path = track = None
-    for row in rows:
-        if row.source_path != path:
-            path, track = row.source_path, None  # free the old track before decoding
-            try:
-                track = audio.parse_wav(Path(path).read_bytes())
-            except WavFormatError as err:
-                raise WavFormatError(f"{path}: {err}") from None
-            if track.sample_rate != SAMPLE_RATE:
-                raise ValueError(f"{path}: sample rate {track.sample_rate}")
-        start = row.clip_index * CLIP_SAMPLES
-        end = start + CLIP_SAMPLES
-        if end > len(track.samples):
-            raise ValueError(
-                f"clip {row.track_id}:{row.clip_index} extends past its audio "
-                f"({end} > {len(track.samples)} samples)"
-            )
-        yield track.samples[start:end]
+    for path, track_rows in itertools.groupby(rows, key=lambda row: row.source_path):
+        with audio.WavFile(path) as track:
+            for row in track_rows:
+                yield track.clip(row.clip_index)
 
 
 def load_dataset(rows, input_length: int) -> LoadedDataset:

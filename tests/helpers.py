@@ -1,7 +1,9 @@
 """Shared test utilities: a WAV encoder, brute-force oracles, and gradient checks.
 
 Everything here is deliberately independent of the package implementation it
-verifies: naive loops, direct formulas, no shared code paths.
+verifies: naive loops, direct formulas, no shared code paths. The one
+exception is ``decode_wav``, a whole-file decode strung from the package's
+own header parser and sample decoder.
 """
 
 import struct
@@ -53,6 +55,15 @@ def encode_int16_wav(int16_values, sample_rate=44100):
     if len(raw) % 2:
         chunks += b"\x00"
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def decode_wav(data):
+    """``(sample_rate, float32 mono samples)`` of a whole RIFF/WAVE byte string."""
+    from instrumentid.audio import parse_wav, parse_wav_header
+
+    sample_rate, frames, format_code, channels, bits, offset = parse_wav_header(data)
+    raw = data[offset:offset + frames * channels * bits // 8]
+    return sample_rate, parse_wav(raw, format_code, channels, bits)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,13 @@ class TestManifestIO:
         with pytest.raises(ValueError, match="columns"):
             read_manifest(path)
 
+    def test_negative_clip_index_rejected(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        write_manifest(path, [ManifestRow("t", -3, "t.wav", np.array([1, 0], dtype=np.uint8))],
+                       ["a", "b"])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: negative clip index -3")):
+            read_manifest(path)
+
     def test_v1_manifest_rejected(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("# instrument clip manifest v1\n# classes: a,b\n"

@@ -1,12 +1,14 @@
 import ast
 import os
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import instrumentid.audio
-from instrumentid.audio import CLIP_SAMPLES, parse_wav
+from instrumentid.audio import CLIP_SAMPLES
 from instrumentid.config import RunConfig
 from instrumentid.dataset import prepare_dataset, read_manifest, ManifestRow
 from instrumentid.nn import REDUCED_INPUT_LENGTH
@@ -15,7 +17,7 @@ from instrumentid.training import (
     global_contrast_normalize, iter_raw_clips, load_dataset, reduce_clip, train_model,
 )
 
-from helpers import encode_wav, synthetic_clip_dataset, write_corpus
+from helpers import decode_wav, encode_wav, synthetic_clip_dataset, write_corpus
 
 
 class TestGcn:
@@ -265,7 +267,7 @@ class TestLoadDataset:
         rows = read_manifest(cfg.train_manifest())[0] + read_manifest(cfg.test_manifest())[0]
         rows.sort(key=lambda r: r.clip_index)
         joined = np.concatenate(list(iter_raw_clips(rows)))
-        samples = parse_wav((tmp_path / "audio" / "alpha.wav").read_bytes()).samples
+        _, samples = decode_wav((tmp_path / "audio" / "alpha.wav").read_bytes())
         assert len(rows) == 3
         np.testing.assert_array_equal(joined, samples[:3 * CLIP_SAMPLES])
 
@@ -276,14 +278,28 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=":99"):
             load_dataset(rows + [bad], REDUCED_INPUT_LENGTH)
 
-    def test_each_track_decoded_once_per_load(self, tmp_path, monkeypatch):
-        calls = []
+    def test_negative_clip_index_aborts_with_clip_id(self, tmp_path):
+        cfg = self._prepared(tmp_path)
+        rows, _ = read_manifest(cfg.train_manifest())
+        bad = ManifestRow(rows[0].track_id, -1, rows[0].source_path, rows[0].labels)
+        with pytest.raises(ValueError, match=re.escape(f"{rows[0].track_id}:-1")):
+            load_dataset(rows + [bad], REDUCED_INPUT_LENGTH)
 
-        def spy(data):
-            calls.append(len(data))
-            return parse_wav(data)
+    def test_each_clip_decodes_only_its_own_bytes(self, tmp_path, monkeypatch):
+        decode, read_bytes = instrumentid.audio.parse_wav, Path.read_bytes
+        calls, wav_reads = [], []
+
+        def spy(raw, *layout):
+            calls.append(len(raw))
+            return decode(raw, *layout)
+
+        def read_spy(path):
+            if path.suffix == ".wav":
+                wav_reads.append(path)
+            return read_bytes(path)
 
         monkeypatch.setattr(instrumentid.audio, "parse_wav", spy)
+        monkeypatch.setattr(Path, "read_bytes", read_spy)
         write_corpus(tmp_path, {f"t{i}": {"piano": (440.0 + i, [(0.0, 3.0)])} for i in range(3)})
         cfg = RunConfig(audio_dir=tmp_path / "audio", activation_dir=tmp_path / "activations",
                         output_dir=tmp_path / "out", min_songs=1, test_fraction=0.4)
@@ -291,14 +307,31 @@ class TestLoadDataset:
         assert calls == []
         rows = read_manifest(cfg.train_manifest())[0] + read_manifest(cfg.test_manifest())[0]
         assert len({r.source_path for r in rows}) == 3 and len(rows) == 9
+        clip_bytes = CLIP_SAMPLES * 2  # 16-bit mono frames
         grouped = load_dataset(rows, REDUCED_INPUT_LENGTH)
-        assert len(calls) == 3
-        # rows interleaved across tracks re-decode them but load the same clips
+        assert calls == [clip_bytes] * 9
+        # rows interleaved across tracks decode the same bytes into the same clips
         interleaved = sorted(rows, key=lambda r: (r.clip_index, r.track_id))
         shuffled = load_dataset(interleaved, REDUCED_INPUT_LENGTH)
-        assert len(calls) == 3 + 9
+        assert calls == [clip_bytes] * 18
         order = [grouped.ids.index(i) for i in shuffled.ids]
         np.testing.assert_array_equal(shuffled.clips, grouped.clips[order])
+        assert wav_reads == []
+
+    def test_one_clip_load_holds_one_clip_not_the_track(self, tmp_path):
+        wav = tmp_path / "long.wav"
+        frames = np.random.default_rng(3).uniform(-0.5, 0.5, size=(60 * CLIP_SAMPLES, 2))
+        wav.write_bytes(encode_wav(frames, bits=16, channels=2))
+        del frames
+        row = ManifestRow("long", 30, str(wav), np.zeros(11, dtype=np.uint8))
+        clip_decode = CLIP_SAMPLES * 2 * 8  # one clip's float64 stereo values, 0.7 MB
+        tracemalloc.start()
+        try:
+            load_dataset([row], CLIP_SAMPLES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * clip_decode  # a whole-track decode is 60 times one clip's
 
     def test_non_finite_wav_error_names_the_file(self, tmp_path):
         cfg = self._prepared(tmp_path)
