@@ -59,10 +59,15 @@ def read_manifest(path):
             raise ValueError(
                 f"{path}:{lineno}: expected {3 + len(classes)} columns, got {len(parts)}"
             )
-        labels = np.array([int(b) for b in parts[3:]], dtype=np.uint8)
-        if not np.isin(labels, (0, 1)).all():
-            raise ValueError(f"{path}:{lineno}: label bits must be 0/1")
-        clip_index = int(parts[1])
+        bad = [b for b in parts[3:] if b not in ("0", "1")]
+        if bad:
+            raise ValueError(f"{path}:{lineno}: label bits must be 0/1, got {bad[0]!r}")
+        labels = np.array([b == "1" for b in parts[3:]], dtype=np.uint8)
+        try:
+            clip_index = int(parts[1])
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: clip index {parts[1]!r} is not an integer") from None
         if clip_index < 0:
             raise ValueError(f"{path}:{lineno}: negative clip index {clip_index}")
         rows.append(ManifestRow(parts[0], clip_index, parts[2], labels))

@@ -65,6 +65,16 @@ class TestManifestIO:
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: negative clip index -3")):
             read_manifest(path)
 
+    @pytest.mark.parametrize("row, error", [
+        ("trk\tx1\tt.wav\t1\t0", "clip index 'x1' is not an integer"),
+        ("trk\t1\tt.wav\ty\t0", "label bits must be 0/1, got 'y'"),
+    ], ids=["clip-index", "label-bit"])
+    def test_non_integer_field_names_the_line(self, tmp_path, row, error):
+        path = tmp_path / "m.tsv"
+        path.write_text(f"{MANIFEST_HEADER}\n# classes: a,b\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {error}")):
+            read_manifest(path)
+
     def test_v1_manifest_rejected(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("# instrument clip manifest v1\n# classes: a,b\n"

@@ -154,6 +154,8 @@ class TestFftConv:
              needs_input_grad=True, seed=1)  # hop 1: nfft equal to the filter size
     @example(maps=3, channels=1, filter_size=5, hop=4, out_len=11, lead=(2,),
              needs_input_grad=False, seed=2)  # weight gradient only, as for layer 0
+    @example(maps=4, channels=1, filter_size=6, hop=5, out_len=12, lead=(3,),
+             needs_input_grad=True, seed=3)  # the one-channel form's input gradient
     def test_matches_direct_kernel_float64(self, maps, channels, filter_size, hop, out_len,
                                            lead, needs_input_grad, seed):
         nfft = filter_size + hop - 1
@@ -181,17 +183,18 @@ class TestFftConv:
         assert relative_error(gb, numeric_gradient(lambda v: loss(x, w, v), b)) < FD_TOL
 
     @pytest.mark.parametrize("layer, shape", [
-        (nnm.conv(384, 300), (256, 2049)),   # Table-1 conv1, a few maps and channels
-        (nnm.conv(256, 3101), (1, 44100)),   # Table-1 conv0, a few maps
+        (nnm.conv(384, 300), (1, 256, 2049)),   # Table-1 conv1, a few maps and channels
+        (nnm.conv(256, 3101), (1, 1, 44100)),   # Table-1 conv0, a few maps
+        (nnm.conv(256, 3101), (2, 1, 44100)),   # and two clips in one call
     ])
     def test_float32_at_table1_geometry(self, layer, shape):
-        channels, length = shape
+        *lead, channels, length = shape
         rng = np.random.default_rng(31)
-        x = rng.normal(size=(1, min(channels, 3), length)).astype(np.float32)
+        x = rng.normal(size=(*lead, min(channels, 3), length)).astype(np.float32)
         w = (rng.normal(size=(2, len(x[0]), layer.filter_size)) * 0.05).astype(np.float32)
         b = rng.normal(size=2).astype(np.float32)
         # the input gradient of a one-channel first layer is never asked for
-        _fft_against_direct(x, w, b, layer.fft_length(shape), 1e-5,
+        _fft_against_direct(x, w, b, layer.fft_length((channels, length)), 1e-5,
                             needs_input_grad=channels > 1)
 
     def test_filter_spectrum_layout(self):
@@ -200,6 +203,12 @@ class TestFftConv:
         assert spectrum.shape == (5, 5, 3) and spectrum.dtype == np.complex64
         np.testing.assert_allclose(
             spectrum, np.conj(np.fft.rfft(w, n=8, axis=2)).transpose(2, 0, 1), rtol=1e-6)
+        # one channel: the transposed view of a contiguous [maps, bins] spectrum
+        one = filter_spectrum(w[:, :1], 8)
+        assert one.shape == (5, 5, 1) and one.dtype == np.complex64
+        np.testing.assert_allclose(
+            one, np.conj(np.fft.rfft(w[:, :1], n=8, axis=2)).transpose(2, 0, 1), rtol=1e-6)
+        assert one[:, :, 0].T.flags.c_contiguous
         with pytest.raises(ValueError, match="even and >= filter size"):
             filter_spectrum(w, 7)
         with pytest.raises(ValueError, match="even and >= filter size"):
@@ -252,11 +261,12 @@ class TestFftConv:
             tracemalloc.stop()
         assert peak < 2.5 * spectra_bytes, peak / spectra_bytes
 
-    def test_chunked_over_maps_matches_one_chunk(self, monkeypatch):
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_chunked_over_maps_matches_one_chunk(self, monkeypatch, channels):
         from instrumentid.nn import layers
         rng = np.random.default_rng(33)
-        x = rng.normal(size=(2, 3, 40))
-        w = rng.normal(size=(7, 3, 9))
+        x = rng.normal(size=(2, channels, 40))
+        w = rng.normal(size=(7, channels, 9))
         b = rng.normal(size=7)
         g = rng.normal(size=(2, 7, 32))
         whole = (fft_conv_forward(x, filter_spectrum(w, 16), b, 9),
