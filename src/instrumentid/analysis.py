@@ -52,10 +52,10 @@ def sort_by_dominant_bin(spectra) -> list[FilterSpectrum]:
     return sorted(spectra, key=lambda s: s.dominant_bin)
 
 
-def smooth_filters(first_layer_weights, taps: int = SMOOTH_TAPS) -> np.ndarray:
-    """Low-pass the time-domain filters with a centered moving average."""
+def smooth_filters(first_layer_weights) -> np.ndarray:
+    """Low-pass the time-domain filters with a ``SMOOTH_TAPS`` centered moving average."""
     w = np.asarray(first_layer_weights, dtype=np.float64)
-    return moving_average(w[:, 0, :].T, 1.0, taps).T
+    return moving_average(w[:, 0, :].T, 1.0, SMOOTH_TAPS).T
 
 
 def write_spectra_csv(path, spectra) -> None:

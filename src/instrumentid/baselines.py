@@ -75,17 +75,11 @@ def logistic_predict(model: LogisticModel, features) -> np.ndarray:
 @dataclass(frozen=True)
 class ForestConfig:
     trees: int = 200
-    max_depth: int | None = None
-    min_leaf: int = 1
-    features_per_split: int | None = None  # default: round(sqrt(d))
     seed: int = 0
-    bootstrap: bool = True
 
     def __post_init__(self):
         if self.trees < 1:
             raise ValueError(f"need at least one tree, got {self.trees}")
-        if self.min_leaf < 1:
-            raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
 
 
 class _Node:
@@ -99,7 +93,7 @@ class _Node:
         self.right = right
 
 
-def _gini_split(values, targets, min_leaf):
+def _gini_split(values, targets):
     """Best midpoint threshold for one feature; returns (impurity, threshold).
 
     Every boundary between consecutive distinct sorted values is scored at
@@ -113,12 +107,10 @@ def _gini_split(values, targets, min_leaf):
     total_pos = pos_prefix[-1]
     # candidate boundaries sit between consecutive distinct values
     boundaries = np.nonzero(v[1:] != v[:-1])[0]
-    n_left = boundaries + 1
-    n_right = n - n_left
-    keep = (n_left >= min_leaf) & (n_right >= min_leaf)
-    boundaries, n_left, n_right = boundaries[keep], n_left[keep], n_right[keep]
     if not len(boundaries):
         return (np.inf, None)
+    n_left = boundaries + 1
+    n_right = n - n_left
     pos_left = pos_prefix[boundaries]
     pos_right = total_pos - pos_left
     p_l = pos_left / n_left
@@ -129,25 +121,25 @@ def _gini_split(values, targets, min_leaf):
     return (gini[best], 0.5 * (v[b] + v[b + 1]))
 
 
-def _grow_tree(x, y, cfg: ForestConfig, rng, depth: int) -> _Node:
+def _grow_tree(x, y, rng) -> _Node:
+    """Split until every leaf is pure or no candidate feature varies."""
     n = len(y)
     pos = int(y.sum())
-    if pos == 0 or pos == n or n < 2 * cfg.min_leaf or \
-            (cfg.max_depth is not None and depth >= cfg.max_depth):
+    if pos == 0 or pos == n:
         return _Node(label=int(pos * 2 >= n))
     d = x.shape[1]
-    k = cfg.features_per_split or max(1, int(round(np.sqrt(d))))
+    k = max(1, int(round(np.sqrt(d))))
     candidates = rng.choice(d, size=min(k, d), replace=False)
     best_gini, best_feature, best_threshold = np.inf, None, None
     for f in candidates:
-        gini, threshold = _gini_split(x[:, f], y, cfg.min_leaf)
+        gini, threshold = _gini_split(x[:, f], y)
         if threshold is not None and gini < best_gini:
             best_gini, best_feature, best_threshold = gini, f, threshold
     if best_feature is None:
         return _Node(label=int(pos * 2 >= n))
     mask = x[:, best_feature] < best_threshold
-    left = _grow_tree(x[mask], y[mask], cfg, rng, depth + 1)
-    right = _grow_tree(x[~mask], y[~mask], cfg, rng, depth + 1)
+    left = _grow_tree(x[mask], y[mask], rng)
+    right = _grow_tree(x[~mask], y[~mask], rng)
     return _Node(feature=int(best_feature), threshold=float(best_threshold),
                  left=left, right=right)
 
@@ -165,9 +157,10 @@ class ForestModel:
 
 
 def forest_train(features, labels, cfg: ForestConfig = ForestConfig()) -> ForestModel:
-    """Per-label random forests: seeded bootstrap, Gini splits on a random
-    feature subset, midpoint thresholds. Tree seeds are ``seed + tree index``
-    (trees numbered across labels), so training order cannot matter."""
+    """Per-label random forests of fully grown trees, each on a seeded
+    bootstrap sample, with Gini splits over ``round(sqrt(d))`` random features
+    and midpoint thresholds. Tree seeds are ``seed + tree index`` (trees
+    numbered across labels), so training order cannot matter."""
     x, y = _validate_xy(features, labels)
     model = ForestModel(cfg)
     n = len(x)
@@ -176,8 +169,8 @@ def forest_train(features, labels, cfg: ForestConfig = ForestConfig()) -> Forest
         target = y[:, label_idx]
         for t in range(cfg.trees):
             rng = np.random.default_rng(cfg.seed + label_idx * cfg.trees + t)
-            boot = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-            trees.append(_grow_tree(x[boot], target[boot], cfg, rng, 0))
+            boot = rng.integers(0, n, size=n)
+            trees.append(_grow_tree(x[boot], target[boot], rng))
         model.label_trees.append(trees)
     return model
 
@@ -192,13 +185,13 @@ def forest_predict(model: ForestModel, features) -> np.ndarray:
     return scores
 
 
-def majority_baseline(train_labels, top: int = 3) -> np.ndarray:
-    """Fixed prediction: the ``top`` most common labels set, ties to the lower index."""
+def majority_baseline(train_labels) -> np.ndarray:
+    """Fixed prediction: the 3 most common labels set, ties to the lower index."""
     labels = np.asarray(train_labels)
     if labels.ndim != 2:
         raise ValueError(f"labels must be [n, labels], got shape {labels.shape}")
     counts = labels.sum(axis=0)
     order = np.lexsort((np.arange(labels.shape[1]), -counts))
     out = np.zeros(labels.shape[1], dtype=np.uint8)
-    out[order[:top]] = 1
+    out[order[:3]] = 1
     return out

@@ -8,6 +8,7 @@ from .labeling import DEFAULT_MIN_SONGS, DEFAULT_THRESHOLD, DEFAULT_WINDOW_SECON
 from .nn.model import SgdConfig, dropout
 
 DEFAULT_TAXONOMY = Path(__file__).parent / "data" / "medleydb_categories.tsv"
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number"}
 
 
 @dataclass
@@ -58,6 +59,8 @@ class RunConfig:
         """Check value ranges and, when ``require_inputs``, path existence."""
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.split_seed < 0:
+            raise ValueError(f"split_seed must be >= 0, got {self.split_seed}")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
         if not 0.0 <= self.eval_threshold <= 1.0:
@@ -73,20 +76,21 @@ class RunConfig:
                     raise FileNotFoundError(f"{name} does not exist: {path}")
 
 
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(value: str) -> bool:
     low = value.lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ValueError(f"config key {key}: expected a boolean, got {value!r}")
+    raise ValueError(value)
 
 
 def load_config(path) -> RunConfig:
     """Parse "key = value" lines; '#' starts a comment, unknown keys are errors.
 
     Each value is parsed by the type of its ``RunConfig`` field; relative
-    paths are resolved against the config file's directory.
+    paths are resolved against the config file's directory. A value that does
+    not parse names ``path:line`` and its key.
     """
     path = Path(path)
     base = path.parent
@@ -105,8 +109,11 @@ def load_config(path) -> RunConfig:
         if kind is Path:
             p = Path(value)
             setattr(cfg, key, p if p.is_absolute() else base / p)
-        elif kind is bool:
-            setattr(cfg, key, _parse_bool(value, key))
-        else:
-            setattr(cfg, key, kind(value))
+            continue
+        try:
+            setattr(cfg, key, _parse_bool(value) if kind is bool else kind(value))
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: config key {key!r}: expected {_EXPECTED[kind]}, got {value!r}"
+            ) from None
     return cfg

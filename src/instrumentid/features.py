@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio import SAMPLE_RATE
+
 LOG_FLOOR = 1e-10
 DELTA_WINDOW = 2  # regression half-width for delta features
 
@@ -14,7 +16,6 @@ class MfccConfig:
     hop: int = 512
     mel_bands: int = 40
     num_coeffs: int = 13
-    sample_rate: int = 44100
 
     def __post_init__(self):
         if self.frame_size < 2 or self.frame_size & (self.frame_size - 1):
@@ -25,8 +26,6 @@ class MfccConfig:
             raise ValueError(
                 f"need 1 <= num_coeffs <= mel_bands, got {self.num_coeffs}/{self.mel_bands}"
             )
-        if self.sample_rate < 1:
-            raise ValueError(f"bad sample rate {self.sample_rate}")
 
     @property
     def stacked_dim(self) -> int:
@@ -47,7 +46,7 @@ def mel_to_hz(m):
 
 
 def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
-    """Triangular filters with mel-spaced centers spanning 0 .. sample_rate/2.
+    """Triangular filters with mel-spaced centers spanning 0 .. SAMPLE_RATE / 2.
 
     Triangles are linear in the mel domain, so each spectral bin gets weight
     from at most the two filters whose span contains it.
@@ -55,8 +54,8 @@ def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
     :returns: ``[mel_bands, frame_size // 2 + 1]``
     """
     n_bins = cfg.frame_size // 2 + 1
-    bin_mels = hz_to_mel(np.arange(n_bins) * cfg.sample_rate / cfg.frame_size)
-    points = np.linspace(0.0, hz_to_mel(cfg.sample_rate / 2.0), cfg.mel_bands + 2)
+    bin_mels = hz_to_mel(np.arange(n_bins) * SAMPLE_RATE / cfg.frame_size)
+    points = np.linspace(0.0, hz_to_mel(SAMPLE_RATE / 2.0), cfg.mel_bands + 2)
     fb = np.zeros((cfg.mel_bands, n_bins))
     for j in range(cfg.mel_bands):
         left, center, right = points[j], points[j + 1], points[j + 2]
@@ -67,7 +66,7 @@ def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
 
 
 def mel_filter_centers_hz(cfg: MfccConfig) -> np.ndarray:
-    points = np.linspace(0.0, hz_to_mel(cfg.sample_rate / 2.0), cfg.mel_bands + 2)
+    points = np.linspace(0.0, hz_to_mel(SAMPLE_RATE / 2.0), cfg.mel_bands + 2)
     return mel_to_hz(points[1:-1])
 
 

@@ -33,6 +33,9 @@ class ActivationTable:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
         self.conf = np.asarray(self.conf, dtype=np.float64)
+        for name, values in (("times", self.times), ("confidence values", self.conf)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"non-finite {name} in track {self.track_id}")
         if self.times.ndim != 1 or len(self.times) < 2:
             raise ValueError(f"need at least 2 time steps, got {self.times.shape}")
         if self.conf.shape != (len(self.times), len(self.columns)):
@@ -308,7 +311,3 @@ def stratified_split(track_labels: dict, test_fraction: float = 0.2,
 
 def write_split_file(path, track_ids) -> None:
     Path(path).write_text("".join(f"{t}\n" for t in track_ids))
-
-
-def read_split_file(path) -> list:
-    return [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]

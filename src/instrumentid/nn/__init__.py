@@ -10,7 +10,7 @@ from .layers import (
 from .loss import bce_loss, CLAMP_EPS
 from .model import (
     LayerKind, ModelParams, SgdConfig, ForwardCache,
-    table1_layers, reduced_layers, infer_shapes, flatten_size, param_shapes, init_params,
+    table1_layers, reduced_layers, infer_shapes, param_shapes, init_params,
     forward, backward, sgd_step,
     FULL_INPUT_LENGTH, REDUCED_INPUT_LENGTH, NUM_CLASSES,
 )

@@ -260,14 +260,6 @@ def _input_shapes(layers, input_length: int, input_channels: int):
     return [(input_channels, input_length)] + shapes[:-1]
 
 
-def flatten_size(layers, input_length: int, input_channels: int = 1) -> int:
-    """Size of the flattened map entering the first fully-connected layer."""
-    for layer, shape in zip(layers, _input_shapes(layers, input_length, input_channels)):
-        if layer.kind is LayerKind.FULLY_CONNECTED:
-            return math.prod(shape)
-    raise ValueError("architecture has no fully-connected layer")
-
-
 def param_shapes(layers, input_length: int, input_channels: int = 1):
     """(weight shape, bias shape) per parameterized layer, in network order."""
     shapes = _input_shapes(layers, input_length, input_channels)

@@ -5,6 +5,7 @@ criterion. Criterion 10 (full-corpus reference run) needs real MedleyDB data
 and is skipped unless MEDLEYDB_AUDIO_DIR / MEDLEYDB_ACTIVATION_DIR are set.
 """
 
+import math
 import os
 import time
 
@@ -22,7 +23,7 @@ from instrumentid.nn import (
     FULL_INPUT_LENGTH, REDUCED_INPUT_LENGTH, ModelParams,
     bce_loss, dropout, dropout_backward, forward, backward,
     fully_connected_backward, fully_connected_forward,
-    infer_shapes, flatten_size, init_params,
+    infer_shapes, init_params,
     maxpool_backward, maxpool_forward, reduced_layers,
     relu, relu_backward, sigmoid, sigmoid_backward, table1_layers,
     temporal_conv_backward, temporal_conv_forward,
@@ -153,7 +154,8 @@ def test_criterion_2_shape_oracle():
                  if spec.kind in (LayerKind.TEMPORAL_CONV, LayerKind.MAX_POOL)]
     assert conv_pool == [(256, 41000), (256, 2049), (384, 1750),
                          (384, 87), (384, 68), (384, 16)]
-    assert flatten_size(specs, FULL_INPUT_LENGTH) == 6144
+    fc0 = next(i for i, spec in enumerate(specs) if spec.kind is LayerKind.FULLY_CONNECTED)
+    assert math.prod(shapes[fc0 - 1]) == 6144
     assert shapes[-1] == (11,)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0

@@ -16,6 +16,13 @@ def _binary(labels_1d):
     return np.asarray(labels_1d).reshape(-1, 1)
 
 
+def _preorder(node):
+    """The split feature of every inner node and the label of every leaf, in preorder."""
+    if node.label is not None:
+        return [("leaf", node.label)]
+    return [("split", node.feature)] + _preorder(node.left) + _preorder(node.right)
+
+
 class TestLogistic:
     def test_zero_weights_predict_half(self):
         model = LogisticModel(np.zeros(2), np.ones(2), np.ones(2, dtype=bool),
@@ -68,7 +75,7 @@ class TestForest:
     def test_single_stump_reproduces_threshold_rule(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0], [10.0], [11.0], [12.0], [13.0]])
         y = _binary([0, 0, 0, 0, 1, 1, 1, 1])
-        cfg = ForestConfig(trees=1, max_depth=1, features_per_split=1, seed=0)
+        cfg = ForestConfig(trees=1, seed=0)
         model = forest_train(x, y, cfg)
         test = np.array([[4.0], [8.0]])
         scores = forest_predict(model, test)
@@ -92,18 +99,18 @@ class TestForest:
 
     def test_monotone_feature_transform_invariant(self):
         # split rules depend only on feature order, so a rank-preserving
-        # transform applied at train and predict time changes nothing;
-        # exact only for in-sample points, hence bootstrap off
+        # transform changes only the thresholds: every tree splits on the
+        # same features and ends in the same leaves
         rng = np.random.default_rng(7)
         x = rng.uniform(0.1, 4.0, size=(60, 3))
         y = _binary((x[:, 0] * 2 + x[:, 2] > 5).astype(int))
-        cfg = ForestConfig(trees=20, seed=3, bootstrap=False)
-        raw_scores = forest_predict(forest_train(x, y, cfg), x)
+        cfg = ForestConfig(trees=20, seed=3)
+        raw_trees = forest_train(x, y, cfg).label_trees[0]
 
         warped = x.copy()
         warped[:, 0] = np.log(warped[:, 0])
-        scores = forest_predict(forest_train(warped, y, cfg), warped)
-        np.testing.assert_array_equal(raw_scores, scores)
+        warped_trees = forest_train(warped, y, cfg).label_trees[0]
+        assert [_preorder(t) for t in raw_trees] == [_preorder(t) for t in warped_trees]
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(8)
@@ -115,14 +122,13 @@ class TestForest:
         np.testing.assert_array_equal(s1, s2)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), min_size=1, max_size=40),
-           st.integers(1, 3))
-    def test_gini_split_matches_boundary_loop(self, rows, min_leaf):
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), min_size=1, max_size=40))
+    def test_gini_split_matches_boundary_loop(self, rows):
         # few distinct values, so tied values and tied impurities are common
         values = np.array([v for v, _ in rows], dtype=np.float64) * 0.5
         targets = np.array([t for _, t in rows], dtype=np.float64)
-        got = _gini_split(values, targets, min_leaf)
-        want = gini_split_loop(values, targets, min_leaf)
+        got = _gini_split(values, targets)
+        want = gini_split_loop(values, targets, min_leaf=1)
         assert got == want
         assert type(got[1]) is type(want[1])
 

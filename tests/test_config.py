@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import pytest
@@ -79,6 +80,23 @@ def test_bad_boolean_rejected(tmp_path):
     p.write_text("reduced = maybe\n")
     with pytest.raises(ValueError, match="boolean"):
         load_config(p)
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("epochs = ten", "'epochs': expected an integer, got 'ten'"),
+    ("learning_rate = fast", "'learning_rate': expected a number, got 'fast'"),
+    ("reduced = maybe", "'reduced': expected a boolean, got 'maybe'"),
+], ids=["int", "float", "bool"])
+def test_bad_value_names_file_line_and_key(tmp_path, line, expected):
+    p = tmp_path / "run.cfg"
+    p.write_text(f"# header\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:2: config key {expected}")):
+        load_config(p)
+
+
+def test_validate_rejects_negative_split_seed():
+    with pytest.raises(ValueError, match="split_seed must be >= 0, got -1"):
+        RunConfig(split_seed=-1).validate(require_inputs=False)
 
 
 def test_validate_checks_ranges():

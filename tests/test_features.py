@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from instrumentid.audio import SAMPLE_RATE
 from instrumentid.features import (
     MfccConfig, mel_filterbank, mel_filter_centers_hz, dct_matrix,
     hz_to_mel, mfcc, deltas, gaussian_fit, clip_features,
@@ -52,7 +53,7 @@ class TestMelFilterbank:
     def test_centers_increase(self):
         centers = mel_filter_centers_hz(CFG)
         assert (np.diff(centers) > 0).all()
-        assert centers[-1] < CFG.sample_rate / 2
+        assert centers[-1] < SAMPLE_RATE / 2
 
 
 class TestMfcc:

@@ -7,7 +7,7 @@ from instrumentid.labeling import (
     parse_activation_csv, moving_average, clip_label,
     build_taxonomy, collapse_labels, stratified_split,
     load_category_map, write_taxonomy,
-    write_split_file, read_split_file,
+    write_split_file,
 )
 
 from helpers import moving_average_naive, clip_label_naive
@@ -34,6 +34,17 @@ class TestActivationTable:
     def test_rejects_out_of_range_confidence(self):
         with pytest.raises(ValueError, match="outside"):
             ActivationTable("t", [0.0, 0.05], ["a"], np.array([[0.5], [1.5]]))
+
+    def test_rejects_nan_confidence(self):
+        # a NaN maximum compares false with the threshold, turning the instrument off
+        text = "time,a,b\n0.0,0.9,0.1\n0.5,nan,0.2\n1.0,0.8,0.3\n1.5,0.7,0.9\n"
+        with pytest.raises(ValueError, match="non-finite confidence values in track trk"):
+            parse_activation_csv(text, "trk")
+
+    def test_rejects_nan_time(self):
+        # every comparison with NaN is false, so the step checks cannot see it
+        with pytest.raises(ValueError, match="non-finite times in track trk"):
+            ActivationTable("trk", [0.0, np.nan, 1.0], ["a"], np.zeros((3, 1)))
 
     def test_parse_csv(self):
         text = "time,piano,voice\n0.00,0.1,0.9\n0.05,0.2,0.8\n0.10,0.3,0.7\n"
@@ -280,4 +291,4 @@ class TestStratifiedSplit:
         ids = ["trackB", "trackA", "trackC"]
         path = tmp_path / "split.txt"
         write_split_file(path, ids)
-        assert read_split_file(path) == ids
+        assert path.read_text() == "trackB\ntrackA\ntrackC\n"

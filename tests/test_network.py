@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from instrumentid.nn import (
     LayerKind, ModelParams, SgdConfig,
-    table1_layers, reduced_layers, infer_shapes, flatten_size, init_params,
+    table1_layers, reduced_layers, infer_shapes, init_params,
     forward, backward, sgd_step, bce_loss,
     FULL_INPUT_LENGTH, REDUCED_INPUT_LENGTH,
 )
@@ -24,14 +25,16 @@ def test_table1_shape_chain():
         (384, 1750), (384, 87),
         (384, 68), (384, 16),
     ]
-    assert flatten_size(specs, FULL_INPUT_LENGTH) == 6144
+    fc0 = next(i for i, spec in enumerate(specs) if spec.kind is LayerKind.FULLY_CONNECTED)
+    assert math.prod(shapes[fc0 - 1]) == 6144
     assert shapes[-1] == (11,)
 
 
 def test_reduced_shape_chain():
     specs = reduced_layers()
     shapes = infer_shapes(specs, REDUCED_INPUT_LENGTH, 1)
-    assert flatten_size(specs, REDUCED_INPUT_LENGTH) == 54
+    fc0 = next(i for i, spec in enumerate(specs) if spec.kind is LayerKind.FULLY_CONNECTED)
+    assert math.prod(shapes[fc0 - 1]) == 54
     assert shapes[-1] == (11,)
 
 
