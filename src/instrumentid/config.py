@@ -1,5 +1,6 @@
 """Run configuration: a flat key=value file mapped onto one dataclass."""
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -56,7 +57,9 @@ class RunConfig:
         return self.output_dir / "checkpoints"
 
     def validate(self, require_inputs: bool = True) -> None:
-        """Check value ranges and, when ``require_inputs``, path existence."""
+        """Check value ranges and, when ``require_inputs``, path existence.
+
+        Each range test is written so that a NaN fails it."""
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.split_seed < 0:
@@ -65,6 +68,12 @@ class RunConfig:
             raise ValueError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
         if not 0.0 <= self.eval_threshold <= 1.0:
             raise ValueError(f"eval_threshold must be in [0, 1], got {self.eval_threshold}")
+        if not 0.0 <= self.activation_threshold <= 1.0:
+            raise ValueError(
+                f"activation_threshold must be in [0, 1], got {self.activation_threshold}")
+        if not 0.0 < self.activation_window < math.inf:
+            raise ValueError(
+                f"activation_window must be finite and > 0, got {self.activation_window}")
         if self.min_songs < 1:
             raise ValueError(f"min_songs must be >= 1, got {self.min_songs}")
         self.sgd()

@@ -68,19 +68,26 @@ class ActivationTable:
 
 def parse_activation_csv(text: str, track_id: str) -> ActivationTable:
     """Parse the "time,<instrument>,..." comma-separated annotation layout."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    # (1-based line number, stripped text) of the non-blank lines
+    lines = ((n, s) for n, ln in enumerate(text.splitlines(), 1) if (s := ln.strip()))
+    first = next(lines, None)
+    if first is None:
         raise ValueError(f"empty activation file for track {track_id}")
-    header = [c.strip() for c in lines[0].split(",")]
+    header = [c.strip() for c in first[1].split(",")]
     if header[0].lower() != "time" or len(header) < 2:
-        raise ValueError(f"bad activation header {lines[0]!r} in track {track_id}")
+        raise ValueError(f"bad activation header {first[1]!r} in track {track_id}")
     columns = header[1:]
     rows = []
-    for ln in lines[1:]:
+    for lineno, ln in lines:
         cells = ln.split(",")
         if len(cells) != len(header):
-            raise ValueError(f"row with {len(cells)} cells, expected {len(header)}: {ln!r}")
-        rows.append([float(c) for c in cells])
+            raise ValueError(f"track {track_id} line {lineno}: row with {len(cells)} cells, "
+                             f"expected {len(header)}: {ln!r}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            raise ValueError(
+                f"track {track_id} line {lineno}: cell that is not a number in {ln!r}") from None
     arr = np.asarray(rows, dtype=np.float64)
     return ActivationTable(track_id, arr[:, 0], columns, arr[:, 1:])
 

@@ -32,14 +32,10 @@ holds the input's block spectra and, in backward, the input-gradient spectra
 of the same size (:func:`block_spectra_size` per clip), which
 ``model.forward`` counts when it sizes its calls.
 
-The FFT kernel transforms in the input's precision, so float32 data runs
-on pocketfft's float32 loop. ``np.fft.rfft`` with its default norm passes
-the Python int 1 as its scale, which selects the float64 loop even for
-float32 input: a float64 copy of the input, a complex128 result and a cast
-back to complex64, at about twice the time. :func:`_rfft` asks for
-``norm="forward"`` instead, whose ``1/n`` scale has the input's precision,
-and multiplies the result by ``n`` in place. ``np.fft.irfft``'s default
-already scales in the input's precision.
+Every forward transform, of input blocks, output-gradient blocks and
+filters alike, is a call of :func:`_block_spectra`, whose docstring gives
+the padding and precision rule. ``np.fft.irfft``'s default already scales
+in the input's precision.
 """
 
 import math
@@ -226,24 +222,26 @@ def block_spectra_size(nfft: int, filter_size: int, shape) -> int:
     return (nfft // 2 + 1) * overlap_save(nfft, filter_size, length)[1] * channels
 
 
-def _rfft(a, n: int, axis: int):
-    """``np.fft.rfft(a, n, axis)``, transformed in ``a``'s precision."""
-    out = np.fft.rfft(a, n=n, axis=axis, norm="forward")
-    out *= n  # in place while the result is fresh; no complex128 copy
-    return out
-
-
-def _block_spectra(x, nfft: int, hop: int, blocks: int, width: int):
+def _block_spectra(x, nfft: int, hop: int, blocks: int, width: int, out=None):
     """rfft at length ``nfft`` of ``blocks`` windows of ``width`` samples,
     ``hop`` apart, of ``x [clips, rows, length]`` zero-padded at the end.
 
-    :returns: the rfft's own layout, ``[clips, rows, blocks, bins]``; the
-        per-bin GEMM form copies it into its own
+    ``width`` is ``nfft``, or ``hop`` for blocks that tile ``x``; those are
+    zero-padded to ``nfft`` here, since ``np.fft.rfft`` given a longer ``n``
+    pads row by row, at about half the speed. The transform runs in the
+    input's precision: with its default norm ``np.fft.rfft`` passes the
+    Python int 1 as its scale, which selects the float64 loop even for
+    float32 input (a float64 input copy and a complex128 result, at about
+    twice the time). So it is asked for ``norm="forward"``, a ``1/n`` scale
+    in the input's precision, and the result is multiplied by ``nfft`` in
+    place.
+
+    :returns: the rfft's own layout, ``[clips, rows, blocks, bins]``, in
+        ``out`` when given (any strides); the per-bin GEMM form copies it
+        into its own
     """
     clips, rows, length = x.shape
     if width == hop < nfft:
-        # Blocks that tile x, zero-padded to nfft here: np.fft.rfft pads a
-        # shorter input row by row, at about half the speed.
         windows = np.zeros((clips, rows, blocks, nfft), dtype=x.dtype)
         tiled = (blocks - 1) * hop
         windows[:, :, :-1, :hop] = x[:, :, :tiled].reshape(clips, rows, blocks - 1, hop)
@@ -252,18 +250,21 @@ def _block_spectra(x, nfft: int, hop: int, blocks: int, width: int):
         padded = np.zeros((clips, rows, (blocks - 1) * hop + width), dtype=x.dtype)
         padded[:, :, :length] = x
         windows = sliding_window_view(padded, width, axis=2)[:, :, ::hop]
+    out = np.fft.rfft(windows, norm="forward", out=out)
+    out *= nfft  # in place while the result is fresh; no complex128 copy
     # the padded input is freed on return, before any transposed copy
-    return _rfft(windows, nfft, 3)
+    return out
 
 
 def filter_spectrum(weights, nfft: int):
     """Conjugate rfft of the filters at length ``nfft``: ``[bins, maps, channels]``.
 
     ``bins = nfft // 2 + 1``; ``nfft`` must be even and at least the filter
-    size. The spectrum is written in map chunks straight into the layout its
-    kernel reads, so no padded or transposed copy of all the filters is
-    made: the per-bin layout, or for one channel the transposed view of a
-    contiguous ``[maps, bins]`` array, the rfft's own layout.
+    size. Each map chunk of filters is transformed as one block of
+    :func:`_block_spectra`, written straight into the layout its kernel
+    reads and conjugated there, so beyond the result only one padded chunk
+    is held: the per-bin layout, or for one channel the transposed view of
+    a contiguous ``[maps, bins]`` array, the rfft's own layout.
     """
     weights = np.asarray(weights)
     _check_filters(weights)
@@ -278,8 +279,10 @@ def filter_spectrum(weights, nfft: int):
         spectrum = np.empty((bins, maps, channels), dtype)
     step = _map_chunk(maps, channels * bins)
     for start in range(0, maps, step):
-        chunk = _rfft(weights[start:start + step], nfft, 2)
-        np.conjugate(chunk.transpose(2, 0, 1), out=spectrum[:, start:start + step])
+        # the chunk's place in the spectrum as one block: [maps, channels, 1, bins]
+        chunk = spectrum[:, start:start + step].transpose(1, 2, 0)[:, :, None]
+        _block_spectra(weights[start:start + step], nfft, filter_size, 1, filter_size, chunk)
+        np.conjugate(chunk, out=chunk)
     return spectrum
 
 

@@ -274,8 +274,9 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails too
+            raise ValueError(
+                f"learning rate must be finite and > 0 (learning_rate = {self.learning_rate})")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:

@@ -108,6 +108,20 @@ def test_validate_checks_ranges():
         cfg.validate(require_inputs=False)
 
 
+@pytest.mark.parametrize("key, value", [
+    # an out-of-range or NaN threshold turns every instrument off in every clip
+    ("activation_threshold", 2.0), ("activation_threshold", -0.1),
+    ("activation_threshold", float("nan")),
+    ("activation_window", 0.0), ("activation_window", -1.0),
+    ("activation_window", float("nan")), ("activation_window", float("inf")),
+    # a NaN rate would pass until a later loss is NaN, blamed on a batch's clips
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+])
+def test_validate_rejects_out_of_range_or_nan(key, value):
+    with pytest.raises(ValueError, match=key):
+        RunConfig(**{key: value}).validate(require_inputs=False)
+
+
 def test_validate_checks_paths(tmp_path):
     cfg = RunConfig(audio_dir=tmp_path / "nope")
     with pytest.raises(FileNotFoundError, match="audio_dir"):

@@ -57,6 +57,18 @@ class TestActivationTable:
         with pytest.raises(ValueError, match="header"):
             parse_activation_csv("instrument,conf\n0,1\n", "trk")
 
+    @pytest.mark.parametrize("row", ["0.05,0.2,", "0.05,0.2,x"])
+    def test_parse_names_track_and_line_of_a_cell_that_is_not_a_number(self, row):
+        # line 4 of the file: the blank line 2 still counts
+        text = f"time,piano,voice\n\n0.00,0.1,0.9\n{row}\n"
+        with pytest.raises(ValueError, match=r"^track trk line 4: cell that is not a number"):
+            parse_activation_csv(text, "trk")
+
+    def test_parse_names_track_and_line_of_a_wrong_cell_count(self):
+        text = "time,piano,voice\n0.00,0.1,0.9\n0.05,0.2\n"
+        with pytest.raises(ValueError, match=r"^track trk line 3: row with 2 cells, expected 3"):
+            parse_activation_csv(text, "trk")
+
 
 class TestMovingAverage:
     def test_constant_series_unchanged(self):
