@@ -50,7 +50,11 @@ class LogisticModel:
 
 def logistic_train(features, labels, learning_rate: float = 0.5,
                    epochs: int = 500, seed: int = 0) -> LogisticModel:
-    """Full-batch gradient descent on the mean BCE of 11 one-vs-rest models."""
+    """Full-batch gradient descent on the mean BCE, one model per label column."""
+    if not 0 < learning_rate < np.inf:  # NaN fails too
+        raise ValueError(f"learning rate must be finite and > 0, got {learning_rate}")
+    if not epochs >= 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     x, y = _validate_xy(features, labels)
     mean = x.mean(axis=0)
     std = x.std(axis=0)
@@ -82,43 +86,36 @@ class ForestConfig:
             raise ValueError(f"need at least one tree, got {self.trees}")
 
 
+@dataclass(slots=True)
 class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "label")
-
-    def __init__(self, label=None, feature=None, threshold=None, left=None, right=None):
-        self.label = label
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
+    label: int | None = None  # set on leaves only
+    feature: int | None = None
+    threshold: float | None = None
+    left: "_Node | None" = None
+    right: "_Node | None" = None
 
 
-def _gini_split(values, targets):
-    """Best midpoint threshold for one feature; returns (impurity, threshold).
-
-    Every boundary between consecutive distinct sorted values is scored at
-    once; ties go to the first (lowest) boundary.
-    """
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    t = targets[order]
-    n = len(v)
-    pos_prefix = np.cumsum(t)
-    total_pos = pos_prefix[-1]
-    # candidate boundaries sit between consecutive distinct values
-    boundaries = np.nonzero(v[1:] != v[:-1])[0]
-    if not len(boundaries):
-        return (np.inf, None)
-    n_left = boundaries + 1
+def _best_split(x, y):
+    """Best midpoint split over the columns of ``x``: (impurity, column, threshold),
+    or ``(inf, None, None)`` without a boundary between distinct values. Ties go
+    to the first column, then its lowest boundary."""
+    n = len(y)
+    if n < 2 or not x.shape[1]:
+        return (np.inf, None, None)
+    order = np.argsort(x, axis=0, kind="stable")
+    v = np.take_along_axis(x, order, axis=0)
+    pos_prefix = np.cumsum(y[order], axis=0)
+    n_left = np.arange(1, n)[:, None]
     n_right = n - n_left
-    pos_left = pos_prefix[boundaries]
-    pos_right = total_pos - pos_left
-    p_l = pos_left / n_left
-    p_r = pos_right / n_right
+    p_l = pos_prefix[:-1] / n_left
+    p_r = (pos_prefix[-1] - pos_prefix[:-1]) / n_right
     gini = (n_left * 2.0 * p_l * (1.0 - p_l) + n_right * 2.0 * p_r * (1.0 - p_r)) / n
-    best = int(np.argmin(gini))
-    b = boundaries[best]
-    return (gini[best], 0.5 * (v[b] + v[b + 1]))
+    # a boundary between equal values is no boundary
+    gini[v[1:] == v[:-1]] = np.inf
+    column, b = divmod(int(np.argmin(gini.T)), n - 1)
+    if gini[b, column] == np.inf:
+        return (np.inf, None, None)
+    return (gini[b, column], column, 0.5 * (v[b, column] + v[b + 1, column]))
 
 
 def _grow_tree(x, y, rng) -> _Node:
@@ -128,31 +125,29 @@ def _grow_tree(x, y, rng) -> _Node:
     if pos == 0 or pos == n:
         return _Node(label=int(pos * 2 >= n))
     d = x.shape[1]
-    k = max(1, int(round(np.sqrt(d))))
-    candidates = rng.choice(d, size=min(k, d), replace=False)
-    best_gini, best_feature, best_threshold = np.inf, None, None
-    for f in candidates:
-        gini, threshold = _gini_split(x[:, f], y)
-        if threshold is not None and gini < best_gini:
-            best_gini, best_feature, best_threshold = gini, f, threshold
-    if best_feature is None:
+    candidates = rng.choice(d, size=int(round(np.sqrt(d))), replace=False)
+    _, column, threshold = _best_split(x[:, candidates], y)
+    if column is None:
         return _Node(label=int(pos * 2 >= n))
-    mask = x[:, best_feature] < best_threshold
+    feature = candidates[column]
+    mask = x[:, feature] < threshold
     left = _grow_tree(x[mask], y[mask], rng)
     right = _grow_tree(x[~mask], y[~mask], rng)
-    return _Node(feature=int(best_feature), threshold=float(best_threshold),
-                 left=left, right=right)
+    return _Node(feature=int(feature), threshold=float(threshold), left=left, right=right)
 
 
-def _tree_predict(node: _Node, row) -> int:
-    while node.label is None:
-        node = node.left if row[node.feature] < node.threshold else node.right
-    return node.label
+def _route(node: _Node, x, rows, votes) -> None:
+    """Add each leaf's label to ``votes`` at the ``rows`` of ``x`` that reach it."""
+    if node.label is not None:
+        votes[rows] += node.label
+    elif len(rows):
+        goes_left = x[rows, node.feature] < node.threshold
+        _route(node.left, x, rows[goes_left], votes)
+        _route(node.right, x, rows[~goes_left], votes)
 
 
 @dataclass
 class ForestModel:
-    config: ForestConfig
     label_trees: list = field(default_factory=list)  # one tree list per label
 
 
@@ -162,7 +157,7 @@ def forest_train(features, labels, cfg: ForestConfig = ForestConfig()) -> Forest
     and midpoint thresholds. Tree seeds are ``seed + tree index`` (trees
     numbered across labels), so training order cannot matter."""
     x, y = _validate_xy(features, labels)
-    model = ForestModel(cfg)
+    model = ForestModel()
     n = len(x)
     for label_idx in range(y.shape[1]):
         trees = []
@@ -178,10 +173,13 @@ def forest_train(features, labels, cfg: ForestConfig = ForestConfig()) -> Forest
 def forest_predict(model: ForestModel, features) -> np.ndarray:
     """Fraction of trees voting positive, per label; active iff >= 0.5."""
     features = np.asarray(features, dtype=np.float64)
+    rows = np.arange(len(features))
     scores = np.zeros((len(features), len(model.label_trees)))
     for label_idx, trees in enumerate(model.label_trees):
-        for i, row in enumerate(features):
-            scores[i, label_idx] = sum(_tree_predict(t, row) for t in trees) / len(trees)
+        votes = np.zeros(len(features), dtype=np.int64)
+        for tree in trees:
+            _route(tree, features, rows, votes)
+        scores[:, label_idx] = votes / len(trees)
     return scores
 
 

@@ -99,12 +99,13 @@ def load_config(path) -> RunConfig:
 
     Each value is parsed by the type of its ``RunConfig`` field; relative
     paths are resolved against the config file's directory. A value that does
-    not parse names ``path:line`` and its key.
+    not parse, and a key given twice, name ``path:line`` and the key.
     """
     path = Path(path)
     base = path.parent
     field_types = {f.name: f.type for f in fields(RunConfig)}
     cfg = RunConfig()
+    seen = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -115,6 +116,10 @@ def load_config(path) -> RunConfig:
         kind = field_types.get(key)
         if kind is None:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ValueError(
+                f"{path}:{lineno}: config key {key!r} already set at {path}:{seen[key]}")
+        seen[key] = lineno
         if kind is Path:
             p = Path(value)
             setattr(cfg, key, p if p.is_absolute() else base / p)

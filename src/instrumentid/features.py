@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import SAMPLE_RATE
 
@@ -53,16 +54,12 @@ def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
 
     :returns: ``[mel_bands, frame_size // 2 + 1]``
     """
-    n_bins = cfg.frame_size // 2 + 1
-    bin_mels = hz_to_mel(np.arange(n_bins) * SAMPLE_RATE / cfg.frame_size)
+    bin_mels = hz_to_mel(np.arange(cfg.frame_size // 2 + 1) * SAMPLE_RATE / cfg.frame_size)
     points = np.linspace(0.0, hz_to_mel(SAMPLE_RATE / 2.0), cfg.mel_bands + 2)
-    fb = np.zeros((cfg.mel_bands, n_bins))
-    for j in range(cfg.mel_bands):
-        left, center, right = points[j], points[j + 1], points[j + 2]
-        rise = (bin_mels - left) / (center - left)
-        fall = (right - bin_mels) / (right - center)
-        fb[j] = np.clip(np.minimum(rise, fall), 0.0, None)
-    return fb
+    left, center, right = points[:-2, None], points[1:-1, None], points[2:, None]
+    rise = (bin_mels - left) / (center - left)
+    fall = (right - bin_mels) / (right - center)
+    return np.clip(np.minimum(rise, fall), 0.0, None)
 
 
 def mel_filter_centers_hz(cfg: MfccConfig) -> np.ndarray:
@@ -92,9 +89,7 @@ def mfcc(clip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
         raise ValueError(f"clip must be 1-D, got shape {clip.shape}")
     if len(clip) < cfg.frame_size:
         raise ValueError(f"clip of {len(clip)} samples shorter than frame {cfg.frame_size}")
-    n_frames = (len(clip) - cfg.frame_size) // cfg.hop + 1
-    idx = np.arange(cfg.frame_size)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
-    frames = clip[idx] * np.hanning(cfg.frame_size)[None, :]
+    frames = sliding_window_view(clip, cfg.frame_size)[::cfg.hop] * np.hanning(cfg.frame_size)
     spectrum = np.abs(np.fft.rfft(frames, axis=1))
     mel_energy = spectrum @ mel_filterbank(cfg).T
     log_energy = np.log(mel_energy + LOG_FLOOR)

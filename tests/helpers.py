@@ -310,6 +310,32 @@ def gini_split_loop(values, targets, min_leaf):
     return best
 
 
+def forest_predict_loop(model, features):
+    """Row-by-row, tree-by-tree walk: the fraction of each label's trees voting 1."""
+    scores = np.zeros((len(features), len(model.label_trees)))
+    for label_idx, trees in enumerate(model.label_trees):
+        for i, row in enumerate(features):
+            votes = 0
+            for node in trees:
+                while node.label is None:
+                    node = node.left if row[node.feature] < node.threshold else node.right
+                votes += node.label
+            scores[i, label_idx] = votes / len(trees)
+    return scores
+
+
+def mel_filterbank_loop(bin_mels, points):
+    """One triangular filter per loop pass, rising over [points[j], points[j + 1]]
+    and falling to points[j + 2], both in mels."""
+    fb = np.zeros((len(points) - 2, len(bin_mels)))
+    for j in range(len(points) - 2):
+        left, center, right = points[j], points[j + 1], points[j + 2]
+        rise = (bin_mels - left) / (center - left)
+        fall = (right - bin_mels) / (right - center)
+        fb[j] = np.clip(np.minimum(rise, fall), 0.0, None)
+    return fb
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 

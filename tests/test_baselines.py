@@ -6,10 +6,10 @@ from instrumentid.baselines import (
     LogisticModel, ForestConfig,
     logistic_train, logistic_predict,
     forest_train, forest_predict,
-    majority_baseline, _gini_split,
+    majority_baseline, _best_split,
 )
 
-from helpers import gini_split_loop
+from helpers import forest_predict_loop, gini_split_loop
 
 
 def _binary(labels_1d):
@@ -70,6 +70,20 @@ class TestLogistic:
         with pytest.raises(ValueError, match="binary"):
             logistic_train(np.zeros((4, 2)), np.full((4, 1), 0.5))
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5])
+    def test_rejects_bad_learning_rate(self, rate):
+        # a NaN rate made every weight NaN and every prediction negative
+        x = np.random.default_rng(10).normal(size=(6, 2))
+        with pytest.raises(ValueError, match=f"learning rate must be finite and > 0, got {rate}"):
+            logistic_train(x, _binary([0, 1, 0, 1, 0, 1]), learning_rate=rate)
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_rejects_fewer_than_one_epoch(self, epochs):
+        # zero epochs scored the random initial weights
+        x = np.random.default_rng(10).normal(size=(6, 2))
+        with pytest.raises(ValueError, match=f"epochs must be >= 1, got {epochs}"):
+            logistic_train(x, _binary([0, 1, 0, 1, 0, 1]), epochs=epochs)
+
 
 class TestForest:
     def test_single_stump_reproduces_threshold_rule(self):
@@ -121,16 +135,66 @@ class TestForest:
         s2 = forest_predict(forest_train(x, y, cfg), x)
         np.testing.assert_array_equal(s1, s2)
 
+    def test_seeded_forest_is_pinned(self):
+        # preorder (feature, threshold) of every split and the label of every
+        # leaf, recorded before the split search and routing were vectorised
+        rng = np.random.default_rng(11)
+        x = rng.integers(0, 4, size=(16, 4)) * 0.5
+        y = np.stack([x[:, 0] + x[:, 1] > 1.5, x[:, 2] > x[:, 3]], axis=1).astype(int)
+        y[3] ^= 1
+        model = forest_train(x, y, ForestConfig(trees=2, seed=4))
+
+        def preorder(node):
+            if node.label is not None:
+                return [node.label]
+            return [(node.feature, node.threshold)] + preorder(node.left) + preorder(node.right)
+
+        assert [[preorder(t) for t in trees] for trees in model.label_trees] == [
+            [[(3, 1.25), (1, 0.75), 1, (0, 0.75), 0, 1, 0],
+             [(0, 1.0), 0, (2, 0.75), (2, 0.25), 1, 0, 1]],
+            [[(2, 0.75), 0, 1],
+             [(3, 1.25), (3, 0.25), (1, 0.75), 0, 1, 1, 0]],
+        ]
+
+    def test_predict_matches_per_row_walk(self):
+        # few distinct values, so many test values sit exactly on a threshold
+        rng = np.random.default_rng(12)
+        x = rng.integers(0, 5, size=(50, 4)) * 0.5
+        y = (rng.uniform(size=(50, 3)) < [0.2, 0.5, 0.8]).astype(int)
+        model = forest_train(x, y, ForestConfig(trees=7, seed=5))
+        test = rng.integers(-1, 6, size=(40, 4)) * 0.25
+        test[0, :] = np.nan  # NaN < threshold is false: every NaN goes right
+        test[1, 2] = np.nan
+        got = forest_predict(model, test)
+        np.testing.assert_array_equal(got, forest_predict_loop(model, test))
+        assert got[0].tolist() == forest_predict_loop(model, np.full((1, 4), np.inf))[0].tolist()
+        assert forest_predict(model, test[:0]).shape == (0, 3)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), min_size=1, max_size=40))
     def test_gini_split_matches_boundary_loop(self, rows):
         # few distinct values, so tied values and tied impurities are common
         values = np.array([v for v, _ in rows], dtype=np.float64) * 0.5
         targets = np.array([t for _, t in rows], dtype=np.float64)
-        got = _gini_split(values, targets)
+        impurity, column, threshold = _best_split(values[:, None], targets)
         want = gini_split_loop(values, targets, min_leaf=1)
-        assert got == want
-        assert type(got[1]) is type(want[1])
+        assert (impurity, threshold) == want
+        assert type(threshold) is type(want[1])
+        assert column == (None if want[1] is None else 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda k: st.lists(
+        st.tuples(st.lists(st.integers(0, 3), min_size=k, max_size=k), st.integers(0, 1)),
+        min_size=1, max_size=30)))
+    def test_best_split_takes_first_column_with_least_impurity(self, rows):
+        x = np.array([v for v, _ in rows], dtype=np.float64) * 0.5
+        targets = np.array([t for _, t in rows], dtype=np.float64)
+        want = (np.inf, None, None)
+        for column in range(x.shape[1]):
+            impurity, threshold = gini_split_loop(x[:, column], targets, min_leaf=1)
+            if impurity < want[0]:
+                want = (impurity, column, threshold)
+        assert _best_split(x, targets) == want
 
 
 class TestMajority:

@@ -75,6 +75,15 @@ def test_unknown_key_rejected(tmp_path):
         load_config(p)
 
 
+def test_key_given_twice_names_both_lines(tmp_path):
+    # the later line used to win without a word
+    p = tmp_path / "run.cfg"
+    p.write_text("epochs = 3\n# more\nepochs = 5\n")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{p}:3: config key 'epochs' already set at {p}:1")):
+        load_config(p)
+
+
 def test_bad_boolean_rejected(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("reduced = maybe\n")

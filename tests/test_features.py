@@ -9,7 +9,7 @@ from instrumentid.features import (
     LOG_FLOOR,
 )
 
-from helpers import deltas_naive
+from helpers import deltas_naive, mel_filterbank_loop
 
 
 CFG = MfccConfig()
@@ -49,6 +49,12 @@ class TestMelFilterbank:
     def test_each_bin_in_at_most_two_filters(self):
         fb = mel_filterbank(CFG)
         assert ((fb > 0).sum(axis=0) <= 2).all()
+
+    @pytest.mark.parametrize("cfg", [CFG, MfccConfig(frame_size=256, mel_bands=7, num_coeffs=3)])
+    def test_matches_per_band_loop(self, cfg):
+        bin_mels = hz_to_mel(np.arange(cfg.frame_size // 2 + 1) * SAMPLE_RATE / cfg.frame_size)
+        points = np.linspace(0.0, hz_to_mel(SAMPLE_RATE / 2.0), cfg.mel_bands + 2)
+        assert np.array_equal(mel_filterbank(cfg), mel_filterbank_loop(bin_mels, points))
 
     def test_centers_increase(self):
         centers = mel_filter_centers_hz(CFG)
