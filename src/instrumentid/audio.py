@@ -1,5 +1,5 @@
 """WAV reading: :class:`WavFile` maps a track, checks its header once and
-decodes only the bytes of the one-second clip asked for, downmixed to mono."""
+decodes only the frames of the one-second clip asked for, downmixed to mono."""
 
 import contextlib
 import mmap
@@ -89,10 +89,11 @@ def parse_wav(raw, format_code: int, channels: int, bits: int) -> np.ndarray:
     """
     if format_code == 3:
         values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        values = np.clip(values, -1.0, 1.0)
-        # integer PCM cannot hold NaN or inf, so only floats need the check
+        # integer PCM cannot hold NaN or inf, so only floats need the check;
+        # it comes before the clip, which would turn an inf into +-1
         if not np.isfinite(values).all():
             raise WavFormatError("non-finite sample values in data chunk")
+        values = np.clip(values, -1.0, 1.0)
     elif bits == 16:
         values = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 2.0 ** 15
     elif bits == 32:
@@ -134,16 +135,28 @@ class WavFile(contextlib.AbstractContextManager):
         self._clip_bytes = CLIP_SAMPLES * self._format[1] * self._format[2] // 8
         self.clips = frames // CLIP_SAMPLES
 
-    def clip(self, i: int) -> np.ndarray:
-        """Seconds ``i`` to ``i + 1`` as float32 mono, decoded from their own bytes."""
+    def clip(self, i: int, length: int = CLIP_SAMPLES) -> np.ndarray:
+        """Seconds ``i`` to ``i + 1`` as ``length`` float32 mono samples.
+
+        Sample ``k`` is frame ``k * (CLIP_SAMPLES // length)`` of the clip:
+        every frame at full length, a plain decimation without an
+        anti-alias filter below it. Only the picked frames are decoded, but
+        a float clip must be finite over the whole second.
+        """
+        if not 1 <= length <= CLIP_SAMPLES:
+            raise ValueError(f"{self.path}: clip length {length} is outside 1..{CLIP_SAMPLES}")
         if not 0 <= i < self.clips:  # named as prepare_dataset names the track
             raise ValueError(f"{self.path}: clip {Path(self.path).stem}:{i} is outside "
                              f"its {self.clips} whole clips")
-        start = self._offset + i * self._clip_bytes
-        try:
-            return parse_wav(self._map[start:start + self._clip_bytes], *self._format)
-        except WavFormatError as err:
-            raise WavFormatError(f"{self.path}: {err}") from None
+        frames = np.frombuffer(self._map, np.uint8, self._clip_bytes,
+                               self._offset + i * self._clip_bytes).reshape(CLIP_SAMPLES, -1)
+        finite = self._format[0] != 3 or np.isfinite(frames.view("<f4")).all()
+        raw = frames[::CLIP_SAMPLES // length][:length].tobytes()
+        del frames  # a live view of the map would make close() raise BufferError
+        if not finite:  # parse_wav raises on nothing else, so it cannot fail after this
+            raise WavFormatError(f"{self.path}: non-finite sample values in clip "
+                                 f"{Path(self.path).stem}:{i}")
+        return parse_wav(raw, *self._format)
 
     def __exit__(self, *exc):
         self._map.close()

@@ -25,6 +25,11 @@ def _validate_xy(features, labels):
         raise ValueError("empty training set")
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be binary 0/1")
+    bad = np.argwhere(~np.isfinite(features))
+    if len(bad):  # a NaN threshold would split a node into itself forever
+        row, col = bad[0]
+        raise ValueError(f"non-finite training feature {features[row, col]} "
+                         f"at row {row}, column {col}")
     return features, labels.astype(np.float64)
 
 

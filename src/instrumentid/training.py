@@ -38,12 +38,6 @@ def architecture(config: RunConfig):
     return table1_layers(config.drop_rate), FULL_INPUT_LENGTH
 
 
-def reduce_clip(samples, input_length: int) -> np.ndarray:
-    """Decimate a full one-second clip down to the reduced input length."""
-    stride = CLIP_SAMPLES // input_length
-    return samples[::stride][:input_length]
-
-
 @dataclass
 class LoadedDataset:
     clips: np.ndarray   # [n, 1, input_length] float32, GCN applied
@@ -51,28 +45,27 @@ class LoadedDataset:
     ids: list           # "track:clip" strings, manifest order
 
 
-def iter_raw_clips(rows):
+def iter_raw_clips(rows, length: int = CLIP_SAMPLES):
     """Yield the raw one-second clips named by manifest rows, in row order.
 
-    Each clip decodes only its own bytes; consecutive rows of one
-    ``source_path`` share one open track.
+    Each clip decodes only its own ``length`` picked frames (see
+    ``audio.WavFile.clip``); consecutive rows of one ``source_path`` share
+    one open track.
     """
     for path, track_rows in itertools.groupby(rows, key=lambda row: row.source_path):
         with audio.WavFile(path) as track:
             for row in track_rows:
-                yield track.clip(row.clip_index)
+                yield track.clip(row.clip_index, length)
 
 
 def load_dataset(rows, input_length: int) -> LoadedDataset:
-    """Decode, decimate if reduced, and contrast-normalize manifest clips."""
+    """Decode ``input_length`` samples of each manifest clip and contrast-normalize them."""
     if not rows:
         raise ValueError("empty manifest row list")
     clips = np.empty((len(rows), 1, input_length), dtype=np.float32)
     labels = np.empty((len(rows), len(rows[0].labels)), dtype=np.uint8)
     ids = []
-    for i, (row, clip) in enumerate(zip(rows, iter_raw_clips(rows))):
-        if input_length != CLIP_SAMPLES:
-            clip = reduce_clip(clip, input_length)
+    for i, (row, clip) in enumerate(zip(rows, iter_raw_clips(rows, input_length))):
         clips[i, 0] = global_contrast_normalize(clip)
         labels[i] = row.labels
         ids.append(f"{row.track_id}:{row.clip_index}")

@@ -7,6 +7,7 @@ import pytest
 from instrumentid.audio import CLIP_SAMPLES, WavFile, WavFormatError, parse_wav_header
 from instrumentid.config import RunConfig
 from instrumentid.dataset import ManifestRow, prepare_dataset, read_manifest
+from instrumentid.nn import REDUCED_INPUT_LENGTH
 from instrumentid.training import iter_raw_clips
 
 from helpers import decode_wav, encode_wav, encode_int16_wav, write_corpus
@@ -56,6 +57,14 @@ def test_downmix_bit_identical_to_channel_mean(bits, format_code, channels):
 
 def test_non_finite_float_samples_rejected():
     data = encode_wav(np.array([0.0, np.nan, 0.5]), bits=32, format_code=3)
+    with pytest.raises(WavFormatError, match="non-finite"):
+        decode_wav(data)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_infinite_float_samples_rejected(value):
+    # clipped to [-1, 1] before the check, an inf would pass as +-1
+    data = encode_wav(np.array([0.0, value, 0.5]), bits=32, format_code=3)
     with pytest.raises(WavFormatError, match="non-finite"):
         decode_wav(data)
 
@@ -208,6 +217,47 @@ class TestWavFile:
         np.testing.assert_array_equal(track.clip(0), np.zeros(CLIP_SAMPLES, np.float32))
         with pytest.raises(WavFormatError, match=re.escape(str(path)) + ": non-finite"):
             track.clip(1)
+
+    @pytest.mark.parametrize("bits,channels,format_code", [
+        (16, 1, 1), (16, 2, 1), (24, 1, 1), (24, 2, 1),
+        (32, 1, 1), (32, 2, 1), (32, 1, 3), (32, 2, 3),
+    ])
+    def test_short_clip_is_every_stride_th_sample(self, tmp_path, bits, channels, format_code):
+        frames = np.random.default_rng(bits + channels).uniform(
+            -1.0, 1.0, size=(2 * CLIP_SAMPLES + 3, channels))
+        path = tmp_path / "any.wav"
+        path.write_bytes(encode_wav(frames, bits=bits, channels=channels,
+                                    format_code=format_code))
+        with WavFile(path) as track:
+            for i in range(track.clips):
+                full = track.clip(i)
+                for length in (REDUCED_INPUT_LENGTH, 300, 1, CLIP_SAMPLES):
+                    got = track.clip(i, length)
+                    assert got.dtype == np.float32
+                    assert np.array_equal(got, full[::CLIP_SAMPLES // length][:length])
+
+    @pytest.mark.parametrize("length", [0, -1, CLIP_SAMPLES + 1])
+    def test_length_outside_the_clip_names_it(self, tmp_path, length):
+        path = tmp_path / "two.wav"
+        path.write_bytes(encode_wav(np.zeros(2 * CLIP_SAMPLES), bits=16))
+        with WavFile(path) as track, pytest.raises(
+                ValueError, match=re.escape(f"{path}: clip length {length} is outside 1..")):
+            track.clip(0, length)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("frame", [7, 220], ids=["skipped", "picked"])
+    def test_non_finite_sample_fails_a_reduced_load(self, tmp_path, value, frame):
+        # a 200-sample clip picks every 220th frame, but the whole second must be finite
+        samples = np.zeros(2 * CLIP_SAMPLES)
+        samples[CLIP_SAMPLES + frame] = value
+        path = tmp_path / "nan.wav"
+        path.write_bytes(encode_wav(samples, bits=32, format_code=3))
+        rows = [ManifestRow("nan", i, str(path), np.zeros(2, dtype=np.uint8)) for i in (0, 1)]
+        clips = iter_raw_clips(rows, REDUCED_INPUT_LENGTH)
+        np.testing.assert_array_equal(next(clips), np.zeros(REDUCED_INPUT_LENGTH, np.float32))
+        # leaving the track's with block must not turn this into a BufferError
+        with pytest.raises(WavFormatError, match=re.escape(str(path)) + ": non-finite"):
+            next(clips)
 
     @pytest.mark.parametrize("index", [-1, 2])
     def test_index_outside_the_track_names_the_clip(self, tmp_path, index):

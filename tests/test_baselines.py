@@ -197,6 +197,21 @@ class TestForest:
         assert _best_split(x, targets) == want
 
 
+@pytest.mark.parametrize("train", [
+    lambda x, y: logistic_train(x, y),
+    lambda x, y: forest_train(x, y, ForestConfig(trees=1)),
+], ids=["logistic", "forest"])
+@pytest.mark.parametrize("column,where", [
+    ([0.0, 1.0, np.nan, 2.0], "nan at row 2, column 1"),
+    ([-np.inf, 1.0, np.inf, 2.0], "-inf at row 0, column 1"),  # their midpoint is NaN
+], ids=["nan", "inf-pair"])
+def test_non_finite_training_feature_names_row_and_column(train, column, where):
+    # a NaN threshold splits a forest node into itself, and a NaN std drops the column
+    x = np.stack([np.arange(4.0), column], axis=1)
+    with pytest.raises(ValueError, match=f"non-finite training feature {where}$"):
+        train(x, _binary([0, 1, 0, 1]))
+
+
 class TestMajority:
     def test_top_three_by_count(self):
         labels = np.zeros((20, 11), dtype=int)

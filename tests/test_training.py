@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import instrumentid.audio
-from instrumentid.audio import CLIP_SAMPLES
+from instrumentid.audio import CLIP_SAMPLES, WavFile
 from instrumentid.config import RunConfig
 from instrumentid.dataset import prepare_dataset, read_manifest, ManifestRow
 from instrumentid.nn import REDUCED_INPUT_LENGTH
 from instrumentid.training import (
     _point_best, architecture, check_params_match, evaluate_model,
-    global_contrast_normalize, iter_raw_clips, load_dataset, reduce_clip, train_model,
+    global_contrast_normalize, iter_raw_clips, load_dataset, train_model,
 )
 
 from helpers import decode_wav, encode_wav, synthetic_clip_dataset, write_corpus
@@ -48,11 +48,15 @@ class TestGcn:
         assert out.dtype == np.float32
 
 
-def test_reduce_clip_decimates():
-    clip = np.arange(CLIP_SAMPLES, dtype=np.float32)
-    out = reduce_clip(clip, REDUCED_INPUT_LENGTH)
+def test_reduce_clip_decimates(tmp_path):
+    # a ramp whose sample k decodes to exactly k / 2^16: 32-bit PCM holds k * 2^15
+    path = tmp_path / "ramp.wav"
+    path.write_bytes(encode_wav(np.arange(CLIP_SAMPLES) / 2.0 ** 16, bits=32, format_code=1))
+    with WavFile(path) as track:
+        out = track.clip(0, REDUCED_INPUT_LENGTH) * 2.0 ** 16
     assert out.shape == (REDUCED_INPUT_LENGTH,)
     assert out[0] == 0.0 and out[1] == 220.0
+    np.testing.assert_array_equal(out, np.arange(REDUCED_INPUT_LENGTH) * 220.0)
 
 
 synthetic_dataset = synthetic_clip_dataset
@@ -307,7 +311,7 @@ class TestLoadDataset:
         assert calls == []
         rows = read_manifest(cfg.train_manifest())[0] + read_manifest(cfg.test_manifest())[0]
         assert len({r.source_path for r in rows}) == 3 and len(rows) == 9
-        clip_bytes = CLIP_SAMPLES * 2  # 16-bit mono frames
+        clip_bytes = REDUCED_INPUT_LENGTH * 2  # the picked 16-bit mono frames
         grouped = load_dataset(rows, REDUCED_INPUT_LENGTH)
         assert calls == [clip_bytes] * 9
         # rows interleaved across tracks decode the same bytes into the same clips
