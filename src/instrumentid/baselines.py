@@ -33,6 +33,14 @@ def _validate_xy(features, labels):
     return features, labels.astype(np.float64)
 
 
+def _check_width(features, width: int) -> np.ndarray:
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != width:
+        raise ValueError(f"model was trained on {width} feature columns, "
+                         f"got features of shape {features.shape}")
+    return features
+
+
 @dataclass
 class LogisticModel:
     """Per-label logistic weights over z-scored features.
@@ -48,14 +56,20 @@ class LogisticModel:
     weights: np.ndarray
 
     def transform(self, features) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
+        features = _check_width(features, len(self.mean))
         z = (features[:, self.kept] - self.mean[self.kept]) / self.std[self.kept]
         return np.hstack([z, np.ones((len(z), 1))])
 
 
 def logistic_train(features, labels, learning_rate: float = 0.5,
                    epochs: int = 500, seed: int = 0) -> LogisticModel:
-    """Full-batch gradient descent on the mean BCE, one model per label column."""
+    """Full-batch gradient descent on the mean BCE, one model per label column.
+
+    Each epoch is ``w -= lr * xz.T @ (sigmoid(xz @ w) - y) / n``, run
+    label-major: the weights are held as ``[labels, dims]`` against
+    contiguous transposed copies of ``xz`` and ``y`` made once, which puts
+    both products in BLAS's fast orientation.
+    """
     if not 0 < learning_rate < np.inf:  # NaN fails too
         raise ValueError(f"learning rate must be finite and > 0, got {learning_rate}")
     if not epochs >= 1:
@@ -68,11 +82,13 @@ def logistic_train(features, labels, learning_rate: float = 0.5,
     xz = model.transform(x)
     n, d = xz.shape
     rng = np.random.default_rng(seed)
-    w = rng.uniform(-1e-3, 1e-3, size=(d, y.shape[1]))
+    w = rng.uniform(-1e-3, 1e-3, size=(d, y.shape[1])).T.copy()
+    xt = np.ascontiguousarray(xz.T)
+    yt = np.ascontiguousarray(y.T)
     for _ in range(epochs):
-        p = sigmoid(xz @ w)
-        w -= learning_rate * (xz.T @ (p - y)) / n
-    model.weights = w
+        p = sigmoid(w @ xt)
+        w -= learning_rate * ((p - yt) @ xz) / n
+    model.weights = np.ascontiguousarray(w.T)
     return model
 
 
@@ -153,6 +169,7 @@ def _route(node: _Node, x, rows, votes) -> None:
 
 @dataclass
 class ForestModel:
+    width: int  # feature columns seen in training
     label_trees: list = field(default_factory=list)  # one tree list per label
 
 
@@ -162,7 +179,7 @@ def forest_train(features, labels, cfg: ForestConfig = ForestConfig()) -> Forest
     and midpoint thresholds. Tree seeds are ``seed + tree index`` (trees
     numbered across labels), so training order cannot matter."""
     x, y = _validate_xy(features, labels)
-    model = ForestModel()
+    model = ForestModel(x.shape[1])
     n = len(x)
     for label_idx in range(y.shape[1]):
         trees = []
@@ -177,7 +194,7 @@ def forest_train(features, labels, cfg: ForestConfig = ForestConfig()) -> Forest
 
 def forest_predict(model: ForestModel, features) -> np.ndarray:
     """Fraction of trees voting positive, per label; active iff >= 0.5."""
-    features = np.asarray(features, dtype=np.float64)
+    features = _check_width(features, model.width)
     rows = np.arange(len(features))
     scores = np.zeros((len(features), len(model.label_trees)))
     for label_idx, trees in enumerate(model.label_trees):

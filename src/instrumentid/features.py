@@ -1,6 +1,7 @@
 """MFCC / delta features with Gaussian summarization for the shallow baselines."""
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,24 +77,40 @@ def dct_matrix(n: int) -> np.ndarray:
     return g
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@cache
+def _mfcc_constants(cfg: MfccConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only Hann window, ``mel_filterbank(cfg).T`` and the kept DCT rows
+    (transposed), built once per config."""
+    return (_read_only(np.hanning(cfg.frame_size)),
+            _read_only(mel_filterbank(cfg)).T,
+            _read_only(dct_matrix(cfg.mel_bands))[:cfg.num_coeffs].T)
+
+
 def mfcc(clip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     """Mel-frequency cepstral coefficients, one row per analysis frame.
 
     Per frame: Hann window, magnitude spectrum, triangular mel filterbank,
     ``log(energy + 1e-10)``, orthonormal DCT-II keeping the first
     ``num_coeffs`` coefficients. Frames are non-padded:
-    ``(len(clip) - frame_size) // hop + 1`` of them.
+    ``(len(clip) - frame_size) // hop + 1`` of them. The window, filterbank
+    and DCT rows are built once per ``cfg`` and shared, read-only, by every
+    later call with an equal config.
     """
     clip = np.asarray(clip, dtype=np.float64)
     if clip.ndim != 1:
         raise ValueError(f"clip must be 1-D, got shape {clip.shape}")
     if len(clip) < cfg.frame_size:
         raise ValueError(f"clip of {len(clip)} samples shorter than frame {cfg.frame_size}")
-    frames = sliding_window_view(clip, cfg.frame_size)[::cfg.hop] * np.hanning(cfg.frame_size)
+    window, filters, dct_rows = _mfcc_constants(cfg)
+    frames = sliding_window_view(clip, cfg.frame_size)[::cfg.hop] * window
     spectrum = np.abs(np.fft.rfft(frames, axis=1))
-    mel_energy = spectrum @ mel_filterbank(cfg).T
-    log_energy = np.log(mel_energy + LOG_FLOOR)
-    return log_energy @ dct_matrix(cfg.mel_bands)[:cfg.num_coeffs].T
+    log_energy = np.log(spectrum @ filters + LOG_FLOOR)
+    return log_energy @ dct_rows
 
 
 def deltas(coeffs) -> tuple[np.ndarray, np.ndarray]:
@@ -131,8 +148,13 @@ def gaussian_fit(stacked) -> np.ndarray:
     mean = stacked.mean(axis=0)
     centered = stacked - mean
     cov = centered.T @ centered / (frames - 1)
-    iu = np.triu_indices(d)
-    return np.concatenate([mean, cov[iu]])
+    return np.concatenate([mean, cov[_upper_triangle(d)]])
+
+
+@cache
+def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(d)``, built once per ``d``."""
+    return tuple(_read_only(i) for i in np.triu_indices(d))
 
 
 def clip_features(clip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:

@@ -521,14 +521,12 @@ def fully_connected_backward(x, weights, grad_out):
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, branching on the sign of x."""
+    """Numerically stable logistic function: one ``e = exp(-|x|)``, then
+    ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere (NaN too)."""
     x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return out if np.issubdtype(x.dtype, np.floating) else out.astype(np.float64)
 
 
 def sigmoid_backward(out, grad_out):

@@ -362,3 +362,25 @@ def relative_error(a, b, floor=1e-8):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def sigmoid_two_branch(x):
+    """The logistic function with one exp per sign of x, the negative and
+    non-negative entries gathered and scattered separately."""
+    x = np.asarray(x)
+    out = np.empty_like(x, dtype=x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def logistic_descent_loop(xz, y, learning_rate, epochs, seed):
+    """The documented per-epoch update on ``[dims, labels]`` weights, with the
+    seeded initial draw of ``logistic_train``."""
+    n, d = xz.shape
+    w = np.random.default_rng(seed).uniform(-1e-3, 1e-3, size=(d, y.shape[1]))
+    for _ in range(epochs):
+        w -= learning_rate * xz.T @ (sigmoid_two_branch(xz @ w) - y) / n
+    return w

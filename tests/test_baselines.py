@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from instrumentid.baselines import (
     majority_baseline, _best_split,
 )
 
-from helpers import forest_predict_loop, gini_split_loop
+from helpers import forest_predict_loop, gini_split_loop, logistic_descent_loop
 
 
 def _binary(labels_1d):
@@ -65,6 +67,15 @@ class TestLogistic:
         w1 = logistic_train(x, y, epochs=20, seed=9).weights
         w2 = logistic_train(x, y, epochs=20, seed=9).weights
         np.testing.assert_array_equal(w1, w2)
+
+    def test_weights_match_documented_update_loop(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(40, 60))
+        y = (rng.uniform(size=(40, 3)) < [0.3, 0.5, 0.7]).astype(int)
+        model = logistic_train(x, y, learning_rate=0.5, epochs=500, seed=6)
+        want = logistic_descent_loop(model.transform(x), y.astype(np.float64), 0.5, 500, 6)
+        assert model.weights.shape == (61, 3) and model.weights.flags.c_contiguous
+        np.testing.assert_allclose(model.weights, want, rtol=1e-12)
 
     def test_rejects_non_binary_labels(self):
         with pytest.raises(ValueError, match="binary"):
@@ -210,6 +221,20 @@ def test_non_finite_training_feature_names_row_and_column(train, column, where):
     x = np.stack([np.arange(4.0), column], axis=1)
     with pytest.raises(ValueError, match=f"non-finite training feature {where}$"):
         train(x, _binary([0, 1, 0, 1]))
+
+
+@pytest.mark.parametrize("predict,train", [
+    (logistic_predict, lambda x, y: logistic_train(x, y, epochs=5)),
+    (forest_predict, lambda x, y: forest_train(x, y, ForestConfig(trees=2))),
+], ids=["logistic", "forest"])
+@pytest.mark.parametrize("shape", [(5, 2), (5, 4), (3,)], ids=["narrower", "wider", "1-d"])
+def test_predict_rejects_another_feature_width(predict, train, shape):
+    # unchecked, a forest routes a wider matrix on whichever columns its splits name
+    x = np.random.default_rng(14).normal(size=(8, 3))
+    model = train(x, _binary([0, 1] * 4))
+    want = f"trained on 3 feature columns, got features of shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(want) + "$"):
+        predict(model, np.zeros(shape))
 
 
 class TestMajority:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from instrumentid import features
 from instrumentid.audio import SAMPLE_RATE
 from instrumentid.features import (
     MfccConfig, mel_filterbank, mel_filter_centers_hz, dct_matrix,
@@ -83,6 +84,37 @@ class TestMfcc:
         centers_mel = hz_to_mel(mel_filter_centers_hz(CFG))
         nearest = int(np.argmin(np.abs(centers_mel - hz_to_mel(1000.0))))
         assert int(np.argmax(energies)) == nearest
+
+    def test_constants_built_once_per_config(self, monkeypatch):
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return mel_filterbank(cfg)
+
+        monkeypatch.setattr(features, "mel_filterbank", counted)
+        features._mfcc_constants.cache_clear()
+        clip = np.random.default_rng(17).normal(size=8000)
+        small = MfccConfig(frame_size=512, hop=256, mel_bands=20, num_coeffs=6)
+        outs = [mfcc(clip, small) for _ in range(5)]
+        assert calls == [small]
+        mfcc(clip, CFG)
+        mfcc(clip, MfccConfig())  # an equal config shares the entry
+        assert calls == [small, CFG]
+        for cached in features._mfcc_constants(small):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 1.0
+        for rows in features._upper_triangle(4):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 1
+
+        frames = (len(clip) - small.frame_size) // small.hop + 1
+        idx = np.arange(small.frame_size)[None, :] + small.hop * np.arange(frames)[:, None]
+        spectrum = np.abs(np.fft.rfft(clip[idx] * np.hanning(small.frame_size), axis=1))
+        log_energy = np.log(spectrum @ mel_filterbank(small).T + LOG_FLOOR)
+        fresh = log_energy @ dct_matrix(small.mel_bands)[:small.num_coeffs].T
+        for out in outs:
+            assert np.array_equal(out, fresh)
 
     def test_clip_shorter_than_frame_rejected(self):
         with pytest.raises(ValueError, match="shorter than frame"):

@@ -16,6 +16,7 @@ from instrumentid.nn import model as nnm
 
 from helpers import (
     conv_naive, maxpool_naive, maxpool_window_argmax, numeric_gradient, relative_error,
+    sigmoid_two_branch,
 )
 
 FD_TOL = 1e-4  # the acceptance suite's gradient tolerance
@@ -456,6 +457,21 @@ class TestReluSigmoidDropout:
         x = np.linspace(-30, 30, 101)
         out = sigmoid(x)
         assert ((out > 0) & (out < 1)).all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("zero_d", [False, True], ids=["vector", "0-d"])
+    def test_sigmoid_matches_two_branch_formula_bit_for_bit(self, dtype, zero_d):
+        edges = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
+        x = np.concatenate([edges, 30 * np.random.default_rng(16).normal(size=10**5)])
+        if dtype is np.int64:
+            x = np.rint(x[np.isfinite(x)])
+        x = x.astype(dtype)
+        inputs = list(x[:9]) if zero_d else [x]  # the edges and two draws
+        for v in inputs:
+            v = np.asarray(v)
+            got, want = sigmoid(v), sigmoid_two_branch(v)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
 
     def test_sigmoid_gradient(self):
         rng = np.random.default_rng(12)
