@@ -20,10 +20,7 @@ class FilterSpectrum:
 
 
 def _fft_length(filter_size: int) -> int:
-    n = MIN_FFT_LEN
-    while n < filter_size:
-        n *= 2
-    return n
+    return max(MIN_FFT_LEN, 1 << (filter_size - 1).bit_length())
 
 
 def filter_spectra(first_layer_weights) -> list[FilterSpectrum]:

@@ -74,6 +74,8 @@ def logistic_train(features, labels, learning_rate: float = 0.5,
         raise ValueError(f"learning rate must be finite and > 0, got {learning_rate}")
     if not epochs >= 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     x, y = _validate_xy(features, labels)
     mean = x.mean(axis=0)
     std = x.std(axis=0)
@@ -105,15 +107,8 @@ class ForestConfig:
     def __post_init__(self):
         if self.trees < 1:
             raise ValueError(f"need at least one tree, got {self.trees}")
-
-
-@dataclass(slots=True)
-class _Node:
-    label: int | None = None  # set on leaves only
-    feature: int | None = None
-    threshold: float | None = None
-    left: "_Node | None" = None
-    right: "_Node | None" = None
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _best_split(x, y):
@@ -139,38 +134,34 @@ def _best_split(x, y):
     return (gini[b, column], column, 0.5 * (v[b, column] + v[b + 1, column]))
 
 
-def _grow_tree(x, y, rng) -> _Node:
-    """Split until every leaf is pure or no candidate feature varies."""
+def _grow_tree(x, y, rng, nodes: list) -> None:
+    """Append one tree to ``nodes`` in preorder: ``[feature, threshold, right]``
+    for a split (its left child is the next node), ``[-1, label, -1]`` for a
+    leaf. Split until every leaf is pure or no candidate feature varies."""
     n = len(y)
     pos = int(y.sum())
-    if pos == 0 or pos == n:
-        return _Node(label=int(pos * 2 >= n))
-    d = x.shape[1]
-    candidates = rng.choice(d, size=int(round(np.sqrt(d))), replace=False)
-    _, column, threshold = _best_split(x[:, candidates], y)
+    column = None
+    if 0 < pos < n:
+        d = x.shape[1]
+        candidates = rng.choice(d, size=int(round(np.sqrt(d))), replace=False)
+        _, column, threshold = _best_split(x[:, candidates], y)
     if column is None:
-        return _Node(label=int(pos * 2 >= n))
-    feature = candidates[column]
-    mask = x[:, feature] < threshold
-    left = _grow_tree(x[mask], y[mask], rng)
-    right = _grow_tree(x[~mask], y[~mask], rng)
-    return _Node(feature=int(feature), threshold=float(threshold), left=left, right=right)
-
-
-def _route(node: _Node, x, rows, votes) -> None:
-    """Add each leaf's label to ``votes`` at the ``rows`` of ``x`` that reach it."""
-    if node.label is not None:
-        votes[rows] += node.label
-    elif len(rows):
-        goes_left = x[rows, node.feature] < node.threshold
-        _route(node.left, x, rows[goes_left], votes)
-        _route(node.right, x, rows[~goes_left], votes)
+        nodes.append([-1, int(pos * 2 >= n), -1])
+        return
+    split = [int(candidates[column]), float(threshold), -1]
+    nodes.append(split)
+    mask = x[:, split[0]] < threshold
+    _grow_tree(x[mask], y[mask], rng, nodes)
+    split[2] = len(nodes)
+    _grow_tree(x[~mask], y[~mask], rng, nodes)
 
 
 @dataclass
 class ForestModel:
     width: int  # feature columns seen in training
-    label_trees: list = field(default_factory=list)  # one tree list per label
+    # per label, one node table (roots, feature, value, right) of all its trees
+    # in _grow_tree's preorder; roots index each tree's first node
+    tables: list = field(default_factory=list)
 
 
 def forest_train(features, labels, cfg: ForestConfig = ForestConfig()) -> ForestModel:
@@ -182,26 +173,30 @@ def forest_train(features, labels, cfg: ForestConfig = ForestConfig()) -> Forest
     model = ForestModel(x.shape[1])
     n = len(x)
     for label_idx in range(y.shape[1]):
-        trees = []
+        roots, nodes = [], []
         target = y[:, label_idx]
         for t in range(cfg.trees):
             rng = np.random.default_rng(cfg.seed + label_idx * cfg.trees + t)
             boot = rng.integers(0, n, size=n)
-            trees.append(_grow_tree(x[boot], target[boot], rng))
-        model.label_trees.append(trees)
+            roots.append(len(nodes))
+            _grow_tree(x[boot], target[boot], rng, nodes)
+        feature, value, right = np.array(nodes).T.copy()
+        model.tables.append((np.array(roots), feature.astype(np.intp), value, right.astype(np.intp)))
     return model
 
 
 def forest_predict(model: ForestModel, features) -> np.ndarray:
-    """Fraction of trees voting positive, per label; active iff >= 0.5."""
+    """Fraction of trees voting positive, per label; active iff >= 0.5. Each
+    step moves every (tree, row) pair of a label one level down, NaN to the right."""
     features = _check_width(features, model.width)
     rows = np.arange(len(features))
-    scores = np.zeros((len(features), len(model.label_trees)))
-    for label_idx, trees in enumerate(model.label_trees):
-        votes = np.zeros(len(features), dtype=np.int64)
-        for tree in trees:
-            _route(tree, features, rows, votes)
-        scores[:, label_idx] = votes / len(trees)
+    scores = np.zeros((len(features), len(model.tables)))
+    for label_idx, (roots, feature, value, right) in enumerate(model.tables):
+        node = np.repeat(roots[:, None], len(rows), axis=1)  # [trees, rows]
+        while (split := right[node] >= 0).any():
+            goes_left = features[rows, feature[node]] < value[node]
+            node = np.where(split, np.where(goes_left, node + 1, right[node]), node)
+        scores[:, label_idx] = value[node].sum(axis=0) / len(roots)
     return scores
 
 

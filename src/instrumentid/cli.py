@@ -44,7 +44,8 @@ def _manifest_features(config: RunConfig, split: str, rows, log):
     """Per-clip feature matrix for one manifest, cached in ``features_{split}.npz``.
 
     The archive holds ``key``, the sha256 of the cache version, the MFCC
-    config and each row's clip in order, and ``features``, float32
+    config, each row's clip in order and each source file's size and
+    modification time, and ``features``, float32
     ``[clips, dims]``. A missing, unreadable or stale cache is recomputed and
     replaced. The result is always float32-rounded, so the baselines see the
     same features with or without a cache.
@@ -53,6 +54,9 @@ def _manifest_features(config: RunConfig, split: str, rows, log):
     digest = hashlib.sha256(f"{FEATURE_CACHE_VERSION}\n{cfg!r}\n".encode())
     for row in rows:
         digest.update(f"{row.source_path}\t{row.clip_index}\n".encode())
+    for path in dict.fromkeys(row.source_path for row in rows):  # audio rewritten in place
+        stat = Path(path).stat()
+        digest.update(f"{path}\t{stat.st_size}\t{stat.st_mtime_ns}\n".encode())
     key = digest.hexdigest()
     cache = Path(config.output_dir) / f"features_{split}.npz"
     if cache.exists():

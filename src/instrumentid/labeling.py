@@ -260,9 +260,12 @@ def stratified_split(track_labels: dict, test_fraction: float = 0.2,
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test fraction must be in (0, 1), got {test_fraction}")
     ids = sorted(track_labels)
-    labels = np.asarray([np.asarray(track_labels[t]).ravel() for t in ids])
-    if labels.ndim != 2:
-        raise ValueError("track label vectors must share one length")
+    vectors = [np.asarray(track_labels[t]).ravel() for t in ids]
+    for track, vector in zip(ids, vectors):
+        if len(vector) != len(vectors[0]):
+            raise ValueError(f"track label vectors must share one length: track {track!r} "
+                             f"has {len(vector)}, track {ids[0]!r} has {len(vectors[0])}")
+    labels = np.asarray(vectors)
     n_tracks, n_labels = labels.shape
     rng = np.random.default_rng(seed)
 

@@ -311,16 +311,17 @@ def gini_split_loop(values, targets, min_leaf):
 
 
 def forest_predict_loop(model, features):
-    """Row-by-row, tree-by-tree walk: the fraction of each label's trees voting 1."""
-    scores = np.zeros((len(features), len(model.label_trees)))
-    for label_idx, trees in enumerate(model.label_trees):
+    """Row-by-row, tree-by-tree walk over each label's node table: the fraction
+    of its trees voting 1. A split's left child is the next node."""
+    scores = np.zeros((len(features), len(model.tables)))
+    for label_idx, (roots, feature, value, right) in enumerate(model.tables):
         for i, row in enumerate(features):
             votes = 0
-            for node in trees:
-                while node.label is None:
-                    node = node.left if row[node.feature] < node.threshold else node.right
-                votes += node.label
-            scores[i, label_idx] = votes / len(trees)
+            for node in roots:
+                while right[node] >= 0:
+                    node = node + 1 if row[feature[node]] < value[node] else right[node]
+                votes += value[node]
+            scores[i, label_idx] = votes / len(roots)
     return scores
 
 

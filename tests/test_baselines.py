@@ -18,11 +18,23 @@ def _binary(labels_1d):
     return np.asarray(labels_1d).reshape(-1, 1)
 
 
-def _preorder(node):
-    """The split feature of every inner node and the label of every leaf, in preorder."""
-    if node.label is not None:
-        return [("leaf", node.label)]
-    return [("split", node.feature)] + _preorder(node.left) + _preorder(node.right)
+def _preorder(table, split=lambda feature, threshold: ("split", feature),
+              leaf=lambda label: ("leaf", label)):
+    """One list per tree of a label's node table: ``split(feature, threshold)``
+    for every inner node and ``leaf(label)`` for every leaf, in preorder. Checks
+    that each split's right child follows its left subtree and each tree ends
+    where the next begins."""
+    roots, feature, value, right = (a.tolist() for a in table)
+
+    def end(i):  # one past the subtree rooted at node i
+        if right[i] < 0:
+            return i + 1
+        assert right[i] == end(i + 1)
+        return end(right[i])
+
+    assert [end(root) for root in roots] == roots[1:] + [len(right)]
+    nodes = [leaf(v) if r < 0 else split(f, v) for f, v, r in zip(feature, value, right)]
+    return [nodes[a:b] for a, b in zip(roots, roots[1:] + [len(nodes)])]
 
 
 class TestLogistic:
@@ -130,12 +142,11 @@ class TestForest:
         x = rng.uniform(0.1, 4.0, size=(60, 3))
         y = _binary((x[:, 0] * 2 + x[:, 2] > 5).astype(int))
         cfg = ForestConfig(trees=20, seed=3)
-        raw_trees = forest_train(x, y, cfg).label_trees[0]
+        raw_trees = _preorder(forest_train(x, y, cfg).tables[0])
 
         warped = x.copy()
         warped[:, 0] = np.log(warped[:, 0])
-        warped_trees = forest_train(warped, y, cfg).label_trees[0]
-        assert [_preorder(t) for t in raw_trees] == [_preorder(t) for t in warped_trees]
+        assert _preorder(forest_train(warped, y, cfg).tables[0]) == raw_trees
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(8)
@@ -154,13 +165,9 @@ class TestForest:
         y = np.stack([x[:, 0] + x[:, 1] > 1.5, x[:, 2] > x[:, 3]], axis=1).astype(int)
         y[3] ^= 1
         model = forest_train(x, y, ForestConfig(trees=2, seed=4))
-
-        def preorder(node):
-            if node.label is not None:
-                return [node.label]
-            return [(node.feature, node.threshold)] + preorder(node.left) + preorder(node.right)
-
-        assert [[preorder(t) for t in trees] for trees in model.label_trees] == [
+        got = [_preorder(table, split=lambda f, t: (f, t), leaf=lambda label: label)
+               for table in model.tables]
+        assert got == [
             [[(3, 1.25), (1, 0.75), 1, (0, 0.75), 0, 1, 0],
              [(0, 1.0), 0, (2, 0.75), (2, 0.25), 1, 0, 1]],
             [[(2, 0.75), 0, 1],
@@ -235,6 +242,15 @@ def test_predict_rejects_another_feature_width(predict, train, shape):
     want = f"trained on 3 feature columns, got features of shape {shape}"
     with pytest.raises(ValueError, match=re.escape(want) + "$"):
         predict(model, np.zeros(shape))
+
+
+@pytest.mark.parametrize("train", [
+    lambda x, y: logistic_train(x, y, epochs=1, seed=-1),
+    lambda x, y: forest_train(x, y, ForestConfig(trees=1, seed=-1)),
+], ids=["logistic", "forest"])
+def test_negative_seed_is_named(train):
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        train(np.zeros((2, 1)), _binary([0, 1]))
 
 
 class TestMajority:

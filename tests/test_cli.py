@@ -1,7 +1,11 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from instrumentid import cli
+from instrumentid.audio import parse_wav_header
 from instrumentid.cli import _manifest_features, main
 from instrumentid.config import load_config
 from instrumentid.dataset import read_manifest
@@ -121,6 +125,33 @@ def test_feature_cache_recomputes_for_other_rows_of_same_count(prepared):
     np.testing.assert_array_equal(matrix[-1], want)
 
 
+def test_feature_cache_recomputes_for_audio_rewritten_in_place(prepared):
+    # same path, same size, new samples: only the file's timestamp changes
+    config, rows, _ = prepared
+    logs = []
+    before = _manifest_features(config, "train", rows, logs.append)
+    path = Path(rows[0].source_path)
+    data = bytearray(path.read_bytes())
+    _, frames, _, channels, bits, offset = parse_wav_header(bytes(data))
+    assert bits == 16
+    samples = np.frombuffer(data, "<i2", frames * channels, offset)
+    data[offset:offset + samples.nbytes] = (samples // 2).tobytes()
+    stat = path.stat()
+    path.write_bytes(data)
+    # a filesystem with a coarse clock may stamp the rewrite with the old time
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    assert path.stat().st_size == stat.st_size
+
+    after = _manifest_features(config, "train", rows, logs.append)
+    assert [line for line in logs if line.startswith("warn")] == [
+        f"warn stale-feature-cache path={config.output_dir / 'features_train.npz'}"]
+    rewritten = np.array([row.source_path == rows[0].source_path for row in rows])
+    assert (after[rewritten] != before[rewritten]).any(axis=1).all()
+    np.testing.assert_array_equal(after[~rewritten], before[~rewritten])
+    (config.output_dir / "features_train.npz").unlink()
+    np.testing.assert_array_equal(_manifest_features(config, "train", rows, logs.append), after)
+
+
 def test_fresh_and_cached_features_are_bit_identical(prepared, monkeypatch):
     config, rows, _ = prepared
     fresh = _manifest_features(config, "train", rows, lambda line: None)
@@ -159,6 +190,13 @@ def test_unreadable_feature_cache_is_recomputed(prepared, corrupt):
     np.testing.assert_array_equal(again, fresh)
     with np.load(cache, allow_pickle=False) as archive:
         np.testing.assert_array_equal(archive["features"], fresh.astype(np.float32))
+
+
+@pytest.mark.parametrize("kind", ["logistic", "forest"])
+def test_baseline_negative_seed_fails_cleanly(workspace, prepared, kind, capsys):
+    _, cfg = workspace
+    assert main(["baseline", "--config", str(cfg), "--kind", kind, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
 def test_evaluate_missing_checkpoint_fails_cleanly(workspace, capsys):

@@ -269,6 +269,11 @@ class TestStratifiedSplit:
         with pytest.raises(ValueError, match="empty"):
             stratified_split({}, 0.2, 0)
 
+    def test_label_vectors_of_unequal_length_name_the_track(self):
+        want = "track label vectors must share one length: track 'b' has 1, track 'a' has 2"
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            stratified_split({"a": np.array([1, 0]), "b": np.array([1])})
+
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(2)
         labels = {f"t{i}": rng.integers(0, 2, size=5) for i in range(30)}
