@@ -61,6 +61,16 @@ class LogisticModel:
         return np.hstack([z, np.ones((len(z), 1))])
 
 
+def check_logistic_settings(learning_rate: float, epochs: int, seed: int) -> None:
+    """Reject the settings :func:`logistic_train` cannot run with."""
+    if not 0 < learning_rate < np.inf:  # NaN fails too
+        raise ValueError(f"learning rate must be finite and > 0, got {learning_rate}")
+    if not epochs >= 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def logistic_train(features, labels, learning_rate: float = 0.5,
                    epochs: int = 500, seed: int = 0) -> LogisticModel:
     """Full-batch gradient descent on the mean BCE, one model per label column.
@@ -70,12 +80,7 @@ def logistic_train(features, labels, learning_rate: float = 0.5,
     contiguous transposed copies of ``xz`` and ``y`` made once, which puts
     both products in BLAS's fast orientation.
     """
-    if not 0 < learning_rate < np.inf:  # NaN fails too
-        raise ValueError(f"learning rate must be finite and > 0, got {learning_rate}")
-    if not epochs >= 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_logistic_settings(learning_rate, epochs, seed)
     x, y = _validate_xy(features, labels)
     mean = x.mean(axis=0)
     std = x.std(axis=0)

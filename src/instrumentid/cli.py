@@ -15,7 +15,7 @@ import numpy as np
 
 from .analysis import analyze_filters
 from .baselines import (
-    ForestConfig, forest_predict, forest_train,
+    ForestConfig, check_logistic_settings, forest_predict, forest_train,
     logistic_predict, logistic_train, majority_baseline,
 )
 from .config import RunConfig, load_config
@@ -109,7 +109,7 @@ def cmd_train(config: RunConfig, resume, log) -> int:
     _, input_length = architecture(config)
     train_data = load_dataset(train_rows, input_length)
     test_data = None
-    if config.test_manifest().exists():
+    if config.eval_each_epoch and config.test_manifest().exists():
         test_rows = _test_rows(config, classes)
         if test_rows:
             test_data = load_dataset(test_rows, input_length)
@@ -152,17 +152,22 @@ def cmd_baseline(config: RunConfig, kind: str, trees: int, logit_lr: float,
         fixed = majority_baseline(y_train)
         predicted = np.tile(fixed, (len(y_test), 1))
     else:
+        # settings fail before any clip is decoded or cache written
+        if kind == "logistic":
+            check_logistic_settings(logit_lr, logit_epochs, seed)
+        elif kind == "forest":
+            forest_config = ForestConfig(trees=trees, seed=seed)
+        else:
+            raise ValueError(f"unknown baseline kind {kind!r}")
         x_train = _manifest_features(config, "train", train_rows, log)
         x_test = _manifest_features(config, "test", test_rows, log)
         if kind == "logistic":
             model = logistic_train(x_train, y_train, learning_rate=logit_lr,
                                    epochs=logit_epochs, seed=seed)
             predicted = (logistic_predict(model, x_test) >= 0.5).astype(np.uint8)
-        elif kind == "forest":
-            model = forest_train(x_train, y_train, ForestConfig(trees=trees, seed=seed))
-            predicted = (forest_predict(model, x_test) >= 0.5).astype(np.uint8)
         else:
-            raise ValueError(f"unknown baseline kind {kind!r}")
+            model = forest_train(x_train, y_train, forest_config)
+            predicted = (forest_predict(model, x_test) >= 0.5).astype(np.uint8)
 
     report = evaluate(predicted, y_test)
     log(f"baseline kind={kind} train_clips={len(y_train)} test_clips={len(y_test)}")

@@ -128,10 +128,8 @@ def prepare_dataset(config: RunConfig, log=print):
     write_taxonomy(out / "taxonomy_resolved.tsv", taxonomy)
     log(f"taxonomy classes={len(taxonomy.classes)}")
 
-    track_classes = {
-        tid: collapse_labels(np.ones(len(raws), dtype=np.uint8), sorted(raws), taxonomy)
-        for tid, raws in presence.items()
-    }
+    track_classes = {tid: taxonomy.class_matrix(sorted(raws)).any(axis=0)
+                     for tid, raws in presence.items()}
     split = stratified_split(track_classes, config.test_fraction, config.split_seed)
     write_split_file(out / "split_train.txt", split.train_ids)
     write_split_file(out / "split_test.txt", split.test_ids)
@@ -144,6 +142,7 @@ def prepare_dataset(config: RunConfig, log=print):
             with WavFile(wav) as track:
                 n_clips = track.clips
             table = tables[tid]
+            class_matrix = taxonomy.class_matrix(table.columns)
             for i in range(n_clips):
                 try:
                     raw_bits = clip_label(table, float(i), float(i + 1),
@@ -152,8 +151,7 @@ def prepare_dataset(config: RunConfig, log=print):
                 except ValueError:
                     log(f"skip clip track={tid} clip={i} reason=outside-annotation-range")
                     continue
-                labels = collapse_labels(raw_bits, table.columns, taxonomy)
-                rows.append(ManifestRow(tid, i, str(wav), labels))
+                rows.append(ManifestRow(tid, i, str(wav), collapse_labels(raw_bits, class_matrix)))
         return rows
 
     train_rows = rows_for(split.train_ids)

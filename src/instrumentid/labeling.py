@@ -5,6 +5,7 @@ their per-clip maxima, collapsing the raw instrument vocabulary into the final
 class set, and the track-level stratified train/test split.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -165,14 +166,12 @@ class Taxonomy:
     category_to_class: dict
     classes: list
 
-    def category_of(self, raw_name: str) -> str:
-        return self.raw_to_category.get(raw_name, raw_name)
-
-    def class_of(self, raw_name: str) -> str:
-        return self.category_to_class.get(self.category_of(raw_name), OTHER_CLASS)
-
-    def class_index(self, name: str) -> int:
-        return self.classes.index(name)
+    def class_matrix(self, raw_names) -> np.ndarray:
+        """``[len(raw_names), len(classes)]`` bool: row i marks the final class
+        of ``raw_names[i]``."""
+        final = (self.category_to_class.get(self.raw_to_category.get(r, r), OTHER_CLASS)
+                 for r in raw_names)
+        return np.eye(len(self.classes), dtype=bool)[[self.classes.index(c) for c in final]]
 
 
 def build_taxonomy(track_instruments: dict, raw_to_category: dict,
@@ -186,26 +185,23 @@ def build_taxonomy(track_instruments: dict, raw_to_category: dict,
     """
     if min_songs < 1:
         raise ValueError(f"min_songs must be >= 1, got {min_songs}")
-    counts: dict[str, int] = {}
-    for raws in track_instruments.values():
-        cats = {raw_to_category.get(r, r) for r in raws}
-        for c in cats:
-            counts[c] = counts.get(c, 0) + 1
+    counts = Counter(c for raws in track_instruments.values()
+                     for c in {raw_to_category.get(r, r) for r in raws})
     kept = sorted(c for c, n in counts.items() if n >= min_songs and c != OTHER_CLASS)
     category_to_class = {c: (c if c in kept else OTHER_CLASS) for c in counts}
     return Taxonomy(dict(raw_to_category), category_to_class, kept + [OTHER_CLASS])
 
 
-def collapse_labels(raw_bits, raw_names: list, taxonomy: Taxonomy) -> np.ndarray:
-    """OR the raw instrument bits into the final class vector."""
+def collapse_labels(raw_bits, class_matrix) -> np.ndarray:
+    """OR the raw instrument bits into the final class vector.
+
+    ``raw_bits`` is ``[raw names]`` for one clip or ``[clips, raw names]``;
+    ``class_matrix`` is :meth:`Taxonomy.class_matrix` of those raw names.
+    """
     raw_bits = np.asarray(raw_bits)
-    if raw_bits.shape != (len(raw_names),):
-        raise ValueError(f"bit vector shape {raw_bits.shape} != {len(raw_names)} raw names")
-    out = np.zeros(len(taxonomy.classes), dtype=np.uint8)
-    for bit, name in zip(raw_bits, raw_names):
-        if bit:
-            out[taxonomy.class_index(taxonomy.class_of(name))] = 1
-    return out
+    if raw_bits.shape[-1:] != class_matrix.shape[:1]:
+        raise ValueError(f"bit vector shape {raw_bits.shape} != {len(class_matrix)} raw names")
+    return ((raw_bits != 0) @ class_matrix).astype(np.uint8)
 
 
 def load_category_map(path) -> dict:
@@ -253,7 +249,8 @@ def stratified_split(track_labels: dict, test_fraction: float = 0.2,
     per-label quota (ties: larger overall quota, then a seeded coin flip).
     When a track is the last remaining positive for some label that one side
     still lacks entirely, it is forced to that side, so every label with at
-    least two positive tracks ends up represented on both sides.
+    least two positive tracks ends up represented on both sides. Label
+    vectors share one length and hold only 0/1.
     """
     if not track_labels:
         raise ValueError("empty track set")
@@ -266,57 +263,47 @@ def stratified_split(track_labels: dict, test_fraction: float = 0.2,
             raise ValueError(f"track label vectors must share one length: track {track!r} "
                              f"has {len(vector)}, track {ids[0]!r} has {len(vectors[0])}")
     labels = np.asarray(vectors)
+    bad = np.argwhere(~np.isin(labels, (0, 1)))
+    if len(bad):
+        row, column = bad[0]
+        raise ValueError(f"track {ids[row]!r}: label values must be 0/1, got {labels[row, column]}")
+    labels = labels.astype(bool)
     n_tracks, n_labels = labels.shape
     rng = np.random.default_rng(seed)
 
     fractions = np.array([1.0 - test_fraction, test_fraction])  # train, test
-    totals = labels.sum(axis=0).astype(np.float64)
-    desired_label = fractions[:, None] * totals[None, :]  # [2, n_labels]
-    desired_total = fractions * n_tracks
-    assigned_count = np.zeros((2, n_labels), dtype=np.int64)
-    remaining = totals.astype(np.int64).copy()  # unassigned positives per label
-    side_of = np.full(n_tracks, -1, dtype=np.int64)
-
-    def choose_side(track: int, focus_label: int | None = None) -> int:
-        forced = set()
-        for l in np.nonzero(labels[track])[0]:
-            if totals[l] >= 2 and remaining[l] == 1:
-                for s in (0, 1):
-                    if assigned_count[s, l] == 0:
-                        forced.add(s)
-        if len(forced) == 1:
-            return forced.pop()
-        if focus_label is not None:
-            q = desired_label[:, focus_label]
-            if q[0] != q[1]:
-                return int(np.argmax(q))
-        if desired_total[0] != desired_total[1]:
-            return int(np.argmax(desired_total))
-        return int(rng.integers(2))
-
-    def assign(track: int, side: int) -> None:
-        side_of[track] = side
-        for l in np.nonzero(labels[track])[0]:
-            desired_label[side, l] -= 1.0
-            assigned_count[side, l] += 1
-            remaining[l] -= 1
-        desired_total[side] -= 1.0
-
+    totals = labels.sum(axis=0)
+    # open quota per side: one column per label, the last for the track count
+    wanted = fractions[:, None] * np.append(totals, n_tracks)
+    have = np.zeros((2, n_labels), dtype=np.int64)  # positives assigned per side
+    side_of = np.full(n_tracks, -1)
     while True:
-        candidates = [l for l in range(n_labels) if remaining[l] > 0]
-        if not candidates:
+        left = totals - have.sum(axis=0)  # unassigned positives per label
+        if left.any():
+            focus = int(np.argmin(np.where(left > 0, left, n_tracks + 1)))
+            tracks = np.flatnonzero((side_of < 0) & labels[:, focus])
+        else:  # leftovers: all-zero label vectors, placed by the track quota
+            focus, tracks = n_labels, np.flatnonzero(side_of < 0)
+        for track in tracks:
+            last = labels[track] & (totals >= 2) & (totals - have.sum(axis=0) == 1)
+            forced = np.flatnonzero((have[:, last] == 0).any(axis=1))
+            quotas = wanted[:, [focus, n_labels]]
+            differ = np.flatnonzero(quotas[0] != quotas[1])
+            if len(forced) == 1:
+                side = forced[0]
+            elif len(differ):
+                side = np.argmax(quotas[:, differ[0]])
+            else:
+                side = rng.integers(2)
+            side_of[track] = side
+            have[side] += labels[track]
+            wanted[side, np.append(labels[track], True)] -= 1.0
+        if focus == n_labels:
             break
-        focus = min(candidates, key=lambda l: (remaining[l], l))
-        for track in range(n_tracks):
-            if side_of[track] < 0 and labels[track, focus]:
-                assign(track, choose_side(track, focus))
-
-    for track in np.flatnonzero(side_of < 0):  # leftovers: all-zero label vectors
-        assign(track, choose_side(track))
 
     train_ids = [ids[i] for i in range(n_tracks) if side_of[i] == 0]
     test_ids = [ids[i] for i in range(n_tracks) if side_of[i] == 1]
-    return SplitResult(train_ids, test_ids, assigned_count)
+    return SplitResult(train_ids, test_ids, have)
 
 
 def write_split_file(path, track_ids) -> None:

@@ -112,12 +112,13 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
 
     The shuffle order and dropout stream are derived from (seed, epoch), so
     an interrupted run resumed from its last checkpoint reproduces exactly
-    the losses of an uninterrupted one. The best checkpoint by test F-micro
-    is tracked as a ``best.ckpt`` symlink; that tracking restarts on resume
-    (pre-resume epochs are not reconsidered). A non-finite batch loss, or a
-    non-finite gradient behind a finite one, stops the run before its
-    update, naming the epoch, step and clips; that epoch writes no
-    checkpoint.
+    the losses of an uninterrupted one. Each epoch is scored on ``test_data``
+    if and only if it is given, and the best checkpoint by test F-micro is
+    tracked as a ``best.ckpt`` symlink; without test data it follows the
+    latest epoch. The tracking restarts on resume (pre-resume epochs are not
+    reconsidered). A non-finite batch loss, or a non-finite gradient behind
+    a finite one, stops the run before its update, naming the epoch, step
+    and clips; that epoch writes no checkpoint.
     """
     specs, input_length = architecture(config)
     sgd = config.sgd()
@@ -173,7 +174,7 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
         save_checkpoint(ckpt_path, params, sgd, completed)
 
         report = None
-        if test_data is not None and config.eval_each_epoch:
+        if test_data is not None:
             report = evaluate_model(params, specs, test_data, config.eval_threshold)
             log(f"epoch={completed} train_loss={train_loss:.6f} "
                 f"test_f_micro={report.f_micro:.6f} test_accuracy={report.hamming_accuracy:.6f}")

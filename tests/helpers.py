@@ -337,6 +337,74 @@ def mel_filterbank_loop(bin_mels, points):
     return fb
 
 
+def collapse_labels_loop(raw_bits, raw_names, taxonomy):
+    """Name-by-name OR of the set raw bits into the final class vector: raw
+    name -> category (itself when unmapped) -> class (OTHER when unmapped)."""
+    out = np.zeros(len(taxonomy.classes), dtype=np.uint8)
+    for bit, name in zip(raw_bits, raw_names):
+        if bit:
+            category = taxonomy.raw_to_category.get(name, name)
+            out[taxonomy.classes.index(taxonomy.category_to_class.get(category, "OTHER"))] = 1
+    return out
+
+
+def stratified_split_greedy(track_labels, test_fraction, seed):
+    """Greedy iterative stratification with per-side counters kept one by one:
+    ``(train_ids, test_ids, label_coverage)``. Label vectors hold only 0/1."""
+    ids = sorted(track_labels)
+    labels = np.asarray([np.asarray(track_labels[t]).ravel() for t in ids])
+    n_tracks, n_labels = labels.shape
+    rng = np.random.default_rng(seed)
+
+    fractions = np.array([1.0 - test_fraction, test_fraction])
+    totals = labels.sum(axis=0).astype(np.float64)
+    desired_label = fractions[:, None] * totals[None, :]
+    desired_total = fractions * n_tracks
+    assigned_count = np.zeros((2, n_labels), dtype=np.int64)
+    remaining = totals.astype(np.int64).copy()
+    side_of = np.full(n_tracks, -1, dtype=np.int64)
+
+    def choose_side(track, focus_label=None):
+        forced = set()
+        for l in np.nonzero(labels[track])[0]:
+            if totals[l] >= 2 and remaining[l] == 1:
+                for s in (0, 1):
+                    if assigned_count[s, l] == 0:
+                        forced.add(s)
+        if len(forced) == 1:
+            return forced.pop()
+        if focus_label is not None:
+            q = desired_label[:, focus_label]
+            if q[0] != q[1]:
+                return int(np.argmax(q))
+        if desired_total[0] != desired_total[1]:
+            return int(np.argmax(desired_total))
+        return int(rng.integers(2))
+
+    def assign(track, side):
+        side_of[track] = side
+        for l in np.nonzero(labels[track])[0]:
+            desired_label[side, l] -= 1.0
+            assigned_count[side, l] += 1
+            remaining[l] -= 1
+        desired_total[side] -= 1.0
+
+    while True:
+        candidates = [l for l in range(n_labels) if remaining[l] > 0]
+        if not candidates:
+            break
+        focus = min(candidates, key=lambda l: (remaining[l], l))
+        for track in range(n_tracks):
+            if side_of[track] < 0 and labels[track, focus]:
+                assign(track, choose_side(track, focus))
+    for track in np.flatnonzero(side_of < 0):
+        assign(track, choose_side(track))
+
+    train_ids = [ids[i] for i in range(n_tracks) if side_of[i] == 0]
+    test_ids = [ids[i] for i in range(n_tracks) if side_of[i] == 1]
+    return train_ids, test_ids, assigned_count
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 

@@ -199,6 +199,39 @@ def test_baseline_negative_seed_fails_cleanly(workspace, prepared, kind, capsys)
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("kind, flags, message", [
+    ("forest", ["--trees", "0"], "need at least one tree, got 0"),
+    ("forest", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("logistic", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("logistic", ["--logistic-epochs", "0"], "epochs must be >= 1, got 0"),
+    ("logistic", ["--logistic-lr", "nan"], "learning rate must be finite and > 0, got nan"),
+])
+def test_bad_baseline_settings_fail_before_any_feature_cache(workspace, prepared, kind, flags,
+                                                             message, capsys):
+    tmp_path, cfg = workspace
+    assert main(["baseline", "--config", str(cfg), "--kind", kind] + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list((tmp_path / "out").glob("features_*"))
+
+
+def test_train_without_per_epoch_eval_never_reads_the_test_audio(workspace, prepared, capsys):
+    tmp_path, _ = workspace
+    config, _, test_rows = prepared
+    cfg = write_config(
+        tmp_path / "no_eval.cfg",
+        audio_dir="audio", activation_dir="activations", output_dir="out",
+        min_songs=1, test_fraction=0.34, split_seed=1,
+        reduced="true", epochs=1, batch_size=8, learning_rate=0.1,
+        train_seed=0, drop_rate=0.5, eval_each_epoch="false",
+    )
+    Path(test_rows[0].source_path).unlink()
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert "test_f_micro=" not in (tmp_path / "out" / "train_log.txt").read_text()
+    best = config.checkpoint_dir() / "best.ckpt"
+    assert os.readlink(best) == "epoch_0001.ckpt"
+    capsys.readouterr()
+
+
 def test_evaluate_missing_checkpoint_fails_cleanly(workspace, capsys):
     tmp_path, cfg = workspace
     assert main(["prepare-dataset", "--config", str(cfg)]) == 0

@@ -10,7 +10,9 @@ from instrumentid.labeling import (
     write_split_file,
 )
 
-from helpers import moving_average_naive, clip_label_naive
+from helpers import (
+    clip_label_naive, collapse_labels_loop, moving_average_naive, stratified_split_greedy,
+)
 
 
 def make_table(conf, step=0.05, columns=None, track_id="trk"):
@@ -184,30 +186,32 @@ class TestTaxonomy:
         tax = build_taxonomy(self._tracks({**common, **rare}), {}, min_songs=20)
         assert len(tax.classes) == 11
         assert tax.classes[-1] == OTHER_CLASS
-        assert tax.class_of("tack piano") == OTHER_CLASS
+        assert tax.class_matrix(["tack piano", "cat03"]).tolist() == [
+            [False] * 10 + [True], [False] * 3 + [True] + [False] * 7]
 
     def test_raw_to_category_applies_before_counting(self):
         tracks = {f"t{i}": {"male singer"} if i % 2 else {"female singer"} for i in range(30)}
         tax = build_taxonomy(tracks, {"male singer": "voice", "female singer": "voice"},
                              min_songs=20)
         assert tax.classes == ["voice", OTHER_CLASS]
-        assert tax.class_of("male singer") == "voice"
+        assert tax.class_matrix(["male singer", "tuba"]).tolist() == [
+            [True, False], [False, True]]
 
     def test_collapse_all_zero(self):
         tax = Taxonomy({}, {"piano": "piano"}, ["piano", OTHER_CLASS])
-        out = collapse_labels(np.zeros(3, dtype=np.uint8), ["piano", "x", "y"], tax)
+        out = collapse_labels(np.zeros(3, dtype=np.uint8), tax.class_matrix(["piano", "x", "y"]))
         assert out.tolist() == [0, 0]
 
     def test_collapse_rare_instrument_hits_other(self):
         tax = Taxonomy({}, {"piano": "piano", "tack piano": OTHER_CLASS},
                        ["piano", OTHER_CLASS])
-        out = collapse_labels(np.array([0, 1]), ["piano", "tack piano"], tax)
+        out = collapse_labels(np.array([0, 1]), tax.class_matrix(["piano", "tack piano"]))
         assert out.tolist() == [0, 1]
 
     def test_collapse_is_idempotent_or(self):
         tax = Taxonomy({"male singer": "voice", "female singer": "voice"},
                        {"voice": "voice"}, ["voice", OTHER_CLASS])
-        out = collapse_labels(np.array([1, 1]), ["male singer", "female singer"], tax)
+        out = collapse_labels(np.array([1, 1]), tax.class_matrix(["male singer", "female singer"]))
         assert out.tolist() == [1, 0]
 
     @given(st.integers(0, 2 ** 31 - 1))
@@ -221,9 +225,36 @@ class TestTaxonomy:
                        ["a", "c", OTHER_CLASS])
         v1 = rng.integers(0, 2, size=8)
         v2 = rng.integers(0, 2, size=8)
-        lhs = collapse_labels(v1 | v2, raw_names, tax)
-        rhs = collapse_labels(v1, raw_names, tax) | collapse_labels(v2, raw_names, tax)
+        matrix = tax.class_matrix(raw_names)
+        lhs = collapse_labels(v1 | v2, matrix)
+        rhs = collapse_labels(v1, matrix) | collapse_labels(v2, matrix)
         np.testing.assert_array_equal(lhs, rhs)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 12), st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_collapse_matches_the_name_loop(self, seed, n_raw, n_clips):
+        # raw names missing from the map, categories absent from
+        # category_to_class and categories collapsed to OTHER all land in OTHER
+        rng = np.random.default_rng(seed)
+        raw_names = [f"r{i}" for i in range(n_raw)]
+        mapped = [r for r in raw_names if rng.uniform() < 0.7]
+        raw_to_cat = {r: ["a", "b", "c", "d"][rng.integers(4)] for r in mapped}
+        tax = Taxonomy(raw_to_cat, {"a": "a", "b": OTHER_CLASS, "c": "c", "r0": "r0"},
+                       ["a", "c", "r0", OTHER_CLASS])
+        bits = rng.integers(0, 2, size=(n_clips, n_raw)).astype(np.uint8)
+        want = np.reshape([collapse_labels_loop(row, raw_names, tax) for row in bits],
+                          (n_clips, 4))
+        matrix = tax.class_matrix(raw_names)
+        for row, expected in zip(bits, want):
+            np.testing.assert_array_equal(collapse_labels(row, matrix), expected)
+        batch = collapse_labels(bits, matrix)
+        assert batch.dtype == np.uint8
+        np.testing.assert_array_equal(batch, want)
+
+    def test_collapse_rejects_a_bit_vector_of_another_length(self):
+        tax = Taxonomy({}, {"piano": "piano"}, ["piano", OTHER_CLASS])
+        with pytest.raises(ValueError, match=r"^bit vector shape \(3,\) != 2 raw names$"):
+            collapse_labels(np.zeros(3), tax.class_matrix(["piano", "x"]))
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "map.tsv"
@@ -273,6 +304,33 @@ class TestStratifiedSplit:
         want = "track label vectors must share one length: track 'b' has 1, track 'a' has 2"
         with pytest.raises(ValueError, match=f"^{want}$"):
             stratified_split({"a": np.array([1, 0]), "b": np.array([1])})
+
+    @pytest.mark.parametrize("labels, track, value", [
+        ({"a": [2, 0], "b": [0, 1], "c": [0, 1]}, "a", "2"),
+        ({"a": [1, 0], "b": [0.5, 1]}, "b", "0.5"),
+        ({"a": [1, 0], "b": [-1, 1]}, "b", "-1"),
+        ({"a": [1, 0], "b": [np.nan, 1]}, "b", "nan"),
+    ])
+    def test_label_values_other_than_0_1_name_the_track(self, labels, track, value):
+        want = f"track '{track}': label values must be 0/1, got {value}"
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            stratified_split(labels, 0.5)
+
+    @given(st.integers(1, 60), st.integers(1, 12),
+           st.one_of(st.sampled_from([0.1, 0.2, 1 / 3, 0.45]),
+                     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+           st.integers(0, 2 ** 31 - 1), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_greedy_loop(self, n_tracks, n_labels, fraction, data_seed, seed):
+        rng = np.random.default_rng(data_seed)
+        density = rng.uniform(0.0, 0.8, size=n_labels)
+        labels = {f"t{i:02d}": (rng.uniform(size=n_labels) < density).astype(int)
+                  for i in range(n_tracks)}
+        res = stratified_split(labels, fraction, seed)
+        train_ids, test_ids, coverage = stratified_split_greedy(labels, fraction, seed)
+        assert res.train_ids == train_ids
+        assert res.test_ids == test_ids
+        np.testing.assert_array_equal(res.label_coverage, coverage)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(2)
