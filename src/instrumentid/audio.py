@@ -85,7 +85,10 @@ def parse_wav(raw, format_code: int, channels: int, bits: int) -> np.ndarray:
 
     Supports integer PCM at 16/24/32 bits and 32-bit IEEE float, 1 or 2
     channels. Integer samples are scaled by 1 / 2^(bits-1); stereo is
-    downmixed to mono by the arithmetic mean of the channels.
+    downmixed to mono by the arithmetic mean of the channels. Integer
+    channels are added as integers and scaled once, so no float64 copy of
+    the samples is made for 16-bit PCM, and the 24- and 32-bit values are
+    rounded once, from one exact float64 product.
     """
     if format_code == 3:
         values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
@@ -94,25 +97,34 @@ def parse_wav(raw, format_code: int, channels: int, bits: int) -> np.ndarray:
         if not np.isfinite(values).all():
             raise WavFormatError("non-finite sample values in data chunk")
         values = np.clip(values, -1.0, 1.0)
-    elif bits == 16:
-        values = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 2.0 ** 15
-    elif bits == 32:
-        values = np.frombuffer(raw, dtype="<i4").astype(np.float64) / 2.0 ** 31
-    else:  # 24-bit packed
-        b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.uint32)
-        u = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-        signed = u.astype(np.int32)
-        signed = np.where(signed >= 1 << 23, signed - (1 << 24), signed)
-        values = signed.astype(np.float64) / 2.0 ** 23
+        # the mean of the channels, (left + right) / 2, without a reduction
+        # along the short channel axis, which is several times slower
+        frames = values.reshape(-1, channels)
+        mono = frames[:, 0]
+        if channels == 2:
+            mono = mono + frames[:, 1]
+            mono /= 2
+        return mono.astype(np.float32)
 
-    # the mean of the channels, (left + right) / 2, without a reduction
-    # along the short channel axis, which is several times slower
-    frames = values.reshape(-1, channels)
-    mono = frames[:, 0]
-    if channels == 2:
-        mono = mono + frames[:, 1]
-        mono /= 2
-    return mono.astype(np.float32)
+    if bits == 24:  # packed: each sample's 3 bytes atop a 4-byte word, shifted down with its sign
+        words = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
+        words[:, 1:] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
+        ints = words.view("<i4")[:, 0] >> 8
+    else:
+        ints = np.frombuffer(raw, dtype="<i2" if bits == 16 else "<i4")
+    frames = ints.reshape(-1, channels)
+    scale = 2.0 ** (1 - bits) / channels
+    if bits == 16:
+        # |left + right| <= 2^16: float32 holds every sum and its scaling exactly
+        mono = frames[:, 0].astype(np.float32)
+        if channels == 2:
+            mono += frames[:, 1]
+        mono *= np.float32(scale)
+        return mono
+    total = frames[:, 0]
+    if channels == 2:  # exact in int64 for 32-bit samples
+        total = total.astype(np.int64) + frames[:, 1]
+    return (total * scale).astype(np.float32)
 
 
 class WavFile(contextlib.AbstractContextManager):

@@ -1,6 +1,7 @@
 from .layers import (
     temporal_conv_forward, temporal_conv_backward,
     filter_spectrum, fft_conv_forward, fft_conv_backward,
+    fft_conv_input_grad, fft_conv_param_grads,
     maxpool_forward, maxpool_backward,
     relu, relu_backward,
     fully_connected_forward, fully_connected_backward,

@@ -28,9 +28,11 @@ than the direct one for long filters.
 block geometry of :func:`overlap_save`, which both FFT kernels share. The
 kernel's stages run in chunks of feature maps; each chunk's spectra and
 products stay within ``_FFT_CHUNK_ELEMS`` elements. Beyond those, a call
-holds the input's block spectra and, in backward, the input-gradient spectra
-of the same size (:func:`block_spectra_size` per clip), which
-``model.forward`` counts when it sizes its calls.
+holds one array of :func:`block_spectra_size` per clip, which
+``model.forward`` counts when it sizes its calls: the input's block spectra
+in forward and in the weight-gradient pass of backward, the input-gradient
+spectra in its input-gradient pass. The per-bin GEMM form builds its
+spectra in the layout its products read, chunk by chunk.
 
 Every forward transform, of input blocks, output-gradient blocks and
 filters alike, is a call of :func:`_block_spectra`, whose docstring gives
@@ -217,7 +219,7 @@ def fft_length(maps: int, filter_size: int, shape):
 
 def block_spectra_size(nfft: int, filter_size: int, shape) -> int:
     """Values of one ``[channels, length]`` clip's block spectra at ``nfft``:
-    ``bins x blocks x channels``, held twice by :func:`fft_conv_backward`."""
+    ``bins x blocks x channels``, held once in each pass of :func:`fft_conv_backward`."""
     channels, length = shape
     return (nfft // 2 + 1) * overlap_save(nfft, filter_size, length)[1] * channels
 
@@ -238,7 +240,7 @@ def _block_spectra(x, nfft: int, hop: int, blocks: int, width: int, out=None):
 
     :returns: the rfft's own layout, ``[clips, rows, blocks, bins]``, in
         ``out`` when given (any strides); the per-bin GEMM form copies it
-        into its own
+        into its own chunk by chunk (:func:`_per_bin_spectra`)
     """
     clips, rows, length = x.shape
     if width == hop < nfft:
@@ -251,8 +253,7 @@ def _block_spectra(x, nfft: int, hop: int, blocks: int, width: int, out=None):
         padded[:, :, :length] = x
         windows = sliding_window_view(padded, width, axis=2)[:, :, ::hop]
     out = np.fft.rfft(windows, norm="forward", out=out)
-    out *= nfft  # in place while the result is fresh; no complex128 copy
-    # the padded input is freed on return, before any transposed copy
+    out *= nfft  # in place; no complex128 copy
     return out
 
 
@@ -286,6 +287,32 @@ def filter_spectrum(weights, nfft: int):
     return spectrum
 
 
+def _per_bin_spectra(x, nfft: int, hop: int, blocks: int, width: int, rows_last: bool = False):
+    """:func:`_block_spectra` of ``x [clips, rows, length]`` in the per-bin
+    GEMM layout ``[bins, rows, clips * blocks]``, or ``[bins, clips *
+    blocks, rows]`` with ``rows_last``.
+
+    Chunks of rows within ``_FFT_CHUNK_ELEMS`` are transformed in the rfft's
+    own layout and copied into place, so beyond the result one chunk is
+    held: a peak of 1.14x the result at Table-1 conv1's batch-16 shapes,
+    against 2x for a transposed copy of the whole and 1.26x for an rfft
+    writing through the transposed view, at about the same speed.
+    """
+    clips, rows, _ = x.shape
+    bins = nfft // 2 + 1
+    out = np.empty((bins, clips, blocks, rows) if rows_last else (bins, rows, clips, blocks),
+                   np.result_type(x, np.complex64))
+    step = _map_chunk(rows, bins * clips * blocks)
+    for start in range(0, rows, step):
+        # [clips, rows, blocks, bins]; the copy reads it strided and writes in order
+        chunk = _block_spectra(x[:, start:start + step], nfft, hop, blocks, width)
+        if rows_last:
+            out[..., start:start + step] = chunk.transpose(3, 0, 2, 1)
+        else:
+            out[:, start:start + step] = chunk.transpose(3, 1, 0, 2)
+    return out.reshape(bins, -1, rows) if rows_last else out.reshape(bins, rows, -1)
+
+
 def fft_conv_forward(x, spectrum, bias, filter_size: int):
     """:func:`temporal_conv_forward` by overlap-save FFT convolution.
 
@@ -306,9 +333,10 @@ def fft_conv_forward(x, spectrum, bias, filter_size: int):
     nfft = 2 * (bins - 1)
     hop, blocks = overlap_save(nfft, filter_size, length)
     out_len = length - filter_size + 1
-    spectra = _block_spectra(x, nfft, hop, blocks, nfft)  # [clips, channels, blocks, bins]
-    if channels > 1:
-        spectra = spectra.transpose(3, 1, 0, 2).reshape(bins, channels, clips * blocks)
+    if channels == 1:
+        spectra = _block_spectra(x, nfft, hop, blocks, nfft)  # [clips, 1, blocks, bins]
+    else:
+        spectra = _per_bin_spectra(x, nfft, hop, blocks, nfft)  # [bins, channels, clips * blocks]
     out = np.empty((clips, maps, out_len), dtype=np.result_type(x, spectrum.real))
     step = _map_chunk(maps, bins * clips * blocks)
     for start in range(0, maps, step):
@@ -329,19 +357,36 @@ def fft_conv_backward(x, spectrum, grad_out, filter_size: int,
                       needs_input_grad: bool = True, grad_weights=None):
     """Gradients of :func:`fft_conv_forward`, as :func:`temporal_conv_backward`.
 
+    Two passes over the map chunks, each transforming the output gradient
+    blocks anew: :func:`fft_conv_input_grad`, the only reader of
+    ``spectrum``, then :func:`fft_conv_param_grads` into ``grad_weights`` (a
+    fresh zero array when None). ``conv.backward`` calls the two itself, to
+    free the spectrum before it allocates the weight gradient.
+    """
+    x = np.asarray(x)
+    spectrum = np.asarray(spectrum)
+    grad_x = fft_conv_input_grad(x, spectrum, grad_out, filter_size) if needs_input_grad else None
+    if grad_weights is None:
+        _check_filters(spectrum)
+        grad_weights = np.zeros((*spectrum.shape[1:], filter_size),
+                                dtype=np.result_type(x, spectrum.real))
+    return (grad_x, *fft_conv_param_grads(x, grad_out, 2 * (len(spectrum) - 1), grad_weights))
+
+
+def fft_conv_input_grad(x, spectrum, grad_out, filter_size: int):
+    """The input gradient of :func:`fft_conv_forward`, the pass of
+    :func:`fft_conv_backward` that reads the filter ``spectrum``.
+
     Per map chunk the output gradient is cut into blocks of ``hop`` values
-    and transformed. The weight gradient is, per bin, the conjugate of those
-    spectra times the input block spectra, summed over clips and blocks; its
-    inverse rfft keeps the first ``filter_size`` lags and is added into
-    ``grad_weights`` (a fresh zero array when None), one map chunk at a
-    time. Summing over every clip of the call before that inverse rfft is
-    what makes one call over a batch cheaper than one per clip. The input
-    gradient is, per bin, the transposed product with the filter spectrum,
-    then an overlap-add of the ``nfft``-sample blocks. With more than one
-    channel both products are per-bin GEMMs, the input gradient's added in
-    slices of bins within ``_FFT_CHUNK_ELEMS``; with one channel they are
-    broadcast multiplies in the rfft's own layout, bins last, summed over
-    clips and blocks for the weights and over maps for the input.
+    and transformed. Per bin, those spectra times the transposed filter
+    spectrum, summed over maps, are the input-gradient spectra. With more
+    than one channel the products are per-bin GEMMs, added in slices of
+    bins within ``_FFT_CHUNK_ELEMS``; with one channel they are broadcast
+    multiplies in the rfft's own layout, bins last. The spectra are then
+    inverse transformed and overlap-added in ``nfft``-sample blocks, a few
+    clips at a time within ``_FFT_CHUNK_ELEMS``. So beyond the chunks the
+    pass holds only the input-gradient spectra, as large as the input block
+    spectra, which it never makes.
     """
     spectrum = np.asarray(spectrum)
     lead, x, grad_out = _conv_operands(x, spectrum, filter_size, grad_out=grad_out)
@@ -349,66 +394,86 @@ def fft_conv_backward(x, spectrum, grad_out, filter_size: int,
     clips, _, length = x.shape
     nfft = 2 * (bins - 1)
     hop, blocks = overlap_save(nfft, filter_size, length)
-    grad_bias = grad_out.sum(axis=(0, 2))
-    if grad_weights is None:
-        grad_weights = np.zeros((maps, channels, filter_size),
-                                dtype=np.result_type(x, spectrum.real))
     step = _map_chunk(maps, bins * max(channels, clips * blocks))
-
-    spectra = _block_spectra(x, nfft, hop, blocks, nfft)  # [clips, channels, blocks, bins]
+    dtype = np.result_type(x, spectrum)
     if channels == 1:
-        np.conjugate(spectra, out=spectra)
-        # [clips, blocks, bins]
-        grad_x_spectra = np.zeros_like(spectra[:, 0]) if needs_input_grad else None
+        grad_x_spectra = np.zeros((clips, blocks, bins), dtype)
         for start in range(0, maps, step):
             stop = min(start + step, maps)
-            # [clips, maps, blocks, bins]
+            # [clips, maps, blocks, bins] times the weights' own spectra, [maps, 1, bins]
             g = _block_spectra(grad_out[:, start:stop], nfft, hop, blocks, hop)
-            if grad_x_spectra is not None:
-                # times the weights' own spectra, [maps, 1, bins], summed over maps
-                weight_spectra = np.conjugate(spectrum[:, start:stop, 0].T)[:, None]
-                grad_x_spectra += (g * weight_spectra).sum(axis=1)
+            g *= np.conjugate(spectrum[:, start:stop, 0].T)[:, None]
+            grad_x_spectra += g.sum(axis=1)
+    else:
+        # [bins, clips * blocks, channels], summed as conjugates, then conjugated in place
+        grad_x_spectra = np.zeros((bins, clips * blocks, channels), dtype)
+        bin_step = max(1, _FFT_CHUNK_ELEMS // grad_x_spectra[0].size)
+        for start in range(0, maps, step):
+            stop = min(start + step, maps)
+            conj_g = _per_bin_spectra(grad_out[:, start:stop], nfft, hop, blocks, hop)
+            np.conjugate(conj_g, out=conj_g)
+            for f in range(0, bins, bin_step):
+                grad_x_spectra[f:f + bin_step] += (conj_g[f:f + bin_step].transpose(0, 2, 1)
+                                                   @ spectrum[f:f + bin_step, start:stop])
+        np.conjugate(grad_x_spectra, out=grad_x_spectra)
+
+    grad_x = np.zeros_like(x, dtype=np.finfo(dtype).dtype)
+    clip_step = max(1, _FFT_CHUNK_ELEMS // (nfft * blocks * channels))
+    for first in range(0, clips, clip_step):
+        last = min(first + clip_step, clips)
+        if channels == 1:  # [clips, 1, blocks, nfft]
+            pieces = np.fft.irfft(grad_x_spectra[first:last], n=nfft)[:, None]
+        else:  # [nfft, clips, blocks, channels] -> [clips, channels, blocks, nfft]
+            pieces = np.fft.irfft(grad_x_spectra[:, first * blocks:last * blocks], n=nfft, axis=0)
+            pieces = pieces.reshape(nfft, last - first, blocks, channels).transpose(1, 3, 2, 0)
+        for j in range(blocks):
+            start = j * hop
+            width = min(nfft, length - start)
+            grad_x[first:last, :, start:start + width] += pieces[:, :, j, :width]
+    return grad_x.reshape(*lead, channels, length)
+
+
+def fft_conv_param_grads(x, grad_out, nfft: int, grad_weights):
+    """``(grad_weights, grad_bias)`` of :func:`fft_conv_forward` at
+    ``nfft``, the weight gradient added into the ``[maps, channels,
+    filter_size]`` array ``grad_weights``: the pass of
+    :func:`fft_conv_backward` that reads no filter spectrum.
+
+    Per map chunk the output gradient blocks are transformed and, per bin,
+    their conjugate times the input block spectra, summed over clips and
+    blocks, is the conjugate spectrum of the lags. Its inverse rfft keeps
+    the first ``filter_size`` lags. Summing over every clip of
+    the call before that inverse rfft is what makes one call over a batch
+    cheaper than one per clip. With more than one channel the product is a
+    per-bin GEMM against input spectra made in its layout; with one channel
+    a broadcast multiply in the rfft's own layout. Beyond the chunks the
+    pass holds the input block spectra.
+    """
+    _, x, grad_out = _conv_operands(x, grad_weights, grad_out=grad_out)
+    maps, channels, filter_size = grad_weights.shape
+    clips, _, length = x.shape
+    bins = nfft // 2 + 1
+    hop, blocks = overlap_save(nfft, filter_size, length)
+    step = _map_chunk(maps, bins * max(channels, clips * blocks))
+    if channels == 1:
+        spectra = _block_spectra(x, nfft, hop, blocks, nfft)  # [clips, 1, blocks, bins]
+        np.conjugate(spectra, out=spectra)
+        for start in range(0, maps, step):
+            stop = min(start + step, maps)
+            g = _block_spectra(grad_out[:, start:stop], nfft, hop, blocks, hop)
             g *= spectra
             # the sum is the conjugate of the lags' spectra: [maps, bins]
             lags = np.fft.irfft(np.conjugate(g.sum(axis=(0, 2))), n=nfft)[:, :filter_size]
             grad_weights[start:stop, 0] += lags
-        del spectra  # not needed for, and as large as, the input-gradient transform
-        if grad_x_spectra is None:
-            return None, grad_weights, grad_bias
-        pieces = np.fft.irfft(grad_x_spectra, n=nfft)[:, None]
     else:
-        # [bins, clips * blocks, channels], the layout both products below read fastest
-        spectra = spectra.transpose(3, 0, 2, 1).reshape(bins, clips * blocks, channels)
-        conj_grad_x = None  # conjugate input-gradient spectra, laid out as ``spectra``
-        if needs_input_grad:
-            conj_grad_x = np.zeros(spectra.shape, np.result_type(spectra, spectrum))
-        # bins per input-gradient product, whose result is as large as ``spectra``
-        bin_step = max(1, _FFT_CHUNK_ELEMS // spectra[0].size)
+        spectra = _per_bin_spectra(x, nfft, hop, blocks, nfft, rows_last=True)
         for start in range(0, maps, step):
             stop = min(start + step, maps)
-            conj_g = _block_spectra(grad_out[:, start:stop], nfft, hop, blocks, hop)
-            conj_g = conj_g.transpose(3, 1, 0, 2).reshape(bins, stop - start, clips * blocks)
+            conj_g = _per_bin_spectra(grad_out[:, start:stop], nfft, hop, blocks, hop)
             np.conjugate(conj_g, out=conj_g)
             lags = np.fft.irfft(conj_g @ spectra, n=nfft, axis=0)[:filter_size]
             grad_weights[start:stop] += lags.transpose(1, 2, 0)
-            if conj_grad_x is not None:
-                for f in range(0, bins, bin_step):
-                    conj_grad_x[f:f + bin_step] += (conj_g[f:f + bin_step].transpose(0, 2, 1)
-                                                    @ spectrum[f:f + bin_step, start:stop])
-        del spectra  # not needed for, and as large as, the input-gradient transform
-        if conj_grad_x is None:
-            return None, grad_weights, grad_bias
-        pieces = np.fft.irfft(np.conjugate(conj_grad_x, out=conj_grad_x), n=nfft, axis=0)
-        del conj_grad_x
-        # [nfft, clips, blocks, channels] -> [clips, channels, blocks, nfft]
-        pieces = pieces.reshape(nfft, clips, blocks, channels).transpose(1, 3, 2, 0)
-
-    grad_x = np.zeros_like(x, dtype=pieces.dtype)
-    for j in range(blocks):
-        start = j * hop
-        width = min(nfft, length - start)
-        grad_x[:, :, start:start + width] += pieces[:, :, j, :width]
-    return grad_x.reshape(*lead, channels, length), grad_weights, grad_bias
+    return grad_weights, grad_out.sum(axis=(0, 2))
 
 
 def maxpool_forward(x, pool_size: int, pool_stride: int):

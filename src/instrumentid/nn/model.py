@@ -35,12 +35,14 @@ class _Layer:
     Shapes are per clip. Layers with ``has_params`` give ``param_shapes(input
     shape)``; ``footprint(input shape)`` sizes the calls (see :func:`forward`).
     ``prepare(wb, input shape)`` turns the ``(weights, bias)`` pair, else
-    ``()``, into the form the layer computes with; ``forward`` calls it once
-    and every call and ``backward`` reuse the result. ``forward(x, weights,
-    training, rng)`` takes clips ``[clips, ...]`` and returns ``(output,
-    cache)``; ``backward(cache, weights, g, needs_input_grad, grads)`` adds
-    the parameter gradients, summed over the clips, into the ``(weight,
-    bias)`` buffers ``grads`` and returns the input gradient.
+    ``()``, into the form the layer computes with; ``forward`` calls it once,
+    keeps the result as a list, and every call and ``backward`` reuse it.
+    ``forward(x, weights, training, rng)`` takes clips ``[clips, ...]`` and
+    returns ``(output, cache)``; ``backward(cache, weights, g,
+    needs_input_grad, grads)`` adds the parameter gradients, summed over the
+    clips, into the ``[weight, bias]`` list ``grads`` (see :func:`_grad`)
+    and returns the input gradient. A ``backward`` may drop an item of its
+    ``weights`` list once it has read it for the last time in the call.
     """
 
     has_params = False
@@ -54,6 +56,15 @@ class _Layer:
 
     def prepare(self, wb, shape):
         return wb
+
+
+def _grad(grads: list, k: int, param):
+    """The layer's gradient buffer ``grads[k]`` for ``param``: None until
+    the layer's first backward needs it, then zeros of ``param``'s shape and
+    dtype that every call of the layer adds into."""
+    if grads[k] is None:
+        grads[k] = np.zeros_like(param)
+    return grads[k]
 
 
 def _require(ok: bool, message: str) -> None:
@@ -109,17 +120,23 @@ class conv(_Layer):
         return L.fft_conv_forward(x, spectrum, b, self.filter_size), x
 
     def backward(self, x, weights, g, needs_input_grad, grads):
-        w, _, spectrum = weights
-        grad_w, grad_b = grads
-        if spectrum is None:
-            g, _, gb = L.temporal_conv_backward(
-                x, w, g, needs_input_grad=needs_input_grad, grad_weights=grad_w)
+        """On the FFT kernel, :func:`nn.layers.fft_conv_backward`'s two
+        passes: the input gradient from the filter spectrum, which is then
+        dropped from ``weights``, and only after that the weight gradient,
+        into a buffer made then on the layer's first call."""
+        w, b = weights[:2]
+        if weights[2] is None:
+            grad_x, _, gb = L.temporal_conv_backward(
+                x, w, g, needs_input_grad=needs_input_grad, grad_weights=_grad(grads, 0, w))
         else:
-            g, _, gb = L.fft_conv_backward(
-                x, spectrum, g, self.filter_size,
-                needs_input_grad=needs_input_grad, grad_weights=grad_w)
+            grad_x = (L.fft_conv_input_grad(x, weights[2], g, self.filter_size)
+                      if needs_input_grad else None)
+            nfft = 2 * (len(weights[2]) - 1)
+            weights[2] = None  # the spectrum's last read in this call
+            _, gb = L.fft_conv_param_grads(x, g, nfft, _grad(grads, 0, w))
+        grad_b = _grad(grads, 1, b)
         grad_b += gb
-        return g
+        return grad_x
 
 
 @dataclass(frozen=True)
@@ -179,7 +196,8 @@ class fully_connected(_Layer):
     def backward(self, cache, weights, g, needs_input_grad, grads):
         flat, in_shape = cache
         g, *param_grads = L.fully_connected_backward(flat, weights[0], g)
-        for acc, grad in zip(grads, param_grads):
+        for k, grad in enumerate(param_grads):
+            acc = _grad(grads, k, weights[k])
             acc += grad
         return g.reshape(in_shape)
 
@@ -295,11 +313,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
-    def zeros_like(self) -> "ModelParams":
-        return ModelParams(
-            [np.zeros_like(w) for w in self.weights], [np.zeros_like(b) for b in self.biases]
-        )
-
 
 def init_params(layers, input_length: int, input_channels: int = 1,
                 seed: int = 0, dtype=np.float32) -> ModelParams:
@@ -325,15 +338,20 @@ def init_params(layers, input_length: int, input_channels: int = 1,
 class ForwardCache:
     """Everything backward() needs: the layers, each layer's weights as
     prepared for the call (conv filter spectra included), and the per-layer
-    caches of the front, clip by clip, and of the tail (see :func:`forward`)."""
+    caches of the front, clip by clip, and of the tail (see :func:`forward`).
+
+    :func:`backward` consumes it: it sets each slot of ``weights`` and of the
+    cache lists to None once the slot's last reader has returned, so that
+    the arrays no one else holds are freed as it goes, and marks it
+    ``spent``."""
 
     layers: list
-    params: ModelParams
-    weights: list  # per layer, what ``prepare`` made of its parameters
+    weights: list  # per layer, the list ``prepare`` made of its parameters
     clips: int
     split: int  # index of the first tail layer; the layers before it are the front
     front_caches: list  # one list of the front layers' caches per clip
     tail_caches: list  # the tail layers' caches, each over the whole batch
+    spent: bool = False  # set by backward
 
 
 def _layer_params(params: ModelParams, layers) -> list:
@@ -385,7 +403,7 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     layers = list(layers)
     channels, length = batch.shape[1:]
     shapes = _input_shapes(layers, length, channels)
-    weights = [layer.prepare(wb, shape)
+    weights = [list(layer.prepare(wb, shape))
                for layer, wb, shape in zip(layers, _layer_params(params, layers), shapes)]
     split = _front_tail(layers, shapes, len(batch))
 
@@ -404,55 +422,70 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     preds, tail_caches = run(x, split, len(layers))
     if not training:
         return preds, None
-    return preds, ForwardCache(
-        layers, params, weights, len(batch), split, front_caches, tail_caches)
+    return preds, ForwardCache(layers, weights, len(batch), split, front_caches, tail_caches)
 
 
 def backward(cache: ForwardCache, grad_loss) -> ModelParams:
-    """Backpropagate ``grad_loss`` ([batch, output]) to parameter gradients.
+    """Backpropagate ``grad_loss`` ([batch, output]) to parameter gradients,
+    consuming ``cache``.
 
     ``grad_loss`` is the gradient of the (batch-mean) loss w.r.t. the
     predictions, so the per-clip contributions are summed: the result is the
     gradient of the same batch-mean loss. The tail layers run backward once
     over the whole batch, then the front layers once per clip, in index
-    order for determinism; every layer adds its gradients into the one set
-    of buffers returned and reuses the weights ``forward`` prepared.
-    Layer 0 computes no gradient for the network input.
+    order for determinism; each layer reuses the weights ``forward``
+    prepared and adds its gradients into its own buffers, which its first
+    backward call makes. Layer 0 computes no gradient for the network input.
+
+    A layer's caches and prepared weights leave ``cache`` once their last
+    reader returns: a tail layer's after its one call, a front layer's
+    after the last clip's. That last call gets the cache's own list of the
+    layer's prepared weights, and conv frees its filter spectrum there
+    before it makes its weight gradient; earlier clips get a copy of the
+    list. So a second backward on the cache raises ValueError.
     """
+    if cache.spent:
+        raise ValueError("this ForwardCache was consumed by an earlier backward; "
+                         "run forward again for a new one")
     grad_loss = np.asarray(grad_loss)
     if grad_loss.shape[0] != cache.clips:
         raise ValueError(f"grad_loss batch {grad_loss.shape[0]} != cached batch {cache.clips}")
-    grads = cache.params.zeros_like()
-    layer_grads = _layer_params(grads, cache.layers)
+    cache.spent = True
+    layers, weights = cache.layers, cache.weights
+    grads = [[None, None] for _ in layers]
 
-    def run(g, first, caches):
+    def run(g, first, caches, last):
         for i in reversed(range(first, first + len(caches))):
-            g = cache.layers[i].backward(
-                caches[i - first], cache.weights[i], g, i > 0, layer_grads[i])
+            prepared = weights[i] if last else list(weights[i])
+            g = layers[i].backward(caches[i - first], prepared, g, i > 0, grads[i])
+            caches[i - first] = None
+            if last:
+                weights[i] = None
         return g
 
-    g = run(grad_loss, cache.split, cache.tail_caches)
+    g = run(grad_loss, cache.split, cache.tail_caches, True)
     for i, caches in enumerate(cache.front_caches):  # none if layer 0 is in the tail
-        run(g[i:i + 1], 0, caches)
-    return grads
+        run(g[i:i + 1], 0, caches, i == cache.clips - 1)
+    pairs = [pair for layer, pair in zip(layers, grads) if layer.has_params]
+    return ModelParams([w for w, _ in pairs], [b for _, b in pairs])
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
-    """Plain SGD update ``w <- w - lr * g``; returns fresh arrays.
+    """Plain SGD update ``w <- w - lr * g``, written into the arrays of
+    ``grads``, which is returned as the new parameters.
 
-    Each new tensor is ``lr * g``, overwritten in place by ``w`` minus it:
-    the values of ``w - lr * g`` without a second temporary of the tensor's
-    size.
+    ``params`` is left as it is and ``grads`` is consumed: each gradient is
+    scaled by ``lr`` in place and then overwritten by ``w`` minus it, the
+    values of ``w - lr * g``, so a step holds no third copy of the
+    parameters. Every gradient must have its parameter's shape and dtype.
     """
-    if len(grads.weights) != len(params.weights):
+    if (len(grads.weights), len(grads.biases)) != (len(params.weights), len(params.biases)):
         raise ValueError("gradient does not match parameter layout")
-    for w, gw in zip(params.weights, grads.weights):
-        if w.shape != gw.shape:
-            raise ValueError(f"gradient shape {gw.shape} != weight shape {w.shape}")
-
-    def step(p, g):
-        out = np.multiply(np.asarray(learning_rate, dtype=p.dtype), g)
-        return np.subtract(p, out, out=out)
-
-    return ModelParams([step(w, gw) for w, gw in zip(params.weights, grads.weights)],
-                       [step(b, gb) for b, gb in zip(params.biases, grads.biases)])
+    pairs = list(zip(params.weights + params.biases, grads.weights + grads.biases))
+    for p, g in pairs:
+        if (p.shape, p.dtype) != (g.shape, g.dtype):
+            raise ValueError(f"gradient {g.shape} {g.dtype} != parameter {p.shape} {p.dtype}")
+    for p, g in pairs:
+        np.multiply(np.asarray(learning_rate, dtype=p.dtype), g, out=g)
+        np.subtract(p, g, out=g)
+    return grads

@@ -157,15 +157,14 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
                 raise FloatingPointError(
                     f"{where}: loss {loss} on clips {clips}; no checkpoint written")
             grads = backward(cache, grad_pred)
-            del cache  # the filter spectra need not live through the update
+            del cache  # spent: backward freed its arrays as it went
             for kind, tensors in (("weight", grads.weights), ("bias", grads.biases)):
                 for i, g in enumerate(tensors):
                     if not np.isfinite(g).all():  # exact: a sum can overflow on finite values
                         raise FloatingPointError(
                             f"{where}: non-finite {kind} gradient {i} behind finite loss "
                             f"{loss} on clips {clips}; no checkpoint written")
-            params = sgd_step(params, grads, sgd.learning_rate)
-            del grads  # nor the gradients through the next step
+            params = sgd_step(params, grads, sgd.learning_rate)  # into the gradient arrays
             total_loss += float(loss) * len(idx)
         train_loss = total_loss / n
 

@@ -1,10 +1,13 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from instrumentid.audio import CLIP_SAMPLES, WavFile, WavFormatError, parse_wav_header
+from instrumentid.audio import (
+    CLIP_SAMPLES, WavFile, WavFormatError, parse_wav, parse_wav_header,
+)
 from instrumentid.config import RunConfig
 from instrumentid.dataset import ManifestRow, prepare_dataset, read_manifest
 from instrumentid.nn import REDUCED_INPUT_LENGTH
@@ -53,6 +56,30 @@ def test_downmix_bit_identical_to_channel_mean(bits, format_code, channels):
     assert got.dtype == np.float32
     assert got.tobytes() == want.tobytes()
     assert parse_wav_header(data)[:2] == (44100, len(got))
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("bits", [16, 24, 32])
+def test_integer_pcm_matches_float64_formula_at_the_extremes(bits, channels):
+    lo, hi = -2 ** (bits - 1), 2 ** (bits - 1) - 1
+    ints = np.random.default_rng(bits + channels).integers(lo, hi + 1, size=(CLIP_SAMPLES, channels))
+    ints[:4] = np.array([[lo, lo], [hi, hi], [lo, hi], [hi, lo]])[:, :channels]
+    if bits == 24:  # the low three bytes of each little-endian int32
+        raw = ints.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    else:
+        raw = ints.astype(f"<i{bits // 8}").tobytes()
+    # every step exact in float64, then one rounding to float32
+    want = (ints.astype(np.float64).sum(axis=1) / channels / 2.0 ** (bits - 1)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        got = parse_wav(raw, 1, channels, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+    if bits == 16:  # no float64 copy of the samples, which takes 8 bytes a frame or more
+        assert peak < 8 * len(ints), peak / len(ints)
 
 
 def test_non_finite_float_samples_rejected():

@@ -186,12 +186,57 @@ def test_backward_asks_no_input_gradient_of_layer_zero(monkeypatch):
     preds, cache = forward(params, specs, _tiny_input(batch=2), mode="train")
     expected = backward(cache, np.ones_like(preds))
     monkeypatch.setattr(layers, "temporal_conv_backward", spy)
+    _, cache = forward(params, specs, _tiny_input(batch=2), mode="train")  # the first is spent
     grads = backward(cache, np.ones_like(preds))
     # two clips are all tail: one call per conv layer over both clips, input
     # channels 6, 4, 1: conv2, conv1, then conv0 on the audio
     assert calls == [((2,), 6, True), ((2,), 4, True), ((2,), 1, False)]
     for got, want in zip(grads.weights + grads.biases, expected.weights + expected.biases):
         np.testing.assert_array_equal(got, want)
+
+
+def test_second_backward_on_a_spent_cache_raises():
+    specs = _tiny_specs()
+    params = init_params(specs, 80, seed=54, dtype=np.float64)
+    preds, cache = forward(params, specs, _tiny_input(batch=2), mode="train")
+    backward(cache, np.ones_like(preds))
+    # every slot was dropped once its last reader returned
+    assert cache.weights == [None] * len(specs) and cache.tail_caches == [None] * len(specs)
+    with pytest.raises(ValueError, match="consumed by an earlier backward"):
+        backward(cache, np.ones_like(preds))
+
+
+def test_backward_frees_the_filter_spectrum_before_the_weight_gradient(monkeypatch):
+    # One multi-channel FFT conv whose filter spectrum (557 KB) and weight
+    # gradient (270 KB) dwarf every other array. Its backward makes the
+    # input gradient from the spectrum, drops it, and only then makes the
+    # weight gradient, so the traced memory never reaches what backward
+    # started with (the spectrum included) plus that gradient.
+    from instrumentid.nn import layers
+    monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1 << 10)  # one map per chunk
+    monkeypatch.setattr(nnm.conv, "fft_length",
+                        lambda self, shape: 2 * self.filter_size if shape[0] > 1 else None)
+    specs = [nnm.conv(32, 1), nnm.conv(32, 33), nnm.max_pool(34, 34),
+             nnm.fully_connected(11), nnm.sigmoid()]
+    params = init_params(specs, 66, seed=55, dtype=np.float64)
+    batch = np.random.default_rng(56).normal(size=(1, 1, 66))
+    tracemalloc.start()
+    try:
+        preds, cache = forward(params, specs, batch, mode="train")
+        grad_loss = np.ones_like(preds)
+        assert cache.weights[1][2].nbytes == 34 * 32 * 32 * 16  # the spectrum
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = backward(cache, grad_loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < grads.weights[1].nbytes, (peak - start) / grads.weights[1].nbytes
+
+
+def _zeros_like(params):
+    return ModelParams([np.zeros_like(w) for w in params.weights],
+                       [np.zeros_like(b) for b in params.biases])
 
 
 def _per_clip_reference(params, specs, batch, mode, rng):
@@ -204,7 +249,7 @@ def _per_clip_reference(params, specs, batch, mode, rng):
     preds = np.stack(preds)
 
     def grads_of(grad_loss):
-        total = params.zeros_like()
+        total = _zeros_like(params)
         for g, c in zip(grad_loss, caches):
             clip_grads = backward(c, g[None])
             for acc, grad in zip(total.weights + total.biases,
@@ -386,10 +431,11 @@ def test_tail_runs_once_over_the_batch_after_front_groups(monkeypatch, kernel):
     monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * 4 * 70 + 1)
     assert _tail_start(specs, 80, 5) == 2
     calls = []
-    names = (("fft_conv_forward", "fft_conv_backward") if kernel == "fft"
+    # the FFT backward's weight-gradient pass runs once per call, as the direct backward
+    names = (("fft_conv_forward", "fft_conv_param_grads") if kernel == "fft"
              else ("temporal_conv_forward", "temporal_conv_backward"))
-    for name in names:
-        def spy(x, *args, _f=getattr(layers, name), _d=name.rsplit("_", 1)[1], **kwargs):
+    for name, direction in zip(names, ("forward", "backward")):
+        def spy(x, *args, _f=getattr(layers, name), _d=direction, **kwargs):
             calls.append((_d, x.shape[-2], len(x)))
             return _f(x, *args, **kwargs)
         monkeypatch.setattr(layers, name, spy)
@@ -472,9 +518,40 @@ def test_forward_deterministic_under_seeded_rng():
 def test_sgd_step_zero_gradient_is_identity():
     specs = _tiny_specs()
     params = init_params(specs, 80, seed=10)
-    stepped = sgd_step(params, params.zeros_like(), 0.5)
+    stepped = sgd_step(params, _zeros_like(params), 0.5)
     for a, b in zip(params.weights + params.biases, stepped.weights + stepped.biases):
         np.testing.assert_array_equal(a, b)
+
+
+def test_sgd_step_writes_into_the_gradients_and_leaves_params_alone():
+    rng = np.random.default_rng(57)
+    params = ModelParams([rng.normal(size=(200, 300)).astype(np.float32)],
+                         [rng.normal(size=200).astype(np.float32)])
+    grads = ModelParams([rng.normal(size=(200, 300)).astype(np.float32)],
+                        [rng.normal(size=200).astype(np.float32)])
+    before = params.copy()
+    want = [p - np.float32(0.25) * g for p, g in zip(params.weights + params.biases,
+                                                    grads.weights + grads.biases)]
+    tracemalloc.start()
+    try:
+        stepped = sgd_step(params, grads, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # within the parameters plus the gradients: no third set of tensors
+    assert peak < params.weights[0].nbytes / 10, peak
+    for p, b in zip(params.weights + params.biases, before.weights + before.biases):
+        np.testing.assert_array_equal(p, b)
+    for got, g, w in zip(stepped.weights + stepped.biases, grads.weights + grads.biases, want):
+        assert got is g
+        np.testing.assert_array_equal(got, w)
+
+
+def test_sgd_step_rejects_a_gradient_of_another_dtype():
+    params = ModelParams([np.zeros(3, np.float32)], [np.zeros(1, np.float32)])
+    grads = ModelParams([np.zeros(3, np.float64)], [np.zeros(1, np.float32)])
+    with pytest.raises(ValueError, match="float64 != parameter"):
+        sgd_step(params, grads, 0.1)
 
 
 def test_sgd_step_hand_computed_scalar():
