@@ -81,9 +81,18 @@ def _checkpoint(config: RunConfig, checkpoint) -> Path:
     return Path(checkpoint) if checkpoint else config.checkpoint_dir() / "best.ckpt"
 
 
-def _test_rows(config: RunConfig, classes):
-    """Rows of the test manifest, whose class list must equal ``classes``."""
-    rows, test_classes = read_manifest(config.test_manifest())
+def _manifest_clips(manifest):
+    """``(rows, classes)`` of a manifest that must hold clips."""
+    rows, classes = read_manifest(manifest)
+    if not rows:
+        raise ValueError(f"{manifest}: manifest has no clips")
+    return rows, classes
+
+
+def _test_rows(config: RunConfig, classes, read=read_manifest):
+    """Rows of the test manifest as ``read`` gives them, whose class list
+    must equal ``classes``."""
+    rows, test_classes = read(config.test_manifest())
     if test_classes != classes:
         raise ValueError("train/test manifests disagree on the class list")
     return rows
@@ -95,17 +104,16 @@ def cmd_prepare_dataset(config: RunConfig, log) -> int:
 
 
 def cmd_extract_features(config: RunConfig, log) -> int:
-    for split, manifest in (("train", config.train_manifest()),
-                            ("test", config.test_manifest())):
-        rows, _ = read_manifest(manifest)
+    # both manifests are checked before either cache is written
+    splits = {"train": _manifest_clips(config.train_manifest())[0],
+              "test": _manifest_clips(config.test_manifest())[0]}
+    for split, rows in splits.items():
         _manifest_features(config, split, rows, log)
     return 0
 
 
 def cmd_train(config: RunConfig, resume, log) -> int:
-    train_rows, classes = read_manifest(config.train_manifest())
-    if not train_rows:
-        raise ValueError("training manifest is empty")
+    train_rows, classes = _manifest_clips(config.train_manifest())
     _, input_length = architecture(config)
     train_data = load_dataset(train_rows, input_length)
     test_data = None
@@ -128,10 +136,8 @@ def cmd_evaluate(config: RunConfig, checkpoint, manifest, stem: str, log) -> int
     ckpt = _checkpoint(config, checkpoint)
     params, _, epoch = load_checkpoint(ckpt)
     specs, input_length = architecture(config)
-    check_params_match(params, specs, input_length)
-    rows, classes = read_manifest(manifest or config.test_manifest())
-    if not rows:
-        raise ValueError("evaluation manifest is empty")
+    check_params_match(params, specs, input_length, ckpt)
+    rows, classes = _manifest_clips(manifest or config.test_manifest())
     data = load_dataset(rows, input_length)
     report = evaluate_model(params, specs, data, config.eval_threshold)
     log(f"evaluate checkpoint={ckpt} epoch={epoch} clips={len(rows)}")
@@ -141,10 +147,8 @@ def cmd_evaluate(config: RunConfig, checkpoint, manifest, stem: str, log) -> int
 
 def cmd_baseline(config: RunConfig, kind: str, trees: int, logit_lr: float,
                  logit_epochs: int, seed: int, log) -> int:
-    train_rows, classes = read_manifest(config.train_manifest())
-    test_rows = _test_rows(config, classes)
-    if not train_rows or not test_rows:
-        raise ValueError("baseline needs non-empty train and test manifests")
+    train_rows, classes = _manifest_clips(config.train_manifest())
+    test_rows = _test_rows(config, classes, _manifest_clips)
     y_train = np.stack([r.labels for r in train_rows])
     y_test = np.stack([r.labels for r in test_rows])
 

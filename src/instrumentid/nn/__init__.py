@@ -1,6 +1,6 @@
 from .layers import (
     temporal_conv_forward, temporal_conv_backward,
-    filter_spectrum, fft_conv_forward, fft_conv_backward,
+    filter_spectrum, fft_conv_forward,
     fft_conv_input_grad, fft_conv_param_grads,
     maxpool_forward, maxpool_backward,
     relu, relu_backward,

@@ -17,12 +17,16 @@ The overlap-save FFT kernel (:func:`fft_conv_forward`) takes the filters as
 :func:`filter_spectrum`, built once per set of weights, and makes one
 complex product per frequency bin over all channels, clips and blocks: the
 frequency-major layout of Mathieu, Henaff & LeCun (arXiv:1312.5851) and
-Vasilache et al. (arXiv:1412.7580). With one input channel, as in a first
-layer on raw audio, each bin's product is an outer product, so the kernel
-instead keeps the rfft's own layout, bins last: the product is one
-broadcast multiply of the ``[maps, bins]`` filter spectra by the ``[clips,
-blocks, bins]`` block spectra, and every transform runs along the
-contiguous last axis with no transposed copy. The FFT kernel is far cheaper
+Vasilache et al. (arXiv:1412.7580). Its backward is two passes, which
+``conv.backward`` calls in turn: :func:`fft_conv_input_grad`, the only one
+that reads the filter spectrum, then :func:`fft_conv_param_grads`. With one
+input channel, as in a first layer on raw audio, each bin's product is an
+outer product, so the forward and the weight-gradient pass instead keep the
+rfft's own layout, bins last: the product is one broadcast multiply of the
+``[maps, bins]`` filter spectra by the ``[clips, blocks, bins]`` block
+spectra, and every transform runs along the contiguous last axis with no
+transposed copy. The input-gradient pass has the per-bin form only, since
+a first layer asks for no input gradient. The FFT kernel is far cheaper
 than the direct one for long filters.
 :func:`fft_length` picks the kernel and its length by one cost rule, on the
 block geometry of :func:`overlap_save`, which both FFT kernels share. The
@@ -219,7 +223,8 @@ def fft_length(maps: int, filter_size: int, shape):
 
 def block_spectra_size(nfft: int, filter_size: int, shape) -> int:
     """Values of one ``[channels, length]`` clip's block spectra at ``nfft``:
-    ``bins x blocks x channels``, held once in each pass of :func:`fft_conv_backward`."""
+    ``bins x blocks x channels``, held once in each backward pass,
+    :func:`fft_conv_input_grad` and :func:`fft_conv_param_grads`."""
     channels, length = shape
     return (nfft // 2 + 1) * overlap_save(nfft, filter_size, length)[1] * channels
 
@@ -353,36 +358,16 @@ def fft_conv_forward(x, spectrum, bias, filter_size: int):
     return out.reshape(*lead, maps, out_len)
 
 
-def fft_conv_backward(x, spectrum, grad_out, filter_size: int,
-                      needs_input_grad: bool = True, grad_weights=None):
-    """Gradients of :func:`fft_conv_forward`, as :func:`temporal_conv_backward`.
-
-    Two passes over the map chunks, each transforming the output gradient
-    blocks anew: :func:`fft_conv_input_grad`, the only reader of
-    ``spectrum``, then :func:`fft_conv_param_grads` into ``grad_weights`` (a
-    fresh zero array when None). ``conv.backward`` calls the two itself, to
-    free the spectrum before it allocates the weight gradient.
-    """
-    x = np.asarray(x)
-    spectrum = np.asarray(spectrum)
-    grad_x = fft_conv_input_grad(x, spectrum, grad_out, filter_size) if needs_input_grad else None
-    if grad_weights is None:
-        _check_filters(spectrum)
-        grad_weights = np.zeros((*spectrum.shape[1:], filter_size),
-                                dtype=np.result_type(x, spectrum.real))
-    return (grad_x, *fft_conv_param_grads(x, grad_out, 2 * (len(spectrum) - 1), grad_weights))
-
-
 def fft_conv_input_grad(x, spectrum, grad_out, filter_size: int):
-    """The input gradient of :func:`fft_conv_forward`, the pass of
-    :func:`fft_conv_backward` that reads the filter ``spectrum``.
+    """The input gradient of :func:`fft_conv_forward`: the backward pass
+    that reads the filter ``spectrum``, run before
+    :func:`fft_conv_param_grads`, after which the spectrum may be freed.
 
     Per map chunk the output gradient is cut into blocks of ``hop`` values
     and transformed. Per bin, those spectra times the transposed filter
-    spectrum, summed over maps, are the input-gradient spectra. With more
-    than one channel the products are per-bin GEMMs, added in slices of
-    bins within ``_FFT_CHUNK_ELEMS``; with one channel they are broadcast
-    multiplies in the rfft's own layout, bins last. The spectra are then
+    spectrum, summed over maps, are the input-gradient spectra: per-bin
+    GEMMs over ``[bins, clips * blocks, channels]`` for any channel count,
+    added in slices of bins within ``_FFT_CHUNK_ELEMS``. The spectra are then
     inverse transformed and overlap-added in ``nfft``-sample blocks, a few
     clips at a time within ``_FFT_CHUNK_ELEMS``. So beyond the chunks the
     pass holds only the input-gradient spectra, as large as the input block
@@ -396,36 +381,25 @@ def fft_conv_input_grad(x, spectrum, grad_out, filter_size: int):
     hop, blocks = overlap_save(nfft, filter_size, length)
     step = _map_chunk(maps, bins * max(channels, clips * blocks))
     dtype = np.result_type(x, spectrum)
-    if channels == 1:
-        grad_x_spectra = np.zeros((clips, blocks, bins), dtype)
-        for start in range(0, maps, step):
-            stop = min(start + step, maps)
-            # [clips, maps, blocks, bins] times the weights' own spectra, [maps, 1, bins]
-            g = _block_spectra(grad_out[:, start:stop], nfft, hop, blocks, hop)
-            g *= np.conjugate(spectrum[:, start:stop, 0].T)[:, None]
-            grad_x_spectra += g.sum(axis=1)
-    else:
-        # [bins, clips * blocks, channels], summed as conjugates, then conjugated in place
-        grad_x_spectra = np.zeros((bins, clips * blocks, channels), dtype)
-        bin_step = max(1, _FFT_CHUNK_ELEMS // grad_x_spectra[0].size)
-        for start in range(0, maps, step):
-            stop = min(start + step, maps)
-            conj_g = _per_bin_spectra(grad_out[:, start:stop], nfft, hop, blocks, hop)
-            np.conjugate(conj_g, out=conj_g)
-            for f in range(0, bins, bin_step):
-                grad_x_spectra[f:f + bin_step] += (conj_g[f:f + bin_step].transpose(0, 2, 1)
-                                                   @ spectrum[f:f + bin_step, start:stop])
-        np.conjugate(grad_x_spectra, out=grad_x_spectra)
+    # [bins, clips * blocks, channels], summed as conjugates, then conjugated in place
+    grad_x_spectra = np.zeros((bins, clips * blocks, channels), dtype)
+    bin_step = max(1, _FFT_CHUNK_ELEMS // grad_x_spectra[0].size)
+    for start in range(0, maps, step):
+        stop = min(start + step, maps)
+        conj_g = _per_bin_spectra(grad_out[:, start:stop], nfft, hop, blocks, hop)
+        np.conjugate(conj_g, out=conj_g)
+        for f in range(0, bins, bin_step):
+            grad_x_spectra[f:f + bin_step] += (conj_g[f:f + bin_step].transpose(0, 2, 1)
+                                               @ spectrum[f:f + bin_step, start:stop])
+    np.conjugate(grad_x_spectra, out=grad_x_spectra)
 
     grad_x = np.zeros_like(x, dtype=np.finfo(dtype).dtype)
     clip_step = max(1, _FFT_CHUNK_ELEMS // (nfft * blocks * channels))
     for first in range(0, clips, clip_step):
         last = min(first + clip_step, clips)
-        if channels == 1:  # [clips, 1, blocks, nfft]
-            pieces = np.fft.irfft(grad_x_spectra[first:last], n=nfft)[:, None]
-        else:  # [nfft, clips, blocks, channels] -> [clips, channels, blocks, nfft]
-            pieces = np.fft.irfft(grad_x_spectra[:, first * blocks:last * blocks], n=nfft, axis=0)
-            pieces = pieces.reshape(nfft, last - first, blocks, channels).transpose(1, 3, 2, 0)
+        # [nfft, clips, blocks, channels] -> [clips, channels, blocks, nfft]
+        pieces = np.fft.irfft(grad_x_spectra[:, first * blocks:last * blocks], n=nfft, axis=0)
+        pieces = pieces.reshape(nfft, last - first, blocks, channels).transpose(1, 3, 2, 0)
         for j in range(blocks):
             start = j * hop
             width = min(nfft, length - start)
@@ -436,8 +410,8 @@ def fft_conv_input_grad(x, spectrum, grad_out, filter_size: int):
 def fft_conv_param_grads(x, grad_out, nfft: int, grad_weights):
     """``(grad_weights, grad_bias)`` of :func:`fft_conv_forward` at
     ``nfft``, the weight gradient added into the ``[maps, channels,
-    filter_size]`` array ``grad_weights``: the pass of
-    :func:`fft_conv_backward` that reads no filter spectrum.
+    filter_size]`` array ``grad_weights``: the backward pass that reads no
+    filter spectrum, run after :func:`fft_conv_input_grad`.
 
     Per map chunk the output gradient blocks are transformed and, per bin,
     their conjugate times the input block spectra, summed over clips and

@@ -120,10 +120,10 @@ class conv(_Layer):
         return L.fft_conv_forward(x, spectrum, b, self.filter_size), x
 
     def backward(self, x, weights, g, needs_input_grad, grads):
-        """On the FFT kernel, :func:`nn.layers.fft_conv_backward`'s two
-        passes: the input gradient from the filter spectrum, which is then
-        dropped from ``weights``, and only after that the weight gradient,
-        into a buffer made then on the layer's first call."""
+        """On the FFT kernel, two passes: ``nn.layers.fft_conv_input_grad``
+        from the filter spectrum, which is then dropped from ``weights``, and
+        only after that ``nn.layers.fft_conv_param_grads``, into a weight
+        gradient buffer made then on the layer's first call."""
         w, b = weights[:2]
         if weights[2] is None:
             grad_x, _, gb = L.temporal_conv_backward(
@@ -309,9 +309,6 @@ class ModelParams:
 
     weights: list = field(default_factory=list)
     biases: list = field(default_factory=list)
-
-    def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 def init_params(layers, input_length: int, input_channels: int = 1,

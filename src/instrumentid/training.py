@@ -72,13 +72,15 @@ def load_dataset(rows, input_length: int) -> LoadedDataset:
     return LoadedDataset(clips, labels, ids)
 
 
-def check_params_match(params, specs, input_length: int) -> None:
-    """Reject checkpoints whose tensors do not fit the configured architecture."""
+def check_params_match(params, specs, input_length: int, path=None) -> None:
+    """Reject checkpoints whose tensors do not fit the configured
+    architecture, naming the checkpoint ``path`` when given."""
     expected = param_shapes(specs, input_length, 1)
     got = [(w.shape, b.shape) for w, b in zip(params.weights, params.biases)]
     if got != expected:
+        where = "" if path is None else f"{path}: "
         raise ValueError(
-            f"checkpoint parameter shapes {got} do not match the configured "
+            f"{where}checkpoint parameter shapes {got} do not match the configured "
             f"architecture {expected}; check the 'reduced' config flag"
         )
 
@@ -131,7 +133,7 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
         params, saved_sgd, start_epoch = load_checkpoint(resume_from)
         if saved_sgd.seed != sgd.seed:
             log(f"warn resume-seed={saved_sgd.seed} config-seed={sgd.seed}")
-        check_params_match(params, specs, input_length)
+        check_params_match(params, specs, input_length, resume_from)
     else:
         params = init_params(specs, input_length, seed=sgd.seed)
         start_epoch = 0

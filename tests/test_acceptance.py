@@ -5,6 +5,7 @@ criterion. Criterion 10 (full-corpus reference run) needs real MedleyDB data
 and is skipped unless MEDLEYDB_AUDIO_DIR / MEDLEYDB_ACTIVATION_DIR are set.
 """
 
+import copy
 import math
 import os
 import time
@@ -127,12 +128,12 @@ def test_criterion_1_gradient_suite():
 
     for i in range(len(params.weights)):
         def f_w(v, i=i):
-            trial = params.copy()
+            trial = copy.deepcopy(params)
             trial.weights[i] = v
             return loss_with(trial)
 
         def f_b(v, i=i):
-            trial = params.copy()
+            trial = copy.deepcopy(params)
             trial.biases[i] = v
             return loss_with(trial)
 

@@ -10,7 +10,7 @@ from instrumentid.cli import _manifest_features, main
 from instrumentid.config import load_config
 from instrumentid.dataset import read_manifest
 
-from helpers import eleven_class_corpus, write_config
+from helpers import eleven_class_corpus, write_config, write_corpus
 
 
 @pytest.fixture
@@ -237,6 +237,41 @@ def test_evaluate_missing_checkpoint_fails_cleanly(workspace, capsys):
     assert main(["prepare-dataset", "--config", str(cfg)]) == 0
     assert main(["evaluate", "--config", str(cfg)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["extract-features"], ["baseline", "--kind", "majority"]])
+def test_manifest_with_no_clips_is_named_before_any_cache(tmp_path, command, capsys):
+    # one track: the split puts it in train and writes a test manifest with no rows
+    write_corpus(tmp_path, {"t0": {"c00": (100.0, [(0.0, 3.0)])}})
+    cfg = write_config(tmp_path / "run.cfg", audio_dir="audio", activation_dir="activations",
+                       output_dir="out", min_songs=1, test_fraction=0.34, split_seed=1)
+    assert main(["prepare-dataset", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == 1
+    assert capsys.readouterr().err.endswith("test_manifest.tsv: manifest has no clips\n")
+    assert not list((tmp_path / "out").glob("features_*.npz"))
+
+
+def test_checkpoint_of_another_architecture_is_named(workspace, capsys):
+    tmp_path, cfg = workspace
+    assert main(["prepare-dataset", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    full = write_config(
+        tmp_path / "full.cfg",
+        audio_dir="audio", activation_dir="activations", output_dir="out",
+        min_songs=1, test_fraction=0.34, split_seed=1,
+        reduced="false", epochs=3, batch_size=8, learning_rate=0.1,
+        train_seed=0, drop_rate=0.5, eval_each_epoch="false",
+    )
+    checkpoints = load_config(full).checkpoint_dir()
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(full)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {checkpoints / 'best.ckpt'}: checkpoint parameter shapes")
+    assert "check the 'reduced' config flag" in err
+    resume = checkpoints / "epoch_0002.ckpt"
+    assert main(["train", "--config", str(full), "--resume", str(resume)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {resume}: checkpoint parameter shapes")
 
 
 def test_unknown_config_key_fails_cleanly(tmp_path, capsys):

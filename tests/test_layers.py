@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from instrumentid.nn import (
     temporal_conv_forward, temporal_conv_backward,
-    filter_spectrum, fft_conv_forward, fft_conv_backward,
+    filter_spectrum, fft_conv_forward, fft_conv_input_grad, fft_conv_param_grads,
     maxpool_forward, maxpool_backward,
     relu, relu_backward,
     fully_connected_forward, fully_connected_backward,
@@ -122,25 +122,23 @@ def _assert_close_to_max(got, want, tol):
 
 
 def _fft_against_direct(x, w, b, nfft, tol, needs_input_grad=True):
-    """FFT forward and backward against the direct kernel on the same inputs."""
+    """FFT forward and both backward passes, in ``conv.backward``'s order,
+    against the direct kernel on the same inputs."""
     filter_size = w.shape[2]
     want = temporal_conv_forward(x, w, b)
     spectrum = filter_spectrum(w, nfft)
     _assert_close_to_max(fft_conv_forward(x, spectrum, b, filter_size), want, tol)
     g = np.random.default_rng(0).normal(size=want.shape).astype(x.dtype)
     want_gx, want_gw, want_gb = temporal_conv_backward(x, w, g, needs_input_grad)
+    if needs_input_grad:
+        _assert_close_to_max(fft_conv_input_grad(x, spectrum, g, filter_size), want_gx, tol)
     # the weight gradient is added into the caller's buffer
     start = np.random.default_rng(1).normal(size=w.shape).astype(w.dtype)
     buffer = start.copy()
-    gx, gw, gb = fft_conv_backward(x, spectrum, g, filter_size, needs_input_grad,
-                                   grad_weights=buffer)
+    gw, gb = fft_conv_param_grads(x, g, nfft, buffer)
     assert gw is buffer
     _assert_close_to_max(gw - start, want_gw, tol)
     _assert_close_to_max(gb, want_gb, tol)
-    if needs_input_grad:
-        _assert_close_to_max(gx, want_gx, tol)
-    else:
-        assert gx is None
 
 
 class TestFftConv:
@@ -156,7 +154,7 @@ class TestFftConv:
     @example(maps=3, channels=1, filter_size=5, hop=4, out_len=11, lead=(2,),
              needs_input_grad=False, seed=2)  # weight gradient only, as for layer 0
     @example(maps=4, channels=1, filter_size=6, hop=5, out_len=12, lead=(3,),
-             needs_input_grad=True, seed=3)  # the one-channel form's input gradient
+             needs_input_grad=True, seed=3)  # a one-channel input gradient
     def test_matches_direct_kernel_float64(self, maps, channels, filter_size, hop, out_len,
                                            lead, needs_input_grad, seed):
         nfft = filter_size + hop - 1
@@ -178,7 +176,8 @@ class TestFftConv:
         def loss(x, w, b):
             return (fft_conv_forward(x, filter_spectrum(w, nfft), b, 6) * r).sum()
 
-        gx, gw, gb = fft_conv_backward(x, filter_spectrum(w, nfft), r, 6)
+        gx = fft_conv_input_grad(x, filter_spectrum(w, nfft), r, 6)
+        gw, gb = fft_conv_param_grads(x, r, nfft, np.zeros_like(w))
         assert relative_error(gx, numeric_gradient(lambda v: loss(v, w, b), x)) < FD_TOL
         assert relative_error(gw, numeric_gradient(lambda v: loss(x, v, b), w)) < FD_TOL
         assert relative_error(gb, numeric_gradient(lambda v: loss(x, w, v), b)) < FD_TOL
@@ -258,16 +257,19 @@ class TestFftConv:
         w = rng.normal(size=(4, channels, 9)).astype(np.float32)
         spectrum = filter_spectrum(w, 32)
         fft_conv_forward(x, spectrum, np.zeros(4, np.float32), 9)
-        fft_conv_backward(x, spectrum, rng.normal(size=(2, 4, 92)).astype(np.float32), 9)
+        g = rng.normal(size=(2, 4, 92)).astype(np.float32)
+        fft_conv_input_grad(x, spectrum, g, 9)
+        fft_conv_param_grads(x, g, 32, np.zeros_like(w))
         assert len(calls) >= 3
         for shape, args, kwargs in calls:
             assert not args and "n" not in kwargs and shape[-1] == 32, (shape, args, kwargs)
 
     def test_backward_peak_is_two_block_spectra(self, monkeypatch):
-        # Beyond the chunk-bounded stages, the backward holds the input block
-        # spectra and the input-gradient spectra, each S bytes, and no third
-        # array of that size: no transposed copy of the spectra, no full-size
-        # product temporary, and the spectra freed before the inverse transform.
+        # Beyond the chunk-bounded stages, the two backward passes hold the
+        # input-gradient spectra, then the input block spectra beside the
+        # input gradient, each S bytes, and no third array of that size: no
+        # transposed copy of the spectra, no full-size product temporary,
+        # and the spectra freed before the inverse transform.
         import tracemalloc
         from instrumentid.nn import layers
         monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1 << 12)
@@ -279,11 +281,33 @@ class TestFftConv:
         spectra_bytes = 65 * 8 * 7 * 16 * 16  # bins x clips x blocks x channels, complex128
         tracemalloc.start()
         try:
-            fft_conv_backward(x, spectrum, g, 41)
+            gx = fft_conv_input_grad(x, spectrum, g, 41)  # held, as conv.backward does
+            fft_conv_param_grads(x, g, 128, np.zeros(w.shape))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * spectra_bytes, peak / spectra_bytes
+
+    def test_one_channel_input_gradient_inside_a_network(self):
+        # conv1 reads conv0's one feature map: a one-channel FFT conv, whose
+        # input gradient is the path of conv0's weight gradient
+        specs = [nnm.conv(1, 3), nnm.conv(8, 1001), nnm.max_pool(100, 100), nnm.relu(),
+                 nnm.fully_connected(2), nnm.sigmoid()]
+        length = 4000
+        assert specs[1].fft_length((1, length - 2)) is not None
+        params = nnm.init_params(specs, length, seed=60, dtype=np.float64)
+        batch = np.random.default_rng(61).normal(size=(2, 1, length))
+        r = np.random.default_rng(62).normal(size=(2, 2))
+
+        def loss(w0):
+            trial = nnm.ModelParams([w0, *params.weights[1:]], params.biases)
+            return (nnm.forward(trial, specs, batch, mode="eval")[0] * r).sum()
+
+        _, cache = nnm.forward(params, specs, batch, mode="train")
+        assert cache.weights[1][2] is not None  # conv1's filter spectrum
+        grads = nnm.backward(cache, r)
+        fd = numeric_gradient(loss, params.weights[0])
+        assert relative_error(grads.weights[0], fd) < FD_TOL
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_chunked_over_maps_matches_one_chunk(self, monkeypatch, channels):
@@ -293,11 +317,15 @@ class TestFftConv:
         w = rng.normal(size=(7, channels, 9))
         b = rng.normal(size=7)
         g = rng.normal(size=(2, 7, 32))
-        whole = (fft_conv_forward(x, filter_spectrum(w, 16), b, 9),
-                 *fft_conv_backward(x, filter_spectrum(w, 16), g, 9))
+
+        def run():
+            spectrum = filter_spectrum(w, 16)
+            return (fft_conv_forward(x, spectrum, b, 9), fft_conv_input_grad(x, spectrum, g, 9),
+                    *fft_conv_param_grads(x, g, 16, np.zeros_like(w)))
+
+        whole = run()
         monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1)  # one map per chunk
-        chunked = (fft_conv_forward(x, filter_spectrum(w, 16), b, 9),
-                   *fft_conv_backward(x, filter_spectrum(w, 16), g, 9))
+        chunked = run()
         for got, want in zip(chunked, whole):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -307,10 +335,10 @@ class TestFftConv:
     lambda x, w, g: temporal_conv_backward(x, w, g),
     lambda x, w, g: temporal_conv_backward(x, w, g, needs_input_grad=False),
     lambda x, w, g: fft_conv_forward(x, filter_spectrum(w, 8), np.zeros(3), 5),
-    lambda x, w, g: fft_conv_backward(x, filter_spectrum(w, 8), g, 5),
-    lambda x, w, g: fft_conv_backward(x, filter_spectrum(w, 8), g, 5, needs_input_grad=False),
+    lambda x, w, g: fft_conv_input_grad(x, filter_spectrum(w, 8), g, 5),
+    lambda x, w, g: fft_conv_param_grads(x, g, 8, np.zeros_like(w)),
 ], ids=["direct-forward", "direct-backward", "direct-weight-backward",
-        "fft-forward", "fft-backward", "fft-weight-backward"])
+        "fft-forward", "fft-input-backward", "fft-weight-backward"])
 def test_conv_entry_points_reject_channel_mismatch(call):
     # a one-channel input against four-channel filters; grad_out has the
     # output's shape, so only the channel count is wrong
@@ -323,8 +351,10 @@ def test_conv_entry_points_reject_channel_mismatch(call):
     lambda x, f, g: temporal_conv_forward(x, f, np.zeros(3)),
     lambda x, f, g: temporal_conv_backward(x, f, g),
     lambda x, f, g: fft_conv_forward(x, f.astype(complex), np.zeros(3), 5),
-    lambda x, f, g: fft_conv_backward(x, f.astype(complex), g, 5),
-], ids=["direct-forward", "direct-backward", "fft-forward", "fft-backward"])
+    lambda x, f, g: fft_conv_input_grad(x, f.astype(complex), g, 5),
+    lambda x, f, g: fft_conv_param_grads(x, g, 8, f),
+], ids=["direct-forward", "direct-backward", "fft-forward", "fft-input-backward",
+        "fft-weight-backward"])
 def test_conv_entry_points_reject_a_filter_operand_that_is_not_3d(call):
     # weights [maps, filter] or a spectrum [bins, maps]: the channel axis is missing
     x, f, g = np.ones((2, 1, 20)), np.ones((3, 5)), np.ones((2, 3, 16))

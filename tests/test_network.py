@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -157,12 +158,12 @@ def test_composed_network_gradients_match_finite_differences():
 
     for i in range(len(params.weights)):
         def f_w(v, i=i):
-            trial = params.copy()
+            trial = copy.deepcopy(params)
             trial.weights[i] = v
             return loss_with(trial)
 
         def f_b(v, i=i):
-            trial = params.copy()
+            trial = copy.deepcopy(params)
             trial.biases[i] = v
             return loss_with(trial)
 
@@ -496,7 +497,7 @@ def test_dropout_gradient_under_fixed_mask():
 
     # replay the identical mask by re-seeding the rng for every FD evaluation
     def loss_with_weights(v, idx):
-        trial = params.copy()
+        trial = copy.deepcopy(params)
         trial.weights[idx] = v
         p, _ = forward(trial, specs, batch, mode="train", rng=np.random.default_rng(7))
         return bce_loss(p, y)[0]
@@ -529,7 +530,7 @@ def test_sgd_step_writes_into_the_gradients_and_leaves_params_alone():
                          [rng.normal(size=200).astype(np.float32)])
     grads = ModelParams([rng.normal(size=(200, 300)).astype(np.float32)],
                         [rng.normal(size=200).astype(np.float32)])
-    before = params.copy()
+    before = copy.deepcopy(params)
     want = [p - np.float32(0.25) * g for p, g in zip(params.weights + params.biases,
                                                     grads.weights + grads.biases)]
     tracemalloc.start()
