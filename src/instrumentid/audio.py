@@ -1,5 +1,6 @@
-"""WAV reading: :class:`WavFile` maps a track, checks its header once and
-decodes only the frames of the one-second clip asked for, downmixed to mono."""
+"""WAV reading: :class:`WavFile` opens a track, checks its header once and
+reads each one-second clip into one reused buffer, decoding only the frames
+asked for, downmixed to mono."""
 
 import contextlib
 import mmap
@@ -81,7 +82,8 @@ def parse_wav_header(data):
 
 
 def parse_wav(raw, format_code: int, channels: int, bits: int) -> np.ndarray:
-    """Decode the sample bytes ``raw`` (whole frames) to float32 mono.
+    """Decode the sample bytes ``raw`` (whole frames, as bytes or a 1-D
+    ``uint8`` array) to float32 mono; the result never shares its memory.
 
     Supports integer PCM at 16/24/32 bits and 32-bit IEEE float, 1 or 2
     channels. Integer samples are scaled by 1 / 2^(bits-1); stereo is
@@ -128,23 +130,29 @@ def parse_wav(raw, format_code: int, channels: int, bits: int) -> np.ndarray:
 
 
 class WavFile(contextlib.AbstractContextManager):
-    """One 44.1 kHz track, mapped read-only, that decodes one clip at a time.
+    """One 44.1 kHz track, open for reading, that decodes one clip at a time.
 
     Opening checks the header and the rate; ``clips`` counts whole seconds.
-    Every error names the file. Leaving a ``with`` block unmaps the track.
+    Each clip's bytes are read with one positioned read into a buffer of one
+    clip, made once per track and reused, so no page of the track stays
+    held between clips. Every error names the file. Leaving a ``with`` block
+    closes it.
     """
 
     def __init__(self, path):
         self.path = path
-        try:  # mmap refuses an empty file with a ValueError
-            with open(path, "rb") as f:
-                self._map = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-            rate, frames, *self._format, self._offset = parse_wav_header(self._map)
-            if rate != SAMPLE_RATE:
-                raise WavFormatError(f"sample rate {rate} != {SAMPLE_RATE}")
-        except ValueError as err:
-            raise WavFormatError(f"{path}: {err}") from None
-        self._clip_bytes = CLIP_SAMPLES * self._format[1] * self._format[2] // 8
+        with contextlib.ExitStack() as opened:
+            self._file = opened.enter_context(open(path, "rb"))
+            try:  # mmap refuses an empty file with a ValueError
+                # the map is closed here: clips are read, never mapped
+                with mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ) as whole:
+                    rate, frames, *self._format, self._offset = parse_wav_header(whole)
+                if rate != SAMPLE_RATE:
+                    raise WavFormatError(f"sample rate {rate} != {SAMPLE_RATE}")
+            except ValueError as err:
+                raise WavFormatError(f"{path}: {err}") from None
+            opened.pop_all()  # a good track stays open until __exit__
+        self._buffer = np.empty(CLIP_SAMPLES * self._format[1] * self._format[2] // 8, np.uint8)
         self.clips = frames // CLIP_SAMPLES
 
     def clip(self, i: int, length: int = CLIP_SAMPLES) -> np.ndarray:
@@ -152,23 +160,28 @@ class WavFile(contextlib.AbstractContextManager):
 
         Sample ``k`` is frame ``k * (CLIP_SAMPLES // length)`` of the clip:
         every frame at full length, a plain decimation without an
-        anti-alias filter below it. Only the picked frames are decoded, but
-        a float clip must be finite over the whole second.
+        anti-alias filter below it. The whole second is read, but only the
+        picked frames are decoded, and a float clip must be finite over the
+        whole second. The result never shares memory with the read buffer.
         """
         if not 1 <= length <= CLIP_SAMPLES:
             raise ValueError(f"{self.path}: clip length {length} is outside 1..{CLIP_SAMPLES}")
         if not 0 <= i < self.clips:  # named as prepare_dataset names the track
             raise ValueError(f"{self.path}: clip {Path(self.path).stem}:{i} is outside "
                              f"its {self.clips} whole clips")
-        frames = np.frombuffer(self._map, np.uint8, self._clip_bytes,
-                               self._offset + i * self._clip_bytes).reshape(CLIP_SAMPLES, -1)
-        finite = self._format[0] != 3 or np.isfinite(frames.view("<f4")).all()
-        raw = frames[::CLIP_SAMPLES // length][:length].tobytes()
-        del frames  # a live view of the map would make close() raise BufferError
-        if not finite:  # parse_wav raises on nothing else, so it cannot fail after this
+        raw = self._buffer
+        self._file.seek(self._offset + i * len(raw))
+        got = self._file.readinto(raw)
+        if got != len(raw):  # cut since the header was checked; the buffer holds stale bytes
+            raise WavFormatError(f"{self.path}: clip {Path(self.path).stem}:{i} is cut short: "
+                                 f"the file ends {got} of its {len(raw)} bytes in")
+        if self._format[0] == 3 and not np.isfinite(raw.view("<f4")).all():
+            # parse_wav raises on nothing else, so it cannot fail after this
             raise WavFormatError(f"{self.path}: non-finite sample values in clip "
                                  f"{Path(self.path).stem}:{i}")
+        if length < CLIP_SAMPLES:  # a copy of the picked frames alone
+            raw = raw.reshape(CLIP_SAMPLES, -1)[::CLIP_SAMPLES // length][:length].tobytes()
         return parse_wav(raw, *self._format)
 
     def __exit__(self, *exc):
-        self._map.close()
+        self._file.close()

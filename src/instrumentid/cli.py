@@ -25,7 +25,7 @@ from .metrics import evaluate, format_report, format_report_row
 from .nn.checkpoint import load_checkpoint, write_archive
 from .training import (
     architecture, check_params_match, evaluate_model, iter_raw_clips,
-    load_dataset, train_model,
+    load_dataset, load_resume, train_model,
 )
 
 
@@ -114,13 +114,6 @@ def cmd_extract_features(config: RunConfig, log) -> int:
 
 def cmd_train(config: RunConfig, resume, log) -> int:
     train_rows, classes = _manifest_clips(config.train_manifest())
-    _, input_length = architecture(config)
-    train_data = load_dataset(train_rows, input_length)
-    test_data = None
-    if config.eval_each_epoch and config.test_manifest().exists():
-        test_rows = _test_rows(config, classes)
-        if test_rows:
-            test_data = load_dataset(test_rows, input_length)
     log_path = Path(config.output_dir) / "train_log.txt"
 
     def tee(line):
@@ -128,7 +121,16 @@ def cmd_train(config: RunConfig, resume, log) -> int:
         with open(log_path, "a") as fh:
             fh.write(line + "\n")
 
-    train_model(config, train_data, test_data, resume_from=resume, log=tee)
+    # a checkpoint that cannot resume is refused before any clip is decoded
+    start = None if resume is None else load_resume(config, resume, tee)
+    _, input_length = architecture(config)
+    train_data = load_dataset(train_rows, input_length)
+    test_data = None
+    if config.eval_each_epoch and config.test_manifest().exists():
+        test_rows = _test_rows(config, classes)
+        if test_rows:
+            test_data = load_dataset(test_rows, input_length)
+    train_model(config, train_data, test_data, resume=start, log=tee)
     return 0
 
 

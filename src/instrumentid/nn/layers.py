@@ -44,6 +44,7 @@ the padding and precision rule. ``np.fft.irfft``'s default already scales
 in the input's precision.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -190,6 +191,7 @@ def overlap_save(nfft: int, filter_size: int, length: int):
     return hop, -(-(length - filter_size + 1) // hop)
 
 
+@functools.cache  # every forward asks twice per conv, for a handful of geometries
 def fft_length(maps: int, filter_size: int, shape):
     """``nfft`` of the FFT kernel for ``[maps, channels, filter_size]``
     filters over a ``[channels, length]`` input, or None where the direct

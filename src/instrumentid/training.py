@@ -107,20 +107,33 @@ def _epoch_rng(seed: int, epoch: int, stream: int):
     return np.random.default_rng(np.random.SeedSequence([seed, epoch, stream]))
 
 
+def load_resume(config: RunConfig, path, log=print):
+    """``(params, completed epochs)`` of checkpoint ``path``, for
+    :func:`train_model` to resume from; a checkpoint that does not fit the
+    configured network is refused, naming ``path``."""
+    params, saved_sgd, epoch = load_checkpoint(path)
+    if saved_sgd.seed != config.train_seed:
+        log(f"warn resume-seed={saved_sgd.seed} config-seed={config.train_seed}")
+    specs, input_length = architecture(config)
+    check_params_match(params, specs, input_length, path)
+    return params, epoch
+
+
 def train_model(config: RunConfig, train_data: LoadedDataset,
                 test_data: LoadedDataset | None = None,
-                resume_from=None, log=print) -> list[EpochStats]:
+                resume=None, log=print) -> list[EpochStats]:
     """Seeded SGD over shuffled clips; one checkpoint per epoch.
 
     The shuffle order and dropout stream are derived from (seed, epoch), so
-    an interrupted run resumed from its last checkpoint reproduces exactly
-    the losses of an uninterrupted one. Each epoch is scored on ``test_data``
-    if and only if it is given, and the best checkpoint by test F-micro is
-    tracked as a ``best.ckpt`` symlink; without test data it follows the
-    latest epoch. The tracking restarts on resume (pre-resume epochs are not
-    reconsidered). A non-finite batch loss, or a non-finite gradient behind
-    a finite one, stops the run before its update, naming the epoch, step
-    and clips; that epoch writes no checkpoint.
+    an interrupted run resumed from its last checkpoint (``resume``, from
+    :func:`load_resume`) reproduces exactly the losses of an uninterrupted
+    one. Each epoch is scored on ``test_data`` if and only if it is given,
+    and the best checkpoint by test F-micro is tracked as a ``best.ckpt``
+    symlink; without test data it follows the latest epoch. The tracking
+    restarts on resume (pre-resume epochs are not reconsidered). A
+    non-finite batch loss, or a non-finite gradient behind a finite one,
+    stops the run before its update, naming the epoch, step and clips; that
+    epoch writes no checkpoint.
     """
     specs, input_length = architecture(config)
     sgd = config.sgd()
@@ -129,11 +142,8 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
             f"manifest has {train_data.labels.shape[1]} classes, network outputs {NUM_CLASSES}"
         )
 
-    if resume_from is not None:
-        params, saved_sgd, start_epoch = load_checkpoint(resume_from)
-        if saved_sgd.seed != sgd.seed:
-            log(f"warn resume-seed={saved_sgd.seed} config-seed={sgd.seed}")
-        check_params_match(params, specs, input_length, resume_from)
+    if resume is not None:
+        params, start_epoch = resume
     else:
         params = init_params(specs, input_length, seed=sgd.seed)
         start_epoch = 0

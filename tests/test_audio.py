@@ -1,10 +1,13 @@
+import os
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import instrumentid.audio
 from instrumentid.audio import (
     CLIP_SAMPLES, WavFile, WavFormatError, parse_wav, parse_wav_header,
 )
@@ -178,6 +181,32 @@ def _without_chunk(data, cid):
     return bytes(data)
 
 
+def _descriptors_on(path):
+    """How many of this process's open file descriptors point at ``path``."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to list open descriptors")
+    target = os.path.realpath(path)
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}") == target
+        except OSError:  # the descriptor listdir itself held, closed since
+            pass
+    return count
+
+
+def _rss_file_kb():
+    """Resident file-backed memory of this process, from /proc/self/status."""
+    try:
+        status = Path("/proc/self/status").read_text()
+    except OSError:
+        status = ""
+    field = re.search(r"^RssFile:\s+(\d+) kB", status, re.M)
+    if field is None:
+        pytest.skip("no RssFile in /proc/self/status")
+    return int(field.group(1))
+
+
 def _with_codec(data, tag):
     data = bytearray(data)
     struct.pack_into("<H", data, data.index(b"fmt ") + 8, tag)
@@ -189,11 +218,11 @@ class TestWavFile:
 
     def _check_clips(self, path, data, bits, channels, format_code=1):
         want = _mean_downmix(data, bits, channels, format_code)
-        track = WavFile(path)
-        assert track.clips == len(want) // CLIP_SAMPLES >= 2
-        for i in reversed(range(track.clips)):  # any order: each clip is its own range
-            got = track.clip(i)
-            assert got.tobytes() == want[i * CLIP_SAMPLES:(i + 1) * CLIP_SAMPLES].tobytes()
+        with WavFile(path) as track:
+            assert track.clips == len(want) // CLIP_SAMPLES >= 2
+            for i in reversed(range(track.clips)):  # any order: each clip is its own range
+                got = track.clip(i)
+                assert got.tobytes() == want[i * CLIP_SAMPLES:(i + 1) * CLIP_SAMPLES].tobytes()
 
     def test_list_chunk_after_data(self, tmp_path):
         frames = np.random.default_rng(5).uniform(-1.0, 1.0, size=(2 * CLIP_SAMPLES + 99, 2))
@@ -231,8 +260,71 @@ class TestWavFile:
     def test_open_errors_name_the_file(self, tmp_path, damage, message):
         path = tmp_path / "bad.wav"
         path.write_bytes(damage(encode_wav(np.zeros(2 * CLIP_SAMPLES), bits=16)))
-        with pytest.raises(WavFormatError, match=re.escape(str(path)) + ": .*" + message):
+        with pytest.raises(WavFormatError,
+                           match=re.escape(str(path)) + ": .*" + message) as raised:
             WavFile(path)
+        # closed by WavFile itself, not by freeing the frames the traceback holds
+        assert _descriptors_on(path) == 0, raised
+
+    def test_leaving_the_with_block_closes_the_file(self, tmp_path):
+        path = tmp_path / "two.wav"
+        path.write_bytes(encode_wav(np.zeros(2 * CLIP_SAMPLES), bits=16))
+        with WavFile(path) as track:
+            track.clip(1)
+            assert _descriptors_on(path) == 1
+        assert _descriptors_on(path) == 0
+
+    def test_decoding_a_whole_track_holds_none_of_its_pages(self, tmp_path):
+        # 60 s of 16-bit stereo is 10.6 MB; a map sliced clip by clip would
+        # keep every page read resident until the track is closed
+        path = tmp_path / "long.wav"
+        frames = np.random.default_rng(8).uniform(-0.5, 0.5, size=(60 * CLIP_SAMPLES, 2))
+        path.write_bytes(encode_wav(frames, bits=16, channels=2))
+        del frames
+        with WavFile(path) as track:
+            track.clip(0)  # code pages of the decode path come in before the baseline
+            before = _rss_file_kb()
+            for i in range(track.clips):
+                track.clip(i)
+            grown = _rss_file_kb() - before
+        assert grown < 2 * 1024, f"RssFile grew {grown} kB"
+
+    @pytest.mark.parametrize("length", [CLIP_SAMPLES, REDUCED_INPUT_LENGTH])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("bits,format_code", [(16, 1), (24, 1), (32, 1), (32, 3)])
+    def test_a_clip_outlives_the_next_read(self, tmp_path, bits, format_code, channels, length):
+        frames = np.random.default_rng(bits + channels).uniform(
+            -1.0, 1.0, size=(3 * CLIP_SAMPLES, channels))
+        path = tmp_path / "any.wav"
+        path.write_bytes(encode_wav(frames, bits=bits, channels=channels,
+                                    format_code=format_code))
+        with WavFile(path) as track:
+            a = track.clip(0, length)
+            kept = a.copy()
+            b = track.clip(2, length)
+            c = track.clip(1, length)
+        np.testing.assert_array_equal(a, kept)
+        assert not np.array_equal(a, b)
+        assert not any(np.shares_memory(x, y) for x, y in ((a, b), (a, c), (b, c)))
+
+    def test_file_cut_after_opening_names_the_clip(self, tmp_path, monkeypatch):
+        data = encode_wav(np.random.default_rng(9).uniform(-1.0, 1.0, 3 * CLIP_SAMPLES), bits=16)
+        path = tmp_path / "cut.wav"
+        path.write_bytes(data)
+        decoded = []
+        decode = instrumentid.audio.parse_wav
+        monkeypatch.setattr(instrumentid.audio, "parse_wav",
+                            lambda raw, *layout: decoded.append(len(raw)) or decode(raw, *layout))
+        with WavFile(path) as track:
+            track.clip(2)  # the buffer now holds clip 2's bytes
+            os.truncate(path, data.index(b"data") + 8 + 3 * CLIP_SAMPLES)  # 1.5 clips left
+            want = _mean_downmix(data, 16, 1, 1)[:CLIP_SAMPLES]
+            np.testing.assert_array_equal(track.clip(0), want)
+            for i in (1, 2):
+                with pytest.raises(WavFormatError,
+                                   match=re.escape(f"{path}: clip cut:{i} is cut short")):
+                    track.clip(i, REDUCED_INPUT_LENGTH)
+        assert decoded == [2 * CLIP_SAMPLES] * 2  # clips 2 and 0; no stale bytes decoded
 
     def test_non_finite_sample_fails_only_its_clip(self, tmp_path):
         samples = np.zeros(2 * CLIP_SAMPLES + 500)
@@ -240,10 +332,10 @@ class TestWavFile:
         samples[-1] = np.inf  # in the part second after the last clip, which is never read
         path = tmp_path / "nan.wav"
         path.write_bytes(encode_wav(samples, bits=32, format_code=3))
-        track = WavFile(path)
-        np.testing.assert_array_equal(track.clip(0), np.zeros(CLIP_SAMPLES, np.float32))
-        with pytest.raises(WavFormatError, match=re.escape(str(path)) + ": non-finite"):
-            track.clip(1)
+        with WavFile(path) as track:
+            np.testing.assert_array_equal(track.clip(0), np.zeros(CLIP_SAMPLES, np.float32))
+            with pytest.raises(WavFormatError, match=re.escape(str(path)) + ": non-finite"):
+                track.clip(1)
 
     @pytest.mark.parametrize("bits,channels,format_code", [
         (16, 1, 1), (16, 2, 1), (24, 1, 1), (24, 2, 1),
@@ -290,8 +382,9 @@ class TestWavFile:
     def test_index_outside_the_track_names_the_clip(self, tmp_path, index):
         path = tmp_path / "two.wav"
         path.write_bytes(encode_wav(np.zeros(2 * CLIP_SAMPLES + 10), bits=16))
-        with pytest.raises(ValueError, match=re.escape(str(path)) + f": clip two:{index} "):
-            WavFile(path).clip(index)
+        with WavFile(path) as track, pytest.raises(
+                ValueError, match=re.escape(str(path)) + f": clip two:{index} "):
+            track.clip(index)
 
 
 class TestSliceClips:

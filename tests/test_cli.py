@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from instrumentid import cli
+from instrumentid import audio, cli
 from instrumentid.audio import parse_wav_header
 from instrumentid.cli import _manifest_features, main
 from instrumentid.config import load_config
@@ -252,17 +252,22 @@ def test_manifest_with_no_clips_is_named_before_any_cache(tmp_path, command, cap
     assert not list((tmp_path / "out").glob("features_*.npz"))
 
 
-def test_checkpoint_of_another_architecture_is_named(workspace, capsys):
-    tmp_path, cfg = workspace
-    assert main(["prepare-dataset", "--config", str(cfg)]) == 0
-    assert main(["train", "--config", str(cfg)]) == 0
-    full = write_config(
+def _full_config(tmp_path, **overrides):
+    """The workspace's run under the Table-1 net, which a reduced checkpoint does not fit."""
+    return write_config(
         tmp_path / "full.cfg",
         audio_dir="audio", activation_dir="activations", output_dir="out",
         min_songs=1, test_fraction=0.34, split_seed=1,
         reduced="false", epochs=3, batch_size=8, learning_rate=0.1,
-        train_seed=0, drop_rate=0.5, eval_each_epoch="false",
+        train_seed=0, drop_rate=0.5, **overrides,
     )
+
+
+def test_checkpoint_of_another_architecture_is_named(workspace, capsys):
+    tmp_path, cfg = workspace
+    assert main(["prepare-dataset", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    full = _full_config(tmp_path, eval_each_epoch="false")
     checkpoints = load_config(full).checkpoint_dir()
     capsys.readouterr()
     assert main(["evaluate", "--config", str(full)]) == 1
@@ -272,6 +277,22 @@ def test_checkpoint_of_another_architecture_is_named(workspace, capsys):
     resume = checkpoints / "epoch_0002.ckpt"
     assert main(["train", "--config", str(full), "--resume", str(resume)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {resume}: checkpoint parameter shapes")
+
+
+def test_resume_refuses_a_checkpoint_before_decoding_any_clip(workspace, capsys, monkeypatch):
+    tmp_path, cfg = workspace
+    assert main(["prepare-dataset", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    full = _full_config(tmp_path)  # evaluates each epoch, so test clips would decode too
+    decoded = []
+    clip = audio.WavFile.clip
+    monkeypatch.setattr(audio.WavFile, "clip",
+                        lambda self, *args: decoded.append(args) or clip(self, *args))
+    resume = load_config(full).checkpoint_dir() / "epoch_0001.ckpt"
+    capsys.readouterr()
+    assert main(["train", "--config", str(full), "--resume", str(resume)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {resume}: checkpoint parameter shapes")
+    assert decoded == []
 
 
 def test_unknown_config_key_fails_cleanly(tmp_path, capsys):

@@ -14,7 +14,7 @@ from instrumentid.dataset import prepare_dataset, read_manifest, ManifestRow
 from instrumentid.nn import REDUCED_INPUT_LENGTH
 from instrumentid.training import (
     _point_best, architecture, check_params_match, evaluate_model,
-    global_contrast_normalize, iter_raw_clips, load_dataset, train_model,
+    global_contrast_normalize, iter_raw_clips, load_dataset, load_resume, train_model,
 )
 
 from helpers import decode_wav, encode_wav, synthetic_clip_dataset, write_corpus
@@ -100,9 +100,8 @@ class TestTrainModel:
         part = reduced_config(tmp_path, output_dir=tmp_path / "part", epochs=1)
         train_model(part, data, log=lambda *_: None)
         resumed_cfg = reduced_config(tmp_path, output_dir=tmp_path / "part", epochs=3)
-        h_resumed = train_model(resumed_cfg, data,
-                                resume_from=part.checkpoint_dir() / "epoch_0001.ckpt",
-                                log=lambda *_: None)
+        resume = load_resume(resumed_cfg, part.checkpoint_dir() / "epoch_0001.ckpt")
+        h_resumed = train_model(resumed_cfg, data, resume=resume, log=lambda *_: None)
         assert [h.epoch for h in h_resumed] == [2, 3]
         assert [h.train_loss for h in h_resumed] == [h.train_loss for h in h_full[1:]]
         assert (full.checkpoint_dir() / "epoch_0003.ckpt").read_bytes() == \
