@@ -61,7 +61,7 @@ def _manifest_features(config: RunConfig, split: str, rows, log):
     cache = Path(config.output_dir) / f"features_{split}.npz"
     if cache.exists():
         try:
-            with np.load(cache, allow_pickle=False) as archive:
+            with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
                 cached_key, matrix = str(archive["key"]), archive["features"]
         except Exception as err:  # any file that does not load is rebuilt
             log(f"warn unreadable-feature-cache path={cache} error={err!r}")

@@ -3,7 +3,9 @@
 The archive holds ``weight_{i}`` and ``bias_{i}`` (float32) for each
 parameterized layer, and 0-d arrays ``version``, ``learning_rate``
 (float64), ``batch_size``, ``epochs``, ``seed`` (uint64) and ``epoch``.
-Round-trips are bit-exact. Version 1 files (``ICNN`` header) are refused.
+Round-trips are bit-exact. Version 1 files (``ICNN`` header) are refused,
+as are stored fields that ``SgdConfig`` rejects and an ``epoch`` outside
+0 to ``epochs``.
 """
 
 import os
@@ -57,15 +59,16 @@ def load_checkpoint(path):
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.read(4)
-    if head == b"ICNN":
-        raise CheckpointError(f"{path}: version 1 checkpoint is no longer read; retrain it")
-    if head != b"PK\x03\x04":
-        raise CheckpointError(f"{path}: not a checkpoint archive (leading bytes {head!r})")
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
-        raise CheckpointError(f"{path}: damaged checkpoint archive: {err}") from err
+        if head == b"ICNN":
+            raise CheckpointError(f"{path}: version 1 checkpoint is no longer read; retrain it")
+        if head != b"PK\x03\x04":
+            raise CheckpointError(f"{path}: not a checkpoint archive (leading bytes {head!r})")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                arrays = {key: archive[key] for key in archive.files}
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
+            raise CheckpointError(f"{path}: damaged checkpoint archive: {err}") from err
 
     def field(key):
         if key not in arrays:
@@ -78,7 +81,14 @@ def load_checkpoint(path):
     layers = range(sum(key.startswith("weight_") for key in arrays))
     params = ModelParams([field(f"weight_{i}") for i in layers],
                          [field(f"bias_{i}") for i in layers])
-    sgd = SgdConfig(learning_rate=float(field("learning_rate")),
-                    batch_size=int(field("batch_size")), epochs=int(field("epochs")),
-                    seed=int(field("seed")))
-    return params, sgd, int(field("epoch"))
+    stored = dict(learning_rate=float(field("learning_rate")), batch_size=int(field("batch_size")),
+                  epochs=int(field("epochs")), seed=int(field("seed")))
+    try:
+        sgd = SgdConfig(**stored)
+    except ValueError as err:
+        raise CheckpointError(f"{path}: {err}") from err
+    epoch = int(field("epoch"))
+    if not 0 <= epoch <= sgd.epochs:
+        raise CheckpointError(f"{path}: stored 'epoch' {epoch} is outside 0 to {sgd.epochs}, "
+                              "the stored 'epochs'")
+    return params, sgd, epoch

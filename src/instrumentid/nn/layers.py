@@ -36,7 +36,8 @@ holds one array of :func:`block_spectra_size` per clip, which
 ``model.forward`` counts when it sizes its calls: the input's block spectra
 in forward and in the weight-gradient pass of backward, the input-gradient
 spectra in its input-gradient pass. The per-bin GEMM form builds its
-spectra in the layout its products read, chunk by chunk.
+spectra in the layout its products read, chunk by chunk. Every chunked
+loop of both kernels takes its slices from one planner, :func:`_chunks`.
 
 Every forward transform, of input blocks, output-gradient blocks and
 filters alike, is a call of :func:`_block_spectra`, whose docstring gives
@@ -62,9 +63,13 @@ _FFT_CHUNK_ELEMS = 1 << 20
 _FFT_COST = 10
 
 
-def _conv_chunk(out_len: int, clips: int, channels: int, filter_size: int) -> int:
-    """Output positions per chunk, so clips x positions x channels x taps fits the bound."""
-    return max(1, min(out_len, _CONV_CHUNK_ELEMS // max(1, clips * channels * filter_size)))
+def _chunks(n: int, per_item: int, bound: int) -> list[slice]:
+    """Slices covering ``range(n)`` in order, each of ``max(1, bound //
+    per_item)`` items but the last, which may be shorter: a chunk of items
+    of ``per_item`` elements each is one item or within ``bound`` elements.
+    A ``per_item`` of 0 counts as 1."""
+    step = max(1, bound // max(1, per_item))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def _check_filters(filters) -> None:
@@ -128,13 +133,10 @@ def temporal_conv_forward(x, weights, bias):
     out_len = length - filter_size + 1
     windows = sliding_window_view(x, filter_size, axis=2)  # [clips, channels, out_len, filter]
     out = np.empty((clips, maps, out_len), dtype=np.result_type(x, weights))
-    step = _conv_chunk(out_len, clips, channels, filter_size)
-    for start in range(0, out_len, step):
-        stop = min(start + step, out_len)
+    for t in _chunks(out_len, clips * channels * filter_size, _CONV_CHUNK_ELEMS):
         # [maps, clips, positions]: one GEMM over every clip of the chunk
-        out[:, :, start:stop] = np.tensordot(
-            weights, windows[:, :, start:stop, :], axes=([1, 2], [1, 3])
-        ).transpose(1, 0, 2)
+        out[:, :, t] = np.tensordot(weights, windows[:, :, t],
+                                    axes=([1, 2], [1, 3])).transpose(1, 0, 2)
     out += bias[:, None]
     return out.reshape(*lead, maps, out_len)
 
@@ -160,13 +162,9 @@ def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True,
     windows = sliding_window_view(x, filter_size, axis=2)
     if grad_weights is None:
         grad_weights = np.zeros_like(weights)
-    step = _conv_chunk(out_len, clips, channels, filter_size)
-    for start in range(0, out_len, step):
-        stop = min(start + step, out_len)
+    for t in _chunks(out_len, clips * channels * filter_size, _CONV_CHUNK_ELEMS):
         # contract clips and positions: [maps, channels, filter]
-        grad_weights += np.tensordot(
-            grad_out[:, :, start:stop], windows[:, :, start:stop, :], axes=([0, 2], [0, 2])
-        )
+        grad_weights += np.tensordot(grad_out[:, :, t], windows[:, :, t], axes=([0, 2], [0, 2]))
 
     if not needs_input_grad:
         return None, grad_weights, grad_bias
@@ -175,11 +173,6 @@ def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True,
         # grad_x[..., c, t + k] += sum_m grad_out[..., m, t] * weights[m, c, k]
         grad_x[:, :, k:k + out_len] += weights[:, :, k].T @ grad_out
     return grad_x.reshape(*lead, channels, length), grad_weights, grad_bias
-
-
-def _map_chunk(maps: int, elems_per_map: int) -> int:
-    """Maps per FFT chunk, so maps x elems_per_map fits ``_FFT_CHUNK_ELEMS``."""
-    return max(1, min(maps, _FFT_CHUNK_ELEMS // max(1, elems_per_map)))
 
 
 def overlap_save(nfft: int, filter_size: int, length: int):
@@ -285,11 +278,10 @@ def filter_spectrum(weights, nfft: int):
         spectrum = np.empty((maps, bins), dtype).T[:, :, None]
     else:
         spectrum = np.empty((bins, maps, channels), dtype)
-    step = _map_chunk(maps, channels * bins)
-    for start in range(0, maps, step):
+    for m in _chunks(maps, channels * bins, _FFT_CHUNK_ELEMS):
         # the chunk's place in the spectrum as one block: [maps, channels, 1, bins]
-        chunk = spectrum[:, start:start + step].transpose(1, 2, 0)[:, :, None]
-        _block_spectra(weights[start:start + step], nfft, filter_size, 1, filter_size, chunk)
+        chunk = spectrum[:, m].transpose(1, 2, 0)[:, :, None]
+        _block_spectra(weights[m], nfft, filter_size, 1, filter_size, chunk)
         np.conjugate(chunk, out=chunk)
     return spectrum
 
@@ -309,14 +301,13 @@ def _per_bin_spectra(x, nfft: int, hop: int, blocks: int, width: int, rows_last:
     bins = nfft // 2 + 1
     out = np.empty((bins, clips, blocks, rows) if rows_last else (bins, rows, clips, blocks),
                    np.result_type(x, np.complex64))
-    step = _map_chunk(rows, bins * clips * blocks)
-    for start in range(0, rows, step):
+    for r in _chunks(rows, bins * clips * blocks, _FFT_CHUNK_ELEMS):
         # [clips, rows, blocks, bins]; the copy reads it strided and writes in order
-        chunk = _block_spectra(x[:, start:start + step], nfft, hop, blocks, width)
+        chunk = _block_spectra(x[:, r], nfft, hop, blocks, width)
         if rows_last:
-            out[..., start:start + step] = chunk.transpose(3, 0, 2, 1)
+            out[..., r] = chunk.transpose(3, 0, 2, 1)
         else:
-            out[:, start:start + step] = chunk.transpose(3, 1, 0, 2)
+            out[:, r] = chunk.transpose(3, 1, 0, 2)
     return out.reshape(bins, -1, rows) if rows_last else out.reshape(bins, rows, -1)
 
 
@@ -345,17 +336,15 @@ def fft_conv_forward(x, spectrum, bias, filter_size: int):
     else:
         spectra = _per_bin_spectra(x, nfft, hop, blocks, nfft)  # [bins, channels, clips * blocks]
     out = np.empty((clips, maps, out_len), dtype=np.result_type(x, spectrum.real))
-    step = _map_chunk(maps, bins * clips * blocks)
-    for start in range(0, maps, step):
-        stop = min(start + step, maps)
+    for m in _chunks(maps, bins * clips * blocks, _FFT_CHUNK_ELEMS):
         if channels == 1:
             # [maps, 1, bins] filter spectra times block spectra: [clips, maps, blocks, hop]
-            y = np.fft.irfft(spectrum[:, start:stop, 0].T[:, None] * spectra, n=nfft)[..., :hop]
+            y = np.fft.irfft(spectrum[:, m, 0].T[:, None] * spectra, n=nfft)[..., :hop]
         else:
-            y = np.fft.irfft(spectrum[:, start:stop] @ spectra, n=nfft, axis=0)[:hop]
+            y = np.fft.irfft(spectrum[:, m] @ spectra, n=nfft, axis=0)[:hop]
             # [hop, maps, clips, blocks] -> [clips, maps, blocks, hop]
-            y = y.reshape(hop, stop - start, clips, blocks).transpose(2, 1, 3, 0)
-        out[:, start:stop] = y.reshape(clips, stop - start, blocks * hop)[:, :, :out_len]
+            y = y.reshape(*y.shape[:2], clips, blocks).transpose(2, 1, 3, 0)
+        out[:, m] = y.reshape(*y.shape[:2], blocks * hop)[:, :, :out_len]
     out += bias[:, None]
     return out.reshape(*lead, maps, out_len)
 
@@ -381,31 +370,25 @@ def fft_conv_input_grad(x, spectrum, grad_out, filter_size: int):
     clips, _, length = x.shape
     nfft = 2 * (bins - 1)
     hop, blocks = overlap_save(nfft, filter_size, length)
-    step = _map_chunk(maps, bins * max(channels, clips * blocks))
     dtype = np.result_type(x, spectrum)
     # [bins, clips * blocks, channels], summed as conjugates, then conjugated in place
     grad_x_spectra = np.zeros((bins, clips * blocks, channels), dtype)
-    bin_step = max(1, _FFT_CHUNK_ELEMS // grad_x_spectra[0].size)
-    for start in range(0, maps, step):
-        stop = min(start + step, maps)
-        conj_g = _per_bin_spectra(grad_out[:, start:stop], nfft, hop, blocks, hop)
+    for m in _chunks(maps, bins * max(channels, clips * blocks), _FFT_CHUNK_ELEMS):
+        conj_g = _per_bin_spectra(grad_out[:, m], nfft, hop, blocks, hop)
         np.conjugate(conj_g, out=conj_g)
-        for f in range(0, bins, bin_step):
-            grad_x_spectra[f:f + bin_step] += (conj_g[f:f + bin_step].transpose(0, 2, 1)
-                                               @ spectrum[f:f + bin_step, start:stop])
+        for f in _chunks(bins, clips * blocks * channels, _FFT_CHUNK_ELEMS):
+            grad_x_spectra[f] += conj_g[f].transpose(0, 2, 1) @ spectrum[f, m]
     np.conjugate(grad_x_spectra, out=grad_x_spectra)
 
     grad_x = np.zeros_like(x, dtype=np.finfo(dtype).dtype)
-    clip_step = max(1, _FFT_CHUNK_ELEMS // (nfft * blocks * channels))
-    for first in range(0, clips, clip_step):
-        last = min(first + clip_step, clips)
+    for c in _chunks(clips, nfft * blocks * channels, _FFT_CHUNK_ELEMS):
         # [nfft, clips, blocks, channels] -> [clips, channels, blocks, nfft]
-        pieces = np.fft.irfft(grad_x_spectra[:, first * blocks:last * blocks], n=nfft, axis=0)
-        pieces = pieces.reshape(nfft, last - first, blocks, channels).transpose(1, 3, 2, 0)
+        pieces = np.fft.irfft(grad_x_spectra[:, c.start * blocks:c.stop * blocks], n=nfft, axis=0)
+        pieces = pieces.reshape(nfft, -1, blocks, channels).transpose(1, 3, 2, 0)
         for j in range(blocks):
             start = j * hop
             width = min(nfft, length - start)
-            grad_x[first:last, :, start:start + width] += pieces[:, :, j, :width]
+            grad_x[c, :, start:start + width] += pieces[:, :, j, :width]
     return grad_x.reshape(*lead, channels, length)
 
 
@@ -430,25 +413,23 @@ def fft_conv_param_grads(x, grad_out, nfft: int, grad_weights):
     clips, _, length = x.shape
     bins = nfft // 2 + 1
     hop, blocks = overlap_save(nfft, filter_size, length)
-    step = _map_chunk(maps, bins * max(channels, clips * blocks))
+    chunks = _chunks(maps, bins * max(channels, clips * blocks), _FFT_CHUNK_ELEMS)
     if channels == 1:
         spectra = _block_spectra(x, nfft, hop, blocks, nfft)  # [clips, 1, blocks, bins]
         np.conjugate(spectra, out=spectra)
-        for start in range(0, maps, step):
-            stop = min(start + step, maps)
-            g = _block_spectra(grad_out[:, start:stop], nfft, hop, blocks, hop)
+        for m in chunks:
+            g = _block_spectra(grad_out[:, m], nfft, hop, blocks, hop)
             g *= spectra
             # the sum is the conjugate of the lags' spectra: [maps, bins]
             lags = np.fft.irfft(np.conjugate(g.sum(axis=(0, 2))), n=nfft)[:, :filter_size]
-            grad_weights[start:stop, 0] += lags
+            grad_weights[m, 0] += lags
     else:
         spectra = _per_bin_spectra(x, nfft, hop, blocks, nfft, rows_last=True)
-        for start in range(0, maps, step):
-            stop = min(start + step, maps)
-            conj_g = _per_bin_spectra(grad_out[:, start:stop], nfft, hop, blocks, hop)
+        for m in chunks:
+            conj_g = _per_bin_spectra(grad_out[:, m], nfft, hop, blocks, hop)
             np.conjugate(conj_g, out=conj_g)
             lags = np.fft.irfft(conj_g @ spectra, n=nfft, axis=0)[:filter_size]
-            grad_weights[start:stop] += lags.transpose(1, 2, 0)
+            grad_weights[m] += lags.transpose(1, 2, 0)
     return grad_weights, grad_out.sum(axis=(0, 2))
 
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: a WAV encoder, brute-force oracles, and gradient checks.
+"""Shared test utilities: a WAV encoder, brute-force oracles, gradient checks
+and an open-descriptor count.
 
 Everything here is deliberately independent of the package implementation it
 verifies: naive loops, direct formulas, no shared code paths. The one
@@ -6,9 +7,11 @@ exception is ``decode_wav``, a whole-file decode strung from the package's
 own header parser and sample decoder.
 """
 
+import os
 import struct
 
 import numpy as np
+import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 
@@ -453,3 +456,21 @@ def logistic_descent_loop(xz, y, learning_rate, epochs, seed):
     for _ in range(epochs):
         w -= learning_rate * xz.T @ (sigmoid_two_branch(xz @ w) - y) / n
     return w
+
+
+# ---------------------------------------------------------------------------
+# open files
+
+
+def descriptors_on(path):
+    """How many of this process's open file descriptors point at ``path``."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to list open descriptors")
+    target = os.path.realpath(path)
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}") == target
+        except OSError:  # the descriptor listdir itself held, closed since
+            pass
+    return count

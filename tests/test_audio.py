@@ -16,7 +16,7 @@ from instrumentid.dataset import ManifestRow, prepare_dataset, read_manifest
 from instrumentid.nn import REDUCED_INPUT_LENGTH
 from instrumentid.training import iter_raw_clips
 
-from helpers import decode_wav, encode_wav, encode_int16_wav, write_corpus
+from helpers import decode_wav, descriptors_on, encode_wav, encode_int16_wav, write_corpus
 
 
 def test_16bit_scaling_law():
@@ -181,20 +181,6 @@ def _without_chunk(data, cid):
     return bytes(data)
 
 
-def _descriptors_on(path):
-    """How many of this process's open file descriptors point at ``path``."""
-    if not os.path.isdir("/proc/self/fd"):
-        pytest.skip("no /proc/self/fd to list open descriptors")
-    target = os.path.realpath(path)
-    count = 0
-    for fd in os.listdir("/proc/self/fd"):
-        try:
-            count += os.readlink(f"/proc/self/fd/{fd}") == target
-        except OSError:  # the descriptor listdir itself held, closed since
-            pass
-    return count
-
-
 def _rss_file_kb():
     """Resident file-backed memory of this process, from /proc/self/status."""
     try:
@@ -264,15 +250,15 @@ class TestWavFile:
                            match=re.escape(str(path)) + ": .*" + message) as raised:
             WavFile(path)
         # closed by WavFile itself, not by freeing the frames the traceback holds
-        assert _descriptors_on(path) == 0, raised
+        assert descriptors_on(path) == 0, raised
 
     def test_leaving_the_with_block_closes_the_file(self, tmp_path):
         path = tmp_path / "two.wav"
         path.write_bytes(encode_wav(np.zeros(2 * CLIP_SAMPLES), bits=16))
         with WavFile(path) as track:
             track.clip(1)
-            assert _descriptors_on(path) == 1
-        assert _descriptors_on(path) == 0
+            assert descriptors_on(path) == 1
+        assert descriptors_on(path) == 0
 
     def test_decoding_a_whole_track_holds_none_of_its_pages(self, tmp_path):
         # 60 s of 16-bit stereo is 10.6 MB; a map sliced clip by clip would

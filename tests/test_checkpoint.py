@@ -11,6 +11,8 @@ from instrumentid.nn import (
     save_checkpoint, load_checkpoint, CheckpointError,
 )
 
+from helpers import descriptors_on
+
 
 @pytest.fixture
 def sample(tmp_path):
@@ -77,8 +79,12 @@ def _rewrite(**changes):
     (_v1_header, "version 1"),
     (_rewrite(bias_1=None), "bias_1"),
     (_rewrite(version=np.array(3)), "version 3"),
+    (_rewrite(learning_rate=np.float64(np.nan)), "learning rate must be finite"),
+    (_rewrite(batch_size=np.array(0)), "batch size must be >= 1"),
+    (_rewrite(epoch=np.array(-1)), "'epoch' -1 is outside 0 to 7"),
 ], ids=["bad-leading-bytes", "truncated", "flipped-tensor-byte", "v1-header",
-        "missing-key", "wrong-version"])
+        "missing-key", "wrong-version", "nan-learning-rate", "zero-batch-size",
+        "negative-epoch"])
 def test_rejects_damaged_checkpoint(sample, tmp_path, damage, match):
     path, params, _ = sample
     broken = tmp_path / "broken.ckpt"
@@ -86,6 +92,8 @@ def test_rejects_damaged_checkpoint(sample, tmp_path, damage, match):
     with pytest.raises(CheckpointError, match=match) as err:
         load_checkpoint(broken)
     assert str(broken) in str(err.value)
+    # closed by load_checkpoint itself, not by freeing the frames the traceback holds
+    assert descriptors_on(broken) == 0
 
 
 def test_interrupted_save_keeps_previous_checkpoint(sample, monkeypatch):

@@ -1,3 +1,4 @@
+import gc
 import os
 from pathlib import Path
 
@@ -9,8 +10,9 @@ from instrumentid.audio import parse_wav_header
 from instrumentid.cli import _manifest_features, main
 from instrumentid.config import load_config
 from instrumentid.dataset import read_manifest
+from instrumentid.nn import load_checkpoint, save_checkpoint
 
-from helpers import eleven_class_corpus, write_config, write_corpus
+from helpers import descriptors_on, eleven_class_corpus, write_config, write_corpus
 
 
 @pytest.fixture
@@ -185,8 +187,19 @@ def test_unreadable_feature_cache_is_recomputed(prepared, corrupt):
     fresh = _manifest_features(config, "train", rows, logs.append)
     cache = config.output_dir / "features_train.npz"
     cache.write_bytes(corrupt(cache.read_bytes()))
-    again = _manifest_features(config, "train", rows, logs.append)
-    assert any(line.startswith("warn unreadable-feature-cache") for line in logs)
+    open_at_warning = []
+
+    def log(line):
+        logs.append(line)
+        if line.startswith("warn unreadable-feature-cache"):
+            open_at_warning.append(descriptors_on(cache))
+
+    gc.disable()  # so a leaked file is still open when counted, not closed by a collection
+    try:
+        again = _manifest_features(config, "train", rows, log)
+    finally:
+        gc.enable()
+    assert open_at_warning == [0]
     np.testing.assert_array_equal(again, fresh)
     with np.load(cache, allow_pickle=False) as archive:
         np.testing.assert_array_equal(archive["features"], fresh.astype(np.float32))
@@ -279,19 +292,39 @@ def test_checkpoint_of_another_architecture_is_named(workspace, capsys):
     assert capsys.readouterr().err.startswith(f"error: {resume}: checkpoint parameter shapes")
 
 
+def _spy_clip_decodes(monkeypatch):
+    decoded = []
+    clip = audio.WavFile.clip
+    monkeypatch.setattr(audio.WavFile, "clip",
+                        lambda self, *args: decoded.append(args) or clip(self, *args))
+    return decoded
+
+
 def test_resume_refuses_a_checkpoint_before_decoding_any_clip(workspace, capsys, monkeypatch):
     tmp_path, cfg = workspace
     assert main(["prepare-dataset", "--config", str(cfg)]) == 0
     assert main(["train", "--config", str(cfg)]) == 0
     full = _full_config(tmp_path)  # evaluates each epoch, so test clips would decode too
-    decoded = []
-    clip = audio.WavFile.clip
-    monkeypatch.setattr(audio.WavFile, "clip",
-                        lambda self, *args: decoded.append(args) or clip(self, *args))
+    decoded = _spy_clip_decodes(monkeypatch)
     resume = load_config(full).checkpoint_dir() / "epoch_0001.ckpt"
     capsys.readouterr()
     assert main(["train", "--config", str(full), "--resume", str(resume)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {resume}: checkpoint parameter shapes")
+    assert decoded == []
+
+
+def test_resume_refuses_a_negative_epoch_before_decoding_any_clip(workspace, capsys,
+                                                                  monkeypatch):
+    tmp_path, cfg = workspace
+    assert main(["prepare-dataset", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    params, sgd, _ = load_checkpoint(load_config(cfg).checkpoint_dir() / "epoch_0002.ckpt")
+    resume = tmp_path / "negative.ckpt"
+    save_checkpoint(resume, params, sgd, epoch=-3)
+    decoded = _spy_clip_decodes(monkeypatch)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--resume", str(resume)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {resume}: stored 'epoch' -3 is outside")
     assert decoded == []
 
 

@@ -13,6 +13,7 @@ from instrumentid.nn import (
 )
 
 from instrumentid.nn import model as nnm
+from instrumentid.nn.layers import _chunks
 
 from helpers import (
     conv_naive, maxpool_naive, maxpool_window_argmax, numeric_gradient, relative_error,
@@ -328,6 +329,18 @@ class TestFftConv:
         chunked = run()
         for got, want in zip(chunked, whole):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 500), per_item=st.integers(0, 10 ** 6), bound=st.integers(1, 1 << 24))
+@example(n=500, per_item=3, bound=1000)  # 333 items, then a shorter last chunk of 167
+def test_chunks_tile_the_range_in_equal_steps(n, per_item, bound):
+    step = max(1, bound // max(1, per_item))
+    chunks = [list(range(n)[s]) for s in _chunks(n, per_item, bound)]
+    assert sum(chunks, []) == list(range(n))
+    sizes = [len(chunk) for chunk in chunks]
+    assert min(sizes) > 0
+    assert sizes[:-1] == [step] * (len(sizes) - 1) and sizes[-1] <= step
 
 
 @pytest.mark.parametrize("call", [
