@@ -14,8 +14,9 @@ array when given one, so a network's calls accumulate into one buffer.
 Convolution has two kernels for one result. The direct kernel
 (:func:`temporal_conv_forward`) multiplies im2col windows by the filters.
 The overlap-save FFT kernel (:func:`fft_conv_forward`) takes the filters as
-:func:`filter_spectrum`, built once per set of weights, and makes one
-complex product per frequency bin over all channels, clips and blocks: the
+:func:`filter_spectrum`, built once per set of weights and stored
+maps-major, and makes one complex product per frequency bin over all
+channels, clips and blocks: the
 frequency-major layout of Mathieu, Henaff & LeCun (arXiv:1312.5851) and
 Vasilache et al. (arXiv:1412.7580). Its backward is two passes, which
 ``conv.backward`` calls in turn: :func:`fft_conv_input_grad`, the only one
@@ -36,8 +37,11 @@ holds one array of :func:`block_spectra_size` per clip, which
 ``model.forward`` counts when it sizes its calls: the input's block spectra
 in forward and in the weight-gradient pass of backward, the input-gradient
 spectra in its input-gradient pass. The per-bin GEMM form builds its
-spectra in the layout its products read, chunk by chunk. Every chunked
-loop of both kernels takes its slices from one planner, :func:`_chunks`.
+spectra in the layout its products read, chunk by chunk, and writes the
+weight-gradient products maps-major, so their inverse transforms give each
+map's lags as contiguous rows. Every chunked loop of both kernels takes its
+slices from one planner, :func:`_chunks`. Max pooling keeps its argmax in
+the narrowest unsigned type that indexes its input.
 
 Every forward transform, of input blocks, output-gradient blocks and
 filters alike, is a call of :func:`_block_spectra`, whose docstring gives
@@ -261,11 +265,13 @@ def filter_spectrum(weights, nfft: int):
     """Conjugate rfft of the filters at length ``nfft``: ``[bins, maps, channels]``.
 
     ``bins = nfft // 2 + 1``; ``nfft`` must be even and at least the filter
-    size. Each map chunk of filters is transformed as one block of
-    :func:`_block_spectra`, written straight into the layout its kernel
-    reads and conjugated there, so beyond the result only one padded chunk
-    is held: the per-bin layout, or for one channel the transposed view of
-    a contiguous ``[maps, bins]`` array, the rfft's own layout.
+    size. The result is the ``[bins, maps, channels]`` view of a contiguous
+    ``[maps, bins, channels]`` array, maps-major: each map chunk of filters
+    is transformed as one block of :func:`_block_spectra` straight into its
+    place, a map's bins ``channels`` values apart, and conjugated there, so
+    beyond the result only one padded chunk is held. The per-bin GEMMs read
+    this layout as fast as a bins-major one; with one channel it is the
+    rfft's own ``[maps, bins]`` layout, which the broadcast form reads.
     """
     weights = np.asarray(weights)
     _check_filters(weights)
@@ -273,11 +279,8 @@ def filter_spectrum(weights, nfft: int):
     if nfft % 2 or nfft < filter_size:
         raise ValueError(f"nfft must be even and >= filter size {filter_size}, got {nfft}")
     bins = nfft // 2 + 1
-    dtype = np.result_type(weights, np.complex64)
-    if channels == 1:
-        spectrum = np.empty((maps, bins), dtype).T[:, :, None]
-    else:
-        spectrum = np.empty((bins, maps, channels), dtype)
+    spectrum = np.empty((maps, bins, channels), np.result_type(weights, np.complex64))
+    spectrum = spectrum.transpose(1, 0, 2)
     for m in _chunks(maps, channels * bins, _FFT_CHUNK_ELEMS):
         # the chunk's place in the spectrum as one block: [maps, channels, 1, bins]
         chunk = spectrum[:, m].transpose(1, 2, 0)[:, :, None]
@@ -404,9 +407,12 @@ def fft_conv_param_grads(x, grad_out, nfft: int, grad_weights):
     the first ``filter_size`` lags. Summing over every clip of
     the call before that inverse rfft is what makes one call over a batch
     cheaper than one per clip. With more than one channel the product is a
-    per-bin GEMM against input spectra made in its layout; with one channel
-    a broadcast multiply in the rfft's own layout. Beyond the chunks the
-    pass holds the input block spectra.
+    per-bin GEMM against input spectra made in its layout, written into a
+    ``[maps, bins, channels]`` array and inverse transformed into a
+    contiguous ``[maps, channels, nfft]`` one, so the lags are added into
+    ``grad_weights`` row by row; with one channel it is a broadcast multiply
+    in the rfft's own layout. Beyond the chunks the pass holds the input
+    block spectra.
     """
     _, x, grad_out = _conv_operands(x, grad_weights, grad_out=grad_out)
     maps, channels, filter_size = grad_weights.shape
@@ -425,11 +431,17 @@ def fft_conv_param_grads(x, grad_out, nfft: int, grad_weights):
             grad_weights[m, 0] += lags
     else:
         spectra = _per_bin_spectra(x, nfft, hop, blocks, nfft, rows_last=True)
+        # one chunk's lag spectra, maps-major, and their lags, each lag row contiguous
+        dtype = np.result_type(x, grad_out, np.complex64)
+        lag_spectra = np.empty((chunks[0].stop, bins, channels), dtype)
+        lags = np.empty((chunks[0].stop, channels, nfft), np.finfo(dtype).dtype)
         for m in chunks:
+            k = m.stop - m.start
             conj_g = _per_bin_spectra(grad_out[:, m], nfft, hop, blocks, hop)
             np.conjugate(conj_g, out=conj_g)
-            lags = np.fft.irfft(conj_g @ spectra, n=nfft, axis=0)[:filter_size]
-            grad_weights[m] += lags.transpose(1, 2, 0)
+            np.matmul(conj_g, spectra, out=lag_spectra[:k].transpose(1, 0, 2))
+            np.fft.irfft(lag_spectra[:k], n=nfft, axis=1, out=lags[:k].transpose(0, 2, 1))
+            grad_weights[m] += lags[:k, :, :filter_size]
     return grad_weights, grad_out.sum(axis=(0, 2))
 
 
@@ -438,7 +450,9 @@ def maxpool_forward(x, pool_size: int, pool_stride: int):
 
     Takes ``[..., maps, length]``. Returns the pooled map and the absolute
     argmax index per output cell (first occurrence wins on ties), which the
-    backward pass routes through.
+    backward pass routes through. The indices are of the narrowest unsigned
+    type that holds ``length - 1`` (``np.min_scalar_type``): uint16 for the
+    41,000 samples of Table-1 pool0, a quarter of an int64 cache.
 
     Every window is a run of ``pool_size / g`` contiguous blocks of ``g =
     gcd(pool_size, pool_stride)`` samples, and windows start ``pool_stride /
@@ -461,7 +475,8 @@ def maxpool_forward(x, pool_size: int, pool_stride: int):
     blocks = x[..., :used * g].reshape(*x.shape[:-1], used, g)
     offsets = blocks.argmax(axis=-1)
     maxima = np.take_along_axis(blocks, offsets[..., None], axis=-1)[..., 0]
-    offsets += np.arange(0, used * g, g)  # absolute index of each block's max
+    offsets = offsets.astype(np.min_scalar_type(length - 1))
+    offsets += np.arange(0, used * g, g, dtype=offsets.dtype)  # absolute index of each block's max
     last = (n - 1) * step + 1
     out, argmax = maxima[..., :last:step].copy(), offsets[..., :last:step].copy()
     for k in range(1, per_window):
@@ -476,7 +491,9 @@ def maxpool_backward(argmax, grad_out, input_shape):
     """Scatter each output gradient to its recorded argmax position.
 
     Overlapping windows that share a winner accumulate there; everything
-    else stays zero. ``input_shape`` is ``[..., maps, length]``.
+    else stays zero. ``input_shape`` is ``[..., maps, length]``; ``argmax``
+    is used in the integer type it comes in, such as the narrow one of
+    :func:`maxpool_forward`.
     """
     argmax = np.asarray(argmax)
     grad_out = np.asarray(grad_out)
@@ -490,7 +507,7 @@ def maxpool_backward(argmax, grad_out, input_shape):
     grad_x = np.zeros(input_shape, dtype=grad_out.dtype)
     # every leading axis and the map axis become rows of one 2-D scatter
     rows = grad_x.reshape(-1, length)
-    argmax = argmax.reshape(len(rows), -1)
+    argmax = argmax.reshape(len(rows), argmax.shape[-1])
     np.add.at(rows, (np.arange(len(rows))[:, None], argmax), grad_out.reshape(argmax.shape))
     return grad_x
 
@@ -537,7 +554,7 @@ def fully_connected_backward(x, weights, grad_out):
         raise ValueError(f"grad_out shape {grad_out.shape} does not match fc input {x.shape}")
     grad_x = grad_out @ weights
     rows = grad_out.reshape(-1, weights.shape[0])
-    grad_weights = rows.T @ x.reshape(len(rows), -1)
+    grad_weights = rows.T @ x.reshape(len(rows), x.shape[-1])
     grad_bias = rows.sum(axis=0)
     return grad_x, grad_weights, grad_bias
 

@@ -35,8 +35,10 @@ class _Layer:
     Shapes are per clip. Layers with ``has_params`` give ``param_shapes(input
     shape)``; ``footprint(input shape)`` sizes the calls (see :func:`forward`).
     ``prepare(wb, input shape)`` turns the ``(weights, bias)`` pair, else
-    ``()``, into the form the layer computes with; ``forward`` calls it once,
-    keeps the result as a list, and every call and ``backward`` reuse it.
+    ``()``, into the form the layer computes with: the pair, then any forms
+    made from it, which only the forward calls and the input gradient read.
+    :func:`forward` calls it before the layer's first call and keeps the
+    result as a list, which every call and ``backward`` reuse.
     ``forward(x, weights, training, rng)`` takes clips ``[clips, ...]`` and
     returns ``(output, cache)``; ``backward(cache, weights, g,
     needs_input_grad, grads)`` adds the parameter gradients, summed over the
@@ -120,18 +122,20 @@ class conv(_Layer):
         return L.fft_conv_forward(x, spectrum, b, self.filter_size), x
 
     def backward(self, x, weights, g, needs_input_grad, grads):
-        """On the FFT kernel, two passes: ``nn.layers.fft_conv_input_grad``
-        from the filter spectrum, which is then dropped from ``weights``, and
-        only after that ``nn.layers.fft_conv_param_grads``, into a weight
-        gradient buffer made then on the layer's first call."""
+        """The kernel ``prepare`` picked for ``x``'s shape. On the FFT
+        kernel, two passes: ``nn.layers.fft_conv_input_grad`` from the
+        filter spectrum, which is then dropped from ``weights``, and only
+        after that ``nn.layers.fft_conv_param_grads``, into a weight gradient
+        buffer made then on the layer's first call. Without an input
+        gradient the spectrum is not read, and may already be gone."""
         w, b = weights[:2]
-        if weights[2] is None:
+        nfft = self.fft_length(x.shape[-2:])
+        if nfft is None:
             grad_x, _, gb = L.temporal_conv_backward(
                 x, w, g, needs_input_grad=needs_input_grad, grad_weights=_grad(grads, 0, w))
         else:
             grad_x = (L.fft_conv_input_grad(x, weights[2], g, self.filter_size)
                       if needs_input_grad else None)
-            nfft = 2 * (len(weights[2]) - 1)
             weights[2] = None  # the spectrum's last read in this call
             _, gb = L.fft_conv_param_grads(x, g, nfft, _grad(grads, 0, w))
         grad_b = _grad(grads, 1, b)
@@ -190,7 +194,7 @@ class fully_connected(_Layer):
         return (self.output_size, math.prod(shape)), (self.output_size,)
 
     def forward(self, x, weights, training, rng):
-        flat = x.reshape(len(x), -1)
+        flat = x.reshape(len(x), math.prod(x.shape[1:]))  # -1 fails on zero clips
         return L.fully_connected_forward(flat, *weights), (flat, x.shape)
 
     def backward(self, cache, weights, g, needs_input_grad, grads):
@@ -334,8 +338,9 @@ def init_params(layers, input_length: int, input_channels: int = 1,
 @dataclass
 class ForwardCache:
     """Everything backward() needs: the layers, each layer's weights as
-    prepared for the call (conv filter spectra included), and the per-layer
-    caches of the front, clip by clip, and of the tail (see :func:`forward`).
+    prepared for the call (the filter spectra of every conv but layer 0
+    included), and the per-layer caches of the front, clip by clip, and of
+    the tail (see :func:`forward`).
 
     :func:`backward` consumes it: it sets each slot of ``weights`` and of the
     cache lists to None once the slot's last reader has returned, so that
@@ -369,8 +374,12 @@ def _front_tail(layers, shapes, clips: int) -> int:
 def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     """Run the network over a ``[batch, channels, length]`` stack of clips.
 
-    Each layer prepares its weights once per call (a long-filter conv
-    builds its filter spectrum). The layers then run in two parts, sized by
+    Each layer prepares its weights just before its first call (a
+    long-filter conv builds its filter spectrum then), so the tail's spectra
+    are built only after every front clip has run. The forms made from the
+    weights go after their last reader: in eval mode, and for layer 0, which
+    computes no input gradient, after the layer's last forward call; else in
+    :func:`backward`. The layers run in two parts, sized by
     each layer's per-clip footprint (the largest of its input, its output
     and, on the FFT kernel, its block spectra) against
     ``nn.layers._CONV_CHUNK_ELEMS`` elements:
@@ -385,8 +394,7 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     net on one clip, and the reduced net up to 22,075 clips, is all tail.
     Dropout draws over the clips in clip order, so results are
     deterministic for a fixed rng state and do not depend on the split.
-    Eval mode keeps no caches and drops the prepared weights on return, so
-    the bound holds its memory per call.
+    Eval mode keeps no caches, so the bound holds its memory per call.
 
     :returns: ``(predictions [batch, output], cache)``; the cache is None in
         eval mode
@@ -400,23 +408,28 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     layers = list(layers)
     channels, length = batch.shape[1:]
     shapes = _input_shapes(layers, length, channels)
-    weights = [list(layer.prepare(wb, shape))
-               for layer, wb, shape in zip(layers, _layer_params(params, layers), shapes)]
+    pairs = _layer_params(params, layers)
+    weights = [None] * len(layers)  # each layer's prepared list, from its first call
     split = _front_tail(layers, shapes, len(batch))
 
-    def run(x, first, stop):
+    def run(x, first, stop, last):
         caches = []
-        for layer, w in zip(layers[first:stop], weights[first:stop]):
-            x, layer_cache = layer.forward(x, w, training, rng)
+        for i in range(first, stop):
+            if weights[i] is None:
+                weights[i] = list(layers[i].prepare(pairs[i], shapes[i]))
+            x, layer_cache = layers[i].forward(x, weights[i], training, rng)
             if training:
                 caches.append(layer_cache)
+            if last and (i == 0 or not training):  # no input gradient will read them
+                weights[i][2:] = [None] * len(weights[i][2:])
         return x, caches
 
-    fronts = [run(batch[i:i + 1], 0, split) for i in range(len(batch))] if split else []
+    fronts = ([run(batch[i:i + 1], 0, split, i == len(batch) - 1) for i in range(len(batch))]
+              if split else [])
     front_caches = [caches for _, caches in fronts]
     x = np.concatenate([out for out, _ in fronts]) if split else batch
     del fronts  # the clips' pieces of ``x``
-    preds, tail_caches = run(x, split, len(layers))
+    preds, tail_caches = run(x, split, len(layers), True)
     if not training:
         return preds, None
     return preds, ForwardCache(layers, weights, len(batch), split, front_caches, tail_caches)

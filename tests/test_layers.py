@@ -204,12 +204,14 @@ class TestFftConv:
         assert spectrum.shape == (5, 5, 3) and spectrum.dtype == np.complex64
         np.testing.assert_allclose(
             spectrum, np.conj(np.fft.rfft(w, n=8, axis=2)).transpose(2, 0, 1), rtol=1e-6)
-        # one channel: the transposed view of a contiguous [maps, bins] spectrum
         one = filter_spectrum(w[:, :1], 8)
         assert one.shape == (5, 5, 1) and one.dtype == np.complex64
         np.testing.assert_allclose(
             one, np.conj(np.fft.rfft(w[:, :1], n=8, axis=2)).transpose(2, 0, 1), rtol=1e-6)
-        assert one[:, :, 0].T.flags.c_contiguous
+        # any channel count: the [bins, maps, channels] view of a contiguous
+        # [maps, bins, channels] array, so each map's bins are written close together
+        for result in (spectrum, one):
+            assert result.transpose(1, 0, 2).flags.c_contiguous
         with pytest.raises(ValueError, match="even and >= filter size"):
             filter_spectrum(w, 7)
         with pytest.raises(ValueError, match="even and >= filter size"):
@@ -383,9 +385,14 @@ class TestMaxPool:
         np.testing.assert_array_equal(arg, [[1, 3, 4]])
 
     def test_table1_pooling_arithmetic(self):
-        x = np.random.default_rng(7).normal(size=(2, 41000))
-        out, _ = maxpool_forward(x, 40, 20)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(2, 41000))
+        out, arg = maxpool_forward(x, 40, 20)
         assert out.shape == (2, 2049)
+        assert arg.dtype == np.uint16  # the narrowest type that indexes 41,000 samples
+        g = rng.normal(size=out.shape)
+        np.testing.assert_array_equal(maxpool_backward(arg, g, x.shape),
+                                      maxpool_backward(arg.astype(np.int64), g, x.shape))
 
     def test_constant_input_ties_break_to_first(self):
         x = np.full((1, 10), 3.3)
@@ -419,7 +426,7 @@ class TestMaxPool:
         want_out, want_arg = maxpool_window_argmax(x, size, stride)
         np.testing.assert_array_equal(out, want_out)
         np.testing.assert_array_equal(arg, want_arg)
-        assert out.dtype == x.dtype and arg.dtype == want_arg.dtype
+        assert out.dtype == x.dtype and arg.dtype == np.min_scalar_type(length - 1)
 
     @pytest.mark.parametrize("size,stride", [(4, 2), (3, 5), (6, 4), (2, 2)])
     def test_blocked_argmax_propagates_nan_like_window_argmax(self, size, stride):

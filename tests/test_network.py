@@ -1,6 +1,7 @@
 import copy
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -130,6 +131,18 @@ def test_forward_output_in_unit_interval():
     preds, _ = forward(params, specs, _tiny_input(), mode="eval")
     assert preds.shape == (2, 11)
     assert ((preds > 0) & (preds < 1)).all()
+
+
+def test_zero_clips_give_zero_predictions():
+    specs = reduced_layers()
+    params = init_params(specs, REDUCED_INPUT_LENGTH, seed=0)
+    batch = np.zeros((0, 1, REDUCED_INPUT_LENGTH), np.float32)
+    preds, _ = forward(params, specs, batch, mode="eval")
+    assert preds.shape == (0, 11)
+    preds, cache = forward(params, specs, batch, mode="train", rng=np.random.default_rng(0))
+    grads = backward(cache, np.zeros_like(preds))
+    for grad, param in zip(grads.weights + grads.biases, params.weights + params.biases):
+        np.testing.assert_array_equal(grad, np.zeros_like(param))
 
 
 def test_eval_mode_keeps_no_cache():
@@ -346,6 +359,9 @@ def test_fft_network_matches_direct_and_builds_spectra_once_per_forward(monkeypa
     preds, cache = forward(params, specs, batch, mode="train", rng=np.random.default_rng(31))
     assert len(cache.front_caches) == 5
     assert built == [w.shape for w in params.weights[:3]]  # once per conv layer
+    # layer 0 computes no input gradient, so forward dropped its spectrum;
+    # conv1's (layer 3) stays for its input gradient
+    assert cache.weights[0][2] is None and cache.weights[3][2] is not None
     grads = backward(cache, grad_loss)
     assert len(built) == 3  # backward reuses the forward's spectra
     np.testing.assert_allclose(preds, direct, rtol=1e-10, atol=0)
@@ -353,6 +369,38 @@ def test_fft_network_matches_direct_and_builds_spectra_once_per_forward(monkeypa
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
     forward(params, specs, batch, mode="eval")
     assert len(built) == 6  # an eval call builds its own, once
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_spectra_live_from_their_layer_first_call_to_their_last_reader(monkeypatch, mode):
+    from instrumentid.nn import layers
+    _force_fft(monkeypatch)
+    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * 4 * 70 + 1)  # conv0, pool0 in front
+    specs = _tiny_specs(drop_rate=0.5)
+    assert _tail_start(specs, 80, 5) == 2
+    params = init_params(specs, 80, seed=43, dtype=np.float64)
+    build, conv_forward = layers.filter_spectrum, layers.fft_conv_forward
+    spectra, events = [], []  # weak references; (event, conv input channels, ...)
+
+    def spy_build(w, nfft):
+        spectrum = build(w, nfft)
+        spectra.append(weakref.ref(spectrum))
+        events.append(("build", w.shape[1]))
+        return spectrum
+
+    def spy_forward(x, spectrum, *args):
+        events.append(("forward", x.shape[-2], len(x), [ref() is not None for ref in spectra]))
+        return conv_forward(x, spectrum, *args)
+
+    monkeypatch.setattr(layers, "filter_spectrum", spy_build)
+    monkeypatch.setattr(layers, "fft_conv_forward", spy_forward)
+    forward(params, specs, _tiny_input(batch=5, seed=44), mode=mode,
+            rng=np.random.default_rng(45))
+    # the tail's spectra are built after every front clip's conv0 call, and
+    # conv0's is gone by then; in eval mode conv1's goes after its one call
+    assert events == [("build", 1), *[("forward", 1, 1, [True])] * 5,
+                      ("build", 4), ("forward", 4, 5, [False, True]),
+                      ("build", 6), ("forward", 6, 5, [False, mode == "train", True])]
 
 
 def test_fft_weight_gradients_summed_over_groups_equal_one_group(monkeypatch):
