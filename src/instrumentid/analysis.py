@@ -19,10 +19,6 @@ class FilterSpectrum:
     dominant_bin: int
 
 
-def _fft_length(filter_size: int) -> int:
-    return max(MIN_FFT_LEN, 1 << (filter_size - 1).bit_length())
-
-
 def filter_spectra(first_layer_weights) -> list[FilterSpectrum]:
     """Zero-padded magnitude spectrum per filter, with min-max rescaling.
 
@@ -35,7 +31,8 @@ def filter_spectra(first_layer_weights) -> list[FilterSpectrum]:
             f"expected first-layer weights [maps, 1, filter_size], got shape {w.shape}"
         )
     filters = w[:, 0, :]
-    mags = np.abs(np.fft.rfft(filters, n=_fft_length(filters.shape[1]), axis=1))
+    n = max(MIN_FFT_LEN, 1 << (filters.shape[1] - 1).bit_length())
+    mags = np.abs(np.fft.rfft(filters, n=n, axis=1))
     out = []
     for i, m in enumerate(mags):
         lo, hi = m.min(), m.max()

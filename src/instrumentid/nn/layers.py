@@ -29,11 +29,12 @@ spectra, and every transform runs along the contiguous last axis with no
 transposed copy. The input-gradient pass has the per-bin form only, since
 a first layer asks for no input gradient. The FFT kernel is far cheaper
 than the direct one for long filters.
-:func:`fft_length` picks the kernel and its length by one cost rule, on the
-block geometry of :func:`overlap_save`, which both FFT kernels share. The
-kernel's stages run in chunks of feature maps; each chunk's spectra and
-products stay within ``_FFT_CHUNK_ELEMS`` elements. Beyond those, a call
-holds one array of :func:`block_spectra_size` per clip, which
+:func:`fft_plan` picks the kernel by one cost rule. Its :class:`FftPlan`,
+the ``nfft``, hop, blocks and bins of the overlap-save geometry, has one
+constructor, :func:`overlap_save`, which every FFT pass calls on its own
+operands. The kernel's stages run in chunks of feature maps; each chunk's
+spectra and products stay within ``_FFT_CHUNK_ELEMS`` elements. Beyond
+those, a call holds ``bins x blocks x channels`` values per clip, which
 ``model.forward`` counts when it sizes its calls: the input's block spectra
 in forward and in the weight-gradient pass of backward, the input-gradient
 spectra in its input-gradient pass. The per-bin GEMM form builds its
@@ -51,6 +52,7 @@ in the input's precision.
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -179,27 +181,38 @@ def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True,
     return grad_x.reshape(*lead, channels, length), grad_weights, grad_bias
 
 
-def overlap_save(nfft: int, filter_size: int, length: int):
-    """``(hop, blocks)``: outputs per ``nfft``-sample block, and the blocks
-    that cover the ``length - filter_size + 1`` outputs."""
+@dataclass(frozen=True)
+class FftPlan:
+    """The overlap-save geometry of an FFT conv, made by :func:`overlap_save`."""
+    nfft: int
+    hop: int
+    blocks: int
+    bins: int
+
+
+def overlap_save(nfft: int, filter_size: int, length: int) -> FftPlan:
+    """The :class:`FftPlan` of a ``filter_size`` filter over ``length``
+    samples at an even ``nfft`` of at least the filter size: each
+    ``nfft``-sample block gives ``hop`` outputs, ``blocks`` blocks cover the
+    ``length - filter_size + 1`` outputs, and a block's rfft has ``bins``."""
+    if nfft % 2 or nfft < filter_size:
+        raise ValueError(f"nfft must be even and >= filter size {filter_size}, got {nfft}")
     hop = nfft - filter_size + 1
-    if hop < 1:
-        raise ValueError(f"spectrum of nfft {nfft} is shorter than filter size {filter_size}")
-    return hop, -(-(length - filter_size + 1) // hop)
+    return FftPlan(nfft, hop, -(-(length - filter_size + 1) // hop), nfft // 2 + 1)
 
 
-@functools.cache  # every forward asks twice per conv, for a handful of geometries
-def fft_length(maps: int, filter_size: int, shape):
-    """``nfft`` of the FFT kernel for ``[maps, channels, filter_size]``
-    filters over a ``[channels, length]`` input, or None where the direct
-    kernel costs less.
+@functools.cache  # footprint, prepare and backward each ask, for a handful of geometries
+def fft_plan(maps: int, filter_size: int, shape):
+    """The FFT kernel's :class:`FftPlan` for ``[maps, channels,
+    filter_size]`` filters over a ``[channels, length]`` input, or None
+    where the direct kernel costs less.
 
     The cost rule, in multiply-adds per clip: the direct kernel costs
     ``maps * channels * filter_size * out_len``. The FFT kernel at length
-    ``n``, with ``(hop, blocks)`` from :func:`overlap_save`, costs ``maps *
-    channels + (maps + channels) * blocks`` transforms of ``_FFT_COST * n *
-    log2(n)`` each, the filter spectrum counted whole as if every ``forward``
-    call held one clip, plus four per complex multiply-add of the per-bin
+    ``n``, on the plan :func:`overlap_save` makes, costs ``maps * channels +
+    (maps + channels) * blocks`` transforms of ``_FFT_COST * n * log2(n)``
+    each, the filter spectrum counted whole as if every ``forward`` call
+    held one clip, plus four per complex multiply-add of the per-bin
     products, ``bins * maps * channels * blocks``. ``n`` runs over the even
     sizes ``2^a`` and ``3 * 2^a`` (fast FFT lengths at most 4/3 apart) from
     the filter size on. The cheapest wins if it beats the direct kernel.
@@ -211,26 +224,18 @@ def fft_length(maps: int, filter_size: int, shape):
     for n in sorted(base << k for base in (2, 3) for k in range(length.bit_length() + 1)):
         if n % 2 or n < filter_size:
             continue
-        bins = n // 2 + 1
-        _, blocks = overlap_save(n, filter_size, length)
-        transforms = maps * channels + (maps + channels) * blocks
-        cost = _FFT_COST * transforms * n * math.log2(n) + 4 * bins * maps * channels * blocks
+        plan = overlap_save(n, filter_size, length)
+        transforms = maps * channels + (maps + channels) * plan.blocks
+        cost = (_FFT_COST * transforms * n * math.log2(n)
+                + 4 * plan.bins * maps * channels * plan.blocks)
         if cost < best_cost:
-            best, best_cost = n, cost
+            best, best_cost = plan, cost
     return best
 
 
-def block_spectra_size(nfft: int, filter_size: int, shape) -> int:
-    """Values of one ``[channels, length]`` clip's block spectra at ``nfft``:
-    ``bins x blocks x channels``, held once in each backward pass,
-    :func:`fft_conv_input_grad` and :func:`fft_conv_param_grads`."""
-    channels, length = shape
-    return (nfft // 2 + 1) * overlap_save(nfft, filter_size, length)[1] * channels
-
-
-def _block_spectra(x, nfft: int, hop: int, blocks: int, width: int, out=None):
-    """rfft at length ``nfft`` of ``blocks`` windows of ``width`` samples,
-    ``hop`` apart, of ``x [clips, rows, length]`` zero-padded at the end.
+def _block_spectra(x, plan: FftPlan, width: int, out=None):
+    """rfft at length ``plan.nfft`` of ``plan.blocks`` windows of ``width``
+    samples, ``plan.hop`` apart, of ``x [clips, rows, length]`` zero-padded.
 
     ``width`` is ``nfft``, or ``hop`` for blocks that tile ``x``; those are
     zero-padded to ``nfft`` here, since ``np.fft.rfft`` given a longer ``n``
@@ -246,6 +251,7 @@ def _block_spectra(x, nfft: int, hop: int, blocks: int, width: int, out=None):
         ``out`` when given (any strides); the per-bin GEMM form copies it
         into its own chunk by chunk (:func:`_per_bin_spectra`)
     """
+    nfft, hop, blocks = plan.nfft, plan.hop, plan.blocks
     clips, rows, length = x.shape
     if width == hop < nfft:
         windows = np.zeros((clips, rows, blocks, nfft), dtype=x.dtype)
@@ -276,20 +282,18 @@ def filter_spectrum(weights, nfft: int):
     weights = np.asarray(weights)
     _check_filters(weights)
     maps, channels, filter_size = weights.shape
-    if nfft % 2 or nfft < filter_size:
-        raise ValueError(f"nfft must be even and >= filter size {filter_size}, got {nfft}")
-    bins = nfft // 2 + 1
-    spectrum = np.empty((maps, bins, channels), np.result_type(weights, np.complex64))
+    plan = overlap_save(nfft, filter_size, filter_size)  # one block, the filters padded
+    spectrum = np.empty((maps, plan.bins, channels), np.result_type(weights, np.complex64))
     spectrum = spectrum.transpose(1, 0, 2)
-    for m in _chunks(maps, channels * bins, _FFT_CHUNK_ELEMS):
+    for m in _chunks(maps, channels * plan.bins, _FFT_CHUNK_ELEMS):
         # the chunk's place in the spectrum as one block: [maps, channels, 1, bins]
         chunk = spectrum[:, m].transpose(1, 2, 0)[:, :, None]
-        _block_spectra(weights[m], nfft, filter_size, 1, filter_size, chunk)
+        _block_spectra(weights[m], plan, nfft, chunk)
         np.conjugate(chunk, out=chunk)
     return spectrum
 
 
-def _per_bin_spectra(x, nfft: int, hop: int, blocks: int, width: int, rows_last: bool = False):
+def _per_bin_spectra(x, plan: FftPlan, width: int, rows_last: bool = False):
     """:func:`_block_spectra` of ``x [clips, rows, length]`` in the per-bin
     GEMM layout ``[bins, rows, clips * blocks]``, or ``[bins, clips *
     blocks, rows]`` with ``rows_last``.
@@ -301,12 +305,12 @@ def _per_bin_spectra(x, nfft: int, hop: int, blocks: int, width: int, rows_last:
     writing through the transposed view, at about the same speed.
     """
     clips, rows, _ = x.shape
-    bins = nfft // 2 + 1
+    bins, blocks = plan.bins, plan.blocks
     out = np.empty((bins, clips, blocks, rows) if rows_last else (bins, rows, clips, blocks),
                    np.result_type(x, np.complex64))
     for r in _chunks(rows, bins * clips * blocks, _FFT_CHUNK_ELEMS):
         # [clips, rows, blocks, bins]; the copy reads it strided and writes in order
-        chunk = _block_spectra(x[:, r], nfft, hop, blocks, width)
+        chunk = _block_spectra(x[:, r], plan, width)
         if rows_last:
             out[..., r] = chunk.transpose(3, 0, 2, 1)
         else:
@@ -329,25 +333,24 @@ def fft_conv_forward(x, spectrum, bias, filter_size: int):
     spectrum = np.asarray(spectrum)
     bias = np.asarray(bias)
     lead, x, _ = _conv_operands(x, spectrum, filter_size, bias)
-    bins, maps, channels = spectrum.shape
+    maps, channels = spectrum.shape[1:]
     clips, _, length = x.shape
-    nfft = 2 * (bins - 1)
-    hop, blocks = overlap_save(nfft, filter_size, length)
+    plan = overlap_save(2 * (len(spectrum) - 1), filter_size, length)
     out_len = length - filter_size + 1
     if channels == 1:
-        spectra = _block_spectra(x, nfft, hop, blocks, nfft)  # [clips, 1, blocks, bins]
+        spectra = _block_spectra(x, plan, plan.nfft)  # [clips, 1, blocks, bins]
     else:
-        spectra = _per_bin_spectra(x, nfft, hop, blocks, nfft)  # [bins, channels, clips * blocks]
+        spectra = _per_bin_spectra(x, plan, plan.nfft)  # [bins, channels, clips * blocks]
     out = np.empty((clips, maps, out_len), dtype=np.result_type(x, spectrum.real))
-    for m in _chunks(maps, bins * clips * blocks, _FFT_CHUNK_ELEMS):
+    for m in _chunks(maps, plan.bins * clips * plan.blocks, _FFT_CHUNK_ELEMS):
         if channels == 1:
             # [maps, 1, bins] filter spectra times block spectra: [clips, maps, blocks, hop]
-            y = np.fft.irfft(spectrum[:, m, 0].T[:, None] * spectra, n=nfft)[..., :hop]
+            y = np.fft.irfft(spectrum[:, m, 0].T[:, None] * spectra, n=plan.nfft)[..., :plan.hop]
         else:
-            y = np.fft.irfft(spectrum[:, m] @ spectra, n=nfft, axis=0)[:hop]
+            y = np.fft.irfft(spectrum[:, m] @ spectra, n=plan.nfft, axis=0)[:plan.hop]
             # [hop, maps, clips, blocks] -> [clips, maps, blocks, hop]
-            y = y.reshape(*y.shape[:2], clips, blocks).transpose(2, 1, 3, 0)
-        out[:, m] = y.reshape(*y.shape[:2], blocks * hop)[:, :, :out_len]
+            y = y.reshape(*y.shape[:2], clips, plan.blocks).transpose(2, 1, 3, 0)
+        out[:, m] = y.reshape(*y.shape[:2], plan.blocks * plan.hop)[:, :, :out_len]
     out += bias[:, None]
     return out.reshape(*lead, maps, out_len)
 
@@ -369,15 +372,15 @@ def fft_conv_input_grad(x, spectrum, grad_out, filter_size: int):
     """
     spectrum = np.asarray(spectrum)
     lead, x, grad_out = _conv_operands(x, spectrum, filter_size, grad_out=grad_out)
-    bins, maps, channels = spectrum.shape
+    maps, channels = spectrum.shape[1:]
     clips, _, length = x.shape
-    nfft = 2 * (bins - 1)
-    hop, blocks = overlap_save(nfft, filter_size, length)
+    plan = overlap_save(2 * (len(spectrum) - 1), filter_size, length)
+    nfft, hop, blocks, bins = plan.nfft, plan.hop, plan.blocks, plan.bins
     dtype = np.result_type(x, spectrum)
     # [bins, clips * blocks, channels], summed as conjugates, then conjugated in place
     grad_x_spectra = np.zeros((bins, clips * blocks, channels), dtype)
     for m in _chunks(maps, bins * max(channels, clips * blocks), _FFT_CHUNK_ELEMS):
-        conj_g = _per_bin_spectra(grad_out[:, m], nfft, hop, blocks, hop)
+        conj_g = _per_bin_spectra(grad_out[:, m], plan, hop)
         np.conjugate(conj_g, out=conj_g)
         for f in _chunks(bins, clips * blocks * channels, _FFT_CHUNK_ELEMS):
             grad_x_spectra[f] += conj_g[f].transpose(0, 2, 1) @ spectrum[f, m]
@@ -417,27 +420,26 @@ def fft_conv_param_grads(x, grad_out, nfft: int, grad_weights):
     _, x, grad_out = _conv_operands(x, grad_weights, grad_out=grad_out)
     maps, channels, filter_size = grad_weights.shape
     clips, _, length = x.shape
-    bins = nfft // 2 + 1
-    hop, blocks = overlap_save(nfft, filter_size, length)
-    chunks = _chunks(maps, bins * max(channels, clips * blocks), _FFT_CHUNK_ELEMS)
+    plan = overlap_save(nfft, filter_size, length)
+    chunks = _chunks(maps, plan.bins * max(channels, clips * plan.blocks), _FFT_CHUNK_ELEMS)
     if channels == 1:
-        spectra = _block_spectra(x, nfft, hop, blocks, nfft)  # [clips, 1, blocks, bins]
+        spectra = _block_spectra(x, plan, nfft)  # [clips, 1, blocks, bins]
         np.conjugate(spectra, out=spectra)
         for m in chunks:
-            g = _block_spectra(grad_out[:, m], nfft, hop, blocks, hop)
+            g = _block_spectra(grad_out[:, m], plan, plan.hop)
             g *= spectra
             # the sum is the conjugate of the lags' spectra: [maps, bins]
             lags = np.fft.irfft(np.conjugate(g.sum(axis=(0, 2))), n=nfft)[:, :filter_size]
             grad_weights[m, 0] += lags
     else:
-        spectra = _per_bin_spectra(x, nfft, hop, blocks, nfft, rows_last=True)
+        spectra = _per_bin_spectra(x, plan, nfft, rows_last=True)
         # one chunk's lag spectra, maps-major, and their lags, each lag row contiguous
         dtype = np.result_type(x, grad_out, np.complex64)
-        lag_spectra = np.empty((chunks[0].stop, bins, channels), dtype)
+        lag_spectra = np.empty((chunks[0].stop, plan.bins, channels), dtype)
         lags = np.empty((chunks[0].stop, channels, nfft), np.finfo(dtype).dtype)
         for m in chunks:
             k = m.stop - m.start
-            conj_g = _per_bin_spectra(grad_out[:, m], nfft, hop, blocks, hop)
+            conj_g = _per_bin_spectra(grad_out[:, m], plan, plan.hop)
             np.conjugate(conj_g, out=conj_g)
             np.matmul(conj_g, spectra, out=lag_spectra[:k].transpose(1, 0, 2))
             np.fft.irfft(lag_spectra[:k], n=nfft, axis=1, out=lags[:k].transpose(0, 2, 1))

@@ -98,22 +98,22 @@ class conv(_Layer):
     def param_shapes(self, shape):
         return (self.feature_maps, shape[0], self.filter_size), (self.feature_maps,)
 
-    def fft_length(self, shape):
-        """``nn.layers.fft_length`` of this layer for a ``[channels, length]``
-        input: the FFT kernel's ``nfft``, or None for the direct kernel."""
-        return L.fft_length(self.feature_maps, self.filter_size, shape)
+    def fft_plan(self, shape):
+        """``nn.layers.fft_plan`` of this layer for a ``[channels, length]``
+        input: the FFT kernel's ``FftPlan``, or None for the direct kernel."""
+        return L.fft_plan(self.feature_maps, self.filter_size, shape)
 
     def footprint(self, shape):
-        """As for any layer, or on the FFT kernel its block spectra
-        (``nn.layers.block_spectra_size``) if larger."""
-        nfft = self.fft_length(shape)
-        spectra = 0 if nfft is None else L.block_spectra_size(nfft, self.filter_size, shape)
+        """As for any layer, or on the FFT kernel its block spectra, ``bins x
+        blocks x channels`` per clip, if larger."""
+        plan = self.fft_plan(shape)
+        spectra = 0 if plan is None else plan.bins * plan.blocks * shape[0]
         return max(super().footprint(shape), spectra)
 
     def prepare(self, wb, shape):
         """``(weights, bias, filter spectrum or None)``: the spectrum picks the FFT kernel."""
-        nfft = self.fft_length(shape)
-        return (*wb, None if nfft is None else L.filter_spectrum(wb[0], nfft))
+        plan = self.fft_plan(shape)
+        return (*wb, None if plan is None else L.filter_spectrum(wb[0], plan.nfft))
 
     def forward(self, x, weights, training, rng):
         w, b, spectrum = weights
@@ -129,15 +129,15 @@ class conv(_Layer):
         buffer made then on the layer's first call. Without an input
         gradient the spectrum is not read, and may already be gone."""
         w, b = weights[:2]
-        nfft = self.fft_length(x.shape[-2:])
-        if nfft is None:
+        plan = self.fft_plan(x.shape[-2:])
+        if plan is None:
             grad_x, _, gb = L.temporal_conv_backward(
                 x, w, g, needs_input_grad=needs_input_grad, grad_weights=_grad(grads, 0, w))
         else:
             grad_x = (L.fft_conv_input_grad(x, weights[2], g, self.filter_size)
                       if needs_input_grad else None)
             weights[2] = None  # the spectrum's last read in this call
-            _, gb = L.fft_conv_param_grads(x, g, nfft, _grad(grads, 0, w))
+            _, gb = L.fft_conv_param_grads(x, g, plan.nfft, _grad(grads, 0, w))
         grad_b = _grad(grads, 1, b)
         grad_b += gb
         return grad_x

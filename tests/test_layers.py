@@ -13,7 +13,7 @@ from instrumentid.nn import (
 )
 
 from instrumentid.nn import model as nnm
-from instrumentid.nn.layers import _chunks
+from instrumentid.nn.layers import _chunks, fft_plan, overlap_save
 
 from helpers import (
     conv_naive, maxpool_naive, maxpool_window_argmax, numeric_gradient, relative_error,
@@ -195,7 +195,7 @@ class TestFftConv:
         w = (rng.normal(size=(2, len(x[0]), layer.filter_size)) * 0.05).astype(np.float32)
         b = rng.normal(size=2).astype(np.float32)
         # the input gradient of a one-channel first layer is never asked for
-        _fft_against_direct(x, w, b, layer.fft_length((channels, length)), 1e-5,
+        _fft_against_direct(x, w, b, layer.fft_plan((channels, length)).nfft, 1e-5,
                             needs_input_grad=channels > 1)
 
     def test_filter_spectrum_layout(self):
@@ -233,7 +233,7 @@ class TestFftConv:
         else:
             x = rng.normal(size=(1, 64, 4000)).astype(np.float32)
             # conv1's nfft and hop: 3701 outputs in 44 blocks
-            run = lambda: layers._block_spectra(x, 384, 85, 44, 384)
+            run = lambda: layers._block_spectra(x, layers.overlap_save(384, 300, 4000), 384)
         tracemalloc.start()
         try:
             result = run()
@@ -297,7 +297,7 @@ class TestFftConv:
         specs = [nnm.conv(1, 3), nnm.conv(8, 1001), nnm.max_pool(100, 100), nnm.relu(),
                  nnm.fully_connected(2), nnm.sigmoid()]
         length = 4000
-        assert specs[1].fft_length((1, length - 2)) is not None
+        assert specs[1].fft_plan((1, length - 2)) is not None
         params = nnm.init_params(specs, length, seed=60, dtype=np.float64)
         batch = np.random.default_rng(61).normal(size=(2, 1, length))
         r = np.random.default_rng(62).normal(size=(2, 2))
@@ -343,6 +343,35 @@ def test_chunks_tile_the_range_in_equal_steps(n, per_item, bound):
     sizes = [len(chunk) for chunk in chunks]
     assert min(sizes) > 0
     assert sizes[:-1] == [step] * (len(sizes) - 1) and sizes[-1] <= step
+
+
+@settings(max_examples=300, deadline=None)
+@given(filter_size=st.integers(1, 5000), extra=st.integers(0, 5000),
+       outputs=st.integers(1, 10 ** 6), short=st.integers(0, 5000),
+       maps=st.integers(1, 512), channels=st.integers(1, 512))
+@example(filter_size=3101, extra=9187, outputs=41000, short=3100, maps=256,
+         channels=1)  # Table-1 conv0: nfft 12288, five blocks
+@example(filter_size=300, extra=84, outputs=1750, short=299, maps=384,
+         channels=256)  # Table-1 conv1: nfft 384, 21 blocks
+def test_overlap_save_plans_cover_the_outputs(filter_size, extra, outputs, short, maps,
+                                              channels):
+    nfft = filter_size + extra + (filter_size + extra) % 2  # even, >= the filter size
+    length = filter_size + outputs - 1
+    plan = overlap_save(nfft, filter_size, length)
+    assert (plan.nfft, plan.hop) == (nfft, nfft - filter_size + 1)
+    # the fewest blocks of hop outputs that cover every output
+    assert (plan.blocks - 1) * plan.hop < outputs <= plan.blocks * plan.hop
+    assert plan.bins == nfft // 2 + 1
+    # an nfft shorter than the filter, or odd, has no plan
+    for bad in (min(short, filter_size - 1), nfft + 1):
+        with pytest.raises(ValueError, match=rf"filter size {filter_size}, got {bad}$"):
+            overlap_save(bad, filter_size, length)
+    # the cost rule picks an even fast length (2^a or 3 * 2^a) of at least the filter size
+    picked = fft_plan(maps, filter_size, (channels, length))
+    if picked is not None:
+        n = picked.nfft
+        assert n % 2 == 0 and n // (n & -n) in (1, 3) and n >= filter_size
+        assert picked == overlap_save(n, filter_size, length)
 
 
 @pytest.mark.parametrize("call", [

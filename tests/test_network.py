@@ -12,6 +12,7 @@ from instrumentid.nn import (
     forward, backward, sgd_step, bce_loss,
     FULL_INPUT_LENGTH, REDUCED_INPUT_LENGTH,
 )
+from instrumentid.nn import layers as L
 from instrumentid.nn import model as nnm
 
 from helpers import numeric_gradient, relative_error
@@ -228,8 +229,7 @@ def test_backward_frees_the_filter_spectrum_before_the_weight_gradient(monkeypat
     # started with (the spectrum included) plus that gradient.
     from instrumentid.nn import layers
     monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1 << 10)  # one map per chunk
-    monkeypatch.setattr(nnm.conv, "fft_length",
-                        lambda self, shape: 2 * self.filter_size if shape[0] > 1 else None)
+    _force_fft(monkeypatch, min_channels=2)
     specs = [nnm.conv(32, 1), nnm.conv(32, 33), nnm.max_pool(34, 34),
              nnm.fully_connected(11), nnm.sigmoid()]
     params = init_params(specs, 66, seed=55, dtype=np.float64)
@@ -320,20 +320,51 @@ def test_groups_bounded_by_largest_layer_output(monkeypatch):
     _assert_params_close(backward(split_cache, grad_loss), whole_grads)
 
 
+def _conv_plans(specs, input_length):
+    """Each conv's ``fft_plan`` at per-clip geometry, None for the direct kernel."""
+    inputs = [(1, input_length)] + infer_shapes(specs, input_length, 1)[:-1]
+    return [layer.fft_plan(shape) for layer, shape in zip(specs, inputs)
+            if layer.kind is LayerKind.TEMPORAL_CONV]
+
+
+def _kernel_picks():
+    """Each conv's ``nfft``, None for the direct kernel: Table-1's, then the reduced net's."""
+    return [[plan and plan.nfft for plan in _conv_plans(specs, length)]
+            for specs, length in ((table1_layers(), FULL_INPUT_LENGTH),
+                                  (reduced_layers(), REDUCED_INPUT_LENGTH))]
+
+
 def test_conv_kernel_choice_follows_filter_length():
     # long filters (Table-1 conv0, conv1) take the FFT kernel, short ones direct
-    def conv_lengths(specs, input_length):
-        inputs = [(1, input_length)] + infer_shapes(specs, input_length, 1)[:-1]
-        return [layer.fft_length(shape) for layer, shape in zip(specs, inputs)
-                if layer.kind is LayerKind.TEMPORAL_CONV]
-
-    assert conv_lengths(table1_layers(), FULL_INPUT_LENGTH) == [12288, 384, None]
-    assert conv_lengths(reduced_layers(), REDUCED_INPUT_LENGTH) == [None, None, None]
+    assert _kernel_picks() == [[12288, 384, None], [None, None, None]]
+    assert _conv_plans(table1_layers(), FULL_INPUT_LENGTH)[:2] == [
+        L.FftPlan(nfft=12288, hop=9188, blocks=5, bins=6145),
+        L.FftPlan(nfft=384, hop=85, blocks=21, bins=193),
+    ]
 
 
-def _force_fft(monkeypatch):
-    """Every conv of the tiny net on the FFT kernel, at a few blocks per clip."""
-    monkeypatch.setattr(nnm.conv, "fft_length", lambda self, shape: 2 * self.filter_size)
+def test_kernel_picks_hold_over_the_fft_cost_range(monkeypatch):
+    # _FFT_COST's comment: every value from 8 to 40 gives both nets the
+    # same kernels and lengths. The plans are cached, so the cache is
+    # cleared at each value and again once the constant is restored.
+    try:
+        for cost in range(8, 41):
+            with monkeypatch.context() as patch:
+                patch.setattr(L, "_FFT_COST", cost)
+                L.fft_plan.cache_clear()
+                assert _kernel_picks() == [[12288, 384, None], [None, None, None]], cost
+    finally:
+        L.fft_plan.cache_clear()
+
+
+def _force_fft(monkeypatch, min_channels=1):
+    """Every conv of the tiny net with at least ``min_channels`` input
+    channels on the FFT kernel, at ``nfft`` twice its filter size: a few
+    blocks per clip."""
+    def plan(self, shape):
+        return (L.overlap_save(2 * self.filter_size, self.filter_size, shape[1])
+                if shape[0] >= min_channels else None)
+    monkeypatch.setattr(nnm.conv, "fft_plan", plan)
 
 
 def test_fft_network_matches_direct_and_builds_spectra_once_per_forward(monkeypatch):
@@ -519,11 +550,9 @@ def test_table1_tail_arrays_fit_the_bound(clips):
     ins = [(1, FULL_INPUT_LENGTH)] + infer_shapes(specs, FULL_INPUT_LENGTH, 1)
     for layer, shape, out in zip(specs[split:], ins[split:-1], ins[split + 1:]):
         arrays = [np.prod(shape), np.prod(out)]
-        if layer.kind is LayerKind.TEMPORAL_CONV and layer.fft_length(shape):
-            nfft = layer.fft_length(shape)
-            hop = nfft - layer.filter_size + 1
-            blocks = -(-out[1] // hop)
-            arrays.append((nfft // 2 + 1) * blocks * shape[0])
+        plan = layer.fft_plan(shape) if layer.kind is LayerKind.TEMPORAL_CONV else None
+        if plan is not None:  # the block spectra
+            arrays.append(plan.bins * plan.blocks * shape[0])
         assert max(arrays) * clips <= layers._CONV_CHUNK_ELEMS, layer
 
 
