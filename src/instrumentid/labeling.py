@@ -15,6 +15,10 @@ OTHER_CLASS = "OTHER"
 DEFAULT_WINDOW_SECONDS = 0.1
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_MIN_SONGS = 20
+# Cells per np.array call of parse_activation_csv: bounds the str objects
+# held at once (about 64 bytes a cell), which a long track's table would
+# otherwise hold by the megabyte.
+_CONVERSION_CELLS = 1 << 12
 
 
 @dataclass
@@ -68,29 +72,45 @@ class ActivationTable:
 
 
 def parse_activation_csv(text: str, track_id: str) -> ActivationTable:
-    """Parse the "time,<instrument>,..." comma-separated annotation layout."""
-    # (1-based line number, stripped text) of the non-blank lines
-    lines = ((n, s) for n, ln in enumerate(text.splitlines(), 1) if (s := ln.strip()))
-    first = next(lines, None)
-    if first is None:
+    """Parse the "time,<instrument>,..." comma-separated annotation layout.
+
+    Once every row has the header's cell count, the cells convert in
+    ``np.array`` calls of up to ``_CONVERSION_CELLS`` cells, which accept
+    exactly what ``float`` accepts. A bad file raises the error of its first
+    bad line, blank lines counted.
+    """
+    lines = text.splitlines()
+    rows = [s for ln in lines if (s := ln.strip())]  # the non-blank lines, stripped
+    if not rows:
         raise ValueError(f"empty activation file for track {track_id}")
-    header = [c.strip() for c in first[1].split(",")]
+    header = [c.strip() for c in rows[0].split(",")]
     if header[0].lower() != "time" or len(header) < 2:
-        raise ValueError(f"bad activation header {first[1]!r} in track {track_id}")
-    columns = header[1:]
-    rows = []
-    for lineno, ln in lines:
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"track {track_id} line {lineno}: row with {len(cells)} cells, "
-                             f"expected {len(header)}: {ln!r}")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            raise ValueError(
-                f"track {track_id} line {lineno}: cell that is not a number in {ln!r}") from None
-    arr = np.asarray(rows, dtype=np.float64)
-    return ActivationTable(track_id, arr[:, 0], columns, arr[:, 1:])
+        raise ValueError(f"bad activation header {rows[0]!r} in track {track_id}")
+    data, width = rows[1:], len(header)
+    try:
+        if any(row.count(",") != width - 1 for row in data):
+            raise ValueError("row with a wrong cell count")
+        values = np.empty((len(data), width))
+        step = max(1, _CONVERSION_CELLS // width)
+        for start in range(0, len(data), step):
+            block = data[start:start + step]
+            cells = ",".join(block).split(",")
+            values[start:start + len(block)] = np.array(cells, np.float64).reshape(len(block), width)
+    except ValueError:
+        # walk the data lines, numbered with blank lines counted, to name the first bad one
+        numbered = [(n, s) for n, ln in enumerate(lines, 1) if (s := ln.strip())]
+        for lineno, row in numbered[1:]:
+            cells = row.split(",")
+            if len(cells) != width:
+                raise ValueError(f"track {track_id} line {lineno}: row with {len(cells)} cells, "
+                                 f"expected {width}: {row!r}") from None
+            try:
+                [float(c) for c in cells]
+            except ValueError:
+                raise ValueError(f"track {track_id} line {lineno}: cell that is not a number "
+                                 f"in {row!r}") from None
+        raise
+    return ActivationTable(track_id, values[:, 0], header[1:], values[:, 1:])
 
 
 def window_samples(step_seconds: float, window_seconds: float) -> int:

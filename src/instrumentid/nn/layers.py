@@ -12,7 +12,10 @@ backward passes add the weight gradient into a caller's ``grad_weights``
 array when given one, so a network's calls accumulate into one buffer.
 
 Convolution has two kernels for one result. The direct kernel
-(:func:`temporal_conv_forward`) multiplies im2col windows by the filters.
+(:func:`temporal_conv_forward`) multiplies im2col windows, a read-only
+strided view of the input, by the filters: its forward and weight gradient
+are one GEMM per chunk of output positions, and its input gradient is one
+GEMM over all taps per chunk of clips, then one shifted add per tap.
 The overlap-save FFT kernel (:func:`fft_conv_forward`) takes the filters as
 :func:`filter_spectrum`, built once per set of weights and stored
 maps-major, and makes one complex product per frequency bin over all
@@ -42,7 +45,8 @@ spectra in the layout its products read, chunk by chunk, and writes the
 weight-gradient products maps-major, so their inverse transforms give each
 map's lags as contiguous rows. Every chunked loop of both kernels takes its
 slices from one planner, :func:`_chunks`. Max pooling keeps its argmax in
-the narrowest unsigned type that indexes its input.
+the narrowest unsigned type that indexes its input; both its passes index
+the flattened input, once per call.
 
 Every forward transform, of input blocks, output-gradient blocks and
 filters alike, is a call of :func:`_block_spectra`, whose docstring gives
@@ -55,7 +59,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 # Bound on window elements materialized per im2col chunk (~128 MiB float64).
 _CONV_CHUNK_ELEMS = 1 << 24
@@ -76,6 +80,15 @@ def _chunks(n: int, per_item: int, bound: int) -> list[slice]:
     A ``per_item`` of 0 counts as 1."""
     step = max(1, bound // max(1, per_item))
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _windows(x, width: int, count: int, step: int = 1):
+    """Read-only ``[clips, rows, count, width]`` view of ``x [clips, rows,
+    length]``: ``count`` windows of ``width`` samples, ``step`` apart."""
+    clips, rows, _ = x.shape
+    stride = x.strides
+    return as_strided(x, (clips, rows, count, width),
+                      (*stride[:2], step * stride[2], stride[2]), writeable=False)
 
 
 def _check_filters(filters) -> None:
@@ -137,12 +150,15 @@ def temporal_conv_forward(x, weights, bias):
     maps, channels, filter_size = weights.shape
     clips, _, length = x.shape
     out_len = length - filter_size + 1
-    windows = sliding_window_view(x, filter_size, axis=2)  # [clips, channels, out_len, filter]
+    windows = _windows(x, filter_size, out_len)  # [clips, channels, out_len, filter]
+    rows = weights.reshape(maps, channels * filter_size)
     out = np.empty((clips, maps, out_len), dtype=np.result_type(x, weights))
     for t in _chunks(out_len, clips * channels * filter_size, _CONV_CHUNK_ELEMS):
-        # [maps, clips, positions]: one GEMM over every clip of the chunk
-        out[:, :, t] = np.tensordot(weights, windows[:, :, t],
-                                    axes=([1, 2], [1, 3])).transpose(1, 0, 2)
+        width = t.stop - t.start
+        # one GEMM over every clip of the chunk: [maps, clips * positions]. np.dot,
+        # not @, which rounds differently on its matrix-vector path (one map)
+        cols = windows[:, :, t].transpose(1, 3, 0, 2).reshape(channels * filter_size, clips * width)
+        out[:, :, t] = np.dot(rows, cols).reshape(maps, clips, width).transpose(1, 0, 2)
     out += bias[:, None]
     return out.reshape(*lead, maps, out_len)
 
@@ -165,19 +181,26 @@ def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True,
 
     grad_bias = grad_out.sum(axis=(0, 2))
 
-    windows = sliding_window_view(x, filter_size, axis=2)
+    windows = _windows(x, filter_size, out_len)
     if grad_weights is None:
         grad_weights = np.zeros_like(weights)
     for t in _chunks(out_len, clips * channels * filter_size, _CONV_CHUNK_ELEMS):
-        # contract clips and positions: [maps, channels, filter]
-        grad_weights += np.tensordot(grad_out[:, :, t], windows[:, :, t], axes=([0, 2], [0, 2]))
+        width = t.stop - t.start
+        # contract clips and positions: [maps, channels * filter]
+        rows = grad_out[:, :, t].transpose(1, 0, 2).reshape(maps, clips * width)
+        cols = windows[:, :, t].transpose(0, 2, 1, 3).reshape(clips * width, channels * filter_size)
+        grad_weights += np.dot(rows, cols).reshape(maps, channels, filter_size)
 
     if not needs_input_grad:
         return None, grad_weights, grad_bias
+    # every tap's product in one GEMM, [filter * channels, maps] @ [maps, out_len] per clip
+    taps = weights.transpose(2, 1, 0).reshape(filter_size * channels, maps)
     grad_x = np.zeros_like(x)
-    for k in range(filter_size):
-        # grad_x[..., c, t + k] += sum_m grad_out[..., m, t] * weights[m, c, k]
-        grad_x[:, :, k:k + out_len] += weights[:, :, k].T @ grad_out
+    for c in _chunks(clips, filter_size * channels * out_len, _CONV_CHUNK_ELEMS):
+        products = (taps @ grad_out[c]).reshape(c.stop - c.start, filter_size, channels, out_len)
+        for k in range(filter_size):
+            # grad_x[..., c, t + k] += sum_m grad_out[..., m, t] * weights[m, c, k]
+            grad_x[c, :, k:k + out_len] += products[:, k]
     return grad_x.reshape(*lead, channels, length), grad_weights, grad_bias
 
 
@@ -261,7 +284,7 @@ def _block_spectra(x, plan: FftPlan, width: int, out=None):
     else:
         padded = np.zeros((clips, rows, (blocks - 1) * hop + width), dtype=x.dtype)
         padded[:, :, :length] = x
-        windows = sliding_window_view(padded, width, axis=2)[:, :, ::hop]
+        windows = _windows(padded, width, blocks, hop)
     out = np.fft.rfft(windows, norm="forward", out=out)
     out *= nfft  # in place; no complex128 copy
     return out
@@ -474,11 +497,14 @@ def maxpool_forward(x, pool_size: int, pool_stride: int):
     per_window, step = pool_size // g, pool_stride // g
     n = (length - pool_size) // pool_stride + 1
     used = (n - 1) * step + per_window  # blocks any window reaches
-    blocks = x[..., :used * g].reshape(*x.shape[:-1], used, g)
-    offsets = blocks.argmax(axis=-1)
-    maxima = np.take_along_axis(blocks, offsets[..., None], axis=-1)[..., 0]
-    offsets = offsets.astype(np.min_scalar_type(length - 1))
-    offsets += np.arange(0, used * g, g, dtype=offsets.dtype)  # absolute index of each block's max
+    lead = x.shape[:-1]
+    rows = math.prod(lead)
+    blocks = x[..., :used * g].reshape(*lead, used, g)
+    flat = blocks.argmax(axis=-1).reshape(rows, used)
+    flat += np.arange(0, used * g, g)  # absolute index of each block's max in its row
+    offsets = flat.astype(np.min_scalar_type(length - 1)).reshape(*lead, used)
+    flat += np.arange(0, rows * length, length)[:, None]  # and in x, flattened
+    maxima = np.take(x, flat).reshape(*lead, used)
     last = (n - 1) * step + 1
     out, argmax = maxima[..., :last:step].copy(), offsets[..., :last:step].copy()
     for k in range(1, per_window):
@@ -507,10 +533,11 @@ def maxpool_backward(argmax, grad_out, input_shape):
     if argmax.size and (argmax.min() < 0 or argmax.max() >= length):
         raise ValueError(f"argmax index out of range for input length {length}")
     grad_x = np.zeros(input_shape, dtype=grad_out.dtype)
-    # every leading axis and the map axis become rows of one 2-D scatter
-    rows = grad_x.reshape(-1, length)
-    argmax = argmax.reshape(len(rows), argmax.shape[-1])
-    np.add.at(rows, (np.arange(len(rows))[:, None], argmax), grad_out.reshape(argmax.shape))
+    # one 1-D scatter: every leading axis and the map axis become rows of the flat input
+    rows, n = math.prod(argmax.shape[:-1]), argmax.shape[-1]
+    flat = argmax.reshape(rows, n).astype(np.intp)
+    flat += np.arange(0, rows * length, length)[:, None]
+    np.add.at(grad_x.reshape(grad_x.size), flat.reshape(flat.size), grad_out.reshape(flat.size))
     return grad_x
 
 

@@ -22,12 +22,16 @@ GCN_STD_FLOOR = 1e-8
 
 
 def global_contrast_normalize(clip):
-    """Per-clip standardization to zero mean, unit variance (guarded divide)."""
+    """Per-clip standardization to zero mean, unit variance (guarded divide).
+
+    The clip is centred once: the std is ``np.std``'s own arithmetic on the
+    centred values, and the quotient goes into the squares' buffer."""
     clip = np.asarray(clip)
-    x = clip.astype(np.float64)
-    centered = x - x.mean()
-    std = x.std()
-    out = centered / max(std, GCN_STD_FLOOR)
+    centered = clip.astype(np.float64)  # a copy, centred in place
+    centered -= centered.mean()
+    squares = np.multiply(centered, centered)
+    std = np.sqrt(np.add.reduce(squares, axis=None) / centered.size)
+    out = np.divide(centered, max(std, GCN_STD_FLOOR), out=squares)
     return out.astype(clip.dtype if clip.dtype.kind == "f" else np.float64)
 
 

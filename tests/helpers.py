@@ -191,6 +191,26 @@ def conv_naive(x, w, b):
     return out
 
 
+def conv_backward_naive(x, w, grad_out):
+    """Loop gradients of :func:`conv_naive` over ``[..., channels, length]``
+    clips: ``(input, weights, bias)``, the last two summed over the clips."""
+    maps, channels, filter_size = w.shape
+    clips = x.reshape(-1, channels, x.shape[-1])
+    g = grad_out.reshape(len(clips), maps, grad_out.shape[-1])
+    gx = np.zeros(clips.shape)
+    gw = np.zeros(w.shape)
+    gb = np.zeros(maps)
+    for n in range(len(clips)):
+        for m in range(maps):
+            for t in range(g.shape[-1]):
+                gb[m] += g[n, m, t]
+                for c in range(channels):
+                    for k in range(filter_size):
+                        gx[n, c, t + k] += g[n, m, t] * w[m, c, k]
+                        gw[m, c, k] += g[n, m, t] * clips[n, c, t + k]
+    return gx.reshape(x.shape), gw, gb
+
+
 def maxpool_naive(x, size, stride):
     maps, length = x.shape
     out_len = (length - size) // stride + 1
@@ -210,6 +230,19 @@ def maxpool_window_argmax(x, size, stride):
     windows = sliding_window_view(x, size, axis=-1)[..., ::stride, :]
     arg = windows.argmax(axis=-1) + np.arange(windows.shape[-2]) * stride
     return np.take_along_axis(x, arg, axis=-1), arg
+
+
+def maxpool_backward_loop(argmax, grad_out, input_shape):
+    """Window by window, in order, each output gradient added at its
+    window's argmax in a dense zero input gradient."""
+    grad = np.zeros(input_shape, dtype=grad_out.dtype)
+    rows = grad.reshape(-1, input_shape[-1])
+    windows = argmax.shape[-1]
+    for row, args, gs in zip(rows, argmax.reshape(len(rows), windows),
+                             grad_out.reshape(len(rows), windows)):
+        for a, g in zip(args, gs):
+            row[a] += g
+    return grad
 
 
 def moving_average_naive(series, step, window_seconds=0.1):

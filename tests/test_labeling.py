@@ -59,12 +59,43 @@ class TestActivationTable:
         with pytest.raises(ValueError, match="header"):
             parse_activation_csv("instrument,conf\n0,1\n", "trk")
 
-    @pytest.mark.parametrize("row", ["0.05,0.2,", "0.05,0.2,x"])
+    @pytest.mark.parametrize("row", ["0.05,0.2,", "0.05,0.2,x", "0.05,0x1,0.3", "0.05, ,0.3",
+                                     "0.05,1__0,0.3"])
     def test_parse_names_track_and_line_of_a_cell_that_is_not_a_number(self, row):
         # line 4 of the file: the blank line 2 still counts
         text = f"time,piano,voice\n\n0.00,0.1,0.9\n{row}\n"
         with pytest.raises(ValueError, match=r"^track trk line 4: cell that is not a number"):
             parse_activation_csv(text, "trk")
+
+    @pytest.mark.parametrize("cell", [" 0.5 ", "0.2_5", "\u0661", "1e-1", "\t.3"])
+    def test_parse_accepts_what_float_accepts(self, cell):
+        table = parse_activation_csv(f"time,piano\n0.00,0.1\n0.05,{cell}\n", "trk")
+        assert table.conf[1, 0] == float(cell)
+
+    @pytest.mark.parametrize("rows,error", [
+        (["0.05,x,0.3", "0.10,0.2"], "line 3: cell that is not a number"),
+        (["0.05,0.2", "0.10,x,0.3"], "line 3: row with 2 cells"),
+    ])
+    def test_parse_names_the_first_bad_line_of_two(self, rows, error):
+        text = "time,piano,voice\n0.00,0.1,0.9\n" + "\n".join(rows)
+        with pytest.raises(ValueError, match=f"^track trk {error}"):
+            parse_activation_csv(text, "trk")
+
+    @pytest.mark.parametrize("cells", [1, 4, 7])
+    def test_parse_in_blocks_matches_one_block(self, monkeypatch, cells):
+        from instrumentid import labeling
+        text = "time,a,b\n" + "".join(f"{t * 0.5},0.{t},0.{9 - t}\n" for t in range(10))
+        whole = parse_activation_csv(text, "trk")
+        monkeypatch.setattr(labeling, "_CONVERSION_CELLS", cells)
+        blocks = parse_activation_csv(text, "trk")
+        np.testing.assert_array_equal(blocks.times, whole.times)
+        np.testing.assert_array_equal(blocks.conf, whole.conf)
+        with pytest.raises(ValueError, match=r"^track trk line 10: cell that is not a number"):
+            parse_activation_csv(text.replace("0.8,", "x,"), "trk")
+
+    def test_parse_header_without_rows_is_a_value_error(self):
+        with pytest.raises(ValueError, match="at least 2 time steps"):
+            parse_activation_csv("time,piano\n\n", "trk")
 
     def test_parse_names_track_and_line_of_a_wrong_cell_count(self):
         text = "time,piano,voice\n0.00,0.1,0.9\n0.05,0.2\n"

@@ -16,8 +16,8 @@ from instrumentid.nn import model as nnm
 from instrumentid.nn.layers import _chunks, fft_plan, overlap_save
 
 from helpers import (
-    conv_naive, maxpool_naive, maxpool_window_argmax, numeric_gradient, relative_error,
-    sigmoid_two_branch,
+    conv_backward_naive, conv_naive, maxpool_backward_loop, maxpool_naive, maxpool_window_argmax,
+    numeric_gradient, relative_error, sigmoid_two_branch,
 )
 
 FD_TOL = 1e-4  # the acceptance suite's gradient tolerance
@@ -114,6 +114,41 @@ class TestTemporalConv:
     def test_backward_rejects_bad_grad_shape(self):
         with pytest.raises(ValueError, match="does not match conv output"):
             temporal_conv_backward(np.zeros((1, 8)), np.zeros((2, 1, 3)), np.zeros((2, 5)))
+
+    @settings(max_examples=120, deadline=None)
+    @given(lead=st.sampled_from([(), (0,), (1,), (3,), (2, 2)]), maps=st.integers(1, 4),
+           channels=st.integers(1, 4), filter_size=st.integers(1, 7), out_len=st.integers(1, 9),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2 ** 31 - 1))
+    @example((2,), 3, 1, 5, 1, np.float32, 0)  # one channel, one output position
+    @example((0,), 2, 3, 4, 6, np.float64, 1)  # zero clips
+    def test_backward_matches_loop_oracle(self, lead, maps, channels, filter_size, out_len,
+                                          dtype, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(*lead, channels, filter_size + out_len - 1)).astype(dtype)
+        w = rng.normal(size=(maps, channels, filter_size)).astype(dtype)
+        g = rng.normal(size=(*lead, maps, out_len)).astype(dtype)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for got, want in zip(temporal_conv_backward(x, w, g), conv_backward_naive(x, w, g)):
+            assert got.shape == want.shape and got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max(initial=1.0))
+
+    @pytest.mark.parametrize("bound", [1 << 6, 1 << 10])
+    def test_chunked_matches_one_chunk(self, monkeypatch, bound):
+        # small integers, so every sum is exact whatever the chunks' order
+        from instrumentid.nn import layers
+        rng = np.random.default_rng(34)
+        x = rng.integers(-3, 4, size=(5, 3, 24)).astype(np.float64)
+        w = rng.integers(-3, 4, size=(4, 3, 5)).astype(np.float64)
+        b = rng.integers(-3, 4, size=4).astype(np.float64)
+        g = rng.integers(-3, 4, size=(5, 4, 20)).astype(np.float64)
+
+        def run():
+            return (temporal_conv_forward(x, w, b), *temporal_conv_backward(x, w, g))
+
+        whole = run()
+        monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", bound)
+        for got, want in zip(run(), whole):
+            np.testing.assert_array_equal(got, want)
 
 
 def _assert_close_to_max(got, want, tol):
@@ -483,6 +518,22 @@ class TestMaxPool:
         assert arg.tolist() == [[2, 2]]
         g = maxpool_backward(arg, np.array([[5.0, 7.0]]), x.shape)
         np.testing.assert_array_equal(g, [[0.0, 0.0, 12.0, 0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("size,stride", [(40, 20), (8, 4), (3, 1), (2, 3)])
+    @pytest.mark.parametrize("lead", [(), (0,), (3,), (2, 2)])
+    @pytest.mark.parametrize("index_type", [None, np.int64])
+    def test_backward_matches_window_loop(self, size, stride, lead, index_type):
+        # rounded ReLU outputs: overlapping windows often share a winner
+        rng = np.random.default_rng(size + stride)
+        x = relu(np.round(rng.normal(size=(*lead, 3, 260 + size)), 1)).astype(np.float32)
+        _, arg = maxpool_forward(x, size, stride)
+        assert arg.dtype == np.uint16
+        if index_type is not None:
+            arg = arg.astype(index_type)
+        g = rng.normal(size=arg.shape).astype(np.float32)
+        got = maxpool_backward(arg, g, x.shape)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, maxpool_backward_loop(arg, g, x.shape))
 
     def test_backward_rejects_out_of_range_index(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -47,6 +47,16 @@ class TestGcn:
         out = global_contrast_normalize(np.random.default_rng(2).normal(size=64).astype(np.float32))
         assert out.dtype == np.float32
 
+    @pytest.mark.parametrize("shape", [(1,), (7,), (200,), (44100,), (3, 50)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
+    def test_matches_mean_and_std_bit_for_bit(self, shape, dtype):
+        clip = (np.random.default_rng(3).normal(size=shape) * 300 + 7).astype(dtype)
+        x = clip.astype(np.float64)
+        want = ((x - x.mean()) / max(x.std(), 1e-8)).astype(np.float64 if dtype == np.int16 else dtype)
+        got = global_contrast_normalize(clip)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
 
 def test_reduce_clip_decimates(tmp_path):
     # a ramp whose sample k decodes to exactly k / 2^16: 32-bit PCM holds k * 2^15
