@@ -98,21 +98,19 @@ def _test_rows(config: RunConfig, classes, read=read_manifest):
     return rows
 
 
-def cmd_prepare_dataset(config: RunConfig, log) -> int:
+def cmd_prepare_dataset(config: RunConfig, args, log) -> None:
     prepare_dataset(config, log=log)
-    return 0
 
 
-def cmd_extract_features(config: RunConfig, log) -> int:
+def cmd_extract_features(config: RunConfig, args, log) -> None:
     # both manifests are checked before either cache is written
     splits = {"train": _manifest_clips(config.train_manifest())[0],
               "test": _manifest_clips(config.test_manifest())[0]}
     for split, rows in splits.items():
         _manifest_features(config, split, rows, log)
-    return 0
 
 
-def cmd_train(config: RunConfig, resume, log) -> int:
+def cmd_train(config: RunConfig, args, log) -> None:
     train_rows, classes = _manifest_clips(config.train_manifest())
     log_path = Path(config.output_dir) / "train_log.txt"
 
@@ -122,7 +120,7 @@ def cmd_train(config: RunConfig, resume, log) -> int:
             fh.write(line + "\n")
 
     # a checkpoint that cannot resume is refused before any clip is decoded
-    start = None if resume is None else load_resume(config, resume, tee)
+    start = None if args.resume is None else load_resume(config, args.resume, tee)
     _, input_length = architecture(config)
     train_data = load_dataset(train_rows, input_length)
     test_data = None
@@ -131,63 +129,55 @@ def cmd_train(config: RunConfig, resume, log) -> int:
         if test_rows:
             test_data = load_dataset(test_rows, input_length)
     train_model(config, train_data, test_data, resume=start, log=tee)
-    return 0
 
 
-def cmd_evaluate(config: RunConfig, checkpoint, manifest, stem: str, log) -> int:
-    ckpt = _checkpoint(config, checkpoint)
+def cmd_evaluate(config: RunConfig, args, log) -> None:
+    ckpt = _checkpoint(config, args.checkpoint)
     params, _, epoch = load_checkpoint(ckpt)
     specs, input_length = architecture(config)
     check_params_match(params, specs, input_length, ckpt)
-    rows, classes = _manifest_clips(manifest or config.test_manifest())
+    rows, classes = _manifest_clips(args.manifest or config.test_manifest())
     data = load_dataset(rows, input_length)
     report = evaluate_model(params, specs, data, config.eval_threshold)
     log(f"evaluate checkpoint={ckpt} epoch={epoch} clips={len(rows)}")
-    _write_report(config, stem, report, classes, log)
-    return 0
+    _write_report(config, args.out_stem, report, classes, log)
 
 
-def cmd_baseline(config: RunConfig, kind: str, trees: int, logit_lr: float,
-                 logit_epochs: int, seed: int, log) -> int:
+def cmd_baseline(config: RunConfig, args, log) -> None:
     train_rows, classes = _manifest_clips(config.train_manifest())
     test_rows = _test_rows(config, classes, _manifest_clips)
     y_train = np.stack([r.labels for r in train_rows])
     y_test = np.stack([r.labels for r in test_rows])
 
-    if kind == "majority":
-        fixed = majority_baseline(y_train)
-        predicted = np.tile(fixed, (len(y_test), 1))
+    if args.kind == "majority":
+        predicted = np.tile(majority_baseline(y_train), (len(y_test), 1))
     else:
         # settings fail before any clip is decoded or cache written
-        if kind == "logistic":
-            check_logistic_settings(logit_lr, logit_epochs, seed)
-        elif kind == "forest":
-            forest_config = ForestConfig(trees=trees, seed=seed)
+        if args.kind == "logistic":
+            check_logistic_settings(args.logistic_lr, args.logistic_epochs, args.seed)
         else:
-            raise ValueError(f"unknown baseline kind {kind!r}")
+            forest_config = ForestConfig(trees=args.trees, seed=args.seed)
         x_train = _manifest_features(config, "train", train_rows, log)
         x_test = _manifest_features(config, "test", test_rows, log)
-        if kind == "logistic":
-            model = logistic_train(x_train, y_train, learning_rate=logit_lr,
-                                   epochs=logit_epochs, seed=seed)
-            predicted = (logistic_predict(model, x_test) >= 0.5).astype(np.uint8)
+        if args.kind == "logistic":
+            model = logistic_train(x_train, y_train, learning_rate=args.logistic_lr,
+                                   epochs=args.logistic_epochs, seed=args.seed)
+            scores = logistic_predict(model, x_test)
         else:
-            model = forest_train(x_train, y_train, forest_config)
-            predicted = (forest_predict(model, x_test) >= 0.5).astype(np.uint8)
+            scores = forest_predict(forest_train(x_train, y_train, forest_config), x_test)
+        predicted = (scores >= 0.5).astype(np.uint8)
 
     report = evaluate(predicted, y_test)
-    log(f"baseline kind={kind} train_clips={len(y_train)} test_clips={len(y_test)}")
-    _write_report(config, f"baseline_{kind}", report, classes, log)
-    return 0
+    log(f"baseline kind={args.kind} train_clips={len(y_train)} test_clips={len(y_test)}")
+    _write_report(config, f"baseline_{args.kind}", report, classes, log)
 
 
-def cmd_analyze_filters(config: RunConfig, checkpoint, log) -> int:
-    ckpt = _checkpoint(config, checkpoint)
+def cmd_analyze_filters(config: RunConfig, args, log) -> None:
+    ckpt = _checkpoint(config, args.checkpoint)
     params, _, _ = load_checkpoint(ckpt)
     out_dir = Path(config.output_dir) / "filters"
     spectra = analyze_filters(params, out_dir)
     log(f"analyze-filters checkpoint={ckpt} filters={len(spectra)} out={out_dir}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,23 +187,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "training, baselines, evaluation, filter analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_config(name, help_text):
+    def with_config(name, run, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to key=value config file")
+        p.set_defaults(run=run)
         return p
 
-    with_config("prepare-dataset", "build taxonomy, split tracks, write clip manifests")
-    with_config("extract-features", "compute and cache MFCC Gaussian features")
+    with_config("prepare-dataset", cmd_prepare_dataset,
+                "build taxonomy, split tracks, write clip manifests")
+    with_config("extract-features", cmd_extract_features,
+                "compute and cache MFCC Gaussian features")
 
-    p = with_config("train", "train the CNN on the prepared manifests")
+    p = with_config("train", cmd_train, "train the CNN on the prepared manifests")
     p.add_argument("--resume", help="checkpoint to continue from")
 
-    p = with_config("evaluate", "score a checkpoint on a manifest")
+    p = with_config("evaluate", cmd_evaluate, "score a checkpoint on a manifest")
     p.add_argument("--checkpoint", help="checkpoint path (default: best.ckpt)")
     p.add_argument("--manifest", help="manifest path (default: test manifest)")
     p.add_argument("--out-stem", default="cnn", help="report file stem")
 
-    p = with_config("baseline", "train and score a shallow baseline")
+    p = with_config("baseline", cmd_baseline, "train and score a shallow baseline")
     p.add_argument("--kind", required=True, choices=("logistic", "forest", "majority"))
     p.add_argument("--trees", type=int, default=ForestConfig.trees, help="forest size")
     logistic = inspect.signature(logistic_train).parameters
@@ -221,31 +214,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logistic-epochs", type=int, default=logistic["epochs"].default)
     p.add_argument("--seed", type=int, default=0)
 
-    p = with_config("analyze-filters", "emit sorted first-layer filter spectra")
+    p = with_config("analyze-filters", cmd_analyze_filters,
+                    "emit sorted first-layer filter spectra")
     p.add_argument("--checkpoint", help="checkpoint path (default: best.ckpt)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    log = print
     try:
         config = load_config(args.config)
-        if args.command == "prepare-dataset":
-            return cmd_prepare_dataset(config, log)
-        config.validate(require_inputs=False)
-        if args.command == "extract-features":
-            return cmd_extract_features(config, log)
-        if args.command == "train":
-            return cmd_train(config, args.resume, log)
-        if args.command == "evaluate":
-            return cmd_evaluate(config, args.checkpoint, args.manifest, args.out_stem, log)
-        if args.command == "baseline":
-            return cmd_baseline(config, args.kind, args.trees, args.logistic_lr,
-                                args.logistic_epochs, args.seed, log)
-        if args.command == "analyze-filters":
-            return cmd_analyze_filters(config, args.checkpoint, log)
-        raise AssertionError(args.command)
+        if args.run is not cmd_prepare_dataset:  # which checks its own inputs
+            config.validate(require_inputs=False)
+        args.run(config, args, print)
+        return 0
     except (ValueError, FloatingPointError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

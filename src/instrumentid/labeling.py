@@ -42,11 +42,13 @@ class ActivationTable:
             if not np.isfinite(values).all():
                 raise ValueError(f"non-finite {name} in track {self.track_id}")
         if self.times.ndim != 1 or len(self.times) < 2:
-            raise ValueError(f"need at least 2 time steps, got {self.times.shape}")
+            raise ValueError(f"need at least 2 time steps in track {self.track_id}, "
+                             f"got {self.times.shape}")
         if self.conf.shape != (len(self.times), len(self.columns)):
             raise ValueError(
                 f"conf shape {self.conf.shape} does not match "
-                f"{len(self.times)} times x {len(self.columns)} instruments"
+                f"{len(self.times)} times x {len(self.columns)} instruments in track "
+                f"{self.track_id}"
             )
         diffs = np.diff(self.times)
         if (diffs <= 0).any():

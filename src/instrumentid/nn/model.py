@@ -34,17 +34,15 @@ class _Layer:
 
     Shapes are per clip. Layers with ``has_params`` give ``param_shapes(input
     shape)``; ``footprint(input shape)`` sizes the calls (see :func:`forward`).
-    ``prepare(wb, input shape)`` turns the ``(weights, bias)`` pair, else
-    ``()``, into the form the layer computes with: the pair, then any forms
-    made from it, which only the forward calls and the input gradient read.
-    :func:`forward` calls it before the layer's first call and keeps the
-    result as a list, which every call and ``backward`` reuse.
     ``forward(x, weights, training, rng)`` takes clips ``[clips, ...]`` and
-    returns ``(output, cache)``; ``backward(cache, weights, g,
-    needs_input_grad, grads)`` adds the parameter gradients, summed over the
-    clips, into the ``[weight, bias]`` list ``grads`` (see :func:`_grad`)
-    and returns the input gradient. A ``backward`` may drop an item of its
-    ``weights`` list once it has read it for the last time in the call.
+    the layer's weights list, ``[weight, bias]`` or empty, which every call
+    and ``backward`` share; it returns ``(output, cache)``. A forward may
+    append forms made from the pair, which only the forward calls and the
+    input gradient read. ``backward(cache, weights, g, needs_input_grad,
+    grads)`` adds the parameter gradients, summed over the clips, into the
+    ``[weight, bias]`` list ``grads`` (see :func:`_grad`) and returns the
+    input gradient. A ``backward`` may drop an item of its ``weights`` list
+    once it has read it for the last time in the call.
     """
 
     has_params = False
@@ -55,9 +53,6 @@ class _Layer:
     def footprint(self, shape):
         """Elements of the largest array a call makes per clip: its input or output."""
         return max(math.prod(shape), math.prod(self.output_shape(shape)))
-
-    def prepare(self, wb, shape):
-        return wb
 
 
 def _grad(grads: list, k: int, param):
@@ -110,24 +105,23 @@ class conv(_Layer):
         spectra = 0 if plan is None else plan.bins * plan.blocks * shape[0]
         return max(super().footprint(shape), spectra)
 
-    def prepare(self, wb, shape):
-        """``(weights, bias, filter spectrum or None)``: the spectrum picks the FFT kernel."""
-        plan = self.fft_plan(shape)
-        return (*wb, None if plan is None else L.filter_spectrum(wb[0], plan.nfft))
-
     def forward(self, x, weights, training, rng):
-        w, b, spectrum = weights
-        if spectrum is None:
-            return L.temporal_conv_forward(x, w, b), x
-        return L.fft_conv_forward(x, spectrum, b, self.filter_size), x
+        """The kernel ``fft_plan`` picks for ``x``'s shape. On the FFT kernel
+        the layer's first call appends the filter spectrum to ``weights``."""
+        plan = self.fft_plan(x.shape[-2:])
+        if plan is None:
+            return L.temporal_conv_forward(x, *weights), x
+        if len(weights) == 2:
+            weights.append(L.filter_spectrum(weights[0], plan.nfft))
+        return L.fft_conv_forward(x, weights[2], weights[1], self.filter_size), x
 
     def backward(self, x, weights, g, needs_input_grad, grads):
-        """The kernel ``prepare`` picked for ``x``'s shape. On the FFT
-        kernel, two passes: ``nn.layers.fft_conv_input_grad`` from the
-        filter spectrum, which is then dropped from ``weights``, and only
-        after that ``nn.layers.fft_conv_param_grads``, into a weight gradient
-        buffer made then on the layer's first call. Without an input
-        gradient the spectrum is not read, and may already be gone."""
+        """The kernel ``fft_plan`` picks for ``x``'s shape, as in the forward.
+        On the FFT kernel, two passes: ``nn.layers.fft_conv_input_grad``
+        from the filter spectrum, which is then dropped from ``weights``, and
+        only after that ``nn.layers.fft_conv_param_grads``, into a weight
+        gradient buffer made then on the layer's first call. Without an
+        input gradient the spectrum is not read, and may already be gone."""
         w, b = weights[:2]
         plan = self.fft_plan(x.shape[-2:])
         if plan is None:
@@ -337,9 +331,9 @@ def init_params(layers, input_length: int, input_channels: int = 1,
 
 @dataclass
 class ForwardCache:
-    """Everything backward() needs: the layers, each layer's weights as
-    prepared for the call (the filter spectra of every conv but layer 0
-    included), and the per-layer caches of the front, clip by clip, and of
+    """Everything backward() needs: the layers, each layer's weights list as
+    the forward left it (the filter spectra of every conv but layer 0
+    included), and the per-layer caches of the front, group by group, and of
     the tail (see :func:`forward`).
 
     :func:`backward` consumes it: it sets each slot of ``weights`` and of the
@@ -348,10 +342,11 @@ class ForwardCache:
     ``spent``."""
 
     layers: list
-    weights: list  # per layer, the list ``prepare`` made of its parameters
+    weights: list  # per layer, ``[weight, bias]`` and any forms its forward made, or empty
     clips: int
     split: int  # index of the first tail layer; the layers before it are the front
-    front_caches: list  # one list of the front layers' caches per clip
+    groups: list  # the front's clip slices, in order
+    front_caches: list  # one list of the front layers' caches per group
     tail_caches: list  # the tail layers' caches, each over the whole batch
     spent: bool = False  # set by backward
 
@@ -362,36 +357,43 @@ def _layer_params(params: ModelParams, layers) -> list:
     return [next(pairs) if layer.has_params else () for layer in layers]
 
 
-def _front_tail(layers, shapes, clips: int) -> int:
-    """The first tail layer, by the rule in :func:`forward`, for the layers'
-    per-clip input ``shapes``."""
+def _front_tail(layers, shapes, clips: int):
+    """``(split, groups)`` by the rule in :func:`forward`, for the layers'
+    per-clip input ``shapes``: the first tail layer and the front's clip
+    slices, none if the front is empty."""
     split = len(layers)
     while split and layers[split - 1].footprint(shapes[split - 1]) * clips <= L._CONV_CHUNK_ELEMS:
         split -= 1
-    return split
+    largest = max((layer.footprint(s) for layer, s in zip(layers[:split], shapes)), default=1)
+    return split, (L._chunks(clips, largest, L._CONV_CHUNK_ELEMS) if split else [])
 
 
 def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     """Run the network over a ``[batch, channels, length]`` stack of clips.
 
-    Each layer prepares its weights just before its first call (a
-    long-filter conv builds its filter spectrum then), so the tail's spectra
-    are built only after every front clip has run. The forms made from the
-    weights go after their last reader: in eval mode, and for layer 0, which
-    computes no input gradient, after the layer's last forward call; else in
-    :func:`backward`. The layers run in two parts, sized by
-    each layer's per-clip footprint (the largest of its input, its output
-    and, on the FFT kernel, its block spectra) against
+    Each layer gets a list of its weights, which it may extend at its first
+    call: a long-filter conv builds its filter spectrum then, so the tail's
+    spectra are built only after every front group has run. The forms made
+    from the weights go after their last reader: in eval mode, and for
+    layer 0, which computes no input gradient, after the layer's last
+    forward call; else in :func:`backward`. The layers run in two parts,
+    sized by each layer's per-clip footprint (the largest of its input, its
+    output and, on the FFT kernel, its block spectra) against
     ``nn.layers._CONV_CHUNK_ELEMS`` elements:
 
     - the tail, the longest suffix of layers whose footprint for the whole
       batch fits the bound, runs once per layer over the whole batch;
-    - the front, the layers before it, runs once per clip, in index order.
+    - the front, the layers before it, runs once per group of clips, in
+      clip order: ``nn.layers._chunks`` sizes the groups by the largest
+      front footprint, so each group is one clip or fits the bound.
 
-    The Table-1 net at a batch of 2 to 16 runs conv0 and pool0 one clip at
-    a time and the rest once over the batch; from 17 clips conv1's block
-    spectra no longer fit, and conv1 and pool1 join the front. The Table-1
-    net on one clip, and the reduced net up to 22,075 clips, is all tail.
+    The Table-1 net at a batch of 2 to 16 runs conv0 and pool0 in the front
+    and the rest once over the batch; from 17 clips conv1's block spectra
+    no longer fit, and conv1 and pool1 join the front. conv0's output,
+    10,496,000 elements per clip, is more than half the bound, so every
+    Table-1 front group is one clip. The Table-1 net on one clip, and the
+    reduced net up to 22,075 clips, is all tail; above that the reduced
+    net's conv0 and pool0 run in groups of 22,075 clips.
     Dropout draws over the clips in clip order, so results are
     deterministic for a fixed rng state and do not depend on the split.
     Eval mode keeps no caches, so the bound holds its memory per call.
@@ -408,15 +410,12 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     layers = list(layers)
     channels, length = batch.shape[1:]
     shapes = _input_shapes(layers, length, channels)
-    pairs = _layer_params(params, layers)
-    weights = [None] * len(layers)  # each layer's prepared list, from its first call
-    split = _front_tail(layers, shapes, len(batch))
+    weights = [list(pair) for pair in _layer_params(params, layers)]
+    split, groups = _front_tail(layers, shapes, len(batch))
 
     def run(x, first, stop, last):
         caches = []
         for i in range(first, stop):
-            if weights[i] is None:
-                weights[i] = list(layers[i].prepare(pairs[i], shapes[i]))
             x, layer_cache = layers[i].forward(x, weights[i], training, rng)
             if training:
                 caches.append(layer_cache)
@@ -424,15 +423,15 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
                 weights[i][2:] = [None] * len(weights[i][2:])
         return x, caches
 
-    fronts = ([run(batch[i:i + 1], 0, split, i == len(batch) - 1) for i in range(len(batch))]
-              if split else [])
+    fronts = [run(batch[s], 0, split, s.stop == len(batch)) for s in groups]
     front_caches = [caches for _, caches in fronts]
     x = np.concatenate([out for out, _ in fronts]) if split else batch
-    del fronts  # the clips' pieces of ``x``
+    del fronts  # the groups' pieces of ``x``
     preds, tail_caches = run(x, split, len(layers), True)
     if not training:
         return preds, None
-    return preds, ForwardCache(layers, weights, len(batch), split, front_caches, tail_caches)
+    return preds, ForwardCache(layers, weights, len(batch), split, groups, front_caches,
+                               tail_caches)
 
 
 def backward(cache: ForwardCache, grad_loss) -> ModelParams:
@@ -442,17 +441,18 @@ def backward(cache: ForwardCache, grad_loss) -> ModelParams:
     ``grad_loss`` is the gradient of the (batch-mean) loss w.r.t. the
     predictions, so the per-clip contributions are summed: the result is the
     gradient of the same batch-mean loss. The tail layers run backward once
-    over the whole batch, then the front layers once per clip, in index
-    order for determinism; each layer reuses the weights ``forward``
-    prepared and adds its gradients into its own buffers, which its first
-    backward call makes. Layer 0 computes no gradient for the network input.
+    over the whole batch, then the front layers once per group of clips
+    that ``forward`` ran, in clip order for determinism; each layer reuses
+    the weights list ``forward`` left and adds its gradients into its own
+    buffers, which its first backward call makes. Layer 0 computes no
+    gradient for the network input.
 
-    A layer's caches and prepared weights leave ``cache`` once their last
-    reader returns: a tail layer's after its one call, a front layer's
-    after the last clip's. That last call gets the cache's own list of the
-    layer's prepared weights, and conv frees its filter spectrum there
-    before it makes its weight gradient; earlier clips get a copy of the
-    list. So a second backward on the cache raises ValueError.
+    A layer's caches and weights leave ``cache`` once their last reader
+    returns: a tail layer's after its one call, a front layer's after the
+    last group's. That last call gets the cache's own weights list of the
+    layer, and conv frees its filter spectrum there before it makes its
+    weight gradient; earlier groups get a copy of the list. So a second
+    backward on the cache raises ValueError.
     """
     if cache.spent:
         raise ValueError("this ForwardCache was consumed by an earlier backward; "
@@ -466,16 +466,16 @@ def backward(cache: ForwardCache, grad_loss) -> ModelParams:
 
     def run(g, first, caches, last):
         for i in reversed(range(first, first + len(caches))):
-            prepared = weights[i] if last else list(weights[i])
-            g = layers[i].backward(caches[i - first], prepared, g, i > 0, grads[i])
+            layer_weights = weights[i] if last else list(weights[i])
+            g = layers[i].backward(caches[i - first], layer_weights, g, i > 0, grads[i])
             caches[i - first] = None
             if last:
                 weights[i] = None
         return g
 
     g = run(grad_loss, cache.split, cache.tail_caches, True)
-    for i, caches in enumerate(cache.front_caches):  # none if layer 0 is in the tail
-        run(g[i:i + 1], 0, caches, i == cache.clips - 1)
+    for s, caches in zip(cache.groups, cache.front_caches):  # none if layer 0 is in the tail
+        run(g[s], 0, caches, s.stop == cache.clips)
     pairs = [pair for layer, pair in zip(layers, grads) if layer.has_params]
     return ModelParams([w for w, _ in pairs], [b for _, b in pairs])
 

@@ -368,3 +368,11 @@ def test_diverging_training_fails_cleanly(workspace, capsys):
     err = capsys.readouterr().err
     assert "error: epoch 1 step " in err and "no checkpoint written" in err
     assert not list((tmp_path / "out" / "checkpoints").glob("epoch_*"))
+
+
+@pytest.mark.parametrize("command", ["prepare-dataset", "extract-features", "train",
+                                     "evaluate", "baseline", "analyze-filters"])
+def test_parser_dispatches_each_subcommand_to_its_command(command):
+    extra = ["--kind", "majority"] if command == "baseline" else []
+    args = cli.build_parser().parse_args([command, "--config", "run.cfg", *extra])
+    assert args.run is getattr(cli, "cmd_" + command.replace("-", "_"))

@@ -97,6 +97,14 @@ class TestActivationTable:
         with pytest.raises(ValueError, match="at least 2 time steps"):
             parse_activation_csv("time,piano\n\n", "trk")
 
+    def test_one_time_step_names_the_track(self):
+        with pytest.raises(ValueError, match=r"at least 2 time steps in track trk\b"):
+            parse_activation_csv("time,piano\n0.0,0.5\n", "trk")
+
+    def test_conf_shape_mismatch_names_the_track(self):
+        with pytest.raises(ValueError, match=r"does not match .* in track trk$"):
+            ActivationTable("trk", [0.0, 0.05], ["piano"], np.zeros((2, 2)))
+
     def test_parse_names_track_and_line_of_a_wrong_cell_count(self):
         text = "time,piano,voice\n0.00,0.1,0.9\n0.05,0.2\n"
         with pytest.raises(ValueError, match=r"^track trk line 3: row with 2 cells, expected 3"):

@@ -315,7 +315,7 @@ def test_groups_bounded_by_largest_layer_output(monkeypatch):
     monkeypatch.setattr(layers, "temporal_conv_forward", spy)
     split, split_cache = forward(params, specs, batch, mode="train",
                                  rng=np.random.default_rng(27))
-    assert conv0_clips == [1] * 5  # the front runs one clip per call
+    assert conv0_clips == [2, 2, 1]  # the front runs in groups of the clips that fit
     np.testing.assert_allclose(split, whole, rtol=1e-12, atol=0)
     _assert_params_close(backward(split_cache, grad_loss), whole_grads)
 
@@ -379,7 +379,7 @@ def test_fft_network_matches_direct_and_builds_spectra_once_per_forward(monkeypa
 
     _force_fft(monkeypatch)
     largest = max(np.prod(s) for s in infer_shapes(specs, 80, 1))
-    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * largest + 1)  # a front, clip by clip
+    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * largest + 1)  # a front, two clips a group
     build, built = layers.filter_spectrum, []
 
     def spy(w, nfft):
@@ -388,7 +388,8 @@ def test_fft_network_matches_direct_and_builds_spectra_once_per_forward(monkeypa
 
     monkeypatch.setattr(layers, "filter_spectrum", spy)
     preds, cache = forward(params, specs, batch, mode="train", rng=np.random.default_rng(31))
-    assert len(cache.front_caches) == 5
+    assert cache.groups == [slice(0, 2), slice(2, 4), slice(4, 5)]
+    assert len(cache.front_caches) == 3
     assert built == [w.shape for w in params.weights[:3]]  # once per conv layer
     # layer 0 computes no input gradient, so forward dropped its spectrum;
     # conv1's (layer 3) stays for its input gradient
@@ -427,9 +428,9 @@ def test_spectra_live_from_their_layer_first_call_to_their_last_reader(monkeypat
     monkeypatch.setattr(layers, "fft_conv_forward", spy_forward)
     forward(params, specs, _tiny_input(batch=5, seed=44), mode=mode,
             rng=np.random.default_rng(45))
-    # the tail's spectra are built after every front clip's conv0 call, and
+    # the tail's spectra are built after every front group's conv0 call, and
     # conv0's is gone by then; in eval mode conv1's goes after its one call
-    assert events == [("build", 1), *[("forward", 1, 1, [True])] * 5,
+    assert events == [("build", 1), *[("forward", 1, clips, [True]) for clips in (2, 2, 1)],
                       ("build", 4), ("forward", 4, 5, [False, True]),
                       ("build", 6), ("forward", 6, 5, [False, mode == "train", True])]
 
@@ -457,7 +458,7 @@ def test_fft_weight_gradients_summed_over_groups_equal_one_group(monkeypatch):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
 
 
-def test_front_layers_get_one_clip_per_call_and_shapes_are_walked_once(monkeypatch):
+def test_front_layers_get_one_call_per_group_and_shapes_are_walked_once(monkeypatch):
     from instrumentid.nn import layers
     specs = _tiny_specs(drop_rate=0.5)
     params = init_params(specs, 80, seed=40, dtype=np.float64)
@@ -483,14 +484,16 @@ def test_front_layers_get_one_clip_per_call_and_shapes_are_walked_once(monkeypat
     backward(cache, np.ones_like(preds))
     forward(params, specs, batch, mode="eval")
     assert len(walks) == 2
-    # conv0 and pool0: forward, backward and eval forward, once per clip each
-    assert sorted(c for c in calls if c[0] < 2) == [(0, 1)] * 15 + [(1, 1)] * 15
+    # conv0 and pool0: forward, backward and eval forward, once per group of
+    # 2, 2 and 1 clips each
+    assert sorted(c for c in calls if c[0] < 2) == (
+        [(0, 1)] * 3 + [(0, 2)] * 6 + [(1, 1)] * 3 + [(1, 2)] * 6)
     assert {clips for i, clips in calls if i >= 2} == {5}
 
 
 def _tail_start(layers, input_length, clips):
     shapes = [(1, input_length)] + infer_shapes(layers, input_length, 1)[:-1]
-    return nnm._front_tail(layers, shapes, clips)
+    return nnm._front_tail(layers, shapes, clips)[0]
 
 
 @pytest.mark.parametrize("kernel", ["direct", "fft"])
@@ -523,12 +526,14 @@ def test_tail_runs_once_over_the_batch_after_front_groups(monkeypatch, kernel):
     split, split_cache = forward(params, specs, batch, mode="train",
                                  rng=np.random.default_rng(39))
     split_grads = backward(split_cache, grad_loss)
-    # (direction, input channels, clips): conv0 once per clip, conv1 and
-    # conv2 once over all five clips
-    assert calls == ([("forward", 1, 1)] * 5 + [("forward", 4, 5), ("forward", 6, 5),
-                                                ("backward", 6, 5), ("backward", 4, 5)]
-                     + [("backward", 1, 1)] * 5)
-    assert len(split_cache.front_caches) == 5
+    # (direction, input channels, clips): conv0 once per group of 2, 2 and
+    # 1 clips, conv1 and conv2 once over all five clips
+    groups = (2, 2, 1)
+    assert calls == ([("forward", 1, clips) for clips in groups]
+                     + [("forward", 4, 5), ("forward", 6, 5),
+                        ("backward", 6, 5), ("backward", 4, 5)]
+                     + [("backward", 1, clips) for clips in groups])
+    assert len(split_cache.front_caches) == 3
     np.testing.assert_allclose(split, whole, rtol=1e-12, atol=0)
     _assert_params_close(split_grads, whole_grads)
 
@@ -540,6 +545,34 @@ def test_table1_tail_starts_at_relu0_up_to_batch_16():
     assert _tail_start(specs, FULL_INPUT_LENGTH, 1) == 0  # one clip: all tail
     # from 17 clips conv1's block spectra no longer fit: conv1 and pool1 join the front
     assert _tail_start(specs, FULL_INPUT_LENGTH, 17) == 4
+
+
+@pytest.mark.parametrize("clips", [2, 16, 17])
+def test_table1_front_groups_are_one_clip(clips):
+    # conv0's 256 x 41,000 output is more than half the bound
+    shapes = [(1, FULL_INPUT_LENGTH)] + infer_shapes(table1_layers(), FULL_INPUT_LENGTH, 1)[:-1]
+    _, groups = nnm._front_tail(table1_layers(), shapes, clips)
+    assert groups == [slice(i, i + 1) for i in range(clips)]
+
+
+def test_reduced_eval_past_the_bound_runs_its_front_in_groups(monkeypatch):
+    # 22,076 clips put conv0 and pool0 in the front; their 4 x 190 per clip
+    # fits 22,075 clips in the bound, so conv0 runs twice, not once per clip
+    from instrumentid.nn import layers
+    specs = reduced_layers()
+    params = init_params(specs, REDUCED_INPUT_LENGTH, seed=57)
+    batch = np.zeros((22_076, 1, REDUCED_INPUT_LENGTH), dtype=np.float32)
+    conv_forward, conv0_clips = layers.temporal_conv_forward, []
+
+    def spy(x, w, b):
+        if x.shape[-2] == 1:
+            conv0_clips.append(len(x))
+        return conv_forward(x, w, b)
+
+    monkeypatch.setattr(layers, "temporal_conv_forward", spy)
+    preds, _ = forward(params, specs, batch, mode="eval")
+    assert conv0_clips == [22_075, 1]
+    assert preds.shape == (22_076, 11)
 
 
 @pytest.mark.parametrize("clips", [16, 5000])  # conv1 in the tail; an eval set
