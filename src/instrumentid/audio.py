@@ -86,36 +86,31 @@ def parse_wav(raw, format_code: int, channels: int, bits: int) -> np.ndarray:
     ``uint8`` array) to float32 mono; the result never shares its memory.
 
     Supports integer PCM at 16/24/32 bits and 32-bit IEEE float, 1 or 2
-    channels. Integer samples are scaled by 1 / 2^(bits-1); stereo is
-    downmixed to mono by the arithmetic mean of the channels. Integer
-    channels are added as integers and scaled once, so no float64 copy of
-    the samples is made for 16-bit PCM, and the 24- and 32-bit values are
-    rounded once, from one exact float64 product.
+    channels. Each format gives its samples and a scale: integer samples
+    are scaled by 1 / 2^(bits-1), float ones, clipped to [-1, 1], by 1.
+    Stereo is downmixed to mono by the arithmetic mean of the channels. One
+    tail serves every format but 16-bit PCM: it adds the channels, exactly
+    as int64 for integers and as float64 for floats, multiplies by the
+    scale over the channel count and rounds once to float32. 16-bit PCM is
+    added and scaled in float32, which holds every value exactly, so no
+    float64 copy of its samples is made.
     """
     if format_code == 3:
-        values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         # integer PCM cannot hold NaN or inf, so only floats need the check;
         # it comes before the clip, which would turn an inf into +-1
-        if not np.isfinite(values).all():
+        if not np.isfinite(samples).all():
             raise WavFormatError("non-finite sample values in data chunk")
-        values = np.clip(values, -1.0, 1.0)
-        # the mean of the channels, (left + right) / 2, without a reduction
-        # along the short channel axis, which is several times slower
-        frames = values.reshape(-1, channels)
-        mono = frames[:, 0]
-        if channels == 2:
-            mono = mono + frames[:, 1]
-            mono /= 2
-        return mono.astype(np.float32)
-
-    if bits == 24:  # packed: each sample's 3 bytes atop a 4-byte word, shifted down with its sign
+        samples, scale = np.clip(samples, -1.0, 1.0), 1.0
+    elif bits == 24:  # packed: a sample's 3 bytes atop a 4-byte word, shifted down with its sign
         words = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
         words[:, 1:] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
-        ints = words.view("<i4")[:, 0] >> 8
+        samples, scale = words.view("<i4")[:, 0] >> 8, 2.0 ** -23
     else:
-        ints = np.frombuffer(raw, dtype="<i2" if bits == 16 else "<i4")
-    frames = ints.reshape(-1, channels)
-    scale = 2.0 ** (1 - bits) / channels
+        samples = np.frombuffer(raw, dtype="<i2" if bits == 16 else "<i4")
+        scale = 2.0 ** (1 - bits)
+    frames = samples.reshape(-1, channels)
+    scale /= channels
     if bits == 16:
         # |left + right| <= 2^16: float32 holds every sum and its scaling exactly
         mono = frames[:, 0].astype(np.float32)
@@ -125,7 +120,7 @@ def parse_wav(raw, format_code: int, channels: int, bits: int) -> np.ndarray:
         return mono
     total = frames[:, 0]
     if channels == 2:  # exact in int64 for 32-bit samples
-        total = total.astype(np.int64) + frames[:, 1]
+        total = total.astype(np.result_type(total, np.int64)) + frames[:, 1]
     return (total * scale).astype(np.float32)
 
 

@@ -33,7 +33,8 @@ class _Layer:
     """Shape, parameters and the ``nn.layers`` glue of one layer kind.
 
     Shapes are per clip. Layers with ``has_params`` give ``param_shapes(input
-    shape)``; ``footprint(input shape)`` sizes the calls (see :func:`forward`).
+    shape)``; ``footprint(input shape, output shape)``, both read from the
+    one walk of :func:`infer_shapes`, sizes the calls (see :func:`forward`).
     ``forward(x, weights, training, rng)`` takes clips ``[clips, ...]`` and
     the layer's weights list, ``[weight, bias]`` or empty, which every call
     and ``backward`` share; it returns ``(output, cache)``. A forward may
@@ -50,9 +51,9 @@ class _Layer:
     def output_shape(self, shape):
         return shape
 
-    def footprint(self, shape):
+    def footprint(self, shape, out):
         """Elements of the largest array a call makes per clip: its input or output."""
-        return max(math.prod(shape), math.prod(self.output_shape(shape)))
+        return max(math.prod(shape), math.prod(out))
 
 
 def _grad(grads: list, k: int, param):
@@ -98,12 +99,12 @@ class conv(_Layer):
         input: the FFT kernel's ``FftPlan``, or None for the direct kernel."""
         return L.fft_plan(self.feature_maps, self.filter_size, shape)
 
-    def footprint(self, shape):
+    def footprint(self, shape, out):
         """As for any layer, or on the FFT kernel its block spectra, ``bins x
         blocks x channels`` per clip, if larger."""
         plan = self.fft_plan(shape)
         spectra = 0 if plan is None else plan.bins * plan.blocks * shape[0]
-        return max(super().footprint(shape), spectra)
+        return max(super().footprint(shape, out), spectra)
 
     def forward(self, x, weights, training, rng):
         """The kernel ``fft_plan`` picks for ``x``'s shape. On the FFT kernel
@@ -271,14 +272,9 @@ def infer_shapes(layers, input_length: int, input_channels: int = 1):
     return shapes
 
 
-def _input_shapes(layers, input_length: int, input_channels: int):
-    shapes = infer_shapes(layers, input_length, input_channels)
-    return [(input_channels, input_length)] + shapes[:-1]
-
-
 def param_shapes(layers, input_length: int, input_channels: int = 1):
     """(weight shape, bias shape) per parameterized layer, in network order."""
-    shapes = _input_shapes(layers, input_length, input_channels)
+    shapes = [(input_channels, input_length)] + infer_shapes(layers, input_length, input_channels)
     return [layer.param_shapes(s) for layer, s in zip(layers, shapes) if layer.has_params]
 
 
@@ -358,14 +354,14 @@ def _layer_params(params: ModelParams, layers) -> list:
 
 
 def _front_tail(layers, shapes, clips: int):
-    """``(split, groups)`` by the rule in :func:`forward`, for the layers'
-    per-clip input ``shapes``: the first tail layer and the front's clip
-    slices, none if the front is empty."""
+    """``(split, groups)`` by the rule in :func:`forward`, for the per-clip
+    ``shapes`` of the input and of each layer's output: the first tail
+    layer and the front's clip slices, none if the front is empty."""
+    footprints = [layer.footprint(a, b) for layer, a, b in zip(layers, shapes, shapes[1:])]
     split = len(layers)
-    while split and layers[split - 1].footprint(shapes[split - 1]) * clips <= L._CONV_CHUNK_ELEMS:
+    while split and footprints[split - 1] * clips <= L._CONV_CHUNK_ELEMS:
         split -= 1
-    largest = max((layer.footprint(s) for layer, s in zip(layers[:split], shapes)), default=1)
-    return split, (L._chunks(clips, largest, L._CONV_CHUNK_ELEMS) if split else [])
+    return split, (L._chunks(clips, max(footprints[:split]), L._CONV_CHUNK_ELEMS) if split else [])
 
 
 def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
@@ -378,8 +374,9 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     layer 0, which computes no input gradient, after the layer's last
     forward call; else in :func:`backward`. The layers run in two parts,
     sized by each layer's per-clip footprint (the largest of its input, its
-    output and, on the FFT kernel, its block spectra) against
-    ``nn.layers._CONV_CHUNK_ELEMS`` elements:
+    output and, on the FFT kernel, its block spectra, read from the call's
+    one :func:`infer_shapes` walk) against ``nn.layers._CONV_CHUNK_ELEMS``
+    elements:
 
     - the tail, the longest suffix of layers whose footprint for the whole
       batch fits the bound, runs once per layer over the whole batch;
@@ -409,7 +406,7 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     training = mode == "train"
     layers = list(layers)
     channels, length = batch.shape[1:]
-    shapes = _input_shapes(layers, length, channels)
+    shapes = [(channels, length)] + infer_shapes(layers, length, channels)
     weights = [list(pair) for pair in _layer_params(params, layers)]
     split, groups = _front_tail(layers, shapes, len(batch))
 

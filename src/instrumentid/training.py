@@ -114,12 +114,16 @@ def _epoch_rng(seed: int, epoch: int, stream: int):
 def load_resume(config: RunConfig, path, log=print):
     """``(params, completed epochs)`` of checkpoint ``path``, for
     :func:`train_model` to resume from; a checkpoint that does not fit the
-    configured network is refused, naming ``path``."""
+    configured network, or that has no epoch left to train, is refused,
+    naming ``path``."""
     params, saved_sgd, epoch = load_checkpoint(path)
     if saved_sgd.seed != config.train_seed:
         log(f"warn resume-seed={saved_sgd.seed} config-seed={config.train_seed}")
     specs, input_length = architecture(config)
     check_params_match(params, specs, input_length, path)
+    if epoch >= config.epochs:
+        raise ValueError(f"{path}: epoch {epoch} is done and 'epochs' is {config.epochs}; "
+                         "nothing is left to train")
     return params, epoch
 
 

@@ -53,6 +53,8 @@ def test_downmix_bit_identical_to_channel_mean(bits, format_code, channels):
     rng = np.random.default_rng(bits + format_code + channels)
     samples = rng.uniform(-1.0, 1.0, size=(501, channels))
     samples[:4] = [[-1.0] * channels, [1.0] * channels, [0.0] * channels, [-1.0, 1.0][:channels]]
+    if format_code == 3:  # past +-1: each channel is clipped before the sum
+        samples[4:6] = np.array([[1.5, -3.0], [-1e30, 1e30]])[:, :channels]
     data = encode_wav(samples, bits=bits, channels=channels, format_code=format_code)
     _, got = decode_wav(data)
     want = _mean_downmix(data, bits, channels, format_code)

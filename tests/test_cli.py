@@ -328,6 +328,22 @@ def test_resume_refuses_a_negative_epoch_before_decoding_any_clip(workspace, cap
     assert decoded == []
 
 
+def test_resume_refuses_a_finished_run_before_decoding_any_clip(workspace, capsys,
+                                                                 monkeypatch):
+    tmp_path, cfg = workspace
+    assert main(["prepare-dataset", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0  # a 2-epoch run
+    resume = load_config(cfg).checkpoint_dir() / "epoch_0002.ckpt"
+    decoded = []
+    parse = audio.parse_wav
+    monkeypatch.setattr(audio, "parse_wav", lambda *args: decoded.append(args) or parse(*args))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--resume", str(resume)]) == 1
+    assert capsys.readouterr().err == (f"error: {resume}: epoch 2 is done and 'epochs' is 2; "
+                                       "nothing is left to train\n")
+    assert decoded == []
+
+
 def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense = 1\n")

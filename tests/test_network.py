@@ -491,8 +491,21 @@ def test_front_layers_get_one_call_per_group_and_shapes_are_walked_once(monkeypa
     assert {clips for i, clips in calls if i >= 2} == {5}
 
 
+def test_forward_walks_each_layer_shape_once(monkeypatch):
+    specs = reduced_layers()
+    params = init_params(specs, REDUCED_INPUT_LENGTH, seed=58)
+    calls = []
+    for kind in (nnm._Layer, nnm.conv, nnm.max_pool, nnm.fully_connected):
+        def spy(self, shape, _f=kind.output_shape):
+            calls.append(type(self))
+            return _f(self, shape)
+        monkeypatch.setattr(kind, "output_shape", spy)
+    forward(params, specs, np.zeros((16, 1, REDUCED_INPUT_LENGTH), np.float32), mode="eval")
+    assert calls == [type(layer) for layer in specs]  # 14 layers, one call each
+
+
 def _tail_start(layers, input_length, clips):
-    shapes = [(1, input_length)] + infer_shapes(layers, input_length, 1)[:-1]
+    shapes = [(1, input_length)] + infer_shapes(layers, input_length, 1)
     return nnm._front_tail(layers, shapes, clips)[0]
 
 
@@ -550,7 +563,7 @@ def test_table1_tail_starts_at_relu0_up_to_batch_16():
 @pytest.mark.parametrize("clips", [2, 16, 17])
 def test_table1_front_groups_are_one_clip(clips):
     # conv0's 256 x 41,000 output is more than half the bound
-    shapes = [(1, FULL_INPUT_LENGTH)] + infer_shapes(table1_layers(), FULL_INPUT_LENGTH, 1)[:-1]
+    shapes = [(1, FULL_INPUT_LENGTH)] + infer_shapes(table1_layers(), FULL_INPUT_LENGTH, 1)
     _, groups = nnm._front_tail(table1_layers(), shapes, clips)
     assert groups == [slice(i, i + 1) for i in range(clips)]
 
