@@ -17,6 +17,9 @@ class WavFormatError(ValueError):
     """Raised for malformed or unsupported RIFF/WAVE input."""
 
 
+_NON_FINITE = "non-finite sample values"
+
+
 def _scan_chunks(data: bytes):
     """Yield (chunk_id, payload_offset, payload_size) for every RIFF chunk."""
     pos = 12
@@ -100,7 +103,7 @@ def parse_wav(raw, format_code: int, channels: int, bits: int) -> np.ndarray:
         # integer PCM cannot hold NaN or inf, so only floats need the check;
         # it comes before the clip, which would turn an inf into +-1
         if not np.isfinite(samples).all():
-            raise WavFormatError("non-finite sample values in data chunk")
+            raise WavFormatError(_NON_FINITE)
         samples, scale = np.clip(samples, -1.0, 1.0), 1.0
     elif bits == 24:  # packed: a sample's 3 bytes atop a 4-byte word, shifted down with its sign
         words = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
@@ -170,13 +173,16 @@ class WavFile(contextlib.AbstractContextManager):
         if got != len(raw):  # cut since the header was checked; the buffer holds stale bytes
             raise WavFormatError(f"{self.path}: clip {Path(self.path).stem}:{i} is cut short: "
                                  f"the file ends {got} of its {len(raw)} bytes in")
-        if self._format[0] == 3 and not np.isfinite(raw.view("<f4")).all():
-            # parse_wav raises on nothing else, so it cannot fail after this
-            raise WavFormatError(f"{self.path}: non-finite sample values in clip "
-                                 f"{Path(self.path).stem}:{i}")
-        if length < CLIP_SAMPLES:  # a copy of the picked frames alone
-            raw = raw.reshape(CLIP_SAMPLES, -1)[::CLIP_SAMPLES // length][:length].tobytes()
-        return parse_wav(raw, *self._format)
+        try:
+            if length < CLIP_SAMPLES:
+                # parse_wav checks the picked frames, but the whole second must be finite
+                if self._format[0] == 3 and not np.isfinite(raw.view("<f4")).all():
+                    raise WavFormatError(_NON_FINITE)
+                # a copy of the picked frames alone
+                raw = raw.reshape(CLIP_SAMPLES, -1)[::CLIP_SAMPLES // length][:length].tobytes()
+            return parse_wav(raw, *self._format)
+        except WavFormatError as err:  # parse_wav raises only for a non-finite sample
+            raise WavFormatError(f"{self.path}: {err} in clip {Path(self.path).stem}:{i}") from None
 
     def __exit__(self, *exc):
         self._file.close()

@@ -35,9 +35,16 @@ than the direct one for long filters.
 :func:`fft_plan` picks the kernel by one cost rule. Its :class:`FftPlan`,
 the ``nfft``, hop, blocks and bins of the overlap-save geometry, has one
 constructor, :func:`overlap_save`, which every FFT pass calls on its own
-operands. The kernel's stages run in chunks of feature maps; each chunk's
-spectra and products stay within ``_FFT_CHUNK_ELEMS`` elements. Beyond
-those, a call holds ``bins x blocks x channels`` values per clip, which
+operands. The kernel has two bounds. Map chunks, within
+``_FFT_CHUNK_ELEMS`` elements, set the shape of the per-bin GEMMs: their
+operands and products. Working chunks, within ``_FFT_WORK_ELEMS``, a
+cache-sized eighth of that, bound everything else: each one-channel
+broadcast product, each layout copy and each transform but those of
+:func:`filter_spectrum` and of the weight-gradient lags. Every working
+split runs along results independent of each other (transform rows, the
+bins' GEMMs, broadcast maps), never along a summed axis, so its size
+changes no bit of any output. Beyond the chunks, a call holds ``bins x
+blocks x channels`` values per clip, which
 ``model.forward`` counts when it sizes its calls: the input's block spectra
 in forward and in the weight-gradient pass of backward, the input-gradient
 spectra in its input-gradient pass. The per-bin GEMM form builds its
@@ -63,8 +70,13 @@ from numpy.lib.stride_tricks import as_strided
 
 # Bound on window elements materialized per im2col chunk (~128 MiB float64).
 _CONV_CHUNK_ELEMS = 1 << 24
-# Bound on the elements of one map chunk of the FFT kernel (8 MiB complex64).
+# Bound on the elements of one map chunk of the FFT kernel's per-bin GEMMs
+# (8 MiB complex64): it sets their shape.
 _FFT_CHUNK_ELEMS = 1 << 20
+# Bound on the elements of every other FFT-kernel temporary (1 MiB
+# complex64, half of a 2 MiB per-core L2 cache); the working bound is this
+# or _FFT_CHUNK_ELEMS, whichever is smaller.
+_FFT_WORK_ELEMS = 1 << 17
 # One real FFT of length n costs about _FFT_COST * n * log2(n) multiply-adds
 # of the direct kernel's float32 GEMM. Timed on one core for the kernel's
 # float32 transform stages at the Table-1 shapes (pocketfft against
@@ -80,6 +92,11 @@ def _chunks(n: int, per_item: int, bound: int) -> list[slice]:
     A ``per_item`` of 0 counts as 1."""
     step = max(1, bound // max(1, per_item))
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _work_chunks(n: int, per_item: int) -> list[slice]:
+    """:func:`_chunks` at the FFT kernel's working bound."""
+    return _chunks(n, per_item, min(_FFT_WORK_ELEMS, _FFT_CHUNK_ELEMS))
 
 
 def _windows(x, width: int, count: int, step: int = 1):
@@ -321,17 +338,19 @@ def _per_bin_spectra(x, plan: FftPlan, width: int, rows_last: bool = False):
     GEMM layout ``[bins, rows, clips * blocks]``, or ``[bins, clips *
     blocks, rows]`` with ``rows_last``.
 
-    Chunks of rows within ``_FFT_CHUNK_ELEMS`` are transformed in the rfft's
-    own layout and copied into place, so beyond the result one chunk is
-    held: a peak of 1.14x the result at Table-1 conv1's batch-16 shapes,
-    against 2x for a transposed copy of the whole and 1.26x for an rfft
-    writing through the transposed view, at about the same speed.
+    Working chunks of rows are transformed in the rfft's own layout and
+    copied into place, so beyond the result one working chunk is held. At
+    Table-1 conv1's batch-16 shapes the traced peak is 1.02x the result for
+    the input (1.14x with map-chunk-sized row chunks, 2x for a transposed
+    copy of the whole, 1.26x for an rfft writing through the transposed
+    view, at about the same speed) and 1.38x for a 16-map output-gradient
+    chunk (3.0x with one row chunk of the whole).
     """
     clips, rows, _ = x.shape
     bins, blocks = plan.bins, plan.blocks
     out = np.empty((bins, clips, blocks, rows) if rows_last else (bins, rows, clips, blocks),
                    np.result_type(x, np.complex64))
-    for r in _chunks(rows, bins * clips * blocks, _FFT_CHUNK_ELEMS):
+    for r in _work_chunks(rows, bins * clips * blocks):
         # [clips, rows, blocks, bins]; the copy reads it strided and writes in order
         chunk = _block_spectra(x[:, r], plan, width)
         if rows_last:
@@ -351,7 +370,10 @@ def fft_conv_forward(x, spectrum, bias, filter_size: int):
     clips and blocks at once, then an inverse rfft keeping the first ``hop``
     values. With one channel that product is a broadcast multiply of the
     ``[maps, bins]`` filter spectra by the ``[clips, blocks, bins]`` block
-    spectra, inverse transformed along the bins, the last axis.
+    spectra, inverse transformed along the bins, the last axis, a working
+    chunk of maps at a time. The per-bin GEMMs run a map chunk at a time, and
+    each chunk's products are inverse transformed and laid out a working
+    chunk of its maps at a time.
     """
     spectrum = np.asarray(spectrum)
     bias = np.asarray(bias)
@@ -359,21 +381,29 @@ def fft_conv_forward(x, spectrum, bias, filter_size: int):
     maps, channels = spectrum.shape[1:]
     clips, _, length = x.shape
     plan = overlap_save(2 * (len(spectrum) - 1), filter_size, length)
+    nfft, hop, blocks = plan.nfft, plan.hop, plan.blocks
     out_len = length - filter_size + 1
-    if channels == 1:
-        spectra = _block_spectra(x, plan, plan.nfft)  # [clips, 1, blocks, bins]
-    else:
-        spectra = _per_bin_spectra(x, plan, plan.nfft)  # [bins, channels, clips * blocks]
     out = np.empty((clips, maps, out_len), dtype=np.result_type(x, spectrum.real))
-    for m in _chunks(maps, plan.bins * clips * plan.blocks, _FFT_CHUNK_ELEMS):
-        if channels == 1:
+
+    def place(m, y):  # y [clips, maps, blocks, hop], each block's outputs in order
+        out[:, m] = y.reshape(*y.shape[:2], blocks * hop)[:, :, :out_len]
+
+    if channels == 1:
+        spectra = _block_spectra(x, plan, nfft)  # [clips, 1, blocks, bins]
+        for m in _work_chunks(maps, plan.bins * clips * blocks):
             # [maps, 1, bins] filter spectra times block spectra: [clips, maps, blocks, hop]
-            y = np.fft.irfft(spectrum[:, m, 0].T[:, None] * spectra, n=plan.nfft)[..., :plan.hop]
-        else:
-            y = np.fft.irfft(spectrum[:, m] @ spectra, n=plan.nfft, axis=0)[:plan.hop]
-            # [hop, maps, clips, blocks] -> [clips, maps, blocks, hop]
-            y = y.reshape(*y.shape[:2], clips, plan.blocks).transpose(2, 1, 3, 0)
-        out[:, m] = y.reshape(*y.shape[:2], plan.blocks * plan.hop)[:, :, :out_len]
+            place(m, np.fft.irfft(spectrum[:, m, 0].T[:, None] * spectra, n=nfft)[..., :hop])
+    else:
+        spectra = _per_bin_spectra(x, plan, nfft)  # [bins, channels, clips * blocks]
+        for m in _chunks(maps, plan.bins * clips * blocks, _FFT_CHUNK_ELEMS):
+            products = spectrum[:, m] @ spectra  # [bins, maps, clips * blocks]
+            for k in _work_chunks(m.stop - m.start, nfft * clips * blocks):
+                y = np.fft.irfft(products[:, k], n=nfft, axis=0)[:hop]
+                # [hop, maps, clips, blocks] -> [clips, maps, blocks, hop]
+                place(slice(m.start + k.start, m.start + k.stop),
+                      y.reshape(hop, k.stop - k.start, clips, blocks).transpose(2, 1, 3, 0))
+                del y  # before the next working chunk is transformed
+            del products  # before the next chunk's products are made
     out += bias[:, None]
     return out.reshape(*lead, maps, out_len)
 
@@ -387,11 +417,12 @@ def fft_conv_input_grad(x, spectrum, grad_out, filter_size: int):
     and transformed. Per bin, those spectra times the transposed filter
     spectrum, summed over maps, are the input-gradient spectra: per-bin
     GEMMs over ``[bins, clips * blocks, channels]`` for any channel count,
-    added in slices of bins within ``_FFT_CHUNK_ELEMS``. The spectra are then
-    inverse transformed and overlap-added in ``nfft``-sample blocks, a few
-    clips at a time within ``_FFT_CHUNK_ELEMS``. So beyond the chunks the
-    pass holds only the input-gradient spectra, as large as the input block
-    spectra, which it never makes.
+    called a working chunk of bins at a time. The spectra are then inverse
+    transformed and overlap-added in ``nfft``-sample blocks, a working chunk
+    of clips at a time, or of one clip's channels where one clip is more
+    than a working chunk. So beyond the chunks the pass holds only the
+    input-gradient spectra, as large as the input block spectra, which it
+    never makes, and the filter spectrum it is given.
     """
     spectrum = np.asarray(spectrum)
     lead, x, grad_out = _conv_operands(x, spectrum, filter_size, grad_out=grad_out)
@@ -405,19 +436,23 @@ def fft_conv_input_grad(x, spectrum, grad_out, filter_size: int):
     for m in _chunks(maps, bins * max(channels, clips * blocks), _FFT_CHUNK_ELEMS):
         conj_g = _per_bin_spectra(grad_out[:, m], plan, hop)
         np.conjugate(conj_g, out=conj_g)
-        for f in _chunks(bins, clips * blocks * channels, _FFT_CHUNK_ELEMS):
+        for f in _work_chunks(bins, clips * blocks * channels):
             grad_x_spectra[f] += conj_g[f].transpose(0, 2, 1) @ spectrum[f, m]
+        del conj_g  # before the next chunk's spectra are made
     np.conjugate(grad_x_spectra, out=grad_x_spectra)
 
     grad_x = np.zeros_like(x, dtype=np.finfo(dtype).dtype)
-    for c in _chunks(clips, nfft * blocks * channels, _FFT_CHUNK_ELEMS):
-        # [nfft, clips, blocks, channels] -> [clips, channels, blocks, nfft]
-        pieces = np.fft.irfft(grad_x_spectra[:, c.start * blocks:c.stop * blocks], n=nfft, axis=0)
-        pieces = pieces.reshape(nfft, -1, blocks, channels).transpose(1, 3, 2, 0)
-        for j in range(blocks):
-            start = j * hop
-            width = min(nfft, length - start)
-            grad_x[c, :, start:start + width] += pieces[:, :, j, :width]
+    for c in _work_chunks(clips, nfft * blocks * channels):
+        rows = slice(c.start * blocks, c.stop * blocks)
+        for r in _work_chunks(channels, nfft * (rows.stop - rows.start)):
+            # [nfft, clips, blocks, channels] -> [clips, channels, blocks, nfft]
+            pieces = np.fft.irfft(grad_x_spectra[:, rows, r], n=nfft, axis=0)
+            pieces = pieces.reshape(nfft, -1, blocks, r.stop - r.start).transpose(1, 3, 2, 0)
+            for j in range(blocks):
+                start = j * hop
+                width = min(nfft, length - start)
+                grad_x[c, r, start:start + width] += pieces[:, :, j, :width]
+            del pieces  # before the next working chunk is transformed
     return grad_x.reshape(*lead, channels, length)
 
 
@@ -437,18 +472,17 @@ def fft_conv_param_grads(x, grad_out, nfft: int, grad_weights):
     ``[maps, bins, channels]`` array and inverse transformed into a
     contiguous ``[maps, channels, nfft]`` one, so the lags are added into
     ``grad_weights`` row by row; with one channel it is a broadcast multiply
-    in the rfft's own layout. Beyond the chunks the pass holds the input
-    block spectra.
+    in the rfft's own layout, a working chunk of maps at a time. Beyond the
+    chunks the pass holds the input block spectra.
     """
     _, x, grad_out = _conv_operands(x, grad_weights, grad_out=grad_out)
     maps, channels, filter_size = grad_weights.shape
     clips, _, length = x.shape
     plan = overlap_save(nfft, filter_size, length)
-    chunks = _chunks(maps, plan.bins * max(channels, clips * plan.blocks), _FFT_CHUNK_ELEMS)
     if channels == 1:
         spectra = _block_spectra(x, plan, nfft)  # [clips, 1, blocks, bins]
         np.conjugate(spectra, out=spectra)
-        for m in chunks:
+        for m in _work_chunks(maps, plan.bins * clips * plan.blocks):
             g = _block_spectra(grad_out[:, m], plan, plan.hop)
             g *= spectra
             # the sum is the conjugate of the lags' spectra: [maps, bins]
@@ -456,6 +490,7 @@ def fft_conv_param_grads(x, grad_out, nfft: int, grad_weights):
             grad_weights[m, 0] += lags
     else:
         spectra = _per_bin_spectra(x, plan, nfft, rows_last=True)
+        chunks = _chunks(maps, plan.bins * max(channels, clips * plan.blocks), _FFT_CHUNK_ELEMS)
         # one chunk's lag spectra, maps-major, and their lags, each lag row contiguous
         dtype = np.result_type(x, grad_out, np.complex64)
         lag_spectra = np.empty((chunks[0].stop, plan.bins, channels), dtype)
@@ -467,6 +502,7 @@ def fft_conv_param_grads(x, grad_out, nfft: int, grad_weights):
             np.matmul(conj_g, spectra, out=lag_spectra[:k].transpose(1, 0, 2))
             np.fft.irfft(lag_spectra[:k], n=nfft, axis=1, out=lags[:k].transpose(0, 2, 1))
             grad_weights[m] += lags[:k, :, :filter_size]
+            del conj_g  # before the next chunk's spectra are made
     return grad_weights, grad_out.sum(axis=(0, 2))
 
 

@@ -1,5 +1,5 @@
-"""Shared test utilities: a WAV encoder, brute-force oracles, gradient checks
-and an open-descriptor count.
+"""Shared test utilities: a WAV encoder, brute-force oracles, gradient checks,
+a traced memory peak and an open-descriptor count.
 
 Everything here is deliberately independent of the package implementation it
 verifies: naive loops, direct formulas, no shared code paths. The one
@@ -9,6 +9,7 @@ own header parser and sample decoder.
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -489,6 +490,32 @@ def logistic_descent_loop(xz, y, learning_rate, epochs, seed):
     for _ in range(epochs):
         w -= learning_rate * xz.T @ (sigmoid_two_branch(xz @ w) - y) / n
     return w
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak)``: the most bytes ``tracemalloc`` saw allocated
+    during the call beyond those it traced when the call began.
+
+    Started here, tracing stops when the call ends, in any case. Called
+    while tracing is already on, as inside a function given to another
+    ``traced_peak``, it leaves tracing on; the outer peak then counts from
+    this call on.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

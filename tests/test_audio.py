@@ -1,7 +1,6 @@
 import os
 import re
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,8 @@ from instrumentid.dataset import ManifestRow, prepare_dataset, read_manifest
 from instrumentid.nn import REDUCED_INPUT_LENGTH
 from instrumentid.training import iter_raw_clips
 
-from helpers import decode_wav, descriptors_on, encode_wav, encode_int16_wav, write_corpus
+from helpers import (decode_wav, descriptors_on, encode_wav, encode_int16_wav, traced_peak,
+                     write_corpus)
 
 
 def test_16bit_scaling_law():
@@ -75,12 +75,7 @@ def test_integer_pcm_matches_float64_formula_at_the_extremes(bits, channels):
         raw = ints.astype(f"<i{bits // 8}").tobytes()
     # every step exact in float64, then one rounding to float32
     want = (ints.astype(np.float64).sum(axis=1) / channels / 2.0 ** (bits - 1)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        got = parse_wav(raw, 1, channels, bits)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(parse_wav, raw, 1, channels, bits)
     assert got.dtype == np.float32
     assert got.tobytes() == want.tobytes()
     if bits == 16:  # no float64 copy of the samples, which takes 8 bytes a frame or more
@@ -324,6 +319,37 @@ class TestWavFile:
             np.testing.assert_array_equal(track.clip(0), np.zeros(CLIP_SAMPLES, np.float32))
             with pytest.raises(WavFormatError, match=re.escape(str(path)) + ": non-finite"):
                 track.clip(1)
+
+    @pytest.mark.parametrize("length", [CLIP_SAMPLES, REDUCED_INPUT_LENGTH])
+    @pytest.mark.parametrize("frame", [0, 7, CLIP_SAMPLES - 1])
+    def test_a_nan_anywhere_in_a_float_second_fails_its_clip(self, tmp_path, length, frame):
+        # frame 7 is one a decimated clip skips; the whole second must still be finite
+        samples = np.zeros((2 * CLIP_SAMPLES, 2))
+        samples[CLIP_SAMPLES + frame, 1] = np.nan
+        path = tmp_path / "nan.wav"
+        path.write_bytes(encode_wav(samples, bits=32, channels=2, format_code=3))
+        with WavFile(path) as track:
+            np.testing.assert_array_equal(track.clip(0, length), np.zeros(length, np.float32))
+            with pytest.raises(WavFormatError, match=re.escape(
+                    f"{path}: non-finite sample values in clip nan:1") + "$"):
+                track.clip(1, length)
+
+    def test_a_full_length_float_clip_is_checked_for_finiteness_once(self, tmp_path,
+                                                                     monkeypatch):
+        path = tmp_path / "float.wav"
+        path.write_bytes(encode_wav(np.zeros((CLIP_SAMPLES, 2)), bits=32, channels=2,
+                                    format_code=3))
+        checked = []
+        isfinite = np.isfinite
+
+        def spy(a, *args, **kwargs):
+            checked.append(np.size(a))
+            return isfinite(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        with WavFile(path) as track:
+            track.clip(0)
+        assert checked == [2 * CLIP_SAMPLES]
 
     @pytest.mark.parametrize("bits,channels,format_code", [
         (16, 1, 1), (16, 2, 1), (24, 1, 1), (24, 2, 1),

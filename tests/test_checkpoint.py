@@ -1,7 +1,6 @@
 import io
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from instrumentid.nn import (
     save_checkpoint, load_checkpoint, CheckpointError,
 )
 
-from helpers import descriptors_on
+from helpers import descriptors_on, traced_peak
 
 
 @pytest.fixture
@@ -138,16 +137,8 @@ def test_save_and_load_memory_bounded_by_parameters(tmp_path):
     path = tmp_path / "big.ckpt"
     sgd = SgdConfig()
 
-    tracemalloc.start()
-    try:
-        save_checkpoint(path, params, sgd, epoch=1)
-        save_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        loaded, _, _ = load_checkpoint(path)
-        load_peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, save_peak = traced_peak(save_checkpoint, path, params, sgd, 1)
+    (loaded, _, _), load_peak = traced_peak(load_checkpoint, path)
     assert save_peak < 0.25 * nbytes, (save_peak, nbytes)
     assert load_peak < 1.25 * nbytes, (load_peak, nbytes)
     for a, b in zip(weights, loaded.weights):

@@ -17,7 +17,7 @@ from instrumentid.nn.layers import _chunks, fft_plan, overlap_save
 
 from helpers import (
     conv_backward_naive, conv_naive, maxpool_backward_loop, maxpool_naive, maxpool_window_argmax,
-    numeric_gradient, relative_error, sigmoid_two_branch,
+    numeric_gradient, relative_error, sigmoid_two_branch, traced_peak,
 )
 
 FD_TOL = 1e-4  # the acceptance suite's gradient tolerance
@@ -259,7 +259,6 @@ class TestFftConv:
         # input: over 5x the result here. In float32 the peak is the result
         # and, for the filters, the one map chunk zero-padded to nfft that is
         # transformed straight into it.
-        import tracemalloc
         from instrumentid.nn import layers
         rng = np.random.default_rng(34)
         if transform == "filter_spectrum":
@@ -269,12 +268,7 @@ class TestFftConv:
             x = rng.normal(size=(1, 64, 4000)).astype(np.float32)
             # conv1's nfft and hop: 3701 outputs in 44 blocks
             run = lambda: layers._block_spectra(x, layers.overlap_save(384, 300, 4000), 384)
-        tracemalloc.start()
-        try:
-            result = run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(run)
         assert result.dtype == np.complex64
         assert peak < 3 * result.nbytes
 
@@ -308,7 +302,6 @@ class TestFftConv:
         # input gradient, each S bytes, and no third array of that size: no
         # transposed copy of the spectra, no full-size product temporary,
         # and the spectra freed before the inverse transform.
-        import tracemalloc
         from instrumentid.nn import layers
         monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1 << 12)
         rng = np.random.default_rng(35)
@@ -317,14 +310,74 @@ class TestFftConv:
         spectrum = filter_spectrum(w, 128)
         g = rng.normal(size=(8, 8, 560))
         spectra_bytes = 65 * 8 * 7 * 16 * 16  # bins x clips x blocks x channels, complex128
-        tracemalloc.start()
-        try:
+
+        def backward():
             gx = fft_conv_input_grad(x, spectrum, g, 41)  # held, as conv.backward does
-            fft_conv_param_grads(x, g, 128, np.zeros(w.shape))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return gx, fft_conv_param_grads(x, g, 128, np.zeros(w.shape))
+
+        _, peak = traced_peak(backward)
         assert peak < 2.5 * spectra_bytes, peak / spectra_bytes
+
+    def test_forward_peak_is_spectra_output_and_one_chunk_of_products(self, monkeypatch):
+        # Beyond its input and filter spectrum, the per-bin forward holds the
+        # input block spectra, its output and one map chunk's products. Each
+        # chunk's inverse transform and layout copy run a working chunk of
+        # maps at a time, so at most one working chunk more: no map-chunk
+        # sized transform output or copy beside the products.
+        from instrumentid.nn import layers
+        monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1 << 16)  # 7 maps a chunk
+        monkeypatch.setattr(layers, "_FFT_WORK_ELEMS", 1 << 14, raising=False)  # 1 map
+        rng = np.random.default_rng(38)
+        x = rng.normal(size=(8, 16, 608))  # 16 blocks of 32 outputs at nfft 128
+        spectrum = filter_spectrum(rng.normal(size=(16, 16, 97)), 128)
+        out, peak = traced_peak(fft_conv_forward, x, spectrum, np.zeros(16), 97)
+        spectra_bytes = 65 * 16 * 8 * 16 * 16  # bins x channels x clips x blocks, complex128
+        products_bytes = 65 * 7 * 8 * 16 * 16  # bins x maps x clips x blocks
+        work_bytes = 16 << 14
+        assert peak < spectra_bytes + out.nbytes + products_bytes + work_bytes, (
+            (peak - spectra_bytes - out.nbytes - products_bytes) / work_bytes)
+
+    @pytest.mark.parametrize("chunk", [1 << 20, 1 << 12])
+    @pytest.mark.parametrize("clips", [0, 1, 3])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_working_chunks_are_bit_exact(self, monkeypatch, chunk, clips, channels):
+        # Every working split runs along results that are independent of
+        # each other, transform rows, per-bin GEMMs and broadcast maps, never
+        # along a summed axis, so no output moves by a bit. At a map-chunk
+        # bound of 2^20 the default working bound splits nothing here; 2^6
+        # splits every stage down to single rows, bins, maps and channels.
+        from instrumentid.nn import layers
+        monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", chunk)
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=(clips, channels, 300)).astype(np.float32)
+        w = rng.normal(size=(7, channels, 41)).astype(np.float32)
+        b = rng.normal(size=7).astype(np.float32)
+        g = rng.normal(size=(clips, 7, 260)).astype(np.float32)
+        plan = overlap_save(64, 41, 300)
+        transforms = []
+        irfft = np.fft.irfft
+
+        def spy(*args, **kwargs):
+            transforms.append(None)
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", spy)
+
+        def run():
+            transforms.clear()
+            spectrum = filter_spectrum(w, 64)
+            return (fft_conv_forward(x, spectrum, b, 41), fft_conv_input_grad(x, spectrum, g, 41),
+                    *fft_conv_param_grads(x, g, 64, np.zeros_like(w)),
+                    layers._per_bin_spectra(x, plan, 64),
+                    layers._per_bin_spectra(x, plan, 64, rows_last=True),
+                    layers._per_bin_spectra(g, plan, plan.hop)), len(transforms)
+
+        whole, calls = run()
+        monkeypatch.setattr(layers, "_FFT_WORK_ELEMS", 1 << 6)
+        split, split_calls = run()
+        assert split_calls > calls if clips else split_calls >= calls
+        for got, want in zip(split, whole, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_one_channel_input_gradient_inside_a_network(self):
         # conv1 reads conv0's one feature map: a one-channel FFT conv, whose

@@ -1,6 +1,5 @@
 import copy
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,7 +14,7 @@ from instrumentid.nn import (
 from instrumentid.nn import layers as L
 from instrumentid.nn import model as nnm
 
-from helpers import numeric_gradient, relative_error
+from helpers import numeric_gradient, relative_error, traced_peak
 
 
 def test_table1_shape_chain():
@@ -107,12 +106,7 @@ def test_init_params_bit_identical_to_one_shot_draw():
 
 def test_init_params_peak_memory_near_parameter_size():
     layers = [nnm.conv(24, 300)]
-    tracemalloc.start()
-    try:
-        params = init_params(layers, 300, 256, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    params, peak = traced_peak(init_params, layers, 300, 256, 0)
     nbytes = sum(t.nbytes for t in params.weights + params.biases)
     # a whole float64 draw would peak at 3x: no more than one row on top
     assert peak < 1.25 * nbytes, (peak, nbytes)
@@ -234,18 +228,14 @@ def test_backward_frees_the_filter_spectrum_before_the_weight_gradient(monkeypat
              nnm.fully_connected(11), nnm.sigmoid()]
     params = init_params(specs, 66, seed=55, dtype=np.float64)
     batch = np.random.default_rng(56).normal(size=(1, 1, 66))
-    tracemalloc.start()
-    try:
+
+    def step():  # the forward's cache is traced, so what backward frees counts
         preds, cache = forward(params, specs, batch, mode="train")
-        grad_loss = np.ones_like(preds)
         assert cache.weights[1][2].nbytes == 34 * 32 * 32 * 16  # the spectrum
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        grads = backward(cache, grad_loss)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - start < grads.weights[1].nbytes, (peak - start) / grads.weights[1].nbytes
+        return traced_peak(backward, cache, np.ones_like(preds))
+
+    (grads, peak), _ = traced_peak(step)
+    assert peak < grads.weights[1].nbytes, peak / grads.weights[1].nbytes
 
 
 def _zeros_like(params):
@@ -656,12 +646,7 @@ def test_sgd_step_writes_into_the_gradients_and_leaves_params_alone():
     before = copy.deepcopy(params)
     want = [p - np.float32(0.25) * g for p, g in zip(params.weights + params.biases,
                                                     grads.weights + grads.biases)]
-    tracemalloc.start()
-    try:
-        stepped = sgd_step(params, grads, 0.25)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    stepped, peak = traced_peak(sgd_step, params, grads, 0.25)
     # within the parameters plus the gradients: no third set of tensors
     assert peak < params.weights[0].nbytes / 10, peak
     for p, b in zip(params.weights + params.biases, before.weights + before.biases):

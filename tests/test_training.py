@@ -1,7 +1,6 @@
 import ast
 import os
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,7 @@ from instrumentid.training import (
     global_contrast_normalize, iter_raw_clips, load_dataset, load_resume, train_model,
 )
 
-from helpers import decode_wav, encode_wav, synthetic_clip_dataset, write_corpus
+from helpers import decode_wav, encode_wav, synthetic_clip_dataset, traced_peak, write_corpus
 
 
 class TestGcn:
@@ -338,12 +337,7 @@ class TestLoadDataset:
         del frames
         row = ManifestRow("long", 30, str(wav), np.zeros(11, dtype=np.uint8))
         clip_decode = CLIP_SAMPLES * 2 * 8  # one clip's float64 stereo values, 0.7 MB
-        tracemalloc.start()
-        try:
-            load_dataset([row], CLIP_SAMPLES)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(load_dataset, [row], CLIP_SAMPLES)
         assert peak < 4 * clip_decode  # a whole-track decode is 60 times one clip's
 
     def test_non_finite_wav_error_names_the_file(self, tmp_path):
