@@ -76,11 +76,6 @@ def _manifest_features(config: RunConfig, split: str, rows, log):
     return matrix.astype(np.float64)
 
 
-def _checkpoint(config: RunConfig, checkpoint) -> Path:
-    """The given checkpoint path, else the run's ``best.ckpt``."""
-    return Path(checkpoint) if checkpoint else config.checkpoint_dir() / "best.ckpt"
-
-
 def _manifest_clips(manifest):
     """``(rows, classes)`` of a manifest that must hold clips."""
     rows, classes = read_manifest(manifest)
@@ -132,15 +127,15 @@ def cmd_train(config: RunConfig, args, log) -> None:
 
 
 def cmd_evaluate(config: RunConfig, args, log) -> None:
-    ckpt = _checkpoint(config, args.checkpoint)
+    ckpt = config.checkpoint_dir() / "best.ckpt"
     params, _, epoch = load_checkpoint(ckpt)
     specs, input_length = architecture(config)
     check_params_match(params, specs, input_length, ckpt)
-    rows, classes = _manifest_clips(args.manifest or config.test_manifest())
+    rows, classes = _manifest_clips(config.test_manifest())
     data = load_dataset(rows, input_length)
     report = evaluate_model(params, specs, data, config.eval_threshold)
     log(f"evaluate checkpoint={ckpt} epoch={epoch} clips={len(rows)}")
-    _write_report(config, args.out_stem, report, classes, log)
+    _write_report(config, "cnn", report, classes, log)
 
 
 def cmd_baseline(config: RunConfig, args, log) -> None:
@@ -173,7 +168,7 @@ def cmd_baseline(config: RunConfig, args, log) -> None:
 
 
 def cmd_analyze_filters(config: RunConfig, args, log) -> None:
-    ckpt = _checkpoint(config, args.checkpoint)
+    ckpt = config.checkpoint_dir() / "best.ckpt"
     params, _, _ = load_checkpoint(ckpt)
     out_dir = Path(config.output_dir) / "filters"
     spectra = analyze_filters(params, out_dir)
@@ -201,10 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_config("train", cmd_train, "train the CNN on the prepared manifests")
     p.add_argument("--resume", help="checkpoint to continue from")
 
-    p = with_config("evaluate", cmd_evaluate, "score a checkpoint on a manifest")
-    p.add_argument("--checkpoint", help="checkpoint path (default: best.ckpt)")
-    p.add_argument("--manifest", help="manifest path (default: test manifest)")
-    p.add_argument("--out-stem", default="cnn", help="report file stem")
+    with_config("evaluate", cmd_evaluate,
+                "score best.ckpt on the test manifest into cnn_report.txt and cnn_row.csv")
 
     p = with_config("baseline", cmd_baseline, "train and score a shallow baseline")
     p.add_argument("--kind", required=True, choices=("logistic", "forest", "majority"))
@@ -214,9 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logistic-epochs", type=int, default=logistic["epochs"].default)
     p.add_argument("--seed", type=int, default=0)
 
-    p = with_config("analyze-filters", cmd_analyze_filters,
-                    "emit sorted first-layer filter spectra")
-    p.add_argument("--checkpoint", help="checkpoint path (default: best.ckpt)")
+    with_config("analyze-filters", cmd_analyze_filters,
+                "emit sorted first-layer filter spectra of best.ckpt")
     return parser
 
 

@@ -1,11 +1,10 @@
 """Run configuration: a flat key=value file mapped onto one dataclass."""
 
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .features import MfccConfig
-from .labeling import DEFAULT_MIN_SONGS, DEFAULT_THRESHOLD, DEFAULT_WINDOW_SECONDS
+from .labeling import DEFAULT_MIN_SONGS
 from .nn.model import SgdConfig, dropout
 
 DEFAULT_TAXONOMY = Path(__file__).parent / "data" / "medleydb_categories.tsv"
@@ -22,8 +21,6 @@ class RunConfig:
     test_fraction: float = 0.2
     split_seed: int = 0
     min_songs: int = DEFAULT_MIN_SONGS
-    activation_window: float = DEFAULT_WINDOW_SECONDS
-    activation_threshold: float = DEFAULT_THRESHOLD
 
     learning_rate: float = SgdConfig.learning_rate
     batch_size: int = SgdConfig.batch_size
@@ -34,18 +31,12 @@ class RunConfig:
     eval_threshold: float = 0.5
     eval_each_epoch: bool = True
 
-    mfcc_frame_size: int = MfccConfig.frame_size
-    mfcc_hop: int = MfccConfig.hop
-    mfcc_mel_bands: int = MfccConfig.mel_bands
-    mfcc_num_coeffs: int = MfccConfig.num_coeffs
-
     def sgd(self) -> SgdConfig:
         return SgdConfig(learning_rate=self.learning_rate, batch_size=self.batch_size,
                          epochs=self.epochs, seed=self.train_seed)
 
     def mfcc(self) -> MfccConfig:
-        return MfccConfig(frame_size=self.mfcc_frame_size, hop=self.mfcc_hop,
-                          mel_bands=self.mfcc_mel_bands, num_coeffs=self.mfcc_num_coeffs)
+        return MfccConfig()
 
     def train_manifest(self) -> Path:
         return self.output_dir / "train_manifest.tsv"
@@ -68,16 +59,9 @@ class RunConfig:
             raise ValueError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
         if not 0.0 <= self.eval_threshold <= 1.0:
             raise ValueError(f"eval_threshold must be in [0, 1], got {self.eval_threshold}")
-        if not 0.0 <= self.activation_threshold <= 1.0:
-            raise ValueError(
-                f"activation_threshold must be in [0, 1], got {self.activation_threshold}")
-        if not 0.0 < self.activation_window < math.inf:
-            raise ValueError(
-                f"activation_window must be finite and > 0, got {self.activation_window}")
         if self.min_songs < 1:
             raise ValueError(f"min_songs must be >= 1, got {self.min_songs}")
         self.sgd()
-        self.mfcc()
         if require_inputs:
             for name in ("audio_dir", "activation_dir", "taxonomy_file"):
                 path = getattr(self, name)

@@ -8,9 +8,8 @@ import numpy as np
 from .audio import WavFile
 from .config import RunConfig
 from .labeling import (
-    build_taxonomy, clip_label, collapse_labels, load_category_map,
-    parse_activation_csv, stratified_split,
-    write_split_file, write_taxonomy,
+    DEFAULT_THRESHOLD, DEFAULT_WINDOW_SECONDS, build_taxonomy, clip_label, collapse_labels,
+    load_category_map, parse_activation_csv, stratified_split, write_split_file, write_taxonomy,
 )
 
 MANIFEST_HEADER = "# instrument clip manifest v2"
@@ -77,14 +76,13 @@ def read_manifest(path):
 
 
 def find_activation_file(activation_dir, track_id: str):
-    for name in (f"{track_id}_ACTIVATION_CONF.lab", f"{track_id}.lab", f"{track_id}.csv"):
-        candidate = Path(activation_dir) / name
-        if candidate.exists():
-            return candidate
-    return None
+    """``<track_id>_ACTIVATION_CONF.lab`` in ``activation_dir``, or None."""
+    candidate = Path(activation_dir) / f"{track_id}_ACTIVATION_CONF.lab"
+    return candidate if candidate.exists() else None
 
 
-def track_instrument_presence(table, threshold: float, window_seconds: float) -> set:
+def track_instrument_presence(table, threshold: float = DEFAULT_THRESHOLD,
+                              window_seconds: float = DEFAULT_WINDOW_SECONDS) -> set:
     """Raw instruments whose smoothed confidence ever reaches the threshold."""
     peaks = table.smoothed(window_seconds).max(axis=0)
     return {name for name, peak in zip(table.columns, peaks) if peak >= threshold}
@@ -93,8 +91,11 @@ def track_instrument_presence(table, threshold: float, window_seconds: float) ->
 def prepare_dataset(config: RunConfig, log=print):
     """Build taxonomy, split tracks, slice and label clips, write manifests.
 
-    Clip counts come from the WAV headers; no audio is decoded here. Tracks
-    without an activation file are reported and skipped. Clips not
+    Clip counts come from the WAV headers; no audio is decoded here. An
+    instrument is active in a clip, and present in a track, when its
+    confidence's ``DEFAULT_WINDOW_SECONDS`` moving average reaches
+    ``DEFAULT_THRESHOLD`` there. Tracks without a
+    ``<track>_ACTIVATION_CONF.lab`` file are reported and skipped. Clips not
     covered by the annotation range are skipped likewise. Returns the
     ``(train_manifest, test_manifest)`` paths.
     """
@@ -120,10 +121,7 @@ def prepare_dataset(config: RunConfig, log=print):
     if not tables:
         raise FileNotFoundError(f"no track has an activation file in {config.activation_dir}")
 
-    presence = {
-        tid: track_instrument_presence(t, config.activation_threshold, config.activation_window)
-        for tid, t in tables.items()
-    }
+    presence = {tid: track_instrument_presence(t) for tid, t in tables.items()}
     taxonomy = build_taxonomy(presence, raw_map, config.min_songs)
     write_taxonomy(out / "taxonomy_resolved.tsv", taxonomy)
     log(f"taxonomy classes={len(taxonomy.classes)}")
@@ -145,9 +143,7 @@ def prepare_dataset(config: RunConfig, log=print):
             class_matrix = taxonomy.class_matrix(table.columns)
             for i in range(n_clips):
                 try:
-                    raw_bits = clip_label(table, float(i), float(i + 1),
-                                          config.activation_threshold,
-                                          config.activation_window)
+                    raw_bits = clip_label(table, float(i), float(i + 1))
                 except ValueError:
                     log(f"skip clip track={tid} clip={i} reason=outside-annotation-range")
                     continue

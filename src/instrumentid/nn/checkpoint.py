@@ -3,9 +3,9 @@
 The archive holds ``weight_{i}`` and ``bias_{i}`` (float32) for each
 parameterized layer, and 0-d arrays ``version``, ``learning_rate``
 (float64), ``batch_size``, ``epochs``, ``seed`` (uint64) and ``epoch``.
-Round-trips are bit-exact. Version 1 files (``ICNN`` header) are refused,
-as are stored fields that ``SgdConfig`` rejects and an ``epoch`` outside
-0 to ``epochs``.
+Round-trips are bit-exact. A file that does not start as a zip archive,
+such as a version 1 one, is refused, as are stored fields that
+``SgdConfig`` rejects and an ``epoch`` outside 0 to ``epochs``.
 """
 
 import os
@@ -59,8 +59,6 @@ def load_checkpoint(path):
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.read(4)
-        if head == b"ICNN":
-            raise CheckpointError(f"{path}: version 1 checkpoint is no longer read; retrain it")
         if head != b"PK\x03\x04":
             raise CheckpointError(f"{path}: not a checkpoint archive (leading bytes {head!r})")
         fh.seek(0)

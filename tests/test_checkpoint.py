@@ -75,7 +75,7 @@ def _rewrite(**changes):
     (_replace_head, "not a checkpoint archive"),
     (_truncate, "damaged"),
     (_flip_tensor_byte, "damaged"),
-    (_v1_header, "version 1"),
+    (_v1_header, "not a checkpoint archive"),
     (_rewrite(bias_1=None), "bias_1"),
     (_rewrite(version=np.array(3)), "version 3"),
     (_rewrite(learning_rate=np.float64(np.nan)), "learning rate must be finite"),

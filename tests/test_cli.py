@@ -8,8 +8,9 @@ import pytest
 from instrumentid import audio, cli
 from instrumentid.audio import parse_wav_header
 from instrumentid.cli import _manifest_features, main
-from instrumentid.config import load_config
+from instrumentid.config import RunConfig, load_config
 from instrumentid.dataset import read_manifest
+from instrumentid.features import MfccConfig
 from instrumentid.nn import load_checkpoint, save_checkpoint
 
 from helpers import descriptors_on, eleven_class_corpus, write_config, write_corpus
@@ -107,11 +108,11 @@ def _spy_clip_features(monkeypatch):
     return calls
 
 
-def test_feature_cache_recomputes_for_changed_mfcc_config(prepared):
+def test_feature_cache_recomputes_for_changed_mfcc_config(prepared, monkeypatch):
     config, rows, _ = prepared
     logs = []
     assert _manifest_features(config, "train", rows, logs.append).shape == (len(rows), 819)
-    config.mfcc_num_coeffs = 12
+    monkeypatch.setattr(RunConfig, "mfcc", lambda self: MfccConfig(num_coeffs=12))
     assert _manifest_features(config, "train", rows, logs.append).shape == (len(rows), 702)
     assert any(line.startswith("warn stale-feature-cache") for line in logs)
 
@@ -349,6 +350,19 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
     cfg.write_text("nonsense = 1\n")
     assert main(["prepare-dataset", "--config", str(cfg)]) == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--checkpoint", "x.ckpt"], ["evaluate", "--manifest", "x.tsv"],
+    ["evaluate", "--out-stem", "x"], ["analyze-filters", "--checkpoint", "x.ckpt"],
+], ids=["evaluate-checkpoint", "evaluate-manifest", "evaluate-out-stem",
+        "analyze-filters-checkpoint"])
+def test_removed_flag_is_refused_by_argparse(argv, capsys):
+    # evaluate and analyze-filters always read the run's best.ckpt and test manifest
+    with pytest.raises(SystemExit) as exit_:
+        main([argv[0], "--config", "run.cfg", *argv[1:]])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_resume_flag_continues_training(workspace, capsys):

@@ -140,11 +140,13 @@ class TestPrepare:
             "good": {"piano": always_on(440.0)},
             "bad": {"piano": always_on(441.0)},
         })
-        (tmp_path / "activations" / "bad_ACTIVATION_CONF.lab").unlink()
+        # a .csv file under the track's bare name is not read as its activations
+        act = tmp_path / "activations"
+        (act / "bad_ACTIVATION_CONF.lab").rename(act / "bad.csv")
         messages = []
         cfg = make_config(tmp_path, min_songs=1, test_fraction=0.5)
         train_path, test_path = prepare_dataset(cfg, log=messages.append)
-        assert any("bad" in m and "missing-activation-file" in m for m in messages)
+        assert "skip track=bad reason=missing-activation-file" in messages
         rows = read_manifest(train_path)[0] + read_manifest(test_path)[0]
         assert {r.track_id for r in rows} == {"good"}
 
@@ -222,9 +224,12 @@ class TestPrepare:
 def test_find_activation_file_variants(tmp_path):
     (tmp_path / "a_ACTIVATION_CONF.lab").write_text("x")
     (tmp_path / "b.csv").write_text("x")
+    (tmp_path / "c.lab").write_text("x")
     assert find_activation_file(tmp_path, "a").name == "a_ACTIVATION_CONF.lab"
-    assert find_activation_file(tmp_path, "b").name == "b.csv"
+    # MedleyDB's name is the only one read
+    assert find_activation_file(tmp_path, "b") is None
     assert find_activation_file(tmp_path, "c") is None
+    assert find_activation_file(tmp_path, "d") is None
 
 
 def test_track_instrument_presence_uses_smoothed_peak():
