@@ -17,34 +17,41 @@ strided view of the input, by the filters: its forward and weight gradient
 are one GEMM per chunk of output positions, and its input gradient is one
 GEMM over all taps per chunk of clips, then one shifted add per tap.
 The overlap-save FFT kernel (:func:`fft_conv_forward`) takes the filters as
-:func:`filter_spectrum`, built once per set of weights and stored
-maps-major, and makes one complex product per frequency bin over all
-channels, clips and blocks: the
+their :func:`filter_spectrum`, stored maps-major, and makes one complex
+product per frequency bin over all channels, clips and blocks: the
 frequency-major layout of Mathieu, Henaff & LeCun (arXiv:1312.5851) and
-Vasilache et al. (arXiv:1412.7580). Its backward is two passes, which
-``conv.backward`` calls in turn: :func:`fft_conv_input_grad`, the only one
-that reads the filter spectrum, then :func:`fft_conv_param_grads`. With one
-input channel, as in a first layer on raw audio, each bin's product is an
-outer product, so the forward and the weight-gradient pass instead keep the
-rfft's own layout, bins last: the product is one broadcast multiply of the
-``[maps, bins]`` filter spectra by the ``[clips, blocks, bins]`` block
-spectra, and every transform runs along the contiguous last axis with no
-transposed copy. The input-gradient pass has the per-bin form only, since
-a first layer asks for no input gradient. The FFT kernel is far cheaper
-than the direct one for long filters.
+Vasilache et al. (arXiv:1412.7580). Each pass that reads the spectrum
+builds it one map chunk at a time, as fbfft does, unless the caller gives
+it the whole spectrum, built once for several calls on the same weights.
+Its backward is two passes, which ``conv.backward`` calls in turn:
+:func:`fft_conv_input_grad`, the only one that reads the filter spectrum,
+then :func:`fft_conv_param_grads`, which adds each map chunk's weight
+gradient into a buffer or, given a learning rate, applies it to the
+weights as an SGD step (:func:`sgd_update`) as soon as the chunk is done,
+so that no whole weight gradient is held, as in LOMO (Lv et al.,
+arXiv:2306.09782). With one input channel, as in a first layer on raw
+audio, each bin's product is an outer product, so the forward and the
+weight-gradient pass instead keep the rfft's own layout, bins last: the
+product is one broadcast multiply of the ``[maps, bins]`` filter spectra by
+the ``[clips, blocks, bins]`` block spectra, and every transform runs along
+the contiguous last axis with no transposed copy. The input-gradient pass
+has the per-bin form only, since a first layer asks for no input gradient.
+The FFT kernel is far cheaper than the direct one for long filters.
 :func:`fft_plan` picks the kernel by one cost rule. Its :class:`FftPlan`,
 the ``nfft``, hop, blocks and bins of the overlap-save geometry, has one
 constructor, :func:`overlap_save`, which every FFT pass calls on its own
 operands. The kernel has two bounds. Map chunks, within
 ``_FFT_CHUNK_ELEMS`` elements, set the shape of the per-bin GEMMs: their
-operands and products. Working chunks, within ``_FFT_WORK_ELEMS``, a
-cache-sized eighth of that, bound everything else: each one-channel
-broadcast product, each layout copy and each transform but those of
-:func:`filter_spectrum` and of the weight-gradient lags. Every working
+operands, a map chunk's filter spectrum among them, and products. Working
+chunks, within ``_FFT_WORK_ELEMS``, a cache-sized eighth of that, bound
+everything else: each one-channel broadcast product, each layout copy and
+each transform but those of :func:`filter_spectrum` and of the
+weight-gradient lags. Every working
 split runs along results independent of each other (transform rows, the
 bins' GEMMs, broadcast maps), never along a summed axis, so its size
-changes no bit of any output. Beyond the chunks, a call holds ``bins x
-blocks x channels`` values per clip, which
+changes no bit of any output; nor does building the spectrum per map
+chunk, since each filter's transform is its own row. Beyond the chunks, a
+call holds ``bins x blocks x channels`` values per clip, which
 ``model.forward`` counts when it sizes its calls: the input's block spectra
 in forward and in the weight-gradient pass of backward, the input-gradient
 spectra in its input-gradient pass. The per-bin GEMM form builds its
@@ -108,27 +115,22 @@ def _windows(x, width: int, count: int, step: int = 1):
                       (*stride[:2], step * stride[2], stride[2]), writeable=False)
 
 
-def _check_filters(filters) -> None:
-    if np.ndim(filters) != 3:
-        raise ValueError("conv filters must be [maps, channels, filter] weights or their "
-                         f"[bins, maps, channels] spectrum, got shape {np.shape(filters)}")
+def _check_filters(weights) -> None:
+    if np.ndim(weights) != 3:
+        raise ValueError("conv filters must be [maps, channels, filter] weights, "
+                         f"got shape {np.shape(weights)}")
 
 
-def _conv_operands(x, filters, filter_size=None, bias=None, grad_out=None):
-    """Check a conv call's ``filters``, ``x``, ``bias`` and ``grad_out``,
-    and flatten the leading axes of ``x`` and ``grad_out``.
-
-    ``filters`` are the ``[maps, channels, filter_size]`` weights or, given
-    ``filter_size``, their :func:`filter_spectrum` ``[bins, maps, channels]``.
+def _conv_operands(x, weights, bias=None, grad_out=None):
+    """Check a conv call's ``[maps, channels, filter_size]`` ``weights``,
+    ``x``, ``bias`` and ``grad_out``, and flatten the leading axes of ``x``
+    and ``grad_out``.
 
     :returns: ``(lead, x [clips, channels, length], grad_out [clips, maps,
         out_len] or None)``, ``lead`` being the leading axes of ``x``
     """
-    _check_filters(filters)
-    if filter_size is None:
-        maps, channels, filter_size = filters.shape
-    else:
-        maps, channels = filters.shape[1:]
+    _check_filters(weights)
+    maps, channels, filter_size = weights.shape
     x = np.asarray(x)
     if x.ndim < 2:
         raise ValueError(f"conv input must be [..., channels, length], got shape {x.shape}")
@@ -241,7 +243,7 @@ def overlap_save(nfft: int, filter_size: int, length: int) -> FftPlan:
     return FftPlan(nfft, hop, -(-(length - filter_size + 1) // hop), nfft // 2 + 1)
 
 
-@functools.cache  # footprint, prepare and backward each ask, for a handful of geometries
+@functools.cache  # conv.footprint, forward and backward each ask, for a handful of geometries
 def fft_plan(maps: int, filter_size: int, shape):
     """The FFT kernel's :class:`FftPlan` for ``[maps, channels,
     filter_size]`` filters over a ``[channels, length]`` input, or None
@@ -360,30 +362,38 @@ def _per_bin_spectra(x, plan: FftPlan, width: int, rows_last: bool = False):
     return out.reshape(bins, -1, rows) if rows_last else out.reshape(bins, rows, -1)
 
 
-def fft_conv_forward(x, spectrum, bias, filter_size: int):
+def _filter_chunk(weights, nfft: int, spectrum, m: slice):
+    """The filter spectrum of maps ``m``: a slice of the whole ``spectrum``
+    when one is given, else :func:`filter_spectrum` of ``weights[m]``, the
+    same values in the same ``[bins, maps, channels]`` layout."""
+    return filter_spectrum(weights[m], nfft) if spectrum is None else spectrum[:, m]
+
+
+def fft_conv_forward(x, weights, bias, nfft: int, spectrum=None):
     """:func:`temporal_conv_forward` by overlap-save FFT convolution.
 
-    ``spectrum`` is :func:`filter_spectrum` of the ``[maps, channels,
-    filter_size]`` weights at an even ``nfft``. Each block of ``nfft`` input
-    samples gives ``hop = nfft - filter_size + 1`` outputs: per frequency bin
-    the product ``spectrum[f] @ block spectra[f]``, over all channels,
-    clips and blocks at once, then an inverse rfft keeping the first ``hop``
-    values. With one channel that product is a broadcast multiply of the
-    ``[maps, bins]`` filter spectra by the ``[clips, blocks, bins]`` block
-    spectra, inverse transformed along the bins, the last axis, a working
-    chunk of maps at a time. The per-bin GEMMs run a map chunk at a time, and
-    each chunk's products are inverse transformed and laid out a working
-    chunk of its maps at a time.
+    The ``[maps, channels, filter_size]`` ``weights`` are transformed at an
+    even ``nfft`` of at least the filter size a map chunk at a time, or read
+    from ``spectrum``, their whole :func:`filter_spectrum`, when given. Each
+    block of ``nfft`` input samples gives ``hop = nfft - filter_size + 1``
+    outputs: per frequency bin the product of the filter spectra by the
+    block spectra, over all channels, clips and blocks at once, then an
+    inverse rfft keeping the first ``hop`` values. With one channel that
+    product is a broadcast multiply of the ``[maps, bins]`` filter spectra
+    by the ``[clips, blocks, bins]`` block spectra, inverse transformed
+    along the bins, the last axis, a working chunk of maps at a time. The
+    per-bin GEMMs run a map chunk at a time, and each chunk's products are
+    inverse transformed and laid out a working chunk of its maps at a time.
     """
-    spectrum = np.asarray(spectrum)
+    weights = np.asarray(weights)
     bias = np.asarray(bias)
-    lead, x, _ = _conv_operands(x, spectrum, filter_size, bias)
-    maps, channels = spectrum.shape[1:]
+    lead, x, _ = _conv_operands(x, weights, bias)
+    maps, channels, filter_size = weights.shape
     clips, _, length = x.shape
-    plan = overlap_save(2 * (len(spectrum) - 1), filter_size, length)
-    nfft, hop, blocks = plan.nfft, plan.hop, plan.blocks
+    plan = overlap_save(nfft, filter_size, length)
+    hop, blocks = plan.hop, plan.blocks
     out_len = length - filter_size + 1
-    out = np.empty((clips, maps, out_len), dtype=np.result_type(x, spectrum.real))
+    out = np.empty((clips, maps, out_len), dtype=np.result_type(x, weights))
 
     def place(m, y):  # y [clips, maps, blocks, hop], each block's outputs in order
         out[:, m] = y.reshape(*y.shape[:2], blocks * hop)[:, :, :out_len]
@@ -392,11 +402,13 @@ def fft_conv_forward(x, spectrum, bias, filter_size: int):
         spectra = _block_spectra(x, plan, nfft)  # [clips, 1, blocks, bins]
         for m in _work_chunks(maps, plan.bins * clips * blocks):
             # [maps, 1, bins] filter spectra times block spectra: [clips, maps, blocks, hop]
-            place(m, np.fft.irfft(spectrum[:, m, 0].T[:, None] * spectra, n=nfft)[..., :hop])
+            filters = _filter_chunk(weights, nfft, spectrum, m)[:, :, 0].T[:, None]
+            place(m, np.fft.irfft(filters * spectra, n=nfft)[..., :hop])
     else:
         spectra = _per_bin_spectra(x, plan, nfft)  # [bins, channels, clips * blocks]
-        for m in _chunks(maps, plan.bins * clips * blocks, _FFT_CHUNK_ELEMS):
-            products = spectrum[:, m] @ spectra  # [bins, maps, clips * blocks]
+        for m in _chunks(maps, plan.bins * max(channels, clips * blocks), _FFT_CHUNK_ELEMS):
+            # [bins, maps, clips * blocks]
+            products = _filter_chunk(weights, nfft, spectrum, m) @ spectra
             for k in _work_chunks(m.stop - m.start, nfft * clips * blocks):
                 y = np.fft.irfft(products[:, k], n=nfft, axis=0)[:hop]
                 # [hop, maps, clips, blocks] -> [clips, maps, blocks, hop]
@@ -408,10 +420,11 @@ def fft_conv_forward(x, spectrum, bias, filter_size: int):
     return out.reshape(*lead, maps, out_len)
 
 
-def fft_conv_input_grad(x, spectrum, grad_out, filter_size: int):
-    """The input gradient of :func:`fft_conv_forward`: the backward pass
-    that reads the filter ``spectrum``, run before
-    :func:`fft_conv_param_grads`, after which the spectrum may be freed.
+def fft_conv_input_grad(x, weights, grad_out, nfft: int, spectrum=None):
+    """The input gradient of :func:`fft_conv_forward` at ``nfft``: the
+    backward pass that reads the filter spectrum, built a map chunk at a
+    time from ``weights`` or read from the whole ``spectrum`` when given,
+    run before :func:`fft_conv_param_grads`.
 
     Per map chunk the output gradient is cut into blocks of ``hop`` values
     and transformed. Per bin, those spectra times the transposed filter
@@ -422,23 +435,24 @@ def fft_conv_input_grad(x, spectrum, grad_out, filter_size: int):
     of clips at a time, or of one clip's channels where one clip is more
     than a working chunk. So beyond the chunks the pass holds only the
     input-gradient spectra, as large as the input block spectra, which it
-    never makes, and the filter spectrum it is given.
+    never makes, and the ``spectrum`` it is given.
     """
-    spectrum = np.asarray(spectrum)
-    lead, x, grad_out = _conv_operands(x, spectrum, filter_size, grad_out=grad_out)
-    maps, channels = spectrum.shape[1:]
+    weights = np.asarray(weights)
+    lead, x, grad_out = _conv_operands(x, weights, grad_out=grad_out)
+    maps, channels, filter_size = weights.shape
     clips, _, length = x.shape
-    plan = overlap_save(2 * (len(spectrum) - 1), filter_size, length)
-    nfft, hop, blocks, bins = plan.nfft, plan.hop, plan.blocks, plan.bins
-    dtype = np.result_type(x, spectrum)
+    plan = overlap_save(nfft, filter_size, length)
+    hop, blocks, bins = plan.hop, plan.blocks, plan.bins
+    dtype = np.result_type(x, weights, np.complex64)
     # [bins, clips * blocks, channels], summed as conjugates, then conjugated in place
     grad_x_spectra = np.zeros((bins, clips * blocks, channels), dtype)
     for m in _chunks(maps, bins * max(channels, clips * blocks), _FFT_CHUNK_ELEMS):
         conj_g = _per_bin_spectra(grad_out[:, m], plan, hop)
         np.conjugate(conj_g, out=conj_g)
+        filters = _filter_chunk(weights, nfft, spectrum, m)
         for f in _work_chunks(bins, clips * blocks * channels):
-            grad_x_spectra[f] += conj_g[f].transpose(0, 2, 1) @ spectrum[f, m]
-        del conj_g  # before the next chunk's spectra are made
+            grad_x_spectra[f] += conj_g[f].transpose(0, 2, 1) @ filters[f]
+        del conj_g, filters  # before the next chunk's are made
     np.conjugate(grad_x_spectra, out=grad_x_spectra)
 
     grad_x = np.zeros_like(x, dtype=np.finfo(dtype).dtype)
@@ -456,11 +470,16 @@ def fft_conv_input_grad(x, spectrum, grad_out, filter_size: int):
     return grad_x.reshape(*lead, channels, length)
 
 
-def fft_conv_param_grads(x, grad_out, nfft: int, grad_weights):
-    """``(grad_weights, grad_bias)`` of :func:`fft_conv_forward` at
-    ``nfft``, the weight gradient added into the ``[maps, channels,
-    filter_size]`` array ``grad_weights``: the backward pass that reads no
-    filter spectrum, run after :func:`fft_conv_input_grad`.
+def fft_conv_param_grads(x, grad_out, nfft: int, target, learning_rate=None):
+    """``(target, grad_bias)`` of :func:`fft_conv_forward` at ``nfft``: the
+    backward pass that reads no filter spectrum, run after
+    :func:`fft_conv_input_grad`.
+
+    Each map chunk's weight gradient goes into the ``[maps, channels,
+    filter_size]`` array ``target`` as soon as it is done: added into a
+    gradient buffer or, given a ``learning_rate``, applied to the weights
+    by :func:`sgd_update` once it is found finite (else FloatingPointError,
+    the earlier chunks applied), so that no whole gradient is held.
 
     Per map chunk the output gradient blocks are transformed and, per bin,
     their conjugate times the input block spectra, summed over clips and
@@ -470,15 +489,24 @@ def fft_conv_param_grads(x, grad_out, nfft: int, grad_weights):
     cheaper than one per clip. With more than one channel the product is a
     per-bin GEMM against input spectra made in its layout, written into a
     ``[maps, bins, channels]`` array and inverse transformed into a
-    contiguous ``[maps, channels, nfft]`` one, so the lags are added into
-    ``grad_weights`` row by row; with one channel it is a broadcast multiply
-    in the rfft's own layout, a working chunk of maps at a time. Beyond the
-    chunks the pass holds the input block spectra.
+    contiguous ``[maps, channels, nfft]`` one, so each map's lags are rows;
+    with one channel it is a broadcast multiply in the rfft's own layout, a
+    working chunk of maps at a time. Beyond the chunks the pass holds the
+    input block spectra.
     """
-    _, x, grad_out = _conv_operands(x, grad_weights, grad_out=grad_out)
-    maps, channels, filter_size = grad_weights.shape
+    _, x, grad_out = _conv_operands(x, target, grad_out=grad_out)
+    maps, channels, filter_size = target.shape
     clips, _, length = x.shape
     plan = overlap_save(nfft, filter_size, length)
+
+    def take(m, lags):  # the weight gradient of maps m, [maps, channels, filter_size]
+        if learning_rate is None:
+            target[m] += lags
+        elif not np.isfinite(lags).all():
+            raise FloatingPointError(f"non-finite weight gradient of maps {m.start}-{m.stop - 1}")
+        else:
+            sgd_update(target[m], lags, learning_rate, out=target[m])
+
     if channels == 1:
         spectra = _block_spectra(x, plan, nfft)  # [clips, 1, blocks, bins]
         np.conjugate(spectra, out=spectra)
@@ -487,7 +515,7 @@ def fft_conv_param_grads(x, grad_out, nfft: int, grad_weights):
             g *= spectra
             # the sum is the conjugate of the lags' spectra: [maps, bins]
             lags = np.fft.irfft(np.conjugate(g.sum(axis=(0, 2))), n=nfft)[:, :filter_size]
-            grad_weights[m, 0] += lags
+            take(m, lags[:, None])
     else:
         spectra = _per_bin_spectra(x, plan, nfft, rows_last=True)
         chunks = _chunks(maps, plan.bins * max(channels, clips * plan.blocks), _FFT_CHUNK_ELEMS)
@@ -501,9 +529,18 @@ def fft_conv_param_grads(x, grad_out, nfft: int, grad_weights):
             np.conjugate(conj_g, out=conj_g)
             np.matmul(conj_g, spectra, out=lag_spectra[:k].transpose(1, 0, 2))
             np.fft.irfft(lag_spectra[:k], n=nfft, axis=1, out=lags[:k].transpose(0, 2, 1))
-            grad_weights[m] += lags[:k, :, :filter_size]
+            take(m, lags[:k, :, :filter_size])
             del conj_g  # before the next chunk's spectra are made
-    return grad_weights, grad_out.sum(axis=(0, 2))
+    return target, grad_out.sum(axis=(0, 2))
+
+
+def sgd_update(param, grad, learning_rate: float, out):
+    """``param - learning_rate * grad`` into ``out`` (``param`` or
+    ``grad``), returned: two ufunc steps and no temporary, ``grad``
+    overwritten by ``learning_rate * grad`` in the parameter's dtype, then
+    ``out`` by ``param`` minus it."""
+    np.multiply(np.asarray(learning_rate, dtype=param.dtype), grad, out=grad)
+    return np.subtract(param, grad, out=out)
 
 
 def maxpool_forward(x, pool_size: int, pool_stride: int):

@@ -37,13 +37,16 @@ class _Layer:
     one walk of :func:`infer_shapes`, sizes the calls (see :func:`forward`).
     ``forward(x, weights, training, rng)`` takes clips ``[clips, ...]`` and
     the layer's weights list, ``[weight, bias]`` or empty, which every call
-    and ``backward`` share; it returns ``(output, cache)``. A forward may
-    append forms made from the pair, which only the forward calls and the
-    input gradient read. ``backward(cache, weights, g, needs_input_grad,
-    grads)`` adds the parameter gradients, summed over the clips, into the
-    ``[weight, bias]`` list ``grads`` (see :func:`_grad`) and returns the
-    input gradient. A ``backward`` may drop an item of its ``weights`` list
-    once it has read it for the last time in the call.
+    and ``backward`` share; it returns ``(output, cache)``. A front layer's
+    list, which its group calls share (see :func:`forward`), has a third
+    slot, None at first, where a forward may keep a form made from the pair
+    for the later calls and the input gradient. ``backward(cache, weights,
+    g, needs_input_grad, grads, learning_rate)`` adds the parameter
+    gradients, summed over the clips, into the ``[weight, bias]`` list
+    ``grads`` (see :func:`_grad`) and returns the input gradient; given a
+    ``learning_rate``, which only a tail layer gets, it may apply a weight
+    gradient as an SGD step instead, leaving its slot None. A ``backward``
+    may drop the third slot once it has read it for the last time.
     """
 
     has_params = False
@@ -108,31 +111,36 @@ class conv(_Layer):
 
     def forward(self, x, weights, training, rng):
         """The kernel ``fft_plan`` picks for ``x``'s shape. On the FFT kernel
-        the layer's first call appends the filter spectrum to ``weights``."""
+        a front layer builds its whole filter spectrum into the third slot
+        of ``weights`` at its first call; a tail layer's pass builds it per
+        map chunk."""
         plan = self.fft_plan(x.shape[-2:])
         if plan is None:
-            return L.temporal_conv_forward(x, *weights), x
-        if len(weights) == 2:
-            weights.append(L.filter_spectrum(weights[0], plan.nfft))
-        return L.fft_conv_forward(x, weights[2], weights[1], self.filter_size), x
+            return L.temporal_conv_forward(x, *weights[:2]), x
+        if len(weights) == 3 and weights[2] is None:
+            weights[2] = L.filter_spectrum(weights[0], plan.nfft)
+        return L.fft_conv_forward(x, *weights[:2], plan.nfft, *weights[2:]), x
 
-    def backward(self, x, weights, g, needs_input_grad, grads):
+    def backward(self, x, weights, g, needs_input_grad, grads, learning_rate):
         """The kernel ``fft_plan`` picks for ``x``'s shape, as in the forward.
-        On the FFT kernel, two passes: ``nn.layers.fft_conv_input_grad``
-        from the filter spectrum, which is then dropped from ``weights``, and
-        only after that ``nn.layers.fft_conv_param_grads``, into a weight
-        gradient buffer made then on the layer's first call. Without an
-        input gradient the spectrum is not read, and may already be gone."""
+        On the FFT kernel, two passes: ``nn.layers.fft_conv_input_grad``,
+        from the kept spectrum, which is then dropped from ``weights``, or
+        per map chunk; and only after that ``nn.layers.fft_conv_param_grads``,
+        into a weight gradient buffer made then on the layer's first call
+        or, given a ``learning_rate``, into the weights as an SGD step.
+        Without an input gradient the spectrum is not read, and may already
+        be gone."""
         w, b = weights[:2]
         plan = self.fft_plan(x.shape[-2:])
         if plan is None:
             grad_x, _, gb = L.temporal_conv_backward(
                 x, w, g, needs_input_grad=needs_input_grad, grad_weights=_grad(grads, 0, w))
         else:
-            grad_x = (L.fft_conv_input_grad(x, weights[2], g, self.filter_size)
+            grad_x = (L.fft_conv_input_grad(x, w, g, plan.nfft, *weights[2:])
                       if needs_input_grad else None)
-            weights[2] = None  # the spectrum's last read in this call
-            _, gb = L.fft_conv_param_grads(x, g, plan.nfft, _grad(grads, 0, w))
+            weights[2:] = [None] * len(weights[2:])  # a kept spectrum's last read in this call
+            target = w if learning_rate is not None else _grad(grads, 0, w)
+            _, gb = L.fft_conv_param_grads(x, g, plan.nfft, target, learning_rate)
         grad_b = _grad(grads, 1, b)
         grad_b += gb
         return grad_x
@@ -156,7 +164,7 @@ class max_pool(_Layer):
         out, argmax = L.maxpool_forward(x, self.pool_size, self.pool_stride)
         return out, (argmax, x.shape)
 
-    def backward(self, cache, weights, g, needs_input_grad, grads):
+    def backward(self, cache, weights, g, needs_input_grad, grads, learning_rate):
         argmax, in_shape = cache
         return L.maxpool_backward(argmax, g, in_shape)
 
@@ -169,7 +177,7 @@ class relu(_Layer):
         out = L.relu(x)
         return out, out  # the next layer holds the output anyway
 
-    def backward(self, cache, weights, g, needs_input_grad, grads):
+    def backward(self, cache, weights, g, needs_input_grad, grads, learning_rate):
         return L.relu_backward(cache, g)
 
 
@@ -190,9 +198,9 @@ class fully_connected(_Layer):
 
     def forward(self, x, weights, training, rng):
         flat = x.reshape(len(x), math.prod(x.shape[1:]))  # -1 fails on zero clips
-        return L.fully_connected_forward(flat, *weights), (flat, x.shape)
+        return L.fully_connected_forward(flat, *weights[:2]), (flat, x.shape)
 
-    def backward(self, cache, weights, g, needs_input_grad, grads):
+    def backward(self, cache, weights, g, needs_input_grad, grads, learning_rate):
         flat, in_shape = cache
         g, *param_grads = L.fully_connected_backward(flat, weights[0], g)
         for k, grad in enumerate(param_grads):
@@ -215,7 +223,7 @@ class dropout(_Layer):
             raise ValueError("training mode with dropout requires an rng")
         return L.dropout(x, self.drop_rate, rng, training)
 
-    def backward(self, cache, weights, g, needs_input_grad, grads):
+    def backward(self, cache, weights, g, needs_input_grad, grads, learning_rate):
         return L.dropout_backward(cache, self.drop_rate, g)
 
 
@@ -227,7 +235,7 @@ class sigmoid(_Layer):
         out = L.sigmoid(x)
         return out, out
 
-    def backward(self, cache, weights, g, needs_input_grad, grads):
+    def backward(self, cache, weights, g, needs_input_grad, grads, learning_rate):
         return L.sigmoid_backward(cache, g)
 
 
@@ -328,8 +336,8 @@ def init_params(layers, input_length: int, input_channels: int = 1,
 @dataclass
 class ForwardCache:
     """Everything backward() needs: the layers, each layer's weights list as
-    the forward left it (the filter spectra of every conv but layer 0
-    included), and the per-layer caches of the front, group by group, and of
+    the forward left it (with the filter spectrum of a front FFT conv but
+    layer 0), and the per-layer caches of the front, group by group, and of
     the tail (see :func:`forward`).
 
     :func:`backward` consumes it: it sets each slot of ``weights`` and of the
@@ -338,7 +346,7 @@ class ForwardCache:
     ``spent``."""
 
     layers: list
-    weights: list  # per layer, ``[weight, bias]`` and any forms its forward made, or empty
+    weights: list  # per layer, ``[weight, bias]`` and a front layer's kept form, or empty
     clips: int
     split: int  # index of the first tail layer; the layers before it are the front
     groups: list  # the front's clip slices, in order
@@ -367,15 +375,16 @@ def _front_tail(layers, shapes, clips: int):
 def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     """Run the network over a ``[batch, channels, length]`` stack of clips.
 
-    Each layer gets a list of its weights, which it may extend at its first
-    call: a long-filter conv builds its filter spectrum then, so the tail's
-    spectra are built only after every front group has run. The forms made
-    from the weights go after their last reader: in eval mode, and for
-    layer 0, which computes no input gradient, after the layer's last
-    forward call; else in :func:`backward`. The layers run in two parts,
-    sized by each layer's per-clip footprint (the largest of its input, its
-    output and, on the FFT kernel, its block spectra, read from the call's
-    one :func:`infer_shapes` walk) against ``nn.layers._CONV_CHUNK_ELEMS``
+    Each layer gets a list of its weights. A front FFT conv builds its
+    whole filter spectrum into a third slot of its list at its first call,
+    so once per ``forward`` call however many groups it runs in; a tail FFT
+    conv holds none, its passes building one map chunk's at a time. A kept
+    spectrum goes after its last reader: in eval mode, and for layer 0,
+    which computes no input gradient, after the layer's last forward call;
+    else in :func:`backward`. The layers run in two parts, sized by each
+    layer's per-clip footprint (the largest of its input, its output and,
+    on the FFT kernel, its block spectra, read from the call's one
+    :func:`infer_shapes` walk) against ``nn.layers._CONV_CHUNK_ELEMS``
     elements:
 
     - the tail, the longest suffix of layers whose footprint for the whole
@@ -407,8 +416,9 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     layers = list(layers)
     channels, length = batch.shape[1:]
     shapes = [(channels, length)] + infer_shapes(layers, length, channels)
-    weights = [list(pair) for pair in _layer_params(params, layers)]
     split, groups = _front_tail(layers, shapes, len(batch))
+    weights = [[*pair, None] if pair and i < split else list(pair)
+               for i, pair in enumerate(_layer_params(params, layers))]
 
     def run(x, first, stop, last):
         caches = []
@@ -431,7 +441,7 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
                                tail_caches)
 
 
-def backward(cache: ForwardCache, grad_loss) -> ModelParams:
+def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
     """Backpropagate ``grad_loss`` ([batch, output]) to parameter gradients,
     consuming ``cache``.
 
@@ -444,12 +454,20 @@ def backward(cache: ForwardCache, grad_loss) -> ModelParams:
     buffers, which its first backward call makes. Layer 0 computes no
     gradient for the network input.
 
+    Given a ``learning_rate``, a tail FFT conv applies SGD to its weights,
+    the very arrays of ``params``, a map chunk at a time as each chunk's
+    gradient is done and found finite, so its whole weight gradient never
+    exists; its weight slot in the result is None. A non-finite chunk
+    raises FloatingPointError naming the weight gradient's index, with the
+    chunks before it already applied. Every other gradient is returned
+    whole, for :func:`sgd_step`.
+
     A layer's caches and weights leave ``cache`` once their last reader
     returns: a tail layer's after its one call, a front layer's after the
     last group's. That last call gets the cache's own weights list of the
-    layer, and conv frees its filter spectrum there before it makes its
-    weight gradient; earlier groups get a copy of the list. So a second
-    backward on the cache raises ValueError.
+    layer, and a front FFT conv frees its filter spectrum there before it
+    makes its weight gradient; earlier groups get a copy of the list. So a
+    second backward on the cache raises ValueError.
     """
     if cache.spent:
         raise ValueError("this ForwardCache was consumed by an earlier backward; "
@@ -461,18 +479,22 @@ def backward(cache: ForwardCache, grad_loss) -> ModelParams:
     layers, weights = cache.layers, cache.weights
     grads = [[None, None] for _ in layers]
 
-    def run(g, first, caches, last):
+    def run(g, first, caches, last, rate):
         for i in reversed(range(first, first + len(caches))):
             layer_weights = weights[i] if last else list(weights[i])
-            g = layers[i].backward(caches[i - first], layer_weights, g, i > 0, grads[i])
+            try:
+                g = layers[i].backward(caches[i - first], layer_weights, g, i > 0, grads[i], rate)
+            except FloatingPointError:  # a weight chunk, checked before its update
+                index = sum(layer.has_params for layer in layers[:i])
+                raise FloatingPointError(f"non-finite weight gradient {index}") from None
             caches[i - first] = None
             if last:
                 weights[i] = None
         return g
 
-    g = run(grad_loss, cache.split, cache.tail_caches, True)
+    g = run(grad_loss, cache.split, cache.tail_caches, True, learning_rate)
     for s, caches in zip(cache.groups, cache.front_caches):  # none if layer 0 is in the tail
-        run(g[s], 0, caches, s.stop == cache.clips)
+        run(g[s], 0, caches, s.stop == cache.clips, None)
     pairs = [pair for layer, pair in zip(layers, grads) if layer.has_params]
     return ModelParams([w for w, _ in pairs], [b for _, b in pairs])
 
@@ -482,17 +504,18 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> M
     ``grads``, which is returned as the new parameters.
 
     ``params`` is left as it is and ``grads`` is consumed: each gradient is
-    scaled by ``lr`` in place and then overwritten by ``w`` minus it, the
-    values of ``w - lr * g``, so a step holds no third copy of the
-    parameters. Every gradient must have its parameter's shape and dtype.
+    scaled by ``lr`` in place and then overwritten by ``w`` minus it
+    (``nn.layers.sgd_update``), the values of ``w - lr * g``, so a step
+    holds no third copy of the parameters. Every gradient must have its
+    parameter's shape and dtype, or be None: a slot :func:`backward` has
+    already applied to its parameter, which is then the new parameter.
     """
     if (len(grads.weights), len(grads.biases)) != (len(params.weights), len(params.biases)):
         raise ValueError("gradient does not match parameter layout")
     pairs = list(zip(params.weights + params.biases, grads.weights + grads.biases))
     for p, g in pairs:
-        if (p.shape, p.dtype) != (g.shape, g.dtype):
+        if g is not None and (p.shape, p.dtype) != (g.shape, g.dtype):
             raise ValueError(f"gradient {g.shape} {g.dtype} != parameter {p.shape} {p.dtype}")
-    for p, g in pairs:
-        np.multiply(np.asarray(learning_rate, dtype=p.dtype), g, out=g)
-        np.subtract(p, g, out=g)
+    new = [p if g is None else L.sgd_update(p, g, learning_rate, out=g) for p, g in pairs]
+    grads.weights[:], grads.biases[:] = new[:len(grads.weights)], new[len(grads.weights):]
     return grads

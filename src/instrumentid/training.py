@@ -138,10 +138,18 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
     one. Each epoch is scored on ``test_data`` if and only if it is given,
     and the best checkpoint by test F-micro is tracked as a ``best.ckpt``
     symlink; without test data it follows the latest epoch. The tracking
-    restarts on resume (pre-resume epochs are not reconsidered). A
+    restarts on resume (pre-resume epochs are not reconsidered).
+
+    Each step is ``forward``, the loss, ``backward`` with the learning
+    rate, which applies the update of a tail FFT conv's weights chunk by
+    chunk as their gradient is made, and ``sgd_step`` for the rest. A
     non-finite batch loss, or a non-finite gradient behind a finite one,
-    stops the run before its update, naming the epoch, step and clips; that
-    epoch writes no checkpoint.
+    stops the run, naming the epoch, step and clips, and that epoch writes
+    no checkpoint. A non-finite loss stops it before any update, and a
+    non-finite gradient before its own update and before ``sgd_step``; but
+    by then ``backward`` may already have updated some weights in memory
+    (those of the chunks and tail FFT convs it had finished), in the
+    parameters being trained, a ``resume`` one's included.
     """
     specs, input_length = architecture(config)
     sgd = config.sgd()
@@ -176,14 +184,16 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
             if not math.isfinite(loss):
                 raise FloatingPointError(
                     f"{where}: loss {loss} on clips {clips}; no checkpoint written")
-            grads = backward(cache, grad_pred)
+            try:
+                grads = backward(cache, grad_pred, sgd.learning_rate)
+                for kind, tensors in (("weight", grads.weights), ("bias", grads.biases)):
+                    for i, g in enumerate(tensors):  # None: applied, checked chunk by chunk
+                        if g is not None and not np.isfinite(g).all():  # exact: a sum can overflow
+                            raise FloatingPointError(f"non-finite {kind} gradient {i}")
+            except FloatingPointError as err:
+                raise FloatingPointError(f"{where}: {err} behind finite loss {loss} on clips "
+                                         f"{clips}; no checkpoint written") from None
             del cache  # spent: backward freed its arrays as it went
-            for kind, tensors in (("weight", grads.weights), ("bias", grads.biases)):
-                for i, g in enumerate(tensors):
-                    if not np.isfinite(g).all():  # exact: a sum can overflow on finite values
-                        raise FloatingPointError(
-                            f"{where}: non-finite {kind} gradient {i} behind finite loss "
-                            f"{loss} on clips {clips}; no checkpoint written")
             params = sgd_step(params, grads, sgd.learning_rate)  # into the gradient arrays
             total_loss += float(loss) * len(idx)
         train_loss = total_loss / n

@@ -159,15 +159,20 @@ def _assert_close_to_max(got, want, tol):
 
 def _fft_against_direct(x, w, b, nfft, tol, needs_input_grad=True):
     """FFT forward and both backward passes, in ``conv.backward``'s order,
-    against the direct kernel on the same inputs."""
-    filter_size = w.shape[2]
+    against the direct kernel on the same inputs. The passes that read the
+    filter spectrum give the same bits whether they build it per map chunk
+    or are given it whole."""
     want = temporal_conv_forward(x, w, b)
     spectrum = filter_spectrum(w, nfft)
-    _assert_close_to_max(fft_conv_forward(x, spectrum, b, filter_size), want, tol)
+    out = fft_conv_forward(x, w, b, nfft)
+    _assert_close_to_max(out, want, tol)
+    np.testing.assert_array_equal(fft_conv_forward(x, w, b, nfft, spectrum), out)
     g = np.random.default_rng(0).normal(size=want.shape).astype(x.dtype)
     want_gx, want_gw, want_gb = temporal_conv_backward(x, w, g, needs_input_grad)
     if needs_input_grad:
-        _assert_close_to_max(fft_conv_input_grad(x, spectrum, g, filter_size), want_gx, tol)
+        gx = fft_conv_input_grad(x, w, g, nfft)
+        _assert_close_to_max(gx, want_gx, tol)
+        np.testing.assert_array_equal(fft_conv_input_grad(x, w, g, nfft, spectrum), gx)
     # the weight gradient is added into the caller's buffer
     start = np.random.default_rng(1).normal(size=w.shape).astype(w.dtype)
     buffer = start.copy()
@@ -210,9 +215,9 @@ class TestFftConv:
         nfft = 10  # hop 5: three blocks, the last one padded
 
         def loss(x, w, b):
-            return (fft_conv_forward(x, filter_spectrum(w, nfft), b, 6) * r).sum()
+            return (fft_conv_forward(x, w, b, nfft) * r).sum()
 
-        gx = fft_conv_input_grad(x, filter_spectrum(w, nfft), r, 6)
+        gx = fft_conv_input_grad(x, w, r, nfft)
         gw, gb = fft_conv_param_grads(x, r, nfft, np.zeros_like(w))
         assert relative_error(gx, numeric_gradient(lambda v: loss(v, w, b), x)) < FD_TOL
         assert relative_error(gw, numeric_gradient(lambda v: loss(x, v, b), w)) < FD_TOL
@@ -287,10 +292,9 @@ class TestFftConv:
         rng = np.random.default_rng(36)
         x = rng.normal(size=(2, channels, 100)).astype(np.float32)
         w = rng.normal(size=(4, channels, 9)).astype(np.float32)
-        spectrum = filter_spectrum(w, 32)
-        fft_conv_forward(x, spectrum, np.zeros(4, np.float32), 9)
+        fft_conv_forward(x, w, np.zeros(4, np.float32), 32)
         g = rng.normal(size=(2, 4, 92)).astype(np.float32)
-        fft_conv_input_grad(x, spectrum, g, 9)
+        fft_conv_input_grad(x, w, g, 32)
         fft_conv_param_grads(x, g, 32, np.zeros_like(w))
         assert len(calls) >= 3
         for shape, args, kwargs in calls:
@@ -312,7 +316,7 @@ class TestFftConv:
         spectra_bytes = 65 * 8 * 7 * 16 * 16  # bins x clips x blocks x channels, complex128
 
         def backward():
-            gx = fft_conv_input_grad(x, spectrum, g, 41)  # held, as conv.backward does
+            gx = fft_conv_input_grad(x, w, g, 128, spectrum)  # held, as a front conv does
             return gx, fft_conv_param_grads(x, g, 128, np.zeros(w.shape))
 
         _, peak = traced_peak(backward)
@@ -329,8 +333,9 @@ class TestFftConv:
         monkeypatch.setattr(layers, "_FFT_WORK_ELEMS", 1 << 14, raising=False)  # 1 map
         rng = np.random.default_rng(38)
         x = rng.normal(size=(8, 16, 608))  # 16 blocks of 32 outputs at nfft 128
-        spectrum = filter_spectrum(rng.normal(size=(16, 16, 97)), 128)
-        out, peak = traced_peak(fft_conv_forward, x, spectrum, np.zeros(16), 97)
+        w = rng.normal(size=(16, 16, 97))
+        spectrum = filter_spectrum(w, 128)
+        out, peak = traced_peak(fft_conv_forward, x, w, np.zeros(16), 128, spectrum)
         spectra_bytes = 65 * 16 * 8 * 16 * 16  # bins x channels x clips x blocks, complex128
         products_bytes = 65 * 7 * 8 * 16 * 16  # bins x maps x clips x blocks
         work_bytes = 16 << 14
@@ -365,8 +370,7 @@ class TestFftConv:
 
         def run():
             transforms.clear()
-            spectrum = filter_spectrum(w, 64)
-            return (fft_conv_forward(x, spectrum, b, 41), fft_conv_input_grad(x, spectrum, g, 41),
+            return (fft_conv_forward(x, w, b, 64), fft_conv_input_grad(x, w, g, 64),
                     *fft_conv_param_grads(x, g, 64, np.zeros_like(w)),
                     layers._per_bin_spectra(x, plan, 64),
                     layers._per_bin_spectra(x, plan, 64, rows_last=True),
@@ -395,7 +399,9 @@ class TestFftConv:
             return (nnm.forward(trial, specs, batch, mode="eval")[0] * r).sum()
 
         _, cache = nnm.forward(params, specs, batch, mode="train")
-        assert cache.weights[1][2] is not None  # conv1's filter spectrum
+        # conv1 runs once, in the tail: it keeps no filter spectrum, and its
+        # input gradient builds one per map chunk
+        assert cache.split == 0 and len(cache.weights[1]) == 2
         grads = nnm.backward(cache, r)
         fd = numeric_gradient(loss, params.weights[0])
         assert relative_error(grads.weights[0], fd) < FD_TOL
@@ -410,8 +416,7 @@ class TestFftConv:
         g = rng.normal(size=(2, 7, 32))
 
         def run():
-            spectrum = filter_spectrum(w, 16)
-            return (fft_conv_forward(x, spectrum, b, 9), fft_conv_input_grad(x, spectrum, g, 9),
+            return (fft_conv_forward(x, w, b, 16), fft_conv_input_grad(x, w, g, 16),
                     *fft_conv_param_grads(x, g, 16, np.zeros_like(w)))
 
         whole = run()
@@ -466,8 +471,8 @@ def test_overlap_save_plans_cover_the_outputs(filter_size, extra, outputs, short
     lambda x, w, g: temporal_conv_forward(x, w, np.zeros(3)),
     lambda x, w, g: temporal_conv_backward(x, w, g),
     lambda x, w, g: temporal_conv_backward(x, w, g, needs_input_grad=False),
-    lambda x, w, g: fft_conv_forward(x, filter_spectrum(w, 8), np.zeros(3), 5),
-    lambda x, w, g: fft_conv_input_grad(x, filter_spectrum(w, 8), g, 5),
+    lambda x, w, g: fft_conv_forward(x, w, np.zeros(3), 8),
+    lambda x, w, g: fft_conv_input_grad(x, w, g, 8),
     lambda x, w, g: fft_conv_param_grads(x, g, 8, np.zeros_like(w)),
 ], ids=["direct-forward", "direct-backward", "direct-weight-backward",
         "fft-forward", "fft-input-backward", "fft-weight-backward"])
@@ -482,13 +487,13 @@ def test_conv_entry_points_reject_channel_mismatch(call):
 @pytest.mark.parametrize("call", [
     lambda x, f, g: temporal_conv_forward(x, f, np.zeros(3)),
     lambda x, f, g: temporal_conv_backward(x, f, g),
-    lambda x, f, g: fft_conv_forward(x, f.astype(complex), np.zeros(3), 5),
-    lambda x, f, g: fft_conv_input_grad(x, f.astype(complex), g, 5),
+    lambda x, f, g: fft_conv_forward(x, f, np.zeros(3), 8),
+    lambda x, f, g: fft_conv_input_grad(x, f, g, 8),
     lambda x, f, g: fft_conv_param_grads(x, g, 8, f),
 ], ids=["direct-forward", "direct-backward", "fft-forward", "fft-input-backward",
         "fft-weight-backward"])
 def test_conv_entry_points_reject_a_filter_operand_that_is_not_3d(call):
-    # weights [maps, filter] or a spectrum [bins, maps]: the channel axis is missing
+    # weights [maps, filter]: the channel axis is missing
     x, f, g = np.ones((2, 1, 20)), np.ones((3, 5)), np.ones((2, 3, 16))
     with pytest.raises(ValueError, match=r"must be \[maps, channels, filter\]"):
         call(x, f, g)

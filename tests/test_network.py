@@ -215,27 +215,78 @@ def test_second_backward_on_a_spent_cache_raises():
         backward(cache, np.ones_like(preds))
 
 
-def test_backward_frees_the_filter_spectrum_before_the_weight_gradient(monkeypatch):
-    # One multi-channel FFT conv whose filter spectrum (557 KB) and weight
-    # gradient (270 KB) dwarf every other array. Its backward makes the
-    # input gradient from the spectrum, drops it, and only then makes the
-    # weight gradient, so the traced memory never reaches what backward
-    # started with (the spectrum included) plus that gradient.
+def test_tail_fft_conv_holds_no_whole_spectrum_or_weight_gradient(monkeypatch):
+    # One multi-channel FFT conv, run once over its call, whose filter
+    # spectrum (557 KB) and weight gradient (270 KB) dwarf every other
+    # array. Its forward and its backward with the update build the spectrum
+    # a map at a time, and the backward applies each map's gradient to the
+    # weights as soon as it is made, so neither traced peak reaches either
+    # array's size.
     from instrumentid.nn import layers
     monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1 << 10)  # one map per chunk
     _force_fft(monkeypatch, min_channels=2)
     specs = [nnm.conv(32, 1), nnm.conv(32, 33), nnm.max_pool(34, 34),
              nnm.fully_connected(11), nnm.sigmoid()]
     params = init_params(specs, 66, seed=55, dtype=np.float64)
+    before = params.weights[1].copy()
     batch = np.random.default_rng(56).normal(size=(1, 1, 66))
+    spectrum_bytes = 34 * 32 * 32 * 16  # bins x maps x channels, complex128
+    gradient_bytes = params.weights[1].nbytes
 
-    def step():  # the forward's cache is traced, so what backward frees counts
-        preds, cache = forward(params, specs, batch, mode="train")
-        assert cache.weights[1][2].nbytes == 34 * 32 * 32 * 16  # the spectrum
-        return traced_peak(backward, cache, np.ones_like(preds))
+    (preds, cache), forward_peak = traced_peak(forward, params, specs, batch, "train")
+    assert cache.split == 0 and len(cache.weights[1]) == 2  # all tail: no spectrum kept
+    grads, backward_peak = traced_peak(backward, cache, np.ones_like(preds), 0.5)
+    assert grads.weights[1] is None and not np.array_equal(params.weights[1], before)
+    smaller = min(spectrum_bytes, gradient_bytes)
+    assert max(forward_peak, backward_peak) < smaller, (forward_peak, backward_peak, smaller)
 
-    (grads, peak), _ = traced_peak(step)
-    assert peak < grads.weights[1].nbytes, peak / grads.weights[1].nbytes
+
+@pytest.mark.parametrize("front", [False, True])
+def test_update_in_backward_is_bit_identical_to_sgd_step(monkeypatch, front):
+    # Every conv on the FFT kernel, a few maps per chunk, in float32. All
+    # tail: the one-channel conv0 and the multi-channel conv1 and conv2 take
+    # their SGD step inside backward. With a front of one clip a group,
+    # conv0 and conv1 keep a whole spectrum and a gradient buffer, and only
+    # conv2 steps inside backward. Either way the step equals forward,
+    # backward into buffers, then sgd_step, bit for bit.
+    from instrumentid.nn import layers
+    _force_fft(monkeypatch)
+    monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1 << 6)
+    if front:
+        # conv1's input and output (4 x 17, 6 x 13) do not fit five clips; relu1 on does
+        monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 300)
+    specs = _tiny_specs(drop_rate=0.5)
+    params = init_params(specs, 80, seed=70)
+    batch = _tiny_input(batch=5, seed=71).astype(np.float32)
+    targets = np.random.default_rng(72).integers(0, 2, size=(5, 11))
+
+    def step(learning_rate):
+        p = copy.deepcopy(params)
+        preds, cache = forward(p, specs, batch, mode="train", rng=np.random.default_rng(73))
+        assert cache.split == (5 if front else 0)
+        _, grad = bce_loss(preds, targets)
+        grads = backward(cache, grad, learning_rate)
+        applied = [g is None for g in grads.weights + grads.biases]
+        return preds, sgd_step(p, grads, 0.1), applied
+
+    preds, fused, applied = step(0.1)
+    want_preds, want, _ = step(None)
+    assert applied == [not front, not front, True] + [False] * 7
+    assert np.array_equal(preds, want_preds)
+    for got, w in zip(fused.weights + fused.biases, want.weights + want.biases, strict=True):
+        assert got.dtype == np.float32 and np.array_equal(got, w)
+
+    # eval: spectra built per map chunk give the predictions of whole ones
+    chunked, _ = forward(params, specs, batch, mode="eval")
+    conv_forward = layers.fft_conv_forward
+
+    def whole_spectrum(x, w, b, nfft, spectrum=None):
+        return conv_forward(x, w, b, nfft,
+                            layers.filter_spectrum(w, nfft) if spectrum is None else spectrum)
+
+    monkeypatch.setattr(layers, "fft_conv_forward", whole_spectrum)
+    whole, _ = forward(params, specs, batch, mode="eval")
+    assert np.array_equal(chunked, whole)
 
 
 def _zeros_like(params):
@@ -358,6 +409,10 @@ def _force_fft(monkeypatch, min_channels=1):
 
 
 def test_fft_network_matches_direct_and_builds_spectra_once_per_forward(monkeypatch):
+    # A front FFT conv builds its whole filter spectrum once per forward
+    # call, however many groups it runs in, and its input gradient reuses
+    # it; a tail one builds one map chunk's spectrum at a time in each pass
+    # that reads it
     from instrumentid.nn import layers
     specs = _tiny_specs(drop_rate=0.5)
     params = init_params(specs, 80, seed=28, dtype=np.float64)
@@ -368,29 +423,31 @@ def test_fft_network_matches_direct_and_builds_spectra_once_per_forward(monkeypa
     direct_grads = backward(direct_cache, grad_loss)
 
     _force_fft(monkeypatch)
-    largest = max(np.prod(s) for s in infer_shapes(specs, 80, 1))
-    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * largest + 1)  # a front, two clips a group
+    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 300)  # conv0 to pool1 in front, a clip a group
+    monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1)  # one map per chunk
     build, built = layers.filter_spectrum, []
 
     def spy(w, nfft):
-        built.append(w.shape)
+        built.append(w.shape[:2])  # (maps, channels)
         return build(w, nfft)
 
     monkeypatch.setattr(layers, "filter_spectrum", spy)
     preds, cache = forward(params, specs, batch, mode="train", rng=np.random.default_rng(31))
-    assert cache.groups == [slice(0, 2), slice(2, 4), slice(4, 5)]
-    assert len(cache.front_caches) == 3
-    assert built == [w.shape for w in params.weights[:3]]  # once per conv layer
+    assert cache.split == 5 and len(cache.front_caches) == 5
+    once = [(4, 1), (6, 4)]  # conv0 and conv1, in the front, whole
+    per_chunk = [(1, 6)] * 6  # conv2, in the tail, map by map
+    assert built == once + per_chunk
     # layer 0 computes no input gradient, so forward dropped its spectrum;
-    # conv1's (layer 3) stays for its input gradient
+    # conv1's (layer 3) stays for its input gradient; conv2 (layer 6) keeps none
     assert cache.weights[0][2] is None and cache.weights[3][2] is not None
+    assert len(cache.weights[6]) == 2
     grads = backward(cache, grad_loss)
-    assert len(built) == 3  # backward reuses the forward's spectra
+    assert built == once + per_chunk * 2  # conv1's input gradient reuses its spectrum
     np.testing.assert_allclose(preds, direct, rtol=1e-10, atol=0)
     for got, want in zip(grads.weights + grads.biases, direct_grads.weights + direct_grads.biases):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
     forward(params, specs, batch, mode="eval")
-    assert len(built) == 6  # an eval call builds its own, once
+    assert built == once + per_chunk * 2 + once + per_chunk  # an eval call builds its own
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -410,19 +467,21 @@ def test_spectra_live_from_their_layer_first_call_to_their_last_reader(monkeypat
         events.append(("build", w.shape[1]))
         return spectrum
 
-    def spy_forward(x, spectrum, *args):
+    def spy_forward(x, *args):
         events.append(("forward", x.shape[-2], len(x), [ref() is not None for ref in spectra]))
-        return conv_forward(x, spectrum, *args)
+        return conv_forward(x, *args)
 
     monkeypatch.setattr(layers, "filter_spectrum", spy_build)
     monkeypatch.setattr(layers, "fft_conv_forward", spy_forward)
-    forward(params, specs, _tiny_input(batch=5, seed=44), mode=mode,
-            rng=np.random.default_rng(45))
-    # the tail's spectra are built after every front group's conv0 call, and
-    # conv0's is gone by then; in eval mode conv1's goes after its one call
+    _, cache = forward(params, specs, _tiny_input(batch=5, seed=44), mode=mode,
+                       rng=np.random.default_rng(45))
+    # conv0, in the front, builds its spectrum before its first group's call
+    # and drops it after its last; the tail convs build theirs inside their
+    # one call, and none outlives it
     assert events == [("build", 1), *[("forward", 1, clips, [True]) for clips in (2, 2, 1)],
-                      ("build", 4), ("forward", 4, 5, [False, True]),
-                      ("build", 6), ("forward", 6, 5, [False, mode == "train", True])]
+                      ("forward", 4, 5, [False]), ("build", 4),
+                      ("forward", 6, 5, [False, False]), ("build", 6)]
+    assert not any(ref() is not None for ref in spectra)
 
 
 def test_fft_weight_gradients_summed_over_groups_equal_one_group(monkeypatch):

@@ -176,7 +176,7 @@ class TestTrainModel:
         finite_backward_inputs = []
         backward = training.backward
 
-        def spy_backward(cache, grad_pred):
+        def spy_backward(cache, grad_pred, learning_rate=None):
             finite_backward_inputs.append(bool(np.isfinite(grad_pred).all()))
             return backward(cache, grad_pred)
 
@@ -197,7 +197,7 @@ class TestTrainModel:
         import instrumentid.training as training
         backward, updates = training.backward, []
 
-        def nan_backward(cache, grad_pred):
+        def nan_backward(cache, grad_pred, learning_rate=None):
             grads = backward(cache, grad_pred)
             grads.biases[1][0] = np.nan
             return grads
@@ -212,6 +212,49 @@ class TestTrainModel:
             train_model(cfg, data, log=lambda *_: None)
         clips = ast.literal_eval(re.search(r"on clips (\[.*?\])", str(err.value)).group(1))
         assert len(clips) == 4 and set(clips) <= set(data.ids)
+        assert updates == []
+        assert not list(cfg.checkpoint_dir().glob("epoch_*"))
+
+    def test_non_finite_weight_chunk_of_a_tail_fft_conv_stops_before_its_update(
+            self, tmp_path, monkeypatch):
+        # conv1 and conv2 on the FFT kernel, one map per chunk, each run once
+        # over the batch, so backward applies their steps chunk by chunk. A
+        # non-finite gradient of conv2's second map stops the run after the
+        # first map's step and before the second's.
+        import instrumentid.training as training
+        from instrumentid.nn import layers, model as nnm
+
+        def plan(self, shape):
+            return (layers.overlap_save(2 * self.filter_size, self.filter_size, shape[1])
+                    if shape[0] > 1 else None)
+
+        monkeypatch.setattr(nnm.conv, "fft_plan", plan)
+        monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1)
+        param_grads, conv2 = layers.fft_conv_param_grads, {}
+
+        def poisoned(x, grad_out, nfft, target, learning_rate=None):
+            if x.shape[-2] == 6:  # conv2's input channels
+                grad_out = grad_out.copy()
+                grad_out[:, 1] = np.nan
+                conv2.update(before=target.copy(), target=target, rate=learning_rate)
+            return param_grads(x, grad_out, nfft, target, learning_rate)
+
+        monkeypatch.setattr(layers, "fft_conv_param_grads", poisoned)
+        updates = []
+        monkeypatch.setattr(training, "sgd_step", lambda *args: updates.append(args))
+        data = synthetic_dataset()
+        cfg = reduced_config(tmp_path, batch_size=4)
+        with pytest.raises(FloatingPointError,
+                           match=r"epoch 1 step 1: non-finite weight gradient 2 behind finite loss"
+                           ) as err:
+            train_model(cfg, data, log=lambda *_: None)
+        assert str(err.value).endswith("; no checkpoint written")
+        clips = ast.literal_eval(re.search(r"on clips (\[.*?\])", str(err.value)).group(1))
+        assert len(clips) == 4 and set(clips) <= set(data.ids)
+        # the step went into the weights themselves: map 0 moved, no later map did
+        assert conv2["rate"] == cfg.learning_rate
+        assert not np.array_equal(conv2["target"][0], conv2["before"][0])
+        np.testing.assert_array_equal(conv2["target"][1:], conv2["before"][1:])
         assert updates == []
         assert not list(cfg.checkpoint_dir().glob("epoch_*"))
 
