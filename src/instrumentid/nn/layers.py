@@ -188,7 +188,8 @@ def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True,
 
     The weight and bias gradients are summed over the leading axes. The
     weight gradient is added into ``grad_weights`` when given (it is then
-    the array returned), else into a fresh zero array. With
+    the array returned); else the first chunk's product is the new array,
+    which the later chunks add into. With
     ``needs_input_grad`` false the input gradient is skipped and returned as
     None; the network's first layer needs none.
     """
@@ -201,14 +202,16 @@ def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True,
     grad_bias = grad_out.sum(axis=(0, 2))
 
     windows = _windows(x, filter_size, out_len)
-    if grad_weights is None:
-        grad_weights = np.zeros_like(weights)
     for t in _chunks(out_len, clips * channels * filter_size, _CONV_CHUNK_ELEMS):
         width = t.stop - t.start
         # contract clips and positions: [maps, channels * filter]
         rows = grad_out[:, :, t].transpose(1, 0, 2).reshape(maps, clips * width)
         cols = windows[:, :, t].transpose(0, 2, 1, 3).reshape(clips * width, channels * filter_size)
-        grad_weights += np.dot(rows, cols).reshape(maps, channels, filter_size)
+        product = np.dot(rows, cols).reshape(maps, channels, filter_size)
+        if grad_weights is None:
+            grad_weights = product.astype(weights.dtype, copy=False)
+        else:
+            grad_weights += product
 
     if not needs_input_grad:
         return None, grad_weights, grad_bias

@@ -43,10 +43,12 @@ class _Layer:
     for the later calls and the input gradient. ``backward(cache, weights,
     g, needs_input_grad, grads, learning_rate)`` adds the parameter
     gradients, summed over the clips, into the ``[weight, bias]`` list
-    ``grads`` (see :func:`_grad`) and returns the input gradient; given a
+    ``grads`` (see :func:`_add`) and returns the input gradient; given a
     ``learning_rate``, which only a tail layer gets, it may apply a weight
-    gradient as an SGD step instead, leaving its slot None. A ``backward``
-    may drop the third slot once it has read it for the last time.
+    gradient as an SGD step instead, leaving its slot None. :func:`backward`
+    then applies what the tail layer's call left in ``grads``. A
+    ``backward`` may drop the third slot once it has read it for the last
+    time.
     """
 
     has_params = False
@@ -59,13 +61,13 @@ class _Layer:
         return max(math.prod(shape), math.prod(out))
 
 
-def _grad(grads: list, k: int, param):
-    """The layer's gradient buffer ``grads[k]`` for ``param``: None until
-    the layer's first backward needs it, then zeros of ``param``'s shape and
-    dtype that every call of the layer adds into."""
+def _add(grads: list, k: int, param, grad):
+    """Add ``grad`` into the layer's gradient buffer ``grads[k]``; at the
+    layer's first call, ``grad`` in ``param``'s dtype becomes the buffer."""
     if grads[k] is None:
-        grads[k] = np.zeros_like(param)
-    return grads[k]
+        grads[k] = grad.astype(param.dtype, copy=False)
+    else:
+        grads[k] += grad
 
 
 def _require(ok: bool, message: str) -> None:
@@ -133,16 +135,17 @@ class conv(_Layer):
         w, b = weights[:2]
         plan = self.fft_plan(x.shape[-2:])
         if plan is None:
-            grad_x, _, gb = L.temporal_conv_backward(
-                x, w, g, needs_input_grad=needs_input_grad, grad_weights=_grad(grads, 0, w))
+            grad_x, grads[0], gb = L.temporal_conv_backward(
+                x, w, g, needs_input_grad=needs_input_grad, grad_weights=grads[0])
         else:
             grad_x = (L.fft_conv_input_grad(x, w, g, plan.nfft, *weights[2:])
                       if needs_input_grad else None)
             weights[2:] = [None] * len(weights[2:])  # a kept spectrum's last read in this call
-            target = w if learning_rate is not None else _grad(grads, 0, w)
+            if learning_rate is None and grads[0] is None:
+                grads[0] = np.zeros_like(w)  # every call's map chunks add into it
+            target = w if learning_rate is not None else grads[0]
             _, gb = L.fft_conv_param_grads(x, g, plan.nfft, target, learning_rate)
-        grad_b = _grad(grads, 1, b)
-        grad_b += gb
+        _add(grads, 1, b, gb)
         return grad_x
 
 
@@ -204,8 +207,7 @@ class fully_connected(_Layer):
         flat, in_shape = cache
         g, *param_grads = L.fully_connected_backward(flat, weights[0], g)
         for k, grad in enumerate(param_grads):
-            acc = _grad(grads, k, weights[k])
-            acc += grad
+            _add(grads, k, weights[k], grad)
         return g.reshape(in_shape)
 
 
@@ -454,13 +456,18 @@ def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
     buffers, which its first backward call makes. Layer 0 computes no
     gradient for the network input.
 
-    Given a ``learning_rate``, a tail FFT conv applies SGD to its weights,
-    the very arrays of ``params``, a map chunk at a time as each chunk's
-    gradient is done and found finite, so its whole weight gradient never
-    exists; its weight slot in the result is None. A non-finite chunk
-    raises FloatingPointError naming the weight gradient's index, with the
-    chunks before it already applied. Every other gradient is returned
-    whole, for :func:`sgd_step`.
+    Given a ``learning_rate``, every tail layer takes its SGD step here,
+    into the very arrays of ``params``, so that no tail gradient outlives
+    its layer's one call: once the call returns, every gradient it made,
+    weight and bias, is checked for non-finite values, then each is applied
+    in place (``nn.layers.sgd_update``), and its slot in the result is
+    None. A tail FFT conv applies its weight gradient within the call, a
+    map chunk at a time as each chunk is done and found finite, so its
+    whole weight gradient never exists. A non-finite gradient raises
+    FloatingPointError naming its kind and index, as in ``non-finite bias
+    gradient 3``, with the tail layers nearer the output, and a tail FFT
+    conv's chunks before it, already applied. The front layers' gradients,
+    summed over the groups, are returned whole, for :func:`sgd_step`.
 
     A layer's caches and weights leave ``cache`` once their last reader
     returns: a tail layer's after its one call, a front layer's after the
@@ -482,11 +489,19 @@ def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
     def run(g, first, caches, last, rate):
         for i in reversed(range(first, first + len(caches))):
             layer_weights = weights[i] if last else list(weights[i])
+            index = sum(layer.has_params for layer in layers[:i])
             try:
                 g = layers[i].backward(caches[i - first], layer_weights, g, i > 0, grads[i], rate)
-            except FloatingPointError:  # a weight chunk, checked before its update
-                index = sum(layer.has_params for layer in layers[:i])
+            except FloatingPointError:  # a tail FFT conv's weight chunk, before its update
                 raise FloatingPointError(f"non-finite weight gradient {index}") from None
+            if rate is not None:  # a tail layer: its step, once every gradient is finite
+                for kind, grad in zip(("weight", "bias"), grads[i]):
+                    if grad is not None and not np.isfinite(grad).all():
+                        raise FloatingPointError(f"non-finite {kind} gradient {index}")
+                for param, grad in zip(layer_weights, grads[i]):
+                    if grad is not None:
+                        L.sgd_update(param, grad, rate, out=param)
+                grads[i] = [None, None]
             caches[i - first] = None
             if last:
                 weights[i] = None
@@ -508,7 +523,9 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> M
     (``nn.layers.sgd_update``), the values of ``w - lr * g``, so a step
     holds no third copy of the parameters. Every gradient must have its
     parameter's shape and dtype, or be None: a slot :func:`backward` has
-    already applied to its parameter, which is then the new parameter.
+    already applied to its parameter, which is then the new parameter. Given
+    a learning rate, :func:`backward` applies every tail layer's, so only
+    the front layers' gradients reach this step.
     """
     if (len(grads.weights), len(grads.biases)) != (len(params.weights), len(params.biases)):
         raise ValueError("gradient does not match parameter layout")

@@ -141,15 +141,16 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
     restarts on resume (pre-resume epochs are not reconsidered).
 
     Each step is ``forward``, the loss, ``backward`` with the learning
-    rate, which applies the update of a tail FFT conv's weights chunk by
-    chunk as their gradient is made, and ``sgd_step`` for the rest. A
+    rate, which applies every tail layer's update as soon as that layer's
+    gradients are made and found finite (a tail FFT conv's weights chunk by
+    chunk), and ``sgd_step`` for the front layers' summed gradients. A
     non-finite batch loss, or a non-finite gradient behind a finite one,
     stops the run, naming the epoch, step and clips, and that epoch writes
     no checkpoint. A non-finite loss stops it before any update, and a
     non-finite gradient before its own update and before ``sgd_step``; but
-    by then ``backward`` may already have updated some weights in memory
-    (those of the chunks and tail FFT convs it had finished), in the
-    parameters being trained, a ``resume`` one's included.
+    by then ``backward`` may already have updated every tail layer it had
+    finished in memory, in the parameters being trained, a ``resume``
+    one's included.
     """
     specs, input_length = architecture(config)
     sgd = config.sgd()
@@ -187,7 +188,7 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
             try:
                 grads = backward(cache, grad_pred, sgd.learning_rate)
                 for kind, tensors in (("weight", grads.weights), ("bias", grads.biases)):
-                    for i, g in enumerate(tensors):  # None: applied, checked chunk by chunk
+                    for i, g in enumerate(tensors):  # None: applied, and checked, in backward
                         if g is not None and not np.isfinite(g).all():  # exact: a sum can overflow
                             raise FloatingPointError(f"non-finite {kind} gradient {i}")
             except FloatingPointError as err:

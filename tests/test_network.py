@@ -241,16 +241,44 @@ def test_tail_fft_conv_holds_no_whole_spectrum_or_weight_gradient(monkeypatch):
     assert max(forward_peak, backward_peak) < smaller, (forward_peak, backward_peak, smaller)
 
 
+def test_tail_gradients_are_gone_before_the_front_runs_backward(monkeypatch):
+    # conv0, relu0 and pool0 run in a front of one clip a group; fc0's
+    # weight gradient (384 KB) is the largest array. Given a learning rate,
+    # each tail layer takes its step as its one backward call returns, so
+    # that gradient is freed before the front's groups run backward; without
+    # one it is held through them, for sgd_step.
+    from instrumentid.nn import layers
+    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 20000)
+    specs = [nnm.conv(16, 1), nnm.relu(), nnm.max_pool(8, 8),
+             nnm.fully_connected(12), nnm.sigmoid()]
+    params = init_params(specs, 2000, seed=57, dtype=np.float64)
+    batch = np.random.default_rng(58).normal(size=(3, 1, 2000))
+    gradient_bytes = params.weights[1].nbytes
+
+    def step(learning_rate):
+        preds, cache = forward(params, specs, batch, "train")
+        assert cache.split == 3 and len(cache.groups) == 3
+        grads, peak = traced_peak(backward, cache, np.ones_like(preds), learning_rate)
+        return [g is None for g in grads.weights + grads.biases], peak
+
+    buffered, buffered_peak = step(None)
+    applied, stepped_peak = step(0.5)
+    assert buffered == [False] * 4
+    assert applied == [False, True] * 2  # conv0's buffers for sgd_step; fc0's slots applied
+    assert buffered_peak - stepped_peak > 0.75 * gradient_bytes, (buffered_peak, stepped_peak)
+
+
 @pytest.mark.parametrize("front", [False, True])
 def test_update_in_backward_is_bit_identical_to_sgd_step(monkeypatch, front):
-    # Every conv on the FFT kernel, a few maps per chunk, in float32. All
-    # tail: the one-channel conv0 and the multi-channel conv1 and conv2 take
-    # their SGD step inside backward. With a front of one clip a group,
-    # conv0 and conv1 keep a whole spectrum and a gradient buffer, and only
-    # conv2 steps inside backward. Either way the step equals forward,
-    # backward into buffers, then sgd_step, bit for bit.
+    # Once on the direct kernel, then with every conv on the FFT kernel, a
+    # few maps per chunk, in float32. All tail: every layer takes its SGD
+    # step inside backward, the one-channel conv0 and the multi-channel
+    # conv1 and conv2 on the FFT kernel chunk by chunk. With a front of one
+    # clip a group, conv0 and conv1 keep a gradient buffer, and a whole
+    # spectrum on the FFT kernel, for sgd_step; conv2 and the FCs step
+    # inside backward. Either way the step equals forward, backward into
+    # buffers, then sgd_step, bit for bit.
     from instrumentid.nn import layers
-    _force_fft(monkeypatch)
     monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1 << 6)
     if front:
         # conv1's input and output (4 x 17, 6 x 13) do not fit five clips; relu1 on does
@@ -269,12 +297,15 @@ def test_update_in_backward_is_bit_identical_to_sgd_step(monkeypatch, front):
         applied = [g is None for g in grads.weights + grads.biases]
         return preds, sgd_step(p, grads, 0.1), applied
 
-    preds, fused, applied = step(0.1)
-    want_preds, want, _ = step(None)
-    assert applied == [not front, not front, True] + [False] * 7
-    assert np.array_equal(preds, want_preds)
-    for got, w in zip(fused.weights + fused.biases, want.weights + want.biases, strict=True):
-        assert got.dtype == np.float32 and np.array_equal(got, w)
+    for kernel in ("direct", "fft"):
+        if kernel == "fft":
+            _force_fft(monkeypatch)
+        preds, fused, applied = step(0.1)
+        want_preds, want, _ = step(None)
+        assert applied == ([not front] * 2 + [True] * 3) * 2, kernel
+        assert np.array_equal(preds, want_preds)
+        for got, w in zip(fused.weights + fused.biases, want.weights + want.biases, strict=True):
+            assert got.dtype == np.float32 and np.array_equal(got, w), kernel
 
     # eval: spectra built per map chunk give the predictions of whole ones
     chunked, _ = forward(params, specs, batch, mode="eval")

@@ -258,6 +258,42 @@ class TestTrainModel:
         assert updates == []
         assert not list(cfg.checkpoint_dir().glob("epoch_*"))
 
+    def test_non_finite_gradient_of_a_tail_fc_stops_before_its_layer_steps(
+            self, tmp_path, monkeypatch):
+        # The reduced net at batch 4 is all tail, so each layer takes its SGD
+        # step as its backward call returns, last layer first. A NaN in fc0's
+        # weight gradient stops the run after fc1's step and before fc0's,
+        # and before any layer below fc0 has run its backward.
+        import copy
+        import instrumentid.training as training
+        from instrumentid.nn import init_params, layers
+
+        fc_backward = layers.fully_connected_backward
+
+        def poisoned(x, weights, grad_out):
+            grad_x, grad_weights, grad_bias = fc_backward(x, weights, grad_out)
+            if weights.shape[0] == 16:  # fc0's output units
+                grad_weights[0, 0] = np.nan
+            return grad_x, grad_weights, grad_bias
+
+        monkeypatch.setattr(layers, "fully_connected_backward", poisoned)
+        updates = []
+        monkeypatch.setattr(training, "sgd_step", lambda *args: updates.append(args))
+        cfg = reduced_config(tmp_path, batch_size=4)
+        specs, input_length = architecture(cfg)
+        params = init_params(specs, input_length, seed=cfg.train_seed)
+        before = copy.deepcopy(params)
+        with pytest.raises(FloatingPointError,
+                           match=r"epoch 1 step 1: non-finite weight gradient 3 behind finite loss"
+                           ) as err:
+            train_model(cfg, synthetic_dataset(), resume=(params, 0), log=lambda *_: None)
+        assert str(err.value).endswith("; no checkpoint written")
+        moved = [not np.array_equal(p, q) for p, q in
+                 zip(params.weights + params.biases, before.weights + before.biases)]
+        assert moved == [False, False, False, False, True] * 2  # fc1's weights and bias only
+        assert updates == []
+        assert not list(cfg.checkpoint_dir().glob("epoch_*"))
+
     def test_rejects_wrong_class_count(self, tmp_path):
         cfg = reduced_config(tmp_path)
         data = synthetic_dataset(n_classes=7)
