@@ -212,6 +212,7 @@ def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True,
             grad_weights = product.astype(weights.dtype, copy=False)
         else:
             grad_weights += product
+        del rows, cols, product  # freed before the next chunk's and the input-gradient pass
 
     if not needs_input_grad:
         return None, grad_weights, grad_bias

@@ -46,9 +46,8 @@ class _Layer:
     ``grads`` (see :func:`_add`) and returns the input gradient; given a
     ``learning_rate``, which only a tail layer gets, it may apply a weight
     gradient as an SGD step instead, leaving its slot None. :func:`backward`
-    then applies what the tail layer's call left in ``grads``. A
-    ``backward`` may drop the third slot once it has read it for the last
-    time.
+    steps what a layer's last call left in ``grads``. A ``backward`` may
+    drop the third slot once it has read it for the last time.
     """
 
     has_params = False
@@ -345,7 +344,8 @@ class ForwardCache:
     :func:`backward` consumes it: it sets each slot of ``weights`` and of the
     cache lists to None once the slot's last reader has returned, so that
     the arrays no one else holds are freed as it goes, and marks it
-    ``spent``."""
+    ``spent``. The weights lists hold the arrays of the ``params`` given to
+    :func:`forward`, so a step taken in :func:`backward` is written there."""
 
     layers: list
     weights: list  # per layer, ``[weight, bias]`` and a front layer's kept form, or empty
@@ -456,18 +456,19 @@ def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
     buffers, which its first backward call makes. Layer 0 computes no
     gradient for the network input.
 
-    Given a ``learning_rate``, every tail layer takes its SGD step here,
-    into the very arrays of ``params``, so that no tail gradient outlives
-    its layer's one call: once the call returns, every gradient it made,
-    weight and bias, is checked for non-finite values, then each is applied
-    in place (``nn.layers.sgd_update``), and its slot in the result is
+    Given a ``learning_rate``, every layer takes its SGD step here, into
+    the very arrays of ``params``, as soon as its gradients are whole: when
+    its last call returns, a tail layer's one call or a front layer's for
+    the last group. Every gradient the layer made, weight and bias, summed
+    over the groups, is checked for non-finite values, then each is applied
+    in place (``nn.layers.sgd_update``), so every slot of the result is
     None. A tail FFT conv applies its weight gradient within the call, a
     map chunk at a time as each chunk is done and found finite, so its
-    whole weight gradient never exists. A non-finite gradient raises
-    FloatingPointError naming its kind and index, as in ``non-finite bias
-    gradient 3``, with the tail layers nearer the output, and a tail FFT
-    conv's chunks before it, already applied. The front layers' gradients,
-    summed over the groups, are returned whole, for :func:`sgd_step`.
+    whole weight gradient never exists; a front FFT conv's groups add their
+    chunks into one buffer, since ``w - lr*(a+b)`` is not ``(w - lr*a) -
+    lr*b``. A non-finite gradient raises FloatingPointError naming its kind
+    and index, as in ``non-finite bias gradient 3``, with the layers nearer
+    the output, and a tail FFT conv's chunks before it, already applied.
 
     A layer's caches and weights leave ``cache`` once their last reader
     returns: a tail layer's after its one call, a front layer's after the
@@ -494,13 +495,13 @@ def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
                 g = layers[i].backward(caches[i - first], layer_weights, g, i > 0, grads[i], rate)
             except FloatingPointError:  # a tail FFT conv's weight chunk, before its update
                 raise FloatingPointError(f"non-finite weight gradient {index}") from None
-            if rate is not None:  # a tail layer: its step, once every gradient is finite
+            if learning_rate is not None and last:  # its gradients are whole: check, then step
                 for kind, grad in zip(("weight", "bias"), grads[i]):
                     if grad is not None and not np.isfinite(grad).all():
                         raise FloatingPointError(f"non-finite {kind} gradient {index}")
                 for param, grad in zip(layer_weights, grads[i]):
                     if grad is not None:
-                        L.sgd_update(param, grad, rate, out=param)
+                        L.sgd_update(param, grad, learning_rate, out=param)
                 grads[i] = [None, None]
             caches[i - first] = None
             if last:
@@ -515,7 +516,8 @@ def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
-    """Plain SGD update ``w <- w - lr * g``, written into the arrays of
+    """Plain SGD update ``w <- w - lr * g`` for gradients a caller holds,
+    :func:`backward`'s without a learning rate, written into the arrays of
     ``grads``, which is returned as the new parameters.
 
     ``params`` is left as it is and ``grads`` is consumed: each gradient is
@@ -523,9 +525,8 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> M
     (``nn.layers.sgd_update``), the values of ``w - lr * g``, so a step
     holds no third copy of the parameters. Every gradient must have its
     parameter's shape and dtype, or be None: a slot :func:`backward` has
-    already applied to its parameter, which is then the new parameter. Given
-    a learning rate, :func:`backward` applies every tail layer's, so only
-    the front layers' gradients reach this step.
+    already applied to its parameter, which is then the new parameter; given
+    a learning rate, :func:`backward` applies every slot.
     """
     if (len(grads.weights), len(grads.biases)) != (len(params.weights), len(params.biases)):
         raise ValueError("gradient does not match parameter layout")

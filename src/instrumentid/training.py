@@ -140,17 +140,16 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
     symlink; without test data it follows the latest epoch. The tracking
     restarts on resume (pre-resume epochs are not reconsidered).
 
-    Each step is ``forward``, the loss, ``backward`` with the learning
-    rate, which applies every tail layer's update as soon as that layer's
-    gradients are made and found finite (a tail FFT conv's weights chunk by
-    chunk), and ``sgd_step`` for the front layers' summed gradients. A
+    Each step is ``forward``, the loss, and ``backward`` with the learning
+    rate, which checks and steps every layer in place as soon as its
+    gradients are whole (a tail FFT conv's weights chunk by chunk), so the
+    ``sgd_step`` that ends the step finds nothing left to apply. A
     non-finite batch loss, or a non-finite gradient behind a finite one,
     stops the run, naming the epoch, step and clips, and that epoch writes
     no checkpoint. A non-finite loss stops it before any update, and a
-    non-finite gradient before its own update and before ``sgd_step``; but
-    by then ``backward`` may already have updated every tail layer it had
-    finished in memory, in the parameters being trained, a ``resume``
-    one's included.
+    non-finite gradient before its own layer's step; but by then
+    ``backward`` may already have stepped the layers nearer the output in
+    memory, in the parameters being trained, a ``resume`` one's included.
     """
     specs, input_length = architecture(config)
     sgd = config.sgd()
@@ -187,15 +186,11 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
                     f"{where}: loss {loss} on clips {clips}; no checkpoint written")
             try:
                 grads = backward(cache, grad_pred, sgd.learning_rate)
-                for kind, tensors in (("weight", grads.weights), ("bias", grads.biases)):
-                    for i, g in enumerate(tensors):  # None: applied, and checked, in backward
-                        if g is not None and not np.isfinite(g).all():  # exact: a sum can overflow
-                            raise FloatingPointError(f"non-finite {kind} gradient {i}")
             except FloatingPointError as err:
                 raise FloatingPointError(f"{where}: {err} behind finite loss {loss} on clips "
                                          f"{clips}; no checkpoint written") from None
             del cache  # spent: backward freed its arrays as it went
-            params = sgd_step(params, grads, sgd.learning_rate)  # into the gradient arrays
+            params = sgd_step(params, grads, sgd.learning_rate)  # every slot None: stepped in backward
             total_loss += float(loss) * len(idx)
         train_loss = total_loss / n
 

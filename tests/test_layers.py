@@ -150,6 +150,19 @@ class TestTemporalConv:
         for got, want in zip(run(), whole):
             np.testing.assert_array_equal(got, want)
 
+    def test_backward_frees_the_weight_pass_before_the_input_pass(self):
+        # The weight gradient's window copy ``cols`` and the input gradient's
+        # per-tap products have the same size C here (one chunk each); the
+        # input pass runs once the window copy is gone, so the two are never
+        # held together (measured 1.8 C, against 3.0 C with it kept).
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=(4, 32, 60))
+        w = rng.normal(size=(32, 32, 8))
+        g = rng.normal(size=(4, 32, 53))
+        cols_bytes = 4 * 53 * 32 * 8 * x.itemsize  # clips x outputs x channels x taps
+        _, peak = traced_peak(temporal_conv_backward, x, w, g)
+        assert peak < 2.3 * cols_bytes, peak / cols_bytes
+
 
 def _assert_close_to_max(got, want, tol):
     """Elementwise agreement within ``tol`` of the largest reference value."""

@@ -246,7 +246,8 @@ def test_tail_gradients_are_gone_before_the_front_runs_backward(monkeypatch):
     # weight gradient (384 KB) is the largest array. Given a learning rate,
     # each tail layer takes its step as its one backward call returns, so
     # that gradient is freed before the front's groups run backward; without
-    # one it is held through them, for sgd_step.
+    # one it is held through them, for sgd_step. conv0 steps as its last
+    # group's call returns.
     from instrumentid.nn import layers
     monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 20000)
     specs = [nnm.conv(16, 1), nnm.relu(), nnm.max_pool(8, 8),
@@ -264,20 +265,20 @@ def test_tail_gradients_are_gone_before_the_front_runs_backward(monkeypatch):
     buffered, buffered_peak = step(None)
     applied, stepped_peak = step(0.5)
     assert buffered == [False] * 4
-    assert applied == [False, True] * 2  # conv0's buffers for sgd_step; fc0's slots applied
+    assert applied == [True] * 4
     assert buffered_peak - stepped_peak > 0.75 * gradient_bytes, (buffered_peak, stepped_peak)
 
 
 @pytest.mark.parametrize("front", [False, True])
 def test_update_in_backward_is_bit_identical_to_sgd_step(monkeypatch, front):
     # Once on the direct kernel, then with every conv on the FFT kernel, a
-    # few maps per chunk, in float32. All tail: every layer takes its SGD
-    # step inside backward, the one-channel conv0 and the multi-channel
-    # conv1 and conv2 on the FFT kernel chunk by chunk. With a front of one
-    # clip a group, conv0 and conv1 keep a gradient buffer, and a whole
-    # spectrum on the FFT kernel, for sgd_step; conv2 and the FCs step
-    # inside backward. Either way the step equals forward, backward into
-    # buffers, then sgd_step, bit for bit.
+    # few maps per chunk, in float32. Every layer takes its SGD step inside
+    # backward. All tail, the one-channel conv0 and the multi-channel conv1
+    # and conv2 on the FFT kernel step chunk by chunk. With a front of one
+    # clip a group, conv0 and conv1 sum their groups' gradients in a buffer
+    # (and keep a whole spectrum on the FFT kernel) and step as their last
+    # group's call returns. Either way the step equals forward, backward
+    # into buffers, then sgd_step, bit for bit.
     from instrumentid.nn import layers
     monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1 << 6)
     if front:
@@ -302,7 +303,7 @@ def test_update_in_backward_is_bit_identical_to_sgd_step(monkeypatch, front):
             _force_fft(monkeypatch)
         preds, fused, applied = step(0.1)
         want_preds, want, _ = step(None)
-        assert applied == ([not front] * 2 + [True] * 3) * 2, kernel
+        assert applied == [True] * 10, kernel
         assert np.array_equal(preds, want_preds)
         for got, w in zip(fused.weights + fused.biases, want.weights + want.biases, strict=True):
             assert got.dtype == np.float32 and np.array_equal(got, w), kernel

@@ -192,26 +192,48 @@ class TestTrainModel:
         assert finite_backward_inputs == [True] * (step - 1)
         assert not list(cfg.checkpoint_dir().glob("epoch_*"))
 
-    def test_non_finite_gradient_behind_finite_loss_stops_before_the_update(
+    def test_non_finite_gradient_of_a_front_conv_stops_before_its_layer_steps(
             self, tmp_path, monkeypatch):
+        # With the bound shrunk, the reduced net at batch 4 runs conv0 and
+        # pool0 in a front of one clip a group and the rest as its tail. A
+        # NaN in conv0's weight gradient at the first group's call is carried
+        # in the buffer the groups sum into, and found when the last group's
+        # call returns: after every tail layer's step, before conv0's own.
+        import copy
         import instrumentid.training as training
-        backward, updates = training.backward, []
+        from instrumentid.nn import init_params, layers
 
-        def nan_backward(cache, grad_pred, learning_rate=None):
-            grads = backward(cache, grad_pred)
-            grads.biases[1][0] = np.nan
-            return grads
+        monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 1500)
+        conv_backward, calls = layers.temporal_conv_backward, []
 
-        monkeypatch.setattr(training, "backward", nan_backward)
+        def poisoned(x, weights, grad_out, needs_input_grad=True, grad_weights=None):
+            grad_x, grad_weights, grad_bias = conv_backward(
+                x, weights, grad_out, needs_input_grad, grad_weights)
+            if x.shape[-2] == 1:  # conv0's one input channel
+                calls.append(len(x))
+                if len(calls) == 1:
+                    grad_weights[0, 0, 0] = np.nan
+            return grad_x, grad_weights, grad_bias
+
+        monkeypatch.setattr(layers, "temporal_conv_backward", poisoned)
+        updates = []
         monkeypatch.setattr(training, "sgd_step", lambda *args: updates.append(args))
         data = synthetic_dataset()
         cfg = reduced_config(tmp_path, batch_size=4)
+        specs, input_length = architecture(cfg)
+        params = init_params(specs, input_length, seed=cfg.train_seed)
+        before = copy.deepcopy(params)
         with pytest.raises(FloatingPointError,
-                           match=r"epoch 1 step 1: non-finite bias gradient 1 behind finite loss"
+                           match=r"epoch 1 step 1: non-finite weight gradient 0 behind finite loss"
                            ) as err:
-            train_model(cfg, data, log=lambda *_: None)
+            train_model(cfg, data, resume=(params, 0), log=lambda *_: None)
+        assert str(err.value).endswith("; no checkpoint written")
         clips = ast.literal_eval(re.search(r"on clips (\[.*?\])", str(err.value)).group(1))
         assert len(clips) == 4 and set(clips) <= set(data.ids)
+        assert calls == [1] * 4  # one call per group
+        moved = [not np.array_equal(p, q) for p, q in
+                 zip(params.weights + params.biases, before.weights + before.biases)]
+        assert moved == [False, True, True, True, True] * 2  # every layer but conv0
         assert updates == []
         assert not list(cfg.checkpoint_dir().glob("epoch_*"))
 
