@@ -60,7 +60,12 @@ weight-gradient products maps-major, so their inverse transforms give each
 map's lags as contiguous rows. Every chunked loop of both kernels takes its
 slices from one planner, :func:`_chunks`. Max pooling keeps its argmax in
 the narrowest unsigned type that indexes its input; both its passes index
-the flattened input, once per call.
+the flattened input, once per call. The FFT kernel can also run a max pool
+on its output: the forward pools each working chunk of maps as soon as it
+is laid out, and both backward passes scatter the pooled gradient a map
+chunk at a time, so neither the whole output nor its gradient is made.
+Pooling and its scatter treat each row of maps on its own, so the pair
+gives the bits of the conv followed by the pool.
 
 Every forward transform, of input blocks, output-gradient blocks and
 filters alike, is a call of :func:`_block_spectra`, whose docstring gives
@@ -121,13 +126,16 @@ def _check_filters(weights) -> None:
                          f"got shape {np.shape(weights)}")
 
 
-def _conv_operands(x, weights, bias=None, grad_out=None):
+def _conv_operands(x, weights, bias=None, grad_out=None, argmax=None):
     """Check a conv call's ``[maps, channels, filter_size]`` ``weights``,
-    ``x``, ``bias`` and ``grad_out``, and flatten the leading axes of ``x``
-    and ``grad_out``.
+    ``x``, ``bias`` and ``grad_out``: the output gradient or, given the
+    ``argmax`` of a max pool on the output, the pool's gradient, checked as
+    :func:`maxpool_backward` checks its operands. Flatten the leading axes
+    of ``x``, ``grad_out`` and ``argmax``.
 
     :returns: ``(lead, x [clips, channels, length], grad_out [clips, maps,
-        out_len] or None)``, ``lead`` being the leading axes of ``x``
+        n] or None, argmax [clips, maps, n] or None)``, ``lead`` being the
+        leading axes of ``x``
     """
     _check_filters(weights)
     maps, channels, filter_size = weights.shape
@@ -144,12 +152,16 @@ def _conv_operands(x, weights, bias=None, grad_out=None):
     if length < filter_size:
         raise ValueError(f"input length {length} shorter than filter size {filter_size}")
     out_shape = (*lead, maps, length - filter_size + 1)
-    if grad_out is not None:
+    if argmax is not None:
+        argmax, grad_out = _unpool_operands(argmax, grad_out, out_shape)
+        argmax = argmax.reshape(-1, maps, argmax.shape[-1])
+    elif grad_out is not None:
         grad_out = np.asarray(grad_out)
         if grad_out.shape != out_shape:
             raise ValueError(f"grad_out shape {grad_out.shape} does not match conv output {out_shape}")
-        grad_out = grad_out.reshape(-1, maps, out_shape[-1])
-    return lead, x.reshape(-1, channels, length), grad_out
+    if grad_out is not None:
+        grad_out = grad_out.reshape(-1, maps, grad_out.shape[-1])
+    return lead, x.reshape(-1, channels, length), grad_out, argmax
 
 
 def temporal_conv_forward(x, weights, bias):
@@ -165,7 +177,7 @@ def temporal_conv_forward(x, weights, bias):
     """
     weights = np.asarray(weights)
     bias = np.asarray(bias)
-    lead, x, _ = _conv_operands(x, weights, bias=bias)
+    lead, x, *_ = _conv_operands(x, weights, bias=bias)
     maps, channels, filter_size = weights.shape
     clips, _, length = x.shape
     out_len = length - filter_size + 1
@@ -194,7 +206,7 @@ def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True,
     None; the network's first layer needs none.
     """
     weights = np.asarray(weights)
-    lead, x, grad_out = _conv_operands(x, weights, grad_out=grad_out)
+    lead, x, grad_out, _ = _conv_operands(x, weights, grad_out=grad_out)
     maps, channels, filter_size = weights.shape
     clips, _, length = x.shape
     out_len = length - filter_size + 1
@@ -373,7 +385,7 @@ def _filter_chunk(weights, nfft: int, spectrum, m: slice):
     return filter_spectrum(weights[m], nfft) if spectrum is None else spectrum[:, m]
 
 
-def fft_conv_forward(x, weights, bias, nfft: int, spectrum=None):
+def fft_conv_forward(x, weights, bias, nfft: int, spectrum=None, pool=None):
     """:func:`temporal_conv_forward` by overlap-save FFT convolution.
 
     The ``[maps, channels, filter_size]`` ``weights`` are transformed at an
@@ -388,19 +400,37 @@ def fft_conv_forward(x, weights, bias, nfft: int, spectrum=None):
     along the bins, the last axis, a working chunk of maps at a time. The
     per-bin GEMMs run a map chunk at a time, and each chunk's products are
     inverse transformed and laid out a working chunk of its maps at a time.
+    Each working chunk's bias is added as it is laid out.
+
+    Given ``pool``, a ``(pool_size, pool_stride)`` pair, each working chunk
+    is max pooled as soon as its bias is added, and the call returns
+    ``(pooled, argmax)``, the arrays :func:`maxpool_forward` makes of the
+    whole output, which is never made: a pool on the output fused into the
+    conv, as in fused-layer CNN evaluation (Alwani et al., MICRO 2016).
     """
     weights = np.asarray(weights)
     bias = np.asarray(bias)
-    lead, x, _ = _conv_operands(x, weights, bias)
+    lead, x, *_ = _conv_operands(x, weights, bias)
     maps, channels, filter_size = weights.shape
     clips, _, length = x.shape
     plan = overlap_save(nfft, filter_size, length)
     hop, blocks = plan.hop, plan.blocks
     out_len = length - filter_size + 1
-    out = np.empty((clips, maps, out_len), dtype=np.result_type(x, weights))
+    dtype = np.result_type(x, weights)
+    if pool is None:
+        out = np.empty((clips, maps, out_len), dtype)
+    else:
+        _check_pool(out_len, *pool)
+        pooled_len = (out_len - pool[0]) // pool[1] + 1
+        out = np.empty((clips, maps, pooled_len), dtype)
+        argmax = np.empty_like(out, np.min_scalar_type(out_len - 1))
 
     def place(m, y):  # y [clips, maps, blocks, hop], each block's outputs in order
-        out[:, m] = y.reshape(*y.shape[:2], blocks * hop)[:, :, :out_len]
+        conv = out[:, m] if pool is None else np.empty((clips, m.stop - m.start, out_len), dtype)
+        conv[...] = y.reshape(*y.shape[:2], blocks * hop)[:, :, :out_len]
+        conv += bias[m, None]
+        if pool is not None:
+            out[:, m], argmax[:, m] = _maxpool(conv, *pool)
 
     if channels == 1:
         spectra = _block_spectra(x, plan, nfft)  # [clips, 1, blocks, bins]
@@ -420,15 +450,28 @@ def fft_conv_forward(x, weights, bias, nfft: int, spectrum=None):
                       y.reshape(hop, k.stop - k.start, clips, blocks).transpose(2, 1, 3, 0))
                 del y  # before the next working chunk is transformed
             del products  # before the next chunk's products are made
-    out += bias[:, None]
-    return out.reshape(*lead, maps, out_len)
+    out = out.reshape(*lead, *out.shape[1:])
+    return out if pool is None else (out, argmax.reshape(out.shape))
 
 
-def fft_conv_input_grad(x, weights, grad_out, nfft: int, spectrum=None):
+def _grad_chunk(grad_out, argmax, out_len: int, m: slice):
+    """The conv output gradient of maps ``m``, ``[clips, maps, out_len]``: a
+    slice of ``grad_out``, or, given the ``argmax`` of a pool on the output,
+    ``grad_out``'s slice, the pool's gradient, scattered through it as
+    :func:`maxpool_backward` scatters the whole."""
+    if argmax is None:
+        return grad_out[:, m]
+    return _unpool(argmax[:, m], grad_out[:, m], (len(grad_out), m.stop - m.start, out_len))
+
+
+def fft_conv_input_grad(x, weights, grad_out, nfft: int, spectrum=None, argmax=None):
     """The input gradient of :func:`fft_conv_forward` at ``nfft``: the
     backward pass that reads the filter spectrum, built a map chunk at a
     time from ``weights`` or read from the whole ``spectrum`` when given,
-    run before :func:`fft_conv_param_grads`.
+    run before :func:`fft_conv_param_grads`. Given the ``argmax`` of a
+    forward with a pool, ``grad_out`` is the pooled maps' gradient, and
+    each map chunk's output gradient is scattered from it just before it is
+    transformed, so the whole one is never made.
 
     Per map chunk the output gradient is cut into blocks of ``hop`` values
     and transformed. Per bin, those spectra times the transposed filter
@@ -442,7 +485,7 @@ def fft_conv_input_grad(x, weights, grad_out, nfft: int, spectrum=None):
     never makes, and the ``spectrum`` it is given.
     """
     weights = np.asarray(weights)
-    lead, x, grad_out = _conv_operands(x, weights, grad_out=grad_out)
+    lead, x, grad_out, argmax = _conv_operands(x, weights, grad_out=grad_out, argmax=argmax)
     maps, channels, filter_size = weights.shape
     clips, _, length = x.shape
     plan = overlap_save(nfft, filter_size, length)
@@ -451,12 +494,13 @@ def fft_conv_input_grad(x, weights, grad_out, nfft: int, spectrum=None):
     # [bins, clips * blocks, channels], summed as conjugates, then conjugated in place
     grad_x_spectra = np.zeros((bins, clips * blocks, channels), dtype)
     for m in _chunks(maps, bins * max(channels, clips * blocks), _FFT_CHUNK_ELEMS):
-        conj_g = _per_bin_spectra(grad_out[:, m], plan, hop)
+        g = _grad_chunk(grad_out, argmax, length - filter_size + 1, m)
+        conj_g = _per_bin_spectra(g, plan, hop)
         np.conjugate(conj_g, out=conj_g)
         filters = _filter_chunk(weights, nfft, spectrum, m)
         for f in _work_chunks(bins, clips * blocks * channels):
             grad_x_spectra[f] += conj_g[f].transpose(0, 2, 1) @ filters[f]
-        del conj_g, filters  # before the next chunk's are made
+        del g, conj_g, filters  # before the next chunk's are made
     np.conjugate(grad_x_spectra, out=grad_x_spectra)
 
     grad_x = np.zeros_like(x, dtype=np.finfo(dtype).dtype)
@@ -474,10 +518,11 @@ def fft_conv_input_grad(x, weights, grad_out, nfft: int, spectrum=None):
     return grad_x.reshape(*lead, channels, length)
 
 
-def fft_conv_param_grads(x, grad_out, nfft: int, target, learning_rate=None):
+def fft_conv_param_grads(x, grad_out, nfft: int, target, learning_rate=None, argmax=None):
     """``(target, grad_bias)`` of :func:`fft_conv_forward` at ``nfft``: the
     backward pass that reads no filter spectrum, run after
-    :func:`fft_conv_input_grad`.
+    :func:`fft_conv_input_grad`; given ``argmax``, it takes a pooled
+    ``grad_out`` as that pass does.
 
     Each map chunk's weight gradient goes into the ``[maps, channels,
     filter_size]`` array ``target`` as soon as it is done: added into a
@@ -496,12 +541,20 @@ def fft_conv_param_grads(x, grad_out, nfft: int, target, learning_rate=None):
     contiguous ``[maps, channels, nfft]`` one, so each map's lags are rows;
     with one channel it is a broadcast multiply in the rfft's own layout, a
     working chunk of maps at a time. Beyond the chunks the pass holds the
-    input block spectra.
+    input block spectra. The bias gradient adds each clip's sum of a map's
+    output gradient, clip by clip, the order of numpy's ``sum(axis=(0,
+    2))`` over more than one map, so it takes those sums chunk by chunk.
     """
-    _, x, grad_out = _conv_operands(x, target, grad_out=grad_out)
+    _, x, grad_out, argmax = _conv_operands(x, target, grad_out=grad_out, argmax=argmax)
     maps, channels, filter_size = target.shape
     clips, _, length = x.shape
     plan = overlap_save(nfft, filter_size, length)
+    sums = np.empty((clips, maps), grad_out.dtype)  # each clip's output gradient sum per map
+
+    def chunk(m):  # maps m's output gradient, each clip's sum per map taken on the way
+        g = _grad_chunk(grad_out, argmax, length - filter_size + 1, m)
+        sums[:, m] = g.sum(axis=2)
+        return g
 
     def take(m, lags):  # the weight gradient of maps m, [maps, channels, filter_size]
         if learning_rate is None:
@@ -515,7 +568,7 @@ def fft_conv_param_grads(x, grad_out, nfft: int, target, learning_rate=None):
         spectra = _block_spectra(x, plan, nfft)  # [clips, 1, blocks, bins]
         np.conjugate(spectra, out=spectra)
         for m in _work_chunks(maps, plan.bins * clips * plan.blocks):
-            g = _block_spectra(grad_out[:, m], plan, plan.hop)
+            g = _block_spectra(chunk(m), plan, plan.hop)
             g *= spectra
             # the sum is the conjugate of the lags' spectra: [maps, bins]
             lags = np.fft.irfft(np.conjugate(g.sum(axis=(0, 2))), n=nfft)[:, :filter_size]
@@ -529,13 +582,13 @@ def fft_conv_param_grads(x, grad_out, nfft: int, target, learning_rate=None):
         lags = np.empty((chunks[0].stop, channels, nfft), np.finfo(dtype).dtype)
         for m in chunks:
             k = m.stop - m.start
-            conj_g = _per_bin_spectra(grad_out[:, m], plan, plan.hop)
+            conj_g = _per_bin_spectra(chunk(m), plan, plan.hop)
             np.conjugate(conj_g, out=conj_g)
             np.matmul(conj_g, spectra, out=lag_spectra[:k].transpose(1, 0, 2))
             np.fft.irfft(lag_spectra[:k], n=nfft, axis=1, out=lags[:k].transpose(0, 2, 1))
             take(m, lags[:k, :, :filter_size])
             del conj_g  # before the next chunk's spectra are made
-    return target, grad_out.sum(axis=(0, 2))
+    return target, sums.sum(axis=0)
 
 
 def sgd_update(param, grad, learning_rate: float, out):
@@ -560,16 +613,27 @@ def maxpool_forward(x, pool_size: int, pool_stride: int):
     gcd(pool_size, pool_stride)`` samples, and windows start ``pool_stride /
     g`` blocks apart. So each block's argmax is taken once, over contiguous
     memory, and a window keeps the largest of its block maxima, an earlier
-    block winning ties (and a NaN, as ``argmax`` does).
+    block winning ties (and a NaN, as ``argmax`` does). Each row of maps is
+    pooled on its own, so pooling any slice of the maps gives that slice of
+    the result, as :func:`fft_conv_forward` does a chunk of maps at a time.
     """
     x = np.asarray(x)
     if x.ndim < 2:
         raise ValueError(f"pool input must be [..., maps, length], got shape {x.shape}")
+    _check_pool(x.shape[-1], pool_size, pool_stride)
+    return _maxpool(x, pool_size, pool_stride)
+
+
+def _check_pool(length: int, pool_size: int, pool_stride: int) -> None:
     if pool_size < 1 or pool_stride < 1:
         raise ValueError(f"pool size/stride must be >= 1, got {pool_size}/{pool_stride}")
-    length = x.shape[-1]
     if length < pool_size:
         raise ValueError(f"input length {length} shorter than pool size {pool_size}")
+
+
+def _maxpool(x, pool_size: int, pool_stride: int):
+    """:func:`maxpool_forward` of checked operands."""
+    length = x.shape[-1]
     g = math.gcd(pool_size, pool_stride)
     per_window, step = pool_size // g, pool_stride // g
     n = (length - pool_size) // pool_stride + 1
@@ -598,8 +662,15 @@ def maxpool_backward(argmax, grad_out, input_shape):
     Overlapping windows that share a winner accumulate there; everything
     else stays zero. ``input_shape`` is ``[..., maps, length]``; ``argmax``
     is used in the integer type it comes in, such as the narrow one of
-    :func:`maxpool_forward`.
+    :func:`maxpool_forward`. Each row is scattered on its own, as for the
+    forward.
     """
+    return _unpool(*_unpool_operands(argmax, grad_out, input_shape), input_shape)
+
+
+def _unpool_operands(argmax, grad_out, input_shape):
+    """``(argmax, grad_out)`` as arrays, checked against each other and
+    against the pool's ``input_shape``."""
     argmax = np.asarray(argmax)
     grad_out = np.asarray(grad_out)
     if argmax.shape != grad_out.shape:
@@ -609,6 +680,12 @@ def maxpool_backward(argmax, grad_out, input_shape):
     length = input_shape[-1]
     if argmax.size and (argmax.min() < 0 or argmax.max() >= length):
         raise ValueError(f"argmax index out of range for input length {length}")
+    return argmax, grad_out
+
+
+def _unpool(argmax, grad_out, input_shape):
+    """:func:`maxpool_backward` of checked operands."""
+    length = input_shape[-1]
     grad_x = np.zeros(input_shape, dtype=grad_out.dtype)
     # one 1-D scatter: every leading axis and the map axis become rows of the flat input
     rows, n = math.prod(argmax.shape[:-1]), argmax.shape[-1]

@@ -37,7 +37,9 @@ class _Layer:
     one walk of :func:`infer_shapes`, sizes the calls (see :func:`forward`).
     ``forward(x, weights, training, rng)`` takes clips ``[clips, ...]`` and
     the layer's weights list, ``[weight, bias]`` or empty, which every call
-    and ``backward`` share; it returns ``(output, cache)``. A front layer's
+    and ``backward`` share; it returns ``(output, cache)``. A ``conv`` may
+    also take the ``max_pool`` after it and return the pooled maps, the
+    pool layer then not being called (see :func:`forward`). A front layer's
     list, which its group calls share (see :func:`forward`), has a third
     slot, None at first, where a forward may keep a form made from the pair
     for the later calls and the input gradient. ``backward(cache, weights,
@@ -110,19 +112,25 @@ class conv(_Layer):
         spectra = 0 if plan is None else plan.bins * plan.blocks * shape[0]
         return max(super().footprint(shape, out), spectra)
 
-    def forward(self, x, weights, training, rng):
+    def forward(self, x, weights, training, rng, pool=None):
         """The kernel ``fft_plan`` picks for ``x``'s shape. On the FFT kernel
         a front layer builds its whole filter spectrum into the third slot
         of ``weights`` at its first call; a tail layer's pass builds it per
-        map chunk."""
+        map chunk. Given the ``max_pool`` layer after it, an FFT conv runs
+        it too, a map chunk at a time (``nn.layers.fft_conv_forward``),
+        returns the pooled maps and keeps their argmax."""
         plan = self.fft_plan(x.shape[-2:])
         if plan is None:
-            return L.temporal_conv_forward(x, *weights[:2]), x
+            return L.temporal_conv_forward(x, *weights[:2]), (x, None)
         if len(weights) == 3 and weights[2] is None:
             weights[2] = L.filter_spectrum(weights[0], plan.nfft)
-        return L.fft_conv_forward(x, *weights[:2], plan.nfft, *weights[2:]), x
+        if pool is None:
+            return L.fft_conv_forward(x, *weights[:2], plan.nfft, *weights[2:]), (x, None)
+        pooled, argmax = L.fft_conv_forward(x, *weights[:2], plan.nfft, *weights[2:],
+                                            pool=(pool.pool_size, pool.pool_stride))
+        return pooled, (x, argmax)
 
-    def backward(self, x, weights, g, needs_input_grad, grads, learning_rate):
+    def backward(self, cache, weights, g, needs_input_grad, grads, learning_rate):
         """The kernel ``fft_plan`` picks for ``x``'s shape, as in the forward.
         On the FFT kernel, two passes: ``nn.layers.fft_conv_input_grad``,
         from the kept spectrum, which is then dropped from ``weights``, or
@@ -130,20 +138,22 @@ class conv(_Layer):
         into a weight gradient buffer made then on the layer's first call
         or, given a ``learning_rate``, into the weights as an SGD step.
         Without an input gradient the spectrum is not read, and may already
-        be gone."""
+        be gone. A conv that ran its pool gets the pooled maps' gradient
+        ``g``, which both passes scatter through the kept argmax."""
+        x, argmax = cache
         w, b = weights[:2]
         plan = self.fft_plan(x.shape[-2:])
         if plan is None:
             grad_x, grads[0], gb = L.temporal_conv_backward(
                 x, w, g, needs_input_grad=needs_input_grad, grad_weights=grads[0])
         else:
-            grad_x = (L.fft_conv_input_grad(x, w, g, plan.nfft, *weights[2:])
+            grad_x = (L.fft_conv_input_grad(x, w, g, plan.nfft, *weights[2:], argmax=argmax)
                       if needs_input_grad else None)
             weights[2:] = [None] * len(weights[2:])  # a kept spectrum's last read in this call
             if learning_rate is None and grads[0] is None:
                 grads[0] = np.zeros_like(w)  # every call's map chunks add into it
             target = w if learning_rate is not None else grads[0]
-            _, gb = L.fft_conv_param_grads(x, g, plan.nfft, target, learning_rate)
+            _, gb = L.fft_conv_param_grads(x, g, plan.nfft, target, learning_rate, argmax=argmax)
         _add(grads, 1, b, gb)
         return grad_x
 
@@ -338,8 +348,9 @@ def init_params(layers, input_length: int, input_channels: int = 1,
 class ForwardCache:
     """Everything backward() needs: the layers, each layer's weights list as
     the forward left it (with the filter spectrum of a front FFT conv but
-    layer 0), and the per-layer caches of the front, group by group, and of
-    the tail (see :func:`forward`).
+    layer 0), the convs that ran their pool, and the per-layer caches of
+    the front, group by group, and of the tail (see :func:`forward`); a
+    pool its conv ran has a cache of None.
 
     :func:`backward` consumes it: it sets each slot of ``weights`` and of the
     cache lists to None once the slot's last reader has returned, so that
@@ -350,6 +361,7 @@ class ForwardCache:
     layers: list
     weights: list  # per layer, ``[weight, bias]`` and a front layer's kept form, or empty
     clips: int
+    pooling: frozenset  # the FFT convs that run the max pool after them, by index
     split: int  # index of the first tail layer; the layers before it are the front
     groups: list  # the front's clip slices, in order
     front_caches: list  # one list of the front layers' caches per group
@@ -363,11 +375,24 @@ def _layer_params(params: ModelParams, layers) -> list:
     return [next(pairs) if layer.has_params else () for layer in layers]
 
 
-def _front_tail(layers, shapes, clips: int):
+def _pooling_convs(layers, shapes) -> frozenset:
+    """The indices of the convs that run the ``max_pool`` after them, for
+    the per-clip ``shapes`` of the input and of each layer's output: each
+    conv on the FFT kernel followed by one."""
+    return frozenset(i for i, (layer, after) in enumerate(zip(layers, layers[1:]))
+                     if isinstance(layer, conv) and isinstance(after, max_pool)
+                     and layer.fft_plan(shapes[i]) is not None)
+
+
+def _front_tail(layers, shapes, clips: int, pooling):
     """``(split, groups)`` by the rule in :func:`forward`, for the per-clip
-    ``shapes`` of the input and of each layer's output: the first tail
-    layer and the front's clip slices, none if the front is empty."""
+    ``shapes`` of the input and of each layer's output and the
+    :func:`_pooling_convs`: the first tail layer and the front's clip
+    slices, none if the front is empty. A conv's pool takes the conv's
+    footprint, so the split never parts the two."""
     footprints = [layer.footprint(a, b) for layer, a, b in zip(layers, shapes, shapes[1:])]
+    for i in pooling:
+        footprints[i + 1] = footprints[i]
     split = len(layers)
     while split and footprints[split - 1] * clips <= L._CONV_CHUNK_ELEMS:
         split -= 1
@@ -383,11 +408,14 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     conv holds none, its passes building one map chunk's at a time. A kept
     spectrum goes after its last reader: in eval mode, and for layer 0,
     which computes no input gradient, after the layer's last forward call;
-    else in :func:`backward`. The layers run in two parts, sized by each
+    else in :func:`backward`. An FFT conv followed by a max pool runs the
+    pool itself, a map chunk at a time, so neither its whole output nor, in
+    :func:`backward`, the pool's input gradient is ever made; the pool
+    layer is then not called. The layers run in two parts, sized by each
     layer's per-clip footprint (the largest of its input, its output and,
     on the FFT kernel, its block spectra, read from the call's one
-    :func:`infer_shapes` walk) against ``nn.layers._CONV_CHUNK_ELEMS``
-    elements:
+    :func:`infer_shapes` walk; a conv's pool takes the conv's) against
+    ``nn.layers._CONV_CHUNK_ELEMS`` elements:
 
     - the tail, the longest suffix of layers whose footprint for the whole
       batch fits the bound, runs once per layer over the whole batch;
@@ -397,11 +425,11 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
 
     The Table-1 net at a batch of 2 to 16 runs conv0 and pool0 in the front
     and the rest once over the batch; from 17 clips conv1's block spectra
-    no longer fit, and conv1 and pool1 join the front. conv0's output,
-    10,496,000 elements per clip, is more than half the bound, so every
-    Table-1 front group is one clip. The Table-1 net on one clip, and the
-    reduced net up to 22,075 clips, is all tail; above that the reduced
-    net's conv0 and pool0 run in groups of 22,075 clips.
+    no longer fit, and relu0, conv1 and pool1 join the front. conv0's
+    footprint, its 10,496,000-element output per clip, is more than half
+    the bound, so every Table-1 front group is one clip. The Table-1 net on
+    one clip, and the reduced net up to 22,075 clips, is all tail; above
+    that the reduced net's conv0 and pool0 run in groups of 22,075 clips.
     Dropout draws over the clips in clip order, so results are
     deterministic for a fixed rng state and do not depend on the split.
     Eval mode keeps no caches, so the bound holds its memory per call.
@@ -418,14 +446,21 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     layers = list(layers)
     channels, length = batch.shape[1:]
     shapes = [(channels, length)] + infer_shapes(layers, length, channels)
-    split, groups = _front_tail(layers, shapes, len(batch))
+    pooling = _pooling_convs(layers, shapes)
+    split, groups = _front_tail(layers, shapes, len(batch), pooling)
     weights = [[*pair, None] if pair and i < split else list(pair)
                for i, pair in enumerate(_layer_params(params, layers))]
 
     def run(x, first, stop, last):
         caches = []
         for i in range(first, stop):
-            x, layer_cache = layers[i].forward(x, weights[i], training, rng)
+            if i - 1 in pooling:  # the conv before it ran this pool
+                layer_cache = None
+            elif i in pooling:
+                x, layer_cache = layers[i].forward(x, weights[i], training, rng,
+                                                   pool=layers[i + 1])
+            else:
+                x, layer_cache = layers[i].forward(x, weights[i], training, rng)
             if training:
                 caches.append(layer_cache)
             if last and (i == 0 or not training):  # no input gradient will read them
@@ -439,8 +474,8 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     preds, tail_caches = run(x, split, len(layers), True)
     if not training:
         return preds, None
-    return preds, ForwardCache(layers, weights, len(batch), split, groups, front_caches,
-                               tail_caches)
+    return preds, ForwardCache(layers, weights, len(batch), pooling, split, groups,
+                               front_caches, tail_caches)
 
 
 def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
@@ -454,7 +489,8 @@ def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
     that ``forward`` ran, in clip order for determinism; each layer reuses
     the weights list ``forward`` left and adds its gradients into its own
     buffers, which its first backward call makes. Layer 0 computes no
-    gradient for the network input.
+    gradient for the network input. A pool that its conv ran passes the
+    pooled maps' gradient on to the conv, which scatters it.
 
     Given a ``learning_rate``, every layer takes its SGD step here, into
     the very arrays of ``params``, as soon as its gradients are whole: when
@@ -491,10 +527,12 @@ def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
         for i in reversed(range(first, first + len(caches))):
             layer_weights = weights[i] if last else list(weights[i])
             index = sum(layer.has_params for layer in layers[:i])
-            try:
-                g = layers[i].backward(caches[i - first], layer_weights, g, i > 0, grads[i], rate)
-            except FloatingPointError:  # a tail FFT conv's weight chunk, before its update
-                raise FloatingPointError(f"non-finite weight gradient {index}") from None
+            if i - 1 not in cache.pooling:  # else the conv before it scatters g
+                try:
+                    g = layers[i].backward(caches[i - first], layer_weights, g, i > 0, grads[i],
+                                           rate)
+                except FloatingPointError:  # a tail FFT conv's weight chunk, before its update
+                    raise FloatingPointError(f"non-finite weight gradient {index}") from None
             if learning_rate is not None and last:  # its gradients are whole: check, then step
                 for kind, grad in zip(("weight", "bias"), grads[i]):
                     if grad is not None and not np.isfinite(grad).all():

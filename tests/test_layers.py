@@ -439,6 +439,114 @@ class TestFftConv:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+class TestFftConvWithPool:
+    """An FFT conv that runs the max pool on its output a working chunk of
+    maps at a time (``pool``), and the backward passes that scatter the
+    pooled gradient a map chunk at a time (``argmax``)."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        # several map chunks, each of several working chunks, some of one map
+        from instrumentid.nn import layers
+        monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1 << 12)
+        monkeypatch.setattr(layers, "_FFT_WORK_ELEMS", 1 << 10)
+
+    @staticmethod
+    def _operands(clips, channels, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(clips, channels, 300)).astype(np.float32)
+        w = rng.normal(size=(7, channels, 41)).astype(np.float32)
+        b = rng.normal(size=7).astype(np.float32)
+        return x, w, b
+
+    @pytest.mark.parametrize("clips", [0, 1, 3])
+    @pytest.mark.parametrize("channels", [1, 3])  # the one-channel and the per-bin branch
+    def test_forward_is_conv_then_pool_bit_for_bit(self, small_chunks, clips, channels):
+        x, w, b = self._operands(clips, channels, 39)
+        # overlapping windows that leave the last 2 of 260 outputs unread
+        want, want_argmax = maxpool_forward(fft_conv_forward(x, w, b, 64), 5, 3)
+        for spectrum in (None, filter_spectrum(w, 64)):
+            pooled, argmax = fft_conv_forward(x, w, b, 64, spectrum, pool=(5, 3))
+            assert pooled.dtype == want.dtype and argmax.dtype == want_argmax.dtype
+            assert np.array_equal(pooled, want) and np.array_equal(argmax, want_argmax)
+        if clips:  # one clip with no leading axis
+            want, want_argmax = maxpool_forward(fft_conv_forward(x[0], w, b, 64), 5, 3)
+            pooled, argmax = fft_conv_forward(x[0], w, b, 64, pool=(5, 3))
+            assert np.array_equal(pooled, want) and np.array_equal(argmax, want_argmax)
+
+    @pytest.mark.parametrize("clips", [0, 1, 3])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("learning_rate", [None, 0.1])
+    def test_backward_is_unpool_then_conv_backward_bit_for_bit(self, small_chunks, clips,
+                                                               channels, learning_rate):
+        x, w, b = self._operands(clips, channels, 40)
+        out = fft_conv_forward(x, w, b, 64)
+        _, argmax = fft_conv_forward(x, w, b, 64, pool=(5, 3))
+        # rounded: pooled gradients often meet where windows share a winner
+        g = np.round(np.random.default_rng(41).normal(size=argmax.shape), 1).astype(np.float32)
+        grad_out = maxpool_backward(argmax, g, out.shape)
+        assert np.array_equal(fft_conv_input_grad(x, w, g, 64, argmax=argmax),
+                              fft_conv_input_grad(x, w, grad_out, 64))
+        # into a gradient buffer, or into the weights as an SGD step
+        got_w, got_b = fft_conv_param_grads(x, g, 64, w.copy(), learning_rate, argmax=argmax)
+        want_w, want_b = fft_conv_param_grads(x, grad_out, 64, w.copy(), learning_rate)
+        assert got_w.dtype == want_w.dtype and np.array_equal(got_w, want_w)
+        assert got_b.dtype == want_b.dtype and np.array_equal(got_b, want_b)
+        # the bias gradient, taken a chunk of maps at a time, is numpy's sum
+        assert np.array_equal(got_b, grad_out.sum(axis=(0, 2)))
+
+    def test_backward_rejects_a_pooled_gradient_that_does_not_match_its_argmax(self):
+        x, w, b = self._operands(2, 3, 42)
+        _, argmax = fft_conv_forward(x, w, b, 64, pool=(5, 3))
+        with pytest.raises(ValueError, match="grad_out shape"):
+            fft_conv_input_grad(x, w, np.zeros((2, 7, 85), np.float32), 64, argmax=argmax)
+        with pytest.raises(ValueError, match="out of range"):
+            fft_conv_param_grads(x, np.zeros(argmax.shape, np.float32), 64, np.zeros_like(w),
+                                 argmax=argmax + 260)
+        with pytest.raises(ValueError, match="shorter than pool size"):
+            fft_conv_forward(x, w, b, 64, pool=(261, 1))
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_gradients_match_finite_differences(self, channels):
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(2, channels, 40))
+        w = rng.normal(size=(3, channels, 6))
+        b = rng.normal(size=3)
+        nfft = 10  # hop 5: seven blocks, the last one padded
+        pooled, argmax = fft_conv_forward(x, w, b, nfft, pool=(4, 3))
+        r = rng.normal(size=pooled.shape)
+
+        def loss(x, w, b):
+            return (fft_conv_forward(x, w, b, nfft, pool=(4, 3))[0] * r).sum()
+
+        gx = fft_conv_input_grad(x, w, r, nfft, argmax=argmax)
+        gw, gb = fft_conv_param_grads(x, r, nfft, np.zeros_like(w), argmax=argmax)
+        # an input that feeds no kept maximum has a gradient of 0 up to the
+        # transforms' rounding (~1e-16), and its differences meet it within
+        # theirs (~1e-11): compared at a floor of 1e-6, not the default 1e-8
+        fd = numeric_gradient(lambda v: loss(v, w, b), x)
+        assert relative_error(gx, fd, floor=1e-6) < FD_TOL
+        assert relative_error(gw, numeric_gradient(lambda v: loss(x, v, b), w)) < FD_TOL
+        assert relative_error(gb, numeric_gradient(lambda v: loss(x, w, v), b)) < FD_TOL
+
+    def test_conv0_peaks_far_below_its_whole_output(self):
+        # Table-1 conv0 and pool0 on one clip: the unfused forward returns a
+        # 42 MB output, and pool0's backward a gradient of the same size
+        layer = nnm.conv(256, 3101)
+        nfft = layer.fft_plan((1, 44100)).nfft
+        rng = np.random.default_rng(44)
+        x = rng.normal(size=(1, 1, 44100)).astype(np.float32)
+        w = (rng.normal(size=(256, 1, 3101)) * 0.02).astype(np.float32)
+        output_bytes = 256 * 41000 * x.itemsize
+        (pooled, argmax), peak = traced_peak(fft_conv_forward, x, w, np.zeros(256, np.float32),
+                                             nfft, None, (40, 20))
+        assert pooled.shape == argmax.shape == (1, 256, 2049)
+        assert peak < output_bytes / 4, peak / output_bytes
+        g = rng.normal(size=pooled.shape).astype(np.float32)
+        _, peak = traced_peak(fft_conv_param_grads, x, g, nfft, np.zeros_like(w), None, argmax)
+        assert peak < output_bytes / 4, peak / output_bytes
+
+
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 500), per_item=st.integers(0, 10 ** 6), bound=st.integers(1, 1 << 24))
 @example(n=500, per_item=3, bound=1000)  # 333 items, then a shorter last chunk of 167

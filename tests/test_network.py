@@ -312,9 +312,10 @@ def test_update_in_backward_is_bit_identical_to_sgd_step(monkeypatch, front):
     chunked, _ = forward(params, specs, batch, mode="eval")
     conv_forward = layers.fft_conv_forward
 
-    def whole_spectrum(x, w, b, nfft, spectrum=None):
+    def whole_spectrum(x, w, b, nfft, spectrum=None, **kwargs):
         return conv_forward(x, w, b, nfft,
-                            layers.filter_spectrum(w, nfft) if spectrum is None else spectrum)
+                            layers.filter_spectrum(w, nfft) if spectrum is None else spectrum,
+                            **kwargs)
 
     monkeypatch.setattr(layers, "fft_conv_forward", whole_spectrum)
     whole, _ = forward(params, specs, batch, mode="eval")
@@ -499,9 +500,9 @@ def test_spectra_live_from_their_layer_first_call_to_their_last_reader(monkeypat
         events.append(("build", w.shape[1]))
         return spectrum
 
-    def spy_forward(x, *args):
+    def spy_forward(x, *args, **kwargs):
         events.append(("forward", x.shape[-2], len(x), [ref() is not None for ref in spectra]))
-        return conv_forward(x, *args)
+        return conv_forward(x, *args, **kwargs)
 
     monkeypatch.setattr(layers, "filter_spectrum", spy_build)
     monkeypatch.setattr(layers, "fft_conv_forward", spy_forward)
@@ -585,9 +586,14 @@ def test_forward_walks_each_layer_shape_once(monkeypatch):
     assert calls == [type(layer) for layer in specs]  # 14 layers, one call each
 
 
-def _tail_start(layers, input_length, clips):
+def _front_tail(layers, input_length, clips):
+    """``nnm._front_tail`` as ``forward`` calls it on one-channel clips."""
     shapes = [(1, input_length)] + infer_shapes(layers, input_length, 1)
-    return nnm._front_tail(layers, shapes, clips)[0]
+    return nnm._front_tail(layers, shapes, clips, nnm._pooling_convs(layers, shapes))
+
+
+def _tail_start(layers, input_length, clips):
+    return _front_tail(layers, input_length, clips)[0]
 
 
 @pytest.mark.parametrize("kernel", ["direct", "fft"])
@@ -637,15 +643,17 @@ def test_table1_tail_starts_at_relu0_up_to_batch_16():
     for clips in (2, 16):
         assert _tail_start(specs, FULL_INPUT_LENGTH, clips) == 2  # relu0
     assert _tail_start(specs, FULL_INPUT_LENGTH, 1) == 0  # one clip: all tail
-    # from 17 clips conv1's block spectra no longer fit: conv1 and pool1 join the front
-    assert _tail_start(specs, FULL_INPUT_LENGTH, 17) == 4
+    # from 17 clips conv1's block spectra no longer fit: relu0, conv1 and
+    # pool1, which takes conv1's footprint, join the front (pool1's own
+    # 384 x 1750 input would keep it in the tail up to 24 clips)
+    for clips in (17, 24, 25):
+        assert _tail_start(specs, FULL_INPUT_LENGTH, clips) == 5  # relu1
 
 
 @pytest.mark.parametrize("clips", [2, 16, 17])
 def test_table1_front_groups_are_one_clip(clips):
     # conv0's 256 x 41,000 output is more than half the bound
-    shapes = [(1, FULL_INPUT_LENGTH)] + infer_shapes(table1_layers(), FULL_INPUT_LENGTH, 1)
-    _, groups = nnm._front_tail(table1_layers(), shapes, clips)
+    _, groups = _front_tail(table1_layers(), FULL_INPUT_LENGTH, clips)
     assert groups == [slice(i, i + 1) for i in range(clips)]
 
 
@@ -666,6 +674,8 @@ def test_reduced_eval_past_the_bound_runs_its_front_in_groups(monkeypatch):
     monkeypatch.setattr(layers, "temporal_conv_forward", spy)
     preds, _ = forward(params, specs, batch, mode="eval")
     assert conv0_clips == [22_075, 1]
+    assert _front_tail(specs, REDUCED_INPUT_LENGTH, 22_076) == (
+        2, [slice(0, 22_075), slice(22_075, 22_076)])
     assert preds.shape == (22_076, 11)
 
 
@@ -683,9 +693,9 @@ def test_table1_tail_arrays_fit_the_bound(clips):
         assert max(arrays) * clips <= layers._CONV_CHUNK_ELEMS, layer
 
 
-@pytest.mark.parametrize("clips", [16, 288])
+@pytest.mark.parametrize("clips", [16, 288, 22_075])
 def test_reduced_net_is_one_call_per_layer(clips):
-    assert _tail_start(reduced_layers(), REDUCED_INPUT_LENGTH, clips) == 0
+    assert _front_tail(reduced_layers(), REDUCED_INPUT_LENGTH, clips) == (0, [])
 
 
 def test_dropout_gradient_under_fixed_mask():

@@ -254,12 +254,12 @@ class TestTrainModel:
         monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1)
         param_grads, conv2 = layers.fft_conv_param_grads, {}
 
-        def poisoned(x, grad_out, nfft, target, learning_rate=None):
+        def poisoned(x, grad_out, nfft, target, learning_rate=None, **kwargs):
             if x.shape[-2] == 6:  # conv2's input channels
-                grad_out = grad_out.copy()
+                grad_out = grad_out.copy()  # pool2's gradient, which conv2 scatters
                 grad_out[:, 1] = np.nan
                 conv2.update(before=target.copy(), target=target, rate=learning_rate)
-            return param_grads(x, grad_out, nfft, target, learning_rate)
+            return param_grads(x, grad_out, nfft, target, learning_rate, **kwargs)
 
         monkeypatch.setattr(layers, "fft_conv_param_grads", poisoned)
         updates = []
