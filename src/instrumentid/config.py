@@ -4,7 +4,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .features import MfccConfig
-from .labeling import DEFAULT_MIN_SONGS
+from .labeling import DEFAULT_MIN_SONGS, read_text
 from .nn.model import SgdConfig, dropout
 
 DEFAULT_TAXONOMY = Path(__file__).parent / "data" / "medleydb_categories.tsv"
@@ -90,7 +90,7 @@ def load_config(path) -> RunConfig:
     field_types = {f.name: f.type for f in fields(RunConfig)}
     cfg = RunConfig()
     seen = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

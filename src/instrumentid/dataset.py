@@ -9,7 +9,8 @@ from .audio import WavFile
 from .config import RunConfig
 from .labeling import (
     DEFAULT_THRESHOLD, DEFAULT_WINDOW_SECONDS, build_taxonomy, clip_label, collapse_labels,
-    load_category_map, parse_activation_csv, stratified_split, write_split_file, write_taxonomy,
+    load_category_map, parse_activation_csv, read_text, stratified_split, write_split_file,
+    write_taxonomy,
 )
 
 MANIFEST_HEADER = "# instrument clip manifest v2"
@@ -24,7 +25,8 @@ class ManifestRow:
 
 
 def write_manifest(path, rows, classes) -> None:
-    """Tab-separated clip records with the class list pinned in the header."""
+    """Tab-separated clip records with the class list pinned in the header,
+    in UTF-8, as :func:`read_manifest` reads them."""
     lines = [
         MANIFEST_HEADER,
         "# classes: " + ",".join(classes),
@@ -34,12 +36,12 @@ def write_manifest(path, rows, classes) -> None:
     for row in rows:
         bits = "\t".join(str(int(b)) for b in row.labels)
         lines.append(f"{row.track_id}\t{row.clip_index}\t{row.source_path}\t{bits}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_manifest(path):
     """:returns: ``(rows, classes)``"""
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path).splitlines()
     if lines[:1] != [MANIFEST_HEADER]:
         raise ValueError(f"{path}: not a '{MANIFEST_HEADER}' file; re-run prepare-dataset")
     classes = None
@@ -116,7 +118,7 @@ def prepare_dataset(config: RunConfig, log=print):
         if act is None:
             log(f"skip track={track_id} reason=missing-activation-file")
             continue
-        tables[track_id] = parse_activation_csv(act.read_text(), track_id)
+        tables[track_id] = parse_activation_csv(read_text(act), track_id)
         track_paths[track_id] = wav
     if not tables:
         raise FileNotFoundError(f"no track has an activation file in {config.activation_dir}")

@@ -21,6 +21,17 @@ DEFAULT_MIN_SONGS = 20
 _CONVERSION_CELLS = 1 << 12
 
 
+def read_text(path) -> str:
+    """The text of file ``path``, decoded as UTF-8. A byte that does not
+    decode raises ValueError naming the path and the byte's offset."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text: byte 0x{data[err.start]:02x} "
+                         f"at offset {err.start}") from None
+
+
 @dataclass
 class ActivationTable:
     """Time-indexed activation confidences for one track.
@@ -229,7 +240,7 @@ def collapse_labels(raw_bits, class_matrix) -> np.ndarray:
 def load_category_map(path) -> dict:
     """Read "rawName<TAB>category" lines; '#' lines are comments."""
     mapping = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -7,9 +7,9 @@ fully-connected inputs ``[..., features]``, and the elementwise layers take
 any shape. One clip is the case with no leading axis; ``model.forward``
 passes clips as one ``[clips, ...]`` array, so each layer call's products
 are one GEMM over all its clips. Weight and bias gradients are summed over
-the leading axes. The functions are pure, except that the convolution
-backward passes add the weight gradient into a caller's ``grad_weights``
-array when given one, so a network's calls accumulate into one buffer.
+the leading axes. The functions are pure, except that
+:func:`fft_conv_param_grads` writes the weight gradient into a caller's
+array: added into a buffer, or applied to the weights.
 
 Convolution has two kernels for one result. The direct kernel
 (:func:`temporal_conv_forward`) multiplies im2col windows, a read-only
@@ -21,8 +21,7 @@ their :func:`filter_spectrum`, stored maps-major, and makes one complex
 product per frequency bin over all channels, clips and blocks: the
 frequency-major layout of Mathieu, Henaff & LeCun (arXiv:1312.5851) and
 Vasilache et al. (arXiv:1412.7580). Each pass that reads the spectrum
-builds it one map chunk at a time, as fbfft does, unless the caller gives
-it the whole spectrum, built once for several calls on the same weights.
+builds it one map chunk at a time, as fbfft does, so no whole one is held.
 Its backward is two passes, which ``conv.backward`` calls in turn:
 :func:`fft_conv_input_grad`, the only one that reads the filter spectrum,
 then :func:`fft_conv_param_grads`, which adds each map chunk's weight
@@ -52,9 +51,9 @@ bins' GEMMs, broadcast maps), never along a summed axis, so its size
 changes no bit of any output; nor does building the spectrum per map
 chunk, since each filter's transform is its own row. Beyond the chunks, a
 call holds ``bins x blocks x channels`` values per clip, which
-``model.forward`` counts when it sizes its calls: the input's block spectra
-in forward and in the weight-gradient pass of backward, the input-gradient
-spectra in its input-gradient pass. The per-bin GEMM form builds its
+``model.forward`` counts when it sizes its eval calls: the input's block
+spectra in forward and in the weight-gradient pass of backward, the
+input-gradient spectra in its input-gradient pass. The per-bin GEMM form builds its
 spectra in the layout its products read, chunk by chunk, and writes the
 weight-gradient products maps-major, so their inverse transforms give each
 map's lags as contiguous rows. Every chunked loop of both kernels takes its
@@ -80,7 +79,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-# Bound on window elements materialized per im2col chunk (~128 MiB float64).
+# Bound on window elements materialized per im2col chunk (~128 MiB float64),
+# and on a group's largest layer array in an eval-mode model.forward.
 _CONV_CHUNK_ELEMS = 1 << 24
 # Bound on the elements of one map chunk of the FFT kernel's per-bin GEMMs
 # (8 MiB complex64): it sets their shape.
@@ -194,16 +194,13 @@ def temporal_conv_forward(x, weights, bias):
     return out.reshape(*lead, maps, out_len)
 
 
-def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True,
-                           grad_weights=None):
+def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True):
     """Gradients of :func:`temporal_conv_forward` w.r.t. input, weights, bias.
 
     The weight and bias gradients are summed over the leading axes. The
-    weight gradient is added into ``grad_weights`` when given (it is then
-    the array returned); else the first chunk's product is the new array,
-    which the later chunks add into. With
-    ``needs_input_grad`` false the input gradient is skipped and returned as
-    None; the network's first layer needs none.
+    first chunk's product is the weight gradient, which the later chunks
+    add into. With ``needs_input_grad`` false the input gradient is skipped
+    and returned as None; the network's first layer needs none.
     """
     weights = np.asarray(weights)
     lead, x, grad_out, _ = _conv_operands(x, weights, grad_out=grad_out)
@@ -214,6 +211,7 @@ def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True,
     grad_bias = grad_out.sum(axis=(0, 2))
 
     windows = _windows(x, filter_size, out_len)
+    grad_weights = None
     for t in _chunks(out_len, clips * channels * filter_size, _CONV_CHUNK_ELEMS):
         width = t.stop - t.start
         # contract clips and positions: [maps, channels * filter]
@@ -378,19 +376,11 @@ def _per_bin_spectra(x, plan: FftPlan, width: int, rows_last: bool = False):
     return out.reshape(bins, -1, rows) if rows_last else out.reshape(bins, rows, -1)
 
 
-def _filter_chunk(weights, nfft: int, spectrum, m: slice):
-    """The filter spectrum of maps ``m``: a slice of the whole ``spectrum``
-    when one is given, else :func:`filter_spectrum` of ``weights[m]``, the
-    same values in the same ``[bins, maps, channels]`` layout."""
-    return filter_spectrum(weights[m], nfft) if spectrum is None else spectrum[:, m]
-
-
-def fft_conv_forward(x, weights, bias, nfft: int, spectrum=None, pool=None):
+def fft_conv_forward(x, weights, bias, nfft: int, pool=None):
     """:func:`temporal_conv_forward` by overlap-save FFT convolution.
 
     The ``[maps, channels, filter_size]`` ``weights`` are transformed at an
-    even ``nfft`` of at least the filter size a map chunk at a time, or read
-    from ``spectrum``, their whole :func:`filter_spectrum`, when given. Each
+    even ``nfft`` of at least the filter size a map chunk at a time. Each
     block of ``nfft`` input samples gives ``hop = nfft - filter_size + 1``
     outputs: per frequency bin the product of the filter spectra by the
     block spectra, over all channels, clips and blocks at once, then an
@@ -436,13 +426,13 @@ def fft_conv_forward(x, weights, bias, nfft: int, spectrum=None, pool=None):
         spectra = _block_spectra(x, plan, nfft)  # [clips, 1, blocks, bins]
         for m in _work_chunks(maps, plan.bins * clips * blocks):
             # [maps, 1, bins] filter spectra times block spectra: [clips, maps, blocks, hop]
-            filters = _filter_chunk(weights, nfft, spectrum, m)[:, :, 0].T[:, None]
+            filters = filter_spectrum(weights[m], nfft)[:, :, 0].T[:, None]
             place(m, np.fft.irfft(filters * spectra, n=nfft)[..., :hop])
     else:
         spectra = _per_bin_spectra(x, plan, nfft)  # [bins, channels, clips * blocks]
         for m in _chunks(maps, plan.bins * max(channels, clips * blocks), _FFT_CHUNK_ELEMS):
             # [bins, maps, clips * blocks]
-            products = _filter_chunk(weights, nfft, spectrum, m) @ spectra
+            products = filter_spectrum(weights[m], nfft) @ spectra
             for k in _work_chunks(m.stop - m.start, nfft * clips * blocks):
                 y = np.fft.irfft(products[:, k], n=nfft, axis=0)[:hop]
                 # [hop, maps, clips, blocks] -> [clips, maps, blocks, hop]
@@ -464,14 +454,13 @@ def _grad_chunk(grad_out, argmax, out_len: int, m: slice):
     return _unpool(argmax[:, m], grad_out[:, m], (len(grad_out), m.stop - m.start, out_len))
 
 
-def fft_conv_input_grad(x, weights, grad_out, nfft: int, spectrum=None, argmax=None):
+def fft_conv_input_grad(x, weights, grad_out, nfft: int, argmax=None):
     """The input gradient of :func:`fft_conv_forward` at ``nfft``: the
     backward pass that reads the filter spectrum, built a map chunk at a
-    time from ``weights`` or read from the whole ``spectrum`` when given,
-    run before :func:`fft_conv_param_grads`. Given the ``argmax`` of a
-    forward with a pool, ``grad_out`` is the pooled maps' gradient, and
-    each map chunk's output gradient is scattered from it just before it is
-    transformed, so the whole one is never made.
+    time from ``weights``, run before :func:`fft_conv_param_grads`. Given
+    the ``argmax`` of a forward with a pool, ``grad_out`` is the pooled
+    maps' gradient, and each map chunk's output gradient is scattered from
+    it just before it is transformed, so the whole one is never made.
 
     Per map chunk the output gradient is cut into blocks of ``hop`` values
     and transformed. Per bin, those spectra times the transposed filter
@@ -482,7 +471,7 @@ def fft_conv_input_grad(x, weights, grad_out, nfft: int, spectrum=None, argmax=N
     of clips at a time, or of one clip's channels where one clip is more
     than a working chunk. So beyond the chunks the pass holds only the
     input-gradient spectra, as large as the input block spectra, which it
-    never makes, and the ``spectrum`` it is given.
+    never makes.
     """
     weights = np.asarray(weights)
     lead, x, grad_out, argmax = _conv_operands(x, weights, grad_out=grad_out, argmax=argmax)
@@ -497,7 +486,7 @@ def fft_conv_input_grad(x, weights, grad_out, nfft: int, spectrum=None, argmax=N
         g = _grad_chunk(grad_out, argmax, length - filter_size + 1, m)
         conj_g = _per_bin_spectra(g, plan, hop)
         np.conjugate(conj_g, out=conj_g)
-        filters = _filter_chunk(weights, nfft, spectrum, m)
+        filters = filter_spectrum(weights[m], nfft)
         for f in _work_chunks(bins, clips * blocks * channels):
             grad_x_spectra[f] += conj_g[f].transpose(0, 2, 1) @ filters[f]
         del g, conj_g, filters  # before the next chunk's are made

@@ -34,22 +34,17 @@ class _Layer:
 
     Shapes are per clip. Layers with ``has_params`` give ``param_shapes(input
     shape)``; ``footprint(input shape, output shape)``, both read from the
-    one walk of :func:`infer_shapes`, sizes the calls (see :func:`forward`).
+    one walk of :func:`infer_shapes`, sizes eval calls (see :func:`forward`).
     ``forward(x, weights, training, rng)`` takes clips ``[clips, ...]`` and
-    the layer's weights list, ``[weight, bias]`` or empty, which every call
-    and ``backward`` share; it returns ``(output, cache)``. A ``conv`` may
-    also take the ``max_pool`` after it and return the pooled maps, the
-    pool layer then not being called (see :func:`forward`). A front layer's
-    list, which its group calls share (see :func:`forward`), has a third
-    slot, None at first, where a forward may keep a form made from the pair
-    for the later calls and the input gradient. ``backward(cache, weights,
-    g, needs_input_grad, grads, learning_rate)`` adds the parameter
-    gradients, summed over the clips, into the ``[weight, bias]`` list
-    ``grads`` (see :func:`_add`) and returns the input gradient; given a
-    ``learning_rate``, which only a tail layer gets, it may apply a weight
-    gradient as an SGD step instead, leaving its slot None. :func:`backward`
-    steps what a layer's last call left in ``grads``. A ``backward`` may
-    drop the third slot once it has read it for the last time.
+    the layer's weights, ``(weight, bias)`` or empty; it returns ``(output,
+    cache)``. A ``conv`` may also take the ``max_pool`` after it and return
+    the pooled maps, the pool layer then not being called (see
+    :func:`forward`). ``backward(cache, weights, g, needs_input_grad, grads,
+    learning_rate)`` puts the parameter gradients, summed over the clips and
+    in the parameters' dtype, into the ``[weight, bias]`` list ``grads`` and
+    returns the input gradient; given a ``learning_rate``, it may apply a
+    weight gradient as an SGD step instead, leaving its slot None.
+    :func:`backward` steps what is left in ``grads``.
     """
 
     has_params = False
@@ -62,13 +57,9 @@ class _Layer:
         return max(math.prod(shape), math.prod(out))
 
 
-def _add(grads: list, k: int, param, grad):
-    """Add ``grad`` into the layer's gradient buffer ``grads[k]``; at the
-    layer's first call, ``grad`` in ``param``'s dtype becomes the buffer."""
-    if grads[k] is None:
-        grads[k] = grad.astype(param.dtype, copy=False)
-    else:
-        grads[k] += grad
+def _grad(param, grad):
+    """``grad`` in ``param``'s dtype."""
+    return grad.astype(param.dtype, copy=False)
 
 
 def _require(ok: bool, message: str) -> None:
@@ -107,54 +98,47 @@ class conv(_Layer):
 
     def footprint(self, shape, out):
         """As for any layer, or on the FFT kernel its block spectra, ``bins x
-        blocks x channels`` per clip, if larger."""
+        blocks x channels`` per clip, if larger. For a conv that runs its
+        pool, ``out`` is the pooled shape: its whole output is never made."""
         plan = self.fft_plan(shape)
         spectra = 0 if plan is None else plan.bins * plan.blocks * shape[0]
         return max(super().footprint(shape, out), spectra)
 
     def forward(self, x, weights, training, rng, pool=None):
-        """The kernel ``fft_plan`` picks for ``x``'s shape. On the FFT kernel
-        a front layer builds its whole filter spectrum into the third slot
-        of ``weights`` at its first call; a tail layer's pass builds it per
-        map chunk. Given the ``max_pool`` layer after it, an FFT conv runs
-        it too, a map chunk at a time (``nn.layers.fft_conv_forward``),
-        returns the pooled maps and keeps their argmax."""
+        """The kernel ``fft_plan`` picks for ``x``'s shape. Given the
+        ``max_pool`` layer after it, an FFT conv runs it too, a map chunk at
+        a time (``nn.layers.fft_conv_forward``), returns the pooled maps and
+        keeps their argmax."""
         plan = self.fft_plan(x.shape[-2:])
         if plan is None:
-            return L.temporal_conv_forward(x, *weights[:2]), (x, None)
-        if len(weights) == 3 and weights[2] is None:
-            weights[2] = L.filter_spectrum(weights[0], plan.nfft)
+            return L.temporal_conv_forward(x, *weights), (x, None)
         if pool is None:
-            return L.fft_conv_forward(x, *weights[:2], plan.nfft, *weights[2:]), (x, None)
-        pooled, argmax = L.fft_conv_forward(x, *weights[:2], plan.nfft, *weights[2:],
+            return L.fft_conv_forward(x, *weights, plan.nfft), (x, None)
+        pooled, argmax = L.fft_conv_forward(x, *weights, plan.nfft,
                                             pool=(pool.pool_size, pool.pool_stride))
         return pooled, (x, argmax)
 
     def backward(self, cache, weights, g, needs_input_grad, grads, learning_rate):
         """The kernel ``fft_plan`` picks for ``x``'s shape, as in the forward.
         On the FFT kernel, two passes: ``nn.layers.fft_conv_input_grad``,
-        from the kept spectrum, which is then dropped from ``weights``, or
-        per map chunk; and only after that ``nn.layers.fft_conv_param_grads``,
-        into a weight gradient buffer made then on the layer's first call
-        or, given a ``learning_rate``, into the weights as an SGD step.
-        Without an input gradient the spectrum is not read, and may already
-        be gone. A conv that ran its pool gets the pooled maps' gradient
+        then ``nn.layers.fft_conv_param_grads``, into a weight gradient
+        buffer made then or, given a ``learning_rate``, into the weights as
+        an SGD step. A conv that ran its pool gets the pooled maps' gradient
         ``g``, which both passes scatter through the kept argmax."""
         x, argmax = cache
-        w, b = weights[:2]
+        w, b = weights
         plan = self.fft_plan(x.shape[-2:])
         if plan is None:
             grad_x, grads[0], gb = L.temporal_conv_backward(
-                x, w, g, needs_input_grad=needs_input_grad, grad_weights=grads[0])
+                x, w, g, needs_input_grad=needs_input_grad)
         else:
-            grad_x = (L.fft_conv_input_grad(x, w, g, plan.nfft, *weights[2:], argmax=argmax)
+            grad_x = (L.fft_conv_input_grad(x, w, g, plan.nfft, argmax=argmax)
                       if needs_input_grad else None)
-            weights[2:] = [None] * len(weights[2:])  # a kept spectrum's last read in this call
-            if learning_rate is None and grads[0] is None:
-                grads[0] = np.zeros_like(w)  # every call's map chunks add into it
+            if learning_rate is None:
+                grads[0] = np.zeros_like(w)  # the map chunks add into it
             target = w if learning_rate is not None else grads[0]
             _, gb = L.fft_conv_param_grads(x, g, plan.nfft, target, learning_rate, argmax=argmax)
-        _add(grads, 1, b, gb)
+        grads[1] = _grad(b, gb)
         return grad_x
 
 
@@ -210,13 +194,12 @@ class fully_connected(_Layer):
 
     def forward(self, x, weights, training, rng):
         flat = x.reshape(len(x), math.prod(x.shape[1:]))  # -1 fails on zero clips
-        return L.fully_connected_forward(flat, *weights[:2]), (flat, x.shape)
+        return L.fully_connected_forward(flat, *weights), (flat, x.shape)
 
     def backward(self, cache, weights, g, needs_input_grad, grads, learning_rate):
         flat, in_shape = cache
         g, *param_grads = L.fully_connected_backward(flat, weights[0], g)
-        for k, grad in enumerate(param_grads):
-            _add(grads, k, weights[k], grad)
+        grads[:] = map(_grad, weights, param_grads)
         return g.reshape(in_shape)
 
 
@@ -346,26 +329,21 @@ def init_params(layers, input_length: int, input_channels: int = 1,
 
 @dataclass
 class ForwardCache:
-    """Everything backward() needs: the layers, each layer's weights list as
-    the forward left it (with the filter spectrum of a front FFT conv but
-    layer 0), the convs that ran their pool, and the per-layer caches of
-    the front, group by group, and of the tail (see :func:`forward`); a
-    pool its conv ran has a cache of None.
+    """Everything backward() needs: the layers, each layer's weights, the
+    convs that ran their pool, and each layer's cache from its one call over
+    the batch; a pool its conv ran has a cache of None.
 
-    :func:`backward` consumes it: it sets each slot of ``weights`` and of the
-    cache lists to None once the slot's last reader has returned, so that
+    :func:`backward` consumes it: it sets each slot of ``weights`` and
+    ``caches`` to None once the layer's backward call has returned, so that
     the arrays no one else holds are freed as it goes, and marks it
-    ``spent``. The weights lists hold the arrays of the ``params`` given to
+    ``spent``. The weights are the arrays of the ``params`` given to
     :func:`forward`, so a step taken in :func:`backward` is written there."""
 
     layers: list
-    weights: list  # per layer, ``[weight, bias]`` and a front layer's kept form, or empty
+    weights: list  # per layer, ``(weight, bias)`` or empty
     clips: int
     pooling: frozenset  # the FFT convs that run the max pool after them, by index
-    split: int  # index of the first tail layer; the layers before it are the front
-    groups: list  # the front's clip slices, in order
-    front_caches: list  # one list of the front layers' caches per group
-    tail_caches: list  # the tail layers' caches, each over the whole batch
+    caches: list  # per layer, over the whole batch
     spent: bool = False  # set by backward
 
 
@@ -384,55 +362,42 @@ def _pooling_convs(layers, shapes) -> frozenset:
                      and layer.fft_plan(shapes[i]) is not None)
 
 
-def _front_tail(layers, shapes, clips: int, pooling):
-    """``(split, groups)`` by the rule in :func:`forward`, for the per-clip
+def _largest_footprint(layers, shapes, pooling) -> int:
+    """The largest per-clip footprint of a layer call, for the per-clip
     ``shapes`` of the input and of each layer's output and the
-    :func:`_pooling_convs`: the first tail layer and the front's clip
-    slices, none if the front is empty. A conv's pool takes the conv's
-    footprint, so the split never parts the two."""
-    footprints = [layer.footprint(a, b) for layer, a, b in zip(layers, shapes, shapes[1:])]
-    for i in pooling:
-        footprints[i + 1] = footprints[i]
-    split = len(layers)
-    while split and footprints[split - 1] * clips <= L._CONV_CHUNK_ELEMS:
-        split -= 1
-    return split, (L._chunks(clips, max(footprints[:split]), L._CONV_CHUNK_ELEMS) if split else [])
+    :func:`_pooling_convs`: a conv that runs its pool counts the pooled maps
+    as its output, and the pool, which is not called, counts nothing."""
+    return max((layer.footprint(shapes[i], shapes[i + 1 + (i in pooling)])
+                for i, layer in enumerate(layers) if i - 1 not in pooling), default=0)
 
 
 def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     """Run the network over a ``[batch, channels, length]`` stack of clips.
 
-    Each layer gets a list of its weights. A front FFT conv builds its
-    whole filter spectrum into a third slot of its list at its first call,
-    so once per ``forward`` call however many groups it runs in; a tail FFT
-    conv holds none, its passes building one map chunk's at a time. A kept
-    spectrum goes after its last reader: in eval mode, and for layer 0,
-    which computes no input gradient, after the layer's last forward call;
-    else in :func:`backward`. An FFT conv followed by a max pool runs the
-    pool itself, a map chunk at a time, so neither its whole output nor, in
-    :func:`backward`, the pool's input gradient is ever made; the pool
-    layer is then not called. The layers run in two parts, sized by each
-    layer's per-clip footprint (the largest of its input, its output and,
-    on the FFT kernel, its block spectra, read from the call's one
-    :func:`infer_shapes` walk; a conv's pool takes the conv's) against
-    ``nn.layers._CONV_CHUNK_ELEMS`` elements:
+    In train mode every layer runs once over the whole batch, so its
+    products are one GEMM per call, and keeps its cache for
+    :func:`backward`; a train step's memory grows with the batch. Eval mode
+    keeps no caches and runs the whole network over consecutive groups of
+    clips, concatenating their predictions, so its memory is bounded
+    however many clips it gets: ``nn.layers._chunks`` sizes the groups by
+    the largest per-clip footprint of a layer call (the largest of its
+    input, its output and, on the FFT kernel, its block spectra; see
+    :func:`_largest_footprint`), read from the call's one
+    :func:`infer_shapes` walk, against ``nn.layers._CONV_CHUNK_ELEMS``
+    elements, so each group is one clip or fits the bound. That is 16 clips
+    for the Table-1 net, by conv1's 1,037,568 block-spectrum values a clip,
+    and 22,075 for the reduced net, by conv0's 4 x 190 output. Each group's
+    predictions are those of a call on its clips alone, which may differ
+    from one call on more clips at the rounding level, as a matrix product
+    may round differently with its row count.
 
-    - the tail, the longest suffix of layers whose footprint for the whole
-      batch fits the bound, runs once per layer over the whole batch;
-    - the front, the layers before it, runs once per group of clips, in
-      clip order: ``nn.layers._chunks`` sizes the groups by the largest
-      front footprint, so each group is one clip or fits the bound.
-
-    The Table-1 net at a batch of 2 to 16 runs conv0 and pool0 in the front
-    and the rest once over the batch; from 17 clips conv1's block spectra
-    no longer fit, and relu0, conv1 and pool1 join the front. conv0's
-    footprint, its 10,496,000-element output per clip, is more than half
-    the bound, so every Table-1 front group is one clip. The Table-1 net on
-    one clip, and the reduced net up to 22,075 clips, is all tail; above
-    that the reduced net's conv0 and pool0 run in groups of 22,075 clips.
-    Dropout draws over the clips in clip order, so results are
-    deterministic for a fixed rng state and do not depend on the split.
-    Eval mode keeps no caches, so the bound holds its memory per call.
+    An FFT conv builds its filter spectrum one map chunk at a time in each
+    pass that reads it, so no whole spectrum is held. An FFT conv followed
+    by a max pool runs the pool itself, a map chunk at a time, so neither
+    its whole output nor, in :func:`backward`, the pool's input gradient is
+    ever made; the pool layer is then not called. Dropout draws over the
+    clips in clip order, so results are deterministic for a fixed rng
+    state.
 
     :returns: ``(predictions [batch, output], cache)``; the cache is None in
         eval mode
@@ -447,35 +412,26 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     channels, length = batch.shape[1:]
     shapes = [(channels, length)] + infer_shapes(layers, length, channels)
     pooling = _pooling_convs(layers, shapes)
-    split, groups = _front_tail(layers, shapes, len(batch), pooling)
-    weights = [[*pair, None] if pair and i < split else list(pair)
-               for i, pair in enumerate(_layer_params(params, layers))]
+    weights = _layer_params(params, layers)
+    caches = []  # kept in train mode only
 
-    def run(x, first, stop, last):
-        caches = []
-        for i in range(first, stop):
+    def run(x):
+        for i, layer in enumerate(layers):
             if i - 1 in pooling:  # the conv before it ran this pool
                 layer_cache = None
             elif i in pooling:
-                x, layer_cache = layers[i].forward(x, weights[i], training, rng,
-                                                   pool=layers[i + 1])
+                x, layer_cache = layer.forward(x, weights[i], training, rng, pool=layers[i + 1])
             else:
-                x, layer_cache = layers[i].forward(x, weights[i], training, rng)
+                x, layer_cache = layer.forward(x, weights[i], training, rng)
             if training:
                 caches.append(layer_cache)
-            if last and (i == 0 or not training):  # no input gradient will read them
-                weights[i][2:] = [None] * len(weights[i][2:])
-        return x, caches
+        return x
 
-    fronts = [run(batch[s], 0, split, s.stop == len(batch)) for s in groups]
-    front_caches = [caches for _, caches in fronts]
-    x = np.concatenate([out for out, _ in fronts]) if split else batch
-    del fronts  # the groups' pieces of ``x``
-    preds, tail_caches = run(x, split, len(layers), True)
-    if not training:
-        return preds, None
-    return preds, ForwardCache(layers, weights, len(batch), pooling, split, groups,
-                               front_caches, tail_caches)
+    if training:
+        return run(batch), ForwardCache(layers, weights, len(batch), pooling, caches)
+    groups = L._chunks(len(batch), _largest_footprint(layers, shapes, pooling),
+                       L._CONV_CHUNK_ELEMS)
+    return np.concatenate([run(batch[s]) for s in groups or [slice(0, 0)]]), None
 
 
 def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
@@ -484,34 +440,24 @@ def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
 
     ``grad_loss`` is the gradient of the (batch-mean) loss w.r.t. the
     predictions, so the per-clip contributions are summed: the result is the
-    gradient of the same batch-mean loss. The tail layers run backward once
-    over the whole batch, then the front layers once per group of clips
-    that ``forward`` ran, in clip order for determinism; each layer reuses
-    the weights list ``forward`` left and adds its gradients into its own
-    buffers, which its first backward call makes. Layer 0 computes no
+    gradient of the same batch-mean loss. Each layer runs backward once over
+    the whole batch, from the output to the input. Layer 0 computes no
     gradient for the network input. A pool that its conv ran passes the
     pooled maps' gradient on to the conv, which scatters it.
 
     Given a ``learning_rate``, every layer takes its SGD step here, into
-    the very arrays of ``params``, as soon as its gradients are whole: when
-    its last call returns, a tail layer's one call or a front layer's for
-    the last group. Every gradient the layer made, weight and bias, summed
-    over the groups, is checked for non-finite values, then each is applied
-    in place (``nn.layers.sgd_update``), so every slot of the result is
-    None. A tail FFT conv applies its weight gradient within the call, a
-    map chunk at a time as each chunk is done and found finite, so its
-    whole weight gradient never exists; a front FFT conv's groups add their
-    chunks into one buffer, since ``w - lr*(a+b)`` is not ``(w - lr*a) -
-    lr*b``. A non-finite gradient raises FloatingPointError naming its kind
-    and index, as in ``non-finite bias gradient 3``, with the layers nearer
-    the output, and a tail FFT conv's chunks before it, already applied.
+    the very arrays of ``params``, as its call returns. Every gradient the
+    layer made, weight and bias, is checked for non-finite values, then
+    each is applied in place (``nn.layers.sgd_update``), so every slot of
+    the result is None. An FFT conv applies its weight gradient within the
+    call, a map chunk at a time as each chunk is done and found finite, so
+    its whole weight gradient never exists. A non-finite gradient raises
+    FloatingPointError naming its kind and index, as in ``non-finite bias
+    gradient 3``, with the layers nearer the output, and an FFT conv's
+    chunks before it, already applied.
 
-    A layer's caches and weights leave ``cache`` once their last reader
-    returns: a tail layer's after its one call, a front layer's after the
-    last group's. That last call gets the cache's own weights list of the
-    layer, and a front FFT conv frees its filter spectrum there before it
-    makes its weight gradient; earlier groups get a copy of the list. So a
-    second backward on the cache raises ValueError.
+    A layer's cache and weights leave ``cache`` as its call returns, and
+    the cache is spent: a second backward on it raises ValueError.
     """
     if cache.spent:
         raise ValueError("this ForwardCache was consumed by an earlier backward; "
@@ -520,35 +466,26 @@ def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
     if grad_loss.shape[0] != cache.clips:
         raise ValueError(f"grad_loss batch {grad_loss.shape[0]} != cached batch {cache.clips}")
     cache.spent = True
-    layers, weights = cache.layers, cache.weights
+    layers, weights, caches = cache.layers, cache.weights, cache.caches
     grads = [[None, None] for _ in layers]
-
-    def run(g, first, caches, last, rate):
-        for i in reversed(range(first, first + len(caches))):
-            layer_weights = weights[i] if last else list(weights[i])
-            index = sum(layer.has_params for layer in layers[:i])
-            if i - 1 not in cache.pooling:  # else the conv before it scatters g
-                try:
-                    g = layers[i].backward(caches[i - first], layer_weights, g, i > 0, grads[i],
-                                           rate)
-                except FloatingPointError:  # a tail FFT conv's weight chunk, before its update
-                    raise FloatingPointError(f"non-finite weight gradient {index}") from None
-            if learning_rate is not None and last:  # its gradients are whole: check, then step
-                for kind, grad in zip(("weight", "bias"), grads[i]):
-                    if grad is not None and not np.isfinite(grad).all():
-                        raise FloatingPointError(f"non-finite {kind} gradient {index}")
-                for param, grad in zip(layer_weights, grads[i]):
-                    if grad is not None:
-                        L.sgd_update(param, grad, learning_rate, out=param)
-                grads[i] = [None, None]
-            caches[i - first] = None
-            if last:
-                weights[i] = None
-        return g
-
-    g = run(grad_loss, cache.split, cache.tail_caches, True, learning_rate)
-    for s, caches in zip(cache.groups, cache.front_caches):  # none if layer 0 is in the tail
-        run(g[s], 0, caches, s.stop == cache.clips, None)
+    g = grad_loss
+    for i in reversed(range(len(layers))):
+        index = sum(layer.has_params for layer in layers[:i])
+        if i - 1 not in cache.pooling:  # else the conv before it scatters g
+            try:
+                g = layers[i].backward(caches[i], weights[i], g, i > 0, grads[i], learning_rate)
+            except FloatingPointError:  # an FFT conv's weight chunk, before its update
+                raise FloatingPointError(f"non-finite weight gradient {index}") from None
+        caches[i] = None
+        if learning_rate is not None:  # its gradients are whole: check, then step
+            for kind, grad in zip(("weight", "bias"), grads[i]):
+                if grad is not None and not np.isfinite(grad).all():
+                    raise FloatingPointError(f"non-finite {kind} gradient {index}")
+            for param, grad in zip(weights[i], grads[i]):
+                if grad is not None:
+                    L.sgd_update(param, grad, learning_rate, out=param)
+            grads[i] = [None, None]
+        weights[i] = None
     pairs = [pair for layer, pair in zip(layers, grads) if layer.has_params]
     return ModelParams([w for w, _ in pairs], [b for _, b in pairs])
 

@@ -90,7 +90,7 @@ def check_params_match(params, specs, input_length: int, path=None) -> None:
 
 
 def predict_probs(params, specs, clips) -> np.ndarray:
-    """Eval-mode network probabilities; ``forward``'s split bounds the memory."""
+    """Eval-mode network probabilities; ``forward``'s clip groups bound the memory."""
     preds, _ = forward(params, specs, clips, mode="eval")
     return preds
 
@@ -141,9 +141,9 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
     restarts on resume (pre-resume epochs are not reconsidered).
 
     Each step is ``forward``, the loss, and ``backward`` with the learning
-    rate, which checks and steps every layer in place as soon as its
-    gradients are whole (a tail FFT conv's weights chunk by chunk), so the
-    ``sgd_step`` that ends the step finds nothing left to apply. A
+    rate, which runs every layer once over the batch and checks and steps
+    it in place as its call returns (an FFT conv's weights chunk by chunk),
+    so the ``sgd_step`` that ends the step finds nothing left to apply. A
     non-finite batch loss, or a non-finite gradient behind a finite one,
     stops the run, naming the epoch, step and clips, and that epoch writes
     no checkpoint. A non-finite loss stops it before any update, and a

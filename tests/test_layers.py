@@ -172,20 +172,15 @@ def _assert_close_to_max(got, want, tol):
 
 def _fft_against_direct(x, w, b, nfft, tol, needs_input_grad=True):
     """FFT forward and both backward passes, in ``conv.backward``'s order,
-    against the direct kernel on the same inputs. The passes that read the
-    filter spectrum give the same bits whether they build it per map chunk
-    or are given it whole."""
+    against the direct kernel on the same inputs."""
     want = temporal_conv_forward(x, w, b)
-    spectrum = filter_spectrum(w, nfft)
     out = fft_conv_forward(x, w, b, nfft)
     _assert_close_to_max(out, want, tol)
-    np.testing.assert_array_equal(fft_conv_forward(x, w, b, nfft, spectrum), out)
     g = np.random.default_rng(0).normal(size=want.shape).astype(x.dtype)
     want_gx, want_gw, want_gb = temporal_conv_backward(x, w, g, needs_input_grad)
     if needs_input_grad:
         gx = fft_conv_input_grad(x, w, g, nfft)
         _assert_close_to_max(gx, want_gx, tol)
-        np.testing.assert_array_equal(fft_conv_input_grad(x, w, g, nfft, spectrum), gx)
     # the weight gradient is added into the caller's buffer
     start = np.random.default_rng(1).normal(size=w.shape).astype(w.dtype)
     buffer = start.copy()
@@ -324,31 +319,30 @@ class TestFftConv:
         rng = np.random.default_rng(35)
         x = rng.normal(size=(8, 16, 600))
         w = rng.normal(size=(8, 16, 41))
-        spectrum = filter_spectrum(w, 128)
         g = rng.normal(size=(8, 8, 560))
         spectra_bytes = 65 * 8 * 7 * 16 * 16  # bins x clips x blocks x channels, complex128
 
         def backward():
-            gx = fft_conv_input_grad(x, w, g, 128, spectrum)  # held, as a front conv does
+            gx = fft_conv_input_grad(x, w, g, 128)
             return gx, fft_conv_param_grads(x, g, 128, np.zeros(w.shape))
 
         _, peak = traced_peak(backward)
         assert peak < 2.5 * spectra_bytes, peak / spectra_bytes
 
     def test_forward_peak_is_spectra_output_and_one_chunk_of_products(self, monkeypatch):
-        # Beyond its input and filter spectrum, the per-bin forward holds the
-        # input block spectra, its output and one map chunk's products. Each
-        # chunk's inverse transform and layout copy run a working chunk of
-        # maps at a time, so at most one working chunk more: no map-chunk
-        # sized transform output or copy beside the products.
+        # Beyond its input, the per-bin forward holds the input block
+        # spectra, its output and one map chunk's products. The chunk's
+        # filter spectrum, built before them, and each of its inverse
+        # transforms and layout copies, run a working chunk of maps at a
+        # time, are at most one working chunk more: no map-chunk sized
+        # transform output or copy beside the products.
         from instrumentid.nn import layers
         monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1 << 16)  # 7 maps a chunk
         monkeypatch.setattr(layers, "_FFT_WORK_ELEMS", 1 << 14, raising=False)  # 1 map
         rng = np.random.default_rng(38)
         x = rng.normal(size=(8, 16, 608))  # 16 blocks of 32 outputs at nfft 128
         w = rng.normal(size=(16, 16, 97))
-        spectrum = filter_spectrum(w, 128)
-        out, peak = traced_peak(fft_conv_forward, x, w, np.zeros(16), 128, spectrum)
+        out, peak = traced_peak(fft_conv_forward, x, w, np.zeros(16), 128)
         spectra_bytes = 65 * 16 * 8 * 16 * 16  # bins x channels x clips x blocks, complex128
         products_bytes = 65 * 7 * 8 * 16 * 16  # bins x maps x clips x blocks
         work_bytes = 16 << 14
@@ -412,9 +406,6 @@ class TestFftConv:
             return (nnm.forward(trial, specs, batch, mode="eval")[0] * r).sum()
 
         _, cache = nnm.forward(params, specs, batch, mode="train")
-        # conv1 runs once, in the tail: it keeps no filter spectrum, and its
-        # input gradient builds one per map chunk
-        assert cache.split == 0 and len(cache.weights[1]) == 2
         grads = nnm.backward(cache, r)
         fd = numeric_gradient(loss, params.weights[0])
         assert relative_error(grads.weights[0], fd) < FD_TOL
@@ -465,10 +456,9 @@ class TestFftConvWithPool:
         x, w, b = self._operands(clips, channels, 39)
         # overlapping windows that leave the last 2 of 260 outputs unread
         want, want_argmax = maxpool_forward(fft_conv_forward(x, w, b, 64), 5, 3)
-        for spectrum in (None, filter_spectrum(w, 64)):
-            pooled, argmax = fft_conv_forward(x, w, b, 64, spectrum, pool=(5, 3))
-            assert pooled.dtype == want.dtype and argmax.dtype == want_argmax.dtype
-            assert np.array_equal(pooled, want) and np.array_equal(argmax, want_argmax)
+        pooled, argmax = fft_conv_forward(x, w, b, 64, pool=(5, 3))
+        assert pooled.dtype == want.dtype and argmax.dtype == want_argmax.dtype
+        assert np.array_equal(pooled, want) and np.array_equal(argmax, want_argmax)
         if clips:  # one clip with no leading axis
             want, want_argmax = maxpool_forward(fft_conv_forward(x[0], w, b, 64), 5, 3)
             pooled, argmax = fft_conv_forward(x[0], w, b, 64, pool=(5, 3))
@@ -539,7 +529,7 @@ class TestFftConvWithPool:
         w = (rng.normal(size=(256, 1, 3101)) * 0.02).astype(np.float32)
         output_bytes = 256 * 41000 * x.itemsize
         (pooled, argmax), peak = traced_peak(fft_conv_forward, x, w, np.zeros(256, np.float32),
-                                             nfft, None, (40, 20))
+                                             nfft, (40, 20))
         assert pooled.shape == argmax.shape == (1, 256, 2049)
         assert peak < output_bytes / 4, peak / output_bytes
         g = rng.normal(size=pooled.shape).astype(np.float32)

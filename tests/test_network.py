@@ -197,8 +197,8 @@ def test_backward_asks_no_input_gradient_of_layer_zero(monkeypatch):
     monkeypatch.setattr(layers, "temporal_conv_backward", spy)
     _, cache = forward(params, specs, _tiny_input(batch=2), mode="train")  # the first is spent
     grads = backward(cache, np.ones_like(preds))
-    # two clips are all tail: one call per conv layer over both clips, input
-    # channels 6, 4, 1: conv2, conv1, then conv0 on the audio
+    # one call per conv layer over both clips, input channels 6, 4, 1:
+    # conv2, conv1, then conv0 on the audio
     assert calls == [((2,), 6, True), ((2,), 4, True), ((2,), 1, False)]
     for got, want in zip(grads.weights + grads.biases, expected.weights + expected.biases):
         np.testing.assert_array_equal(got, want)
@@ -209,19 +209,18 @@ def test_second_backward_on_a_spent_cache_raises():
     params = init_params(specs, 80, seed=54, dtype=np.float64)
     preds, cache = forward(params, specs, _tiny_input(batch=2), mode="train")
     backward(cache, np.ones_like(preds))
-    # every slot was dropped once its last reader returned
-    assert cache.weights == [None] * len(specs) and cache.tail_caches == [None] * len(specs)
+    # every slot was dropped once its layer's call returned
+    assert cache.weights == [None] * len(specs) and cache.caches == [None] * len(specs)
     with pytest.raises(ValueError, match="consumed by an earlier backward"):
         backward(cache, np.ones_like(preds))
 
 
-def test_tail_fft_conv_holds_no_whole_spectrum_or_weight_gradient(monkeypatch):
-    # One multi-channel FFT conv, run once over its call, whose filter
-    # spectrum (557 KB) and weight gradient (270 KB) dwarf every other
-    # array. Its forward and its backward with the update build the spectrum
-    # a map at a time, and the backward applies each map's gradient to the
-    # weights as soon as it is made, so neither traced peak reaches either
-    # array's size.
+def test_fft_conv_holds_no_whole_spectrum_or_weight_gradient(monkeypatch):
+    # One multi-channel FFT conv, whose filter spectrum (557 KB) and weight
+    # gradient (270 KB) dwarf every other array. Its forward and its
+    # backward with the update build the spectrum a map at a time, and the
+    # backward applies each map's gradient to the weights as soon as it is
+    # made, so neither traced peak reaches either array's size.
     from instrumentid.nn import layers
     monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1 << 10)  # one map per chunk
     _force_fft(monkeypatch, min_channels=2)
@@ -234,22 +233,17 @@ def test_tail_fft_conv_holds_no_whole_spectrum_or_weight_gradient(monkeypatch):
     gradient_bytes = params.weights[1].nbytes
 
     (preds, cache), forward_peak = traced_peak(forward, params, specs, batch, "train")
-    assert cache.split == 0 and len(cache.weights[1]) == 2  # all tail: no spectrum kept
     grads, backward_peak = traced_peak(backward, cache, np.ones_like(preds), 0.5)
     assert grads.weights[1] is None and not np.array_equal(params.weights[1], before)
     smaller = min(spectrum_bytes, gradient_bytes)
     assert max(forward_peak, backward_peak) < smaller, (forward_peak, backward_peak, smaller)
 
 
-def test_tail_gradients_are_gone_before_the_front_runs_backward(monkeypatch):
-    # conv0, relu0 and pool0 run in a front of one clip a group; fc0's
-    # weight gradient (384 KB) is the largest array. Given a learning rate,
-    # each tail layer takes its step as its one backward call returns, so
-    # that gradient is freed before the front's groups run backward; without
-    # one it is held through them, for sgd_step. conv0 steps as its last
-    # group's call returns.
-    from instrumentid.nn import layers
-    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 20000)
+def test_gradients_are_gone_before_the_layers_below_run_backward():
+    # fc0's weight gradient (384 KB) is the largest array. Given a learning
+    # rate, each layer takes its step as its backward call returns, so that
+    # gradient is freed before conv0 runs backward; without one it is held
+    # through it, for sgd_step.
     specs = [nnm.conv(16, 1), nnm.relu(), nnm.max_pool(8, 8),
              nnm.fully_connected(12), nnm.sigmoid()]
     params = init_params(specs, 2000, seed=57, dtype=np.float64)
@@ -258,7 +252,6 @@ def test_tail_gradients_are_gone_before_the_front_runs_backward(monkeypatch):
 
     def step(learning_rate):
         preds, cache = forward(params, specs, batch, "train")
-        assert cache.split == 3 and len(cache.groups) == 3
         grads, peak = traced_peak(backward, cache, np.ones_like(preds), learning_rate)
         return [g is None for g in grads.weights + grads.biases], peak
 
@@ -269,21 +262,14 @@ def test_tail_gradients_are_gone_before_the_front_runs_backward(monkeypatch):
     assert buffered_peak - stepped_peak > 0.75 * gradient_bytes, (buffered_peak, stepped_peak)
 
 
-@pytest.mark.parametrize("front", [False, True])
-def test_update_in_backward_is_bit_identical_to_sgd_step(monkeypatch, front):
+def test_update_in_backward_is_bit_identical_to_sgd_step(monkeypatch):
     # Once on the direct kernel, then with every conv on the FFT kernel, a
     # few maps per chunk, in float32. Every layer takes its SGD step inside
-    # backward. All tail, the one-channel conv0 and the multi-channel conv1
-    # and conv2 on the FFT kernel step chunk by chunk. With a front of one
-    # clip a group, conv0 and conv1 sum their groups' gradients in a buffer
-    # (and keep a whole spectrum on the FFT kernel) and step as their last
-    # group's call returns. Either way the step equals forward, backward
-    # into buffers, then sgd_step, bit for bit.
+    # backward; the one-channel conv0 and the multi-channel conv1 and conv2
+    # on the FFT kernel step chunk by chunk. The step equals forward,
+    # backward into buffers, then sgd_step, bit for bit.
     from instrumentid.nn import layers
     monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1 << 6)
-    if front:
-        # conv1's input and output (4 x 17, 6 x 13) do not fit five clips; relu1 on does
-        monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 300)
     specs = _tiny_specs(drop_rate=0.5)
     params = init_params(specs, 80, seed=70)
     batch = _tiny_input(batch=5, seed=71).astype(np.float32)
@@ -292,7 +278,6 @@ def test_update_in_backward_is_bit_identical_to_sgd_step(monkeypatch, front):
     def step(learning_rate):
         p = copy.deepcopy(params)
         preds, cache = forward(p, specs, batch, mode="train", rng=np.random.default_rng(73))
-        assert cache.split == (5 if front else 0)
         _, grad = bce_loss(preds, targets)
         grads = backward(cache, grad, learning_rate)
         applied = [g is None for g in grads.weights + grads.biases]
@@ -307,19 +292,6 @@ def test_update_in_backward_is_bit_identical_to_sgd_step(monkeypatch, front):
         assert np.array_equal(preds, want_preds)
         for got, w in zip(fused.weights + fused.biases, want.weights + want.biases, strict=True):
             assert got.dtype == np.float32 and np.array_equal(got, w), kernel
-
-    # eval: spectra built per map chunk give the predictions of whole ones
-    chunked, _ = forward(params, specs, batch, mode="eval")
-    conv_forward = layers.fft_conv_forward
-
-    def whole_spectrum(x, w, b, nfft, spectrum=None, **kwargs):
-        return conv_forward(x, w, b, nfft,
-                            layers.filter_spectrum(w, nfft) if spectrum is None else spectrum,
-                            **kwargs)
-
-    monkeypatch.setattr(layers, "fft_conv_forward", whole_spectrum)
-    whole, _ = forward(params, specs, batch, mode="eval")
-    assert np.array_equal(chunked, whole)
 
 
 def _zeros_like(params):
@@ -359,39 +331,63 @@ def test_batched_forward_backward_match_per_clip_reference():
     grad_loss = np.random.default_rng(22).normal(size=(5, 11))
 
     preds, cache = forward(params, specs, batch, mode="train", rng=np.random.default_rng(23))
-    assert cache.split == 0  # all tail
     ref_preds, ref_grads = _per_clip_reference(
         params, specs, batch, "train", np.random.default_rng(23))
     np.testing.assert_allclose(preds, ref_preds, rtol=1e-12, atol=0)
     _assert_params_close(backward(cache, grad_loss), ref_grads(grad_loss))
 
 
-def test_groups_bounded_by_largest_layer_output(monkeypatch):
+@pytest.mark.parametrize("kernel", ["direct", "fft"])
+def test_eval_predictions_are_the_concatenated_group_calls(monkeypatch, kernel):
+    # With the bound shrunk to two clips of the largest footprint, an eval
+    # call runs the whole network over groups of 2, 2 and 1 clips, and its
+    # predictions are those of one call per group. The largest footprint is
+    # conv0's 4 x 70 output on the direct kernel; on the FFT kernel conv0
+    # runs its pool and never makes that output, and its 80-sample input is
+    # the largest.
     from instrumentid.nn import layers
+    if kernel == "fft":
+        _force_fft(monkeypatch)
     specs = _tiny_specs(drop_rate=0.5)
     params = init_params(specs, 80, seed=24, dtype=np.float64)
     batch = _tiny_input(batch=5, seed=25)
-    grad_loss = np.random.default_rng(26).normal(size=(5, 11))
-    whole, whole_cache = forward(params, specs, batch, mode="train",
-                                 rng=np.random.default_rng(27))
-    whole_grads = backward(whole_cache, grad_loss)
-
-    largest = max(np.prod(s) for s in infer_shapes(specs, 80, 1))
+    shapes = [(1, 80)] + infer_shapes(specs, 80, 1)
+    largest = nnm._largest_footprint(specs, shapes, nnm._pooling_convs(specs, shapes))
+    assert largest == {"direct": 4 * 70, "fft": 80}[kernel]
     monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * largest + 1)
-    conv_forward = layers.temporal_conv_forward
-    conv0_clips = []
+    calls = _spy_layer_calls(monkeypatch, specs)
+    preds, _ = forward(params, specs, batch, mode="eval")
+    groups = [slice(0, 2), slice(2, 4), slice(4, 5)]
+    run = [i for i in range(len(specs)) if not _pool_run_by_conv(specs, i, kernel)]
+    assert calls == [("forward", i, s.stop - s.start) for s in groups for i in run]
+    want = np.concatenate([forward(params, specs, batch[s], mode="eval")[0] for s in groups])
+    assert np.array_equal(preds, want)
 
-    def spy(x, w, b):
-        if x.shape[-2] == 1:
-            conv0_clips.append(len(x))
-        return conv_forward(x, w, b)
 
-    monkeypatch.setattr(layers, "temporal_conv_forward", spy)
-    split, split_cache = forward(params, specs, batch, mode="train",
-                                 rng=np.random.default_rng(27))
-    assert conv0_clips == [2, 2, 1]  # the front runs in groups of the clips that fit
-    np.testing.assert_allclose(split, whole, rtol=1e-12, atol=0)
-    _assert_params_close(backward(split_cache, grad_loss), whole_grads)
+def _pool_run_by_conv(specs, i, kernel):
+    """Whether layer ``i`` is a pool its FFT conv runs, with every conv of
+    the tiny net on ``kernel``."""
+    return (kernel == "fft" and specs[i].kind is LayerKind.MAX_POOL
+            and specs[i - 1].kind is LayerKind.TEMPORAL_CONV)
+
+
+def _spy_layer_calls(monkeypatch, specs):
+    """Record ``(direction, layer index, clips)`` for every forward and
+    backward call of a layer of ``specs``."""
+    index = {id(layer): i for i, layer in enumerate(specs)}
+    calls = []
+
+    def spy(kind, method):
+        def call(self, *args, **kwargs):
+            x = args[0] if method.__name__ == "forward" else args[2]
+            calls.append((method.__name__, index[id(self)], len(x)))
+            return method(self, *args, **kwargs)
+        monkeypatch.setattr(kind, method.__name__, call)
+
+    for kind in {type(layer) for layer in specs}:
+        spy(kind, kind.forward)
+        spy(kind, kind.backward)
+    return calls
 
 
 def _conv_plans(specs, input_length):
@@ -441,11 +437,10 @@ def _force_fft(monkeypatch, min_channels=1):
     monkeypatch.setattr(nnm.conv, "fft_plan", plan)
 
 
-def test_fft_network_matches_direct_and_builds_spectra_once_per_forward(monkeypatch):
-    # A front FFT conv builds its whole filter spectrum once per forward
-    # call, however many groups it runs in, and its input gradient reuses
-    # it; a tail one builds one map chunk's spectrum at a time in each pass
-    # that reads it
+def test_fft_network_matches_direct_and_builds_spectra_per_map_chunk(monkeypatch):
+    # Every FFT conv builds one map chunk's filter spectrum at a time in
+    # each pass that reads it: the forward, and the input gradient of every
+    # conv but layer 0
     from instrumentid.nn import layers
     specs = _tiny_specs(drop_rate=0.5)
     params = init_params(specs, 80, seed=28, dtype=np.float64)
@@ -456,7 +451,7 @@ def test_fft_network_matches_direct_and_builds_spectra_once_per_forward(monkeypa
     direct_grads = backward(direct_cache, grad_loss)
 
     _force_fft(monkeypatch)
-    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 300)  # conv0 to pool1 in front, a clip a group
+    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 300)  # no bound on a train call
     monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1)  # one map per chunk
     build, built = layers.filter_spectrum, []
 
@@ -466,111 +461,74 @@ def test_fft_network_matches_direct_and_builds_spectra_once_per_forward(monkeypa
 
     monkeypatch.setattr(layers, "filter_spectrum", spy)
     preds, cache = forward(params, specs, batch, mode="train", rng=np.random.default_rng(31))
-    assert cache.split == 5 and len(cache.front_caches) == 5
-    once = [(4, 1), (6, 4)]  # conv0 and conv1, in the front, whole
-    per_chunk = [(1, 6)] * 6  # conv2, in the tail, map by map
-    assert built == once + per_chunk
-    # layer 0 computes no input gradient, so forward dropped its spectrum;
-    # conv1's (layer 3) stays for its input gradient; conv2 (layer 6) keeps none
-    assert cache.weights[0][2] is None and cache.weights[3][2] is not None
-    assert len(cache.weights[6]) == 2
+    # conv0, conv1 and conv2, map by map
+    per_chunk = [[(1, 1)] * 4, [(1, 4)] * 6, [(1, 6)] * 6]
+    assert built == sum(per_chunk, [])
     grads = backward(cache, grad_loss)
-    assert built == once + per_chunk * 2  # conv1's input gradient reuses its spectrum
+    assert built == sum(per_chunk + per_chunk[:0:-1], [])  # conv2's, then conv1's input gradient
     np.testing.assert_allclose(preds, direct, rtol=1e-10, atol=0)
     for got, want in zip(grads.weights + grads.biases, direct_grads.weights + direct_grads.biases):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
-    forward(params, specs, batch, mode="eval")
-    assert built == once + per_chunk * 2 + once + per_chunk  # an eval call builds its own
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
-def test_spectra_live_from_their_layer_first_call_to_their_last_reader(monkeypatch, mode):
+def test_no_filter_spectrum_outlives_its_pass(monkeypatch, mode):
     from instrumentid.nn import layers
     _force_fft(monkeypatch)
-    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * 4 * 70 + 1)  # conv0, pool0 in front
+    monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1)  # one map per chunk
     specs = _tiny_specs(drop_rate=0.5)
-    assert _tail_start(specs, 80, 5) == 2
     params = init_params(specs, 80, seed=43, dtype=np.float64)
     build, conv_forward = layers.filter_spectrum, layers.fft_conv_forward
-    spectra, events = [], []  # weak references; (event, conv input channels, ...)
+    spectra, alive = [], []  # weak references; the live count at each conv call
 
     def spy_build(w, nfft):
         spectrum = build(w, nfft)
         spectra.append(weakref.ref(spectrum))
-        events.append(("build", w.shape[1]))
         return spectrum
 
-    def spy_forward(x, *args, **kwargs):
-        events.append(("forward", x.shape[-2], len(x), [ref() is not None for ref in spectra]))
-        return conv_forward(x, *args, **kwargs)
+    def spy_forward(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in spectra))
+        return conv_forward(*args, **kwargs)
 
     monkeypatch.setattr(layers, "filter_spectrum", spy_build)
     monkeypatch.setattr(layers, "fft_conv_forward", spy_forward)
     _, cache = forward(params, specs, _tiny_input(batch=5, seed=44), mode=mode,
                        rng=np.random.default_rng(45))
-    # conv0, in the front, builds its spectrum before its first group's call
-    # and drops it after its last; the tail convs build theirs inside their
-    # one call, and none outlives it
-    assert events == [("build", 1), *[("forward", 1, clips, [True]) for clips in (2, 2, 1)],
-                      ("forward", 4, 5, [False]), ("build", 4),
-                      ("forward", 6, 5, [False, False]), ("build", 6)]
+    assert len(spectra) == 4 + 6 + 6 and alive == [0, 0, 0]
     assert not any(ref() is not None for ref in spectra)
 
 
-def test_fft_weight_gradients_summed_over_groups_equal_one_group(monkeypatch):
+@pytest.mark.parametrize("kernel", ["direct", "fft"])
+def test_train_mode_runs_each_layer_once_however_small_the_bound(monkeypatch, kernel):
+    # With the bound shrunk below one clip's footprint, a train step still
+    # calls every layer once over the whole batch, forward and backward, and
+    # walks the layer shapes once. A pool its FFT conv runs is not called.
+    # The results are those at the default bound, up to the rounding of
+    # the direct kernel's im2col chunks, which the bound also sizes.
     from instrumentid.nn import layers
-    _force_fft(monkeypatch)
+    if kernel == "fft":
+        _force_fft(monkeypatch)
     specs = _tiny_specs(drop_rate=0.5)
-    params = init_params(specs, 80, seed=32, dtype=np.float64)
-    batch = _tiny_input(batch=5, seed=33)
-    grad_loss = np.random.default_rng(34).normal(size=(5, 11))
+    params = init_params(specs, 80, seed=36, dtype=np.float64)
+    batch = _tiny_input(batch=5, seed=37)
+    grad_loss = np.random.default_rng(38).normal(size=(5, 11))
     whole, whole_cache = forward(params, specs, batch, mode="train",
-                                 rng=np.random.default_rng(35))
-    assert whole_cache.split == 0  # all tail
+                                 rng=np.random.default_rng(39))
     whole_grads = backward(whole_cache, grad_loss)
 
-    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 1)  # all front, one clip per call
-    split, split_cache = forward(params, specs, batch, mode="train",
-                                 rng=np.random.default_rng(35))
-    assert len(split_cache.front_caches) == 5
-    np.testing.assert_allclose(split, whole, rtol=1e-12, atol=0)
-    split_grads = backward(split_cache, grad_loss)
-    for got, want in zip(split_grads.weights + split_grads.biases,
-                         whole_grads.weights + whole_grads.biases):
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
-
-
-def test_front_layers_get_one_call_per_group_and_shapes_are_walked_once(monkeypatch):
-    from instrumentid.nn import layers
-    specs = _tiny_specs(drop_rate=0.5)
-    params = init_params(specs, 80, seed=40, dtype=np.float64)
-    batch = _tiny_input(batch=5, seed=41)
-    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * 4 * 70 + 1)  # conv0, pool0 in front
-    walks, calls = [], []
+    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 1)
+    walks = []
     walk = nnm.infer_shapes
     monkeypatch.setattr(nnm, "infer_shapes", lambda *args: walks.append(args) or walk(*args))
-    index = {id(layer): i for i, layer in enumerate(specs)}
-
-    def spy(kind, method):
-        def call(self, *args):
-            x = args[0] if method.__name__ == "forward" else args[2]
-            calls.append((index[id(self)], len(x)))
-            return method(self, *args)
-        monkeypatch.setattr(kind, method.__name__, call)
-
-    for kind in {type(layer) for layer in specs}:
-        spy(kind, kind.forward)
-        spy(kind, kind.backward)
-    preds, cache = forward(params, specs, batch, mode="train", rng=np.random.default_rng(42))
+    calls = _spy_layer_calls(monkeypatch, specs)
+    preds, cache = forward(params, specs, batch, mode="train", rng=np.random.default_rng(39))
+    grads = backward(cache, grad_loss)
+    run = [i for i in range(len(specs)) if not _pool_run_by_conv(specs, i, kernel)]
+    assert calls == ([("forward", i, 5) for i in run]
+                     + [("backward", i, 5) for i in reversed(run)])
     assert len(walks) == 1
-    backward(cache, np.ones_like(preds))
-    forward(params, specs, batch, mode="eval")
-    assert len(walks) == 2
-    # conv0 and pool0: forward, backward and eval forward, once per group of
-    # 2, 2 and 1 clips each
-    assert sorted(c for c in calls if c[0] < 2) == (
-        [(0, 1)] * 3 + [(0, 2)] * 6 + [(1, 1)] * 3 + [(1, 2)] * 6)
-    assert {clips for i, clips in calls if i >= 2} == {5}
+    np.testing.assert_allclose(preds, whole, rtol=1e-12, atol=0)
+    _assert_params_close(grads, whole_grads)
 
 
 def test_forward_walks_each_layer_shape_once(monkeypatch):
@@ -586,116 +544,58 @@ def test_forward_walks_each_layer_shape_once(monkeypatch):
     assert calls == [type(layer) for layer in specs]  # 14 layers, one call each
 
 
-def _front_tail(layers, input_length, clips):
-    """``nnm._front_tail`` as ``forward`` calls it on one-channel clips."""
-    shapes = [(1, input_length)] + infer_shapes(layers, input_length, 1)
-    return nnm._front_tail(layers, shapes, clips, nnm._pooling_convs(layers, shapes))
+def _eval_group(specs, input_length):
+    """``(largest footprint, clips per eval group)`` of ``specs`` on
+    one-channel clips: the largest per-clip footprint of a layer call,
+    which ``forward`` hands to ``nn.layers._chunks``, and the clips of it
+    that fit the bound."""
+    shapes = [(1, input_length)] + infer_shapes(specs, input_length, 1)
+    largest = nnm._largest_footprint(specs, shapes, nnm._pooling_convs(specs, shapes))
+    return largest, L._CONV_CHUNK_ELEMS // largest
 
 
-def _tail_start(layers, input_length, clips):
-    return _front_tail(layers, input_length, clips)[0]
+def test_eval_groups_are_16_clips_for_table1_and_22075_for_the_reduced_net():
+    # Table-1: conv1's block spectra, 193 bins x 21 blocks x 256 channels a
+    # clip. conv0 runs pool0, so its 256 x 41,000 output is never made and
+    # counts for nothing: its footprint is its 256 x 2,049 pooled maps.
+    assert _eval_group(table1_layers(), FULL_INPUT_LENGTH) == (1_037_568, 16)
+    shapes = [(1, FULL_INPUT_LENGTH)] + infer_shapes(table1_layers(), FULL_INPUT_LENGTH, 1)
+    assert table1_layers()[0].footprint(shapes[0], shapes[2]) == 256 * 2049
+    # the reduced net, all direct kernel: conv0's 4 x 190 output
+    assert _eval_group(reduced_layers(), REDUCED_INPUT_LENGTH) == (760, 22_075)
 
 
-@pytest.mark.parametrize("kernel", ["direct", "fft"])
-def test_tail_runs_once_over_the_batch_after_front_groups(monkeypatch, kernel):
-    from instrumentid.nn import layers
-    if kernel == "fft":
-        _force_fft(monkeypatch)
-    specs = _tiny_specs(drop_rate=0.5)
-    params = init_params(specs, 80, seed=36, dtype=np.float64)
-    batch = _tiny_input(batch=5, seed=37)
-    grad_loss = np.random.default_rng(38).normal(size=(5, 11))
-    whole, whole_cache = forward(params, specs, batch, mode="train",
-                                 rng=np.random.default_rng(39))
-    whole_grads = backward(whole_cache, grad_loss)
-
-    # conv0's and pool0's 4 x 70 maps do not fit five clips; from relu0 on,
-    # the largest footprint (conv1's 6 x 13 output) does
-    monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * 4 * 70 + 1)
-    assert _tail_start(specs, 80, 5) == 2
-    calls = []
-    # the FFT backward's weight-gradient pass runs once per call, as the direct backward
-    names = (("fft_conv_forward", "fft_conv_param_grads") if kernel == "fft"
-             else ("temporal_conv_forward", "temporal_conv_backward"))
-    for name, direction in zip(names, ("forward", "backward")):
-        def spy(x, *args, _f=getattr(layers, name), _d=direction, **kwargs):
-            calls.append((_d, x.shape[-2], len(x)))
-            return _f(x, *args, **kwargs)
-        monkeypatch.setattr(layers, name, spy)
-
-    split, split_cache = forward(params, specs, batch, mode="train",
-                                 rng=np.random.default_rng(39))
-    split_grads = backward(split_cache, grad_loss)
-    # (direction, input channels, clips): conv0 once per group of 2, 2 and
-    # 1 clips, conv1 and conv2 once over all five clips
-    groups = (2, 2, 1)
-    assert calls == ([("forward", 1, clips) for clips in groups]
-                     + [("forward", 4, 5), ("forward", 6, 5),
-                        ("backward", 6, 5), ("backward", 4, 5)]
-                     + [("backward", 1, clips) for clips in groups])
-    assert len(split_cache.front_caches) == 3
-    np.testing.assert_allclose(split, whole, rtol=1e-12, atol=0)
-    _assert_params_close(split_grads, whole_grads)
-
-
-def test_table1_tail_starts_at_relu0_up_to_batch_16():
+@pytest.mark.parametrize("clips", [1, 16, 5000])  # one clip, a train batch, an eval set
+def test_table1_eval_group_arrays_fit_the_bound(clips):
+    # every array a layer call of a group makes: its input, its output or,
+    # for conv0 and conv1, which run their pools, the pooled maps, and on
+    # the FFT kernel its block spectra
     specs = table1_layers()
-    for clips in (2, 16):
-        assert _tail_start(specs, FULL_INPUT_LENGTH, clips) == 2  # relu0
-    assert _tail_start(specs, FULL_INPUT_LENGTH, 1) == 0  # one clip: all tail
-    # from 17 clips conv1's block spectra no longer fit: relu0, conv1 and
-    # pool1, which takes conv1's footprint, join the front (pool1's own
-    # 384 x 1750 input would keep it in the tail up to 24 clips)
-    for clips in (17, 24, 25):
-        assert _tail_start(specs, FULL_INPUT_LENGTH, clips) == 5  # relu1
+    group = min(clips, _eval_group(specs, FULL_INPUT_LENGTH)[1])
+    ins = [(1, FULL_INPUT_LENGTH)] + infer_shapes(specs, FULL_INPUT_LENGTH, 1)
+    pooling = nnm._pooling_convs(specs, ins)
+    assert pooling == {0, 3}
+    for i, layer in enumerate(specs):
+        if i - 1 in pooling:
+            continue  # a pool its FFT conv runs
+        out = ins[i + 2] if i in pooling else ins[i + 1]
+        arrays = [np.prod(ins[i]), np.prod(out)]
+        plan = layer.fft_plan(ins[i]) if layer.kind is LayerKind.TEMPORAL_CONV else None
+        if plan is not None:  # the block spectra
+            arrays.append(plan.bins * plan.blocks * ins[i][0])
+        assert max(arrays) * group <= L._CONV_CHUNK_ELEMS, layer
 
 
-@pytest.mark.parametrize("clips", [2, 16, 17])
-def test_table1_front_groups_are_one_clip(clips):
-    # conv0's 256 x 41,000 output is more than half the bound
-    _, groups = _front_tail(table1_layers(), FULL_INPUT_LENGTH, clips)
-    assert groups == [slice(i, i + 1) for i in range(clips)]
-
-
-def test_reduced_eval_past_the_bound_runs_its_front_in_groups(monkeypatch):
-    # 22,076 clips put conv0 and pool0 in the front; their 4 x 190 per clip
-    # fits 22,075 clips in the bound, so conv0 runs twice, not once per clip
-    from instrumentid.nn import layers
+def test_reduced_eval_past_the_bound_runs_in_groups(monkeypatch):
+    # 22,076 clips are two eval groups, of 22,075 clips and of one, each
+    # running every layer
     specs = reduced_layers()
     params = init_params(specs, REDUCED_INPUT_LENGTH, seed=57)
     batch = np.zeros((22_076, 1, REDUCED_INPUT_LENGTH), dtype=np.float32)
-    conv_forward, conv0_clips = layers.temporal_conv_forward, []
-
-    def spy(x, w, b):
-        if x.shape[-2] == 1:
-            conv0_clips.append(len(x))
-        return conv_forward(x, w, b)
-
-    monkeypatch.setattr(layers, "temporal_conv_forward", spy)
+    calls = _spy_layer_calls(monkeypatch, specs)
     preds, _ = forward(params, specs, batch, mode="eval")
-    assert conv0_clips == [22_075, 1]
-    assert _front_tail(specs, REDUCED_INPUT_LENGTH, 22_076) == (
-        2, [slice(0, 22_075), slice(22_075, 22_076)])
+    assert calls == [("forward", i, clips) for clips in (22_075, 1) for i in range(len(specs))]
     assert preds.shape == (22_076, 11)
-
-
-@pytest.mark.parametrize("clips", [16, 5000])  # conv1 in the tail; an eval set
-def test_table1_tail_arrays_fit_the_bound(clips):
-    from instrumentid.nn import layers
-    specs = table1_layers()
-    split = _tail_start(specs, FULL_INPUT_LENGTH, clips)
-    ins = [(1, FULL_INPUT_LENGTH)] + infer_shapes(specs, FULL_INPUT_LENGTH, 1)
-    for layer, shape, out in zip(specs[split:], ins[split:-1], ins[split + 1:]):
-        arrays = [np.prod(shape), np.prod(out)]
-        plan = layer.fft_plan(shape) if layer.kind is LayerKind.TEMPORAL_CONV else None
-        if plan is not None:  # the block spectra
-            arrays.append(plan.bins * plan.blocks * shape[0])
-        assert max(arrays) * clips <= layers._CONV_CHUNK_ELEMS, layer
-
-
-@pytest.mark.parametrize("clips", [16, 288, 22_075])
-def test_reduced_net_is_one_call_per_layer(clips):
-    assert _front_tail(reduced_layers(), REDUCED_INPUT_LENGTH, clips) == (0, [])
 
 
 def test_dropout_gradient_under_fixed_mask():

@@ -192,13 +192,12 @@ class TestTrainModel:
         assert finite_backward_inputs == [True] * (step - 1)
         assert not list(cfg.checkpoint_dir().glob("epoch_*"))
 
-    def test_non_finite_gradient_of_a_front_conv_stops_before_its_layer_steps(
+    def test_non_finite_gradient_of_conv0_stops_before_its_layer_steps(
             self, tmp_path, monkeypatch):
-        # With the bound shrunk, the reduced net at batch 4 runs conv0 and
-        # pool0 in a front of one clip a group and the rest as its tail. A
-        # NaN in conv0's weight gradient at the first group's call is carried
-        # in the buffer the groups sum into, and found when the last group's
-        # call returns: after every tail layer's step, before conv0's own.
+        # The reduced net at batch 4 runs every layer once over the batch,
+        # even with the bound shrunk. A NaN in conv0's weight gradient is
+        # found as conv0's one backward call returns: after every other
+        # layer's step, before conv0's own.
         import copy
         import instrumentid.training as training
         from instrumentid.nn import init_params, layers
@@ -206,13 +205,11 @@ class TestTrainModel:
         monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 1500)
         conv_backward, calls = layers.temporal_conv_backward, []
 
-        def poisoned(x, weights, grad_out, needs_input_grad=True, grad_weights=None):
-            grad_x, grad_weights, grad_bias = conv_backward(
-                x, weights, grad_out, needs_input_grad, grad_weights)
+        def poisoned(x, weights, grad_out, needs_input_grad=True):
+            grad_x, grad_weights, grad_bias = conv_backward(x, weights, grad_out, needs_input_grad)
             if x.shape[-2] == 1:  # conv0's one input channel
                 calls.append(len(x))
-                if len(calls) == 1:
-                    grad_weights[0, 0, 0] = np.nan
+                grad_weights[0, 0, 0] = np.nan
             return grad_x, grad_weights, grad_bias
 
         monkeypatch.setattr(layers, "temporal_conv_backward", poisoned)
@@ -230,14 +227,14 @@ class TestTrainModel:
         assert str(err.value).endswith("; no checkpoint written")
         clips = ast.literal_eval(re.search(r"on clips (\[.*?\])", str(err.value)).group(1))
         assert len(clips) == 4 and set(clips) <= set(data.ids)
-        assert calls == [1] * 4  # one call per group
+        assert calls == [4]  # one call over the batch
         moved = [not np.array_equal(p, q) for p, q in
                  zip(params.weights + params.biases, before.weights + before.biases)]
         assert moved == [False, True, True, True, True] * 2  # every layer but conv0
         assert updates == []
         assert not list(cfg.checkpoint_dir().glob("epoch_*"))
 
-    def test_non_finite_weight_chunk_of_a_tail_fft_conv_stops_before_its_update(
+    def test_non_finite_weight_chunk_of_an_fft_conv_stops_before_its_update(
             self, tmp_path, monkeypatch):
         # conv1 and conv2 on the FFT kernel, one map per chunk, each run once
         # over the batch, so backward applies their steps chunk by chunk. A
@@ -280,9 +277,9 @@ class TestTrainModel:
         assert updates == []
         assert not list(cfg.checkpoint_dir().glob("epoch_*"))
 
-    def test_non_finite_gradient_of_a_tail_fc_stops_before_its_layer_steps(
+    def test_non_finite_gradient_of_an_fc_stops_before_its_layer_steps(
             self, tmp_path, monkeypatch):
-        # The reduced net at batch 4 is all tail, so each layer takes its SGD
+        # The reduced net at batch 4 runs each layer once, so each takes its SGD
         # step as its backward call returns, last layer first. A NaN in fc0's
         # weight gradient stops the run after fc1's step and before fc0's,
         # and before any layer below fc0 has run its backward.
