@@ -4,8 +4,9 @@ The archive holds ``weight_{i}`` and ``bias_{i}`` (float32) for each
 parameterized layer, and 0-d arrays ``version``, ``learning_rate``
 (float64), ``batch_size``, ``epochs``, ``seed`` (uint64) and ``epoch``.
 Round-trips are bit-exact. A file that does not start as a zip archive,
-such as a version 1 one, is refused, as are stored fields that
-``SgdConfig`` rejects and an ``epoch`` outside 0 to ``epochs``.
+such as a version 1 one, is refused, as are stored fields that are not 0-d
+of their kind (a float learning rate, integers elsewhere) or that
+``SgdConfig`` rejects, and an ``epoch`` outside 0 to ``epochs``.
 """
 
 import os
@@ -73,19 +74,26 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: checkpoint has no {key!r} array")
         return arrays[key]
 
-    version = int(field("version"))
+    def scalar(key, kind="integer"):  # the Python value of a 0-d array of its kind
+        value = field(key)
+        if value.ndim or value.dtype.kind not in ("f" if kind == "float" else "iu"):
+            raise CheckpointError(f"{path}: stored {key!r} is not a 0-d {kind} "
+                                  f"(dtype {value.dtype}, shape {value.shape})")
+        return value.item()
+
+    version = scalar("version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     layers = range(sum(key.startswith("weight_") for key in arrays))
     params = ModelParams([field(f"weight_{i}") for i in layers],
                          [field(f"bias_{i}") for i in layers])
-    stored = dict(learning_rate=float(field("learning_rate")), batch_size=int(field("batch_size")),
-                  epochs=int(field("epochs")), seed=int(field("seed")))
+    stored = dict(learning_rate=scalar("learning_rate", "float"),
+                  batch_size=scalar("batch_size"), epochs=scalar("epochs"), seed=scalar("seed"))
     try:
         sgd = SgdConfig(**stored)
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from err
-    epoch = int(field("epoch"))
+    epoch = scalar("epoch")
     if not 0 <= epoch <= sgd.epochs:
         raise CheckpointError(f"{path}: stored 'epoch' {epoch} is outside 0 to {sgd.epochs}, "
                               "the stored 'epochs'")

@@ -36,7 +36,10 @@ the ``[clips, blocks, bins]`` block spectra, and every transform runs along
 the contiguous last axis with no transposed copy. The input-gradient pass
 has the per-bin form only, since a first layer asks for no input gradient.
 The FFT kernel is far cheaper than the direct one for long filters.
-:func:`fft_plan` picks the kernel by one cost rule. Its :class:`FftPlan`,
+:func:`fft_plan` picks the kernel by one cost rule, for the clips of a
+call: they share one filter spectrum, so the more clips, the longer the
+``nfft`` it may pick and the shorter the filters it moves to the FFT
+kernel. Its :class:`FftPlan`,
 the ``nfft``, hop, blocks and bins of the overlap-save geometry, has one
 constructor, :func:`overlap_save`, which every FFT pass calls on its own
 operands. The kernel has two bounds. Map chunks, within
@@ -92,9 +95,12 @@ _FFT_WORK_ELEMS = 1 << 17
 # One real FFT of length n costs about _FFT_COST * n * log2(n) multiply-adds
 # of the direct kernel's float32 GEMM. Timed on one core for the kernel's
 # float32 transform stages at the Table-1 shapes (pocketfft against
-# OpenBLAS), n from 384 to 12288: 6 to 13. Every value from 8 to 40 gives
-# both nets the same kernels and lengths.
-_FFT_COST = 10
+# OpenBLAS), n from 384 to 12288: 6 to 13. Within that, 12 keeps Table-1
+# conv2 direct at 2 clips, where it ran faster than at nfft 32 (0.043
+# against 0.057 CPU s a step), and moves it to the FFT kernel from 3 clips
+# (about even at 3 and 4, faster from 8). Every value from 12 to 14 gives
+# both nets the same kernels and lengths at 1, 2 and 16 clips.
+_FFT_COST = 12
 
 
 def _chunks(n: int, per_item: int, bound: int) -> list[slice]:
@@ -258,22 +264,24 @@ def overlap_save(nfft: int, filter_size: int, length: int) -> FftPlan:
 
 
 @functools.cache  # conv.footprint, forward and backward each ask, for a handful of geometries
-def fft_plan(maps: int, filter_size: int, shape):
+def fft_plan(maps: int, filter_size: int, shape, clips: int):
     """The FFT kernel's :class:`FftPlan` for ``[maps, channels,
-    filter_size]`` filters over a ``[channels, length]`` input, or None
-    where the direct kernel costs less.
+    filter_size]`` filters over ``clips`` clips of a ``[channels, length]``
+    input in one call, or None where the direct kernel costs less.
 
     The cost rule, in multiply-adds per clip: the direct kernel costs
     ``maps * channels * filter_size * out_len``. The FFT kernel at length
-    ``n``, on the plan :func:`overlap_save` makes, costs ``maps * channels +
-    (maps + channels) * blocks`` transforms of ``_FFT_COST * n * log2(n)``
-    each, the filter spectrum counted whole as if every ``forward`` call
-    held one clip, plus four per complex multiply-add of the per-bin
-    products, ``bins * maps * channels * blocks``. ``n`` runs over the even
-    sizes ``2^a`` and ``3 * 2^a`` (fast FFT lengths at most 4/3 apart) from
-    the filter size on. The cheapest wins if it beats the direct kernel.
-    Short filters stay direct: their filter transforms alone outweigh the
-    direct product.
+    ``n``, on the plan :func:`overlap_save` makes, costs ``maps * channels
+    / clips + (maps + channels) * blocks`` transforms of ``_FFT_COST * n *
+    log2(n)`` each, the filter spectrum being made once per call and shared
+    by its clips (0 clips count as 1), plus four per complex multiply-add of
+    the per-bin products, ``bins * maps * channels * blocks``. ``n`` runs
+    over the even sizes ``2^a`` and ``3 * 2^a`` (fast FFT lengths at most
+    4/3 apart) from the filter size on. The cheapest wins if it beats the
+    direct kernel. Short filters stay direct: their filter transforms alone
+    outweigh the direct product, the more so the fewer clips share them. So
+    a call of more clips may take a longer ``nfft`` (fewer blocks), or the
+    FFT kernel where one clip takes the direct one.
     """
     channels, length = shape
     best, best_cost = None, maps * channels * filter_size * (length - filter_size + 1)
@@ -281,7 +289,7 @@ def fft_plan(maps: int, filter_size: int, shape):
         if n % 2 or n < filter_size:
             continue
         plan = overlap_save(n, filter_size, length)
-        transforms = maps * channels + (maps + channels) * plan.blocks
+        transforms = maps * channels / max(1, clips) + (maps + channels) * plan.blocks
         cost = (_FFT_COST * transforms * n * math.log2(n)
                 + 4 * plan.bins * maps * channels * plan.blocks)
         if cost < best_cost:

@@ -33,8 +33,9 @@ class _Layer:
     """Shape, parameters and the ``nn.layers`` glue of one layer kind.
 
     Shapes are per clip. Layers with ``has_params`` give ``param_shapes(input
-    shape)``; ``footprint(input shape, output shape)``, both read from the
-    one walk of :func:`infer_shapes`, sizes eval calls (see :func:`forward`).
+    shape)``; ``footprint(input shape, output shape, clips)``, both shapes
+    read from the one walk of :func:`infer_shapes`, sizes eval calls (see
+    :func:`forward`).
     ``forward(x, weights, training, rng)`` takes clips ``[clips, ...]`` and
     the layer's weights, ``(weight, bias)`` or empty; it returns ``(output,
     cache)``. A ``conv`` may also take the ``max_pool`` after it and return
@@ -52,8 +53,9 @@ class _Layer:
     def output_shape(self, shape):
         return shape
 
-    def footprint(self, shape, out):
-        """Elements of the largest array a call makes per clip: its input or output."""
+    def footprint(self, shape, out, clips):
+        """Elements of the largest array a call of ``clips`` clips makes per
+        clip: its input or output."""
         return max(math.prod(shape), math.prod(out))
 
 
@@ -91,25 +93,27 @@ class conv(_Layer):
     def param_shapes(self, shape):
         return (self.feature_maps, shape[0], self.filter_size), (self.feature_maps,)
 
-    def fft_plan(self, shape):
-        """``nn.layers.fft_plan`` of this layer for a ``[channels, length]``
-        input: the FFT kernel's ``FftPlan``, or None for the direct kernel."""
-        return L.fft_plan(self.feature_maps, self.filter_size, shape)
+    def fft_plan(self, shape, clips):
+        """``nn.layers.fft_plan`` of this layer for a call on ``clips`` clips
+        of a ``[channels, length]`` input: the FFT kernel's ``FftPlan``, or
+        None for the direct kernel."""
+        return L.fft_plan(self.feature_maps, self.filter_size, shape, clips)
 
-    def footprint(self, shape, out):
+    def footprint(self, shape, out, clips):
         """As for any layer, or on the FFT kernel its block spectra, ``bins x
-        blocks x channels`` per clip, if larger. For a conv that runs its
-        pool, ``out`` is the pooled shape: its whole output is never made."""
-        plan = self.fft_plan(shape)
+        blocks x channels`` per clip at the plan for ``clips``, if larger.
+        For a conv that runs its pool, ``out`` is the pooled shape: its
+        whole output is never made."""
+        plan = self.fft_plan(shape, clips)
         spectra = 0 if plan is None else plan.bins * plan.blocks * shape[0]
-        return max(super().footprint(shape, out), spectra)
+        return max(super().footprint(shape, out, clips), spectra)
 
     def forward(self, x, weights, training, rng, pool=None):
-        """The kernel ``fft_plan`` picks for ``x``'s shape. Given the
-        ``max_pool`` layer after it, an FFT conv runs it too, a map chunk at
-        a time (``nn.layers.fft_conv_forward``), returns the pooled maps and
-        keeps their argmax."""
-        plan = self.fft_plan(x.shape[-2:])
+        """The kernel ``fft_plan`` picks for ``x``'s shape and clips. Given
+        the ``max_pool`` layer after it, an FFT conv runs it too, a map
+        chunk at a time (``nn.layers.fft_conv_forward``), returns the pooled
+        maps and keeps their argmax."""
+        plan = self.fft_plan(x.shape[-2:], len(x))
         if plan is None:
             return L.temporal_conv_forward(x, *weights), (x, None)
         if pool is None:
@@ -119,7 +123,7 @@ class conv(_Layer):
         return pooled, (x, argmax)
 
     def backward(self, cache, weights, g, needs_input_grad, grads, learning_rate):
-        """The kernel ``fft_plan`` picks for ``x``'s shape, as in the forward.
+        """The kernel ``fft_plan`` picks for ``x``, as in the forward.
         On the FFT kernel, two passes: ``nn.layers.fft_conv_input_grad``,
         then ``nn.layers.fft_conv_param_grads``, into a weight gradient
         buffer made then or, given a ``learning_rate``, into the weights as
@@ -127,7 +131,7 @@ class conv(_Layer):
         ``g``, which both passes scatter through the kept argmax."""
         x, argmax = cache
         w, b = weights
-        plan = self.fft_plan(x.shape[-2:])
+        plan = self.fft_plan(x.shape[-2:], len(x))
         if plan is None:
             grad_x, grads[0], gb = L.temporal_conv_backward(
                 x, w, g, needs_input_grad=needs_input_grad)
@@ -353,21 +357,22 @@ def _layer_params(params: ModelParams, layers) -> list:
     return [next(pairs) if layer.has_params else () for layer in layers]
 
 
-def _pooling_convs(layers, shapes) -> frozenset:
-    """The indices of the convs that run the ``max_pool`` after them, for
-    the per-clip ``shapes`` of the input and of each layer's output: each
-    conv on the FFT kernel followed by one."""
+def _pooling_convs(layers, shapes, clips) -> frozenset:
+    """The indices of the convs that run the ``max_pool`` after them in a
+    call on ``clips`` clips, for the per-clip ``shapes`` of the input and of
+    each layer's output: each conv on the FFT kernel followed by one."""
     return frozenset(i for i, (layer, after) in enumerate(zip(layers, layers[1:]))
                      if isinstance(layer, conv) and isinstance(after, max_pool)
-                     and layer.fft_plan(shapes[i]) is not None)
+                     and layer.fft_plan(shapes[i], clips) is not None)
 
 
-def _largest_footprint(layers, shapes, pooling) -> int:
-    """The largest per-clip footprint of a layer call, for the per-clip
-    ``shapes`` of the input and of each layer's output and the
-    :func:`_pooling_convs`: a conv that runs its pool counts the pooled maps
+def _largest_footprint(layers, shapes, clips) -> int:
+    """The largest per-clip footprint of a layer call on ``clips`` clips,
+    for the per-clip ``shapes`` of the input and of each layer's output: a
+    conv that runs its pool (:func:`_pooling_convs`) counts the pooled maps
     as its output, and the pool, which is not called, counts nothing."""
-    return max((layer.footprint(shapes[i], shapes[i + 1 + (i in pooling)])
+    pooling = _pooling_convs(layers, shapes, clips)
+    return max((layer.footprint(shapes[i], shapes[i + 1 + (i in pooling)], clips)
                 for i, layer in enumerate(layers) if i - 1 not in pooling), default=0)
 
 
@@ -380,16 +385,24 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     keeps no caches and runs the whole network over consecutive groups of
     clips, concatenating their predictions, so its memory is bounded
     however many clips it gets: ``nn.layers._chunks`` sizes the groups by
-    the largest per-clip footprint of a layer call (the largest of its
-    input, its output and, on the FFT kernel, its block spectra; see
+    the largest per-clip footprint of a one-clip layer call (the largest of
+    its input, its output and, on the FFT kernel, its block spectra; see
     :func:`_largest_footprint`), read from the call's one
     :func:`infer_shapes` walk, against ``nn.layers._CONV_CHUNK_ELEMS``
     elements, so each group is one clip or fits the bound. That is 16 clips
     for the Table-1 net, by conv1's 1,037,568 block-spectrum values a clip,
-    and 22,075 for the reduced net, by conv0's 4 x 190 output. Each group's
-    predictions are those of a call on its clips alone, which may differ
-    from one call on more clips at the rounding level, as a matrix product
-    may round differently with its row count.
+    and 22,075 for the reduced net, by conv0's 4 x 190 output. No call of
+    more clips has a larger per-clip footprint, so a group planned at its
+    own size fits too.
+
+    Every call, a train call or an eval group, plans each conv for the
+    clips it holds (``conv.fft_plan``): more clips share one filter
+    spectrum, so Table-1 conv0 and conv1 take a longer ``nfft`` from 2
+    clips on, and conv2 the FFT kernel from 3, while a one-clip call runs
+    as it always has. So each group's predictions are those of a call on
+    its clips alone, which may differ from one call on more or fewer clips
+    at the rounding level: by the plan of its convs, and as a matrix
+    product may round differently with its row count.
 
     An FFT conv builds its filter spectrum one map chunk at a time in each
     pass that reads it, so no whole spectrum is held. An FFT conv followed
@@ -411,11 +424,10 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     layers = list(layers)
     channels, length = batch.shape[1:]
     shapes = [(channels, length)] + infer_shapes(layers, length, channels)
-    pooling = _pooling_convs(layers, shapes)
     weights = _layer_params(params, layers)
     caches = []  # kept in train mode only
 
-    def run(x):
+    def run(x, pooling):
         for i, layer in enumerate(layers):
             if i - 1 in pooling:  # the conv before it ran this pool
                 layer_cache = None
@@ -428,10 +440,11 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
         return x
 
     if training:
-        return run(batch), ForwardCache(layers, weights, len(batch), pooling, caches)
-    groups = L._chunks(len(batch), _largest_footprint(layers, shapes, pooling),
-                       L._CONV_CHUNK_ELEMS)
-    return np.concatenate([run(batch[s]) for s in groups or [slice(0, 0)]]), None
+        pooling = _pooling_convs(layers, shapes, len(batch))
+        return run(batch, pooling), ForwardCache(layers, weights, len(batch), pooling, caches)
+    groups = L._chunks(len(batch), _largest_footprint(layers, shapes, 1), L._CONV_CHUNK_ELEMS)
+    return np.concatenate([run(batch[s], _pooling_convs(layers, shapes, s.stop - s.start))
+                           for s in groups or [slice(0, 0)]]), None
 
 
 def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:

@@ -71,6 +71,14 @@ def _rewrite(**changes):
     return rewrite
 
 
+# a stored scalar of the wrong shape or kind: (field, value, the kind it must be)
+SCALAR_DAMAGE = [
+    ("version", np.array([2]), "integer"),
+    ("learning_rate", np.array([0.0125]), "float"),
+    ("epoch", np.array("x"), "integer"),
+]
+
+
 @pytest.mark.parametrize("damage, match", [
     (_replace_head, "not a checkpoint archive"),
     (_truncate, "damaged"),
@@ -81,9 +89,11 @@ def _rewrite(**changes):
     (_rewrite(learning_rate=np.float64(np.nan)), "learning rate must be finite"),
     (_rewrite(batch_size=np.array(0)), "batch size must be >= 1"),
     (_rewrite(epoch=np.array(-1)), "'epoch' -1 is outside 0 to 7"),
+    *[(_rewrite(**{key: value}), rf"stored '{key}' is not a 0-d {kind} \(dtype")
+      for key, value, kind in SCALAR_DAMAGE],
 ], ids=["bad-leading-bytes", "truncated", "flipped-tensor-byte", "v1-header",
         "missing-key", "wrong-version", "nan-learning-rate", "zero-batch-size",
-        "negative-epoch"])
+        "negative-epoch", "1-d-version", "1-d-learning-rate", "text-epoch"])
 def test_rejects_damaged_checkpoint(sample, tmp_path, damage, match):
     path, params, _ = sample
     broken = tmp_path / "broken.ckpt"

@@ -11,7 +11,8 @@ from instrumentid.cli import _manifest_features, main
 from instrumentid.config import RunConfig, load_config
 from instrumentid.dataset import read_manifest
 from instrumentid.features import MfccConfig
-from instrumentid.nn import load_checkpoint, save_checkpoint
+from instrumentid.nn import SgdConfig, init_params, load_checkpoint, save_checkpoint
+from instrumentid.training import architecture
 
 from helpers import descriptors_on, eleven_class_corpus, write_config, write_corpus
 
@@ -251,6 +252,28 @@ def test_evaluate_missing_checkpoint_fails_cleanly(workspace, capsys):
     assert main(["prepare-dataset", "--config", str(cfg)]) == 0
     assert main(["evaluate", "--config", str(cfg)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("version", np.array([2])), ("learning_rate", np.array([0.0125])), ("epoch", np.array("x")),
+], ids=["1-d-version", "1-d-learning-rate", "text-epoch"])
+def test_evaluate_names_a_checkpoint_field_of_the_wrong_shape_or_kind(workspace, capsys,
+                                                                      key, value):
+    tmp_path, cfg = workspace
+    assert main(["prepare-dataset", "--config", str(cfg)]) == 0
+    config = load_config(cfg)
+    best = config.checkpoint_dir() / "best.ckpt"
+    best.parent.mkdir(parents=True)
+    save_checkpoint(best, init_params(*architecture(config), seed=0), SgdConfig(), epoch=1)
+    with np.load(best) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    with open(best, "wb") as fh:  # np.savez would add .npz to a path
+        np.savez(fh, **{**arrays, key: value})
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {best}: stored '{key}' is not a 0-d ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [["extract-features"], ["baseline", "--kind", "majority"]])

@@ -231,20 +231,28 @@ class TestFftConv:
         assert relative_error(gw, numeric_gradient(lambda v: loss(x, v, b), w)) < FD_TOL
         assert relative_error(gb, numeric_gradient(lambda v: loss(x, w, v), b)) < FD_TOL
 
-    @pytest.mark.parametrize("layer, shape", [
-        (nnm.conv(384, 300), (1, 256, 2049)),   # Table-1 conv1, a few maps and channels
-        (nnm.conv(256, 3101), (1, 1, 44100)),   # Table-1 conv0, a few maps
-        (nnm.conv(256, 3101), (2, 1, 44100)),   # and two clips in one call
+    @pytest.mark.parametrize("layer, shape, clips, nfft", [
+        # Table-1 conv0, a few maps, at the plans of a call on 1 and 2 clips
+        (nnm.conv(256, 3101), (1, 1, 44100), 1, 12288),
+        (nnm.conv(256, 3101), (2, 1, 44100), 2, 24576),
+        # Table-1 conv1 and conv2, a few maps and channels, at 1, 2 and 16 clips
+        (nnm.conv(384, 300), (1, 256, 2049), 1, 384),
+        (nnm.conv(384, 300), (1, 256, 2049), 2, 512),
+        (nnm.conv(384, 300), (1, 256, 2049), 16, 768),
+        (nnm.conv(384, 20), (1, 384, 87), 3, 32),
+        (nnm.conv(384, 20), (1, 384, 87), 16, 48),
     ])
-    def test_float32_at_table1_geometry(self, layer, shape):
+    def test_float32_at_table1_geometry(self, layer, shape, clips, nfft):
+        # the nfft production runs for a call on ``clips`` clips; the oracle
+        # needs only a clip or two of it
         *lead, channels, length = shape
+        assert layer.fft_plan((channels, length), clips).nfft == nfft
         rng = np.random.default_rng(31)
         x = rng.normal(size=(*lead, min(channels, 3), length)).astype(np.float32)
         w = (rng.normal(size=(2, len(x[0]), layer.filter_size)) * 0.05).astype(np.float32)
         b = rng.normal(size=2).astype(np.float32)
         # the input gradient of a one-channel first layer is never asked for
-        _fft_against_direct(x, w, b, layer.fft_plan((channels, length)).nfft, 1e-5,
-                            needs_input_grad=channels > 1)
+        _fft_against_direct(x, w, b, nfft, 1e-5, needs_input_grad=channels > 1)
 
     def test_filter_spectrum_layout(self):
         w = np.random.default_rng(32).normal(size=(5, 3, 4)).astype(np.float32)
@@ -396,7 +404,7 @@ class TestFftConv:
         specs = [nnm.conv(1, 3), nnm.conv(8, 1001), nnm.max_pool(100, 100), nnm.relu(),
                  nnm.fully_connected(2), nnm.sigmoid()]
         length = 4000
-        assert specs[1].fft_plan((1, length - 2)) is not None
+        assert specs[1].fft_plan((1, length - 2), 2) is not None
         params = nnm.init_params(specs, length, seed=60, dtype=np.float64)
         batch = np.random.default_rng(61).normal(size=(2, 1, length))
         r = np.random.default_rng(62).normal(size=(2, 2))
@@ -523,7 +531,7 @@ class TestFftConvWithPool:
         # Table-1 conv0 and pool0 on one clip: the unfused forward returns a
         # 42 MB output, and pool0's backward a gradient of the same size
         layer = nnm.conv(256, 3101)
-        nfft = layer.fft_plan((1, 44100)).nfft
+        nfft = layer.fft_plan((1, 44100), 1).nfft
         rng = np.random.default_rng(44)
         x = rng.normal(size=(1, 1, 44100)).astype(np.float32)
         w = (rng.normal(size=(256, 1, 3101)) * 0.02).astype(np.float32)
@@ -552,13 +560,13 @@ def test_chunks_tile_the_range_in_equal_steps(n, per_item, bound):
 @settings(max_examples=300, deadline=None)
 @given(filter_size=st.integers(1, 5000), extra=st.integers(0, 5000),
        outputs=st.integers(1, 10 ** 6), short=st.integers(0, 5000),
-       maps=st.integers(1, 512), channels=st.integers(1, 512))
+       maps=st.integers(1, 512), channels=st.integers(1, 512), clips=st.integers(0, 64))
 @example(filter_size=3101, extra=9187, outputs=41000, short=3100, maps=256,
-         channels=1)  # Table-1 conv0: nfft 12288, five blocks
+         channels=1, clips=1)  # Table-1 conv0: nfft 12288, five blocks
 @example(filter_size=300, extra=84, outputs=1750, short=299, maps=384,
-         channels=256)  # Table-1 conv1: nfft 384, 21 blocks
+         channels=256, clips=1)  # Table-1 conv1: nfft 384, 21 blocks
 def test_overlap_save_plans_cover_the_outputs(filter_size, extra, outputs, short, maps,
-                                              channels):
+                                              channels, clips):
     nfft = filter_size + extra + (filter_size + extra) % 2  # even, >= the filter size
     length = filter_size + outputs - 1
     plan = overlap_save(nfft, filter_size, length)
@@ -571,7 +579,7 @@ def test_overlap_save_plans_cover_the_outputs(filter_size, extra, outputs, short
         with pytest.raises(ValueError, match=rf"filter size {filter_size}, got {bad}$"):
             overlap_save(bad, filter_size, length)
     # the cost rule picks an even fast length (2^a or 3 * 2^a) of at least the filter size
-    picked = fft_plan(maps, filter_size, (channels, length))
+    picked = fft_plan(maps, filter_size, (channels, length), clips)
     if picked is not None:
         n = picked.nfft
         assert n % 2 == 0 and n // (n & -n) in (1, 3) and n >= filter_size

@@ -352,7 +352,7 @@ def test_eval_predictions_are_the_concatenated_group_calls(monkeypatch, kernel):
     params = init_params(specs, 80, seed=24, dtype=np.float64)
     batch = _tiny_input(batch=5, seed=25)
     shapes = [(1, 80)] + infer_shapes(specs, 80, 1)
-    largest = nnm._largest_footprint(specs, shapes, nnm._pooling_convs(specs, shapes))
+    largest = nnm._largest_footprint(specs, shapes, 1)
     assert largest == {"direct": 4 * 70, "fft": 80}[kernel]
     monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 2 * largest + 1)
     calls = _spy_layer_calls(monkeypatch, specs)
@@ -390,48 +390,78 @@ def _spy_layer_calls(monkeypatch, specs):
     return calls
 
 
-def _conv_plans(specs, input_length):
-    """Each conv's ``fft_plan`` at per-clip geometry, None for the direct kernel."""
+def _conv_plans(specs, input_length, clips):
+    """Each conv's ``fft_plan`` for a call on ``clips`` clips, None for the
+    direct kernel."""
     inputs = [(1, input_length)] + infer_shapes(specs, input_length, 1)[:-1]
-    return [layer.fft_plan(shape) for layer, shape in zip(specs, inputs)
+    return [layer.fft_plan(shape, clips) for layer, shape in zip(specs, inputs)
             if layer.kind is LayerKind.TEMPORAL_CONV]
 
 
-def _kernel_picks():
-    """Each conv's ``nfft``, None for the direct kernel: Table-1's, then the reduced net's."""
-    return [[plan and plan.nfft for plan in _conv_plans(specs, length)]
-            for specs, length in ((table1_layers(), FULL_INPUT_LENGTH),
-                                  (reduced_layers(), REDUCED_INPUT_LENGTH))]
+def _nffts(specs, input_length, clips):
+    """Each conv's ``nfft`` for a call on ``clips`` clips, None for the direct kernel."""
+    return [plan and plan.nfft for plan in _conv_plans(specs, input_length, clips)]
 
 
-def test_conv_kernel_choice_follows_filter_length():
-    # long filters (Table-1 conv0, conv1) take the FFT kernel, short ones direct
-    assert _kernel_picks() == [[12288, 384, None], [None, None, None]]
-    assert _conv_plans(table1_layers(), FULL_INPUT_LENGTH)[:2] == [
-        L.FftPlan(nfft=12288, hop=9188, blocks=5, bins=6145),
-        L.FftPlan(nfft=384, hop=85, blocks=21, bins=193),
-    ]
+# Each conv's nfft by the clips of a call: a filter spectrum shared by more
+# clips makes a longer nfft (fewer blocks) pay, and conv2's 20-tap filters
+# worth transforming. A one-clip call keeps the per-clip picks.
+TABLE1_PICKS = {1: [12288, 384, None], 2: [24576, 512, None], 16: [24576, 768, 48]}
+# the reduced net stays direct up to the largest eval group
+REDUCED_CLIPS = (1, 16, 22_075)
+
+
+def _picks_hold():
+    return (all(_nffts(table1_layers(), FULL_INPUT_LENGTH, clips) == picks
+                for clips, picks in TABLE1_PICKS.items())
+            and all(_nffts(reduced_layers(), REDUCED_INPUT_LENGTH, clips) == [None] * 3
+                    for clips in REDUCED_CLIPS))
+
+
+@pytest.mark.parametrize("clips", sorted(TABLE1_PICKS))
+def test_conv_kernel_choice_follows_filter_length_and_clips(clips):
+    # long filters (Table-1 conv0, conv1) take the FFT kernel at any clip
+    # count, short ones direct until enough clips share their spectrum
+    assert _nffts(table1_layers(), FULL_INPUT_LENGTH, clips) == TABLE1_PICKS[clips]
+    assert _conv_plans(table1_layers(), FULL_INPUT_LENGTH, clips)[:2] == {
+        1: [L.FftPlan(nfft=12288, hop=9188, blocks=5, bins=6145),
+            L.FftPlan(nfft=384, hop=85, blocks=21, bins=193)],
+        2: [L.FftPlan(nfft=24576, hop=21476, blocks=2, bins=12289),
+            L.FftPlan(nfft=512, hop=213, blocks=9, bins=257)],
+        16: [L.FftPlan(nfft=24576, hop=21476, blocks=2, bins=12289),
+             L.FftPlan(nfft=768, hop=469, blocks=4, bins=385)],
+    }[clips]
+
+
+@pytest.mark.parametrize("clips", REDUCED_CLIPS)
+def test_reduced_net_stays_direct(clips):
+    assert _nffts(reduced_layers(), REDUCED_INPUT_LENGTH, clips) == [None] * 3
 
 
 def test_kernel_picks_hold_over_the_fft_cost_range(monkeypatch):
-    # _FFT_COST's comment: every value from 8 to 40 gives both nets the
-    # same kernels and lengths. The plans are cached, so the cache is
-    # cleared at each value and again once the constant is restored.
+    # _FFT_COST's comment: every pinned pick holds from 12 to 14, and only
+    # there. Below, conv2 takes the FFT kernel at 2 clips; above, conv1
+    # falls back to nfft 384 at 2 clips. The plans are cached, so the cache
+    # is cleared at each value and again once the constant is restored.
+    holds = []
     try:
-        for cost in range(8, 41):
+        for cost in range(4, 41):
             with monkeypatch.context() as patch:
                 patch.setattr(L, "_FFT_COST", cost)
                 L.fft_plan.cache_clear()
-                assert _kernel_picks() == [[12288, 384, None], [None, None, None]], cost
+                if _picks_hold():
+                    holds.append(cost)
     finally:
         L.fft_plan.cache_clear()
+    assert holds == [12, 13, 14]
+    assert L._FFT_COST in holds
 
 
 def _force_fft(monkeypatch, min_channels=1):
     """Every conv of the tiny net with at least ``min_channels`` input
     channels on the FFT kernel, at ``nfft`` twice its filter size: a few
     blocks per clip."""
-    def plan(self, shape):
+    def plan(self, shape, clips):
         return (L.overlap_save(2 * self.filter_size, self.filter_size, shape[1])
                 if shape[0] >= min_channels else None)
     monkeypatch.setattr(nnm.conv, "fft_plan", plan)
@@ -550,7 +580,7 @@ def _eval_group(specs, input_length):
     which ``forward`` hands to ``nn.layers._chunks``, and the clips of it
     that fit the bound."""
     shapes = [(1, input_length)] + infer_shapes(specs, input_length, 1)
-    largest = nnm._largest_footprint(specs, shapes, nnm._pooling_convs(specs, shapes))
+    largest = nnm._largest_footprint(specs, shapes, 1)
     return largest, L._CONV_CHUNK_ELEMS // largest
 
 
@@ -560,30 +590,49 @@ def test_eval_groups_are_16_clips_for_table1_and_22075_for_the_reduced_net():
     # counts for nothing: its footprint is its 256 x 2,049 pooled maps.
     assert _eval_group(table1_layers(), FULL_INPUT_LENGTH) == (1_037_568, 16)
     shapes = [(1, FULL_INPUT_LENGTH)] + infer_shapes(table1_layers(), FULL_INPUT_LENGTH, 1)
-    assert table1_layers()[0].footprint(shapes[0], shapes[2]) == 256 * 2049
+    assert table1_layers()[0].footprint(shapes[0], shapes[2], 1) == 256 * 2049
     # the reduced net, all direct kernel: conv0's 4 x 190 output
     assert _eval_group(reduced_layers(), REDUCED_INPUT_LENGTH) == (760, 22_075)
 
 
 @pytest.mark.parametrize("clips", [1, 16, 5000])  # one clip, a train batch, an eval set
 def test_table1_eval_group_arrays_fit_the_bound(clips):
-    # every array a layer call of a group makes: its input, its output or,
-    # for conv0 and conv1, which run their pools, the pooled maps, and on
+    # every array a layer call of a group, planned for its own clips,
+    # makes: its input, its output or, for the convs that run their pools
+    # (conv0 and conv1, and conv2 from 3 clips), the pooled maps, and on
     # the FFT kernel its block spectra
     specs = table1_layers()
     group = min(clips, _eval_group(specs, FULL_INPUT_LENGTH)[1])
     ins = [(1, FULL_INPUT_LENGTH)] + infer_shapes(specs, FULL_INPUT_LENGTH, 1)
-    pooling = nnm._pooling_convs(specs, ins)
-    assert pooling == {0, 3}
+    pooling = nnm._pooling_convs(specs, ins, group)
+    assert pooling == ({0, 3} if group == 1 else {0, 3, 6})
     for i, layer in enumerate(specs):
         if i - 1 in pooling:
             continue  # a pool its FFT conv runs
         out = ins[i + 2] if i in pooling else ins[i + 1]
         arrays = [np.prod(ins[i]), np.prod(out)]
-        plan = layer.fft_plan(ins[i]) if layer.kind is LayerKind.TEMPORAL_CONV else None
+        plan = layer.fft_plan(ins[i], group) if layer.kind is LayerKind.TEMPORAL_CONV else None
         if plan is not None:  # the block spectra
             arrays.append(plan.bins * plan.blocks * ins[i][0])
         assert max(arrays) * group <= L._CONV_CHUNK_ELEMS, layer
+
+
+@pytest.mark.parametrize("specs, length", [(table1_layers(), FULL_INPUT_LENGTH),
+                                           (reduced_layers(), REDUCED_INPUT_LENGTH)],
+                         ids=["table1", "reduced"])
+def test_no_call_has_a_larger_per_clip_footprint_than_one_clip(specs, length):
+    # eval groups are sized from the one-clip plans and then planned at
+    # their own size, which only fits the bound if no call of more clips
+    # makes more per clip. Table-1 conv1's block spectra, the one-clip
+    # largest, are 1,037,568 values a clip at 1 clip, 592,128 at 2 and
+    # 394,240 at 16, below conv0's 524,544 pooled values.
+    shapes = [(1, length)] + infer_shapes(specs, length, 1)
+    one = nnm._largest_footprint(specs, shapes, 1)
+    for clips in [*range(2, 65), 100, 1000, 5000, 22_075, 1 << 20]:
+        assert nnm._largest_footprint(specs, shapes, clips) <= one, clips
+    if length == FULL_INPUT_LENGTH:
+        plans = [specs[3].fft_plan(shapes[3], clips) for clips in (1, 2, 16)]
+        assert [p.bins * p.blocks * 256 for p in plans] == [1_037_568, 592_128, 394_240]
 
 
 def test_reduced_eval_past_the_bound_runs_in_groups(monkeypatch):

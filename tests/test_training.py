@@ -243,7 +243,7 @@ class TestTrainModel:
         import instrumentid.training as training
         from instrumentid.nn import layers, model as nnm
 
-        def plan(self, shape):
+        def plan(self, shape, clips):
             return (layers.overlap_save(2 * self.filter_size, self.filter_size, shape[1])
                     if shape[0] > 1 else None)
 
