@@ -139,26 +139,29 @@ def _best_split(x, y):
     return (gini[b, column], column, 0.5 * (v[b, column] + v[b + 1, column]))
 
 
-def _grow_tree(x, y, rng, nodes: list) -> None:
-    """Append one tree to ``nodes`` in preorder: ``[feature, threshold, right]``
-    for a split (its left child is the next node), ``[-1, label, -1]`` for a
-    leaf. Split until every leaf is pure or no candidate feature varies."""
-    n = len(y)
-    pos = int(y.sum())
+def _grow_tree(x, y, idx, rng, nodes: list) -> None:
+    """Append one tree over the rows ``idx`` of ``x`` and ``y`` to ``nodes``
+    in preorder: ``[feature, threshold, right]`` for a split (its left child
+    is the next node), ``[-1, label, -1]`` for a leaf. Split until every
+    leaf is pure or no candidate feature varies. Only the candidate columns
+    of a node's rows are copied, for its split search."""
+    target = y[idx]
+    n = len(idx)
+    pos = int(target.sum())
     column = None
     if 0 < pos < n:
         d = x.shape[1]
         candidates = rng.choice(d, size=int(round(np.sqrt(d))), replace=False)
-        _, column, threshold = _best_split(x[:, candidates], y)
+        _, column, threshold = _best_split(x[np.ix_(idx, candidates)], target)
     if column is None:
         nodes.append([-1, int(pos * 2 >= n), -1])
         return
     split = [int(candidates[column]), float(threshold), -1]
     nodes.append(split)
-    mask = x[:, split[0]] < threshold
-    _grow_tree(x[mask], y[mask], rng, nodes)
+    mask = x[idx, split[0]] < threshold
+    _grow_tree(x, y, idx[mask], rng, nodes)
     split[2] = len(nodes)
-    _grow_tree(x[~mask], y[~mask], rng, nodes)
+    _grow_tree(x, y, idx[~mask], rng, nodes)
 
 
 @dataclass
@@ -184,7 +187,7 @@ def forest_train(features, labels, cfg: ForestConfig = ForestConfig()) -> Forest
             rng = np.random.default_rng(cfg.seed + label_idx * cfg.trees + t)
             boot = rng.integers(0, n, size=n)
             roots.append(len(nodes))
-            _grow_tree(x[boot], target[boot], rng, nodes)
+            _grow_tree(x, target, boot, rng, nodes)
         feature, value, right = np.array(nodes).T.copy()
         model.tables.append((np.array(roots), feature.astype(np.intp), value, right.astype(np.intp)))
     return model

@@ -8,7 +8,7 @@ import numpy as np
 from .audio import WavFile
 from .config import RunConfig
 from .labeling import (
-    DEFAULT_THRESHOLD, DEFAULT_WINDOW_SECONDS, build_taxonomy, clip_label, collapse_labels,
+    DEFAULT_THRESHOLD, build_taxonomy, clip_label, collapse_labels,
     load_category_map, parse_activation_csv, read_text, stratified_split, write_split_file,
     write_taxonomy,
 )
@@ -83,11 +83,10 @@ def find_activation_file(activation_dir, track_id: str):
     return candidate if candidate.exists() else None
 
 
-def track_instrument_presence(table, threshold: float = DEFAULT_THRESHOLD,
-                              window_seconds: float = DEFAULT_WINDOW_SECONDS) -> set:
-    """Raw instruments whose smoothed confidence ever reaches the threshold."""
-    peaks = table.smoothed(window_seconds).max(axis=0)
-    return {name for name, peak in zip(table.columns, peaks) if peak >= threshold}
+def track_instrument_presence(table) -> set:
+    """Raw instruments whose smoothed confidence ever reaches ``DEFAULT_THRESHOLD``."""
+    peaks = table.smoothed.max(axis=0)
+    return {name for name, peak in zip(table.columns, peaks) if peak >= DEFAULT_THRESHOLD}
 
 
 def prepare_dataset(config: RunConfig, log=print):

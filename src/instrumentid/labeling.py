@@ -5,8 +5,9 @@ their per-clip maxima, collapsing the raw instrument vocabulary into the final
 class set, and the track-level stratified train/test split.
 """
 
+import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,6 @@ class ActivationTable:
     times: np.ndarray
     columns: list[str]
     conf: np.ndarray
-    _smoothed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -75,13 +75,13 @@ class ActivationTable:
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def smoothed(self, window_seconds: float) -> np.ndarray:
-        """Read-only :func:`moving_average` of ``conf``, computed once per window."""
-        if window_seconds not in self._smoothed:
-            values = moving_average(self.conf, self.step, window_seconds)
-            values.flags.writeable = False
-            self._smoothed[window_seconds] = values
-        return self._smoothed[window_seconds]
+    @functools.cached_property
+    def smoothed(self) -> np.ndarray:
+        """Read-only :func:`moving_average` of ``conf`` over
+        ``DEFAULT_WINDOW_SECONDS``, computed once."""
+        values = moving_average(self.conf, self.step, DEFAULT_WINDOW_SECONDS)
+        values.flags.writeable = False
+        return values
 
 
 def parse_activation_csv(text: str, track_id: str) -> ActivationTable:
@@ -160,10 +160,9 @@ def moving_average(values, step_seconds: float, window_seconds: float = DEFAULT_
     return sums / counts
 
 
-def clip_label(table: ActivationTable, clip_start: float, clip_end: float,
-               threshold: float = DEFAULT_THRESHOLD,
-               window_seconds: float = DEFAULT_WINDOW_SECONDS) -> np.ndarray:
-    """Binary activity per instrument: max of the smoothed confidence >= threshold.
+def clip_label(table: ActivationTable, clip_start: float, clip_end: float) -> np.ndarray:
+    """Binary activity per instrument: max of the smoothed confidence >=
+    ``DEFAULT_THRESHOLD``.
 
     The maximum runs over annotation samples with time in
     ``[clip_start, clip_end)``. Clips outside the annotated range (beyond one
@@ -183,7 +182,7 @@ def clip_label(table: ActivationTable, clip_start: float, clip_end: float,
             f"no annotation samples inside clip [{clip_start}, {clip_end}) "
             f"of track {table.track_id}"
         )
-    return (table.smoothed(window_seconds)[mask].max(axis=0) >= threshold).astype(np.uint8)
+    return (table.smoothed[mask].max(axis=0) >= DEFAULT_THRESHOLD).astype(np.uint8)
 
 
 @dataclass

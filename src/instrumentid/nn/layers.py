@@ -62,12 +62,15 @@ weight-gradient products maps-major, so their inverse transforms give each
 map's lags as contiguous rows. Every chunked loop of both kernels takes its
 slices from one planner, :func:`_chunks`. Max pooling keeps its argmax in
 the narrowest unsigned type that indexes its input; both its passes index
-the flattened input, once per call. The FFT kernel can also run a max pool
-on its output: the forward pools each working chunk of maps as soon as it
-is laid out, and both backward passes scatter the pooled gradient a map
-chunk at a time, so neither the whole output nor its gradient is made.
-Pooling and its scatter treat each row of maps on its own, so the pair
-gives the bits of the conv followed by the pool.
+the flattened input, once per call. Either conv kernel runs a max pool on
+its output, given ``pool=``, and takes the pooled maps' gradient and the
+argmax in backward, given ``argmax=``; the network pools nowhere else. The
+direct kernel pools its whole output and scatters the whole gradient. The
+FFT kernel pools each working chunk of maps as soon as it is laid out,
+and both its backward passes scatter the pooled gradient a map chunk at a
+time, so neither the whole output nor its gradient is made. Pooling and
+its scatter treat each row of maps on its own, so a pooled conv gives the
+bits of the conv followed by the pool on either kernel.
 
 Every forward transform, of input blocks, output-gradient blocks and
 filters alike, is a call of :func:`_block_spectra`, whose docstring gives
@@ -170,11 +173,14 @@ def _conv_operands(x, weights, bias=None, grad_out=None, argmax=None):
     return lead, x.reshape(-1, channels, length), grad_out, argmax
 
 
-def temporal_conv_forward(x, weights, bias):
+def temporal_conv_forward(x, weights, bias, pool=None):
     """Valid cross-correlation along the time axis.
 
     The filter spans the full channel dimension and slides with stride 1:
     ``out[..., m, t] = bias[m] + sum_{c,k} x[..., c, t + k] * weights[m, c, k]``.
+    Given ``pool``, a ``(pool_size, pool_stride)`` pair, the whole output
+    is max pooled once it is made, and the call returns ``(pooled,
+    argmax)``, as :func:`fft_conv_forward` does.
 
     :param x: input ``[..., channels, length]``
     :param weights: filters ``[maps, channels, filter_size]``
@@ -187,6 +193,8 @@ def temporal_conv_forward(x, weights, bias):
     maps, channels, filter_size = weights.shape
     clips, _, length = x.shape
     out_len = length - filter_size + 1
+    if pool is not None:
+        _check_pool(out_len, *pool)
     windows = _windows(x, filter_size, out_len)  # [clips, channels, out_len, filter]
     rows = weights.reshape(maps, channels * filter_size)
     out = np.empty((clips, maps, out_len), dtype=np.result_type(x, weights))
@@ -197,22 +205,28 @@ def temporal_conv_forward(x, weights, bias):
         cols = windows[:, :, t].transpose(1, 3, 0, 2).reshape(channels * filter_size, clips * width)
         out[:, :, t] = np.dot(rows, cols).reshape(maps, clips, width).transpose(1, 0, 2)
     out += bias[:, None]
-    return out.reshape(*lead, maps, out_len)
+    if pool is not None:
+        out, argmax = _maxpool(out, *pool)
+    out = out.reshape(*lead, *out.shape[1:])
+    return out if pool is None else (out, argmax.reshape(out.shape))
 
 
-def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True):
+def temporal_conv_backward(x, weights, grad_out, needs_input_grad: bool = True, argmax=None):
     """Gradients of :func:`temporal_conv_forward` w.r.t. input, weights, bias.
 
     The weight and bias gradients are summed over the leading axes. The
     first chunk's product is the weight gradient, which the later chunks
     add into. With ``needs_input_grad`` false the input gradient is skipped
-    and returned as None; the network's first layer needs none.
+    and returned as None; the network's first layer needs none. Given the
+    ``argmax`` of a forward with a pool, ``grad_out`` is the pooled maps'
+    gradient, first scattered into the whole output's.
     """
     weights = np.asarray(weights)
-    lead, x, grad_out, _ = _conv_operands(x, weights, grad_out=grad_out)
+    lead, x, grad_out, argmax = _conv_operands(x, weights, grad_out=grad_out, argmax=argmax)
     maps, channels, filter_size = weights.shape
     clips, _, length = x.shape
     out_len = length - filter_size + 1
+    grad_out = _grad_chunk(grad_out, argmax, out_len, slice(0, maps))
 
     grad_bias = grad_out.sum(axis=(0, 2))
 

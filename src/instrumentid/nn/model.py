@@ -1,8 +1,8 @@
 """Network assembly: layer types, shape inference, forward/backward, SGD.
 
 The layer vocabulary is fixed to what the instrument-recognition network
-needs: temporal convolution, max pooling, ReLU, fully connected, dropout and
-a final sigmoid, one small type each. :func:`table1_layers` is the production
+needs: temporal convolution with the max pool on its output, ReLU, fully
+connected, dropout and a final sigmoid, one small type each. :func:`table1_layers` is the production
 architecture (one-second 44.1 kHz clips); :func:`reduced_layers` is a
 scaled-down twin used for fast tests and smoke training on short inputs.
 """
@@ -22,6 +22,8 @@ NUM_CLASSES = 11
 
 class LayerKind(enum.Enum):
     TEMPORAL_CONV = "temporal_conv"
+    # no layer has this kind, since each conv runs its own pool; perfbench's
+    # layer namer still reads it
     MAX_POOL = "max_pool"
     RELU = "relu"
     FULLY_CONNECTED = "fully_connected"
@@ -38,9 +40,7 @@ class _Layer:
     :func:`forward`).
     ``forward(x, weights, training, rng)`` takes clips ``[clips, ...]`` and
     the layer's weights, ``(weight, bias)`` or empty; it returns ``(output,
-    cache)``. A ``conv`` may also take the ``max_pool`` after it and return
-    the pooled maps, the pool layer then not being called (see
-    :func:`forward`). ``backward(cache, weights, g, needs_input_grad, grads,
+    cache)``. ``backward(cache, weights, g, needs_input_grad, grads,
     learning_rate)`` puts the parameter gradients, summed over the clips and
     in the parameters' dtype, into the ``[weight, bias]`` list ``grads`` and
     returns the input gradient; given a ``learning_rate``, it may apply a
@@ -69,26 +69,35 @@ def _require(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _map_length(shape, what: str, window: int, name: str) -> int:
-    _require(len(shape) == 2, f"{what} requires a [channels, length] input, got {shape}")
-    _require(shape[1] >= window, f"length {shape[1]} shorter than {name} {window}")
-    return shape[1]
-
-
 @dataclass(frozen=True)
 class conv(_Layer):
+    """A temporal conv and the max pool on its output, ``pool`` being its
+    ``(size, stride)``; ``(1, 1)`` is the identity. Its output is the
+    pooled maps."""
+
     feature_maps: int
     filter_size: int
+    pool: tuple[int, int]
     kind = LayerKind.TEMPORAL_CONV
     has_params = True
 
     def __post_init__(self):
         _require(self.feature_maps >= 1, f"conv needs feature_maps >= 1, got {self.feature_maps}")
         _require(self.filter_size >= 1, f"conv needs filter_size >= 1, got {self.filter_size}")
+        _require(min(self.pool) >= 1, f"conv needs pool size and stride >= 1, got {self.pool}")
+
+    def map_shape(self, shape):
+        """The unpooled maps of a ``[channels, length]`` input."""
+        _require(len(shape) == 2, f"conv requires a [channels, length] input, got {shape}")
+        _require(shape[1] >= self.filter_size,
+                 f"length {shape[1]} shorter than filter size {self.filter_size}")
+        return (self.feature_maps, shape[1] - self.filter_size + 1)
 
     def output_shape(self, shape):
-        length = _map_length(shape, "conv", self.filter_size, "filter size")
-        return (self.feature_maps, length - self.filter_size + 1)
+        maps, length = self.map_shape(shape)
+        size, stride = self.pool
+        _require(length >= size, f"map length {length} shorter than pool size {size}")
+        return (maps, (length - size) // stride + 1)
 
     def param_shapes(self, shape):
         return (self.feature_maps, shape[0], self.filter_size), (self.feature_maps,)
@@ -100,41 +109,37 @@ class conv(_Layer):
         return L.fft_plan(self.feature_maps, self.filter_size, shape, clips)
 
     def footprint(self, shape, out, clips):
-        """As for any layer, or on the FFT kernel its block spectra, ``bins x
-        blocks x channels`` per clip at the plan for ``clips``, if larger.
-        For a conv that runs its pool, ``out`` is the pooled shape: its
-        whole output is never made."""
+        """As for any layer, with the whole unpooled map as the output on the
+        direct kernel, which makes that map and then pools it. The FFT
+        kernel never makes it; there the block spectra, ``bins x blocks x
+        channels`` per clip at the plan for ``clips``, count if larger."""
         plan = self.fft_plan(shape, clips)
-        spectra = 0 if plan is None else plan.bins * plan.blocks * shape[0]
-        return max(super().footprint(shape, out, clips), spectra)
-
-    def forward(self, x, weights, training, rng, pool=None):
-        """The kernel ``fft_plan`` picks for ``x``'s shape and clips. Given
-        the ``max_pool`` layer after it, an FFT conv runs it too, a map
-        chunk at a time (``nn.layers.fft_conv_forward``), returns the pooled
-        maps and keeps their argmax."""
-        plan = self.fft_plan(x.shape[-2:], len(x))
         if plan is None:
-            return L.temporal_conv_forward(x, *weights), (x, None)
-        if pool is None:
-            return L.fft_conv_forward(x, *weights, plan.nfft), (x, None)
-        pooled, argmax = L.fft_conv_forward(x, *weights, plan.nfft,
-                                            pool=(pool.pool_size, pool.pool_stride))
+            return super().footprint(shape, self.map_shape(shape), clips)
+        return max(super().footprint(shape, out, clips), plan.bins * plan.blocks * shape[0])
+
+    def forward(self, x, weights, training, rng):
+        """The pooled maps, on the kernel ``fft_plan`` picks for ``x``'s
+        shape and clips; the cache keeps ``x`` and the pool's argmax."""
+        plan = self.fft_plan(x.shape[-2:], len(x))
+        pooled, argmax = (L.temporal_conv_forward(x, *weights, pool=self.pool) if plan is None
+                          else L.fft_conv_forward(x, *weights, plan.nfft, pool=self.pool))
         return pooled, (x, argmax)
 
     def backward(self, cache, weights, g, needs_input_grad, grads, learning_rate):
-        """The kernel ``fft_plan`` picks for ``x``, as in the forward.
-        On the FFT kernel, two passes: ``nn.layers.fft_conv_input_grad``,
-        then ``nn.layers.fft_conv_param_grads``, into a weight gradient
-        buffer made then or, given a ``learning_rate``, into the weights as
-        an SGD step. A conv that ran its pool gets the pooled maps' gradient
-        ``g``, which both passes scatter through the kept argmax."""
+        """The kernel ``fft_plan`` picks for ``x``, as in the forward, given
+        the pooled maps' gradient ``g``, which it scatters through the kept
+        argmax. On the FFT kernel, two passes:
+        ``nn.layers.fft_conv_input_grad``, then
+        ``nn.layers.fft_conv_param_grads``, into a weight gradient buffer
+        made then or, given a ``learning_rate``, into the weights as an SGD
+        step."""
         x, argmax = cache
         w, b = weights
         plan = self.fft_plan(x.shape[-2:], len(x))
         if plan is None:
             grad_x, grads[0], gb = L.temporal_conv_backward(
-                x, w, g, needs_input_grad=needs_input_grad)
+                x, w, g, needs_input_grad=needs_input_grad, argmax=argmax)
         else:
             grad_x = (L.fft_conv_input_grad(x, w, g, plan.nfft, argmax=argmax)
                       if needs_input_grad else None)
@@ -144,29 +149,6 @@ class conv(_Layer):
             _, gb = L.fft_conv_param_grads(x, g, plan.nfft, target, learning_rate, argmax=argmax)
         grads[1] = _grad(b, gb)
         return grad_x
-
-
-@dataclass(frozen=True)
-class max_pool(_Layer):
-    pool_size: int
-    pool_stride: int
-    kind = LayerKind.MAX_POOL
-
-    def __post_init__(self):
-        _require(self.pool_size >= 1, f"pool needs pool_size >= 1, got {self.pool_size}")
-        _require(self.pool_stride >= 1, f"pool needs pool_stride >= 1, got {self.pool_stride}")
-
-    def output_shape(self, shape):
-        length = _map_length(shape, "pool", self.pool_size, "pool size")
-        return (shape[0], (length - self.pool_size) // self.pool_stride + 1)
-
-    def forward(self, x, weights, training, rng):
-        out, argmax = L.maxpool_forward(x, self.pool_size, self.pool_stride)
-        return out, (argmax, x.shape)
-
-    def backward(self, cache, weights, g, needs_input_grad, grads, learning_rate):
-        argmax, in_shape = cache
-        return L.maxpool_backward(argmax, g, in_shape)
 
 
 @dataclass(frozen=True)
@@ -240,9 +222,9 @@ class sigmoid(_Layer):
 def table1_layers(drop_rate: float = dropout.drop_rate) -> list[_Layer]:
     """The production architecture: three conv/pool/ReLU blocks, then FC 400 -> 11."""
     return [
-        conv(256, 3101), max_pool(40, 20), relu(),
-        conv(384, 300), max_pool(30, 20), relu(),
-        conv(384, 20), max_pool(8, 4), relu(),
+        conv(256, 3101, (40, 20)), relu(),
+        conv(384, 300, (30, 20)), relu(),
+        conv(384, 20, (8, 4)), relu(),
         fully_connected(400), relu(), dropout(drop_rate),
         fully_connected(NUM_CLASSES), sigmoid(),
     ]
@@ -251,9 +233,9 @@ def table1_layers(drop_rate: float = dropout.drop_rate) -> list[_Layer]:
 def reduced_layers(drop_rate: float = dropout.drop_rate) -> list[_Layer]:
     """Scaled-down twin of :func:`table1_layers` for 200-sample inputs."""
     return [
-        conv(4, 11), max_pool(4, 4), relu(),
-        conv(6, 5), max_pool(2, 2), relu(),
-        conv(6, 3), max_pool(2, 2), relu(),
+        conv(4, 11, (4, 4)), relu(),
+        conv(6, 5, (2, 2)), relu(),
+        conv(6, 3, (2, 2)), relu(),
         fully_connected(16), relu(), dropout(drop_rate),
         fully_connected(NUM_CLASSES), sigmoid(),
     ]
@@ -263,7 +245,8 @@ def infer_shapes(layers, input_length: int, input_channels: int = 1):
     """Output shape after each layer, flattening before the first FC layer.
 
     Raises ValueError naming the layer index when a layer cannot take the
-    shape before it, such as a map shorter than a filter or pool window.
+    shape before it, such as an input shorter than a conv's filter or a map
+    shorter than its pool.
     """
     if input_length < 1 or input_channels < 1:
         raise ValueError(f"bad input shape [{input_channels}, {input_length}]")
@@ -333,9 +316,8 @@ def init_params(layers, input_length: int, input_channels: int = 1,
 
 @dataclass
 class ForwardCache:
-    """Everything backward() needs: the layers, each layer's weights, the
-    convs that ran their pool, and each layer's cache from its one call over
-    the batch; a pool its conv ran has a cache of None.
+    """Everything backward() needs: the layers, each layer's weights and
+    each layer's cache from its one call over the batch.
 
     :func:`backward` consumes it: it sets each slot of ``weights`` and
     ``caches`` to None once the layer's backward call has returned, so that
@@ -346,7 +328,6 @@ class ForwardCache:
     layers: list
     weights: list  # per layer, ``(weight, bias)`` or empty
     clips: int
-    pooling: frozenset  # the FFT convs that run the max pool after them, by index
     caches: list  # per layer, over the whole batch
     spent: bool = False  # set by backward
 
@@ -357,23 +338,11 @@ def _layer_params(params: ModelParams, layers) -> list:
     return [next(pairs) if layer.has_params else () for layer in layers]
 
 
-def _pooling_convs(layers, shapes, clips) -> frozenset:
-    """The indices of the convs that run the ``max_pool`` after them in a
-    call on ``clips`` clips, for the per-clip ``shapes`` of the input and of
-    each layer's output: each conv on the FFT kernel followed by one."""
-    return frozenset(i for i, (layer, after) in enumerate(zip(layers, layers[1:]))
-                     if isinstance(layer, conv) and isinstance(after, max_pool)
-                     and layer.fft_plan(shapes[i], clips) is not None)
-
-
 def _largest_footprint(layers, shapes, clips) -> int:
     """The largest per-clip footprint of a layer call on ``clips`` clips,
-    for the per-clip ``shapes`` of the input and of each layer's output: a
-    conv that runs its pool (:func:`_pooling_convs`) counts the pooled maps
-    as its output, and the pool, which is not called, counts nothing."""
-    pooling = _pooling_convs(layers, shapes, clips)
-    return max((layer.footprint(shapes[i], shapes[i + 1 + (i in pooling)], clips)
-                for i, layer in enumerate(layers) if i - 1 not in pooling), default=0)
+    for the per-clip ``shapes`` of the input and of each layer's output."""
+    return max((layer.footprint(shapes[i], shapes[i + 1], clips)
+                for i, layer in enumerate(layers)), default=0)
 
 
 def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
@@ -391,7 +360,7 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     :func:`infer_shapes` walk, against ``nn.layers._CONV_CHUNK_ELEMS``
     elements, so each group is one clip or fits the bound. That is 16 clips
     for the Table-1 net, by conv1's 1,037,568 block-spectrum values a clip,
-    and 22,075 for the reduced net, by conv0's 4 x 190 output. No call of
+    and 22,075 for the reduced net, by conv0's 4 x 190 map. No call of
     more clips has a larger per-clip footprint, so a group planned at its
     own size fits too.
 
@@ -404,13 +373,13 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     at the rounding level: by the plan of its convs, and as a matrix
     product may round differently with its row count.
 
-    An FFT conv builds its filter spectrum one map chunk at a time in each
-    pass that reads it, so no whole spectrum is held. An FFT conv followed
-    by a max pool runs the pool itself, a map chunk at a time, so neither
-    its whole output nor, in :func:`backward`, the pool's input gradient is
-    ever made; the pool layer is then not called. Dropout draws over the
-    clips in clip order, so results are deterministic for a fixed rng
-    state.
+    Each conv runs the max pool on its output within its call, on either
+    kernel. An FFT conv builds its filter spectrum one map chunk at a time
+    in each pass that reads it, so no whole spectrum is held, and pools a
+    map chunk at a time, so neither its whole output nor, in
+    :func:`backward`, that output's gradient is ever made. Dropout draws
+    over the clips in clip order, so results are deterministic for a fixed
+    rng state.
 
     :returns: ``(predictions [batch, output], cache)``; the cache is None in
         eval mode
@@ -427,24 +396,17 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     weights = _layer_params(params, layers)
     caches = []  # kept in train mode only
 
-    def run(x, pooling):
-        for i, layer in enumerate(layers):
-            if i - 1 in pooling:  # the conv before it ran this pool
-                layer_cache = None
-            elif i in pooling:
-                x, layer_cache = layer.forward(x, weights[i], training, rng, pool=layers[i + 1])
-            else:
-                x, layer_cache = layer.forward(x, weights[i], training, rng)
+    def run(x):
+        for layer, layer_weights in zip(layers, weights):
+            x, layer_cache = layer.forward(x, layer_weights, training, rng)
             if training:
                 caches.append(layer_cache)
         return x
 
     if training:
-        pooling = _pooling_convs(layers, shapes, len(batch))
-        return run(batch, pooling), ForwardCache(layers, weights, len(batch), pooling, caches)
+        return run(batch), ForwardCache(layers, weights, len(batch), caches)
     groups = L._chunks(len(batch), _largest_footprint(layers, shapes, 1), L._CONV_CHUNK_ELEMS)
-    return np.concatenate([run(batch[s], _pooling_convs(layers, shapes, s.stop - s.start))
-                           for s in groups or [slice(0, 0)]]), None
+    return np.concatenate([run(batch[s]) for s in groups or [slice(0, 0)]]), None
 
 
 def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
@@ -455,8 +417,7 @@ def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
     predictions, so the per-clip contributions are summed: the result is the
     gradient of the same batch-mean loss. Each layer runs backward once over
     the whole batch, from the output to the input. Layer 0 computes no
-    gradient for the network input. A pool that its conv ran passes the
-    pooled maps' gradient on to the conv, which scatters it.
+    gradient for the network input.
 
     Given a ``learning_rate``, every layer takes its SGD step here, into
     the very arrays of ``params``, as its call returns. Every gradient the
@@ -484,11 +445,10 @@ def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
     g = grad_loss
     for i in reversed(range(len(layers))):
         index = sum(layer.has_params for layer in layers[:i])
-        if i - 1 not in cache.pooling:  # else the conv before it scatters g
-            try:
-                g = layers[i].backward(caches[i], weights[i], g, i > 0, grads[i], learning_rate)
-            except FloatingPointError:  # an FFT conv's weight chunk, before its update
-                raise FloatingPointError(f"non-finite weight gradient {index}") from None
+        try:
+            g = layers[i].backward(caches[i], weights[i], g, i > 0, grads[i], learning_rate)
+        except FloatingPointError:  # an FFT conv's weight chunk, before its update
+            raise FloatingPointError(f"non-finite weight gradient {index}") from None
         caches[i] = None
         if learning_rate is not None:  # its gradients are whole: check, then step
             for kind, grad in zip(("weight", "bias"), grads[i]):

@@ -151,8 +151,10 @@ def test_criterion_2_shape_oracle():
     started = time.perf_counter()
     specs = table1_layers()
     shapes = infer_shapes(specs, FULL_INPUT_LENGTH, 1)
-    conv_pool = [s for s, spec in zip(shapes, specs)
-                 if spec.kind in (LayerKind.TEMPORAL_CONV, LayerKind.MAX_POOL)]
+    ins = [(1, FULL_INPUT_LENGTH)] + shapes
+    # each conv's unpooled map, then its pooled maps, its output
+    conv_pool = [s for spec, shape, out in zip(specs, ins, shapes)
+                 if spec.kind is LayerKind.TEMPORAL_CONV for s in (spec.map_shape(shape), out)]
     assert conv_pool == [(256, 41000), (256, 2049), (384, 1750),
                          (384, 87), (384, 68), (384, 16)]
     fc0 = next(i for i, spec in enumerate(specs) if spec.kind is LayerKind.FULLY_CONNECTED)

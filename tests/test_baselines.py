@@ -11,7 +11,7 @@ from instrumentid.baselines import (
     majority_baseline, _best_split,
 )
 
-from helpers import forest_predict_loop, gini_split_loop, logistic_descent_loop
+from helpers import forest_predict_loop, gini_split_loop, logistic_descent_loop, traced_peak
 
 
 def _binary(labels_1d):
@@ -173,6 +173,17 @@ class TestForest:
             [[(2, 0.75), 0, 1],
              [(3, 1.25), (3, 0.25), (1, 0.75), 0, 1, 1, 0]],
         ]
+
+    def test_tree_holds_no_copy_of_the_training_rows(self):
+        # a tree grows on row indices: its bootstrap sample and each node's
+        # rows are indices into x, and a split search copies only its
+        # candidate columns, so one tree peaks below the features' size
+        # (4x it when every node copied its rows)
+        rng = np.random.default_rng(13)
+        x = rng.integers(0, 40, size=(4000, 400)).astype(np.float64)  # with ties
+        y = _binary(rng.integers(0, 2, size=4000))
+        _, peak = traced_peak(forest_train, x, y, ForestConfig(trees=1, seed=6))
+        assert peak < x.nbytes, peak / x.nbytes
 
     def test_predict_matches_per_row_walk(self):
         # few distinct values, so many test values sit exactly on a threshold

@@ -232,11 +232,13 @@ def test_find_activation_file_variants(tmp_path):
     assert find_activation_file(tmp_path, "d") is None
 
 
-def test_track_instrument_presence_uses_smoothed_peak():
+@pytest.mark.parametrize("spike, present", [(1.0, {"ghost", "steady"}), (0.9, {"steady"})])
+def test_track_instrument_presence_uses_smoothed_peak(spike, present):
+    # the 0.1 s window averages two 50 ms steps, so a one-step spike of 1.0
+    # smooths to 0.5, which still reaches the threshold; a spike of 0.9
+    # reaches it, but its smoothed peak of 0.45 does not
     text = "time,ghost,steady\n" + "\n".join(
-        f"{i * 0.05:.2f},{1.0 if i == 10 else 0.0},0.9" for i in range(40))
+        f"{i * 0.05:.2f},{spike if i == 10 else 0.0},0.9" for i in range(40))
     table = parse_activation_csv(text, "trk")
-    # a single 50 ms spike smooths to 0.5 which still reaches the threshold;
-    # with a stricter threshold only the steady instrument survives
-    assert track_instrument_presence(table, 0.5, 0.1) == {"ghost", "steady"}
-    assert track_instrument_presence(table, 0.6, 0.1) == {"steady"}
+    assert table.smoothed.max(axis=0).tolist() == pytest.approx([spike / 2, 0.9])
+    assert track_instrument_presence(table) == present

@@ -233,14 +233,14 @@ class TestFftConv:
 
     @pytest.mark.parametrize("layer, shape, clips, nfft", [
         # Table-1 conv0, a few maps, at the plans of a call on 1 and 2 clips
-        (nnm.conv(256, 3101), (1, 1, 44100), 1, 12288),
-        (nnm.conv(256, 3101), (2, 1, 44100), 2, 24576),
+        (nnm.conv(256, 3101, (40, 20)), (1, 1, 44100), 1, 12288),
+        (nnm.conv(256, 3101, (40, 20)), (2, 1, 44100), 2, 24576),
         # Table-1 conv1 and conv2, a few maps and channels, at 1, 2 and 16 clips
-        (nnm.conv(384, 300), (1, 256, 2049), 1, 384),
-        (nnm.conv(384, 300), (1, 256, 2049), 2, 512),
-        (nnm.conv(384, 300), (1, 256, 2049), 16, 768),
-        (nnm.conv(384, 20), (1, 384, 87), 3, 32),
-        (nnm.conv(384, 20), (1, 384, 87), 16, 48),
+        (nnm.conv(384, 300, (30, 20)), (1, 256, 2049), 1, 384),
+        (nnm.conv(384, 300, (30, 20)), (1, 256, 2049), 2, 512),
+        (nnm.conv(384, 300, (30, 20)), (1, 256, 2049), 16, 768),
+        (nnm.conv(384, 20, (8, 4)), (1, 384, 87), 3, 32),
+        (nnm.conv(384, 20, (8, 4)), (1, 384, 87), 16, 48),
     ])
     def test_float32_at_table1_geometry(self, layer, shape, clips, nfft):
         # the nfft production runs for a call on ``clips`` clips; the oracle
@@ -401,7 +401,7 @@ class TestFftConv:
     def test_one_channel_input_gradient_inside_a_network(self):
         # conv1 reads conv0's one feature map: a one-channel FFT conv, whose
         # input gradient is the path of conv0's weight gradient
-        specs = [nnm.conv(1, 3), nnm.conv(8, 1001), nnm.max_pool(100, 100), nnm.relu(),
+        specs = [nnm.conv(1, 3, (1, 1)), nnm.conv(8, 1001, (100, 100)), nnm.relu(),
                  nnm.fully_connected(2), nnm.sigmoid()]
         length = 4000
         assert specs[1].fft_plan((1, length - 2), 2) is not None
@@ -530,7 +530,7 @@ class TestFftConvWithPool:
     def test_conv0_peaks_far_below_its_whole_output(self):
         # Table-1 conv0 and pool0 on one clip: the unfused forward returns a
         # 42 MB output, and pool0's backward a gradient of the same size
-        layer = nnm.conv(256, 3101)
+        layer = nnm.conv(256, 3101, (40, 20))
         nfft = layer.fft_plan((1, 44100), 1).nfft
         rng = np.random.default_rng(44)
         x = rng.normal(size=(1, 1, 44100)).astype(np.float32)
@@ -543,6 +543,66 @@ class TestFftConvWithPool:
         g = rng.normal(size=pooled.shape).astype(np.float32)
         _, peak = traced_peak(fft_conv_param_grads, x, g, nfft, np.zeros_like(w), None, argmax)
         assert peak < output_bytes / 4, peak / output_bytes
+
+
+class TestDirectConvWithPool:
+    """The direct kernel's max pool on its whole output (``pool``) and its
+    scatter of the pooled gradient (``argmax``): the FFT kernel's contract."""
+
+    _operands = staticmethod(TestFftConvWithPool._operands)
+
+    @pytest.mark.parametrize("clips", [0, 1, 3])
+    def test_forward_is_conv_then_pool_bit_for_bit(self, clips):
+        x, w, b = self._operands(clips, 3, 45)
+        want, want_argmax = maxpool_forward(temporal_conv_forward(x, w, b), 5, 3)
+        pooled, argmax = temporal_conv_forward(x, w, b, pool=(5, 3))
+        assert pooled.dtype == want.dtype and argmax.dtype == want_argmax.dtype
+        assert np.array_equal(pooled, want) and np.array_equal(argmax, want_argmax)
+        if clips:  # one clip with no leading axis
+            want, want_argmax = maxpool_forward(temporal_conv_forward(x[0], w, b), 5, 3)
+            pooled, argmax = temporal_conv_forward(x[0], w, b, pool=(5, 3))
+            assert np.array_equal(pooled, want) and np.array_equal(argmax, want_argmax)
+
+    @pytest.mark.parametrize("clips", [0, 1, 3])
+    @pytest.mark.parametrize("needs_input_grad", [True, False])
+    def test_backward_is_unpool_then_conv_backward_bit_for_bit(self, clips, needs_input_grad):
+        x, w, b = self._operands(clips, 3, 46)
+        out = temporal_conv_forward(x, w, b)
+        _, argmax = temporal_conv_forward(x, w, b, pool=(5, 3))
+        g = np.round(np.random.default_rng(47).normal(size=argmax.shape), 1).astype(np.float32)
+        got = temporal_conv_backward(x, w, g, needs_input_grad, argmax=argmax)
+        want = temporal_conv_backward(x, w, maxpool_backward(argmax, g, out.shape),
+                                      needs_input_grad)
+        assert (got[0] is None) == (want[0] is None) == (not needs_input_grad)
+        for a, b in zip(got, want, strict=True):
+            assert a is b is None or (a.dtype == b.dtype and np.array_equal(a, b))
+
+    def test_rejects_a_bad_pool_or_pooled_gradient(self):
+        x, w, b = self._operands(2, 3, 48)
+        with pytest.raises(ValueError, match="shorter than pool size"):
+            temporal_conv_forward(x, w, b, pool=(261, 1))
+        with pytest.raises(ValueError, match=">= 1"):
+            temporal_conv_forward(x, w, b, pool=(5, 0))
+        _, argmax = temporal_conv_forward(x, w, b, pool=(5, 3))
+        with pytest.raises(ValueError, match="grad_out shape"):
+            temporal_conv_backward(x, w, np.zeros((2, 7, 85), np.float32), argmax=argmax)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(49)
+        x = rng.normal(size=(2, 2, 40))
+        w = rng.normal(size=(3, 2, 6))
+        b = rng.normal(size=3)
+        pooled, argmax = temporal_conv_forward(x, w, b, pool=(4, 3))
+        r = rng.normal(size=pooled.shape)
+
+        def loss(x, w, b):
+            return (temporal_conv_forward(x, w, b, pool=(4, 3))[0] * r).sum()
+
+        gx, gw, gb = temporal_conv_backward(x, w, r, argmax=argmax)
+        assert relative_error(gx, numeric_gradient(lambda v: loss(v, w, b), x)) < FD_TOL
+        assert relative_error(gw, numeric_gradient(lambda v: loss(x, v, b), w)) < FD_TOL
+        assert relative_error(gb, numeric_gradient(lambda v: loss(x, w, v), b)) < FD_TOL
+
 
 
 @settings(max_examples=300, deadline=None)

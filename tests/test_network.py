@@ -18,10 +18,13 @@ from helpers import numeric_gradient, relative_error, traced_peak
 
 
 def test_table1_shape_chain():
+    # each conv's unpooled map, then its pooled maps, its output
     specs = table1_layers()
     shapes = infer_shapes(specs, FULL_INPUT_LENGTH, 1)
-    conv_pool = [s for s, spec in zip(shapes, specs)
-                 if spec.kind in (LayerKind.TEMPORAL_CONV, LayerKind.MAX_POOL)]
+    ins = [(1, FULL_INPUT_LENGTH)] + shapes
+    conv_pool = [s for spec, shape, out in zip(specs, ins, shapes)
+                 if spec.kind is LayerKind.TEMPORAL_CONV for s in (spec.map_shape(shape), out)]
+    assert len(specs) == 11
     assert conv_pool == [
         (256, 41000), (256, 2049),
         (384, 1750), (384, 87),
@@ -41,7 +44,7 @@ def test_reduced_shape_chain():
 
 
 def test_single_conv_filter_equals_input():
-    shapes = infer_shapes([nnm.conv(3, 7)], 7, 1)
+    shapes = infer_shapes([nnm.conv(3, 7, (1, 1))], 7, 1)
     assert shapes == [(3, 1)]
 
 
@@ -51,14 +54,26 @@ def test_input_shorter_than_first_filter_names_layer_zero():
 
 
 def test_intermediate_too_short_names_layer_index():
-    specs = [nnm.conv(2, 5), nnm.max_pool(10, 10)]
-    with pytest.raises(ValueError, match="layer 1"):
+    specs = [nnm.conv(2, 3, (1, 1)), nnm.conv(2, 7, (1, 1))]
+    with pytest.raises(ValueError, match="layer 1: length 6 shorter than filter size 7"):
         infer_shapes(specs, 8, 1)
 
 
+@pytest.mark.parametrize("index", [0, 1])
+def test_map_shorter_than_its_pool_names_layer_index(index):
+    # a 4-sample map under a 5-sample pool, in layer 0 or layer 1
+    specs = [nnm.conv(2, 5, (5, 1)), nnm.relu()]
+    length = 8
+    if index:
+        specs.insert(0, nnm.conv(2, 1, (1, 1)))
+    with pytest.raises(ValueError, match=f"layer {index}: map length 4 shorter than pool size 5"):
+        infer_shapes(specs, length, 1)
+    assert infer_shapes(specs, length + 1, 1)[index] == (2, 1)
+
+
 @pytest.mark.parametrize("make", [
-    lambda: nnm.conv(0, 5), lambda: nnm.conv(4, 0),
-    lambda: nnm.max_pool(4, 0), lambda: nnm.max_pool(0, 2),
+    lambda: nnm.conv(0, 5, (1, 1)), lambda: nnm.conv(4, 0, (1, 1)),
+    lambda: nnm.conv(4, 5, (4, 0)), lambda: nnm.conv(4, 5, (0, 2)),
     lambda: nnm.fully_connected(0), lambda: nnm.dropout(1.0),
 ])
 def test_layer_constructors_reject_out_of_range_values(make):
@@ -100,12 +115,12 @@ def test_init_params_bit_identical_to_one_shot_draw():
     for a, b in zip(got, _one_shot_init(shapes, 42), strict=True):
         np.testing.assert_array_equal(a, b)
     # conv1's filter geometry (256 channels, 300 taps), fewer maps
-    conv1 = init_params([nnm.conv(24, 300)], 300, 256, seed=7).weights[0]
+    conv1 = init_params([nnm.conv(24, 300, (1, 1))], 300, 256, seed=7).weights[0]
     np.testing.assert_array_equal(conv1, _one_shot_init([(24, 256, 300)], 7)[0])
 
 
 def test_init_params_peak_memory_near_parameter_size():
-    layers = [nnm.conv(24, 300)]
+    layers = [nnm.conv(24, 300, (1, 1))]
     params, peak = traced_peak(init_params, layers, 300, 256, 0)
     nbytes = sum(t.nbytes for t in params.weights + params.biases)
     # a whole float64 draw would peak at 3x: no more than one row on top
@@ -224,7 +239,7 @@ def test_fft_conv_holds_no_whole_spectrum_or_weight_gradient(monkeypatch):
     from instrumentid.nn import layers
     monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1 << 10)  # one map per chunk
     _force_fft(monkeypatch, min_channels=2)
-    specs = [nnm.conv(32, 1), nnm.conv(32, 33), nnm.max_pool(34, 34),
+    specs = [nnm.conv(32, 1, (1, 1)), nnm.conv(32, 33, (34, 34)),
              nnm.fully_connected(11), nnm.sigmoid()]
     params = init_params(specs, 66, seed=55, dtype=np.float64)
     before = params.weights[1].copy()
@@ -244,7 +259,7 @@ def test_gradients_are_gone_before_the_layers_below_run_backward():
     # rate, each layer takes its step as its backward call returns, so that
     # gradient is freed before conv0 runs backward; without one it is held
     # through it, for sgd_step.
-    specs = [nnm.conv(16, 1), nnm.relu(), nnm.max_pool(8, 8),
+    specs = [nnm.conv(16, 1, (8, 8)), nnm.relu(),
              nnm.fully_connected(12), nnm.sigmoid()]
     params = init_params(specs, 2000, seed=57, dtype=np.float64)
     batch = np.random.default_rng(58).normal(size=(3, 1, 2000))
@@ -342,9 +357,8 @@ def test_eval_predictions_are_the_concatenated_group_calls(monkeypatch, kernel):
     # With the bound shrunk to two clips of the largest footprint, an eval
     # call runs the whole network over groups of 2, 2 and 1 clips, and its
     # predictions are those of one call per group. The largest footprint is
-    # conv0's 4 x 70 output on the direct kernel; on the FFT kernel conv0
-    # runs its pool and never makes that output, and its 80-sample input is
-    # the largest.
+    # conv0's 4 x 70 map on the direct kernel; on the FFT kernel conv0 never
+    # makes that map, and its 80-sample input is the largest.
     from instrumentid.nn import layers
     if kernel == "fft":
         _force_fft(monkeypatch)
@@ -358,17 +372,9 @@ def test_eval_predictions_are_the_concatenated_group_calls(monkeypatch, kernel):
     calls = _spy_layer_calls(monkeypatch, specs)
     preds, _ = forward(params, specs, batch, mode="eval")
     groups = [slice(0, 2), slice(2, 4), slice(4, 5)]
-    run = [i for i in range(len(specs)) if not _pool_run_by_conv(specs, i, kernel)]
-    assert calls == [("forward", i, s.stop - s.start) for s in groups for i in run]
+    assert calls == [("forward", i, s.stop - s.start) for s in groups for i in range(len(specs))]
     want = np.concatenate([forward(params, specs, batch[s], mode="eval")[0] for s in groups])
     assert np.array_equal(preds, want)
-
-
-def _pool_run_by_conv(specs, i, kernel):
-    """Whether layer ``i`` is a pool its FFT conv runs, with every conv of
-    the tiny net on ``kernel``."""
-    return (kernel == "fft" and specs[i].kind is LayerKind.MAX_POOL
-            and specs[i - 1].kind is LayerKind.TEMPORAL_CONV)
 
 
 def _spy_layer_calls(monkeypatch, specs):
@@ -532,9 +538,9 @@ def test_no_filter_spectrum_outlives_its_pass(monkeypatch, mode):
 def test_train_mode_runs_each_layer_once_however_small_the_bound(monkeypatch, kernel):
     # With the bound shrunk below one clip's footprint, a train step still
     # calls every layer once over the whole batch, forward and backward, and
-    # walks the layer shapes once. A pool its FFT conv runs is not called.
-    # The results are those at the default bound, up to the rounding of
-    # the direct kernel's im2col chunks, which the bound also sizes.
+    # walks the layer shapes once. The results are those at the default
+    # bound, up to the rounding of the direct kernel's im2col chunks, which
+    # the bound also sizes.
     from instrumentid.nn import layers
     if kernel == "fft":
         _force_fft(monkeypatch)
@@ -553,7 +559,7 @@ def test_train_mode_runs_each_layer_once_however_small_the_bound(monkeypatch, ke
     calls = _spy_layer_calls(monkeypatch, specs)
     preds, cache = forward(params, specs, batch, mode="train", rng=np.random.default_rng(39))
     grads = backward(cache, grad_loss)
-    run = [i for i in range(len(specs)) if not _pool_run_by_conv(specs, i, kernel)]
+    run = range(len(specs))
     assert calls == ([("forward", i, 5) for i in run]
                      + [("backward", i, 5) for i in reversed(run)])
     assert len(walks) == 1
@@ -565,13 +571,13 @@ def test_forward_walks_each_layer_shape_once(monkeypatch):
     specs = reduced_layers()
     params = init_params(specs, REDUCED_INPUT_LENGTH, seed=58)
     calls = []
-    for kind in (nnm._Layer, nnm.conv, nnm.max_pool, nnm.fully_connected):
+    for kind in (nnm._Layer, nnm.conv, nnm.fully_connected):
         def spy(self, shape, _f=kind.output_shape):
             calls.append(type(self))
             return _f(self, shape)
         monkeypatch.setattr(kind, "output_shape", spy)
     forward(params, specs, np.zeros((16, 1, REDUCED_INPUT_LENGTH), np.float32), mode="eval")
-    assert calls == [type(layer) for layer in specs]  # 14 layers, one call each
+    assert calls == [type(layer) for layer in specs]  # 11 layers, one call each
 
 
 def _eval_group(specs, input_length):
@@ -586,35 +592,36 @@ def _eval_group(specs, input_length):
 
 def test_eval_groups_are_16_clips_for_table1_and_22075_for_the_reduced_net():
     # Table-1: conv1's block spectra, 193 bins x 21 blocks x 256 channels a
-    # clip. conv0 runs pool0, so its 256 x 41,000 output is never made and
-    # counts for nothing: its footprint is its 256 x 2,049 pooled maps.
+    # clip. conv0 is on the FFT kernel, so its 256 x 41,000 map is never
+    # made and counts for nothing: its footprint is its 256 x 2,049 pooled
+    # maps.
     assert _eval_group(table1_layers(), FULL_INPUT_LENGTH) == (1_037_568, 16)
     shapes = [(1, FULL_INPUT_LENGTH)] + infer_shapes(table1_layers(), FULL_INPUT_LENGTH, 1)
-    assert table1_layers()[0].footprint(shapes[0], shapes[2], 1) == 256 * 2049
-    # the reduced net, all direct kernel: conv0's 4 x 190 output
+    assert table1_layers()[0].footprint(shapes[0], shapes[1], 1) == 256 * 2049
+    # the reduced net, all direct kernel, which makes each whole map before
+    # pooling it: conv0's 4 x 190 map
     assert _eval_group(reduced_layers(), REDUCED_INPUT_LENGTH) == (760, 22_075)
 
 
 @pytest.mark.parametrize("clips", [1, 16, 5000])  # one clip, a train batch, an eval set
 def test_table1_eval_group_arrays_fit_the_bound(clips):
     # every array a layer call of a group, planned for its own clips,
-    # makes: its input, its output or, for the convs that run their pools
-    # (conv0 and conv1, and conv2 from 3 clips), the pooled maps, and on
-    # the FFT kernel its block spectra
+    # makes: its input and its output, and for a conv on the direct kernel
+    # its whole map (conv2 below 3 clips), on the FFT kernel its block
+    # spectra (conv0 and conv1, and conv2 from 3 clips)
     specs = table1_layers()
     group = min(clips, _eval_group(specs, FULL_INPUT_LENGTH)[1])
     ins = [(1, FULL_INPUT_LENGTH)] + infer_shapes(specs, FULL_INPUT_LENGTH, 1)
-    pooling = nnm._pooling_convs(specs, ins, group)
-    assert pooling == ({0, 3} if group == 1 else {0, 3, 6})
+    kernels = []
     for i, layer in enumerate(specs):
-        if i - 1 in pooling:
-            continue  # a pool its FFT conv runs
-        out = ins[i + 2] if i in pooling else ins[i + 1]
-        arrays = [np.prod(ins[i]), np.prod(out)]
-        plan = layer.fft_plan(ins[i], group) if layer.kind is LayerKind.TEMPORAL_CONV else None
-        if plan is not None:  # the block spectra
-            arrays.append(plan.bins * plan.blocks * ins[i][0])
+        arrays = [np.prod(ins[i]), np.prod(ins[i + 1])]
+        if layer.kind is LayerKind.TEMPORAL_CONV:
+            plan = layer.fft_plan(ins[i], group)
+            kernels.append("direct" if plan is None else "fft")
+            arrays.append(np.prod(layer.map_shape(ins[i])) if plan is None
+                          else plan.bins * plan.blocks * ins[i][0])
         assert max(arrays) * group <= L._CONV_CHUNK_ELEMS, layer
+    assert kernels == ["fft", "fft", "direct" if group == 1 else "fft"]
 
 
 @pytest.mark.parametrize("specs, length", [(table1_layers(), FULL_INPUT_LENGTH),
@@ -631,7 +638,7 @@ def test_no_call_has_a_larger_per_clip_footprint_than_one_clip(specs, length):
     for clips in [*range(2, 65), 100, 1000, 5000, 22_075, 1 << 20]:
         assert nnm._largest_footprint(specs, shapes, clips) <= one, clips
     if length == FULL_INPUT_LENGTH:
-        plans = [specs[3].fft_plan(shapes[3], clips) for clips in (1, 2, 16)]
+        plans = [specs[2].fft_plan(shapes[2], clips) for clips in (1, 2, 16)]
         assert [p.bins * p.blocks * 256 for p in plans] == [1_037_568, 592_128, 394_240]
 
 

@@ -205,8 +205,9 @@ class TestTrainModel:
         monkeypatch.setattr(layers, "_CONV_CHUNK_ELEMS", 1500)
         conv_backward, calls = layers.temporal_conv_backward, []
 
-        def poisoned(x, weights, grad_out, needs_input_grad=True):
-            grad_x, grad_weights, grad_bias = conv_backward(x, weights, grad_out, needs_input_grad)
+        def poisoned(x, weights, grad_out, needs_input_grad=True, argmax=None):
+            grad_x, grad_weights, grad_bias = conv_backward(x, weights, grad_out, needs_input_grad,
+                                                            argmax=argmax)
             if x.shape[-2] == 1:  # conv0's one input channel
                 calls.append(len(x))
                 grad_weights[0, 0, 0] = np.nan
