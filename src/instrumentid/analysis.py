@@ -57,14 +57,14 @@ def write_spectra_csv(path, spectra) -> None:
     lines = ["# rescaled magnitude spectra, one filter per row, sorted by dominant bin"]
     for s in spectra:
         lines.append(",".join(f"{v:.6f}" for v in s.rescaled))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_smoothed_csv(path, smoothed) -> None:
     lines = ["# smoothed time-domain filter taps, one filter per row"]
     for row in np.asarray(smoothed):
         lines.append(",".join(f"{v:.6g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_pgm(path, matrix) -> None:

@@ -33,8 +33,8 @@ def _write_report(config: RunConfig, stem: str, report, classes, log) -> None:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     text = format_report(report, classes)
-    (out / f"{stem}_report.txt").write_text(text)
-    (out / f"{stem}_row.csv").write_text(format_report_row(report))
+    (out / f"{stem}_report.txt").write_text(text, encoding="utf-8")
+    (out / f"{stem}_row.csv").write_text(format_report_row(report), encoding="utf-8")
     for line in text.splitlines():
         if not line.startswith("#"):
             log(line)
@@ -111,7 +111,7 @@ def cmd_train(config: RunConfig, args, log) -> None:
 
     def tee(line):
         log(line)
-        with open(log_path, "a") as fh:
+        with open(log_path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
 
     # a checkpoint that cannot resume is refused before any clip is decoded
@@ -214,6 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a console that cannot show a name (a class, a path) escapes it, as stderr does
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         config = load_config(args.config)
         if args.run is not cmd_prepare_dataset:  # which checks its own inputs

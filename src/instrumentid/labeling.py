@@ -260,7 +260,7 @@ def write_taxonomy(path, taxonomy: Taxonomy) -> None:
         lines.append(f"{raw}\t{taxonomy.raw_to_category[raw]}")
     for cat in sorted(taxonomy.category_to_class):
         lines.append(f"{cat}\t{taxonomy.category_to_class[cat]}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @dataclass
@@ -339,4 +339,4 @@ def stratified_split(track_labels: dict, test_fraction: float = 0.2,
 
 
 def write_split_file(path, track_ids) -> None:
-    Path(path).write_text("".join(f"{t}\n" for t in track_ids))
+    Path(path).write_text("".join(f"{t}\n" for t in track_ids), encoding="utf-8")

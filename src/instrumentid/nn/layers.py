@@ -7,9 +7,8 @@ fully-connected inputs ``[..., features]``, and the elementwise layers take
 any shape. One clip is the case with no leading axis; ``model.forward``
 passes clips as one ``[clips, ...]`` array, so each layer call's products
 are one GEMM over all its clips. Weight and bias gradients are summed over
-the leading axes. The functions are pure, except that
-:func:`fft_conv_param_grads` writes the weight gradient into a caller's
-array: added into a buffer, or applied to the weights.
+the leading axes. The functions are pure; :func:`fft_conv_param_grads`
+hands its weight gradient to its caller's ``take``.
 
 Convolution has two kernels for one result. The direct kernel
 (:func:`temporal_conv_forward`) multiplies im2col windows, a read-only
@@ -24,11 +23,10 @@ Vasilache et al. (arXiv:1412.7580). Each pass that reads the spectrum
 builds it one map chunk at a time, as fbfft does, so no whole one is held.
 Its backward is two passes, which ``conv.backward`` calls in turn:
 :func:`fft_conv_input_grad`, the only one that reads the filter spectrum,
-then :func:`fft_conv_param_grads`, which adds each map chunk's weight
-gradient into a buffer or, given a learning rate, applies it to the
-weights as an SGD step (:func:`sgd_update`) as soon as the chunk is done,
-so that no whole weight gradient is held, as in LOMO (Lv et al.,
-arXiv:2306.09782). With one input channel, as in a first layer on raw
+then :func:`fft_conv_param_grads`, which hands each map chunk's weight
+gradient to its caller as soon as the chunk is done, so that no whole
+weight gradient need be held, as in LOMO (Lv et al., arXiv:2306.09782).
+With one input channel, as in a first layer on raw
 audio, each bin's product is an outer product, so the forward and the
 weight-gradient pass instead keep the rfft's own layout, bins last: the
 product is one broadcast multiply of the ``[maps, bins]`` filter spectra by
@@ -529,17 +527,17 @@ def fft_conv_input_grad(x, weights, grad_out, nfft: int, argmax=None):
     return grad_x.reshape(*lead, channels, length)
 
 
-def fft_conv_param_grads(x, grad_out, nfft: int, target, learning_rate=None, argmax=None):
-    """``(target, grad_bias)`` of :func:`fft_conv_forward` at ``nfft``: the
+def fft_conv_param_grads(x, grad_out, nfft: int, weights, take, argmax=None):
+    """The bias gradient of :func:`fft_conv_forward` at ``nfft``: the
     backward pass that reads no filter spectrum, run after
     :func:`fft_conv_input_grad`; given ``argmax``, it takes a pooled
     ``grad_out`` as that pass does.
 
-    Each map chunk's weight gradient goes into the ``[maps, channels,
-    filter_size]`` array ``target`` as soon as it is done: added into a
-    gradient buffer or, given a ``learning_rate``, applied to the weights
-    by :func:`sgd_update` once it is found finite (else FloatingPointError,
-    the earlier chunks applied), so that no whole gradient is held.
+    The weight gradient of the ``[maps, channels, filter_size]``
+    ``weights``, which are read for their shape only, is not returned: each
+    map chunk's goes to ``take(maps, gradient)``, ``maps`` being its slice
+    of the maps, as soon as it is done, so that no whole gradient is made.
+    The gradient may be a view of a buffer the next chunk reuses.
 
     Per map chunk the output gradient blocks are transformed and, per bin,
     their conjugate times the input block spectra, summed over clips and
@@ -556,8 +554,8 @@ def fft_conv_param_grads(x, grad_out, nfft: int, target, learning_rate=None, arg
     output gradient, clip by clip, the order of numpy's ``sum(axis=(0,
     2))`` over more than one map, so it takes those sums chunk by chunk.
     """
-    _, x, grad_out, argmax = _conv_operands(x, target, grad_out=grad_out, argmax=argmax)
-    maps, channels, filter_size = target.shape
+    _, x, grad_out, argmax = _conv_operands(x, weights, grad_out=grad_out, argmax=argmax)
+    maps, channels, filter_size = weights.shape
     clips, _, length = x.shape
     plan = overlap_save(nfft, filter_size, length)
     sums = np.empty((clips, maps), grad_out.dtype)  # each clip's output gradient sum per map
@@ -566,14 +564,6 @@ def fft_conv_param_grads(x, grad_out, nfft: int, target, learning_rate=None, arg
         g = _grad_chunk(grad_out, argmax, length - filter_size + 1, m)
         sums[:, m] = g.sum(axis=2)
         return g
-
-    def take(m, lags):  # the weight gradient of maps m, [maps, channels, filter_size]
-        if learning_rate is None:
-            target[m] += lags
-        elif not np.isfinite(lags).all():
-            raise FloatingPointError(f"non-finite weight gradient of maps {m.start}-{m.stop - 1}")
-        else:
-            sgd_update(target[m], lags, learning_rate, out=target[m])
 
     if channels == 1:
         spectra = _block_spectra(x, plan, nfft)  # [clips, 1, blocks, bins]
@@ -599,16 +589,7 @@ def fft_conv_param_grads(x, grad_out, nfft: int, target, learning_rate=None, arg
             np.fft.irfft(lag_spectra[:k], n=nfft, axis=1, out=lags[:k].transpose(0, 2, 1))
             take(m, lags[:k, :, :filter_size])
             del conj_g  # before the next chunk's spectra are made
-    return target, sums.sum(axis=0)
-
-
-def sgd_update(param, grad, learning_rate: float, out):
-    """``param - learning_rate * grad`` into ``out`` (``param`` or
-    ``grad``), returned: two ufunc steps and no temporary, ``grad``
-    overwritten by ``learning_rate * grad`` in the parameter's dtype, then
-    ``out`` by ``param`` minus it."""
-    np.multiply(np.asarray(learning_rate, dtype=param.dtype), grad, out=grad)
-    return np.subtract(param, grad, out=out)
+    return sums.sum(axis=0)
 
 
 def maxpool_forward(x, pool_size: int, pool_stride: int):

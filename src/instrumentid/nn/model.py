@@ -40,12 +40,11 @@ class _Layer:
     :func:`forward`).
     ``forward(x, weights, training, rng)`` takes clips ``[clips, ...]`` and
     the layer's weights, ``(weight, bias)`` or empty; it returns ``(output,
-    cache)``. ``backward(cache, weights, g, needs_input_grad, grads,
-    learning_rate)`` puts the parameter gradients, summed over the clips and
-    in the parameters' dtype, into the ``[weight, bias]`` list ``grads`` and
-    returns the input gradient; given a ``learning_rate``, it may apply a
-    weight gradient as an SGD step instead, leaving its slot None.
-    :func:`backward` steps what is left in ``grads``.
+    cache)``. ``backward(cache, weights, g, needs_input_grad, take)``
+    returns the input gradient, made first, and hands the parameter
+    gradients, summed over the clips, to :func:`_gradient_sink`'s
+    ``take(k, grad, rows=slice(None))``: ``k`` 0 for the weight, then 1
+    for the bias, ``rows`` a slice of the weight's maps.
     """
 
     has_params = False
@@ -57,11 +56,6 @@ class _Layer:
         """Elements of the largest array a call of ``clips`` clips makes per
         clip: its input or output."""
         return max(math.prod(shape), math.prod(out))
-
-
-def _grad(param, grad):
-    """``grad`` in ``param``'s dtype."""
-    return grad.astype(param.dtype, copy=False)
 
 
 def _require(ok: bool, message: str) -> None:
@@ -126,28 +120,26 @@ class conv(_Layer):
                           else L.fft_conv_forward(x, *weights, plan.nfft, pool=self.pool))
         return pooled, (x, argmax)
 
-    def backward(self, cache, weights, g, needs_input_grad, grads, learning_rate):
+    def backward(self, cache, weights, g, needs_input_grad, take):
         """The kernel ``fft_plan`` picks for ``x``, as in the forward, given
         the pooled maps' gradient ``g``, which it scatters through the kept
         argmax. On the FFT kernel, two passes:
         ``nn.layers.fft_conv_input_grad``, then
-        ``nn.layers.fft_conv_param_grads``, into a weight gradient buffer
-        made then or, given a ``learning_rate``, into the weights as an SGD
-        step."""
+        ``nn.layers.fft_conv_param_grads``, which hands ``take`` the weight
+        gradient a map chunk at a time."""
         x, argmax = cache
-        w, b = weights
+        w, _ = weights
         plan = self.fft_plan(x.shape[-2:], len(x))
         if plan is None:
-            grad_x, grads[0], gb = L.temporal_conv_backward(
+            grad_x, gw, gb = L.temporal_conv_backward(
                 x, w, g, needs_input_grad=needs_input_grad, argmax=argmax)
+            take(0, gw)
         else:
             grad_x = (L.fft_conv_input_grad(x, w, g, plan.nfft, argmax=argmax)
                       if needs_input_grad else None)
-            if learning_rate is None:
-                grads[0] = np.zeros_like(w)  # the map chunks add into it
-            target = w if learning_rate is not None else grads[0]
-            _, gb = L.fft_conv_param_grads(x, g, plan.nfft, target, learning_rate, argmax=argmax)
-        grads[1] = _grad(b, gb)
+            gb = L.fft_conv_param_grads(x, g, plan.nfft, w, lambda maps, gw: take(0, gw, maps),
+                                        argmax=argmax)
+        take(1, gb)
         return grad_x
 
 
@@ -159,7 +151,7 @@ class relu(_Layer):
         out = L.relu(x)
         return out, out  # the next layer holds the output anyway
 
-    def backward(self, cache, weights, g, needs_input_grad, grads, learning_rate):
+    def backward(self, cache, weights, g, needs_input_grad, take):
         return L.relu_backward(cache, g)
 
 
@@ -182,10 +174,11 @@ class fully_connected(_Layer):
         flat = x.reshape(len(x), math.prod(x.shape[1:]))  # -1 fails on zero clips
         return L.fully_connected_forward(flat, *weights), (flat, x.shape)
 
-    def backward(self, cache, weights, g, needs_input_grad, grads, learning_rate):
+    def backward(self, cache, weights, g, needs_input_grad, take):
         flat, in_shape = cache
-        g, *param_grads = L.fully_connected_backward(flat, weights[0], g)
-        grads[:] = map(_grad, weights, param_grads)
+        g, gw, gb = L.fully_connected_backward(flat, weights[0], g)
+        take(0, gw)
+        take(1, gb)
         return g.reshape(in_shape)
 
 
@@ -203,7 +196,7 @@ class dropout(_Layer):
             raise ValueError("training mode with dropout requires an rng")
         return L.dropout(x, self.drop_rate, rng, training)
 
-    def backward(self, cache, weights, g, needs_input_grad, grads, learning_rate):
+    def backward(self, cache, weights, g, needs_input_grad, take):
         return L.dropout_backward(cache, self.drop_rate, g)
 
 
@@ -215,7 +208,7 @@ class sigmoid(_Layer):
         out = L.sigmoid(x)
         return out, out
 
-    def backward(self, cache, weights, g, needs_input_grad, grads, learning_rate):
+    def backward(self, cache, weights, g, needs_input_grad, take):
         return L.sigmoid_backward(cache, g)
 
 
@@ -409,6 +402,39 @@ def forward(params: ModelParams, layers, batch, mode: str = "train", rng=None):
     return np.concatenate([run(batch[s]) for s in groups or [slice(0, 0)]]), None
 
 
+def sgd_update(param, grad, learning_rate: float, out):
+    """``param - learning_rate * grad`` into ``out`` (``param`` or
+    ``grad``), returned: two ufunc steps and no temporary, ``grad``
+    overwritten by ``learning_rate * grad`` in the parameter's dtype, then
+    ``out`` by ``param`` minus it."""
+    np.multiply(np.asarray(learning_rate, dtype=param.dtype), grad, out=grad)
+    return np.subtract(param, grad, out=out)
+
+
+def _gradient_sink(params, grads, index: int, learning_rate):
+    """The ``take`` :func:`backward` gives parameterized layer ``index``,
+    of ``(weight, bias)`` ``params``: the one place a gradient is cast to
+    its parameter's dtype, checked and applied. Given a ``learning_rate``,
+    a non-finite gradient raises FloatingPointError and any other is
+    applied to ``params[k][rows]`` (:func:`sgd_update`); without one, a
+    whole gradient is stored in ``grads[k]`` as it is, and a chunk of rows
+    added into a zeroed buffer there."""
+    def take(k, grad, rows=slice(None)):
+        param = params[k]
+        grad = grad.astype(param.dtype, copy=False)
+        if learning_rate is not None:
+            if not np.isfinite(grad).all():
+                raise FloatingPointError(f"non-finite {('weight', 'bias')[k]} gradient {index}")
+            sgd_update(param[rows], grad, learning_rate, out=param[rows])
+        elif rows == slice(None):
+            grads[k] = grad
+        else:
+            if grads[k] is None:
+                grads[k] = np.zeros_like(param)  # the chunks add into it
+            grads[k][rows] += grad
+    return take
+
+
 def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
     """Backpropagate ``grad_loss`` ([batch, output]) to parameter gradients,
     consuming ``cache``.
@@ -417,18 +443,18 @@ def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
     predictions, so the per-clip contributions are summed: the result is the
     gradient of the same batch-mean loss. Each layer runs backward once over
     the whole batch, from the output to the input. Layer 0 computes no
-    gradient for the network input.
+    gradient for the network input. Each layer hands its parameter
+    gradients to one sink, :func:`_gradient_sink`.
 
-    Given a ``learning_rate``, every layer takes its SGD step here, into
-    the very arrays of ``params``, as its call returns. Every gradient the
-    layer made, weight and bias, is checked for non-finite values, then
-    each is applied in place (``nn.layers.sgd_update``), so every slot of
-    the result is None. An FFT conv applies its weight gradient within the
-    call, a map chunk at a time as each chunk is done and found finite, so
-    its whole weight gradient never exists. A non-finite gradient raises
-    FloatingPointError naming its kind and index, as in ``non-finite bias
-    gradient 3``, with the layers nearer the output, and an FFT conv's
-    chunks before it, already applied.
+    Given a ``learning_rate``, the sink checks each gradient and applies it
+    as an SGD step, into the very arrays of ``params``, as it is handed
+    over, so every slot of the result is None; an FFT conv hands its weight
+    gradient over a map chunk at a time, so the whole of it never exists.
+    A non-finite gradient raises FloatingPointError naming its kind and
+    index, as in ``non-finite bias gradient 3``, with all that was handed
+    over before it applied: the layers nearer the output, the layer's
+    weight before its bias, an FFT conv's earlier map chunks. A
+    FloatingPointError a layer raises itself passes as it is.
 
     A layer's cache and weights leave ``cache`` as its call returns, and
     the cache is spent: a second backward on it raises ValueError.
@@ -445,20 +471,9 @@ def backward(cache: ForwardCache, grad_loss, learning_rate=None) -> ModelParams:
     g = grad_loss
     for i in reversed(range(len(layers))):
         index = sum(layer.has_params for layer in layers[:i])
-        try:
-            g = layers[i].backward(caches[i], weights[i], g, i > 0, grads[i], learning_rate)
-        except FloatingPointError:  # an FFT conv's weight chunk, before its update
-            raise FloatingPointError(f"non-finite weight gradient {index}") from None
-        caches[i] = None
-        if learning_rate is not None:  # its gradients are whole: check, then step
-            for kind, grad in zip(("weight", "bias"), grads[i]):
-                if grad is not None and not np.isfinite(grad).all():
-                    raise FloatingPointError(f"non-finite {kind} gradient {index}")
-            for param, grad in zip(weights[i], grads[i]):
-                if grad is not None:
-                    L.sgd_update(param, grad, learning_rate, out=param)
-            grads[i] = [None, None]
-        weights[i] = None
+        take = _gradient_sink(weights[i], grads[i], index, learning_rate)
+        g = layers[i].backward(caches[i], weights[i], g, i > 0, take)
+        caches[i] = weights[i] = None
     pairs = [pair for layer, pair in zip(layers, grads) if layer.has_params]
     return ModelParams([w for w, _ in pairs], [b for _, b in pairs])
 
@@ -470,7 +485,7 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> M
 
     ``params`` is left as it is and ``grads`` is consumed: each gradient is
     scaled by ``lr`` in place and then overwritten by ``w`` minus it
-    (``nn.layers.sgd_update``), the values of ``w - lr * g``, so a step
+    (:func:`sgd_update`), the values of ``w - lr * g``, so a step
     holds no third copy of the parameters. Every gradient must have its
     parameter's shape and dtype, or be None: a slot :func:`backward` has
     already applied to its parameter, which is then the new parameter; given
@@ -482,6 +497,6 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> M
     for p, g in pairs:
         if g is not None and (p.shape, p.dtype) != (g.shape, g.dtype):
             raise ValueError(f"gradient {g.shape} {g.dtype} != parameter {p.shape} {p.dtype}")
-    new = [p if g is None else L.sgd_update(p, g, learning_rate, out=g) for p, g in pairs]
+    new = [p if g is None else sgd_update(p, g, learning_rate, out=g) for p, g in pairs]
     grads.weights[:], grads.biases[:] = new[:len(grads.weights)], new[len(grads.weights):]
     return grads

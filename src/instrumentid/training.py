@@ -142,14 +142,14 @@ def train_model(config: RunConfig, train_data: LoadedDataset,
 
     Each step is ``forward``, the loss, and ``backward`` with the learning
     rate, which runs every layer once over the batch and checks and steps
-    it in place as its call returns (an FFT conv's weights chunk by chunk),
-    so the ``sgd_step`` that ends the step finds nothing left to apply. A
-    non-finite batch loss, or a non-finite gradient behind a finite one,
-    stops the run, naming the epoch, step and clips, and that epoch writes
-    no checkpoint. A non-finite loss stops it before any update, and a
-    non-finite gradient before its own layer's step; but by then
-    ``backward`` may already have stepped the layers nearer the output in
-    memory, in the parameters being trained, a ``resume`` one's included.
+    each gradient in place as it is handed over (an FFT conv's weights
+    chunk by chunk), so the ``sgd_step`` that ends the step finds nothing
+    left to apply. A non-finite batch loss, or a non-finite gradient behind
+    a finite one, stops the run, naming the epoch, step and clips, and that
+    epoch writes no checkpoint. A non-finite loss stops it before any
+    update, and a non-finite gradient before its own step, but after all
+    handed over before it, the layers nearer the output among them, was
+    stepped in memory, in the parameters being trained (a resumed run's too).
     """
     specs, input_length = architecture(config)
     sgd = config.sgd()

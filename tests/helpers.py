@@ -493,6 +493,26 @@ def logistic_descent_loop(xz, y, learning_rate, epochs, seed):
 
 
 # ---------------------------------------------------------------------------
+# weight-gradient sinks for ``fft_conv_param_grads``
+
+
+def adding_take(buffer):
+    """A ``take(maps, grad)`` that adds each map chunk's weight gradient
+    into ``buffer``; a zeroed buffer ends as the whole gradient."""
+    def take(maps, grad):
+        buffer[maps] += grad
+    return take
+
+
+def stepping_take(weights, learning_rate):
+    """A ``take(maps, grad)`` that applies each map chunk's weight gradient
+    to ``weights`` as the SGD step ``w - lr * g``, ``lr`` in their dtype."""
+    def take(maps, grad):
+        weights[maps] -= np.asarray(learning_rate, weights.dtype) * grad
+    return take
+
+
+# ---------------------------------------------------------------------------
 # memory
 
 

@@ -141,7 +141,7 @@ def test_default_taxonomy_ships_with_package():
 
 
 def test_readme_config_block_loads_and_names_every_key(tmp_path):
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("Write a flat `key = value` config file", 1)[1].split("```")[1]
     p = tmp_path / "run.cfg"
     p.write_text(block)

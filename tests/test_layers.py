@@ -16,8 +16,9 @@ from instrumentid.nn import model as nnm
 from instrumentid.nn.layers import _chunks, fft_plan, overlap_save
 
 from helpers import (
-    conv_backward_naive, conv_naive, maxpool_backward_loop, maxpool_naive, maxpool_window_argmax,
-    numeric_gradient, relative_error, sigmoid_two_branch, traced_peak,
+    adding_take, conv_backward_naive, conv_naive, maxpool_backward_loop, maxpool_naive,
+    maxpool_window_argmax, numeric_gradient, relative_error, sigmoid_two_branch, stepping_take,
+    traced_peak,
 )
 
 FD_TOL = 1e-4  # the acceptance suite's gradient tolerance
@@ -181,12 +182,11 @@ def _fft_against_direct(x, w, b, nfft, tol, needs_input_grad=True):
     if needs_input_grad:
         gx = fft_conv_input_grad(x, w, g, nfft)
         _assert_close_to_max(gx, want_gx, tol)
-    # the weight gradient is added into the caller's buffer
+    # the weight gradient goes to the caller's take, here added into a buffer
     start = np.random.default_rng(1).normal(size=w.shape).astype(w.dtype)
     buffer = start.copy()
-    gw, gb = fft_conv_param_grads(x, g, nfft, buffer)
-    assert gw is buffer
-    _assert_close_to_max(gw - start, want_gw, tol)
+    gb = fft_conv_param_grads(x, g, nfft, w, adding_take(buffer))
+    _assert_close_to_max(buffer - start, want_gw, tol)
     _assert_close_to_max(gb, want_gb, tol)
 
 
@@ -226,7 +226,8 @@ class TestFftConv:
             return (fft_conv_forward(x, w, b, nfft) * r).sum()
 
         gx = fft_conv_input_grad(x, w, r, nfft)
-        gw, gb = fft_conv_param_grads(x, r, nfft, np.zeros_like(w))
+        gw = np.zeros_like(w)
+        gb = fft_conv_param_grads(x, r, nfft, w, adding_take(gw))
         assert relative_error(gx, numeric_gradient(lambda v: loss(v, w, b), x)) < FD_TOL
         assert relative_error(gw, numeric_gradient(lambda v: loss(x, v, b), w)) < FD_TOL
         assert relative_error(gb, numeric_gradient(lambda v: loss(x, w, v), b)) < FD_TOL
@@ -311,7 +312,7 @@ class TestFftConv:
         fft_conv_forward(x, w, np.zeros(4, np.float32), 32)
         g = rng.normal(size=(2, 4, 92)).astype(np.float32)
         fft_conv_input_grad(x, w, g, 32)
-        fft_conv_param_grads(x, g, 32, np.zeros_like(w))
+        fft_conv_param_grads(x, g, 32, w, adding_take(np.zeros_like(w)))
         assert len(calls) >= 3
         for shape, args, kwargs in calls:
             assert not args and "n" not in kwargs and shape[-1] == 32, (shape, args, kwargs)
@@ -332,7 +333,8 @@ class TestFftConv:
 
         def backward():
             gx = fft_conv_input_grad(x, w, g, 128)
-            return gx, fft_conv_param_grads(x, g, 128, np.zeros(w.shape))
+            gw = np.zeros(w.shape)
+            return gx, gw, fft_conv_param_grads(x, g, 128, w, adding_take(gw))
 
         _, peak = traced_peak(backward)
         assert peak < 2.5 * spectra_bytes, peak / spectra_bytes
@@ -385,8 +387,9 @@ class TestFftConv:
 
         def run():
             transforms.clear()
+            gw = np.zeros_like(w)
             return (fft_conv_forward(x, w, b, 64), fft_conv_input_grad(x, w, g, 64),
-                    *fft_conv_param_grads(x, g, 64, np.zeros_like(w)),
+                    fft_conv_param_grads(x, g, 64, w, adding_take(gw)), gw,
                     layers._per_bin_spectra(x, plan, 64),
                     layers._per_bin_spectra(x, plan, 64, rows_last=True),
                     layers._per_bin_spectra(g, plan, plan.hop)), len(transforms)
@@ -428,8 +431,9 @@ class TestFftConv:
         g = rng.normal(size=(2, 7, 32))
 
         def run():
+            gw = np.zeros_like(w)
             return (fft_conv_forward(x, w, b, 16), fft_conv_input_grad(x, w, g, 16),
-                    *fft_conv_param_grads(x, g, 16, np.zeros_like(w)))
+                    fft_conv_param_grads(x, g, 16, w, adding_take(gw)), gw)
 
         whole = run()
         monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1)  # one map per chunk
@@ -486,8 +490,15 @@ class TestFftConvWithPool:
         assert np.array_equal(fft_conv_input_grad(x, w, g, 64, argmax=argmax),
                               fft_conv_input_grad(x, w, grad_out, 64))
         # into a gradient buffer, or into the weights as an SGD step
-        got_w, got_b = fft_conv_param_grads(x, g, 64, w.copy(), learning_rate, argmax=argmax)
-        want_w, want_b = fft_conv_param_grads(x, grad_out, 64, w.copy(), learning_rate)
+        if learning_rate is None:
+            got_w, want_w = np.zeros_like(w), np.zeros_like(w)
+            got_take, want_take = adding_take(got_w), adding_take(want_w)
+        else:
+            got_w, want_w = w.copy(), w.copy()
+            got_take, want_take = (stepping_take(got_w, learning_rate),
+                                   stepping_take(want_w, learning_rate))
+        got_b = fft_conv_param_grads(x, g, 64, w, got_take, argmax=argmax)
+        want_b = fft_conv_param_grads(x, grad_out, 64, w, want_take)
         assert got_w.dtype == want_w.dtype and np.array_equal(got_w, want_w)
         assert got_b.dtype == want_b.dtype and np.array_equal(got_b, want_b)
         # the bias gradient, taken a chunk of maps at a time, is numpy's sum
@@ -499,8 +510,8 @@ class TestFftConvWithPool:
         with pytest.raises(ValueError, match="grad_out shape"):
             fft_conv_input_grad(x, w, np.zeros((2, 7, 85), np.float32), 64, argmax=argmax)
         with pytest.raises(ValueError, match="out of range"):
-            fft_conv_param_grads(x, np.zeros(argmax.shape, np.float32), 64, np.zeros_like(w),
-                                 argmax=argmax + 260)
+            fft_conv_param_grads(x, np.zeros(argmax.shape, np.float32), 64, w,
+                                 adding_take(np.zeros_like(w)), argmax=argmax + 260)
         with pytest.raises(ValueError, match="shorter than pool size"):
             fft_conv_forward(x, w, b, 64, pool=(261, 1))
 
@@ -518,7 +529,8 @@ class TestFftConvWithPool:
             return (fft_conv_forward(x, w, b, nfft, pool=(4, 3))[0] * r).sum()
 
         gx = fft_conv_input_grad(x, w, r, nfft, argmax=argmax)
-        gw, gb = fft_conv_param_grads(x, r, nfft, np.zeros_like(w), argmax=argmax)
+        gw = np.zeros_like(w)
+        gb = fft_conv_param_grads(x, r, nfft, w, adding_take(gw), argmax=argmax)
         # an input that feeds no kept maximum has a gradient of 0 up to the
         # transforms' rounding (~1e-16), and its differences meet it within
         # theirs (~1e-11): compared at a floor of 1e-6, not the default 1e-8
@@ -541,7 +553,8 @@ class TestFftConvWithPool:
         assert pooled.shape == argmax.shape == (1, 256, 2049)
         assert peak < output_bytes / 4, peak / output_bytes
         g = rng.normal(size=pooled.shape).astype(np.float32)
-        _, peak = traced_peak(fft_conv_param_grads, x, g, nfft, np.zeros_like(w), None, argmax)
+        _, peak = traced_peak(fft_conv_param_grads, x, g, nfft, w,
+                              adding_take(np.zeros_like(w)), argmax)
         assert peak < output_bytes / 4, peak / output_bytes
 
 
@@ -652,7 +665,7 @@ def test_overlap_save_plans_cover_the_outputs(filter_size, extra, outputs, short
     lambda x, w, g: temporal_conv_backward(x, w, g, needs_input_grad=False),
     lambda x, w, g: fft_conv_forward(x, w, np.zeros(3), 8),
     lambda x, w, g: fft_conv_input_grad(x, w, g, 8),
-    lambda x, w, g: fft_conv_param_grads(x, g, 8, np.zeros_like(w)),
+    lambda x, w, g: fft_conv_param_grads(x, g, 8, w, adding_take(np.zeros_like(w))),
 ], ids=["direct-forward", "direct-backward", "direct-weight-backward",
         "fft-forward", "fft-input-backward", "fft-weight-backward"])
 def test_conv_entry_points_reject_channel_mismatch(call):
@@ -668,7 +681,7 @@ def test_conv_entry_points_reject_channel_mismatch(call):
     lambda x, f, g: temporal_conv_backward(x, f, g),
     lambda x, f, g: fft_conv_forward(x, f, np.zeros(3), 8),
     lambda x, f, g: fft_conv_input_grad(x, f, g, 8),
-    lambda x, f, g: fft_conv_param_grads(x, g, 8, f),
+    lambda x, f, g: fft_conv_param_grads(x, g, 8, f, adding_take(np.zeros_like(f))),
 ], ids=["direct-forward", "direct-backward", "fft-forward", "fft-input-backward",
         "fft-weight-backward"])
 def test_conv_entry_points_reject_a_filter_operand_that_is_not_3d(call):

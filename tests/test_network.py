@@ -230,6 +230,51 @@ def test_second_backward_on_a_spent_cache_raises():
         backward(cache, np.ones_like(preds))
 
 
+def test_a_floating_point_error_of_a_parameterless_layer_keeps_its_message(monkeypatch):
+    # The gradient sink names only the gradients it checks: an error the
+    # sigmoid's backward raises itself reaches the caller as it was raised,
+    # before any layer has stepped.
+    def overflow(out, grad_out):
+        raise FloatingPointError("overflow encountered in multiply")
+
+    monkeypatch.setattr(L, "sigmoid_backward", overflow)
+    specs = reduced_layers()
+    params = init_params(specs, REDUCED_INPUT_LENGTH, seed=59)
+    before = copy.deepcopy(params)
+    batch = np.random.default_rng(60).normal(size=(2, 1, REDUCED_INPUT_LENGTH))
+    preds, cache = forward(params, specs, batch.astype(np.float32), "train",
+                           rng=np.random.default_rng(61))
+    with pytest.raises(FloatingPointError, match="^overflow encountered in multiply$"):
+        backward(cache, np.ones_like(preds), 0.1)
+    for got, want in zip(params.weights + params.biases, before.weights + before.biases):
+        assert np.array_equal(got, want)
+
+
+def test_a_layer_steps_its_weight_before_its_bias_is_checked(monkeypatch):
+    # Each gradient is checked and applied as it is handed over, weight
+    # first: a non-finite bias gradient of the direct conv0 stops the step
+    # after conv0's weights moved and before its bias did.
+    conv_backward = L.temporal_conv_backward
+
+    def poisoned(x, weights, grad_out, **kwargs):
+        grad_x, grad_weights, grad_bias = conv_backward(x, weights, grad_out, **kwargs)
+        if x.shape[-2] == 1:  # conv0's one input channel
+            grad_bias[0] = np.inf
+        return grad_x, grad_weights, grad_bias
+
+    monkeypatch.setattr(L, "temporal_conv_backward", poisoned)
+    specs = _tiny_specs()
+    params = init_params(specs, 80, seed=62)
+    before = copy.deepcopy(params)
+    preds, cache = forward(params, specs, _tiny_input(batch=2).astype(np.float32), "train")
+    with pytest.raises(FloatingPointError, match="^non-finite bias gradient 0$"):
+        backward(cache, np.ones_like(preds), 0.1)
+    moved = [not np.array_equal(p, q) for p, q in
+             zip(params.weights + params.biases, before.weights + before.biases)]
+    assert moved[0] and not moved[len(params.weights)]
+    assert all(moved[1:len(params.weights)])
+
+
 def test_fft_conv_holds_no_whole_spectrum_or_weight_gradient(monkeypatch):
     # One multi-channel FFT conv, whose filter spectrum (557 KB) and weight
     # gradient (270 KB) dwarf every other array. Its forward and its

@@ -1,9 +1,15 @@
 """Every text file the program reads is UTF-8, and a byte that does not
 decode names the file and the byte's offset."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import instrumentid
 from instrumentid.cli import main
 from instrumentid.config import RunConfig, load_config
 from instrumentid.dataset import (
@@ -11,7 +17,7 @@ from instrumentid.dataset import (
 )
 from instrumentid.labeling import load_category_map, read_text
 
-from helpers import write_config, write_corpus
+from helpers import eleven_class_corpus, write_config, write_corpus
 
 
 def _spoil(path, offset):
@@ -86,3 +92,33 @@ def test_cli_exits_1_naming_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {_message(path, 3)}\n"
     assert "Traceback" not in err
+
+
+def test_every_text_artifact_is_utf8_under_an_ascii_locale(tmp_path):
+    # Under the C locale with UTF-8 mode off, Python's default text encoding
+    # is ASCII. A class named flügelhorn reaches the resolved taxonomy, the
+    # manifests, the report and the console; every command still exits 0,
+    # and every text file it writes is UTF-8.
+    eleven_class_corpus(tmp_path)
+    (tmp_path / "taxonomy.tsv").write_text("c00\tflügelhorn\n", encoding="utf-8")
+    config = write_config(
+        tmp_path / "run.cfg", audio_dir="audio", activation_dir="activations",
+        output_dir="out", taxonomy_file="taxonomy.tsv", min_songs=1, test_fraction=0.34,
+        split_seed=1, reduced="true", epochs=1, batch_size=8, train_seed=0)
+    src = Path(instrumentid.__file__).parents[1]
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": str(src)}
+    stdout = {}
+    for command in ("prepare-dataset", "train", "evaluate", "analyze-filters"):
+        done = subprocess.run([sys.executable, "-m", "instrumentid.cli", command,
+                               "--config", str(config)],
+                              cwd=tmp_path, env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0, (command, done.stderr)
+        stdout[command] = done.stdout
+    assert b"label[fl\\xfcgelhorn]" in stdout["evaluate"]  # escaped, as stderr escapes
+    out = tmp_path / "out"
+    for name in ("taxonomy_resolved.tsv", "train_manifest.tsv", "cnn_report.txt"):
+        assert "flügelhorn".encode("utf-8") in (out / name).read_bytes(), name
+    written = [p for p in out.rglob("*") if p.suffix in (".tsv", ".txt", ".csv")]
+    assert len(written) == 10
+    for path in written:
+        read_text(path)

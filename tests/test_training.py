@@ -252,12 +252,17 @@ class TestTrainModel:
         monkeypatch.setattr(layers, "_FFT_CHUNK_ELEMS", 1)
         param_grads, conv2 = layers.fft_conv_param_grads, {}
 
-        def poisoned(x, grad_out, nfft, target, learning_rate=None, **kwargs):
+        def poisoned(x, grad_out, nfft, weights, take, **kwargs):
             if x.shape[-2] == 6:  # conv2's input channels
                 grad_out = grad_out.copy()  # pool2's gradient, which conv2 scatters
                 grad_out[:, 1] = np.nan
-                conv2.update(before=target.copy(), target=target, rate=learning_rate)
-            return param_grads(x, grad_out, nfft, target, learning_rate, **kwargs)
+                conv2.update(before=weights.copy(), weights=weights, taken=[])
+
+                def spy(maps, grad):
+                    conv2["taken"].append((maps.start, maps.stop))
+                    take(maps, grad)
+                return param_grads(x, grad_out, nfft, weights, spy, **kwargs)
+            return param_grads(x, grad_out, nfft, weights, take, **kwargs)
 
         monkeypatch.setattr(layers, "fft_conv_param_grads", poisoned)
         updates = []
@@ -272,9 +277,9 @@ class TestTrainModel:
         clips = ast.literal_eval(re.search(r"on clips (\[.*?\])", str(err.value)).group(1))
         assert len(clips) == 4 and set(clips) <= set(data.ids)
         # the step went into the weights themselves: map 0 moved, no later map did
-        assert conv2["rate"] == cfg.learning_rate
-        assert not np.array_equal(conv2["target"][0], conv2["before"][0])
-        np.testing.assert_array_equal(conv2["target"][1:], conv2["before"][1:])
+        assert conv2["taken"] == [(0, 1), (1, 2)]  # map 1's chunk raised
+        assert not np.array_equal(conv2["weights"][0], conv2["before"][0])
+        np.testing.assert_array_equal(conv2["weights"][1:], conv2["before"][1:])
         assert updates == []
         assert not list(cfg.checkpoint_dir().glob("epoch_*"))
 
