@@ -45,8 +45,7 @@ operands. The kernel has two bounds. Map chunks, within
 operands, a map chunk's filter spectrum among them, and products. Working
 chunks, within ``_FFT_WORK_ELEMS``, a cache-sized eighth of that, bound
 everything else: each one-channel broadcast product, each layout copy and
-each transform but those of :func:`filter_spectrum` and of the
-weight-gradient lags. Every working
+each transform but those of the weight-gradient lags. Every working
 split runs along results independent of each other (transform rows, the
 bins' GEMMs, broadcast maps), never along a summed axis, so its size
 changes no bit of any output; nor does building the spectrum per map
@@ -309,7 +308,7 @@ def fft_plan(maps: int, filter_size: int, shape, clips: int):
     return best
 
 
-def _block_spectra(x, plan: FftPlan, width: int, out=None):
+def _block_spectra(x, plan: FftPlan, width: int):
     """rfft at length ``plan.nfft`` of ``plan.blocks`` windows of ``width``
     samples, ``plan.hop`` apart, of ``x [clips, rows, length]`` zero-padded.
 
@@ -323,9 +322,10 @@ def _block_spectra(x, plan: FftPlan, width: int, out=None):
     in the input's precision, and the result is multiplied by ``nfft`` in
     place.
 
-    :returns: the rfft's own layout, ``[clips, rows, blocks, bins]``, in
-        ``out`` when given (any strides); the per-bin GEMM form copies it
-        into its own chunk by chunk (:func:`_per_bin_spectra`)
+    :returns: the rfft's own layout, ``[clips, rows, blocks, bins]``; the
+        per-bin GEMM form copies it into its own chunk by chunk
+        (:func:`_per_bin_spectra`), and :func:`filter_spectrum` into its
+        maps-major one
     """
     nfft, hop, blocks = plan.nfft, plan.hop, plan.blocks
     clips, rows, length = x.shape
@@ -338,9 +338,9 @@ def _block_spectra(x, plan: FftPlan, width: int, out=None):
         padded = np.zeros((clips, rows, (blocks - 1) * hop + width), dtype=x.dtype)
         padded[:, :, :length] = x
         windows = _windows(padded, width, blocks, hop)
-    out = np.fft.rfft(windows, norm="forward", out=out)
-    out *= nfft  # in place; no complex128 copy
-    return out
+    spectra = np.fft.rfft(windows, norm="forward")
+    spectra *= nfft  # in place; no complex128 copy
+    return spectra
 
 
 def filter_spectrum(weights, nfft: int):
@@ -348,11 +348,12 @@ def filter_spectrum(weights, nfft: int):
 
     ``bins = nfft // 2 + 1``; ``nfft`` must be even and at least the filter
     size. The result is the ``[bins, maps, channels]`` view of a contiguous
-    ``[maps, bins, channels]`` array, maps-major: each map chunk of filters
-    is transformed as one block of :func:`_block_spectra` straight into its
-    place, a map's bins ``channels`` values apart, and conjugated there, so
-    beyond the result only one padded chunk is held. The per-bin GEMMs read
-    this layout as fast as a bins-major one; with one channel it is the
+    ``[maps, bins, channels]`` array, maps-major: each working chunk of
+    filters, counted as its zero-padded input and its transform, is
+    transformed as one block of :func:`_block_spectra` in the rfft's own
+    layout and conjugated into its place, a map's bins ``channels`` values
+    apart, so beyond the result one working chunk is held. The per-bin GEMMs
+    read this layout as fast as a bins-major one; with one channel it is the
     rfft's own ``[maps, bins]`` layout, which the broadcast form reads.
     """
     weights = np.asarray(weights)
@@ -360,13 +361,10 @@ def filter_spectrum(weights, nfft: int):
     maps, channels, filter_size = weights.shape
     plan = overlap_save(nfft, filter_size, filter_size)  # one block, the filters padded
     spectrum = np.empty((maps, plan.bins, channels), np.result_type(weights, np.complex64))
-    spectrum = spectrum.transpose(1, 0, 2)
-    for m in _chunks(maps, channels * plan.bins, _FFT_CHUNK_ELEMS):
-        # the chunk's place in the spectrum as one block: [maps, channels, 1, bins]
-        chunk = spectrum[:, m].transpose(1, 2, 0)[:, :, None]
-        _block_spectra(weights[m], plan, nfft, chunk)
-        np.conjugate(chunk, out=chunk)
-    return spectrum
+    for m in _work_chunks(maps, channels * (plan.bins + nfft // 2)):
+        chunk = _block_spectra(weights[m], plan, nfft)  # [maps, channels, 1, bins]
+        np.conjugate(chunk[:, :, 0].transpose(0, 2, 1), out=spectrum[m])
+    return spectrum.transpose(1, 0, 2)
 
 
 def _per_bin_spectra(x, plan: FftPlan, width: int, rows_last: bool = False):

@@ -63,6 +63,7 @@ def test_downmix_bit_identical_to_channel_mean(bits, format_code, channels):
     assert parse_wav_header(data)[:2] == (44100, len(got))
 
 
+@pytest.mark.traced_peak
 @pytest.mark.parametrize("channels", [1, 2])
 @pytest.mark.parametrize("bits", [16, 24, 32])
 def test_integer_pcm_matches_float64_formula_at_the_extremes(bits, channels):

@@ -174,6 +174,7 @@ class TestForest:
              [(3, 1.25), (3, 0.25), (1, 0.75), 0, 1, 1, 0]],
         ]
 
+    @pytest.mark.traced_peak
     def test_tree_holds_no_copy_of_the_training_rows(self):
         # a tree grows on row indices: its bootstrap sample and each node's
         # rows are indices into x, and a split search copies only its

@@ -136,6 +136,7 @@ def test_failed_save_leaves_no_temporary_file(sample, monkeypatch, fail):
     assert path.read_bytes() == before
 
 
+@pytest.mark.traced_peak
 def test_save_and_load_memory_bounded_by_parameters(tmp_path):
     """Save holds no second copy of the tensors, load at most one more."""
     rng = np.random.default_rng(0)

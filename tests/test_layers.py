@@ -151,6 +151,7 @@ class TestTemporalConv:
         for got, want in zip(run(), whole):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.traced_peak
     def test_backward_frees_the_weight_pass_before_the_input_pass(self):
         # The weight gradient's window copy ``cols`` and the input gradient's
         # per-tap products have the same size C here (one chunk each); the
@@ -274,17 +275,44 @@ class TestFftConv:
         with pytest.raises(ValueError, match="even and >= filter size"):
             filter_spectrum(w, 2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layer, shape, maps, nffts", [
+        # Table-1 conv0, conv1 and conv2, every channel and tap, enough maps
+        # for two or three working chunks, at each nfft the plan picks for a
+        # call on 1, 2 or 16 clips
+        (nnm.conv(256, 3101, (40, 20)), (1, 44100), 12, [12288, 24576]),
+        (nnm.conv(384, 300, (30, 20)), (256, 2049), 3, [384, 512, 768]),
+        (nnm.conv(384, 20, (8, 4)), (384, 87), 16, [48]),
+    ])
+    def test_filter_spectrum_is_the_conjugate_rfft_of_the_padded_filters(
+            self, layer, shape, maps, nffts, dtype):
+        # bit for bit: each filter's transform is a row of its own, whatever
+        # working chunk it is made in, and scaled as _block_spectra scales it
+        plans = [layer.fft_plan(shape, clips) for clips in (1, 2, 16)]
+        assert sorted({plan.nfft for plan in plans if plan is not None}) == nffts
+        rng = np.random.default_rng(39)
+        w = (rng.normal(size=(maps, shape[0], layer.filter_size)) * 0.05).astype(dtype)
+        for nfft in nffts:
+            padded = np.zeros((*w.shape[:2], nfft), dtype)
+            padded[..., :layer.filter_size] = w
+            want = np.fft.rfft(padded, norm="forward")
+            want *= nfft
+            got = filter_spectrum(w, nfft)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, np.conjugate(want).transpose(2, 0, 1))
+
+    @pytest.mark.traced_peak
     @pytest.mark.parametrize("transform", ["filter_spectrum", "block_spectra"])
     def test_float32_transforms_make_no_double_precision_copy(self, transform):
         # The float64 loop would hold a complex128 copy of the result (twice
         # its bytes) beside the complex64 result and a float64 copy of the
         # input: over 5x the result here. In float32 the peak is the result
-        # and, for the filters, the one map chunk zero-padded to nfft that is
-        # transformed straight into it.
+        # and, for the filters, one working chunk zero-padded to nfft and its
+        # transform, conjugated into the result.
         from instrumentid.nn import layers
         rng = np.random.default_rng(34)
         if transform == "filter_spectrum":
-            w = rng.normal(size=(8, 64, 300)).astype(np.float32)  # one map chunk
+            w = rng.normal(size=(8, 64, 300)).astype(np.float32)  # two working chunks
             run = lambda: filter_spectrum(w, 384)
         else:
             x = rng.normal(size=(1, 64, 4000)).astype(np.float32)
@@ -317,6 +345,7 @@ class TestFftConv:
         for shape, args, kwargs in calls:
             assert not args and "n" not in kwargs and shape[-1] == 32, (shape, args, kwargs)
 
+    @pytest.mark.traced_peak
     def test_backward_peak_is_two_block_spectra(self, monkeypatch):
         # Beyond the chunk-bounded stages, the two backward passes hold the
         # input-gradient spectra, then the input block spectra beside the
@@ -339,6 +368,7 @@ class TestFftConv:
         _, peak = traced_peak(backward)
         assert peak < 2.5 * spectra_bytes, peak / spectra_bytes
 
+    @pytest.mark.traced_peak
     def test_forward_peak_is_spectra_output_and_one_chunk_of_products(self, monkeypatch):
         # Beyond its input, the per-bin forward holds the input block
         # spectra, its output and one map chunk's products. The chunk's
@@ -352,6 +382,7 @@ class TestFftConv:
         rng = np.random.default_rng(38)
         x = rng.normal(size=(8, 16, 608))  # 16 blocks of 32 outputs at nfft 128
         w = rng.normal(size=(16, 16, 97))
+        fft_conv_forward(x, w, np.zeros(16), 128)  # untraced: the first call's one-off allocations
         out, peak = traced_peak(fft_conv_forward, x, w, np.zeros(16), 128)
         spectra_bytes = 65 * 16 * 8 * 16 * 16  # bins x channels x clips x blocks, complex128
         products_bytes = 65 * 7 * 8 * 16 * 16  # bins x maps x clips x blocks
@@ -539,6 +570,7 @@ class TestFftConvWithPool:
         assert relative_error(gw, numeric_gradient(lambda v: loss(x, v, b), w)) < FD_TOL
         assert relative_error(gb, numeric_gradient(lambda v: loss(x, w, v), b)) < FD_TOL
 
+    @pytest.mark.traced_peak
     def test_conv0_peaks_far_below_its_whole_output(self):
         # Table-1 conv0 and pool0 on one clip: the unfused forward returns a
         # 42 MB output, and pool0's backward a gradient of the same size

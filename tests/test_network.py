@@ -119,6 +119,7 @@ def test_init_params_bit_identical_to_one_shot_draw():
     np.testing.assert_array_equal(conv1, _one_shot_init([(24, 256, 300)], 7)[0])
 
 
+@pytest.mark.traced_peak
 def test_init_params_peak_memory_near_parameter_size():
     layers = [nnm.conv(24, 300, (1, 1))]
     params, peak = traced_peak(init_params, layers, 300, 256, 0)
@@ -275,6 +276,7 @@ def test_a_layer_steps_its_weight_before_its_bias_is_checked(monkeypatch):
     assert all(moved[1:len(params.weights)])
 
 
+@pytest.mark.traced_peak
 def test_fft_conv_holds_no_whole_spectrum_or_weight_gradient(monkeypatch):
     # One multi-channel FFT conv, whose filter spectrum (557 KB) and weight
     # gradient (270 KB) dwarf every other array. Its forward and its
@@ -299,6 +301,7 @@ def test_fft_conv_holds_no_whole_spectrum_or_weight_gradient(monkeypatch):
     assert max(forward_peak, backward_peak) < smaller, (forward_peak, backward_peak, smaller)
 
 
+@pytest.mark.traced_peak
 def test_gradients_are_gone_before_the_layers_below_run_backward():
     # fc0's weight gradient (384 KB) is the largest array. Given a learning
     # rate, each layer takes its step as its backward call returns, so that
@@ -739,6 +742,7 @@ def test_sgd_step_zero_gradient_is_identity():
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.traced_peak
 def test_sgd_step_writes_into_the_gradients_and_leaves_params_alone():
     rng = np.random.default_rng(57)
     params = ModelParams([rng.normal(size=(200, 300)).astype(np.float32)],

@@ -434,6 +434,7 @@ class TestLoadDataset:
         np.testing.assert_array_equal(shuffled.clips, grouped.clips[order])
         assert wav_reads == []
 
+    @pytest.mark.traced_peak
     def test_one_clip_load_holds_one_clip_not_the_track(self, tmp_path):
         wav = tmp_path / "long.wav"
         frames = np.random.default_rng(3).uniform(-0.5, 0.5, size=(60 * CLIP_SAMPLES, 2))
